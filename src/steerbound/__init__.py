@@ -12,28 +12,29 @@ from .assemblage import (
     validate,
 )
 from .fidelity import (
+    ExtractionChannel,
     appendix_b_strategy,
     assemblage_fidelity,
     classical_fidelity,
+    extractability,
     state_fidelity,
 )
 from .matkernel import ValidationError
 from .numsearch import (
     SandwichReport,
     SearchConfig,
-    best_channel,
     min_extractability_at_beta,
     sample_assemblage,
     sandwich_sweep,
 )
 from .selftest import (
     BoundCoefficients,
-    ExtractionChannel,
     S_OPTIMAL,
     T_OPTIMAL,
     THRESHOLD_BETA,
     TRIVIAL_CLASSICAL_FIDELITY,
     analytic_bound,
+    certified_lower_bound,
     coefficient_search,
     dephasing_channel,
     extractability_with_channel,

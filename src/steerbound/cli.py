@@ -125,16 +125,6 @@ def cmd_coefficient_search(args) -> int:
 def cmd_sandwich(args) -> int:
     with open(args.config) as handle:
         cfg = SearchConfig.from_json(handle.read())
-    env_seed = os.environ.get("STEERBOUND_SEED")
-    if env_seed is not None:
-        cfg = SearchConfig(
-            samples=cfg.samples,
-            beta_targets=cfg.beta_targets,
-            channel_family=cfg.channel_family,
-            seesaw_rounds=cfg.seesaw_rounds,
-            rng_seed=int(env_seed),
-            tolerance=cfg.tolerance,
-        )
     report = sandwich_sweep(cfg)
     _atomic_write(args.out_json, report.to_json())
     if args.out_csv:
@@ -212,12 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-inequality", help="sweep the operator-inequality margins")
     p.add_argument("--theta-points", type=int, default=10_000)
     p.add_argument("--s", default="optimal", help='coefficient s, or "optimal"')
-    p.add_argument(
-        "--t0-t1-rule",
-        choices=["constraints"],
-        default="constraints",
-        help="shift rule (only the closed-form constraint rule is supported)",
-    )
     p.set_defaults(func=cmd_verify_inequality)
 
     p = sub.add_parser("classical-fidelity", help="best classical fidelity with a reference")

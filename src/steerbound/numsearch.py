@@ -1,16 +1,17 @@
 """Numerical cross-check of the analytic bound.
 
-Heuristic see-saw machinery: sample assemblages, maximize the fidelity to
-the reference over a parametrized channel family (coordinate ascent), and
-minimize that maximum over assemblages pinned to a target CHSH value. The
-outcome is one-sided: a passing sweep means no counterexample to the
-analytic lower bound was found, never that the true minimum was reached.
+Heuristic outer search, exact inner solve: minimize the extractability over
+assemblages pinned to a target CHSH value, scoring every candidate with the
+exact extractability SDP of ``fidelity.extractability``. The outer search
+is a penalty descent on a cheap surrogate, so the outcome is one-sided: a
+passing sweep means no counterexample to the analytic lower bound was
+found, never that the true minimum was reached.
 
-Two structural candidates make the sandwich checks robust by construction:
-the reference/classical mixture hits any target violation exactly and sits
-below the interpolation upper bound, while seeding every channel ascent
-with the analytic witness channel keeps every estimate above the analytic
-lower bound (up to the constraint residual).
+Two structural facts make the sandwich checks robust by construction: the
+reference/classical mixture hits any target violation exactly and sits
+below the interpolation upper bound, and the exact extractability of every
+candidate is at least the analytic witness channel's fidelity, hence above
+the analytic lower bound (up to the constraint residual).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,70 +32,58 @@ from .assemblage import (
     random_realization,
     realize,
 )
-from .fidelity import appendix_b_strategy
-from .matkernel import I2, PAULI_X, PAULI_Y, PAULI_Z, KET0, KET1, KET_MINUS, KET_PLUS
-from .selftest import (
-    S_OPTIMAL,
-    analytic_bound,
-    dephasing_coefficient,
-    upper_bound,
-)
+from .fidelity import appendix_b_strategy, extractability, fidelity_operator
+from .matkernel import I2, PAULI_X, PAULI_Y, PAULI_Z
+from .selftest import analytic_bound, dephasing_channel, upper_bound
 from .steering import BETA_CLASSICAL, BETA_QUANTUM
 
-CHANNEL_FAMILIES = ("dephasing-only", "unitary-pre-post-dephasing", "general-two-kraus")
 
-_REF_VECTORS = (
-    ((0, 0), KET0),
-    ((1, 0), KET1),
-    ((0, 1), KET_PLUS),
-    ((1, 1), KET_MINUS),
-)
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     samples: int = 20
     beta_targets: tuple = (2.1, 2.34, 2.5, 2.7, BETA_QUANTUM)
-    channel_family: str = "unitary-pre-post-dephasing"
-    seesaw_rounds: int = 2
     rng_seed: int = 20240817
     tolerance: float = 1e-4
 
     def check(self) -> None:
-        if self.samples < 1 or self.seesaw_rounds < 1:
-            raise ValidationError("samples and seesaw_rounds must be >= 1")
-        if self.tolerance <= 0:
-            raise ValidationError("tolerance must be positive")
-        if self.channel_family not in CHANNEL_FAMILIES:
-            raise ValidationError(f"unknown channel family {self.channel_family!r}")
+        if not _is_int(self.samples) or self.samples < 1:
+            raise ValidationError(f"samples must be an integer >= 1, got {self.samples!r}")
+        if not isinstance(self.beta_targets, (list, tuple)) or not self.beta_targets:
+            raise ValidationError("beta_targets must be a nonempty list of numbers")
         for b in self.beta_targets:
-            if not BETA_CLASSICAL < b <= BETA_QUANTUM + 1e-12:
-                raise ValidationError(f"beta target {b} outside (2, 2*sqrt(2)]")
+            if not _is_real(b) or not BETA_CLASSICAL < b <= BETA_QUANTUM + 1e-12:
+                raise ValidationError(f"beta target {b!r} outside (2, 2*sqrt(2)]")
+        if not _is_int(self.rng_seed) or self.rng_seed < 0:
+            raise ValidationError(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
+        if not _is_real(self.tolerance) or not 0 < self.tolerance < math.inf:
+            raise ValidationError(f"tolerance must be finite and > 0, got {self.tolerance!r}")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "samples": self.samples,
-                "beta_targets": list(self.beta_targets),
-                "channel_family": self.channel_family,
-                "seesaw_rounds": self.seesaw_rounds,
-                "rng_seed": self.rng_seed,
-                "tolerance": self.tolerance,
-            },
-            indent=2,
-        )
+        raw = {f.name: getattr(self, f.name) for f in fields(self)}
+        return json.dumps({**raw, "beta_targets": list(self.beta_targets)}, indent=2)
 
     @staticmethod
     def from_json(text: str) -> "SearchConfig":
+        """Parse and check a config document; every key is optional, and
+        any other key (including the retired channel_family and
+        seesaw_rounds) is rejected."""
         raw = json.loads(text)
-        cfg = SearchConfig(
-            samples=raw.get("samples", 20),
-            beta_targets=tuple(raw.get("beta_targets", (2.1, 2.34, 2.5, 2.7, BETA_QUANTUM))),
-            channel_family=raw.get("channel_family", "unitary-pre-post-dephasing"),
-            seesaw_rounds=raw.get("seesaw_rounds", 2),
-            rng_seed=raw.get("rng_seed", 20240817),
-            tolerance=raw.get("tolerance", 1e-4),
-        )
+        if not isinstance(raw, dict):
+            raise ValidationError("search config must be a JSON object")
+        unknown = sorted(set(raw) - {f.name for f in fields(SearchConfig)})
+        if unknown:
+            raise ValidationError(f"unknown search config keys: {', '.join(unknown)}")
+        if isinstance(raw.get("beta_targets"), list):
+            raw["beta_targets"] = tuple(raw["beta_targets"])
+        cfg = SearchConfig(**raw)
         cfg.check()
         return cfg
 
@@ -121,206 +110,6 @@ def sample_assemblage(
     if uniform_marginals:
         asm = enforce_uniform_marginals(asm)
     return asm
-
-
-# ---------------------------------------------------------------------------
-# Channel families
-
-def _rot(t: float) -> np.ndarray:
-    # real rotation in the XZ great circle of the Bloch sphere
-    return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]], dtype=complex)
-
-
-def _gamma(theta: float) -> np.ndarray:
-    return PAULI_Z if theta <= math.pi / 4 else PAULI_X
-
-
-def family_dim(family: str) -> int:
-    return {"dephasing-only": 1, "unitary-pre-post-dephasing": 3, "general-two-kraus": 4}[family]
-
-
-def param_bounds(family: str):
-    pi = math.pi
-    if family == "dephasing-only":
-        return [(-1.0, 1.0)]
-    if family == "unitary-pre-post-dephasing":
-        return [(-1.0, 1.0), (-pi, pi), (-pi, pi)]
-    return [(-pi, pi)] * 4
-
-
-def kraus_ops(family: str, theta: float, params) -> list:
-    """Kraus operators for a parameter vector of the given family.
-
-    dephasing-only: [c]. unitary-pre-post-dephasing: [c, pre, post] with
-    XZ-plane rotations around the dephasing core. general-two-kraus:
-    [a, b, g1, g2] giving K1 = R(g1) diag(cos a, cos b) and
-    K2 = R(g2) diag(sin a, sin b); trace preservation is automatic.
-    """
-    if family == "dephasing-only":
-        c = min(1.0, max(-1.0, params[0]))
-        return [
-            math.sqrt((1 + c) / 2) * I2,
-            math.sqrt((1 - c) / 2) * _gamma(theta),
-        ]
-    if family == "unitary-pre-post-dephasing":
-        c, pre, post = params
-        c = min(1.0, max(-1.0, c))
-        u, v = _rot(pre), _rot(post)
-        return [
-            math.sqrt((1 + c) / 2) * (v @ u),
-            math.sqrt((1 - c) / 2) * (v @ _gamma(theta) @ u),
-        ]
-    if family == "general-two-kraus":
-        a, b, g1, g2 = params
-        k1 = _rot(g1) @ np.diag([math.cos(a), math.cos(b)]).astype(complex)
-        k2 = _rot(g2) @ np.diag([math.sin(a), math.sin(b)]).astype(complex)
-        return [k1, k2]
-    raise ValidationError(f"unknown channel family {family!r}")
-
-
-def embed_params(small: str, large: str, theta: float, params):
-    """Lift a parameter vector of a smaller family into a larger one so the
-    channel is unchanged (warm start for the nesting property)."""
-    if small == large:
-        return list(params)
-    if small == "dephasing-only":
-        params = [params[0], 0.0, 0.0]
-        small = "unitary-pre-post-dephasing"
-        if small == large:
-            return params
-    if small == "unitary-pre-post-dephasing" and large == "general-two-kraus":
-        c, pre, post = params
-        c = min(1.0, max(-1.0, c))
-        w = (1 + c) / 2
-        a = math.acos(min(1.0, math.sqrt(w)))
-        g2 = post - pre
-        if _gamma(theta) is PAULI_X:
-            g2 += math.pi / 2
-        return [a, -a, pre + post, g2]
-    raise ValidationError(f"cannot embed {small} into {large}")
-
-
-@dataclass(frozen=True)
-class ChannelResult:
-    family: str
-    theta: float
-    params: tuple
-    fidelity: float
-
-    def kraus(self) -> list:
-        return kraus_ops(self.family, self.theta, self.params)
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return sum(k @ rho @ k.conj().T for k in self.kraus())
-
-    def apply_elementwise(self, asm: Assemblage) -> Assemblage:
-        return Assemblage(
-            asm.outcomes,
-            asm.settings,
-            {key: self.apply(m) for key, m in asm.elements.items()},
-        )
-
-    def describe(self) -> dict:
-        return {
-            "family": self.family,
-            "theta": self.theta,
-            "params": list(self.params),
-            "fidelity": self.fidelity,
-        }
-
-
-def fidelity_after_kraus(asm: Assemblage, kraus: list) -> float:
-    """F(reference, channel(asm)) for the pure CHSH reference."""
-    total = 0.0
-    for (a, x), vec in _REF_VECTORS:
-        sigma = asm.elements[(a, x)]
-        p = float(np.trace(sigma).real)
-        if p < 1e-12:
-            continue
-        mapped = sum(k @ sigma @ k.conj().T for k in kraus)
-        total += math.sqrt(0.5 / p) * float((vec.conj() @ mapped @ vec).real)
-    return total / 2
-
-
-def _line_search(f, lo: float, hi: float, coarse: int = 15, refine: int = 24):
-    """Maximize f on [lo, hi]: coarse grid, then golden-section refinement
-    in the bracketing cell. Handles the mildly multimodal angle landscapes."""
-    xs = np.linspace(lo, hi, coarse)
-    vals = [f(float(x)) for x in xs]
-    i = int(np.argmax(vals))
-    a = float(xs[max(0, i - 1)])
-    b = float(xs[min(coarse - 1, i + 1)])
-    inv_golden = (math.sqrt(5) - 1) / 2
-    c = b - (b - a) * inv_golden
-    d = a + (b - a) * inv_golden
-    fc, fd = f(c), f(d)
-    for _ in range(refine):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * inv_golden
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * inv_golden
-            fd = f(d)
-    x = (a + b) / 2
-    return x, f(x)
-
-
-def _default_starts(family: str, theta: float):
-    starts = []
-    for c in (1.0, dephasing_coefficient(theta, S_OPTIMAL), -1.0, 0.0):
-        starts.append(embed_params("dephasing-only", family, theta, [c]))
-    return starts
-
-
-def best_channel(
-    asm: Assemblage,
-    theta: float,
-    family: str = "unitary-pre-post-dephasing",
-    rounds: int = 2,
-    extra_starts=None,
-):
-    """Coordinate-ascent maximization of the reference fidelity over the
-    channel family's parameters.
-
-    Each round sweeps every parameter with a grid-plus-golden-section line
-    search; the kept value is monotone nondecreasing. Starting points
-    always include the identity channel and the analytic witness channel
-    for this theta, so the result is never below the certified witness.
-
-    Returns (ChannelResult, fidelity).
-    """
-    if family not in CHANNEL_FAMILIES:
-        raise ValidationError(f"unknown channel family {family!r}")
-    bounds = param_bounds(family)
-    starts = _default_starts(family, theta)
-    if extra_starts:
-        starts = starts + [list(s) for s in extra_starts]
-
-    def fid(params) -> float:
-        return fidelity_after_kraus(asm, kraus_ops(family, theta, params))
-
-    best_params, best_val = None, -math.inf
-    for start in starts:
-        params = list(start)
-        val = fid(params)
-        for _ in range(rounds):
-            for i, (lo, hi) in enumerate(bounds):
-
-                def f_i(x, i=i):
-                    trial = list(params)
-                    trial[i] = x
-                    return fid(trial)
-
-                x, v = _line_search(f_i, lo, hi)
-                if v > val:
-                    params[i] = x
-                    val = v
-        if val > best_val:
-            best_params, best_val = params, val
-    result = ChannelResult(family, theta, tuple(best_params), best_val)
-    return result, best_val
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +149,14 @@ def _family_point(p):
 
 
 def _quick_extractability(asm: Assemblage, theta: float) -> float:
-    """Cheap inner estimate: best of the identity, full-dephasing and
-    analytic-witness dephasing channels."""
-    best = -math.inf
-    for c in (1.0, -1.0, dephasing_coefficient(theta, S_OPTIMAL)):
-        best = max(best, fidelity_after_kraus(asm, kraus_ops("dephasing-only", theta, [c])))
-    return best
+    """Cheap inner estimate: the better of the identity and the full
+    Gamma flip, tr(J W) for each. Fidelity is linear in the Choi matrix,
+    so every dephasing channel in between (the analytic witness included)
+    scores no higher than one of these two ends."""
+    w = fidelity_operator(asm)
+    return max(
+        float(np.vdot(dephasing_channel(theta, c).choi, w).real) for c in (1.0, -1.0)
+    )
 
 
 def _project_to_beta(p, beta: float):
@@ -443,12 +234,18 @@ def _mixture_candidate(beta: float):
 
 @dataclass(frozen=True)
 class SandwichRecord:
+    """One target's outcome. numeric_min is the exact extractability (the
+    solver's primal value, within gap of the true value) of the winning
+    candidate: "mixture" or "restart k", k indexing the target's
+    SeedSequence children. residual is that candidate's |CHSH - beta|."""
+
     beta: float
     numeric_min: float
     analytic_lower: float
     eq8_upper: float
     residual: float
-    restarts_used: int
+    gap: float
+    winner: str
     witness: dict = field(repr=False)
 
     def passes(self, tolerance: float) -> bool:
@@ -457,6 +254,9 @@ class SandwichRecord:
             <= self.numeric_min
             <= self.eq8_upper + tolerance
         )
+
+
+_COLUMNS = ("beta", "numeric_min", "analytic_lower", "eq8_upper", "residual", "gap", "winner")
 
 
 @dataclass(frozen=True)
@@ -474,15 +274,7 @@ class SandwichReport:
                 "config": json.loads(self.config.to_json()),
                 "passed": self.passed,
                 "records": [
-                    {
-                        "beta": r.beta,
-                        "numeric_min": r.numeric_min,
-                        "analytic_lower": r.analytic_lower,
-                        "eq8_upper": r.eq8_upper,
-                        "residual": r.residual,
-                        "restarts_used": r.restarts_used,
-                        "witness": r.witness,
-                    }
+                    {**{c: getattr(r, c) for c in _COLUMNS}, "witness": r.witness}
                     for r in self.records
                 ],
             },
@@ -492,19 +284,10 @@ class SandwichReport:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["beta", "numeric_min", "analytic_lower", "eq8_upper", "residual", "restarts_used"]
-        )
+        writer.writerow(_COLUMNS)
         for r in self.records:
             writer.writerow(
-                [
-                    f"{r.beta:.9g}",
-                    f"{r.numeric_min:.9g}",
-                    f"{r.analytic_lower:.9g}",
-                    f"{r.eq8_upper:.9g}",
-                    f"{r.residual:.9g}",
-                    r.restarts_used,
-                ]
+                [f"{v:.9g}" if isinstance(v, float) else v for v in (getattr(r, c) for c in _COLUMNS)]
             )
         return buf.getvalue()
 
@@ -514,10 +297,11 @@ def min_extractability_at_beta(
 ) -> SandwichRecord:
     """Heuristic estimate of the minimum extractability at a fixed CHSH
     value: penalty-descent restarts plus the reference/classical mixture,
-    each scored with a full channel-family ascent.
+    each scored with the exact extractability solve.
 
-    The returned value is an upper estimate of the true minimum; the
-    certified, falsifiable direction is numeric >= analytic bound.
+    The returned value is an upper estimate of the true minimum (up to the
+    solver gap); the certified, falsifiable direction is numeric >=
+    analytic bound.
     """
     cfg.check()
     if not BETA_CLASSICAL < beta <= BETA_QUANTUM + 1e-12:
@@ -525,37 +309,34 @@ def min_extractability_at_beta(
     if seed_sequence is None:
         seed_sequence = np.random.SeedSequence(cfg.rng_seed)
 
-    candidates = [_mixture_candidate(beta) + (0.0,)]
-    children = seed_sequence.spawn(cfg.samples)
-    for child in children:
-        rng = np.random.default_rng(child)
-        p = _outer_descent(beta, rng, cfg.tolerance)
+    candidates = [("mixture",) + _mixture_candidate(beta) + (0.0,)]
+    for k, child in enumerate(seed_sequence.spawn(cfg.samples)):
+        p = _outer_descent(beta, np.random.default_rng(child), cfg.tolerance)
         asm, theta, b = _family_point(p)
-        candidates.append((asm, theta, abs(b - beta)))
+        candidates.append((f"restart {k}", asm, theta, abs(b - beta)))
 
     best = None
-    for asm, theta, residual in candidates:
+    for name, asm, theta, residual in candidates:
         if residual >= cfg.tolerance:
             continue
-        channel, fid = best_channel(
-            asm, theta, cfg.channel_family, rounds=cfg.seesaw_rounds
-        )
-        if best is None or fid < best[0]:
-            best = (fid, residual, asm, theta, channel)
+        value, channel, gap = extractability(asm)
+        if best is None or value < best[0]:
+            best = (value, gap, name, residual, asm, theta, channel)
 
-    fid, residual, asm, theta, channel = best
+    value, gap, name, residual, asm, theta, channel = best
     witness = {
         "assemblage": json.loads(asm.to_json()),
         "theta": theta,
-        "channel": channel.describe(),
+        "channel": {"re": channel.choi.real.tolist(), "im": channel.choi.imag.tolist()},
     }
     return SandwichRecord(
         beta=beta,
-        numeric_min=fid,
+        numeric_min=value,
         analytic_lower=analytic_bound(beta),
         eq8_upper=upper_bound(beta),
         residual=residual,
-        restarts_used=cfg.samples,
+        gap=gap,
+        winner=name,
         witness=witness,
     )
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assemblage import Assemblage, chsh_reference
-from .fidelity import assemblage_fidelity
+from .assemblage import Assemblage
+from .fidelity import ExtractionChannel, fidelity_operator
 from .matkernel import I2, PAULI_X, PAULI_Z, ValidationError, min_eigval, symmetrize
 from .steering import BETA_CLASSICAL, BETA_QUANTUM, t_operators, BobObservables
 
@@ -29,31 +29,6 @@ S_OPTIMAL = (1 + math.sqrt(2)) / 4
 T_OPTIMAL = (2 - math.sqrt(2)) / 2
 TRIVIAL_CLASSICAL_FIDELITY = (2 + math.sqrt(2)) / 4
 THRESHOLD_BETA = 8 - 4 * math.sqrt(2)
-
-
-@dataclass(frozen=True)
-class ExtractionChannel:
-    """Mixed-unitary qubit channel sum_i w_i U_i rho U_i^dagger.
-
-    The bound derivation only needs the two-term dephasing family with
-    Hermitian conjugators, which makes the channel self-dual.
-    """
-
-    terms: tuple  # of (weight, 2x2 unitary conjugator)
-    clamped: bool = False  # set when the dephasing parameter was clipped
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return sum(w * (u @ rho @ u.conj().T) for w, u in self.terms)
-
-    def dual(self, rho: np.ndarray) -> np.ndarray:
-        return sum(w * (u.conj().T @ rho @ u) for w, u in self.terms)
-
-    def apply_elementwise(self, asm: Assemblage) -> Assemblage:
-        return Assemblage(
-            asm.outcomes,
-            asm.settings,
-            {k: self.apply(m) for k, m in asm.elements.items()},
-        )
 
 
 @dataclass(frozen=True)
@@ -84,14 +59,19 @@ def _first_interval(theta: float) -> bool:
 def dephasing_channel(theta: float, c: float) -> ExtractionChannel:
     """Two-term dephasing channel (1+c)/2 rho + (1-c)/2 G rho G with
     G = Z on [0, pi/4] and G = X on (pi/4, pi/2]. c outside [-1, 1] is
-    clamped and flagged rather than rejected."""
+    clamped and flagged rather than rejected.
+
+    The Choi matrix of rho -> U rho U^dagger is |U>><<U| with
+    |U>> = sum_i |i> (x) U|i>, the row-major flattening of U^T."""
     _check_theta(theta)
     clamped = not -1 <= c <= 1
     c = min(1.0, max(-1.0, c))
     gamma = PAULI_Z if _first_interval(theta) else PAULI_X
-    return ExtractionChannel(
-        terms=((0.5 * (1 + c), I2), (0.5 * (1 - c), gamma)), clamped=clamped
+    choi = sum(
+        w * np.outer(u.T.reshape(4), u.T.reshape(4).conj())
+        for w, u in ((0.5 * (1 + c), I2), (0.5 * (1 - c), gamma))
     )
+    return ExtractionChannel(choi, clamped=clamped)
 
 
 def dephasing_coefficient(theta: float, s: float) -> float:
@@ -278,9 +258,9 @@ def require_uniform_marginals(asm: Assemblage, tol: float = 1e-6) -> None:
 
 
 def extractability_with_channel(asm: Assemblage, channel: ExtractionChannel) -> float:
-    """Fidelity of the reference with the channel applied elementwise:
-    a lower-bound witness for extractability at this fixed channel."""
-    return assemblage_fidelity(chsh_reference(), channel.apply_elementwise(asm))
+    """Fidelity of the reference with the channel applied elementwise,
+    tr(J W): a lower-bound witness for extractability at this fixed channel."""
+    return float(np.vdot(channel.choi, fidelity_operator(asm)).real)
 
 
 def certified_lower_bound(

@@ -22,6 +22,7 @@ from steerbound.fidelity import (
     appendix_b_strategy,
     assemblage_fidelity,
     classical_fidelity,
+    extractability,
     state_fidelity,
 )
 from steerbound.matkernel import I2, PAULI_X, PAULI_Z
@@ -114,6 +115,7 @@ def test_06_sandwich_property():
             <= record.numeric_min
             <= upper_bound(record.beta) + 1e-4
         ), record
+        assert record.gap <= 1e-9, record
     assert report.passed
     _report("sandwich property over beta in {2.1, 2.34, 2.5, 2.7, 2*sqrt(2)}")
 
@@ -128,10 +130,15 @@ def test_07_per_instance_witness_chain():
         c = dephasing_coefficient(theta, S_OPTIMAL)
         channel = dephasing_channel(theta, c)
         witness = extractability_with_channel(asm, channel)
+        exact, _, gap = extractability(asm)
         lower = (S_OPTIMAL * beta + T_OPTIMAL) / 2
         worst_slack = min(worst_slack, witness - lower)
-        assert witness >= lower - 1e-9
-    _report(f"per-instance witness chain, worst slack {worst_slack:.3e} >= -1e-9")
+        assert gap <= 1e-9
+        assert lower - 1e-9 <= witness <= exact + gap
+    _report(
+        f"per-instance chain analytic <= witness <= exact + gap, "
+        f"worst slack {worst_slack:.3e} >= -1e-9"
+    )
 
 
 def test_08_invariant_suites():

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -12,15 +11,11 @@ from steerbound.assemblage import Assemblage, chsh_reference
 SQRT2 = math.sqrt(2)
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "steerbound.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 
@@ -50,6 +45,10 @@ class TestBoundCurve:
 
 
 class TestVerifyInequality:
+    def test_retired_rule_flag_is_usage_error(self):
+        result = run_cli("verify-inequality", "--t0-t1-rule", "constraints")
+        assert result.returncode == 2
+
     def test_optimal_passes(self):
         result = run_cli("verify-inequality", "--theta-points", "2000")
         assert result.returncode == 0
@@ -89,7 +88,6 @@ class TestSandwich:
         cfg = {
             "samples": 2,
             "beta_targets": [2.4],
-            "seesaw_rounds": 1,
             "rng_seed": 11,
             "tolerance": 1e-4,
         }
@@ -110,25 +108,37 @@ class TestSandwich:
         report = json.loads(out_json.read_text())
         assert report["passed"] is True
         assert report["config"]["rng_seed"] == 11
-        assert out_csv.read_text().startswith("beta,")
+        assert set(report["config"]) == {"samples", "beta_targets", "rng_seed", "tolerance"}
+        record = report["records"][0]
+        assert record["gap"] <= 1e-9
+        assert record["winner"] == "mixture" or record["winner"].startswith("restart ")
+        assert np.array(record["witness"]["channel"]["re"]).shape == (4, 4)
+        header = out_csv.read_text().split("\n")[0]
+        assert header == "beta,numeric_min,analytic_lower,eq8_upper,residual,gap,winner"
 
-    def test_env_seed_override(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"samples": "3"}',
+            "[]",
+            '{"samples": 2.5}',
+            '{"channel_famly": "dephasing-only"}',
+            '{"tolerance": NaN}',
+            '{"channel_family": "dephasing-only"}',
+            '{"seesaw_rounds": 2}',
+            '{"beta_targets": [Infinity]}',
+        ],
+    )
+    def test_bad_config_is_one_error_line(self, tmp_path, text):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(
-            json.dumps({"samples": 1, "beta_targets": [2.3], "seesaw_rounds": 1})
-        )
+        cfg_path.write_text(text)
         out_json = tmp_path / "report.json"
-        result = run_cli(
-            "sandwich",
-            "--config",
-            str(cfg_path),
-            "--out-json",
-            str(out_json),
-            env_extra={"STEERBOUND_SEED": "4242"},
-        )
-        assert result.returncode == 0, result.stderr
-        report = json.loads(out_json.read_text())
-        assert report["config"]["rng_seed"] == 4242
+        result = run_cli("sandwich", "--config", str(cfg_path), "--out-json", str(out_json))
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
+        assert not out_json.exists()
 
     def test_missing_config_is_error(self, tmp_path):
         result = run_cli("sandwich", "--config", str(tmp_path / "nope.json"))

@@ -4,22 +4,23 @@ import math
 import numpy as np
 import pytest
 
-from steerbound.assemblage import chsh_reference, validate
-from steerbound.fidelity import assemblage_fidelity
-from steerbound.matkernel import I2, PAULI_X, PAULI_Z, ValidationError
+from steerbound.assemblage import Assemblage, chsh_reference, from_classical, validate
+from steerbound.fidelity import appendix_b_strategy, assemblage_fidelity, extractability
+from steerbound.matkernel import I2, PAULI_X, PAULI_Y, PAULI_Z, ValidationError
 from steerbound.numsearch import (
-    CHANNEL_FAMILIES,
     SearchConfig,
-    best_channel,
-    embed_params,
+    _mixture_candidate,
     enforce_uniform_marginals,
-    fidelity_after_kraus,
-    kraus_ops,
     min_extractability_at_beta,
     sample_assemblage,
     sandwich_sweep,
 )
-from steerbound.selftest import analytic_bound, upper_bound
+from steerbound.selftest import (
+    analytic_bound,
+    dephasing_channel,
+    extractability_with_channel,
+    upper_bound,
+)
 from steerbound.steering import BETA_QUANTUM
 
 SQRT2 = math.sqrt(2)
@@ -35,8 +36,42 @@ class TestConfig:
         assert back == cfg
 
     def test_rejects_bad_family(self):
+        # the channel-family knobs are retired; naming them is an error
+        for key, value in (("channel_family", "general-two-kraus"), ("seesaw_rounds", 2)):
+            with pytest.raises(ValidationError, match=key):
+                SearchConfig.from_json(json.dumps({key: value}))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            '"samples"',
+            '{"samples": "3"}',
+            '{"samples": 2.5}',
+            '{"samples": true}',
+            '{"samples": 0}',
+            '{"beta_targets": []}',
+            '{"beta_targets": 2.5}',
+            '{"beta_targets": ["2.5"]}',
+            '{"beta_targets": [NaN]}',
+            '{"beta_targets": [Infinity]}',
+            '{"beta_targets": [2.0]}',
+            '{"rng_seed": -1}',
+            '{"rng_seed": 1.5}',
+            '{"rng_seed": false}',
+            '{"tolerance": NaN}',
+            '{"tolerance": Infinity}',
+            '{"tolerance": 0}',
+            '{"tolerance": "1e-4"}',
+            '{"channel_famly": "dephasing-only"}',
+        ],
+    )
+    def test_from_json_fails_closed(self, text):
         with pytest.raises(ValidationError):
-            SearchConfig(channel_family="nonsense").check()
+            SearchConfig.from_json(text)
+
+    def test_from_json_defaults(self):
+        assert SearchConfig.from_json("{}") == SearchConfig()
 
     def test_rejects_bad_targets(self):
         with pytest.raises(ValidationError):
@@ -68,96 +103,126 @@ class TestSampling:
             assert validate(fixed).passed
 
 
-class TestChannelFamilies:
-    def _tp_check(self, kraus):
-        total = sum(k.conj().T @ k for k in kraus)
-        np.testing.assert_allclose(total, I2, atol=1e-12)
-
-    def test_trace_preserving(self, rng):
-        for family in CHANNEL_FAMILIES:
-            from steerbound.numsearch import family_dim, param_bounds
-
-            bounds = param_bounds(family)
-            for theta in (0.2, 1.2):
-                for _ in range(20):
-                    params = [rng.uniform(lo, hi) for lo, hi in bounds]
-                    self._tp_check(kraus_ops(family, theta, params))
-
-    def test_identity_member(self):
-        kraus = kraus_ops("dephasing-only", 0.4, [1.0])
-        rho = np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]])
-        mapped = sum(k @ rho @ k.conj().T for k in kraus)
-        np.testing.assert_allclose(mapped, rho, atol=1e-12)
-
-    def test_embedding_preserves_channel(self, rng):
-        rho = np.array([[0.6, 0.1 - 0.2j], [0.1 + 0.2j, 0.4]])
-        pairs = [
-            ("dephasing-only", "unitary-pre-post-dephasing"),
-            ("dephasing-only", "general-two-kraus"),
-            ("unitary-pre-post-dephasing", "general-two-kraus"),
-        ]
-        from steerbound.numsearch import param_bounds
-
-        for small, large in pairs:
-            for theta in (0.3, 1.1):
-                for _ in range(20):
-                    params = [rng.uniform(lo, hi) for lo, hi in param_bounds(small)]
-                    lifted = embed_params(small, large, theta, params)
-                    a = sum(
-                        k @ rho @ k.conj().T for k in kraus_ops(small, theta, params)
-                    )
-                    b = sum(
-                        k @ rho @ k.conj().T for k in kraus_ops(large, theta, lifted)
-                    )
-                    np.testing.assert_allclose(a, b, atol=1e-10)
-
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValidationError):
-            kraus_ops("nope", 0.3, [0.5])
-
-
 class TestBestChannel:
+    """The exact extractability solve: value, optimal channel and gap."""
+
+    @staticmethod
+    def _check_certificate(value, channel, gap):
+        assert 0 < gap <= 1e-9
+        trace_out = channel.choi.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
+        assert np.max(np.abs(trace_out - I2)) <= 1e-12
+        assert np.linalg.eigvalsh(channel.choi)[0] >= -1e-12
+        assert np.isfinite(value)
+
     def test_reference_identity_optimal(self):
-        result, fid = best_channel(chsh_reference(), math.pi / 4)
-        assert fid == pytest.approx(1.0, abs=1e-9)
+        value, channel, gap = extractability(chsh_reference())
+        self._check_certificate(value, channel, gap)
+        assert value == pytest.approx(1.0, abs=1e-9)
 
     def test_conjugated_reference_recovered(self):
         # rotating every element by X is undone by a unitary channel
         ref = chsh_reference()
         rotated = {k: PAULI_X @ m @ PAULI_X for k, m in ref.elements.items()}
-        from steerbound.assemblage import Assemblage
+        value, channel, gap = extractability(Assemblage(2, 2, rotated))
+        self._check_certificate(value, channel, gap)
+        assert value == pytest.approx(1.0, abs=1e-9)
 
-        asm = Assemblage(2, 2, rotated)
-        _, fid = best_channel(asm, math.pi / 4)
-        assert fid == pytest.approx(1.0, abs=1e-5)
+    def test_appendix_b_classical_value(self):
+        value, channel, gap = extractability(from_classical(appendix_b_strategy()))
+        self._check_certificate(value, channel, gap)
+        assert value == pytest.approx((2 + SQRT2) / 4, abs=1e-9)
 
-    def test_monotone_in_family_nesting(self, rng):
-        # richer families never do worse when warm-started from smaller ones
-        for _ in range(3):
-            asm = sample_assemblage(rng, uniform_marginals=True)
-            res_small, f_small = best_channel(asm, 0.7, "dephasing-only")
-            lifted = embed_params(
-                "dephasing-only", "unitary-pre-post-dephasing", 0.7, res_small.params
-            )
-            _, f_mid = best_channel(
-                asm, 0.7, "unitary-pre-post-dephasing", extra_starts=[lifted]
-            )
-            assert f_mid >= f_small - 1e-9
+    def test_maximally_mixed_elements_give_half(self):
+        value, channel, gap = extractability(
+            Assemblage(2, 2, {k: I2 / 4 for k in chsh_reference().elements})
+        )
+        self._check_certificate(value, channel, gap)
+        assert value == pytest.approx(0.5, abs=1e-9)
+
+    def test_zero_probability_elements_finite(self):
+        rho = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
+        zero = np.zeros((2, 2), dtype=complex)
+        asm = Assemblage(2, 2, {(0, 0): rho, (1, 0): zero, (0, 1): rho / 2, (1, 1): rho / 2})
+        value, channel, gap = extractability(asm)
+        self._check_certificate(value, channel, gap)
+        assert 0 < value <= 1 + 1e-9
+
+    def test_rejects_non_finite(self):
+        ref = chsh_reference()
+        bad = dict(ref.elements)
+        bad[(0, 0)] = np.full((2, 2), np.nan)
+        with pytest.raises(ValidationError):
+            extractability(Assemblage(2, 2, bad))
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_seeded_gap_and_residual(self, rng, uniform):
+        for _ in range(30):
+            asm = sample_assemblage(rng, uniform_marginals=uniform)
+            self._check_certificate(*extractability(asm))
+
+    def test_general_assemblage_gap(self, rng):
+        # sigma_{0|x} = sqrt(rho) E_x sqrt(rho) for random effects 0 <= E_x <= I:
+        # Bob's marginal rho is not I/2 and p(a|x) is not 1/2, which moves
+        # the dual optimum away from H = 0
+        for _ in range(30):
+            r = rng.normal(size=3)
+            r *= rng.uniform(0, 0.9) / np.linalg.norm(r)
+            vals, vecs = np.linalg.eigh((I2 + r[0] * PAULI_X + r[1] * PAULI_Y + r[2] * PAULI_Z) / 2)
+            root = (vecs * np.sqrt(vals)) @ vecs.conj().T
+            elements = {}
+            for x in range(2):
+                u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+                effect = (u * rng.uniform(0, 1, size=2)) @ u.conj().T
+                elements[(0, x)] = root @ effect @ root
+                elements[(1, x)] = root @ (I2 - effect) @ root
+            asm = Assemblage(2, 2, elements)
+            assert validate(asm).passed
+            self._check_certificate(*extractability(asm))
+
+    def test_bounded_eigendecompositions(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(m):
+            calls.append(1)
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        extractability(sample_assemblage(np.random.default_rng(5)))
+        assert 0 < len(calls) <= 1 + 14 * 12 + 14
 
     def test_fidelity_matches_direct_evaluation(self, rng):
         asm = sample_assemblage(rng, uniform_marginals=True)
-        result, fid = best_channel(asm, 0.5)
-        direct = assemblage_fidelity(chsh_reference(), result.apply_elementwise(asm))
-        assert fid == pytest.approx(direct, abs=1e-9)
+        value, channel, _ = extractability(asm)
+        direct = assemblage_fidelity(chsh_reference(), channel.apply_elementwise(asm))
+        assert value == pytest.approx(direct, abs=1e-12)
 
     def test_fidelity_after_kraus_agrees(self, rng):
-        asm = sample_assemblage(rng)
-        kraus = kraus_ops("dephasing-only", 0.4, [0.6])
-        from steerbound.numsearch import ChannelResult
+        # the Choi form tr(J W) equals the fidelity of the mapped assemblage
+        for _ in range(10):
+            asm = sample_assemblage(rng)
+            channels = [dephasing_channel(0.4, 0.6), dephasing_channel(1.2, -0.3)]
+            channels.append(extractability(asm)[1])
+            for ch in channels:
+                direct = assemblage_fidelity(chsh_reference(), ch.apply_elementwise(asm))
+                assert extractability_with_channel(asm, ch) == pytest.approx(direct, abs=1e-12)
 
-        cr = ChannelResult("dephasing-only", 0.4, (0.6,), 0.0)
-        direct = assemblage_fidelity(chsh_reference(), cr.apply_elementwise(asm))
-        assert fidelity_after_kraus(asm, kraus) == pytest.approx(direct, abs=1e-9)
+    def test_witness_never_beats_exact(self, rng):
+        for _ in range(20):
+            asm = sample_assemblage(rng)
+            value, _, gap = extractability(asm)
+            for theta, c in ((0.3, 0.5), (1.0, -0.2), (0.7, 1.0)):
+                witness = extractability_with_channel(asm, dephasing_channel(theta, c))
+                assert witness <= value + gap
+
+    @pytest.mark.parametrize("beta", [2.05, 2.1, 2.34, 2.5, 2.7, BETA_QUANTUM])
+    def test_mixture_below_eq8(self, beta):
+        # extractability is convex on uniform-marginal assemblages, so the
+        # reference/classical mixture sits below the chord between (2+sqrt 2)/4 and 1
+        asm, _ = _mixture_candidate(beta)
+        value, _, gap = extractability(asm)
+        assert gap <= 1e-9
+        assert value <= upper_bound(beta) + 1e-9
 
 
 class TestSandwich:
@@ -168,6 +233,12 @@ class TestSandwich:
         assert record.analytic_lower == pytest.approx(analytic_bound(2.5), abs=1e-12)
         assert record.eq8_upper == pytest.approx(upper_bound(2.5), abs=1e-12)
         assert record.passes(cfg.tolerance)
+        assert 0 < record.gap <= 1e-9
+        assert record.winner == "mixture" or record.winner.startswith("restart ")
+        choi = np.array(record.witness["channel"]["re"]) + 1j * np.array(
+            record.witness["channel"]["im"]
+        )
+        assert choi.shape == (4, 4)
 
     def test_max_violation_pins_fidelity_one(self):
         cfg = SearchConfig(samples=4, beta_targets=(BETA_QUANTUM,), tolerance=1e-6)
@@ -180,19 +251,23 @@ class TestSandwich:
             min_extractability_at_beta(1.9, cfg)
 
     def test_sweep_reproducible(self):
-        cfg = SearchConfig(samples=3, beta_targets=(2.3, 2.6), seesaw_rounds=1)
+        cfg = SearchConfig(samples=3, beta_targets=(2.3, 2.6))
         a = sandwich_sweep(cfg)
         b = sandwich_sweep(cfg)
         assert a.to_json() == b.to_json()
         assert a.passed
 
     def test_report_serialization(self):
-        cfg = SearchConfig(samples=2, beta_targets=(2.4,), seesaw_rounds=1)
+        cfg = SearchConfig(samples=2, beta_targets=(2.4,))
         report = sandwich_sweep(cfg)
         payload = json.loads(report.to_json())
         assert payload["passed"] == report.passed
         assert len(payload["records"]) == 1
         csv_text = report.to_csv()
         lines = csv_text.strip().split("\n")
-        assert lines[0].startswith("beta,numeric_min,analytic_lower")
+        assert lines[0] == "beta,numeric_min,analytic_lower,eq8_upper,residual,gap,winner"
         assert len(lines) == 2
+        record = payload["records"][0]
+        assert record["gap"] <= 1e-9
+        assert lines[1].split(",")[-1] == record["winner"]
+        assert "restarts_used" not in record
