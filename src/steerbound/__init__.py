@@ -48,7 +48,6 @@ from .steering import (
     BETA_CLASSICAL,
     BETA_QUANTUM,
     BobObservables,
-    SteeringFunctional,
     chsh_functional,
     max_violation_over_theta,
     t_operators,

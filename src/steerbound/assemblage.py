@@ -27,7 +27,6 @@ from .matkernel import (
     PAULI_Y,
     PAULI_Z,
     ValidationError,
-    is_psd,
     kron,
     min_eigval,
     partial_trace_A,
@@ -109,12 +108,37 @@ class Assemblage:
 
     @staticmethod
     def from_json(text: str) -> "Assemblage":
+        """Parse the ``to_json`` format; ValidationError unless every key is
+        present, typed, in range, 2x2 and finite, one element per (a, x)."""
         payload = json.loads(text)
-        elements = {
-            (e["a"], e["x"]): np.array(e["re"]) + 1j * np.array(e["im"])
-            for e in payload["elements"]
-        }
-        return Assemblage(payload["outcomes"], payload["settings"], elements)
+        outcomes = _json_field(payload, "outcomes", int)
+        settings = _json_field(payload, "settings", int)
+        entries = _json_field(payload, "elements", list)
+        if min(outcomes, settings) < 1 or len(entries) != outcomes * settings:
+            raise ValidationError(f"need one element per (a, x), {outcomes} x {settings}")
+        elements = {}
+        for entry in entries:
+            a, x = _json_field(entry, "a", int), _json_field(entry, "x", int)
+            if (a, x) in elements or not (0 <= a < outcomes and 0 <= x < settings):
+                raise ValidationError(f"element (a, x) = ({a}, {x}) is out of range or repeated")
+            elements[(a, x)] = _json_matrix(entry, "re") + 1j * _json_matrix(entry, "im")
+        return Assemblage(outcomes, settings, elements)
+
+
+def _json_field(obj, key: str, kind: type):
+    """obj[key], which must exist and be exactly a ``kind`` (so no bool for int)."""
+    if not isinstance(obj, dict) or type(obj.get(key)) is not kind:
+        raise ValidationError(f"expected a JSON object with a {kind.__name__} {key!r}")
+    return obj[key]
+
+
+def _json_matrix(entry: dict, key: str) -> np.ndarray:
+    rows = _json_field(entry, key, list)
+    values = [v for row in rows if type(row) is list and len(row) == 2 for v in row]
+    finite = all(type(v) in (int, float) and abs(v) < 1e308 for v in values)  # no NaN, inf, huge int
+    if len(rows) != 2 or len(values) != 4 or not finite:
+        raise ValidationError(f"{key!r} must be a 2x2 list of finite numbers")
+    return np.array(rows, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -168,16 +192,20 @@ class ValidationReport:
     no_signaling_deviation: float
     normalization_deviation: float
     tol: float
+    nonfinite: tuple = ()  # (a, x) keys of elements with a NaN or infinite entry
 
     @property
     def passed(self) -> bool:
         return (
-            self.psd_margin >= -self.tol
+            not self.nonfinite
+            and self.psd_margin >= -self.tol
             and self.no_signaling_deviation <= self.tol
             and self.normalization_deviation <= self.tol
         )
 
     def failures(self) -> list:
+        if self.nonfinite:
+            return [f"non-finite entries in sigma_(a|x) for (a, x) in {list(self.nonfinite)}"]
         out = []
         if self.psd_margin < -self.tol:
             out.append(f"positivity violated: min eigenvalue {self.psd_margin:.3e}")
@@ -242,7 +270,11 @@ def from_classical(s: ClassicalStrategy, outcomes: int = 2, settings: int = 2) -
 
 
 def validate(asm: Assemblage, tol: float = 1e-10) -> ValidationReport:
-    """Report PSD margins, no-signaling and normalization deviations."""
+    """Report PSD margins, no-signaling and normalization deviations, or
+    the elements with non-finite entries."""
+    nonfinite = tuple(sorted(k for k, m in asm.elements.items() if not np.isfinite(m).all()))
+    if nonfinite:
+        return ValidationReport(math.nan, math.nan, math.nan, tol, nonfinite)
     psd_margin = min(
         min_eigval(symmetrize(m)) for m in asm.elements.values()
     )

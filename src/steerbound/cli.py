@@ -81,18 +81,21 @@ def cmd_bound_curve(args) -> int:
 
 
 def cmd_verify_inequality(args) -> int:
-    s = selftest.S_OPTIMAL if args.s == "optimal" else float(args.s)
-    thetas = selftest.theta_grid(args.theta_points)
-    worst = (math.inf, 0.0)
-    for theta in thetas:
-        theta = float(theta)
-        t0, t1 = selftest.t_constraints(s, theta)
-        c = selftest.dephasing_coefficient(theta, s)
-        margin = selftest.inequality_margin(s, t0, t1, theta, c)
-        if margin < worst[0]:
-            worst = (margin, theta)
-    print(f"worst margin {worst[0]:.3e} at theta = {worst[1]:.9g} (s = {_fmt(s)})")
-    if worst[0] < -1e-10:
+    s, t_opt = args.s, selftest.T_OPTIMAL
+    thetas = selftest.theta_grid(args.theta_points, s)
+    t0, t1 = selftest.t_constraints(s, thetas)
+    c = selftest.dephasing_coefficient(thetas, s)
+    margins = selftest.inequality_margin(s, t0, t_opt - t0, thetas, c)
+    g = t0 + t1
+    worst = int(np.argmin(margins))
+    print(f"worst margin {margins[worst]:.3e} at theta = {thetas[worst]:.9g} (s = {_fmt(s)})")
+    first = selftest.first_interval(thetas)
+    for label, cell in (("[0, pi/4]", first), ("(pi/4, pi/2]", ~first)):
+        i = np.flatnonzero(cell)[np.argmin(g[cell])]
+        print(f"worst theta in {label}: {thetas[i]:.9g} (t0* + t1* = {_fmt(g[i])})")
+    i = int(np.argmin(g))
+    print(f"min t0* + t1* = {_fmt(g[i])} at theta = {thetas[i]:.9g} against T_OPTIMAL = {_fmt(t_opt)}")
+    if margins[worst] < -1e-10:
         print("operator inequality FAILED", file=sys.stderr)
         return 1
     print("operator inequality verified")
@@ -185,6 +188,26 @@ def cmd_validate(args) -> int:
     return 1
 
 
+def _checked(convert, minimum=-math.inf):
+    """argparse type: ``convert`` the text; a value that is not finite or is
+    below ``minimum`` is a usage error."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value >= minimum):
+            raise argparse.ArgumentTypeError(f"{text!r} is not a finite number >= {minimum}")
+        return value
+
+    return parse
+
+
+def _s_value(text: str) -> float:
+    return selftest.S_OPTIMAL if text == "optimal" else float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="steerbound",
@@ -193,15 +216,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bound-curve", help="emit lower/upper bound curves as CSV")
-    p.add_argument("--beta-min", type=float, default=2.0)
-    p.add_argument("--beta-max", type=float, default=BETA_QUANTUM)
-    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--beta-min", type=_checked(float), default=2.0)
+    p.add_argument("--beta-max", type=_checked(float), default=BETA_QUANTUM)
+    p.add_argument("--points", type=_checked(int, 1), default=200)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bound_curve)
 
-    p = sub.add_parser("verify-inequality", help="sweep the operator-inequality margins")
-    p.add_argument("--theta-points", type=int, default=10_000)
-    p.add_argument("--s", default="optimal", help='coefficient s, or "optimal"')
+    p = sub.add_parser("verify-inequality", help="check the operator inequalities at t = T_OPTIMAL")
+    p.add_argument("--theta-points", type=_checked(int, 2), default=10_000)
+    p.add_argument("--s", type=_checked(_s_value), default="optimal", help='s, or "optimal"')
     p.set_defaults(func=cmd_verify_inequality)
 
     p = sub.add_parser("classical-fidelity", help="best classical fidelity with a reference")
@@ -209,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classical_fidelity)
 
     p = sub.add_parser("coefficient-search", help="recover the optimal bound coefficients")
-    p.add_argument("--s-points", type=int, default=512)
-    p.add_argument("--theta-points", type=int, default=10_000)
+    p.add_argument("--s-points", type=_checked(int, 1), default=512)
+    p.add_argument("--theta-points", type=_checked(int, 2), default=10_000)
     p.set_defaults(func=cmd_coefficient_search)
 
     p = sub.add_parser("sandwich", help="run the numerical sandwich sweep")
@@ -227,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check assemblage validity")
     p.add_argument("--assemblage", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_checked(float, 0), default=1e-9)
     p.set_defaults(func=cmd_validate)
 
     return parser

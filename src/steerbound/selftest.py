@@ -7,10 +7,10 @@ Q >= (s*beta + t)/2, obtained from the operator inequalities
 
 where K_{ax} is the dual image of the reference conditional state under a
 theta-dependent dephasing channel. This module builds the channel family,
-verifies the inequalities by eigenvalue sweeps, recovers the optimal
-coefficients s = (1+sqrt(2))/4 and t = (2-sqrt(2))/2 by grid search, and
-evaluates the resulting lower bound, the interpolation upper bound, and
-the non-triviality threshold.
+checks the inequalities in closed form over theta, recovers the optimal
+coefficients s = (1+sqrt(2))/4 and t = (2-sqrt(2))/2, and evaluates the
+resulting lower bound, the interpolation upper bound, and the
+non-triviality threshold.
 """
 
 from __future__ import annotations
@@ -22,13 +22,14 @@ import numpy as np
 
 from .assemblage import Assemblage
 from .fidelity import ExtractionChannel, fidelity_operator
-from .matkernel import I2, PAULI_X, PAULI_Z, ValidationError, min_eigval, symmetrize
-from .steering import BETA_CLASSICAL, BETA_QUANTUM, t_operators, BobObservables
+from .matkernel import I2, PAULI_X, PAULI_Z, ValidationError
+from .steering import BETA_CLASSICAL, BETA_QUANTUM, BobObservables, check_theta, chsh_functional
 
 S_OPTIMAL = (1 + math.sqrt(2)) / 4
 T_OPTIMAL = (2 - math.sqrt(2)) / 2
 TRIVIAL_CLASSICAL_FIDELITY = (2 + math.sqrt(2)) / 4
 THRESHOLD_BETA = 8 - 4 * math.sqrt(2)
+_KEYS = ((0, 0), (1, 0), (0, 1), (1, 1))  # (a, x) order of the operator stack
 
 
 @dataclass(frozen=True)
@@ -46,13 +47,8 @@ def optimal_coefficients() -> BoundCoefficients:
     return BoundCoefficients(S_OPTIMAL, T_OPTIMAL / 2, T_OPTIMAL / 2)
 
 
-def _check_theta(theta: float) -> None:
-    if not 0 <= theta <= math.pi / 2 + 1e-12:
-        raise ValidationError(f"theta = {theta} outside [0, pi/2]")
-
-
-def _first_interval(theta: float) -> bool:
-    # the boundary pi/4 belongs to the first (Gamma = Z) interval
+def first_interval(theta):
+    """Gamma = Z on [0, pi/4], pi/4 included; Gamma = X on (pi/4, pi/2]."""
     return theta <= math.pi / 4
 
 
@@ -63,10 +59,10 @@ def dephasing_channel(theta: float, c: float) -> ExtractionChannel:
 
     The Choi matrix of rho -> U rho U^dagger is |U>><<U| with
     |U>> = sum_i |i> (x) U|i>, the row-major flattening of U^T."""
-    _check_theta(theta)
+    check_theta(theta)
     clamped = not -1 <= c <= 1
     c = min(1.0, max(-1.0, c))
-    gamma = PAULI_Z if _first_interval(theta) else PAULI_X
+    gamma = PAULI_Z if first_interval(theta) else PAULI_X
     choi = sum(
         w * np.outer(u.T.reshape(4), u.T.reshape(4).conj())
         for w, u in ((0.5 * (1 + c), I2), (0.5 * (1 - c), gamma))
@@ -74,115 +70,87 @@ def dephasing_channel(theta: float, c: float) -> ExtractionChannel:
     return ExtractionChannel(choi, clamped=clamped)
 
 
-def dephasing_coefficient(theta: float, s: float) -> float:
+def dephasing_coefficient(theta, s: float):
     """c(theta) = min{1, 4s sin(theta)} on the first interval and
-    min{1, 4s cos(theta)} on the second."""
-    _check_theta(theta)
-    if _first_interval(theta):
-        return min(1.0, 4 * s * math.sin(theta))
-    return min(1.0, 4 * s * math.cos(theta))
+    min{1, 4s cos(theta)} on the second. Broadcasts over theta."""
+    check_theta(theta)
+    return np.minimum(1.0, 4 * s * np.where(first_interval(theta), np.sin(theta), np.cos(theta)))
 
 
-def k_operators(theta: float, c: float) -> dict:
-    """Dual images K_{ax} of the reference conditional states.
+def _contractions(theta, c):
+    """(kz, kx): how the channel shrinks the Z- and X-basis reference pairs;
+    Gamma's pair stays sharp, the other shrinks by c clamped to [-1, 1]."""
+    c = np.clip(c, -1.0, 1.0)
+    first = first_interval(theta)
+    return np.where(first, 1.0, c), np.where(first, c, 1.0)
 
-    By self-duality these are the channel applied to the reference states:
-    on the first interval the Z-basis pair stays sharp and the X-basis pair
-    is contracted by c; the second interval mirrors the roles.
+
+def k_operators(theta, c) -> dict:
+    """Dual images K_{ax} of the reference conditional states: by
+    self-duality, the channel applied to them (``_operator_stack`` at s = t = 0).
     """
-    _check_theta(theta)
-    c = min(1.0, max(-1.0, c))
-    if _first_interval(theta):
-        kz, kx = 1.0, c
-    else:
-        kz, kx = c, 1.0
-    return {
-        (0, 0): (I2 + kz * PAULI_Z) / 2,
-        (1, 0): (I2 - kz * PAULI_Z) / 2,
-        (0, 1): (I2 + kx * PAULI_X) / 2,
-        (1, 1): (I2 - kx * PAULI_X) / 2,
-    }
+    return dict(zip(_KEYS, np.moveaxis(_operator_stack(0.0, 0.0, 0.0, theta, c), -3, 0)))
 
 
-def t_constraints(s: float, theta: float):
-    """Largest shifts (t0, t1) keeping all four operator inequalities PSD
-    at this theta, with the dephasing coefficient set by its closed rule.
-
-    Returns (t0, t1); negative values are allowed, the minimum over theta
-    governs the final bound.
-    """
-    _check_theta(theta)
-    c = dephasing_coefficient(theta, s)
-    sin, cos = math.sin(theta), math.cos(theta)
-    if _first_interval(theta):
-        t0 = min(1 - 2 * s * cos, 2 * s * cos)
-        t1 = min((1 + c - 4 * s * sin) / 2, (1 - c + 4 * s * sin) / 2)
-    else:
-        t0 = min((1 + c - 4 * s * cos) / 2, (1 - c + 4 * s * cos) / 2)
-        t1 = min(1 - 2 * s * sin, 2 * s * sin)
+def t_constraints(s: float, theta):
+    """Largest shifts (t0*, t1*), possibly negative, keeping all four
+    operator inequalities PSD at each theta (broadcast), with the dephasing
+    coefficient set by its closed rule: K_{ax} - s T_{ax} - t I =
+    (1/2 - t) I +/- (k_x/2 - 2 s v_x) P_x, v = (cos, sin), is PSD iff
+    t <= (1 - |k_x - 4 s v_x|)/2."""
+    kz, kx = _contractions(theta, dephasing_coefficient(theta, s))
+    t0 = (1 - np.abs(kz - 4 * s * np.cos(theta))) / 2
+    t1 = (1 - np.abs(kx - 4 * s * np.sin(theta))) / 2
     return t0, t1
 
 
-def inequality_margin(s: float, t0: float, t1: float, theta: float, c: float) -> float:
-    """Smallest eigenvalue over the four operators K_{ax} - s T_{ax} - t_{ax} I.
+def _operator_stack(s: float, t0, t1, theta, c) -> np.ndarray:
+    """K_{ax} - s T_{ax} - t_x I for (a, x) in ``_KEYS``, with K_{ax} =
+    (I + (-1)^a k_x P_x)/2 and T_{ax} = (-1)^a 2 v_x P_x, written entry by entry
+    as alpha I + zeta Z + xi X: no per-operator (..., 2, 2) arrays, to save memory."""
+    check_theta(theta)
+    theta, t0, t1, c = np.broadcast_arrays(theta, t0, t1, c)
+    kz, kx = _contractions(theta, c)
+    z = kz / 2 - 2 * s * np.cos(theta)
+    x = kx / 2 - 2 * s * np.sin(theta)
+    ops = np.zeros(theta.shape + (4, 2, 2))
+    terms = ((0.5 - t0, z, 0), (0.5 - t0, -z, 0), (0.5 - t1, 0, x), (0.5 - t1, 0, -x))
+    for i, (alpha, zeta, xi) in enumerate(terms):
+        ops[..., i, 0, 0] = alpha + zeta
+        ops[..., i, 1, 1] = alpha - zeta
+        ops[..., i, 0, 1] = ops[..., i, 1, 0] = xi
+    return ops
 
-    Nonnegative iff the operator inequality holds at this theta.
+
+def inequality_margin(s: float, t0, t1, theta, c):
+    """Smallest eigenvalue over the four operators K_{ax} - s T_{ax} - t_x I.
+
+    Nonnegative iff the inequality holds at this theta. One batched
+    eigen-solve of the stacked operators, built from their definitions, so it
+    cross-checks the closed forms of ``t_constraints``.
     """
-    ks = k_operators(theta, c)
-    ts = t_operators(BobObservables(theta)).t_ops
-    shift = {0: t0, 1: t1}
-    margin = math.inf
-    for (a, x), k in ks.items():
-        op = k - s * ts[(a, x)] - shift[x] * I2
-        margin = min(margin, min_eigval(symmetrize(op)))
-    return margin
+    return np.linalg.eigvalsh(_operator_stack(s, t0, t1, theta, c))[..., 0].min(axis=-1)
 
 
-def theta_grid(size: int) -> np.ndarray:
-    """Uniform grid on [0, pi/2] with the interval boundary pi/4 pinned.
-
-    The minimizing angles of t0 + t1 sit at 0 and pi/4; keeping pi/4 on the
-    grid makes the bound plateau exact instead of grid-resolution noisy.
-    """
-    thetas = np.linspace(0, math.pi / 2, size)
-    boundary = math.pi / 4
-    if not np.any(np.isclose(thetas, boundary, rtol=0, atol=1e-15)):
-        thetas = np.sort(np.append(thetas, boundary))
-    return thetas
-
-
-def _t_of_s(s: float, thetas: np.ndarray) -> float:
-    """min over the theta grid of t0 + t1, vectorized, both intervals."""
-    sin = np.sin(thetas)
-    cos = np.cos(thetas)
-    first = thetas <= math.pi / 4
-    c = np.where(first, np.minimum(1.0, 4 * s * sin), np.minimum(1.0, 4 * s * cos))
-    t0 = np.where(
-        first,
-        np.minimum(1 - 2 * s * cos, 2 * s * cos),
-        np.minimum((1 + c - 4 * s * cos) / 2, (1 - c + 4 * s * cos) / 2),
-    )
-    t1 = np.where(
-        first,
-        np.minimum((1 + c - 4 * s * sin) / 2, (1 - c + 4 * s * sin) / 2),
-        np.minimum(1 - 2 * s * sin, 2 * s * sin),
-    )
-    return float(np.min(t0 + t1))
-
-
-def _t_split_at_argmin(s: float, thetas: np.ndarray):
-    best = (math.inf, 0.0, 0.0)
-    for theta in thetas:
-        t0, t1 = t_constraints(s, float(theta))
-        if t0 + t1 < best[0]:
-            best = (t0 + t1, t0, t1)
-    return best[1], best[2]
+def theta_grid(size: int, s: float) -> np.ndarray:
+    """Uniform grid of ``size`` points on [0, pi/2] with every breakpoint of
+    g = t0* + t1* pinned: 0, pi/4, pi/2 and, when |4s| >= 1, the clamp angles
+    arcsin(1/|4s|) and arccos(1/|4s|). Between breakpoints g is a minimum of
+    terms alpha + a cos(theta) + b sin(theta), |a|, |b| in {0, 2|s|}, each
+    monotone unless a = b != 0, whose only extremum is at pi/4. So the grid
+    minimum of g is its exact minimum over [0, pi/2] for any size >= 2."""
+    if size < 2 or not math.isfinite(s):
+        raise ValidationError(f"theta grid needs size >= 2 and a finite s, got {size}, {s}")
+    points = [np.linspace(0, math.pi / 2, size), [math.pi / 4]]
+    if abs(4 * s) >= 1:
+        points.append([math.asin(1 / abs(4 * s)), math.acos(1 / abs(4 * s))])
+    return np.sort(np.concatenate(points))
 
 
 def coefficient_search(s_grid, theta_grid_size: int = 10_000) -> BoundCoefficients:
-    """Recover the optimal (s, t) pair by grid search.
+    """Recover the optimal (s, t) pair by a search over s.
 
-    For each s the bound intercept is t(s) = min_theta (t0 + t1). The bound
+    For each s the bound intercept is t(s) = min_theta (t0* + t1*). The bound
     value at maximal violation, (s*beta_Q + t(s))/2, plateaus at 1 for all
     s past the optimum, so the selected s is the smallest one attaining the
     plateau, refined by bisection between adjacent grid points.
@@ -190,10 +158,14 @@ def coefficient_search(s_grid, theta_grid_size: int = 10_000) -> BoundCoefficien
     s_values = sorted(float(s) for s in s_grid)
     if not s_values:
         raise ValidationError("s_grid must be nonempty")
-    thetas = theta_grid(theta_grid_size)
+
+    def intercept(s: float):  # (t(s), t0, t1) at the first minimiser over theta
+        t0, t1 = t_constraints(s, theta_grid(theta_grid_size, s))
+        i = int(np.argmin(t0 + t1))
+        return float(t0[i] + t1[i]), float(t0[i]), float(t1[i])
 
     def bound_at_max(s: float) -> float:
-        return (s * BETA_QUANTUM + _t_of_s(s, thetas)) / 2
+        return (s * BETA_QUANTUM + intercept(s)[0]) / 2
 
     values = [bound_at_max(s) for s in s_values]
     best_value = max(values)
@@ -210,7 +182,7 @@ def coefficient_search(s_grid, theta_grid_size: int = 10_000) -> BoundCoefficien
                 lo = mid
         s_star = hi
 
-    t0, t1 = _t_split_at_argmin(s_star, thetas)
+    _, t0, t1 = intercept(s_star)
     return BoundCoefficients(s_star, t0, t1)
 
 
@@ -271,8 +243,6 @@ def certified_lower_bound(
     Rejects assemblages with non-uniform outcome probabilities unless
     overridden, since the certified statement assumes p(a|x) = 1/2.
     """
-    from .steering import chsh_functional
-
     if not allow_nonuniform:
         require_uniform_marginals(asm)
     beta = chsh_functional(asm, BobObservables(theta))

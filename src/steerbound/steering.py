@@ -19,7 +19,12 @@ from .matkernel import PAULI_X, PAULI_Z, ValidationError
 BETA_CLASSICAL = 2.0
 BETA_QUANTUM = 2 * math.sqrt(2)
 
-_INV_GOLDEN = (math.sqrt(5) - 1) / 2
+
+def check_theta(theta) -> None:
+    """ValidationError unless every angle (a float or an array) is in [0, pi/2 + 1e-12]."""
+    inside = (theta >= 0) & (theta <= math.pi / 2 + 1e-12)
+    if not (inside.all() if isinstance(inside, np.ndarray) else inside):
+        raise ValidationError(f"theta = {theta} outside [0, pi/2]")
 
 
 @dataclass(frozen=True)
@@ -29,8 +34,7 @@ class BobObservables:
     theta: float
 
     def __post_init__(self):
-        if not 0 <= self.theta <= math.pi / 2 + 1e-12:
-            raise ValidationError(f"theta = {self.theta} outside [0, pi/2]")
+        check_theta(self.theta)
 
     @property
     def b0(self) -> np.ndarray:
@@ -41,71 +45,42 @@ class BobObservables:
         return math.cos(self.theta) * PAULI_Z - math.sin(self.theta) * PAULI_X
 
 
-@dataclass(frozen=True)
-class SteeringFunctional:
-    t_ops: dict  # (a, x) -> 2x2 Hermitian operator
-    classical_bound: float = BETA_CLASSICAL
-    quantum_bound: float = BETA_QUANTUM
-
-
-def t_operators(obs: BobObservables) -> SteeringFunctional:
-    """T_{00} = B0 + B1 = 2cos(t)Z and T_{01} = B0 - B1 = 2sin(t)X,
-    with sign-flipped partners for outcome 1."""
+def t_operators(obs: BobObservables) -> dict:
+    """(a, x) -> T_{ax}: T_{00} = B0 + B1 = 2cos(t)Z and T_{01} = B0 - B1 =
+    2sin(t)X, with sign-flipped partners for outcome 1."""
     t00 = obs.b0 + obs.b1
     t01 = obs.b0 - obs.b1
-    return SteeringFunctional({(0, 0): t00, (1, 0): -t00, (0, 1): t01, (1, 1): -t01})
+    return {(0, 0): t00, (1, 0): -t00, (0, 1): t01, (1, 1): -t01}
 
 
 def chsh_functional(asm: Assemblage, obs: BobObservables) -> float:
     """Value of the CHSH steering functional on an assemblage."""
     if asm.outcomes != 2 or asm.settings != 2:
         raise ValidationError("CHSH functional requires |A| = |X| = 2")
-    ops = t_operators(obs).t_ops
+    ops = t_operators(obs)
     total = sum(np.trace(ops[k] @ asm.elements[k]) for k in ops)
     if abs(total.imag) > 1e-10:
         raise ValidationError(f"functional has imaginary residue {total.imag:.3e}")
     return float(total.real)
 
 
-def golden_section_max(f, lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Argmax of f on [lo, hi] by golden-section search (unimodal f)."""
-    c = hi - (hi - lo) * _INV_GOLDEN
-    d = lo + (hi - lo) * _INV_GOLDEN
-    fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - (hi - lo) * _INV_GOLDEN
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + (hi - lo) * _INV_GOLDEN
-            fd = f(d)
-    return (lo + hi) / 2
+def max_violation_over_theta(asm: Assemblage):
+    """(theta*, beta*): the maximum of the functional over theta in [0, pi/2].
 
-
-def max_violation_over_theta(asm: Assemblage, grid_size: int = 10_000):
-    """Grid maximum of the functional over theta, golden-section refined.
-
-    Returns (theta_star, beta_star).
+    beta(theta) = u cos(theta) + w sin(theta) with u = 2 tr[Z(sigma_00 -
+    sigma_10)] and w = 2 tr[X(sigma_01 - sigma_11)]. For u, w > 0 the maximum
+    is hypot(u, w) at atan2(w, u); otherwise there is no interior maximum and
+    the better endpoint wins: theta* = 0 if u >= w, else pi/2.
     """
-    if grid_size < 2:
-        raise ValidationError("grid_size must be >= 2")
-
-    # sigma differences are fixed; beta(theta) = u*cos(theta) + w*sin(theta)
-    d0 = asm.elements[(0, 0)] - asm.elements[(1, 0)]
-    d1 = asm.elements[(0, 1)] - asm.elements[(1, 1)]
-    u = 2 * float(np.trace(PAULI_Z @ d0).real)
-    w = 2 * float(np.trace(PAULI_X @ d1).real)
-
-    def beta_at(theta: float) -> float:
-        return u * math.cos(theta) + w * math.sin(theta)
-
-    thetas = np.linspace(0, math.pi / 2, grid_size)
-    values = u * np.cos(thetas) + w * np.sin(thetas)
-    best = int(np.argmax(values))
-    step = thetas[1] - thetas[0]
-    lo = max(0.0, thetas[best] - step)
-    hi = min(math.pi / 2, thetas[best] + step)
-    theta_star = golden_section_max(beta_at, lo, hi)
-    return theta_star, beta_at(theta_star)
+    if asm.outcomes != 2 or asm.settings != 2:
+        raise ValidationError("CHSH functional requires |A| = |X| = 2")
+    el = asm.elements
+    u = 2 * float(np.trace(PAULI_Z @ (el[(0, 0)] - el[(1, 0)])).real)
+    w = 2 * float(np.trace(PAULI_X @ (el[(0, 1)] - el[(1, 1)])).real)
+    if not (math.isfinite(u) and math.isfinite(w)):
+        raise ValidationError(f"CHSH coefficients not finite: u = {u}, w = {w}")
+    if u > 0 and w > 0:
+        theta = math.atan2(w, u)
+    else:
+        theta = 0.0 if u >= w else math.pi / 2
+    return theta, u * math.cos(theta) + w * math.sin(theta)

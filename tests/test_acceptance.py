@@ -66,14 +66,17 @@ def test_01_trivial_classical_fidelity():
 
 
 def test_02_operator_inequality_sweep():
-    worst = math.inf
-    for theta in theta_grid(10_000):
-        theta = float(theta)
-        t0, t1 = t_constraints(S_OPTIMAL, theta)
-        c = dephasing_coefficient(theta, S_OPTIMAL)
-        worst = min(worst, inequality_margin(S_OPTIMAL, t0, t1, theta, c))
+    # the paper's pair (s, t) through the fixed split t0 = t0*(theta),
+    # t1 = t - t0*(theta): PSD at every breakpoint-pinned grid angle for
+    # t = T_OPTIMAL, and violated once t exceeds it
+    thetas = theta_grid(10_000, S_OPTIMAL)
+    t0, _ = t_constraints(S_OPTIMAL, thetas)
+    c = dephasing_coefficient(thetas, S_OPTIMAL)
+    worst = inequality_margin(S_OPTIMAL, t0, T_OPTIMAL - t0, thetas, c).min()
     assert worst >= -1e-10
-    _report(f"operator-inequality sweep worst margin {worst:.2e} >= -1e-10")
+    over = inequality_margin(S_OPTIMAL, t0, T_OPTIMAL + 1e-6 - t0, thetas, c).min()
+    assert over < -5e-7
+    _report(f"operator inequality at (s, t) optimal: worst margin {worst:.2e} >= -1e-10")
 
 
 def test_03_coefficient_recovery():
@@ -125,7 +128,7 @@ def test_07_per_instance_witness_chain():
     worst_slack = math.inf
     for _ in range(200):
         asm = sample_assemblage(rng, uniform_marginals=True)
-        theta, _ = max_violation_over_theta(asm, 1000)
+        theta, _ = max_violation_over_theta(asm)
         beta = chsh_functional(asm, BobObservables(theta))
         c = dephasing_coefficient(theta, S_OPTIMAL)
         channel = dephasing_channel(theta, c)
@@ -148,7 +151,7 @@ def test_08_invariant_suites():
     for _ in range(100):
         asm = realize(random_realization(rng))
         assert validate(asm).passed
-        _, beta = max_violation_over_theta(asm, 400)
+        _, beta = max_violation_over_theta(asm)
         assert beta <= BETA_QUANTUM + 1e-9
 
     # fidelity symmetry and normalization on random densities

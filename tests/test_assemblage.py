@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -177,6 +178,15 @@ class TestValidate:
         assert report.normalization_deviation == pytest.approx(0.3, abs=1e-12)
         assert not report.passed
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_names_non_finite_entries(self, bad):
+        elements = dict(chsh_reference().elements)
+        elements[(1, 1)] = elements[(1, 1)] + bad
+        report = validate(Assemblage(2, 2, elements))
+        assert not report.passed
+        assert report.nonfinite == ((1, 1),)
+        assert report.failures() == ["non-finite entries in sigma_(a|x) for (a, x) in [(1, 1)]"]
+
 
 class TestAssemblageOps:
     def test_mix_interpolates_probabilities(self):
@@ -212,3 +222,51 @@ class TestAssemblageOps:
         assert (back.outcomes, back.settings) == (2, 2)
         for key in asm.elements:
             np.testing.assert_allclose(back.elements[key], asm.elements[key], atol=1e-15)
+
+
+def _reference_payload() -> dict:
+    return json.loads(chsh_reference().to_json())
+
+
+def _edit(change):
+    payload = _reference_payload()
+    change(payload)
+    return json.dumps(payload)
+
+
+class TestFromJsonFailsClosed:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            '"assemblage"',
+            "{}",
+            _edit(lambda p: p.pop("elements")),
+            _edit(lambda p: p.update(outcomes="2")),
+            _edit(lambda p: p.update(settings=True)),
+            _edit(lambda p: p.update(outcomes=0)),
+            _edit(lambda p: p.update(elements={})),
+            _edit(lambda p: p["elements"].__setitem__(0, [])),
+            _edit(lambda p: p["elements"][0].pop("re")),
+            _edit(lambda p: p["elements"][0].update(a=0.0)),
+            _edit(lambda p: p["elements"][0].update(x=2)),
+            _edit(lambda p: p["elements"][0].update(re=[[0.5, 0.0]])),
+            _edit(lambda p: p["elements"][0].update(im=[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])),
+            _edit(lambda p: p["elements"][0].update(re=[[0.5, "0"], [0.0, 0.0]])),
+            _edit(lambda p: p["elements"][0].update(re=[[0.5, None], [0.0, 0.0]])),
+            _edit(lambda p: p["elements"][0].update(re=[[math.nan, 0.0], [0.0, 0.0]])),
+            _edit(lambda p: p["elements"][0].update(im=[[0.0, math.inf], [0.0, 0.0]])),
+            _edit(lambda p: p["elements"][0].update(re=[[10**400, 0.0], [0.0, 0.0]])),
+            _edit(lambda p: p["elements"].pop()),  # incomplete (a, x) grid
+            _edit(lambda p: p["elements"][1].update(a=0, x=0)),  # duplicate (a, x)
+        ],
+    )
+    def test_rejected(self, text):
+        with pytest.raises(ValidationError):
+            Assemblage.from_json(text)
+
+    def test_integer_entries_accepted(self):
+        payload = _reference_payload()
+        payload["elements"][0]["im"] = [[0, 0], [0, 0]]
+        asm = Assemblage.from_json(json.dumps(payload))
+        np.testing.assert_allclose(asm.element(0, 0), chsh_reference().element(0, 0))

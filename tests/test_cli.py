@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from steerbound.assemblage import Assemblage, chsh_reference
+from steerbound.cli import main
 
 SQRT2 = math.sqrt(2)
 
@@ -53,13 +54,63 @@ class TestVerifyInequality:
         result = run_cli("verify-inequality", "--theta-points", "2000")
         assert result.returncode == 0
         assert "operator inequality verified" in result.stdout
+        lines = result.stdout.splitlines()
+        assert lines[0].startswith("worst margin ")
+        assert lines[1].startswith("worst theta in [0, pi/4]: ")
+        assert lines[2].startswith("worst theta in (pi/4, pi/2]: ")
+        assert lines[3].startswith("min t0* + t1* = 0.292893219 at theta = ")
+        assert lines[3].endswith("against T_OPTIMAL = 0.292893219")
 
     def test_too_large_s_fails(self):
         result = run_cli("verify-inequality", "--s", "0.9", "--theta-points", "500")
-        # t_constraints adapts the shifts, so even aggressive s keeps the
-        # margins nonnegative; the command reports the worst margin either way
-        assert result.returncode in (0, 1)
+        assert result.returncode == 1
         assert "worst margin" in result.stdout
+        assert "FAILED" in result.stderr
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            ((), 0),
+            (("--theta-points", "10000"), 0),
+            (("--theta-points", "2"), 0),
+            # min over theta of t0* + t1* is about 1.1e-4 above T_OPTIMAL at
+            # s = 0.6035 and 1.3e-4 below it at 0.6036, just past (1+sqrt 2)/4
+            (("--s", "0.6035"), 0),
+            (("--s", "0.6036"), 1),
+            (("--s", "0.9"), 1),
+            (("--s", "5"), 1),
+        ],
+    )
+    def test_claim_is_falsifiable(self, args, code, capsys):
+        assert main(["verify-inequality", *args]) == code
+        out, err = capsys.readouterr()
+        assert ("operator inequality verified" in out) == (code == 0)
+        assert ("operator inequality FAILED" in err) == (code == 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-inequality", "--s", "nan"],
+        ["verify-inequality", "--s", "inf"],
+        ["verify-inequality", "--s=-inf"],
+        ["verify-inequality", "--theta-points", "1"],
+        ["verify-inequality", "--theta-points", "0"],
+        ["coefficient-search", "--theta-points", "0"],
+        ["coefficient-search", "--theta-points", "1"],
+        ["coefficient-search", "--s-points", "0"],
+        ["bound-curve", "--points", "0"],
+        ["bound-curve", "--points", "-3"],
+        ["bound-curve", "--beta-min", "nan"],
+        ["bound-curve", "--beta-max", "inf"],
+        ["validate", "--assemblage", "chsh", "--tol", "nan"],
+    ],
+)
+def test_degenerate_numeric_argument_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
 
 
 class TestClassicalFidelity:
@@ -171,6 +222,19 @@ class TestRealizeValidate:
         result = run_cli("validate", "--assemblage", str(path))
         assert result.returncode == 1
         assert "normalization" in result.stderr
+
+
+
+@pytest.mark.parametrize("command", ["validate", "classical-fidelity"])
+@pytest.mark.parametrize("text", ["{}", "[]", '{"outcomes": 2, "settings": 2, "elements": [{}]}'])
+def test_malformed_assemblage_is_one_error_line(tmp_path, command, text):
+    path = tmp_path / "asm.json"
+    path.write_text(text)
+    result = run_cli(command, "--assemblage", str(path))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
 
 
 class TestExitCodes:

@@ -5,7 +5,7 @@ import pytest
 
 from steerbound.assemblage import chsh_reference, random_realization, realize
 from steerbound.fidelity import assemblage_fidelity
-from steerbound.matkernel import I2, PAULI_X, PAULI_Z, ValidationError
+from steerbound.matkernel import I2, PAULI_X, PAULI_Z, ValidationError, min_eigval
 from steerbound.selftest import (
     S_OPTIMAL,
     T_OPTIMAL,
@@ -26,7 +26,7 @@ from steerbound.selftest import (
     threshold,
     upper_bound,
 )
-from steerbound.steering import BETA_CLASSICAL, BETA_QUANTUM
+from steerbound.steering import BETA_CLASSICAL, BETA_QUANTUM, BobObservables, t_operators
 
 SQRT2 = math.sqrt(2)
 
@@ -109,17 +109,22 @@ class TestCoefficientRule:
                 )
 
     def test_t_constraints_closed_form(self):
-        s = S_OPTIMAL
-        theta = 0.3
-        c = dephasing_coefficient(theta, s)
-        t0, t1 = t_constraints(s, theta)
-        assert t0 == pytest.approx(
-            min(1 - 2 * s * math.cos(theta), 2 * s * math.cos(theta)), abs=1e-14
-        )
-        assert t1 == pytest.approx(
-            min((1 + c - 4 * s * math.sin(theta)) / 2, (1 - c + 4 * s * math.sin(theta)) / 2),
-            abs=1e-14,
-        )
+        # the broadcast closed form against the per-interval formulas, both intervals
+        for s in (0.2, S_OPTIMAL, 0.9):
+            thetas = np.linspace(0, math.pi / 2, 101)
+            t0, t1 = t_constraints(s, thetas)
+            for theta, a, b in zip(thetas, t0, t1):
+                sin, cos = math.sin(theta), math.cos(theta)
+                if theta <= math.pi / 4:
+                    c = min(1.0, 4 * s * sin)
+                    e0 = min(1 - 2 * s * cos, 2 * s * cos)
+                    e1 = min((1 + c - 4 * s * sin) / 2, (1 - c + 4 * s * sin) / 2)
+                else:
+                    c = min(1.0, 4 * s * cos)
+                    e0 = min((1 + c - 4 * s * cos) / 2, (1 - c + 4 * s * cos) / 2)
+                    e1 = min(1 - 2 * s * sin, 2 * s * sin)
+                assert a == pytest.approx(e0, abs=1e-14)
+                assert b == pytest.approx(e1, abs=1e-14)
 
     def test_t_sum_minimized_at_pi_over_4(self):
         s = S_OPTIMAL
@@ -136,14 +141,20 @@ class TestCoefficientRule:
             assert lo == pytest.approx(hi, abs=1e-9)
 
 
+def _margin_by_operators(s, t0, t1, theta, c):
+    """Reference: the per-theta loop over k_operators and t_operators."""
+    ks = k_operators(theta, c)
+    ts = t_operators(BobObservables(theta))
+    shift = {0: t0, 1: t1}
+    return min(min_eigval(ks[k] - s * ts[k] - shift[k[1]] * I2) for k in ks)
+
+
 class TestInequalityMargins:
     def test_margins_nonnegative_at_optimum(self):
-        for theta in theta_grid(801):
-            theta = float(theta)
-            t0, t1 = t_constraints(S_OPTIMAL, theta)
-            c = dephasing_coefficient(theta, S_OPTIMAL)
-            m = inequality_margin(S_OPTIMAL, t0, t1, theta, c)
-            assert m >= -1e-10
+        thetas = theta_grid(801, S_OPTIMAL)
+        t0, t1 = t_constraints(S_OPTIMAL, thetas)
+        c = dephasing_coefficient(thetas, S_OPTIMAL)
+        assert np.all(inequality_margin(S_OPTIMAL, t0, t1, thetas, c) >= -1e-10)
 
     def test_margins_tight(self):
         # the constraint rule makes the smallest margin exactly zero
@@ -160,24 +171,66 @@ class TestInequalityMargins:
         m = inequality_margin(S_OPTIMAL, t0 + 0.05, t1, theta, c)
         assert m < -0.04
 
+    def test_matches_operator_loop(self, rng):
+        # random shifts and contractions, both signs of s, c outside [-1, 1]
+        for s in rng.uniform(-1, 2, 20):
+            thetas = rng.uniform(0, math.pi / 2, 50)
+            t0, t1 = rng.uniform(-1, 1, (2, 50))
+            c = rng.uniform(-1.5, 1.5, 50)
+            batched = inequality_margin(s, t0, t1, thetas, c)
+            for i in range(50):
+                expected = _margin_by_operators(s, t0[i], t1[i], thetas[i], c[i])
+                assert batched[i] == pytest.approx(expected, abs=1e-12)
+
+    def test_tight_for_any_s(self, rng):
+        # t_constraints is the largest shift: margin 0 at every theta, for any s
+        for s in rng.uniform(-1, 2, 50):
+            thetas = theta_grid(200, s)
+            t0, t1 = t_constraints(s, thetas)
+            c = dephasing_coefficient(thetas, s)
+            margins = inequality_margin(s, t0, t1, thetas, c)
+            np.testing.assert_allclose(margins, 0.0, atol=1e-12)
+
 
 class TestCoefficientSearch:
     def test_theta_grid_contains_boundary(self):
-        for size in (100, 1000, 10_000):
-            grid = theta_grid(size)
-            assert np.any(np.isclose(grid, math.pi / 4, rtol=0, atol=1e-15))
-            assert grid[0] == 0.0
-            assert grid[-1] == pytest.approx(math.pi / 2)
+        for size in (2, 100, 1000, 10_000):
+            for s in (0.2, S_OPTIMAL, -0.9):
+                grid = theta_grid(size, s)
+                assert grid[0] == 0.0
+                assert grid[-1] == pytest.approx(math.pi / 2)
+                assert np.all(np.diff(grid) >= 0)
+                breakpoints = [math.pi / 4]
+                if abs(4 * s) >= 1:
+                    r = 1 / abs(4 * s)
+                    breakpoints += [math.asin(r), math.acos(r)]
+                for b in breakpoints:
+                    assert b in grid
+
+    def test_theta_grid_rejects_degenerate_input(self):
+        for size, s in ((1, S_OPTIMAL), (0, S_OPTIMAL), (10, math.nan), (10, math.inf)):
+            with pytest.raises(ValidationError):
+                theta_grid(size, s)
+
+    def test_breakpoint_minimum_is_exact(self, rng):
+        # the minimum of t0* + t1* over theta_grid(2, s) -- the breakpoints
+        # alone -- equals its minimum over a dense uniform grid
+        dense = np.linspace(0, math.pi / 2, 200_001)
+        for s in rng.uniform(-1, 2, 200):
+            coarse = sum(t_constraints(s, theta_grid(2, s))).min()
+            assert coarse == pytest.approx(sum(t_constraints(s, dense)).min(), abs=1e-12)
 
     def test_recovers_optimum(self):
         coeffs = coefficient_search(np.linspace(0.0, 0.8, 512), 10_000)
-        assert coeffs.s == pytest.approx(S_OPTIMAL, abs=1e-6)
-        assert coeffs.t == pytest.approx(T_OPTIMAL, abs=1e-6)
+        assert coeffs.s == pytest.approx(S_OPTIMAL, abs=1e-8)
+        assert coeffs.t == pytest.approx(T_OPTIMAL, abs=1e-8)
         assert bound_value(coeffs, BETA_QUANTUM) == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError):
             coefficient_search([])
+        with pytest.raises(ValidationError):
+            coefficient_search(np.linspace(0.0, 0.8, 16), 1)
 
     def test_smaller_s_gives_smaller_bound(self):
         coeffs = coefficient_search(np.linspace(0.0, 0.5, 64), 2_000)
@@ -248,7 +301,7 @@ class TestCertification:
 
         for _ in range(40):
             asm = sample_assemblage(rng, uniform_marginals=True)
-            theta, beta = max_violation_over_theta(asm, 800)
+            theta, beta = max_violation_over_theta(asm)
             c = dephasing_coefficient(theta, S_OPTIMAL)
             ch = dephasing_channel(theta, c)
             witness = extractability_with_channel(asm, ch)

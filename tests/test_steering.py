@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from steerbound.assemblage import (
+    Assemblage,
     ClassicalStrategy,
     chsh_reference,
     from_classical,
@@ -11,13 +12,12 @@ from steerbound.assemblage import (
     realize,
 )
 from steerbound.fidelity import appendix_b_strategy
-from steerbound.matkernel import KET0, PAULI_X, PAULI_Z, ValidationError, projector
+from steerbound.matkernel import I2, KET0, PAULI_X, PAULI_Z, ValidationError, projector
 from steerbound.steering import (
     BETA_CLASSICAL,
     BETA_QUANTUM,
     BobObservables,
     chsh_functional,
-    golden_section_max,
     max_violation_over_theta,
     t_operators,
 )
@@ -47,16 +47,11 @@ class TestObservables:
 class TestTOperators:
     def test_structure(self):
         theta = 0.3
-        ops = t_operators(BobObservables(theta)).t_ops
+        ops = t_operators(BobObservables(theta))
         np.testing.assert_allclose(ops[(0, 0)], 2 * math.cos(theta) * PAULI_Z, atol=1e-14)
         np.testing.assert_allclose(ops[(0, 1)], 2 * math.sin(theta) * PAULI_X, atol=1e-14)
         np.testing.assert_allclose(ops[(1, 0)], -ops[(0, 0)])
         np.testing.assert_allclose(ops[(1, 1)], -ops[(0, 1)])
-
-    def test_bounds(self):
-        f = t_operators(BobObservables(0.0))
-        assert f.classical_bound == BETA_CLASSICAL
-        assert f.quantum_bound == pytest.approx(2 * SQRT2)
 
 
 class TestFunctional:
@@ -95,28 +90,40 @@ class TestFunctional:
                 hidden,
             )
             asm = from_classical(strategy)
-            _, beta = max_violation_over_theta(asm, 500)
+            _, beta = max_violation_over_theta(asm)
             assert beta <= BETA_CLASSICAL + 1e-9
 
     def test_quantum_assemblages_respect_tsirelson(self, rng):
         for _ in range(50):
             asm = realize(random_realization(rng))
-            _, beta = max_violation_over_theta(asm, 500)
+            _, beta = max_violation_over_theta(asm)
             assert beta <= BETA_QUANTUM + 1e-9
 
     def test_wrong_shape_rejected(self):
-        from steerbound.assemblage import Assemblage
-
         asm = Assemblage(2, 1, {(0, 0): projector(KET0) / 2, (1, 0): projector(KET0) / 2})
         with pytest.raises(ValidationError):
             chsh_functional(asm, BobObservables(0.1))
 
 
-class TestMaximization:
-    def test_golden_section_on_cosine(self):
-        x = golden_section_max(lambda t: math.cos(t - 0.7), 0.0, math.pi / 2)
-        assert x == pytest.approx(0.7, abs=1e-7)
+def _uw_assemblage(u: float, w: float) -> Assemblage:
+    """Uniform-marginal assemblage with CHSH coefficients u and w (|u|, |w| <= 2):
+    sigma_{a|0} = (I + (-1)^a (u/2) Z)/4 and sigma_{a|1} = (I + (-1)^a (w/2) X)/4."""
+    elements = {}
+    for a in range(2):
+        sign = (-1) ** a
+        elements[(a, 0)] = (I2 + sign * u / 2 * PAULI_Z) / 4
+        elements[(a, 1)] = (I2 + sign * w / 2 * PAULI_X) / 4
+    return Assemblage(2, 2, elements)
 
+
+def _brute_force_max(asm, points: int = 2001) -> float:
+    return max(
+        chsh_functional(asm, BobObservables(float(t)))
+        for t in np.linspace(0, math.pi / 2, points)
+    )
+
+
+class TestMaximization:
     def test_reference_argmax(self):
         theta, beta = max_violation_over_theta(chsh_reference())
         assert theta == pytest.approx(math.pi / 4, abs=1e-7)
@@ -125,7 +132,7 @@ class TestMaximization:
     def test_matches_direct_grid(self, rng):
         for _ in range(10):
             asm = realize(random_realization(rng))
-            theta_star, beta_star = max_violation_over_theta(asm, 2000)
+            theta_star, beta_star = max_violation_over_theta(asm)
             grid = np.linspace(0, math.pi / 2, 20001)
             brute = max(
                 chsh_functional(asm, BobObservables(float(t))) for t in grid
@@ -135,6 +142,30 @@ class TestMaximization:
                 chsh_functional(asm, BobObservables(theta_star)), abs=1e-12
             )
 
-    def test_grid_size_validated(self):
+    @pytest.mark.parametrize(
+        "u, w, theta_expected",
+        [
+            (-0.5, -1.2, 0.0),  # u, w < 0: the better endpoint
+            (-1.3, -0.4, math.pi / 2),
+            (0.0, 1.5, math.pi / 2),  # u <= 0 < w
+            (-0.7, 0.4, math.pi / 2),
+            (1.1, 0.0, 0.0),  # w <= 0 < u
+            (0.8, -1.9, 0.0),
+            (1.0, 1.5, math.atan2(1.5, 1.0)),  # both positive: interior maximum
+        ],
+    )
+    def test_closed_form_against_brute_force(self, u, w, theta_expected):
+        asm = _uw_assemblage(u, w)
+        theta, beta = max_violation_over_theta(asm)
+        assert theta == pytest.approx(theta_expected, abs=1e-15)
+        expected = math.hypot(u, w) if u > 0 and w > 0 else max(u, w)
+        assert beta == pytest.approx(expected, abs=1e-12)
+        assert beta == pytest.approx(chsh_functional(asm, BobObservables(theta)), abs=1e-12)
+        assert beta >= _brute_force_max(asm) - 1e-12
+
+    def test_non_finite_rejected(self):
+        asm = _uw_assemblage(0.5, 0.5)
+        elements = dict(asm.elements)
+        elements[(0, 1)] = elements[(0, 1)] * math.nan
         with pytest.raises(ValidationError):
-            max_violation_over_theta(chsh_reference(), 1)
+            max_violation_over_theta(Assemblage(2, 2, elements))
