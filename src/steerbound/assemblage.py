@@ -121,7 +121,7 @@ class Assemblage:
             a, x = _json_field(entry, "a", int), _json_field(entry, "x", int)
             if (a, x) in elements or not (0 <= a < outcomes and 0 <= x < settings):
                 raise ValidationError(f"element (a, x) = ({a}, {x}) is out of range or repeated")
-            elements[(a, x)] = _json_matrix(entry, "re") + 1j * _json_matrix(entry, "im")
+            elements[(a, x)] = json_matrix(entry)
         return Assemblage(outcomes, settings, elements)
 
 
@@ -132,13 +132,19 @@ def _json_field(obj, key: str, kind: type):
     return obj[key]
 
 
-def _json_matrix(entry: dict, key: str) -> np.ndarray:
+def _json_real(entry: dict, key: str, size: int) -> np.ndarray:
     rows = _json_field(entry, key, list)
-    values = [v for row in rows if type(row) is list and len(row) == 2 for v in row]
+    values = [v for row in rows if type(row) is list and len(row) == size for v in row]
     finite = all(type(v) in (int, float) and abs(v) < 1e308 for v in values)  # no NaN, inf, huge int
-    if len(rows) != 2 or len(values) != 4 or not finite:
-        raise ValidationError(f"{key!r} must be a 2x2 list of finite numbers")
+    if len(rows) != size or len(values) != size * size or not finite:
+        raise ValidationError(f"{key!r} must be a {size}x{size} list of finite numbers")
     return np.array(rows, dtype=float)
+
+
+def json_matrix(entry, size: int = 2) -> np.ndarray:
+    """The complex size x size matrix held in a JSON object's "re" and "im"
+    row lists; ValidationError unless both are size x size and finite."""
+    return _json_real(entry, "re", size) + 1j * _json_real(entry, "im", size)
 
 
 @dataclass(frozen=True)

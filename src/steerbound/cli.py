@@ -25,6 +25,7 @@ from .assemblage import (
     QuantumRealization,
     ValidationError,
     chsh_reference,
+    json_matrix,
     realize,
     validate,
 )
@@ -147,8 +148,7 @@ def _load_state(spec: str) -> np.ndarray:
         phi[0] = phi[3] = 1 / math.sqrt(2)
         return np.outer(phi, phi.conj())
     with open(spec) as handle:
-        raw = json.load(handle)
-    return np.array(raw["re"]) + 1j * np.array(raw["im"])
+        return json_matrix(json.load(handle), 4)
 
 
 def _load_measurements(spec: str) -> dict:
@@ -159,9 +159,14 @@ def _load_measurements(spec: str) -> dict:
         }
     with open(spec) as handle:
         raw = json.load(handle)
+    if not isinstance(raw, dict) or not raw or set(raw) != {str(x) for x in range(len(raw))}:
+        raise ValidationError('measurements must be a JSON object keyed by settings "0", "1", ...')
     povms = {}
-    for x, elements in raw.items():
-        povms[int(x)] = [np.array(e["re"]) + 1j * np.array(e["im"]) for e in elements]
+    for x in range(len(raw)):
+        elements = raw[str(x)]
+        if type(elements) is not list or not elements or len(elements) != len(raw["0"]):
+            raise ValidationError(f"setting {x} needs one POVM element per outcome, as setting 0")
+        povms[x] = [json_matrix(e) for e in elements]
     return povms
 
 

@@ -167,7 +167,8 @@ class ExtractionChannel:
 
 
 def _trace_out(choi: np.ndarray) -> np.ndarray:
-    return choi.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
+    """tr_out of a Choi matrix, or of each in a (..., 4, 4) stack."""
+    return choi.reshape(choi.shape[:-2] + (2, 2, 2, 2)).trace(axis1=-3, axis2=-1)
 
 
 _REFERENCE = chsh_reference()
@@ -189,6 +190,8 @@ def fidelity_operator(asm: Assemblage) -> np.ndarray:
     if (asm.outcomes, asm.settings) != (_REFERENCE.outcomes, _REFERENCE.settings):
         raise ValidationError("extractability needs a two-setting, two-outcome assemblage")
     sigmas = np.array([asm.elements[key] for key in _REFERENCE_KEYS], dtype=complex)
+    if sigmas.shape != (len(_REFERENCE_KEYS), 2, 2):
+        raise ValidationError("extractability needs 2x2 assemblage elements")
     if not np.all(np.isfinite(sigmas)):
         raise ValidationError("assemblage has non-finite entries")
     p = np.trace(sigmas, axis1=1, axis2=2).real
@@ -201,11 +204,12 @@ def fidelity_operator(asm: Assemblage) -> np.ndarray:
 # Dual slack Z = y I - W + sum_k h_k (sigma_k (x) I); its derivatives in
 # the dual variables (y, h_1, h_2, h_3).
 _SLACK_BASIS = np.array([I4] + [np.kron(p, I2) for p in (PAULI_X, PAULI_Y, PAULI_Z)])
+_H_BASIS = _SLACK_BASIS[1:].reshape(3, 16)  # h -> sum_k h_k (sigma_k (x) I), flattened
 # Central-path weights t of the log-det barrier. The point for weight t has
 # duality gap 4/t, so the last stage reaches about 1e-13, near the rounding
 # floor of a 4x4 eigendecomposition.
 _BARRIER_WEIGHTS = 10.0 ** np.arange(14)
-_NEWTON_STEPS = 12  # per weight; each step costs one 4x4 eigendecomposition
+_NEWTON_STEPS = 12  # per weight; each step costs one stacked 4x4 eigendecomposition
 _ROUNDING = 1e-14  # allowance for the rounding in the two bounds
 
 
@@ -215,50 +219,73 @@ def extractability(asm: Assemblage):
 
         max tr(J W)  s.t.  J >= 0, tr_out J = I,
 
-    with W = fidelity_operator(asm). The dual is min 2 lambda_max(W - H (x) I)
-    over traceless Hermitian H: three real parameters. It is solved by a
-    log-det barrier method with damped Newton steps, which stay in the
-    barrier's domain without a line search; the work is capped at
-    1 + len(_BARRIER_WEIGHTS) * _NEWTON_STEPS 4x4 eigendecompositions.
-
-    At the end of each stage the barrier's primal estimate is rescaled,
-    J <- (M (x) I) J (M (x) I)^dagger with M = (tr_out J)^(-1/2), so that
-    it is exactly a channel. The best such value is returned with the
-    best dual bound seen.
-
-    Returns (value, channel, gap): value = tr(J W) is attained by the
-    returned channel, and the extractability lies in [value, value + gap].
+    with W = fidelity_operator(asm). Returns (value, channel, gap): value =
+    tr(J W) is attained by the returned channel, and the extractability
+    lies in [value, value + gap]. It is ``extractabilities`` on one item.
     """
-    w = fidelity_operator(asm)
+    return extractabilities([asm])[0]
+
+
+def _conj_t(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def extractabilities(assemblages) -> list:
+    """``extractability`` for each assemblage, solved together as a stack.
+
+    The dual is min 2 lambda_max(W - H (x) I) over traceless Hermitian H:
+    three real parameters. It is solved by a log-det barrier method with
+    damped Newton steps, which stay in the barrier's domain without a line
+    search. Every stage's steps run on the (K, 4, 4) stack of the items
+    still in that stage: an item leaves it when its step is rejected as
+    out of the domain (rounding) or when an accepted step's Newton
+    decrement drops below 1e-7. The work is capped at
+    1 + len(_BARRIER_WEIGHTS) * (_NEWTON_STEPS + 1) stacked eigendecompositions.
+
+    At the end of each stage each item's primal estimate is rescaled,
+    J <- (M (x) I) J (M (x) I)^dagger with M = (tr_out J)^(-1/2), so that
+    it is exactly a channel. Each item keeps its best such value and its
+    best dual bound. Returns a list of (value, channel, gap).
+    """
+    assemblages = list(assemblages)
+    if not assemblages:
+        raise ValidationError("extractabilities needs at least one assemblage")
+    w = np.array([fidelity_operator(asm) for asm in assemblages])
     vals, vecs = np.linalg.eigh(w)
-    x = np.array([vals[-1] + 1.0, 0.0, 0.0, 0.0])  # (y, h): strictly feasible
-    dual = 2 * vals[-1]
-    value, choi = -math.inf, None
+    x = np.zeros((len(w), 4))  # (y, h): strictly feasible
+    x[:, 0] = vals[:, -1] + 1.0
+    dual = 2 * vals[:, -1]
+    value = np.full(len(w), -math.inf)
+    choi = np.zeros_like(w)
     for t in _BARRIER_WEIGHTS:
+        live = np.arange(len(w))
         for _ in range(_NEWTON_STEPS):
-            inv = 1 / (x[0] - vals)  # eigenvalues of Z^-1
-            basis = vecs.conj().T @ _SLACK_BASIS @ vecs
-            grad = -np.diagonal(basis, axis1=1, axis2=2).real @ inv
-            grad[0] += 2 * t
-            scaled = inv[:, None] * basis * inv[None, :]
-            hess = (scaled.reshape(4, 16) @ basis.reshape(4, 16).conj().T).real
-            step = np.linalg.solve(hess, grad)
-            decrement = math.sqrt(max(float(grad @ step), 0.0))
-            trial = x - step / (1 + decrement)
-            trial_vals, trial_vecs = np.linalg.eigh(
-                w - np.tensordot(trial[1:], _SLACK_BASIS[1:], axes=1)
-            )
-            if not trial[0] > trial_vals[-1]:
-                break  # rounding pushed the step out of the domain
-            x, vals, vecs = trial, trial_vals, trial_vecs
-            dual = min(dual, 2 * vals[-1])
-            if decrement < 1e-7:
+            inv = 1 / (x[live, :1] - vals[live])  # eigenvalues of Z^-1
+            v = vecs[live, None]
+            basis = _conj_t(v) @ _SLACK_BASIS @ v
+            grad = -(np.diagonal(basis, axis1=-2, axis2=-1).real @ inv[:, :, None])[..., 0]
+            grad[:, 0] += 2 * t
+            scaled = inv[:, None, :, None] * basis * inv[:, None, None, :]
+            hess = (scaled.reshape(-1, 4, 16) @ _conj_t(basis.reshape(-1, 4, 16))).real
+            step = np.linalg.solve(hess, grad[..., None])[..., 0]
+            decrement = np.sqrt(np.maximum((grad * step).sum(axis=1), 0.0))
+            trial = x[live] - step / (1 + decrement[:, None])
+            slack = w[live] - (trial[:, 1:] @ _H_BASIS).reshape(-1, 4, 4)
+            trial_vals, trial_vecs = np.linalg.eigh(slack)
+            inside = trial[:, 0] > trial_vals[:, -1]  # rounding can push a step out
+            live = live[inside]
+            x[live], vals[live], vecs[live] = trial[inside], trial_vals[inside], trial_vecs[inside]
+            dual[live] = np.minimum(dual[live], 2 * trial_vals[inside, -1])
+            live = live[decrement[inside] >= 1e-7]
+            if not live.size:
                 break
-        j = (vecs / (t * (x[0] - vals))) @ vecs.conj().T
+        j = (vecs / (t * (x[:, :1] - vals))[:, None, :]) @ _conj_t(vecs)
         m_vals, m_vecs = np.linalg.eigh(_trace_out(j))
-        m = np.kron((m_vecs / np.sqrt(m_vals)) @ m_vecs.conj().T, I2)
-        j = m @ j @ m.conj().T
-        candidate = float(np.vdot(j, w).real)
-        if candidate > value:
-            value, choi = candidate, j
-    return value, ExtractionChannel(choi), float(max(dual - value, 0.0)) + _ROUNDING
+        m = (m_vecs / np.sqrt(m_vals)[:, None, :]) @ _conj_t(m_vecs)
+        m = np.einsum("nij,ab->niajb", m, I2).reshape(j.shape)
+        j = m @ j @ _conj_t(m)
+        candidate = np.einsum("nij,nij->n", j.conj(), w).real
+        better = candidate > value
+        value[better], choi[better] = candidate[better], j[better]
+    gap = np.maximum(dual - value, 0.0) + _ROUNDING
+    return [(float(v), ExtractionChannel(c), float(g)) for v, c, g in zip(value, choi, gap)]

@@ -2,10 +2,19 @@
 
 Heuristic outer search, exact inner solve: minimize the extractability over
 assemblages pinned to a target CHSH value, scoring every candidate with the
-exact extractability SDP of ``fidelity.extractability``. The outer search
-is a penalty descent on a cheap surrogate, so the outcome is one-sided: a
-passing sweep means no counterexample to the analytic lower bound was
-found, never that the true minimum was reached.
+exact extractability SDP of ``fidelity.extractabilities`` (one stacked
+solve per target). The outer search is a penalty descent over isotropic
+assemblages (visibility v, one Bloch direction per setting) and theta, so
+the outcome is one-sided: a passing sweep means no counterexample to the
+analytic lower bound was found, never that the true minimum was reached.
+
+The descent scores a point by a closed-form surrogate: the better of the
+identity channel and the full Gamma flip, 1/2 + (v/4)(z0 + |x1|) for
+Gamma = Z and 1/2 + (v/4)(|z0| + x1) for Gamma = X, where z0 and x1 are the
+Z and X components of the two measurement directions. Fidelity is linear
+in the channel, so these two ends bound every dephasing channel between
+them, the analytic witness included. An assemblage is built only for each
+restart's final point.
 
 Two structural facts make the sandwich checks robust by construction: the
 reference/classical mixture hits any target violation exactly and sits
@@ -32,9 +41,9 @@ from .assemblage import (
     random_realization,
     realize,
 )
-from .fidelity import appendix_b_strategy, extractability, fidelity_operator
+from .fidelity import appendix_b_strategy, extractabilities
 from .matkernel import I2, PAULI_X, PAULI_Y, PAULI_Z
-from .selftest import analytic_bound, dephasing_channel, upper_bound
+from .selftest import analytic_bound, first_interval, upper_bound
 from .steering import BETA_CLASSICAL, BETA_QUANTUM
 
 
@@ -137,35 +146,47 @@ def _bloch_from_angles(polar: float, azimuth: float):
     )
 
 
-def _family_point(p):
-    """p = (v, polar0, az0, polar1, az1, theta) -> (Assemblage, theta, beta)."""
+def _family_params(p):
+    """p = (v, polar0, az0, polar1, az1, theta) -> (v, theta, z0, x1) with v
+    clamped to [0, 1], theta to [0, pi/2], z0 = cos(polar0) the Z component
+    of setting 0's direction and x1 = sin(polar1) cos(az1) the X component
+    of setting 1's."""
     v = min(1.0, max(0.0, p[0]))
     theta = min(math.pi / 2, max(0.0, p[5]))
+    return v, theta, math.cos(p[1]), math.sin(p[3]) * math.cos(p[4])
+
+
+def _surrogate(p):
+    """(surrogate extractability, CHSH value) at p, in closed form.
+
+    The family's fidelity operator is W = I/4 + (v/8) sum_x (n_x . sigma) (x) P_x
+    with P_0 = Z, P_1 = X, so the identity channel scores 1/2 + (v/4)(z0 + x1).
+    The full Gamma flip negates the reference axis that Gamma anticommutes
+    with: x1 for Gamma = Z (theta <= pi/4), z0 for Gamma = X. Their better
+    end is 1/2 + (v/4)(z0 + |x1|) or 1/2 + (v/4)(|z0| + x1), and every
+    dephasing channel in between, the analytic witness included, scores no
+    higher, since fidelity is linear in the channel."""
+    v, theta, z0, x1 = _family_params(p)
+    if first_interval(theta):
+        score = 0.5 + v / 4 * (z0 + abs(x1))
+    else:
+        score = 0.5 + v / 4 * (abs(z0) + x1)
+    return score, 2 * v * (math.cos(theta) * z0 + math.sin(theta) * x1)
+
+
+def _family_point(p):
+    """p -> (Assemblage, theta, beta) of the isotropic family."""
+    v, theta, _, _ = _family_params(p)
     n0 = _bloch_from_angles(p[1], p[2])
     n1 = _bloch_from_angles(p[3], p[4])
-    asm = Assemblage(2, 2, _isotropic_elements(v, (n0, n1)))
-    beta = 2 * v * (math.cos(theta) * n0[2] + math.sin(theta) * n1[0])
-    return asm, theta, beta
-
-
-def _quick_extractability(asm: Assemblage, theta: float) -> float:
-    """Cheap inner estimate: the better of the identity and the full
-    Gamma flip, tr(J W) for each. Fidelity is linear in the Choi matrix,
-    so every dephasing channel in between (the analytic witness included)
-    scores no higher than one of these two ends."""
-    w = fidelity_operator(asm)
-    return max(
-        float(np.vdot(dephasing_channel(theta, c).choi, w).real) for c in (1.0, -1.0)
-    )
+    return Assemblage(2, 2, _isotropic_elements(v, (n0, n1))), theta, _surrogate(p)[1]
 
 
 def _project_to_beta(p, beta: float):
     """Rescale visibility so the CHSH value matches beta exactly, when the
     current geometry can reach it."""
-    _, theta, _ = _family_point(p)
-    n0 = _bloch_from_angles(p[1], p[2])
-    n1 = _bloch_from_angles(p[3], p[4])
-    g = math.cos(theta) * n0[2] + math.sin(theta) * n1[0]
+    _, theta, z0, x1 = _family_params(p)
+    g = math.cos(theta) * z0 + math.sin(theta) * x1
     if g > 1e-9 and beta / (2 * g) <= 1.0:
         q = list(p)
         q[0] = beta / (2 * g)
@@ -175,7 +196,13 @@ def _project_to_beta(p, beta: float):
 
 def _outer_descent(beta: float, rng: np.random.Generator, tolerance: float):
     """Penalty-based coordinate descent over assemblage parameters and
-    theta jointly; returns the best parameter vector found."""
+    theta jointly. The objective is ``_surrogate`` plus penalty *
+    (CHSH - beta)^2, where the surrogate is the identity/Gamma-flip
+    maximum 1/2 + (v/4)(z0 + |x1|) (Gamma = Z) or 1/2 + (v/4)(|z0| + x1)
+    (Gamma = X): by linearity in the channel, no dephasing channel scores
+    higher than both ends. Pure ``math``; no assemblage is built. Returns
+    the best parameter vector found and the number of objective
+    evaluations."""
     p = [
         rng.uniform(0.5, 1.0),
         rng.uniform(0, math.pi),
@@ -186,10 +213,13 @@ def _outer_descent(beta: float, rng: np.random.Generator, tolerance: float):
     ]
     spans = [0.25, 0.6, 0.6, 0.6, 0.6, 0.4]
     penalty = 100.0
+    evaluations = 0
 
     def objective(q) -> float:
-        asm, theta, b = _family_point(q)
-        return _quick_extractability(asm, theta) + penalty * (b - beta) ** 2
+        nonlocal evaluations
+        evaluations += 1
+        score, b = _surrogate(q)
+        return score + penalty * (b - beta) ** 2
 
     for _escalation in range(4):
         step = 1.0
@@ -206,20 +236,16 @@ def _outer_descent(beta: float, rng: np.random.Generator, tolerance: float):
                         improved = True
             if not improved:
                 step *= 0.5
-        _, _, b = _family_point(p)
-        if abs(b - beta) < tolerance:
+        if abs(_surrogate(p)[1] - beta) < tolerance:
             break
         penalty *= 10.0
 
     projected = _project_to_beta(p, beta)
     if projected is not None:
-        asm_p, theta_p, b_p = _family_point(projected)
-        asm_u, theta_u, b_u = _family_point(p)
-        if _quick_extractability(asm_p, theta_p) <= _quick_extractability(asm_u, theta_u) or abs(
-            b_u - beta
-        ) >= tolerance:
-            return projected
-    return p
+        score_u, b_u = _surrogate(p)
+        if _surrogate(projected)[0] <= score_u or abs(b_u - beta) >= tolerance:
+            return projected, evaluations
+    return p, evaluations
 
 
 def _mixture_candidate(beta: float):
@@ -237,7 +263,10 @@ class SandwichRecord:
     """One target's outcome. numeric_min is the exact extractability (the
     solver's primal value, within gap of the true value) of the winning
     candidate: "mixture" or "restart k", k indexing the target's
-    SeedSequence children. residual is that candidate's |CHSH - beta|."""
+    SeedSequence children. residual is that candidate's |CHSH - beta|.
+    evaluations counts the work behind it: "surrogate", the outer-search
+    objective evaluations over all restarts, and "exact", the candidates
+    admitted (residual below tolerance) and solved exactly."""
 
     beta: float
     numeric_min: float
@@ -247,6 +276,7 @@ class SandwichRecord:
     gap: float
     winner: str
     witness: dict = field(repr=False)
+    evaluations: dict
 
     def passes(self, tolerance: float) -> bool:
         return (
@@ -274,7 +304,11 @@ class SandwichReport:
                 "config": json.loads(self.config.to_json()),
                 "passed": self.passed,
                 "records": [
-                    {**{c: getattr(r, c) for c in _COLUMNS}, "witness": r.witness}
+                    {
+                        **{c: getattr(r, c) for c in _COLUMNS},
+                        "evaluations": r.evaluations,
+                        "witness": r.witness,
+                    }
                     for r in self.records
                 ],
             },
@@ -310,16 +344,18 @@ def min_extractability_at_beta(
         seed_sequence = np.random.SeedSequence(cfg.rng_seed)
 
     candidates = [("mixture",) + _mixture_candidate(beta) + (0.0,)]
+    surrogate = 0
     for k, child in enumerate(seed_sequence.spawn(cfg.samples)):
-        p = _outer_descent(beta, np.random.default_rng(child), cfg.tolerance)
+        p, evaluations = _outer_descent(beta, np.random.default_rng(child), cfg.tolerance)
+        surrogate += evaluations
         asm, theta, b = _family_point(p)
         candidates.append((f"restart {k}", asm, theta, abs(b - beta)))
 
+    admitted = [c for c in candidates if c[3] < cfg.tolerance]
     best = None
-    for name, asm, theta, residual in candidates:
-        if residual >= cfg.tolerance:
-            continue
-        value, channel, gap = extractability(asm)
+    for (name, asm, theta, residual), (value, channel, gap) in zip(
+        admitted, extractabilities([c[1] for c in admitted])
+    ):
         if best is None or value < best[0]:
             best = (value, gap, name, residual, asm, theta, channel)
 
@@ -338,6 +374,7 @@ def min_extractability_at_beta(
         gap=gap,
         winner=name,
         witness=witness,
+        evaluations={"surrogate": surrogate, "exact": len(admitted)},
     )
 
 

@@ -164,6 +164,7 @@ class TestSandwich:
         assert record["gap"] <= 1e-9
         assert record["winner"] == "mixture" or record["winner"].startswith("restart ")
         assert np.array(record["witness"]["channel"]["re"]).shape == (4, 4)
+        assert set(record["evaluations"]) == {"surrogate", "exact"}
         header = out_csv.read_text().split("\n")[0]
         assert header == "beta,numeric_min,analytic_lower,eq8_upper,residual,gap,winner"
 
@@ -235,6 +236,66 @@ def test_malformed_assemblage_is_one_error_line(tmp_path, command, text):
     assert result.stderr.startswith("error: ")
     assert result.stderr.count("\n") == 1
     assert "Traceback" not in result.stderr
+
+
+ZERO2 = [[0, 0], [0, 0]]
+PHI_PLUS = {
+    "re": [[0.5, 0, 0, 0.5], [0, 0, 0, 0], [0, 0, 0, 0], [0.5, 0, 0, 0.5]],
+    "im": [[0] * 4] * 4,
+}
+ZX = {
+    "0": [{"re": [[1, 0], [0, 0]], "im": ZERO2}, {"re": [[0, 0], [0, 1]], "im": ZERO2}],
+    "1": [
+        {"re": [[0.5, 0.5], [0.5, 0.5]], "im": ZERO2},
+        {"re": [[0.5, -0.5], [-0.5, 0.5]], "im": ZERO2},
+    ],
+}
+
+
+def test_realize_from_files(tmp_path):
+    state, povms, out = tmp_path / "state.json", tmp_path / "povms.json", tmp_path / "asm.json"
+    state.write_text(json.dumps(PHI_PLUS))
+    povms.write_text(json.dumps(ZX))
+    argv = ["realize", "--state", str(state), "--measurements", str(povms), "--out", str(out)]
+    assert main(argv) == 0
+    asm = Assemblage.from_json(out.read_text())
+    for key, element in chsh_reference().elements.items():
+        np.testing.assert_allclose(asm.elements[key], element, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "option, document",
+    [
+        ("--state", {}),
+        ("--state", []),
+        ("--state", {"re": PHI_PLUS["re"]}),
+        ("--state", {"im": PHI_PLUS["im"]}),
+        ("--state", {"re": [[1, 0], [0, 0]], "im": ZERO2}),
+        ("--state", {"re": PHI_PLUS["re"][:3], "im": PHI_PLUS["im"]}),
+        ("--state", {"re": [[math.nan] * 4] + PHI_PLUS["re"][1:], "im": PHI_PLUS["im"]}),
+        ("--state", {"re": PHI_PLUS["re"], "im": [["0"] * 4] * 4}),
+        ("--measurements", []),
+        ("--measurements", {}),
+        ("--measurements", "ZX"),
+        ("--measurements", {"0": ZX["0"], "one": ZX["1"]}),
+        ("--measurements", {"0": ZX["0"], "2": ZX["1"]}),
+        ("--measurements", {"0": ZX["0"], "1": ZX["1"][:1]}),
+        ("--measurements", {"0": [], "1": []}),
+        ("--measurements", {"0": ZX["0"][0], "1": ZX["1"]}),
+        ("--measurements", {"0": [{"re": [[1, 0], [0, 0]]}, ZX["0"][1]], "1": ZX["1"]}),
+        ("--measurements", {"0": [{"im": ZERO2}, ZX["0"][1]], "1": ZX["1"]}),
+        ("--measurements", {"0": [{"re": np.eye(3).tolist(), "im": np.zeros((3, 3)).tolist()}]}),
+        ("--measurements", {"0": [{"re": [[math.nan, 0], [0, 0]], "im": ZERO2}, ZX["0"][1]]}),
+    ],
+)
+def test_malformed_realization_is_one_error_line(tmp_path, capsys, option, document):
+    path, out = tmp_path / "input.json", tmp_path / "asm.json"
+    path.write_text(json.dumps(document))
+    assert main(["realize", option, str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 class TestExitCodes:

@@ -5,11 +5,19 @@ import numpy as np
 import pytest
 
 from steerbound.assemblage import Assemblage, chsh_reference, from_classical, validate
-from steerbound.fidelity import appendix_b_strategy, assemblage_fidelity, extractability
+from steerbound.fidelity import (
+    appendix_b_strategy,
+    assemblage_fidelity,
+    extractabilities,
+    extractability,
+    fidelity_operator,
+)
 from steerbound.matkernel import I2, PAULI_X, PAULI_Y, PAULI_Z, ValidationError
 from steerbound.numsearch import (
     SearchConfig,
+    _family_point,
     _mixture_candidate,
+    _surrogate,
     enforce_uniform_marginals,
     min_extractability_at_beta,
     sample_assemblage,
@@ -21,9 +29,26 @@ from steerbound.selftest import (
     extractability_with_channel,
     upper_bound,
 )
-from steerbound.steering import BETA_QUANTUM
+from steerbound.steering import BETA_QUANTUM, BobObservables, chsh_functional
 
 SQRT2 = math.sqrt(2)
+
+
+def general_assemblage(rng):
+    """sigma_{0|x} = sqrt(rho) E_x sqrt(rho) for random effects 0 <= E_x <= I:
+    Bob's marginal rho is not I/2 and p(a|x) is not 1/2, which moves the
+    dual optimum of the extractability solve away from H = 0."""
+    r = rng.normal(size=3)
+    r *= rng.uniform(0, 0.9) / np.linalg.norm(r)
+    vals, vecs = np.linalg.eigh((I2 + r[0] * PAULI_X + r[1] * PAULI_Y + r[2] * PAULI_Z) / 2)
+    root = (vecs * np.sqrt(vals)) @ vecs.conj().T
+    elements = {}
+    for x in range(2):
+        u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        effect = (u * rng.uniform(0, 1, size=2)) @ u.conj().T
+        elements[(0, x)] = root @ effect @ root
+        elements[(1, x)] = root @ (I2 - effect) @ root
+    return Assemblage(2, 2, elements)
 
 
 class TestConfig:
@@ -161,21 +186,8 @@ class TestBestChannel:
             self._check_certificate(*extractability(asm))
 
     def test_general_assemblage_gap(self, rng):
-        # sigma_{0|x} = sqrt(rho) E_x sqrt(rho) for random effects 0 <= E_x <= I:
-        # Bob's marginal rho is not I/2 and p(a|x) is not 1/2, which moves
-        # the dual optimum away from H = 0
         for _ in range(30):
-            r = rng.normal(size=3)
-            r *= rng.uniform(0, 0.9) / np.linalg.norm(r)
-            vals, vecs = np.linalg.eigh((I2 + r[0] * PAULI_X + r[1] * PAULI_Y + r[2] * PAULI_Z) / 2)
-            root = (vecs * np.sqrt(vals)) @ vecs.conj().T
-            elements = {}
-            for x in range(2):
-                u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-                effect = (u * rng.uniform(0, 1, size=2)) @ u.conj().T
-                elements[(0, x)] = root @ effect @ root
-                elements[(1, x)] = root @ (I2 - effect) @ root
-            asm = Assemblage(2, 2, elements)
+            asm = general_assemblage(rng)
             assert validate(asm).passed
             self._check_certificate(*extractability(asm))
 
@@ -190,6 +202,42 @@ class TestBestChannel:
         monkeypatch.setattr(np.linalg, "eigh", counting)
         extractability(sample_assemblage(np.random.default_rng(5)))
         assert 0 < len(calls) <= 1 + 14 * 12 + 14
+
+    def test_batched_eigendecompositions(self, monkeypatch):
+        # the stage schedule is shared, so a batch costs no more calls than one item
+        rng = np.random.default_rng(5)
+        batch = [sample_assemblage(rng) for _ in range(20)]
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(m):
+            calls.append(1)
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        extractabilities(batch)
+        assert 0 < len(calls) <= 1 + 14 * 12 + 14
+
+    def test_batch_matches_single_solves(self, rng):
+        batch = [sample_assemblage(rng, uniform_marginals=True) for _ in range(8)]
+        batch += [sample_assemblage(rng) for _ in range(8)]
+        batch += [general_assemblage(rng) for _ in range(8)]
+        batch += [chsh_reference(), from_classical(appendix_b_strategy())]
+        results = extractabilities(batch)
+        assert len(results) == len(batch)
+        for asm, (value, channel, gap) in zip(batch, results):
+            self._check_certificate(value, channel, gap)
+            assert value == pytest.approx(extractability(asm)[0], abs=1e-12)
+
+    def test_batch_rejects_bad_input(self):
+        with pytest.raises(ValidationError):
+            extractabilities([])
+        ref = chsh_reference()
+        three_settings = Assemblage(2, 3, {(a, x): I2 / 6 for a in range(2) for x in range(3)})
+        qutrit = Assemblage(2, 2, {k: np.eye(3) / 6 for k in ref.elements})
+        for bad in (three_settings, qutrit):
+            with pytest.raises(ValidationError):
+                extractabilities([ref, bad])
 
     def test_fidelity_matches_direct_evaluation(self, rng):
         asm = sample_assemblage(rng, uniform_marginals=True)
@@ -223,6 +271,57 @@ class TestBestChannel:
         value, _, gap = extractability(asm)
         assert gap <= 1e-9
         assert value <= upper_bound(beta) + 1e-9
+
+
+class TestSurrogate:
+    """The outer search's closed form against the operators it stands for."""
+
+    def test_matches_identity_and_flip(self, rng):
+        points = [
+            [
+                rng.uniform(-0.5, 1.5),  # v, clamped to [0, 1]
+                *rng.uniform(-2 * math.pi, 2 * math.pi, size=4),
+                rng.uniform(-0.5, math.pi / 2 + 0.5),  # theta, clamped to [0, pi/2]
+            ]
+            for _ in range(300)
+        ]
+        points += [[0.8, 0.3, 0.2, 1.1, -0.4, math.pi / 4], [0.6, 2.0, 1.0, 2.5, 2.9, math.pi / 4]]
+        for p in points:
+            asm, theta, _ = _family_point(p)
+            w = fidelity_operator(asm)
+            ends = [np.vdot(dephasing_channel(theta, c).choi, w).real for c in (1.0, -1.0)]
+            score, b = _surrogate(p)
+            assert score == pytest.approx(max(ends), abs=1e-12)
+            assert b == pytest.approx(chsh_functional(asm, BobObservables(theta)), abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def default_report():
+    return sandwich_sweep(SearchConfig())
+
+
+class TestDefaultSweep:
+    """Regression pins for the default config (rng_seed 20240817)."""
+
+    def test_values(self, default_report):
+        records = default_report.records
+        for record in records[:4]:
+            assert record.winner == "mixture"
+            assert record.numeric_min == pytest.approx(upper_bound(record.beta), abs=1e-12)
+        top = records[4]
+        assert top.beta == BETA_QUANTUM
+        # restart 19 lands 8.1e-5 below 2 sqrt 2, inside the tolerance
+        assert top.winner == "restart 19"
+        assert top.numeric_min == pytest.approx(0.9999954719452805, abs=1e-12)
+        assert all(r.gap <= 1e-9 for r in records)
+        assert default_report.passed
+
+    def test_work_counts(self, default_report):
+        counts = [r.evaluations for r in default_report.records]
+        assert [c["surrogate"] for c in counts] == [7945, 7101, 7046, 7260, 6474]
+        assert [c["exact"] for c in counts] == [15, 11, 12, 9, 14]
+        assert sum(c["surrogate"] for c in counts) == 35_826
+        assert sum(c["exact"] for c in counts) == 61
 
 
 class TestSandwich:
@@ -271,3 +370,6 @@ class TestSandwich:
         assert record["gap"] <= 1e-9
         assert lines[1].split(",")[-1] == record["winner"]
         assert "restarts_used" not in record
+        assert set(record["evaluations"]) == {"surrogate", "exact"}
+        assert 1 <= record["evaluations"]["exact"] <= cfg.samples + 1
+        assert record["evaluations"]["surrogate"] >= cfg.samples
