@@ -27,6 +27,7 @@ from .matkernel import (
     PAULI_Y,
     PAULI_Z,
     ValidationError,
+    eigvals_2x2,
     kron,
     min_eigval,
     partial_trace_A,
@@ -37,57 +38,57 @@ from .matkernel import (
 PROB_FLOOR = 1e-12  # below this, p(a|x) is treated as exactly 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Assemblage:
     """Family of subnormalized 2x2 states sigma_{a|x}.
 
-    ``elements[(a, x)]`` is the subnormalized state; probabilities and
-    normalized conditional states are derived accessors.
+    ``elements[a, x]`` is sigma_{a|x}: a read-only complex array of shape
+    (outcomes, settings, 2, 2). Probabilities and normalized conditional
+    states are derived accessors.
     """
 
-    outcomes: int
-    settings: int
-    elements: dict = field(repr=False)
+    elements: np.ndarray = field(repr=False)
 
-    def element(self, a: int, x: int) -> np.ndarray:
-        return self.elements[(a, x)]
+    def __post_init__(self):
+        elements = np.array(self.elements, dtype=complex)
+        if elements.ndim != 4 or elements.shape[2:] != (2, 2) or 0 in elements.shape:
+            raise ValidationError(
+                f"assemblage elements must be an (outcomes, settings, 2, 2) array, got shape {elements.shape}"
+            )
+        elements.flags.writeable = False
+        object.__setattr__(self, "elements", elements)
+
+    @property
+    def outcomes(self) -> int:
+        return self.elements.shape[0]
+
+    @property
+    def settings(self) -> int:
+        return self.elements.shape[1]
 
     def prob(self, a: int, x: int) -> float:
-        return float(np.trace(self.elements[(a, x)]).real)
+        return float(np.trace(self.elements[a, x]).real)
 
     def conditional_state(self, a: int, x: int) -> np.ndarray:
         p = self.prob(a, x)
         if p < PROB_FLOOR:
             raise ValidationError(f"conditional state undefined: p({a}|{x}) = 0")
-        return self.elements[(a, x)] / p
-
-    def bob_marginal(self, x: int = 0) -> np.ndarray:
-        return sum(self.elements[(a, x)] for a in range(self.outcomes))
+        return self.elements[a, x] / p
 
     def max_marginal_deviation(self) -> float:
         """max_{a,x} |p(a|x) - 1/|A||; zero for uniform-marginal assemblages."""
-        return max(
-            abs(self.prob(a, x) - 1.0 / self.outcomes)
-            for a in range(self.outcomes)
-            for x in range(self.settings)
-        )
+        probs = np.trace(self.elements, axis1=2, axis2=3).real
+        return float(np.abs(probs - 1.0 / self.outcomes).max())
 
     def mix(self, other: "Assemblage", weight: float) -> "Assemblage":
         """Convex mixture weight*self + (1-weight)*other."""
-        if (self.outcomes, self.settings) != (other.outcomes, other.settings):
+        if self.elements.shape != other.elements.shape:
             raise ValidationError("cannot mix assemblages of different shape")
-        mixed = {
-            k: weight * v + (1 - weight) * other.elements[k]
-            for k, v in self.elements.items()
-        }
-        return Assemblage(self.outcomes, self.settings, mixed)
+        return Assemblage(weight * self.elements + (1 - weight) * other.elements)
 
     def flip_outcomes(self) -> "Assemblage":
         """Relabel a -> |A|-1-a for every setting."""
-        flipped = {
-            (self.outcomes - 1 - a, x): m for (a, x), m in self.elements.items()
-        }
-        return Assemblage(self.outcomes, self.settings, flipped)
+        return Assemblage(self.elements[::-1])
 
     def to_json(self) -> str:
         payload = {
@@ -97,8 +98,8 @@ class Assemblage:
                 {
                     "a": a,
                     "x": x,
-                    "re": self.elements[(a, x)].real.tolist(),
-                    "im": self.elements[(a, x)].imag.tolist(),
+                    "re": self.elements[a, x].real.tolist(),
+                    "im": self.elements[a, x].imag.tolist(),
                 }
                 for a in range(self.outcomes)
                 for x in range(self.settings)
@@ -116,13 +117,15 @@ class Assemblage:
         entries = _json_field(payload, "elements", list)
         if min(outcomes, settings) < 1 or len(entries) != outcomes * settings:
             raise ValidationError(f"need one element per (a, x), {outcomes} x {settings}")
-        elements = {}
+        elements = np.zeros((outcomes, settings, 2, 2), dtype=complex)
+        seen = set()
         for entry in entries:
             a, x = _json_field(entry, "a", int), _json_field(entry, "x", int)
-            if (a, x) in elements or not (0 <= a < outcomes and 0 <= x < settings):
+            if (a, x) in seen or not (0 <= a < outcomes and 0 <= x < settings):
                 raise ValidationError(f"element (a, x) = ({a}, {x}) is out of range or repeated")
-            elements[(a, x)] = json_matrix(entry)
-        return Assemblage(outcomes, settings, elements)
+            seen.add((a, x))
+            elements[a, x] = json_matrix(entry)
+        return Assemblage(elements)
 
 
 def _json_field(obj, key: str, kind: type):
@@ -161,6 +164,9 @@ class QuantumRealization:
             raise ValidationError("shared state must have unit trace")
         if min_eigval(symmetrize(self.state)) < -tol:
             raise ValidationError("shared state must be PSD")
+        counts = {len(self.alice_povms.get(x, ())) for x in range(len(self.alice_povms))}
+        if len(counts) != 1 or 0 in counts:
+            raise ValidationError("POVMs must be keyed by settings 0, 1, ... with one common outcome count")
         for x, povm in self.alice_povms.items():
             total = sum(povm)
             if np.max(np.abs(total - I2)) > tol:
@@ -198,7 +204,7 @@ class ValidationReport:
     no_signaling_deviation: float
     normalization_deviation: float
     tol: float
-    nonfinite: tuple = ()  # (a, x) keys of elements with a NaN or infinite entry
+    nonfinite: tuple = ()  # (a, x) indices of elements with a NaN or infinite entry
 
     @property
     def passed(self) -> bool:
@@ -229,14 +235,15 @@ class ValidationReport:
 def realize(r: QuantumRealization) -> Assemblage:
     """sigma_{a|x} = tr_A[(M_{a|x} x I) rho_AB] for every (a, x)."""
     r.check()
-    elements = {}
-    settings = len(r.alice_povms)
-    outcomes = len(next(iter(r.alice_povms.values())))
+    elements = np.zeros((len(r.alice_povms[0]), len(r.alice_povms), 2, 2), dtype=complex)
     for x, povm in r.alice_povms.items():
         for a, m in enumerate(povm):
-            elements[(a, x)] = symmetrize(partial_trace_A(kron(m, I2) @ r.state))
-    asm = Assemblage(outcomes, settings, elements)
-    report = validate(asm, 1e-9)
+            elements[a, x] = symmetrize(partial_trace_A(kron(m, I2) @ r.state))
+    return _require_valid(Assemblage(elements), 1e-9)
+
+
+def _require_valid(asm: Assemblage, tol: float) -> Assemblage:
+    report = validate(asm, tol)
     if not report.passed:
         raise ValidationError("; ".join(report.failures()))
     return asm
@@ -245,53 +252,37 @@ def realize(r: QuantumRealization) -> Assemblage:
 def chsh_reference() -> Assemblage:
     """The CHSH-type reference: Z/X measurements on the maximally
     entangled pair, all outcome probabilities 1/2."""
-    elements = {
-        (0, 0): projector(KET0) / 2,
-        (1, 0): projector(KET1) / 2,
-        (0, 1): projector(KET_PLUS) / 2,
-        (1, 1): projector(KET_MINUS) / 2,
-    }
-    return Assemblage(2, 2, elements)
+    kets = ((KET0, KET_PLUS), (KET1, KET_MINUS))  # [a][x]
+    return Assemblage([[projector(k) / 2 for k in row] for row in kets])
 
 
 def from_classical(s: ClassicalStrategy, outcomes: int = 2, settings: int = 2) -> Assemblage:
     """sigma_{a|x} = sum_lambda p(lambda) [response(lambda,x)=a] rho_lambda."""
     s.check()
-    elements = {
-        (a, x): np.zeros((2, 2), dtype=complex)
-        for a in range(outcomes)
-        for x in range(settings)
-    }
+    elements = np.zeros((outcomes, settings, 2, 2), dtype=complex)
     for lam, w in s.weights.items():
         for x in range(settings):
             a = s.response[(lam, x)]
             if not 0 <= a < outcomes:
                 raise ValidationError(f"response ({lam},{x}) -> {a} out of range")
-            elements[(a, x)] = elements[(a, x)] + w * s.hidden_states[lam]
-    asm = Assemblage(outcomes, settings, elements)
-    report = validate(asm, 1e-10)
-    if not report.passed:
-        raise ValidationError("; ".join(report.failures()))
-    return asm
+            elements[a, x] = elements[a, x] + w * s.hidden_states[lam]
+    return _require_valid(Assemblage(elements), 1e-10)
 
 
 def validate(asm: Assemblage, tol: float = 1e-10) -> ValidationReport:
     """Report PSD margins, no-signaling and normalization deviations, or
     the elements with non-finite entries."""
-    nonfinite = tuple(sorted(k for k, m in asm.elements.items() if not np.isfinite(m).all()))
-    if nonfinite:
+    finite = np.isfinite(asm.elements).all(axis=(2, 3))
+    if not finite.all():
+        nonfinite = tuple((int(a), int(x)) for a, x in np.argwhere(~finite))
         return ValidationReport(math.nan, math.nan, math.nan, tol, nonfinite)
-    psd_margin = min(
-        min_eigval(symmetrize(m)) for m in asm.elements.values()
+    marginals = asm.elements.sum(axis=0)  # Bob's marginal for each setting
+    return ValidationReport(
+        psd_margin=float(eigvals_2x2(asm.elements)[..., 0].min()),
+        no_signaling_deviation=float(np.abs(marginals - marginals[0]).max()),
+        normalization_deviation=float(np.abs(np.trace(marginals, axis1=1, axis2=2).real - 1).max()),
+        tol=tol,
     )
-    marginals = [asm.bob_marginal(x) for x in range(asm.settings)]
-    ns_dev = 0.0
-    for x in range(1, asm.settings):
-        ns_dev = max(ns_dev, float(np.max(np.abs(marginals[x] - marginals[0]))))
-    norm_dev = max(
-        abs(float(np.trace(marg).real) - 1) for marg in marginals
-    )
-    return ValidationReport(psd_margin, ns_dev, norm_dev, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,7 @@ def cmd_classical_fidelity(args) -> int:
 
 def cmd_coefficient_search(args) -> int:
     s_grid = np.linspace(0.0, 0.8, args.s_points)
-    coeffs = selftest.coefficient_search(s_grid, args.theta_points)
+    coeffs = selftest.coefficient_search(s_grid)
     print(f"s = {_fmt(coeffs.s)}")
     print(f"t = {_fmt(coeffs.t)} (t0 = {_fmt(coeffs.t0)}, t1 = {_fmt(coeffs.t1)})")
     print(f"bound at maximal violation = {_fmt(selftest.bound_value(coeffs, BETA_QUANTUM))}")
@@ -238,7 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coefficient-search", help="recover the optimal bound coefficients")
     p.add_argument("--s-points", type=_checked(int, 1), default=512)
-    p.add_argument("--theta-points", type=_checked(int, 2), default=10_000)
+    p.add_argument(
+        "--theta-points", type=_checked(int, 2), default=10_000,
+        help="accepted for compatibility; t(s) is exact on the breakpoints alone",
+    )
     p.set_defaults(func=cmd_coefficient_search)
 
     p = sub.add_parser("sandwich", help="run the numerical sandwich sweep")

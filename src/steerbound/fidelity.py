@@ -153,17 +153,14 @@ class ExtractionChannel:
     clamped: bool = False  # set when a dephasing parameter was clipped
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,iajb->ab", rho, self.choi.reshape(2, 2, 2, 2))
+        """channel(rho), for one 2x2 matrix or each in a (..., 2, 2) stack."""
+        return np.einsum("...ij,iajb->...ab", rho, self.choi.reshape(2, 2, 2, 2))
 
     def dual(self, rho: np.ndarray) -> np.ndarray:
         return np.einsum("iajb,ba->ji", self.choi.reshape(2, 2, 2, 2), rho)
 
     def apply_elementwise(self, asm: Assemblage) -> Assemblage:
-        return Assemblage(
-            asm.outcomes,
-            asm.settings,
-            {k: self.apply(m) for k, m in asm.elements.items()},
-        )
+        return Assemblage(self.apply(asm.elements))
 
 
 def _trace_out(choi: np.ndarray) -> np.ndarray:
@@ -172,9 +169,8 @@ def _trace_out(choi: np.ndarray) -> np.ndarray:
 
 
 _REFERENCE = chsh_reference()
-_REFERENCE_KEYS = sorted(_REFERENCE.elements)
-_REFERENCE_SQRT_P = np.sqrt([_REFERENCE.prob(*key) for key in _REFERENCE_KEYS])
-_REFERENCE_STATES = np.array([_REFERENCE.conditional_state(*key) for key in _REFERENCE_KEYS])
+_REFERENCE_P = np.trace(_REFERENCE.elements, axis1=2, axis2=3).real
+_REFERENCE_STATES = _REFERENCE.elements / _REFERENCE_P[..., None, None]
 
 
 def fidelity_operator(asm: Assemblage) -> np.ndarray:
@@ -187,17 +183,14 @@ def fidelity_operator(asm: Assemblage) -> np.ndarray:
     needs every rho* to be pure. Elements with p(a|x) below PROB_FLOOR
     contribute zero, as in assemblage_fidelity.
     """
-    if (asm.outcomes, asm.settings) != (_REFERENCE.outcomes, _REFERENCE.settings):
+    if asm.elements.shape != _REFERENCE.elements.shape:
         raise ValidationError("extractability needs a two-setting, two-outcome assemblage")
-    sigmas = np.array([asm.elements[key] for key in _REFERENCE_KEYS], dtype=complex)
-    if sigmas.shape != (len(_REFERENCE_KEYS), 2, 2):
-        raise ValidationError("extractability needs 2x2 assemblage elements")
-    if not np.all(np.isfinite(sigmas)):
+    if not np.all(np.isfinite(asm.elements)):
         raise ValidationError("assemblage has non-finite entries")
-    p = np.trace(sigmas, axis1=1, axis2=2).real
+    p = np.trace(asm.elements, axis1=2, axis2=3).real
     live = p >= PROB_FLOOR
-    weights = np.where(live, _REFERENCE_SQRT_P / np.sqrt(np.where(live, p, 1.0)), 0.0)
-    w = np.einsum("k,kji,kab->iajb", weights, sigmas, _REFERENCE_STATES)
+    weights = np.where(live, np.sqrt(_REFERENCE_P) / np.sqrt(np.where(live, p, 1.0)), 0.0)
+    w = np.einsum("ax,axji,axcd->icjd", weights, asm.elements, _REFERENCE_STATES)
     return w.reshape(4, 4) / _REFERENCE.settings
 
 

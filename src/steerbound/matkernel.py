@@ -2,8 +2,8 @@
 
 Everything downstream works with 2x2 (Bob's qubit) or 4x4 (two-qubit)
 complex Hermitian matrices represented as plain numpy arrays. This module
-provides the validated primitives: eigenvalues, PSD tests, tensor products
-and the partial trace over the first factor.
+provides the validated primitives: eigenvalues (in closed form for stacks of
+2x2 matrices), tensor products and the partial trace over the first factor.
 """
 
 from __future__ import annotations
@@ -55,17 +55,21 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 def eigvals_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Ascending real eigenvalues of a Hermitian 2x2 or 4x4 matrix.
 
-    The 2x2 case uses the closed-form roots of the characteristic
-    polynomial; 4x4 falls back to numpy's Hermitian eigensolver.
+    The 2x2 case is ``eigvals_2x2``; 4x4 falls back to numpy's Hermitian
+    eigensolver.
     """
-    m = symmetrize(check_hermitian(m, tol))
-    if m.shape[0] == 2:
-        a = m[0, 0].real
-        d = m[1, 1].real
-        mean = (a + d) / 2
-        radius = math.hypot((a - d) / 2, abs(m[0, 1]))
-        return np.array([mean - radius, mean + radius])
-    return np.linalg.eigvalsh(m)
+    m = check_hermitian(m, tol)
+    return eigvals_2x2(m) if m.shape[0] == 2 else np.linalg.eigvalsh(symmetrize(m))
+
+
+def eigvals_2x2(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of each matrix in a
+    (..., 2, 2) stack, in closed form: mean -+ hypot((a - d)/2, |b|), with
+    a, d the real diagonal and b the averaged off-diagonal entry."""
+    a, d = m[..., 0, 0].real, m[..., 1, 1].real
+    mean = (a + d) / 2
+    radius = np.hypot((a - d) / 2, np.abs(m[..., 0, 1] + m[..., 1, 0].conj()) / 2)
+    return np.stack([mean - radius, mean + radius], axis=-1)
 
 
 def eigh_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL):
@@ -76,10 +80,6 @@ def eigh_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL):
 
 def min_eigval(m: np.ndarray, tol: float = HERMITICITY_TOL) -> float:
     return float(eigvals_hermitian(m, tol)[0])
-
-
-def is_psd(m: np.ndarray, tol: float = 1e-10) -> bool:
-    return min_eigval(m) >= -tol
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

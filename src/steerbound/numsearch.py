@@ -124,18 +124,14 @@ def sample_assemblage(
 # ---------------------------------------------------------------------------
 # Outer minimization
 
-def _isotropic_elements(v: float, dirs) -> dict:
-    """Assemblage from visibility-v isotropic state with projective Alice
-    measurements along the given Bloch directions (one per setting).
+def _isotropic_elements(v: float, dirs) -> np.ndarray:
+    """Assemblage elements from visibility-v isotropic state with projective
+    Alice measurements along the given Bloch directions (one per setting).
 
     sigma_{0|x} = I/4 + v (n_x . sigma)^T / 4; p(a|x) = 1/2 exactly.
     """
-    elements = {}
-    for x, n in enumerate(dirs):
-        block = v * (n[0] * PAULI_X - n[1] * PAULI_Y + n[2] * PAULI_Z) / 4
-        elements[(0, x)] = I2 / 4 + block
-        elements[(1, x)] = I2 / 4 - block
-    return elements
+    blocks = np.array([v * (n[0] * PAULI_X - n[1] * PAULI_Y + n[2] * PAULI_Z) / 4 for n in dirs])
+    return np.array([I2 / 4 + blocks, I2 / 4 - blocks])
 
 
 def _bloch_from_angles(polar: float, azimuth: float):
@@ -179,7 +175,7 @@ def _family_point(p):
     v, theta, _, _ = _family_params(p)
     n0 = _bloch_from_angles(p[1], p[2])
     n1 = _bloch_from_angles(p[3], p[4])
-    return Assemblage(2, 2, _isotropic_elements(v, (n0, n1))), theta, _surrogate(p)[1]
+    return Assemblage(_isotropic_elements(v, (n0, n1))), theta, _surrogate(p)[1]
 
 
 def _project_to_beta(p, beta: float):
@@ -266,7 +262,8 @@ class SandwichRecord:
     SeedSequence children. residual is that candidate's |CHSH - beta|.
     evaluations counts the work behind it: "surrogate", the outer-search
     objective evaluations over all restarts, and "exact", the candidates
-    admitted (residual below tolerance) and solved exactly."""
+    admitted (CHSH value in [beta - 1e-12, beta + tolerance)) and solved
+    exactly."""
 
     beta: float
     numeric_min: float
@@ -349,9 +346,10 @@ def min_extractability_at_beta(
         p, evaluations = _outer_descent(beta, np.random.default_rng(child), cfg.tolerance)
         surrogate += evaluations
         asm, theta, b = _family_point(p)
-        candidates.append((f"restart {k}", asm, theta, abs(b - beta)))
+        candidates.append((f"restart {k}", asm, theta, b - beta))
 
-    admitted = [c for c in candidates if c[3] < cfg.tolerance]
+    # a candidate below the target would report a minimum at a smaller beta
+    admitted = [c for c in candidates if -1e-12 <= c[3] < cfg.tolerance]
     best = None
     for (name, asm, theta, residual), (value, channel, gap) in zip(
         admitted, extractabilities([c[1] for c in admitted])
@@ -370,7 +368,7 @@ def min_extractability_at_beta(
         numeric_min=value,
         analytic_lower=analytic_bound(beta),
         eq8_upper=upper_bound(beta),
-        residual=residual,
+        residual=abs(residual),
         gap=gap,
         winner=name,
         witness=witness,

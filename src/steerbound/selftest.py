@@ -29,7 +29,6 @@ S_OPTIMAL = (1 + math.sqrt(2)) / 4
 T_OPTIMAL = (2 - math.sqrt(2)) / 2
 TRIVIAL_CLASSICAL_FIDELITY = (2 + math.sqrt(2)) / 4
 THRESHOLD_BETA = 8 - 4 * math.sqrt(2)
-_KEYS = ((0, 0), (1, 0), (0, 1), (1, 1))  # (a, x) order of the operator stack
 
 
 @dataclass(frozen=True)
@@ -85,11 +84,11 @@ def _contractions(theta, c):
     return np.where(first, 1.0, c), np.where(first, c, 1.0)
 
 
-def k_operators(theta, c) -> dict:
-    """Dual images K_{ax} of the reference conditional states: by
+def k_operators(theta, c) -> np.ndarray:
+    """Dual images K[..., a, x] of the reference conditional states: by
     self-duality, the channel applied to them (``_operator_stack`` at s = t = 0).
     """
-    return dict(zip(_KEYS, np.moveaxis(_operator_stack(0.0, 0.0, 0.0, theta, c), -3, 0)))
+    return _operator_stack(0.0, 0.0, 0.0, theta, c)
 
 
 def t_constraints(s: float, theta):
@@ -105,7 +104,7 @@ def t_constraints(s: float, theta):
 
 
 def _operator_stack(s: float, t0, t1, theta, c) -> np.ndarray:
-    """K_{ax} - s T_{ax} - t_x I for (a, x) in ``_KEYS``, with K_{ax} =
+    """K_{ax} - s T_{ax} - t_x I at [..., a, x], with K_{ax} =
     (I + (-1)^a k_x P_x)/2 and T_{ax} = (-1)^a 2 v_x P_x, written entry by entry
     as alpha I + zeta Z + xi X: no per-operator (..., 2, 2) arrays, to save memory."""
     check_theta(theta)
@@ -113,12 +112,12 @@ def _operator_stack(s: float, t0, t1, theta, c) -> np.ndarray:
     kz, kx = _contractions(theta, c)
     z = kz / 2 - 2 * s * np.cos(theta)
     x = kx / 2 - 2 * s * np.sin(theta)
-    ops = np.zeros(theta.shape + (4, 2, 2))
-    terms = ((0.5 - t0, z, 0), (0.5 - t0, -z, 0), (0.5 - t1, 0, x), (0.5 - t1, 0, -x))
-    for i, (alpha, zeta, xi) in enumerate(terms):
-        ops[..., i, 0, 0] = alpha + zeta
-        ops[..., i, 1, 1] = alpha - zeta
-        ops[..., i, 0, 1] = ops[..., i, 1, 0] = xi
+    ops = np.zeros(theta.shape + (2, 2, 2, 2))
+    for a, sign in enumerate((1, -1)):
+        for i, (alpha, zeta, xi) in enumerate(((0.5 - t0, sign * z, 0), (0.5 - t1, 0, sign * x))):
+            ops[..., a, i, 0, 0] = alpha + zeta
+            ops[..., a, i, 1, 1] = alpha - zeta
+            ops[..., a, i, 0, 1] = ops[..., a, i, 1, 0] = xi
     return ops
 
 
@@ -129,7 +128,7 @@ def inequality_margin(s: float, t0, t1, theta, c):
     eigen-solve of the stacked operators, built from their definitions, so it
     cross-checks the closed forms of ``t_constraints``.
     """
-    return np.linalg.eigvalsh(_operator_stack(s, t0, t1, theta, c))[..., 0].min(axis=-1)
+    return np.linalg.eigvalsh(_operator_stack(s, t0, t1, theta, c))[..., 0].min(axis=(-2, -1))
 
 
 def theta_grid(size: int, s: float) -> np.ndarray:
@@ -147,10 +146,11 @@ def theta_grid(size: int, s: float) -> np.ndarray:
     return np.sort(np.concatenate(points))
 
 
-def coefficient_search(s_grid, theta_grid_size: int = 10_000) -> BoundCoefficients:
+def coefficient_search(s_grid) -> BoundCoefficients:
     """Recover the optimal (s, t) pair by a search over s.
 
-    For each s the bound intercept is t(s) = min_theta (t0* + t1*). The bound
+    For each s the bound intercept is t(s) = min_theta (t0* + t1*), taken
+    exactly over ``theta_grid(2, s)``, which holds every breakpoint. The bound
     value at maximal violation, (s*beta_Q + t(s))/2, plateaus at 1 for all
     s past the optimum, so the selected s is the smallest one attaining the
     plateau, refined by bisection between adjacent grid points.
@@ -160,7 +160,7 @@ def coefficient_search(s_grid, theta_grid_size: int = 10_000) -> BoundCoefficien
         raise ValidationError("s_grid must be nonempty")
 
     def intercept(s: float):  # (t(s), t0, t1) at the first minimiser over theta
-        t0, t1 = t_constraints(s, theta_grid(theta_grid_size, s))
+        t0, t1 = t_constraints(s, theta_grid(2, s))
         i = int(np.argmin(t0 + t1))
         return float(t0[i] + t1[i]), float(t0[i]), float(t1[i])
 

@@ -45,20 +45,18 @@ class BobObservables:
         return math.cos(self.theta) * PAULI_Z - math.sin(self.theta) * PAULI_X
 
 
-def t_operators(obs: BobObservables) -> dict:
-    """(a, x) -> T_{ax}: T_{00} = B0 + B1 = 2cos(t)Z and T_{01} = B0 - B1 =
-    2sin(t)X, with sign-flipped partners for outcome 1."""
-    t00 = obs.b0 + obs.b1
-    t01 = obs.b0 - obs.b1
-    return {(0, 0): t00, (1, 0): -t00, (0, 1): t01, (1, 1): -t01}
+def t_operators(obs: BobObservables) -> np.ndarray:
+    """T[a, x], in the assemblage layout: T_{00} = B0 + B1 = 2cos(t)Z and
+    T_{01} = B0 - B1 = 2sin(t)X, with sign-flipped partners for outcome 1."""
+    t0 = np.array([obs.b0 + obs.b1, obs.b0 - obs.b1])
+    return np.array([t0, -t0])
 
 
 def chsh_functional(asm: Assemblage, obs: BobObservables) -> float:
     """Value of the CHSH steering functional on an assemblage."""
     if asm.outcomes != 2 or asm.settings != 2:
         raise ValidationError("CHSH functional requires |A| = |X| = 2")
-    ops = t_operators(obs)
-    total = sum(np.trace(ops[k] @ asm.elements[k]) for k in ops)
+    total = np.einsum("axij,axji->", t_operators(obs), asm.elements)
     if abs(total.imag) > 1e-10:
         raise ValidationError(f"functional has imaginary residue {total.imag:.3e}")
     return float(total.real)
@@ -75,8 +73,8 @@ def max_violation_over_theta(asm: Assemblage):
     if asm.outcomes != 2 or asm.settings != 2:
         raise ValidationError("CHSH functional requires |A| = |X| = 2")
     el = asm.elements
-    u = 2 * float(np.trace(PAULI_Z @ (el[(0, 0)] - el[(1, 0)])).real)
-    w = 2 * float(np.trace(PAULI_X @ (el[(0, 1)] - el[(1, 1)])).real)
+    u = 2 * float(np.trace(PAULI_Z @ (el[0, 0] - el[1, 0])).real)
+    w = 2 * float(np.trace(PAULI_X @ (el[0, 1] - el[1, 1])).real)
     if not (math.isfinite(u) and math.isfinite(w)):
         raise ValidationError(f"CHSH coefficients not finite: u = {u}, w = {w}")
     if u > 0 and w > 0:

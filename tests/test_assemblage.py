@@ -46,10 +46,10 @@ def zx_povms():
 class TestReference:
     def test_elements(self):
         ref = chsh_reference()
-        np.testing.assert_allclose(ref.element(0, 0), projector(KET0) / 2, atol=1e-14)
-        np.testing.assert_allclose(ref.element(1, 0), projector(KET1) / 2, atol=1e-14)
-        np.testing.assert_allclose(ref.element(0, 1), projector(KET_PLUS) / 2, atol=1e-14)
-        np.testing.assert_allclose(ref.element(1, 1), projector(KET_MINUS) / 2, atol=1e-14)
+        np.testing.assert_allclose(ref.elements[0, 0], projector(KET0) / 2, atol=1e-14)
+        np.testing.assert_allclose(ref.elements[1, 0], projector(KET1) / 2, atol=1e-14)
+        np.testing.assert_allclose(ref.elements[0, 1], projector(KET_PLUS) / 2, atol=1e-14)
+        np.testing.assert_allclose(ref.elements[1, 1], projector(KET_MINUS) / 2, atol=1e-14)
 
     def test_uniform_probabilities(self):
         ref = chsh_reference()
@@ -63,9 +63,7 @@ class TestReference:
 
     def test_realized_by_zx_on_maximally_entangled(self):
         asm = realize(QuantumRealization(phi_plus(), zx_povms()))
-        ref = chsh_reference()
-        for key in ref.elements:
-            np.testing.assert_allclose(asm.elements[key], ref.elements[key], atol=1e-12)
+        np.testing.assert_allclose(asm.elements, chsh_reference().elements, atol=1e-12)
 
 
 class TestRealize:
@@ -111,8 +109,8 @@ class TestClassical:
             hidden_states={0: rho},
         )
         asm = from_classical(s)
-        np.testing.assert_allclose(asm.element(0, 0), rho, atol=1e-14)
-        np.testing.assert_allclose(asm.element(1, 1), rho, atol=1e-14)
+        np.testing.assert_allclose(asm.elements[0, 0], rho, atol=1e-14)
+        np.testing.assert_allclose(asm.elements[1, 1], rho, atol=1e-14)
         assert asm.prob(1, 0) == pytest.approx(0.0, abs=1e-14)
         assert validate(asm).passed
 
@@ -155,34 +153,31 @@ class TestClassical:
 
 class TestValidate:
     def test_flags_signaling(self):
-        ref = chsh_reference()
-        bad = dict(ref.elements)
-        bad[(0, 1)] = projector(KET0) * 0.8
-        bad[(1, 1)] = projector(KET1) * 0.2
-        report = validate(Assemblage(2, 2, bad))
+        bad = chsh_reference().elements.copy()
+        bad[0, 1] = projector(KET0) * 0.8
+        bad[1, 1] = projector(KET1) * 0.2
+        report = validate(Assemblage(bad))
         assert not report.passed
         assert any("no-signaling" in f for f in report.failures())
 
     def test_flags_negative_eigenvalue(self):
-        ref = chsh_reference()
-        bad = dict(ref.elements)
-        bad[(0, 0)] = ref.elements[(0, 0)] - 0.1 * projector(KET1)
-        bad[(1, 0)] = ref.elements[(1, 0)] + 0.1 * projector(KET1)
-        report = validate(Assemblage(2, 2, bad))
+        bad = chsh_reference().elements.copy()
+        bad[0, 0] -= 0.1 * projector(KET1)
+        bad[1, 0] += 0.1 * projector(KET1)
+        report = validate(Assemblage(bad))
         assert report.psd_margin < -1e-3
         assert any("positivity" in f for f in report.failures())
 
     def test_flags_normalization(self):
-        scaled = {k: 1.3 * v for k, v in chsh_reference().elements.items()}
-        report = validate(Assemblage(2, 2, scaled))
+        report = validate(Assemblage(1.3 * chsh_reference().elements))
         assert report.normalization_deviation == pytest.approx(0.3, abs=1e-12)
         assert not report.passed
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_names_non_finite_entries(self, bad):
-        elements = dict(chsh_reference().elements)
-        elements[(1, 1)] = elements[(1, 1)] + bad
-        report = validate(Assemblage(2, 2, elements))
+        elements = chsh_reference().elements.copy()
+        elements[1, 1] += bad
+        report = validate(Assemblage(elements))
         assert not report.passed
         assert report.nonfinite == ((1, 1),)
         assert report.failures() == ["non-finite entries in sigma_(a|x) for (a, x) in [(1, 1)]"]
@@ -194,16 +189,15 @@ class TestAssemblageOps:
         flipped = ref.flip_outcomes()
         mixed = ref.mix(flipped, 0.25)
         np.testing.assert_allclose(
-            mixed.element(0, 0),
-            0.25 * ref.element(0, 0) + 0.75 * ref.element(1, 0),
+            mixed.elements[0, 0],
+            0.25 * ref.elements[0, 0] + 0.75 * ref.elements[1, 0],
             atol=1e-14,
         )
 
     def test_flip_is_involution(self):
         ref = chsh_reference()
         twice = ref.flip_outcomes().flip_outcomes()
-        for key in ref.elements:
-            np.testing.assert_allclose(twice.elements[key], ref.elements[key])
+        np.testing.assert_allclose(twice.elements, ref.elements)
 
     def test_conditional_state_of_zero_prob_element(self):
         asm = from_classical(
@@ -220,8 +214,7 @@ class TestAssemblageOps:
         asm = realize(random_realization(rng))
         back = Assemblage.from_json(asm.to_json())
         assert (back.outcomes, back.settings) == (2, 2)
-        for key in asm.elements:
-            np.testing.assert_allclose(back.elements[key], asm.elements[key], atol=1e-15)
+        np.testing.assert_allclose(back.elements, asm.elements, atol=1e-15)
 
 
 def _reference_payload() -> dict:
@@ -269,4 +262,151 @@ class TestFromJsonFailsClosed:
         payload = _reference_payload()
         payload["elements"][0]["im"] = [[0, 0], [0, 0]]
         asm = Assemblage.from_json(json.dumps(payload))
-        np.testing.assert_allclose(asm.element(0, 0), chsh_reference().element(0, 0))
+        np.testing.assert_allclose(asm.elements[0, 0], chsh_reference().elements[0, 0])
+
+
+class TestLayout:
+    def test_json_order_does_not_matter(self, rng):
+        # three settings, two outcomes, every element distinct: an a/x
+        # transpose cannot go unnoticed
+        expected = rng.normal(size=(2, 3, 2, 2)) + 1j * rng.normal(size=(2, 3, 2, 2))
+        entries = [
+            {"a": a, "x": x, "re": expected[a, x].real.tolist(), "im": expected[a, x].imag.tolist()}
+            for x in range(3)
+            for a in range(2)
+        ]
+        rng.shuffle(entries)
+        text = json.dumps({"outcomes": 2, "settings": 3, "elements": entries})
+        asm = Assemblage.from_json(text)
+        assert (asm.outcomes, asm.settings) == (2, 3)
+        np.testing.assert_array_equal(asm.elements, expected)
+        order = [(e["a"], e["x"]) for e in json.loads(asm.to_json())["elements"]]
+        assert order == [(a, x) for a in range(2) for x in range(3)]
+
+    def test_reference_json_text(self):
+        assert chsh_reference().to_json() == REFERENCE_JSON
+
+    @pytest.mark.parametrize(
+        "elements",
+        [
+            np.zeros((2, 2, 2)),  # no outcome or no setting axis
+            np.zeros((1, 2, 2, 2, 2)),  # a batch axis
+            np.zeros((2, 2, 3, 3)),  # qutrit elements
+            np.zeros((0, 2, 2, 2)),  # no outcomes
+        ],
+    )
+    def test_constructor_rejects_bad_shape(self, elements):
+        with pytest.raises(ValidationError):
+            Assemblage(elements)
+
+    def test_elements_read_only(self):
+        source = chsh_reference().elements.copy()
+        asm = Assemblage(source)
+        with pytest.raises(ValueError):
+            asm.elements[0, 0] = 0
+        source[0, 0] = 0  # the assemblage holds its own copy
+        np.testing.assert_array_equal(asm.elements, chsh_reference().elements)
+
+
+REFERENCE_JSON = """{
+  "outcomes": 2,
+  "settings": 2,
+  "elements": [
+    {
+      "a": 0,
+      "x": 0,
+      "re": [
+        [
+          0.5,
+          0.0
+        ],
+        [
+          0.0,
+          0.0
+        ]
+      ],
+      "im": [
+        [
+          0.0,
+          0.0
+        ],
+        [
+          0.0,
+          0.0
+        ]
+      ]
+    },
+    {
+      "a": 0,
+      "x": 1,
+      "re": [
+        [
+          0.25000000000000006,
+          0.25000000000000006
+        ],
+        [
+          0.25000000000000006,
+          0.25000000000000006
+        ]
+      ],
+      "im": [
+        [
+          0.0,
+          0.0
+        ],
+        [
+          0.0,
+          0.0
+        ]
+      ]
+    },
+    {
+      "a": 1,
+      "x": 0,
+      "re": [
+        [
+          0.0,
+          0.0
+        ],
+        [
+          0.0,
+          0.5
+        ]
+      ],
+      "im": [
+        [
+          0.0,
+          0.0
+        ],
+        [
+          0.0,
+          0.0
+        ]
+      ]
+    },
+    {
+      "a": 1,
+      "x": 1,
+      "re": [
+        [
+          0.25000000000000006,
+          -0.25000000000000006
+        ],
+        [
+          -0.25000000000000006,
+          0.25000000000000006
+        ]
+      ],
+      "im": [
+        [
+          0.0,
+          0.0
+        ],
+        [
+          0.0,
+          0.0
+        ]
+      ]
+    }
+  ]
+}"""

@@ -204,9 +204,7 @@ class TestRealizeValidate:
         result = run_cli("realize", "--out", str(out))
         assert result.returncode == 0
         asm = Assemblage.from_json(out.read_text())
-        ref = chsh_reference()
-        for key in ref.elements:
-            np.testing.assert_allclose(asm.elements[key], ref.elements[key], atol=1e-12)
+        np.testing.assert_allclose(asm.elements, chsh_reference().elements, atol=1e-12)
 
     def test_validate_round_trip(self, tmp_path):
         out = tmp_path / "asm.json"
@@ -216,10 +214,8 @@ class TestRealizeValidate:
         assert "valid assemblage" in result.stdout
 
     def test_validate_rejects_corrupted(self, tmp_path):
-        ref = chsh_reference()
-        bad = {k: 1.4 * v for k, v in ref.elements.items()}
         path = tmp_path / "bad.json"
-        path.write_text(Assemblage(2, 2, bad).to_json())
+        path.write_text(Assemblage(1.4 * chsh_reference().elements).to_json())
         result = run_cli("validate", "--assemblage", str(path))
         assert result.returncode == 1
         assert "normalization" in result.stderr
@@ -259,8 +255,7 @@ def test_realize_from_files(tmp_path):
     argv = ["realize", "--state", str(state), "--measurements", str(povms), "--out", str(out)]
     assert main(argv) == 0
     asm = Assemblage.from_json(out.read_text())
-    for key, element in chsh_reference().elements.items():
-        np.testing.assert_allclose(asm.elements[key], element, atol=1e-12)
+    np.testing.assert_allclose(asm.elements, chsh_reference().elements, atol=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -90,10 +90,8 @@ class TestAssemblageFidelity:
         # full Z-dephasing kills the X-basis pair's coherence:
         # per-setting fidelities 1 and 1/2, average 3/4
         ref = chsh_reference()
-        dephased = {
-            k: (m + PAULI_Z @ m @ PAULI_Z) / 2 for k, m in ref.elements.items()
-        }
-        f = assemblage_fidelity(ref, Assemblage(2, 2, dephased))
+        dephased = (ref.elements + PAULI_Z @ ref.elements @ PAULI_Z) / 2
+        f = assemblage_fidelity(ref, Assemblage(dephased))
         assert f == pytest.approx(0.75, abs=1e-12)
 
     def test_appendix_strategy_value(self):
@@ -103,7 +101,7 @@ class TestAssemblageFidelity:
 
     def test_shape_mismatch(self):
         ref = chsh_reference()
-        other = Assemblage(2, 1, {(0, 0): I2 / 2, (1, 0): I2 / 2})
+        other = Assemblage([[I2 / 2], [I2 / 2]])
         with pytest.raises(ValidationError):
             assemblage_fidelity(ref, other)
 
@@ -159,9 +157,9 @@ class TestClassicalFidelity:
         )
 
     def test_rejects_mixed_reference(self):
-        mixed = {k: np.trace(m).real * I2 / 2 for k, m in chsh_reference().elements.items()}
+        probs = np.trace(chsh_reference().elements, axis1=2, axis2=3).real
         with pytest.raises(ValidationError):
-            classical_fidelity(Assemblage(2, 2, mixed))
+            classical_fidelity(Assemblage(probs[..., None, None] * I2 / 2))
 
     def test_strategy_structure(self):
         _, strategy = classical_fidelity(chsh_reference())

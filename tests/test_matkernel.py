@@ -12,8 +12,8 @@ from steerbound.matkernel import (
     PAULI_Z,
     ValidationError,
     eigh_hermitian,
+    eigvals_2x2,
     eigvals_hermitian,
-    is_psd,
     kron,
     min_eigval,
     partial_trace_A,
@@ -49,6 +49,12 @@ class TestEigvals:
         with pytest.raises(ValidationError):
             eigvals_hermitian(np.eye(3))
 
+    def test_stacked_closed_form(self, rng):
+        # any (..., 2, 2) stack, against numpy on each matrix's Hermitian part
+        m = rng.normal(size=(5, 3, 2, 2)) + 1j * rng.normal(size=(5, 3, 2, 2))
+        hermitian = (m + m.conj().swapaxes(-1, -2)) / 2
+        np.testing.assert_allclose(eigvals_2x2(m), np.linalg.eigvalsh(hermitian), atol=1e-12)
+
     def test_trace_matches_eigenvalue_sum(self, rng):
         for dim in (2, 4):
             for _ in range(50):
@@ -68,10 +74,6 @@ class TestMinEigval:
         m = (I2 + PAULI_X) / 2 - 0.6 * PAULI_X
         assert min_eigval(m) == pytest.approx(0.4, abs=1e-12)
 
-    def test_psd_consistency(self, rng):
-        for _ in range(50):
-            m = random_hermitian(rng, 2)
-            assert is_psd(m, 1e-10) == (min_eigval(m) >= -1e-10)
 
 
 class TestKron:

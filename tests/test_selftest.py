@@ -93,8 +93,8 @@ class TestCoefficientRule:
     def test_k_operators_first_interval(self):
         c = dephasing_coefficient(0.3, S_OPTIMAL)
         ks = k_operators(0.3, c)
-        np.testing.assert_allclose(ks[(0, 0)], (I2 + PAULI_Z) / 2, atol=1e-14)
-        np.testing.assert_allclose(ks[(0, 1)], (I2 + c * PAULI_X) / 2, atol=1e-14)
+        np.testing.assert_allclose(ks[0, 0], (I2 + PAULI_Z) / 2, atol=1e-14)
+        np.testing.assert_allclose(ks[0, 1], (I2 + c * PAULI_X) / 2, atol=1e-14)
 
     def test_k_operators_are_channel_images(self):
         # self-duality: K_{ax} equals the channel applied to the reference state
@@ -103,10 +103,11 @@ class TestCoefficientRule:
             c = dephasing_coefficient(theta, S_OPTIMAL)
             ch = dephasing_channel(theta, c)
             ks = k_operators(theta, c)
-            for (a, x), k in ks.items():
-                np.testing.assert_allclose(
-                    k, ch.dual(2 * ref.element(a, x)), atol=1e-12
-                )
+            for a in range(2):
+                for x in range(2):
+                    np.testing.assert_allclose(
+                        ks[a, x], ch.dual(2 * ref.elements[a, x]), atol=1e-12
+                    )
 
     def test_t_constraints_closed_form(self):
         # the broadcast closed form against the per-interval formulas, both intervals
@@ -145,8 +146,10 @@ def _margin_by_operators(s, t0, t1, theta, c):
     """Reference: the per-theta loop over k_operators and t_operators."""
     ks = k_operators(theta, c)
     ts = t_operators(BobObservables(theta))
-    shift = {0: t0, 1: t1}
-    return min(min_eigval(ks[k] - s * ts[k] - shift[k[1]] * I2) for k in ks)
+    shift = (t0, t1)
+    return min(
+        min_eigval(ks[a, x] - s * ts[a, x] - shift[x] * I2) for a in range(2) for x in range(2)
+    )
 
 
 class TestInequalityMargins:
@@ -221,7 +224,7 @@ class TestCoefficientSearch:
             assert coarse == pytest.approx(sum(t_constraints(s, dense)).min(), abs=1e-12)
 
     def test_recovers_optimum(self):
-        coeffs = coefficient_search(np.linspace(0.0, 0.8, 512), 10_000)
+        coeffs = coefficient_search(np.linspace(0.0, 0.8, 512))
         assert coeffs.s == pytest.approx(S_OPTIMAL, abs=1e-8)
         assert coeffs.t == pytest.approx(T_OPTIMAL, abs=1e-8)
         assert bound_value(coeffs, BETA_QUANTUM) == pytest.approx(1.0, abs=1e-9)
@@ -229,12 +232,10 @@ class TestCoefficientSearch:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError):
             coefficient_search([])
-        with pytest.raises(ValidationError):
-            coefficient_search(np.linspace(0.0, 0.8, 16), 1)
 
     def test_smaller_s_gives_smaller_bound(self):
-        coeffs = coefficient_search(np.linspace(0.0, 0.5, 64), 2_000)
-        weak = coefficient_search(np.linspace(0.0, 0.4, 64), 2_000)
+        coeffs = coefficient_search(np.linspace(0.0, 0.5, 64))
+        weak = coefficient_search(np.linspace(0.0, 0.4, 64))
         assert bound_value(weak, BETA_QUANTUM) <= bound_value(coeffs, BETA_QUANTUM) + 1e-12
 
 

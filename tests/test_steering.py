@@ -48,10 +48,11 @@ class TestTOperators:
     def test_structure(self):
         theta = 0.3
         ops = t_operators(BobObservables(theta))
-        np.testing.assert_allclose(ops[(0, 0)], 2 * math.cos(theta) * PAULI_Z, atol=1e-14)
-        np.testing.assert_allclose(ops[(0, 1)], 2 * math.sin(theta) * PAULI_X, atol=1e-14)
-        np.testing.assert_allclose(ops[(1, 0)], -ops[(0, 0)])
-        np.testing.assert_allclose(ops[(1, 1)], -ops[(0, 1)])
+        assert ops.shape == (2, 2, 2, 2)
+        np.testing.assert_allclose(ops[0, 0], 2 * math.cos(theta) * PAULI_Z, atol=1e-14)
+        np.testing.assert_allclose(ops[0, 1], 2 * math.sin(theta) * PAULI_X, atol=1e-14)
+        np.testing.assert_allclose(ops[1, 0], -ops[0, 0])
+        np.testing.assert_allclose(ops[1, 1], -ops[0, 1])
 
 
 class TestFunctional:
@@ -100,7 +101,7 @@ class TestFunctional:
             assert beta <= BETA_QUANTUM + 1e-9
 
     def test_wrong_shape_rejected(self):
-        asm = Assemblage(2, 1, {(0, 0): projector(KET0) / 2, (1, 0): projector(KET0) / 2})
+        asm = Assemblage([[projector(KET0) / 2], [projector(KET0) / 2]])
         with pytest.raises(ValidationError):
             chsh_functional(asm, BobObservables(0.1))
 
@@ -108,12 +109,9 @@ class TestFunctional:
 def _uw_assemblage(u: float, w: float) -> Assemblage:
     """Uniform-marginal assemblage with CHSH coefficients u and w (|u|, |w| <= 2):
     sigma_{a|0} = (I + (-1)^a (u/2) Z)/4 and sigma_{a|1} = (I + (-1)^a (w/2) X)/4."""
-    elements = {}
-    for a in range(2):
-        sign = (-1) ** a
-        elements[(a, 0)] = (I2 + sign * u / 2 * PAULI_Z) / 4
-        elements[(a, 1)] = (I2 + sign * w / 2 * PAULI_X) / 4
-    return Assemblage(2, 2, elements)
+    return Assemblage(
+        [[(I2 + sign * u / 2 * PAULI_Z) / 4, (I2 + sign * w / 2 * PAULI_X) / 4] for sign in (1, -1)]
+    )
 
 
 def _brute_force_max(asm, points: int = 2001) -> float:
@@ -165,7 +163,7 @@ class TestMaximization:
 
     def test_non_finite_rejected(self):
         asm = _uw_assemblage(0.5, 0.5)
-        elements = dict(asm.elements)
-        elements[(0, 1)] = elements[(0, 1)] * math.nan
+        elements = asm.elements.copy()
+        elements[0, 1] *= math.nan
         with pytest.raises(ValidationError):
-            max_violation_over_theta(Assemblage(2, 2, elements))
+            max_violation_over_theta(Assemblage(elements))
