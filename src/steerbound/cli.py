@@ -32,7 +32,7 @@ from .assemblage import (
 from .fidelity import classical_fidelity
 from .matkernel import I2, PAULI_X, PAULI_Z
 from .numsearch import SearchConfig, sandwich_sweep
-from .steering import BETA_QUANTUM
+from .steering import BETA_CLASSICAL, BETA_QUANTUM
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -193,17 +193,17 @@ def cmd_validate(args) -> int:
     return 1
 
 
-def _checked(convert, minimum=-math.inf):
+def _checked(convert, minimum=-math.inf, maximum=math.inf):
     """argparse type: ``convert`` the text; a value that is not finite or is
-    below ``minimum`` is a usage error."""
+    outside [minimum, maximum] is a usage error."""
 
     def parse(text: str):
         try:
             value = convert(text)
         except ValueError:
             value = math.nan
-        if not (math.isfinite(value) and value >= minimum):
-            raise argparse.ArgumentTypeError(f"{text!r} is not a finite number >= {minimum}")
+        if not (math.isfinite(value) and minimum <= value <= maximum):
+            raise argparse.ArgumentTypeError(f"{text!r} is not a finite number in [{minimum}, {maximum}]")
         return value
 
     return parse
@@ -220,9 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # both bounds are affine interpolations that hold only on [2, 2 sqrt 2]
+    beta = _checked(float, BETA_CLASSICAL - 1e-12, BETA_QUANTUM + 1e-12)
     p = sub.add_parser("bound-curve", help="emit lower/upper bound curves as CSV")
-    p.add_argument("--beta-min", type=_checked(float), default=2.0)
-    p.add_argument("--beta-max", type=_checked(float), default=BETA_QUANTUM)
+    p.add_argument("--beta-min", type=beta, default=BETA_CLASSICAL)
+    p.add_argument("--beta-max", type=beta, default=BETA_QUANTUM)
     p.add_argument("--points", type=_checked(int, 1), default=200)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bound_curve)

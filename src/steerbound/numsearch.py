@@ -1,26 +1,22 @@
 """Numerical cross-check of the analytic bound.
 
-Heuristic outer search, exact inner solve: minimize the extractability over
-assemblages pinned to a target CHSH value, scoring every candidate with the
-exact extractability SDP of ``fidelity.extractabilities`` (one stacked
-solve per target). The outer search is a penalty descent over isotropic
-assemblages (visibility v, one Bloch direction per setting) and theta, so
-the outcome is one-sided: a passing sweep means no counterexample to the
-analytic lower bound was found, never that the true minimum was reached.
+For each target CHSH value beta, two assemblages are scored with the exact
+extractability SDP of ``fidelity.extractabilities``, in one stacked solve:
 
-The descent scores a point by a closed-form surrogate: the better of the
-identity channel and the full Gamma flip, 1/2 + (v/4)(z0 + |x1|) for
-Gamma = Z and 1/2 + (v/4)(|z0| + x1) for Gamma = X, where z0 and x1 are the
-Z and X components of the two measurement directions. Fidelity is linear
-in the channel, so these two ends bound every dephasing channel between
-them, the analytic witness included. An assemblage is built only for each
-restart's final point.
+- the sharp/unsharp witness sigma_{a|x} = (I + (-1)^a n_x . sigma)/4 with
+  n0 = z and n1 = m x, m = sqrt(beta^2/4 - 1), read at theta* = atan m,
+  where its CHSH value 2 (cos theta* + m sin theta*) = 2 sqrt(1 + m^2) is
+  beta. Its extractability is 3/4 + m/4 = 3/4 + sqrt(beta^2 - 4)/8, the
+  closed form xi*(beta);
+- the reference mixed with the saturating classical assemblage, read at
+  theta = pi/4, which lies on the interpolation upper bound (eq8).
 
-Two structural facts make the sandwich checks robust by construction: the
-reference/classical mixture hits any target violation exactly and sits
-below the interpolation upper bound, and the exact extractability of every
-candidate is at least the analytic witness channel's fidelity, hence above
-the analytic lower bound (up to the constraint residual).
+The smaller value is ``numeric_min``: the exact extractability (within the
+solver gap) of a valid assemblage at CHSH value beta, hence a proven upper
+estimate of the minimum. That it is the minimum is checked numerically
+only. Both candidates' exact extractability is at least the analytic
+witness channel's fidelity, hence above the analytic lower bound (up to the
+constraint residual), and the mixture keeps every record below eq8.
 """
 
 from __future__ import annotations
@@ -42,9 +38,9 @@ from .assemblage import (
     realize,
 )
 from .fidelity import appendix_b_strategy, extractabilities
-from .matkernel import I2, PAULI_X, PAULI_Y, PAULI_Z
-from .selftest import analytic_bound, first_interval, upper_bound
-from .steering import BETA_CLASSICAL, BETA_QUANTUM
+from .matkernel import I2, PAULI_X, PAULI_Z
+from .selftest import analytic_bound, upper_bound
+from .steering import BETA_CLASSICAL, BETA_QUANTUM, BobObservables, chsh_functional
 
 
 def _is_int(v) -> bool:
@@ -57,14 +53,15 @@ def _is_real(v) -> bool:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    samples: int = 20
+    """Sandwich sweep settings. ``tolerance`` is the pass slack of
+    ``SandwichRecord.passes``. ``rng_seed`` is checked but ignored: the
+    sweep is deterministic."""
+
     beta_targets: tuple = (2.1, 2.34, 2.5, 2.7, BETA_QUANTUM)
     rng_seed: int = 20240817
     tolerance: float = 1e-4
 
     def check(self) -> None:
-        if not _is_int(self.samples) or self.samples < 1:
-            raise ValidationError(f"samples must be an integer >= 1, got {self.samples!r}")
         if not isinstance(self.beta_targets, (list, tuple)) or not self.beta_targets:
             raise ValidationError("beta_targets must be a nonempty list of numbers")
         for b in self.beta_targets:
@@ -82,7 +79,7 @@ class SearchConfig:
     @staticmethod
     def from_json(text: str) -> "SearchConfig":
         """Parse and check a config document; every key is optional, and
-        any other key (including the retired channel_family and
+        any other key (including the retired samples, channel_family and
         seesaw_rounds) is rejected."""
         raw = json.loads(text)
         if not isinstance(raw, dict):
@@ -122,126 +119,15 @@ def sample_assemblage(
 
 
 # ---------------------------------------------------------------------------
-# Outer minimization
+# Candidates
 
-def _isotropic_elements(v: float, dirs) -> np.ndarray:
-    """Assemblage elements from visibility-v isotropic state with projective
-    Alice measurements along the given Bloch directions (one per setting).
-
-    sigma_{0|x} = I/4 + v (n_x . sigma)^T / 4; p(a|x) = 1/2 exactly.
-    """
-    blocks = np.array([v * (n[0] * PAULI_X - n[1] * PAULI_Y + n[2] * PAULI_Z) / 4 for n in dirs])
-    return np.array([I2 / 4 + blocks, I2 / 4 - blocks])
-
-
-def _bloch_from_angles(polar: float, azimuth: float):
-    return (
-        math.sin(polar) * math.cos(azimuth),
-        math.sin(polar) * math.sin(azimuth),
-        math.cos(polar),
-    )
-
-
-def _family_params(p):
-    """p = (v, polar0, az0, polar1, az1, theta) -> (v, theta, z0, x1) with v
-    clamped to [0, 1], theta to [0, pi/2], z0 = cos(polar0) the Z component
-    of setting 0's direction and x1 = sin(polar1) cos(az1) the X component
-    of setting 1's."""
-    v = min(1.0, max(0.0, p[0]))
-    theta = min(math.pi / 2, max(0.0, p[5]))
-    return v, theta, math.cos(p[1]), math.sin(p[3]) * math.cos(p[4])
-
-
-def _surrogate(p):
-    """(surrogate extractability, CHSH value) at p, in closed form.
-
-    The family's fidelity operator is W = I/4 + (v/8) sum_x (n_x . sigma) (x) P_x
-    with P_0 = Z, P_1 = X, so the identity channel scores 1/2 + (v/4)(z0 + x1).
-    The full Gamma flip negates the reference axis that Gamma anticommutes
-    with: x1 for Gamma = Z (theta <= pi/4), z0 for Gamma = X. Their better
-    end is 1/2 + (v/4)(z0 + |x1|) or 1/2 + (v/4)(|z0| + x1), and every
-    dephasing channel in between, the analytic witness included, scores no
-    higher, since fidelity is linear in the channel."""
-    v, theta, z0, x1 = _family_params(p)
-    if first_interval(theta):
-        score = 0.5 + v / 4 * (z0 + abs(x1))
-    else:
-        score = 0.5 + v / 4 * (abs(z0) + x1)
-    return score, 2 * v * (math.cos(theta) * z0 + math.sin(theta) * x1)
-
-
-def _family_point(p):
-    """p -> (Assemblage, theta, beta) of the isotropic family."""
-    v, theta, _, _ = _family_params(p)
-    n0 = _bloch_from_angles(p[1], p[2])
-    n1 = _bloch_from_angles(p[3], p[4])
-    return Assemblage(_isotropic_elements(v, (n0, n1))), theta, _surrogate(p)[1]
-
-
-def _project_to_beta(p, beta: float):
-    """Rescale visibility so the CHSH value matches beta exactly, when the
-    current geometry can reach it."""
-    _, theta, z0, x1 = _family_params(p)
-    g = math.cos(theta) * z0 + math.sin(theta) * x1
-    if g > 1e-9 and beta / (2 * g) <= 1.0:
-        q = list(p)
-        q[0] = beta / (2 * g)
-        return q
-    return None
-
-
-def _outer_descent(beta: float, rng: np.random.Generator, tolerance: float):
-    """Penalty-based coordinate descent over assemblage parameters and
-    theta jointly. The objective is ``_surrogate`` plus penalty *
-    (CHSH - beta)^2, where the surrogate is the identity/Gamma-flip
-    maximum 1/2 + (v/4)(z0 + |x1|) (Gamma = Z) or 1/2 + (v/4)(|z0| + x1)
-    (Gamma = X): by linearity in the channel, no dephasing channel scores
-    higher than both ends. Pure ``math``; no assemblage is built. Returns
-    the best parameter vector found and the number of objective
-    evaluations."""
-    p = [
-        rng.uniform(0.5, 1.0),
-        rng.uniform(0, math.pi),
-        rng.uniform(-math.pi, math.pi),
-        rng.uniform(0, math.pi),
-        rng.uniform(-math.pi, math.pi),
-        rng.uniform(0, math.pi / 2),
-    ]
-    spans = [0.25, 0.6, 0.6, 0.6, 0.6, 0.4]
-    penalty = 100.0
-    evaluations = 0
-
-    def objective(q) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        score, b = _surrogate(q)
-        return score + penalty * (b - beta) ** 2
-
-    for _escalation in range(4):
-        step = 1.0
-        current = objective(p)
-        while step > 0.02:
-            improved = False
-            for i in range(6):
-                for sign in (1, -1):
-                    trial = list(p)
-                    trial[i] += sign * step * spans[i]
-                    trial_val = objective(trial)
-                    if trial_val < current - 1e-12:
-                        p, current = trial, trial_val
-                        improved = True
-            if not improved:
-                step *= 0.5
-        if abs(_surrogate(p)[1] - beta) < tolerance:
-            break
-        penalty *= 10.0
-
-    projected = _project_to_beta(p, beta)
-    if projected is not None:
-        score_u, b_u = _surrogate(p)
-        if _surrogate(projected)[0] <= score_u or abs(b_u - beta) >= tolerance:
-            return projected, evaluations
-    return p, evaluations
+def _witness_candidate(beta: float):
+    """The sharp/unsharp witness at theta* = atan m: sigma_{a|0} =
+    (I + (-1)^a Z)/4 and sigma_{a|1} = (I + (-1)^a m X)/4. m is clamped to
+    1, because at 2 sqrt 2 the radicand beta^2/4 - 1 rounds to 1 + 2e-16."""
+    m = min(1.0, math.sqrt(beta * beta / 4 - 1))
+    asm = Assemblage([[(I2 + sign * PAULI_Z) / 4, (I2 + sign * m * PAULI_X) / 4] for sign in (1, -1)])
+    return asm, math.atan(m)
 
 
 def _mixture_candidate(beta: float):
@@ -258,12 +144,8 @@ def _mixture_candidate(beta: float):
 class SandwichRecord:
     """One target's outcome. numeric_min is the exact extractability (the
     solver's primal value, within gap of the true value) of the winning
-    candidate: "mixture" or "restart k", k indexing the target's
-    SeedSequence children. residual is that candidate's |CHSH - beta|.
-    evaluations counts the work behind it: "surrogate", the outer-search
-    objective evaluations over all restarts, and "exact", the candidates
-    admitted (CHSH value in [beta - 1e-12, beta + tolerance)) and solved
-    exactly."""
+    candidate, "witness" or "mixture". residual is that candidate's
+    |CHSH - beta| at its angle witness["theta"]."""
 
     beta: float
     numeric_min: float
@@ -273,7 +155,6 @@ class SandwichRecord:
     gap: float
     winner: str
     witness: dict = field(repr=False)
-    evaluations: dict
 
     def passes(self, tolerance: float) -> bool:
         return (
@@ -303,7 +184,6 @@ class SandwichReport:
                 "records": [
                     {
                         **{c: getattr(r, c) for c in _COLUMNS},
-                        "evaluations": r.evaluations,
                         "witness": r.witness,
                     }
                     for r in self.records
@@ -323,41 +203,17 @@ class SandwichReport:
         return buf.getvalue()
 
 
-def min_extractability_at_beta(
-    beta: float, cfg: SearchConfig, seed_sequence: np.random.SeedSequence = None
-) -> SandwichRecord:
-    """Heuristic estimate of the minimum extractability at a fixed CHSH
-    value: penalty-descent restarts plus the reference/classical mixture,
-    each scored with the exact extractability solve.
-
-    The returned value is an upper estimate of the true minimum (up to the
-    solver gap); the certified, falsifiable direction is numeric >=
-    analytic bound.
+def min_extractability_at_beta(beta: float) -> SandwichRecord:
+    """The smaller exact extractability of the witness and the mixture at
+    CHSH value beta: an upper estimate of the true minimum (up to the solver
+    gap); the certified, falsifiable direction is numeric >= analytic bound.
     """
-    cfg.check()
     if not BETA_CLASSICAL < beta <= BETA_QUANTUM + 1e-12:
         raise ValidationError(f"beta = {beta} outside (2, 2*sqrt(2)]")
-    if seed_sequence is None:
-        seed_sequence = np.random.SeedSequence(cfg.rng_seed)
-
-    candidates = [("mixture",) + _mixture_candidate(beta) + (0.0,)]
-    surrogate = 0
-    for k, child in enumerate(seed_sequence.spawn(cfg.samples)):
-        p, evaluations = _outer_descent(beta, np.random.default_rng(child), cfg.tolerance)
-        surrogate += evaluations
-        asm, theta, b = _family_point(p)
-        candidates.append((f"restart {k}", asm, theta, b - beta))
-
-    # a candidate below the target would report a minimum at a smaller beta
-    admitted = [c for c in candidates if -1e-12 <= c[3] < cfg.tolerance]
-    best = None
-    for (name, asm, theta, residual), (value, channel, gap) in zip(
-        admitted, extractabilities([c[1] for c in admitted])
-    ):
-        if best is None or value < best[0]:
-            best = (value, gap, name, residual, asm, theta, channel)
-
-    value, gap, name, residual, asm, theta, channel = best
+    candidates = {"witness": _witness_candidate(beta), "mixture": _mixture_candidate(beta)}
+    solved = extractabilities(asm for asm, _ in candidates.values())
+    (value, channel, gap), name = min(zip(solved, candidates), key=lambda pair: pair[0][0])
+    asm, theta = candidates[name]
     witness = {
         "assemblage": json.loads(asm.to_json()),
         "theta": theta,
@@ -368,11 +224,10 @@ def min_extractability_at_beta(
         numeric_min=value,
         analytic_lower=analytic_bound(beta),
         eq8_upper=upper_bound(beta),
-        residual=abs(residual),
+        residual=abs(chsh_functional(asm, BobObservables(theta)) - beta),
         gap=gap,
         winner=name,
         witness=witness,
-        evaluations={"surrogate": surrogate, "exact": len(admitted)},
     )
 
 
@@ -380,10 +235,4 @@ def sandwich_sweep(cfg: SearchConfig) -> SandwichReport:
     """Run min_extractability_at_beta over every target and assemble the
     report; passing means every record satisfies the sandwich invariant."""
     cfg.check()
-    root = np.random.SeedSequence(cfg.rng_seed)
-    streams = root.spawn(len(cfg.beta_targets))
-    records = tuple(
-        min_extractability_at_beta(beta, cfg, stream)
-        for beta, stream in zip(cfg.beta_targets, streams)
-    )
-    return SandwichReport(cfg, records)
+    return SandwichReport(cfg, tuple(min_extractability_at_beta(beta) for beta in cfg.beta_targets))

@@ -44,6 +44,21 @@ class TestBoundCurve:
         assert text.startswith("beta,")
         assert len(text.strip().split("\n")) == 4
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--beta-min", "2.0", "--beta-max", "2.8284"),  # the README's command
+            ("--beta-min", "2", "--beta-max", repr(2 * SQRT2)),
+            ("--beta-min", "1.9999999999995", "--beta-max", repr(2 * SQRT2 + 5e-13)),
+        ],
+    )
+    def test_range_endpoints_accepted(self, args, capsys):
+        assert main(["bound-curve", *args, "--points", "3"]) == 0
+        for row in capsys.readouterr().out.splitlines()[1:]:
+            _, lower, upper, trivial = map(float, row.split(","))
+            assert lower <= upper <= 1 + 1e-9
+            assert upper >= trivial - 1e-9
+
 
 class TestVerifyInequality:
     def test_retired_rule_flag_is_usage_error(self):
@@ -103,6 +118,12 @@ class TestVerifyInequality:
         ["bound-curve", "--points", "-3"],
         ["bound-curve", "--beta-min", "nan"],
         ["bound-curve", "--beta-max", "inf"],
+        # the bounds are affine interpolations valid only on [2, 2 sqrt 2]
+        ["bound-curve", "--beta-min", "1", "--beta-max", "3"],
+        ["bound-curve", "--beta-min", "1.999"],
+        ["bound-curve", "--beta-max", "3"],
+        ["bound-curve", "--beta-max", "2.8285"],
+        ["bound-curve", "--beta-min", "-2.5"],
         ["validate", "--assemblage", "chsh", "--tol", "nan"],
     ],
 )
@@ -137,7 +158,6 @@ class TestCoefficientSearch:
 class TestSandwich:
     def test_run_and_artifacts(self, tmp_path):
         cfg = {
-            "samples": 2,
             "beta_targets": [2.4],
             "rng_seed": 11,
             "tolerance": 1e-4,
@@ -159,18 +179,27 @@ class TestSandwich:
         report = json.loads(out_json.read_text())
         assert report["passed"] is True
         assert report["config"]["rng_seed"] == 11
-        assert set(report["config"]) == {"samples", "beta_targets", "rng_seed", "tolerance"}
+        assert set(report["config"]) == {"beta_targets", "rng_seed", "tolerance"}
         record = report["records"][0]
         assert record["gap"] <= 1e-9
-        assert record["winner"] == "mixture" or record["winner"].startswith("restart ")
+        assert record["winner"] == "witness"
         assert np.array(record["witness"]["channel"]["re"]).shape == (4, 4)
-        assert set(record["evaluations"]) == {"surrogate", "exact"}
+        assert "evaluations" not in record
         header = out_csv.read_text().split("\n")[0]
         assert header == "beta,numeric_min,analytic_lower,eq8_upper,residual,gap,winner"
+
+    @pytest.mark.parametrize("text", ["{}", '{"rng_seed": 5}'])
+    def test_seed_accepted_and_ignored(self, tmp_path, text, capsys):
+        cfg_path, out_json = tmp_path / "cfg.json", tmp_path / "report.json"
+        cfg_path.write_text(text)
+        assert main(["sandwich", "--config", str(cfg_path), "--out-json", str(out_json)]) == 0
+        assert json.loads(out_json.read_text())["passed"] is True
+        assert capsys.readouterr().out.count("[pass]") == 5
 
     @pytest.mark.parametrize(
         "text",
         [
+            '{"samples": 20}',
             '{"samples": "3"}',
             "[]",
             '{"samples": 2.5}',

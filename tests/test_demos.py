@@ -1,6 +1,8 @@
-"""Smoke test: every demo script runs to completion."""
+"""Smoke tests: every demo script, and the README's quick example, runs to
+completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,8 @@ import pytest
 
 import steerbound
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 PACKAGE_ROOT = str(Path(steerbound.__file__).resolve().parents[1])
 
 
@@ -26,3 +29,11 @@ def test_demo_runs(demo, tmp_path):
 
 def test_demos_found():
     assert DEMOS
+
+
+def test_readme_quick_example(capsys):
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"^Quick example:\n\n```python\n(.*?)^```$", readme, re.S | re.M)
+    assert block, "README.md has no python block under 'Quick example:'"
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()

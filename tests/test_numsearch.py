@@ -15,9 +15,8 @@ from steerbound.fidelity import (
 from steerbound.matkernel import I2, PAULI_X, PAULI_Y, PAULI_Z, ValidationError
 from steerbound.numsearch import (
     SearchConfig,
-    _family_point,
     _mixture_candidate,
-    _surrogate,
+    _witness_candidate,
     enforce_uniform_marginals,
     min_extractability_at_beta,
     sample_assemblage,
@@ -29,9 +28,14 @@ from steerbound.selftest import (
     extractability_with_channel,
     upper_bound,
 )
-from steerbound.steering import BETA_QUANTUM, BobObservables, chsh_functional
+from steerbound.steering import BETA_QUANTUM, max_violation_over_theta
 
 SQRT2 = math.sqrt(2)
+
+
+def xi_star(beta):
+    """The closed-form minimum extractability at CHSH value beta."""
+    return 0.75 + math.sqrt(beta * beta - 4) / 8
 
 
 def general_assemblage(rng):
@@ -56,13 +60,14 @@ class TestConfig:
         SearchConfig().check()
 
     def test_json_round_trip(self):
-        cfg = SearchConfig(samples=7, beta_targets=(2.2, 2.5), rng_seed=99)
+        cfg = SearchConfig(beta_targets=(2.2, 2.5), rng_seed=99, tolerance=1e-6)
         back = SearchConfig.from_json(cfg.to_json())
         assert back == cfg
 
     def test_rejects_bad_family(self):
-        # the channel-family knobs are retired; naming them is an error
-        for key, value in (("channel_family", "general-two-kraus"), ("seesaw_rounds", 2)):
+        # the channel-family knobs and the restart count are retired; naming them is an error
+        retired = (("channel_family", "general-two-kraus"), ("seesaw_rounds", 2), ("samples", 20))
+        for key, value in retired:
             with pytest.raises(ValidationError, match=key):
                 SearchConfig.from_json(json.dumps({key: value}))
 
@@ -269,26 +274,31 @@ class TestBestChannel:
         assert value <= upper_bound(beta) + 1e-9
 
 
-class TestSurrogate:
-    """The outer search's closed form against the operators it stands for."""
+class TestWitness:
+    """The sharp/unsharp witness against the closed form xi*(beta)."""
 
-    def test_matches_identity_and_flip(self, rng):
-        points = [
-            [
-                rng.uniform(-0.5, 1.5),  # v, clamped to [0, 1]
-                *rng.uniform(-2 * math.pi, 2 * math.pi, size=4),
-                rng.uniform(-0.5, math.pi / 2 + 0.5),  # theta, clamped to [0, pi/2]
-            ]
-            for _ in range(300)
-        ]
-        points += [[0.8, 0.3, 0.2, 1.1, -0.4, math.pi / 4], [0.6, 2.0, 1.0, 2.5, 2.9, math.pi / 4]]
-        for p in points:
-            asm, theta, _ = _family_point(p)
-            w = fidelity_operator(asm)
-            ends = [np.vdot(dephasing_channel(theta, c).choi, w).real for c in (1.0, -1.0)]
-            score, b = _surrogate(p)
-            assert score == pytest.approx(max(ends), abs=1e-12)
-            assert b == pytest.approx(chsh_functional(asm, BobObservables(theta)), abs=1e-12)
+    BETAS = [float(b) for b in np.linspace(2, BETA_QUANTUM, 46)[1:]]
+
+    def test_extractability_is_closed_form(self):
+        results = extractabilities(_witness_candidate(b)[0] for b in self.BETAS)
+        for beta, (value, _, gap) in zip(self.BETAS, results):
+            assert gap <= 1e-9
+            assert abs(value - xi_star(beta)) <= gap + 1e-12
+
+    def test_theta_star_maximises_chsh(self):
+        for beta in self.BETAS:
+            asm, theta = _witness_candidate(beta)
+            assert validate(asm).passed
+            assert asm.max_marginal_deviation() <= 1e-15
+            theta_max, beta_max = max_violation_over_theta(asm)
+            assert theta_max == pytest.approx(theta, abs=1e-12)
+            assert beta_max == pytest.approx(beta, abs=1e-12)
+
+    def test_clamped_at_maximal_violation(self):
+        # beta^2/4 - 1 rounds above 1 at 2 sqrt 2; the clamp keeps m = 1
+        asm, theta = _witness_candidate(BETA_QUANTUM)
+        assert theta == math.pi / 4
+        np.testing.assert_allclose(asm.elements, chsh_reference().elements, atol=1e-15)
 
 
 @pytest.fixture(scope="module")
@@ -297,66 +307,67 @@ def default_report():
 
 
 class TestDefaultSweep:
-    """Regression pins for the default config (rng_seed 20240817)."""
+    """Regression pins for the default config."""
 
     def test_values(self, default_report):
         records = default_report.records
-        for record in records:
-            assert record.winner == "mixture"
-            assert record.numeric_min == pytest.approx(upper_bound(record.beta), abs=1e-12)
-        # every restart ends below 2 sqrt 2, so only the mixture (the
-        # reference itself) is admitted there
+        for record in records[:4]:
+            assert record.winner == "witness"
+            assert abs(record.numeric_min - xi_star(record.beta)) <= record.gap + 1e-12
+            assert record.numeric_min <= record.eq8_upper - 1e-4
+            assert record.witness["theta"] == pytest.approx(math.atan(math.sqrt(record.beta ** 2 / 4 - 1)))
+        # at 2 sqrt 2 both candidates are the reference, up to rounding
         top = records[4]
         assert top.beta == BETA_QUANTUM
-        assert top.residual == 0.0
-        assert all(r.gap <= 1e-9 for r in records)
+        assert top.numeric_min == pytest.approx(1.0, abs=1e-12)
+        assert all(r.gap <= 1e-9 and r.residual <= 1e-12 for r in records)
         assert default_report.passed
 
-    def test_work_counts(self, default_report):
-        counts = [r.evaluations for r in default_report.records]
-        assert [c["surrogate"] for c in counts] == [7945, 7101, 7046, 7260, 6474]
-        assert [c["exact"] for c in counts] == [15, 8, 12, 8, 1]
-        assert sum(c["surrogate"] for c in counts) == 35_826
-        assert sum(c["exact"] for c in counts) == 44
+    def test_seed_is_ignored(self, default_report):
+        assert sandwich_sweep(SearchConfig(rng_seed=1)).records == default_report.records
+        assert sandwich_sweep(SearchConfig(rng_seed=2)).records == default_report.records
 
 
 class TestSandwich:
     def test_single_target_record(self):
-        cfg = SearchConfig(samples=4, beta_targets=(2.5,), tolerance=1e-4)
-        record = min_extractability_at_beta(2.5, cfg)
-        assert record.residual < cfg.tolerance
+        record = min_extractability_at_beta(2.5)
+        assert record.residual <= 1e-12
         assert record.analytic_lower == pytest.approx(analytic_bound(2.5), abs=1e-12)
         assert record.eq8_upper == pytest.approx(upper_bound(2.5), abs=1e-12)
-        assert record.passes(cfg.tolerance)
+        assert record.passes(1e-12)
         assert 0 < record.gap <= 1e-9
-        assert record.winner == "mixture" or record.winner.startswith("restart ")
+        assert record.winner == "witness"
+        assert record.numeric_min == pytest.approx(0.9375, abs=1e-12)
         choi = np.array(record.witness["channel"]["re"]) + 1j * np.array(
             record.witness["channel"]["im"]
         )
         assert choi.shape == (4, 4)
+        # the reported witness and channel reproduce numeric_min
+        asm = Assemblage.from_json(json.dumps(record.witness["assemblage"]))
+        assert np.vdot(choi, fidelity_operator(asm)).real == pytest.approx(record.numeric_min, abs=1e-12)
 
     def test_max_violation_pins_fidelity_one(self):
-        cfg = SearchConfig(samples=4, beta_targets=(BETA_QUANTUM,), tolerance=1e-6)
-        record = min_extractability_at_beta(BETA_QUANTUM, cfg)
-        assert record.numeric_min == pytest.approx(1.0, abs=1e-6)
+        record = min_extractability_at_beta(BETA_QUANTUM)
+        assert record.numeric_min == pytest.approx(1.0, abs=1e-12)
 
     def test_beta_out_of_range(self):
-        cfg = SearchConfig(samples=1)
-        with pytest.raises(ValidationError):
-            min_extractability_at_beta(1.9, cfg)
+        for beta in (1.9, 2.0, 2.9, math.nan):
+            with pytest.raises(ValidationError):
+                min_extractability_at_beta(beta)
 
     def test_sweep_reproducible(self):
-        cfg = SearchConfig(samples=3, beta_targets=(2.3, 2.6))
+        cfg = SearchConfig(beta_targets=(2.3, 2.6))
         a = sandwich_sweep(cfg)
         b = sandwich_sweep(cfg)
         assert a.to_json() == b.to_json()
         assert a.passed
 
     def test_report_serialization(self):
-        cfg = SearchConfig(samples=2, beta_targets=(2.4,))
+        cfg = SearchConfig(beta_targets=(2.4,))
         report = sandwich_sweep(cfg)
         payload = json.loads(report.to_json())
         assert payload["passed"] == report.passed
+        assert set(payload["config"]) == {"beta_targets", "rng_seed", "tolerance"}
         assert len(payload["records"]) == 1
         csv_text = report.to_csv()
         lines = csv_text.strip().split("\n")
@@ -364,8 +375,6 @@ class TestSandwich:
         assert len(lines) == 2
         record = payload["records"][0]
         assert record["gap"] <= 1e-9
-        assert lines[1].split(",")[-1] == record["winner"]
-        assert "restarts_used" not in record
-        assert set(record["evaluations"]) == {"surrogate", "exact"}
-        assert 1 <= record["evaluations"]["exact"] <= cfg.samples + 1
-        assert record["evaluations"]["surrogate"] >= cfg.samples
+        assert lines[1].split(",")[-1] == record["winner"] == "witness"
+        assert set(record) == set(lines[0].split(",")) | {"witness"}
+        assert set(record["witness"]) == {"assemblage", "theta", "channel"}
