@@ -1,22 +1,19 @@
 """Numerical cross-check of the analytic bound.
 
-For each target CHSH value beta, two assemblages are scored with the exact
-extractability SDP of ``fidelity.extractabilities``, in one stacked solve:
+For each target CHSH value beta, the sharp/unsharp witness
+sigma_{a|x} = (I + (-1)^a n_x . sigma)/4 with n0 = z and n1 = m x,
+m = sqrt(beta^2/4 - 1), is scored with the exact extractability SDP of
+``fidelity.extractability``. Read at theta* = atan m, its CHSH value
+2 (cos theta* + m sin theta*) = 2 sqrt(1 + m^2) is beta, and its
+extractability is 3/4 + m/4 = 3/4 + sqrt(beta^2 - 4)/8, the closed form
+xi*(beta).
 
-- the sharp/unsharp witness sigma_{a|x} = (I + (-1)^a n_x . sigma)/4 with
-  n0 = z and n1 = m x, m = sqrt(beta^2/4 - 1), read at theta* = atan m,
-  where its CHSH value 2 (cos theta* + m sin theta*) = 2 sqrt(1 + m^2) is
-  beta. Its extractability is 3/4 + m/4 = 3/4 + sqrt(beta^2 - 4)/8, the
-  closed form xi*(beta);
-- the reference mixed with the saturating classical assemblage, read at
-  theta = pi/4, which lies on the interpolation upper bound (eq8).
-
-The smaller value is ``numeric_min``: the exact extractability (within the
-solver gap) of a valid assemblage at CHSH value beta, hence a proven upper
+That value is ``numeric_min``: the exact extractability (within the solver
+gap) of a valid assemblage at CHSH value beta, hence a proven upper
 estimate of the minimum. That it is the minimum is checked numerically
-only. Both candidates' exact extractability is at least the analytic
-witness channel's fidelity, hence above the analytic lower bound (up to the
-constraint residual), and the mixture keeps every record below eq8.
+only. It is at least the analytic witness channel's fidelity, hence above
+the analytic lower bound (up to the constraint residual), and xi* lies on
+or below the interpolation upper bound (eq8), its tangent at 2 sqrt 2.
 """
 
 from __future__ import annotations
@@ -29,15 +26,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .assemblage import (
-    Assemblage,
-    ValidationError,
-    chsh_reference,
-    from_classical,
-    random_realization,
-    realize,
-)
-from .fidelity import appendix_b_strategy, extractabilities
+from .assemblage import Assemblage, ValidationError, random_realization, realize
+from .fidelity import extractability
 from .matkernel import I2, PAULI_X, PAULI_Z
 from .selftest import analytic_bound, upper_bound
 from .steering import BETA_CLASSICAL, BETA_QUANTUM, BobObservables, chsh_functional
@@ -119,7 +109,7 @@ def sample_assemblage(
 
 
 # ---------------------------------------------------------------------------
-# Candidates
+# The witness
 
 def _witness_candidate(beta: float):
     """The sharp/unsharp witness at theta* = atan m: sigma_{a|0} =
@@ -130,22 +120,12 @@ def _witness_candidate(beta: float):
     return asm, math.atan(m)
 
 
-def _mixture_candidate(beta: float):
-    """Reference mixed with the saturating classical assemblage; hits the
-    target violation exactly at theta = pi/4 and certifies the upper side
-    of the sandwich."""
-    q = (beta - BETA_CLASSICAL) / (BETA_QUANTUM - BETA_CLASSICAL)
-    classical = from_classical(appendix_b_strategy())
-    asm = chsh_reference().mix(classical, q)
-    return asm, math.pi / 4
-
-
 @dataclass(frozen=True)
 class SandwichRecord:
     """One target's outcome. numeric_min is the exact extractability (the
-    solver's primal value, within gap of the true value) of the winning
-    candidate, "witness" or "mixture". residual is that candidate's
-    |CHSH - beta| at its angle witness["theta"]."""
+    solver's primal value, within gap of the true value) of the witness;
+    winner is always "witness". residual is its |CHSH - beta| at its angle
+    witness["theta"]."""
 
     beta: float
     numeric_min: float
@@ -204,16 +184,14 @@ class SandwichReport:
 
 
 def min_extractability_at_beta(beta: float) -> SandwichRecord:
-    """The smaller exact extractability of the witness and the mixture at
-    CHSH value beta: an upper estimate of the true minimum (up to the solver
-    gap); the certified, falsifiable direction is numeric >= analytic bound.
+    """The exact extractability of the sharp/unsharp witness at CHSH value
+    beta: an upper estimate of the true minimum (up to the solver gap); the
+    certified, falsifiable direction is numeric >= analytic bound.
     """
     if not BETA_CLASSICAL < beta <= BETA_QUANTUM + 1e-12:
         raise ValidationError(f"beta = {beta} outside (2, 2*sqrt(2)]")
-    candidates = {"witness": _witness_candidate(beta), "mixture": _mixture_candidate(beta)}
-    solved = extractabilities(asm for asm, _ in candidates.values())
-    (value, channel, gap), name = min(zip(solved, candidates), key=lambda pair: pair[0][0])
-    asm, theta = candidates[name]
+    asm, theta = _witness_candidate(beta)
+    value, channel, gap = extractability(asm)
     witness = {
         "assemblage": json.loads(asm.to_json()),
         "theta": theta,
@@ -226,7 +204,7 @@ def min_extractability_at_beta(beta: float) -> SandwichRecord:
         eq8_upper=upper_bound(beta),
         residual=abs(chsh_functional(asm, BobObservables(theta)) - beta),
         gap=gap,
-        winner=name,
+        winner="witness",
         witness=witness,
     )
 

@@ -200,9 +200,7 @@ class TestSandwich:
         "text",
         [
             '{"samples": 20}',
-            '{"samples": "3"}',
             "[]",
-            '{"samples": 2.5}',
             '{"channel_famly": "dephasing-only"}',
             '{"tolerance": NaN}',
             '{"channel_family": "dephasing-only"}',

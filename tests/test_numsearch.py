@@ -15,7 +15,6 @@ from steerbound.fidelity import (
 from steerbound.matkernel import I2, PAULI_X, PAULI_Y, PAULI_Z, ValidationError
 from steerbound.numsearch import (
     SearchConfig,
-    _mixture_candidate,
     _witness_candidate,
     enforce_uniform_marginals,
     min_extractability_at_beta,
@@ -28,7 +27,7 @@ from steerbound.selftest import (
     extractability_with_channel,
     upper_bound,
 )
-from steerbound.steering import BETA_QUANTUM, max_violation_over_theta
+from steerbound.steering import BETA_CLASSICAL, BETA_QUANTUM, max_violation_over_theta
 
 SQRT2 = math.sqrt(2)
 
@@ -76,10 +75,6 @@ class TestConfig:
         [
             "[]",
             '"samples"',
-            '{"samples": "3"}',
-            '{"samples": 2.5}',
-            '{"samples": true}',
-            '{"samples": 0}',
             '{"beta_targets": []}',
             '{"beta_targets": 2.5}',
             '{"beta_targets": ["2.5"]}',
@@ -268,7 +263,8 @@ class TestBestChannel:
     def test_mixture_below_eq8(self, beta):
         # extractability is convex on uniform-marginal assemblages, so the
         # reference/classical mixture sits below the chord between (2+sqrt 2)/4 and 1
-        asm, _ = _mixture_candidate(beta)
+        q = (beta - BETA_CLASSICAL) / (BETA_QUANTUM - BETA_CLASSICAL)
+        asm = chsh_reference().mix(from_classical(appendix_b_strategy()), q)
         value, _, gap = extractability(asm)
         assert gap <= 1e-9
         assert value <= upper_bound(beta) + 1e-9
@@ -316,11 +312,11 @@ class TestDefaultSweep:
             assert abs(record.numeric_min - xi_star(record.beta)) <= record.gap + 1e-12
             assert record.numeric_min <= record.eq8_upper - 1e-4
             assert record.witness["theta"] == pytest.approx(math.atan(math.sqrt(record.beta ** 2 / 4 - 1)))
-        # at 2 sqrt 2 both candidates are the reference, up to rounding
+        # at 2 sqrt 2 the witness is the reference itself
         top = records[4]
         assert top.beta == BETA_QUANTUM
         assert top.numeric_min == pytest.approx(1.0, abs=1e-12)
-        assert all(r.gap <= 1e-9 and r.residual <= 1e-12 for r in records)
+        assert all(r.gap <= 1e-9 and r.residual <= 1e-12 and r.winner == "witness" for r in records)
         assert default_report.passed
 
     def test_seed_is_ignored(self, default_report):
