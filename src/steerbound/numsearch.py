@@ -3,10 +3,10 @@
 For each target CHSH value beta, the sharp/unsharp witness
 sigma_{a|x} = (I + (-1)^a n_x . sigma)/4 with n0 = z and n1 = m x,
 m = sqrt(beta^2/4 - 1), is scored with the exact extractability SDP of
-``fidelity.extractability``. Read at theta* = atan m, its CHSH value
-2 (cos theta* + m sin theta*) = 2 sqrt(1 + m^2) is beta, and its
-extractability is 3/4 + m/4 = 3/4 + sqrt(beta^2 - 4)/8, the closed form
-xi*(beta).
+``fidelity.extractabilities``, all targets in one stack. Read at
+theta* = atan m, its CHSH value 2 (cos theta* + m sin theta*) =
+2 sqrt(1 + m^2) is beta, and its extractability is 3/4 + m/4 =
+3/4 + sqrt(beta^2 - 4)/8, the closed form xi*(beta).
 
 That value is ``numeric_min``: the exact extractability (within the solver
 gap) of a valid assemblage at CHSH value beta, hence a proven upper
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .assemblage import Assemblage, ValidationError, random_realization, realize
-from .fidelity import extractability
+from .fidelity import extractabilities
 from .matkernel import I2, PAULI_X, PAULI_Z
 from .selftest import analytic_bound, upper_bound
 from .steering import BETA_CLASSICAL, BETA_QUANTUM, BobObservables, chsh_functional
@@ -115,6 +115,8 @@ def _witness_candidate(beta: float):
     """The sharp/unsharp witness at theta* = atan m: sigma_{a|0} =
     (I + (-1)^a Z)/4 and sigma_{a|1} = (I + (-1)^a m X)/4. m is clamped to
     1, because at 2 sqrt 2 the radicand beta^2/4 - 1 rounds to 1 + 2e-16."""
+    if not BETA_CLASSICAL < beta <= BETA_QUANTUM + 1e-12:
+        raise ValidationError(f"beta = {beta} outside (2, 2*sqrt(2)]")
     m = min(1.0, math.sqrt(beta * beta / 4 - 1))
     asm = Assemblage([[(I2 + sign * PAULI_Z) / 4, (I2 + sign * m * PAULI_X) / 4] for sign in (1, -1)])
     return asm, math.atan(m)
@@ -183,34 +185,38 @@ class SandwichReport:
         return buf.getvalue()
 
 
+def _records(betas) -> tuple:
+    """Each target's record, every witness scored in one stacked solve."""
+    witnesses = [_witness_candidate(beta) for beta in betas]
+    solved = extractabilities([asm for asm, _ in witnesses])
+    return tuple(
+        SandwichRecord(
+            beta=beta,
+            numeric_min=value,
+            analytic_lower=analytic_bound(beta),
+            eq8_upper=upper_bound(beta),
+            residual=abs(chsh_functional(asm, BobObservables(theta)) - beta),
+            gap=gap,
+            winner="witness",
+            witness={
+                "assemblage": json.loads(asm.to_json()), "theta": theta,
+                "channel": {"re": channel.choi.real.tolist(), "im": channel.choi.imag.tolist()},
+            },
+        )
+        for beta, (asm, theta), (value, channel, gap) in zip(betas, witnesses, solved)
+    )
+
+
 def min_extractability_at_beta(beta: float) -> SandwichRecord:
     """The exact extractability of the sharp/unsharp witness at CHSH value
     beta: an upper estimate of the true minimum (up to the solver gap); the
     certified, falsifiable direction is numeric >= analytic bound.
     """
-    if not BETA_CLASSICAL < beta <= BETA_QUANTUM + 1e-12:
-        raise ValidationError(f"beta = {beta} outside (2, 2*sqrt(2)]")
-    asm, theta = _witness_candidate(beta)
-    value, channel, gap = extractability(asm)
-    witness = {
-        "assemblage": json.loads(asm.to_json()),
-        "theta": theta,
-        "channel": {"re": channel.choi.real.tolist(), "im": channel.choi.imag.tolist()},
-    }
-    return SandwichRecord(
-        beta=beta,
-        numeric_min=value,
-        analytic_lower=analytic_bound(beta),
-        eq8_upper=upper_bound(beta),
-        residual=abs(chsh_functional(asm, BobObservables(theta)) - beta),
-        gap=gap,
-        winner="witness",
-        witness=witness,
-    )
+    return _records([beta])[0]
 
 
 def sandwich_sweep(cfg: SearchConfig) -> SandwichReport:
-    """Run min_extractability_at_beta over every target and assemble the
+    """Score every target's witness in one stacked solve and assemble the
     report; passing means every record satisfies the sandwich invariant."""
     cfg.check()
-    return SandwichReport(cfg, tuple(min_extractability_at_beta(beta) for beta in cfg.beta_targets))
+    return SandwichReport(cfg, _records(cfg.beta_targets))

@@ -69,9 +69,9 @@ def dephasing_channel(theta: float, c: float) -> ExtractionChannel:
     return ExtractionChannel(choi, clamped=clamped)
 
 
-def dephasing_coefficient(theta, s: float):
+def dephasing_coefficient(theta, s):
     """c(theta) = min{1, 4s sin(theta)} on the first interval and
-    min{1, 4s cos(theta)} on the second. Broadcasts over theta."""
+    min{1, 4s cos(theta)} on the second. Broadcasts over theta and s."""
     check_theta(theta)
     return np.minimum(1.0, 4 * s * np.where(first_interval(theta), np.sin(theta), np.cos(theta)))
 
@@ -91,9 +91,9 @@ def k_operators(theta, c) -> np.ndarray:
     return _operator_stack(0.0, 0.0, 0.0, theta, c)
 
 
-def t_constraints(s: float, theta):
+def t_constraints(s, theta):
     """Largest shifts (t0*, t1*), possibly negative, keeping all four
-    operator inequalities PSD at each theta (broadcast), with the dephasing
+    operator inequalities PSD at each theta and s (broadcast), with the dephasing
     coefficient set by its closed rule: K_{ax} - s T_{ax} - t I =
     (1/2 - t) I +/- (k_x/2 - 2 s v_x) P_x, v = (cos, sin), is PSD iff
     t <= (1 - |k_x - 4 s v_x|)/2."""
@@ -124,11 +124,13 @@ def _operator_stack(s: float, t0, t1, theta, c) -> np.ndarray:
 def inequality_margin(s: float, t0, t1, theta, c):
     """Smallest eigenvalue over the four operators K_{ax} - s T_{ax} - t_x I.
 
-    Nonnegative iff the inequality holds at this theta. One batched
-    eigen-solve of the stacked operators, built from their definitions, so it
-    cross-checks the closed forms of ``t_constraints``.
+    Nonnegative iff the inequality holds at this theta. The operators are
+    built from their definitions, so it cross-checks ``t_constraints``; each
+    2x2 [[p, b], [b, q]] has smallest eigenvalue (p+q)/2 - hypot((p-q)/2, b).
     """
-    return np.linalg.eigvalsh(_operator_stack(s, t0, t1, theta, c))[..., 0].min(axis=(-2, -1))
+    ops = _operator_stack(s, t0, t1, theta, c)
+    p, q, b = ops[..., 0, 0], ops[..., 1, 1], ops[..., 0, 1]
+    return ((p + q) / 2 - np.hypot((p - q) / 2, b)).min(axis=(-2, -1))
 
 
 def theta_grid(size: int, s: float) -> np.ndarray:
@@ -146,44 +148,51 @@ def theta_grid(size: int, s: float) -> np.ndarray:
     return np.sort(np.concatenate(points))
 
 
+def _intercepts(s):
+    """(t(s), t0, t1) per s at the first minimiser of t0* + t1* over the points of
+    ``theta_grid(2, s)``: 0, pi/4, pi/2 and the clamp angles, copies of pi/4 if |4s| < 1."""
+    s = np.reshape(s, (-1, 1))
+    r = 1 / np.maximum(np.abs(4 * s), 1)
+    clamp = np.where(np.abs(4 * s) >= 1, np.hstack([np.arcsin(r), np.arccos(r)]), math.pi / 4)
+    grid = np.sort(np.hstack([np.broadcast_to([0, math.pi / 4, math.pi / 2], (len(s), 3)), clamp]), axis=1)
+    t0, t1 = t_constraints(s, grid)
+    first = np.argmin(t0 + t1, axis=1)[:, None]
+    t0, t1 = (np.take_along_axis(t, first, 1)[:, 0] for t in (t0, t1))
+    return t0 + t1, t0, t1
+
+
 def coefficient_search(s_grid) -> BoundCoefficients:
     """Recover the optimal (s, t) pair by a search over s.
 
-    For each s the bound intercept is t(s) = min_theta (t0* + t1*), taken
-    exactly over ``theta_grid(2, s)``, which holds every breakpoint. The bound
-    value at maximal violation, (s*beta_Q + t(s))/2, plateaus at 1 for all
-    s past the optimum, so the selected s is the smallest one attaining the
-    plateau, refined by bisection between adjacent grid points.
+    For each s the bound intercept t(s) = min_theta (t0* + t1*) is exact over
+    the breakpoints of ``theta_grid(2, s)``, the whole s grid in one broadcast.
+    The bound at maximal violation, (s*beta_Q + t(s))/2, plateaus at 1 past the
+    optimum; the smallest grid s on the plateau is refined by bisection.
     """
-    s_values = sorted(float(s) for s in s_grid)
-    if not s_values:
-        raise ValidationError("s_grid must be nonempty")
+    s_values = np.array(sorted(float(s) for s in s_grid))
+    if not len(s_values) or not np.isfinite(s_values).all():
+        raise ValidationError("s_grid must be nonempty and finite")
 
-    def intercept(s: float):  # (t(s), t0, t1) at the first minimiser over theta
-        t0, t1 = t_constraints(s, theta_grid(2, s))
-        i = int(np.argmin(t0 + t1))
-        return float(t0[i] + t1[i]), float(t0[i]), float(t1[i])
+    def bound_at_max(s):
+        return (s * BETA_QUANTUM + _intercepts(s)[0]) / 2
 
-    def bound_at_max(s: float) -> float:
-        return (s * BETA_QUANTUM + intercept(s)[0]) / 2
-
-    values = [bound_at_max(s) for s in s_values]
-    best_value = max(values)
-    idx = next(i for i, v in enumerate(values) if v >= best_value - 1e-10)
+    values = bound_at_max(s_values)
+    best_value = values.max()
+    idx = int(np.argmax(values >= best_value - 1e-10))
     s_star = s_values[idx]
 
     if idx > 0 and values[idx - 1] < best_value - 1e-10:
         lo, hi = s_values[idx - 1], s_star
         while hi - lo > 1e-12:
             mid = (lo + hi) / 2
-            if bound_at_max(mid) >= best_value - 1e-10:
+            if bound_at_max(mid)[0] >= best_value - 1e-10:
                 hi = mid
             else:
                 lo = mid
         s_star = hi
 
-    _, t0, t1 = intercept(s_star)
-    return BoundCoefficients(s_star, t0, t1)
+    _, t0, t1 = _intercepts(s_star)
+    return BoundCoefficients(float(s_star), float(t0[0]), float(t1[0]))
 
 
 def analytic_bound(beta: float) -> float:

@@ -12,16 +12,25 @@ from steerbound.cli import main
 SQRT2 = math.sqrt(2)
 
 
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "steerbound.cli", *args],
-        capture_output=True,
-        text=True,
-    )
+@pytest.fixture
+def run_cli(capsys):
+    """Run the CLI's ``main`` in this process; the result reads like
+    subprocess.run's. argparse's usage errors raise SystemExit(2)."""
+
+    def run(*args):
+        capsys.readouterr()
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return subprocess.CompletedProcess(args, code, out, err)
+
+    return run
 
 
 class TestBoundCurve:
-    def test_stdout_csv(self):
+    def test_stdout_csv(self, run_cli):
         result = run_cli("bound-curve", "--points", "5")
         assert result.returncode == 0
         lines = result.stdout.strip().split("\n")
@@ -34,7 +43,7 @@ class TestBoundCurve:
         assert float(last[1]) == pytest.approx(1.0, abs=1e-6)
         assert float(last[2]) == pytest.approx(1.0, abs=1e-6)
 
-    def test_file_output(self, tmp_path):
+    def test_file_output(self, tmp_path, run_cli):
         out = tmp_path / "curve.csv"
         result = run_cli(
             "bound-curve", "--points", "3", "--out", str(out)
@@ -61,11 +70,11 @@ class TestBoundCurve:
 
 
 class TestVerifyInequality:
-    def test_retired_rule_flag_is_usage_error(self):
+    def test_retired_rule_flag_is_usage_error(self, run_cli):
         result = run_cli("verify-inequality", "--t0-t1-rule", "constraints")
         assert result.returncode == 2
 
-    def test_optimal_passes(self):
+    def test_optimal_passes(self, run_cli):
         result = run_cli("verify-inequality", "--theta-points", "2000")
         assert result.returncode == 0
         assert "operator inequality verified" in result.stdout
@@ -76,7 +85,7 @@ class TestVerifyInequality:
         assert lines[3].startswith("min t0* + t1* = 0.292893219 at theta = ")
         assert lines[3].endswith("against T_OPTIMAL = 0.292893219")
 
-    def test_too_large_s_fails(self):
+    def test_too_large_s_fails(self, run_cli):
         result = run_cli("verify-inequality", "--s", "0.9", "--theta-points", "500")
         assert result.returncode == 1
         assert "worst margin" in result.stdout
@@ -101,6 +110,42 @@ class TestVerifyInequality:
         out, err = capsys.readouterr()
         assert ("operator inequality verified" in out) == (code == 0)
         assert ("operator inequality FAILED" in err) == (code == 1)
+
+
+GOLDEN = {
+    ("verify-inequality",): (
+        0,
+        "worst margin 0.000e+00 at theta = 0 (s = 0.603553391)\n"
+        "worst theta in [0, pi/4]: 0 (t0* + t1* = 0.292893219)\n"
+        "worst theta in (pi/4, pi/2]: 1.57079633 (t0* + t1* = 0.292893219)\n"
+        "min t0* + t1* = 0.292893219 at theta = 0 against T_OPTIMAL = 0.292893219\n"
+        "operator inequality verified\n",
+        "",
+    ),
+    ("verify-inequality", "--s", "0.6036"): (
+        1,
+        "worst margin -1.318e-04 at theta = 0.785398163 (s = 0.6036)\n"
+        "worst theta in [0, pi/4]: 0.785398163 (t0* + t1* = 0.292761388)\n"
+        "worst theta in (pi/4, pi/2]: 0.785476711 (t0* + t1* = 0.292761393)\n"
+        "min t0* + t1* = 0.292761388 at theta = 0.785398163 against T_OPTIMAL = 0.292893219\n",
+        "operator inequality FAILED\n",
+    ),
+    ("coefficient-search",): (
+        0,
+        "s = 0.60355339\n"
+        "t = 0.292893219 (t0 = -0.207106781, t1 = 0.5)\n"
+        "bound at maximal violation = 1\n",
+        "",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", GOLDEN, ids=" ".join)
+def test_certificate_output_is_pinned(argv, capsys):
+    # the certificate commands' exact text: a faster formula must not change a byte
+    code, out, err = GOLDEN[argv]
+    assert main(list(argv)) == code
+    assert capsys.readouterr() == (out, err)
 
 
 @pytest.mark.parametrize(
@@ -135,7 +180,7 @@ def test_degenerate_numeric_argument_is_usage_error(argv, capsys):
 
 
 class TestClassicalFidelity:
-    def test_chsh_preset(self):
+    def test_chsh_preset(self, run_cli):
         result = run_cli("classical-fidelity")
         assert result.returncode == 0
         value = float(result.stdout.split("classical fidelity: ")[1].split("\n")[0])
@@ -144,7 +189,7 @@ class TestClassicalFidelity:
 
 
 class TestCoefficientSearch:
-    def test_recovers_optimum(self):
+    def test_recovers_optimum(self, run_cli):
         result = run_cli(
             "coefficient-search", "--s-points", "128", "--theta-points", "2000"
         )
@@ -156,7 +201,7 @@ class TestCoefficientSearch:
 
 
 class TestSandwich:
-    def test_run_and_artifacts(self, tmp_path):
+    def test_run_and_artifacts(self, tmp_path, run_cli):
         cfg = {
             "beta_targets": [2.4],
             "rng_seed": 11,
@@ -208,7 +253,7 @@ class TestSandwich:
             '{"beta_targets": [Infinity]}',
         ],
     )
-    def test_bad_config_is_one_error_line(self, tmp_path, text):
+    def test_bad_config_is_one_error_line(self, tmp_path, text, run_cli):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(text)
         out_json = tmp_path / "report.json"
@@ -219,28 +264,28 @@ class TestSandwich:
         assert "Traceback" not in result.stderr
         assert not out_json.exists()
 
-    def test_missing_config_is_error(self, tmp_path):
+    def test_missing_config_is_error(self, tmp_path, run_cli):
         result = run_cli("sandwich", "--config", str(tmp_path / "nope.json"))
         assert result.returncode == 1
         assert "error:" in result.stderr
 
 
 class TestRealizeValidate:
-    def test_realize_defaults_produce_reference(self, tmp_path):
+    def test_realize_defaults_produce_reference(self, tmp_path, run_cli):
         out = tmp_path / "asm.json"
         result = run_cli("realize", "--out", str(out))
         assert result.returncode == 0
         asm = Assemblage.from_json(out.read_text())
         np.testing.assert_allclose(asm.elements, chsh_reference().elements, atol=1e-12)
 
-    def test_validate_round_trip(self, tmp_path):
+    def test_validate_round_trip(self, tmp_path, run_cli):
         out = tmp_path / "asm.json"
         run_cli("realize", "--out", str(out))
         result = run_cli("validate", "--assemblage", str(out))
         assert result.returncode == 0
         assert "valid assemblage" in result.stdout
 
-    def test_validate_rejects_corrupted(self, tmp_path):
+    def test_validate_rejects_corrupted(self, tmp_path, run_cli):
         path = tmp_path / "bad.json"
         path.write_text(Assemblage(1.4 * chsh_reference().elements).to_json())
         result = run_cli("validate", "--assemblage", str(path))
@@ -251,7 +296,7 @@ class TestRealizeValidate:
 
 @pytest.mark.parametrize("command", ["validate", "classical-fidelity"])
 @pytest.mark.parametrize("text", ["{}", "[]", '{"outcomes": 2, "settings": 2, "elements": [{}]}'])
-def test_malformed_assemblage_is_one_error_line(tmp_path, command, text):
+def test_malformed_assemblage_is_one_error_line(tmp_path, command, text, run_cli):
     path = tmp_path / "asm.json"
     path.write_text(text)
     result = run_cli(command, "--assemblage", str(path))
@@ -321,11 +366,20 @@ def test_malformed_realization_is_one_error_line(tmp_path, capsys, option, docum
 
 
 class TestExitCodes:
-    def test_usage_error_is_2(self):
+    def test_module_entry_point(self):
+        # the one test that starts an interpreter: `python -m steerbound.cli`
+        # itself, which must pass main()'s nonzero return on as the exit code
+        argv = [sys.executable, "-m", "steerbound.cli", "verify-inequality", "--s", "0.9", "--theta-points", "3"]
+        result = subprocess.run(argv, capture_output=True, text=True)
+        assert result.returncode == 1
+        assert result.stdout.startswith("worst margin ")
+        assert result.stderr == "operator inequality FAILED\n"
+
+    def test_usage_error_is_2(self, run_cli):
         assert run_cli("no-such-command").returncode == 2
         assert run_cli().returncode == 2
 
-    def test_computation_error_is_1(self, tmp_path):
+    def test_computation_error_is_1(self, tmp_path, run_cli):
         path = tmp_path / "garbage.json"
         path.write_text("{not json")
         result = run_cli("validate", "--assemblage", str(path))

@@ -319,6 +319,11 @@ class TestDefaultSweep:
         assert all(r.gap <= 1e-9 and r.residual <= 1e-12 and r.winner == "witness" for r in records)
         assert default_report.passed
 
+    def test_stacked_solve_matches_single_targets(self, default_report):
+        # one stacked solve for all targets gives each target's own record, bit for bit
+        singles = tuple(min_extractability_at_beta(beta) for beta in SearchConfig().beta_targets)
+        assert default_report.records == singles
+
     def test_seed_is_ignored(self, default_report):
         assert sandwich_sweep(SearchConfig(rng_seed=1)).records == default_report.records
         assert sandwich_sweep(SearchConfig(rng_seed=2)).records == default_report.records

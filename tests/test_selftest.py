@@ -7,6 +7,8 @@ from steerbound.assemblage import chsh_reference, random_realization, realize
 from steerbound.fidelity import assemblage_fidelity
 from steerbound.matkernel import I2, PAULI_X, PAULI_Z, ValidationError, min_eigval
 from steerbound.selftest import (
+    _intercepts,
+    _operator_stack,
     S_OPTIMAL,
     T_OPTIMAL,
     THRESHOLD_BETA,
@@ -175,12 +177,15 @@ class TestInequalityMargins:
         assert m < -0.04
 
     def test_matches_operator_loop(self, rng):
-        # random shifts and contractions, both signs of s, c outside [-1, 1]
+        # random shifts and contractions, both signs of s, c outside [-1, 1];
+        # also against LAPACK's eigenvalues of the same built stack
         for s in rng.uniform(-1, 2, 20):
             thetas = rng.uniform(0, math.pi / 2, 50)
             t0, t1 = rng.uniform(-1, 1, (2, 50))
             c = rng.uniform(-1.5, 1.5, 50)
             batched = inequality_margin(s, t0, t1, thetas, c)
+            lapack = np.linalg.eigvalsh(_operator_stack(s, t0, t1, thetas, c))[..., 0].min(axis=(-2, -1))
+            np.testing.assert_allclose(batched, lapack, rtol=0, atol=1e-12)
             for i in range(50):
                 expected = _margin_by_operators(s, t0[i], t1[i], thetas[i], c[i])
                 assert batched[i] == pytest.approx(expected, abs=1e-12)
@@ -223,6 +228,15 @@ class TestCoefficientSearch:
             coarse = sum(t_constraints(s, theta_grid(2, s))).min()
             assert coarse == pytest.approx(sum(t_constraints(s, dense)).min(), abs=1e-12)
 
+    def test_intercepts_match_scalar_grid(self, rng):
+        # the one-broadcast intercepts equal the first minimiser of t0* + t1*
+        # over theta_grid(2, s) taken s by s: the value and the (t0, t1) split
+        s_values = np.concatenate([rng.uniform(-1, 2, 500), [0.0, 0.25, -0.25, S_OPTIMAL]])
+        for s, got in zip(s_values, zip(*_intercepts(s_values))):
+            t0, t1 = t_constraints(float(s), theta_grid(2, float(s)))
+            i = int(np.argmin(t0 + t1))
+            assert got == (t0[i] + t1[i], t0[i], t1[i]), s
+
     def test_recovers_optimum(self):
         coeffs = coefficient_search(np.linspace(0.0, 0.8, 512))
         assert coeffs.s == pytest.approx(S_OPTIMAL, abs=1e-8)
@@ -232,6 +246,11 @@ class TestCoefficientSearch:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError):
             coefficient_search([])
+
+    def test_nonfinite_grid_rejected(self):
+        for s_grid in ([0.1, math.nan], [math.inf]):
+            with pytest.raises(ValidationError):
+                coefficient_search(s_grid)
 
     def test_smaller_s_gives_smaller_bound(self):
         coeffs = coefficient_search(np.linspace(0.0, 0.5, 64))
