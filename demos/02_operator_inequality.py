@@ -6,7 +6,8 @@ rule and t0*(theta), t1*(theta) are the largest shifts keeping all four
 operators positive semidefinite. The paper's claim is that the split
 t0 = t0*(theta), t1 = t - t0*(theta) works at every theta for
 t = (2 - sqrt(2))/2, i.e. that min over theta of t0* + t1* is at least t.
-The grid pins every breakpoint of t0* + t1*, so its minimum is exact; a
+The grid holds 0, pi/4 and pi/2, where t0* + t1* takes its minimum, so
+its minimum is exact; a
 batched eigen-solve of the operators cross-checks the closed form, and
 pushing t past the optimum makes the check fail.
 """
@@ -24,7 +25,7 @@ from steerbound.selftest import (
 
 def main():
     print(f"s = (1+sqrt(2))/4 = {S_OPTIMAL:.9f}")
-    thetas = theta_grid(20_000, S_OPTIMAL)
+    thetas = theta_grid(20_000)
     t0, t1 = t_constraints(S_OPTIMAL, thetas)
     c = dephasing_coefficient(thetas, S_OPTIMAL)
     g = t0 + t1

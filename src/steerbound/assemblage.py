@@ -27,12 +27,8 @@ from .matkernel import (
     PAULI_Y,
     PAULI_Z,
     ValidationError,
-    eigvals_2x2,
-    kron,
-    min_eigval,
-    partial_trace_A,
+    hermitian_min_eigvals,
     projector,
-    symmetrize,
 )
 
 PROB_FLOOR = 1e-12  # below this, p(a|x) is treated as exactly 0
@@ -85,10 +81,6 @@ class Assemblage:
         if self.elements.shape != other.elements.shape:
             raise ValidationError("cannot mix assemblages of different shape")
         return Assemblage(weight * self.elements + (1 - weight) * other.elements)
-
-    def flip_outcomes(self) -> "Assemblage":
-        """Relabel a -> |A|-1-a for every setting."""
-        return Assemblage(self.elements[::-1])
 
     def to_json(self) -> str:
         payload = {
@@ -157,23 +149,26 @@ class QuantumRealization:
     state: np.ndarray
     alice_povms: dict  # x -> list over a of 2x2 POVM elements
 
-    def check(self, tol: float = 1e-10) -> None:
+    def check(self, tol: float = 1e-10) -> np.ndarray:
+        """ValidationError unless the state is a 4x4 density matrix and the
+        POVMs are valid; returns the POVMs stacked as M[x, a]."""
         if self.state.shape != (4, 4):
             raise ValidationError("shared state must be 4x4")
         if abs(np.trace(self.state).real - 1) > tol:
             raise ValidationError("shared state must have unit trace")
-        if min_eigval(symmetrize(self.state)) < -tol:
+        if hermitian_min_eigvals(self.state, tol) < -tol:
             raise ValidationError("shared state must be PSD")
         counts = {len(self.alice_povms.get(x, ())) for x in range(len(self.alice_povms))}
         if len(counts) != 1 or 0 in counts:
             raise ValidationError("POVMs must be keyed by settings 0, 1, ... with one common outcome count")
-        for x, povm in self.alice_povms.items():
-            total = sum(povm)
-            if np.max(np.abs(total - I2)) > tol:
-                raise ValidationError(f"POVM for setting {x} does not sum to identity")
-            for a, m in enumerate(povm):
-                if min_eigval(symmetrize(m)) < -tol:
-                    raise ValidationError(f"POVM element ({a}|{x}) is not PSD")
+        povms = np.array([self.alice_povms[x] for x in range(len(self.alice_povms))], dtype=complex)
+        if povms.shape[2:] != (2, 2):
+            raise ValidationError(f"POVM elements must be 2x2, got shape {povms.shape[2:]}")
+        for x in np.flatnonzero(np.abs(povms.sum(axis=1) - I2).max(axis=(1, 2)) > tol):
+            raise ValidationError(f"POVM for setting {x} does not sum to identity")
+        for x, a in np.argwhere(hermitian_min_eigvals(povms, tol) < -tol):
+            raise ValidationError(f"POVM element ({a}|{x}) is not PSD")
+        return povms
 
 
 @dataclass(frozen=True)
@@ -191,10 +186,11 @@ class ClassicalStrategy:
             raise ValidationError("strategy weights must be nonnegative")
         if abs(sum(ws) - 1) > 1e-12:
             raise ValidationError("strategy weights must sum to 1")
-        for lam, rho in self.hidden_states.items():
+        rhos = np.array(list(self.hidden_states.values()), dtype=complex)
+        for lam, rho, low in zip(self.hidden_states, rhos, hermitian_min_eigvals(rhos, tol)):
             if abs(np.trace(rho).real - 1) > tol:
                 raise ValidationError(f"hidden state {lam} must have unit trace")
-            if min_eigval(symmetrize(rho)) < -tol:
+            if low < -tol:
                 raise ValidationError(f"hidden state {lam} must be PSD")
 
 
@@ -205,11 +201,13 @@ class ValidationReport:
     normalization_deviation: float
     tol: float
     nonfinite: tuple = ()  # (a, x) indices of elements with a NaN or infinite entry
+    hermitian: bool = True  # every element within tol of its adjoint
 
     @property
     def passed(self) -> bool:
         return (
             not self.nonfinite
+            and self.hermitian
             and self.psd_margin >= -self.tol
             and self.no_signaling_deviation <= self.tol
             and self.normalization_deviation <= self.tol
@@ -219,6 +217,8 @@ class ValidationReport:
         if self.nonfinite:
             return [f"non-finite entries in sigma_(a|x) for (a, x) in {list(self.nonfinite)}"]
         out = []
+        if not self.hermitian:
+            out.append(f"Hermiticity violated: a sigma_(a|x) differs from its adjoint by more than {self.tol:.3g}")
         if self.psd_margin < -self.tol:
             out.append(f"positivity violated: min eigenvalue {self.psd_margin:.3e}")
         if self.no_signaling_deviation > self.tol:
@@ -233,12 +233,10 @@ class ValidationReport:
 
 
 def realize(r: QuantumRealization) -> Assemblage:
-    """sigma_{a|x} = tr_A[(M_{a|x} x I) rho_AB] for every (a, x)."""
-    r.check()
-    elements = np.zeros((len(r.alice_povms[0]), len(r.alice_povms), 2, 2), dtype=complex)
-    for x, povm in r.alice_povms.items():
-        for a, m in enumerate(povm):
-            elements[a, x] = symmetrize(partial_trace_A(kron(m, I2) @ r.state))
+    """sigma_{a|x} = tr_A[(M_{a|x} x I) rho_AB] for every (a, x), in one
+    contraction: sigma_{a|x}[b, c] = sum_ij M_{a|x}[i, j] rho[(j, b), (i, c)]."""
+    povms = r.check()
+    elements = np.einsum("xaij,jbic->axbc", povms, r.state.reshape(2, 2, 2, 2))
     return _require_valid(Assemblage(elements), 1e-9)
 
 
@@ -271,17 +269,23 @@ def from_classical(s: ClassicalStrategy, outcomes: int = 2, settings: int = 2) -
 
 def validate(asm: Assemblage, tol: float = 1e-10) -> ValidationReport:
     """Report PSD margins, no-signaling and normalization deviations, or
-    the elements with non-finite entries."""
+    the elements with non-finite entries. An assemblage with an element
+    that is not Hermitian within tol fails, with no PSD margin (NaN)."""
     finite = np.isfinite(asm.elements).all(axis=(2, 3))
     if not finite.all():
         nonfinite = tuple((int(a), int(x)) for a, x in np.argwhere(~finite))
         return ValidationReport(math.nan, math.nan, math.nan, tol, nonfinite)
+    try:
+        psd_margin, hermitian = float(hermitian_min_eigvals(asm.elements, tol).min()), True
+    except ValidationError:
+        psd_margin, hermitian = math.nan, False
     marginals = asm.elements.sum(axis=0)  # Bob's marginal for each setting
     return ValidationReport(
-        psd_margin=float(eigvals_2x2(asm.elements)[..., 0].min()),
+        psd_margin=psd_margin,
         no_signaling_deviation=float(np.abs(marginals - marginals[0]).max()),
         normalization_deviation=float(np.abs(np.trace(marginals, axis1=1, axis2=2).real - 1).max()),
         tol=tol,
+        hermitian=hermitian,
     )
 
 

@@ -27,16 +27,14 @@ from .assemblage import (
     from_classical,
 )
 from .matkernel import (
+    HERMITICITY_TOL,
     I2,
     I4,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     ValidationError,
-    eigh_hermitian,
-    eigvals_hermitian,
-    min_eigval,
-    symmetrize,
+    hermitian_min_eigvals,
 )
 
 
@@ -46,7 +44,7 @@ def _check_density(rho: np.ndarray, name: str, tol: float = 1e-10) -> np.ndarray
         raise ValidationError(f"{name} must be a 2x2 matrix")
     if abs(np.trace(rho).real - 1) > tol:
         raise ValidationError(f"{name} must have unit trace")
-    if min_eigval(symmetrize(rho)) < -tol:
+    if hermitian_min_eigvals(rho, tol) < -tol:
         raise ValidationError(f"{name} must be PSD")
     return rho
 
@@ -95,15 +93,10 @@ def classical_fidelity(ref: Assemblage):
     uniformly with the maximizing pure hidden states.
     """
     n_a, n_x = ref.outcomes, ref.settings
-    for x in range(n_x):
-        for a in range(n_a):
-            if ref.prob(a, x) < PROB_FLOOR:
-                continue
-            evs = eigvals_hermitian(ref.conditional_state(a, x))
-            if evs[0] > 1e-9:
-                raise ValidationError(
-                    "classical_fidelity requires pure (rank-1) reference elements"
-                )
+    probs = np.trace(ref.elements, axis1=2, axis2=3).real
+    live = probs >= PROB_FLOOR
+    if (hermitian_min_eigvals(ref.elements[live] / probs[live, None, None], HERMITICITY_TOL) > 1e-9).any():
+        raise ValidationError("classical_fidelity requires pure (rank-1) reference elements")
 
     responses = list(itertools.product(range(n_a), repeat=n_x))
     prefactor = math.sqrt(n_a) / (n_x * len(responses))
@@ -116,7 +109,7 @@ def classical_fidelity(ref: Assemblage):
             if p >= PROB_FLOOR:
                 m += math.sqrt(p) * ref.conditional_state(a, x)
         m *= prefactor
-        vals, vecs = eigh_hermitian(m)
+        vals, vecs = np.linalg.eigh(m)  # Hermitian by construction
         value += float(vals[-1])
         top = vecs[:, -1]
         weights[lam] = 1.0 / len(responses)

@@ -2,8 +2,9 @@
 
 Everything downstream works with 2x2 (Bob's qubit) or 4x4 (two-qubit)
 complex Hermitian matrices represented as plain numpy arrays. This module
-provides the validated primitives: eigenvalues (in closed form for stacks of
-2x2 matrices), tensor products and the partial trace over the first factor.
+holds the constants and the one checked eigenvalue routine that every
+validator calls: ``hermitian_min_eigvals`` (closed form for stacks of 2x2
+matrices, ``eigvals_2x2``).
 """
 
 from __future__ import annotations
@@ -37,31 +38,6 @@ def projector(ket: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def check_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
-        raise ValidationError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
-    if np.max(np.abs(m - m.conj().T)) > tol:
-        raise ValidationError("matrix is not Hermitian within tolerance")
-    return m
-
-
-def symmetrize(m: np.ndarray) -> np.ndarray:
-    """(M + M^dagger)/2; suppresses roundoff before eigen-solving."""
-    m = np.asarray(m, dtype=complex)
-    return (m + m.conj().T) / 2
-
-
-def eigvals_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian 2x2 or 4x4 matrix.
-
-    The 2x2 case is ``eigvals_2x2``; 4x4 falls back to numpy's Hermitian
-    eigensolver.
-    """
-    m = check_hermitian(m, tol)
-    return eigvals_2x2(m) if m.shape[0] == 2 else np.linalg.eigvalsh(symmetrize(m))
-
-
 def eigvals_2x2(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part of each matrix in a
     (..., 2, 2) stack, in closed form: mean -+ hypot((a - d)/2, |b|), with
@@ -72,28 +48,22 @@ def eigvals_2x2(m: np.ndarray) -> np.ndarray:
     return np.stack([mean - radius, mean + radius], axis=-1)
 
 
-def eigh_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL):
-    """Ascending eigenvalues and eigenvectors (columns) of a Hermitian matrix."""
-    m = symmetrize(check_hermitian(m, tol))
-    return np.linalg.eigh(m)
+def hermitian_min_eigvals(m: np.ndarray, tol: float) -> np.ndarray:
+    """Smallest eigenvalue of each matrix in a (..., n, n) stack, n = 2 or 4:
+    ``eigvals_2x2`` for n = 2, numpy's ``eigvalsh`` for n = 4.
 
-
-def min_eigval(m: np.ndarray, tol: float = HERMITICITY_TOL) -> float:
-    return float(eigvals_hermitian(m, tol)[0])
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product of two 2x2 matrices, first-factor-major ordering."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise ValidationError("kron expects two 2x2 matrices")
-    return np.kron(a, b)
-
-
-def partial_trace_A(m: np.ndarray) -> np.ndarray:
-    """Trace out the first (major) tensor factor of a 4x4 matrix."""
+    ValidationError on any other shape, and unless every entry of every
+    matrix is finite and within ``tol`` of the adjoint's. This is the one
+    place that decides Hermiticity.
+    """
     m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValidationError("partial_trace_A expects a 4x4 matrix")
-    return m.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] not in (2, 4):
+        raise ValidationError(f"expected a stack of 2x2 or 4x4 matrices, got shape {m.shape}")
+    adjoint = m.conj().swapaxes(-1, -2)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        deviation = np.abs(m - adjoint).max(initial=0.0)
+    if not deviation <= tol:  # NaN, from a non-finite entry, fails too
+        raise ValidationError(f"matrix is not Hermitian within {tol:g}: max |M - M^dagger| = {deviation:.3e}")
+    if m.shape[-1] == 2:
+        return eigvals_2x2(m)[..., 0]
+    return np.linalg.eigvalsh((m + adjoint) / 2)[..., 0]

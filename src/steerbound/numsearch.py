@@ -87,25 +87,12 @@ class SearchConfig:
 # ---------------------------------------------------------------------------
 # Assemblage sampling
 
-def enforce_uniform_marginals(asm: Assemblage) -> Assemblage:
-    """Mix with the outcome-flipped assemblage to pin every p(a|x) to 1/2.
-
-    The equal-weight mixture solves w*p + (1-w)*(1-p) = 1/2 for every
-    element simultaneously.
-    """
-    if asm.max_marginal_deviation() <= 1e-12:
-        return asm
-    return asm.mix(asm.flip_outcomes(), 0.5)
-
-
 def sample_assemblage(
     rng: np.random.Generator, uniform_marginals: bool = False
 ) -> Assemblage:
-    """Random valid quantum assemblage; optionally with uniform marginals."""
-    asm = realize(random_realization(rng, uniform_marginals=uniform_marginals))
-    if uniform_marginals:
-        asm = enforce_uniform_marginals(asm)
-    return asm
+    """Random valid quantum assemblage of ``random_realization``; with
+    ``uniform_marginals`` every p(a|x) is 1/2 (to rounding)."""
+    return realize(random_realization(rng, uniform_marginals=uniform_marginals))
 
 
 # ---------------------------------------------------------------------------

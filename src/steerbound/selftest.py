@@ -133,29 +133,26 @@ def inequality_margin(s: float, t0, t1, theta, c):
     return ((p + q) / 2 - np.hypot((p - q) / 2, b)).min(axis=(-2, -1))
 
 
-def theta_grid(size: int, s: float) -> np.ndarray:
-    """Uniform grid of ``size`` points on [0, pi/2] with every breakpoint of
-    g = t0* + t1* pinned: 0, pi/4, pi/2 and, when |4s| >= 1, the clamp angles
-    arcsin(1/|4s|) and arccos(1/|4s|). Between breakpoints g is a minimum of
-    terms alpha + a cos(theta) + b sin(theta), |a|, |b| in {0, 2|s|}, each
-    monotone unless a = b != 0, whose only extremum is at pi/4. So the grid
-    minimum of g is its exact minimum over [0, pi/2] for any size >= 2."""
-    if size < 2 or not math.isfinite(s):
-        raise ValidationError(f"theta grid needs size >= 2 and a finite s, got {size}, {s}")
-    points = [np.linspace(0, math.pi / 2, size), [math.pi / 4]]
-    if abs(4 * s) >= 1:
-        points.append([math.asin(1 / abs(4 * s)), math.acos(1 / abs(4 * s))])
-    return np.sort(np.concatenate(points))
+def theta_grid(size: int) -> np.ndarray:
+    """Uniform grid of ``size`` points on [0, pi/2] with pi/4 pinned, so it
+    holds 0, pi/4 and pi/2, where g = t0* + t1* takes its minimum over
+    [0, pi/2] for every s. Between those angles each term of g is
+    alpha + a cos(theta) + b sin(theta), |a|, |b| in {0, 2|s|}, or a minimum
+    of two such branches. A branch is monotone unless a = b != 0, whose only
+    extremum is at pi/4. A clamp angle arcsin or arccos(1/|4s|), where the
+    dephasing coefficient saturates, is a concave kink of a minimum of two
+    branches while the other term is smooth there, so it is never a
+    minimiser. So the grid minimum of g is its exact minimum for any
+    size >= 2."""
+    if size < 2:
+        raise ValidationError(f"theta grid needs size >= 2, got {size}")
+    return np.sort(np.append(np.linspace(0, math.pi / 2, size), math.pi / 4))
 
 
 def _intercepts(s):
-    """(t(s), t0, t1) per s at the first minimiser of t0* + t1* over the points of
-    ``theta_grid(2, s)``: 0, pi/4, pi/2 and the clamp angles, copies of pi/4 if |4s| < 1."""
-    s = np.reshape(s, (-1, 1))
-    r = 1 / np.maximum(np.abs(4 * s), 1)
-    clamp = np.where(np.abs(4 * s) >= 1, np.hstack([np.arcsin(r), np.arccos(r)]), math.pi / 4)
-    grid = np.sort(np.hstack([np.broadcast_to([0, math.pi / 4, math.pi / 2], (len(s), 3)), clamp]), axis=1)
-    t0, t1 = t_constraints(s, grid)
+    """(t(s), t0, t1) per s at the first minimiser of t0* + t1* over 0, pi/4
+    and pi/2, where ``theta_grid`` shows its minimum lies."""
+    t0, t1 = t_constraints(np.reshape(s, (-1, 1)), np.array([0, math.pi / 4, math.pi / 2]))
     first = np.argmin(t0 + t1, axis=1)[:, None]
     t0, t1 = (np.take_along_axis(t, first, 1)[:, 0] for t in (t0, t1))
     return t0 + t1, t0, t1
@@ -165,7 +162,7 @@ def coefficient_search(s_grid) -> BoundCoefficients:
     """Recover the optimal (s, t) pair by a search over s.
 
     For each s the bound intercept t(s) = min_theta (t0* + t1*) is exact over
-    the breakpoints of ``theta_grid(2, s)``, the whole s grid in one broadcast.
+    0, pi/4 and pi/2 (see ``theta_grid``), the whole s grid in one broadcast.
     The bound at maximal violation, (s*beta_Q + t(s))/2, plateaus at 1 past the
     optimum; the smallest grid s on the plateau is refined by bisection.
     """

@@ -67,9 +67,9 @@ def test_01_trivial_classical_fidelity():
 
 def test_02_operator_inequality_sweep():
     # the paper's pair (s, t) through the fixed split t0 = t0*(theta),
-    # t1 = t - t0*(theta): PSD at every breakpoint-pinned grid angle for
-    # t = T_OPTIMAL, and violated once t exceeds it
-    thetas = theta_grid(10_000, S_OPTIMAL)
+    # t1 = t - t0*(theta): PSD at every angle of a grid that holds the
+    # breakpoints 0, pi/4 and pi/2 for t = T_OPTIMAL, and violated once t exceeds it
+    thetas = theta_grid(10_000)
     t0, _ = t_constraints(S_OPTIMAL, thetas)
     c = dephasing_coefficient(thetas, S_OPTIMAL)
     worst = inequality_margin(S_OPTIMAL, t0, T_OPTIMAL - t0, thetas, c).min()

@@ -15,6 +15,8 @@ from steerbound.assemblage import (
     realize,
     validate,
 )
+from steerbound.cli import main
+from steerbound.fidelity import appendix_b_strategy, state_fidelity
 from steerbound.matkernel import (
     I2,
     I4,
@@ -99,6 +101,19 @@ class TestRealize:
         with pytest.raises(ValidationError):
             realize(QuantumRealization(state, zx_povms()))
 
+    def test_matches_partial_trace_definition(self, rng):
+        # sigma_{a|x} = tr_A[(M_{a|x} (x) I) rho], with the Kronecker product
+        # and the partial trace over the first factor written out
+        for projective in (True, False):
+            for _ in range(25):
+                r = random_realization(rng, projective=projective)
+                asm = realize(r)
+                for x, povm in r.alice_povms.items():
+                    for a, m in enumerate(povm):
+                        joint = (np.kron(m, I2) @ r.state).reshape(2, 2, 2, 2)
+                        expected = np.einsum("ibic->bc", joint)
+                        np.testing.assert_allclose(asm.elements[a, x], expected, rtol=0, atol=1e-15)
+
 
 class TestClassical:
     def test_single_state_strategy(self):
@@ -182,22 +197,87 @@ class TestValidate:
         assert report.nonfinite == ((1, 1),)
         assert report.failures() == ["non-finite entries in sigma_(a|x) for (a, x) in [(1, 1)]"]
 
+    def test_names_hermiticity_failure(self):
+        report = validate(_skewed_reference(), 1e-9)
+        assert not report.passed and not report.hermitian
+        assert report.failures() == ["Hermiticity violated: a sigma_(a|x) differs from its adjoint by more than 1e-09"]
+
+
+def _skewed_reference() -> Assemblage:
+    """chsh_reference() with +-[[0, 0.2], [-0.2, 0]] on sigma_{0|0} and
+    sigma_{1|0}: the Hermitian parts, traces and Bob's marginals are the
+    reference's, but two elements are not Hermitian."""
+    skew = np.array([[0, 0.2], [-0.2, 0]])
+    elements = chsh_reference().elements.copy()
+    elements[0, 0] += skew
+    elements[1, 0] -= skew
+    return Assemblage(elements)
+
+
+def _refusal(call):
+    """The ValidationError message of ``call()``, or None if it is accepted."""
+    try:
+        call()
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def _skewed_state():
+    state = phi_plus()
+    state[0, 3] += 0.3  # the |00><11| corner, anti-Hermitian
+    state[3, 0] -= 0.3
+    return state
+
+
+def _skewed_povms():
+    skew = np.array([[0, 0.4], [-0.4, 0]])
+    return {**zx_povms(), 0: [I2 / 2 + skew, I2 / 2 - skew]}
+
+
+def _skewed_strategy():
+    s = appendix_b_strategy()
+    hidden = {**s.hidden_states, 0: s.hidden_states[0] + np.array([[0, 0.1], [-0.1, 0]])}
+    return ClassicalStrategy(s.weights, s.response, hidden)
+
+
+def _cli_validate(tmp_path, capsys):
+    path = tmp_path / "skewed.json"
+    path.write_text(_skewed_reference().to_json())
+    capsys.readouterr()
+    code = main(["validate", "--assemblage", str(path)])
+    out, err = capsys.readouterr()
+    return err if code == 1 and not out else None
+
+
+NON_HERMITIAN = {
+    "state_fidelity": lambda *_: _refusal(lambda: state_fidelity(np.array([[0.5, 0.5], [-0.5, 0.5]]), I2 / 2)),
+    "realize-state": lambda *_: _refusal(lambda: realize(QuantumRealization(_skewed_state(), zx_povms()))),
+    "realize-povm": lambda *_: _refusal(lambda: realize(QuantumRealization(phi_plus(), _skewed_povms()))),
+    "from_classical": lambda *_: _refusal(lambda: from_classical(_skewed_strategy())),
+    "validate": lambda *_: "\n".join(validate(_skewed_reference()).failures()) or None,
+    "cli-validate": _cli_validate,
+}
+
+
+@pytest.mark.parametrize("case", NON_HERMITIAN)
+def test_non_hermitian_input_fails_closed(case, tmp_path, capsys):
+    # each input's Hermitian part is valid, so only the Hermiticity check
+    # can refuse it
+    refusal = NON_HERMITIAN[case](tmp_path, capsys)
+    assert refusal is not None and "Hermiti" in refusal, refusal
+
 
 class TestAssemblageOps:
     def test_mix_interpolates_probabilities(self):
         ref = chsh_reference()
-        flipped = ref.flip_outcomes()
+        flipped = Assemblage(ref.elements[::-1])  # relabel a -> 1 - a
         mixed = ref.mix(flipped, 0.25)
         np.testing.assert_allclose(
             mixed.elements[0, 0],
             0.25 * ref.elements[0, 0] + 0.75 * ref.elements[1, 0],
             atol=1e-14,
         )
-
-    def test_flip_is_involution(self):
-        ref = chsh_reference()
-        twice = ref.flip_outcomes().flip_outcomes()
-        np.testing.assert_allclose(twice.elements, ref.elements)
 
     def test_conditional_state_of_zero_prob_element(self):
         asm = from_classical(

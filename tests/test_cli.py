@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from steerbound import selftest
 from steerbound.assemblage import Assemblage, chsh_reference
 from steerbound.cli import main
 
@@ -110,6 +111,20 @@ class TestVerifyInequality:
         out, err = capsys.readouterr()
         assert ("operator inequality verified" in out) == (code == 0)
         assert ("operator inequality FAILED" in err) == (code == 1)
+
+    @pytest.mark.parametrize("routine", ["closed form", "lapack"])
+    def test_worst_margin_tie_goes_to_first_theta(self, routine, monkeypatch, capsys):
+        # at this s the margins at theta = 0 and pi/2 are equal in exact
+        # arithmetic; the closed form makes pi/2 lower by an ulp, LAPACK makes
+        # 0 lower, and the printed angle must not depend on which is used
+        if routine == "lapack":
+            monkeypatch.setattr(
+                selftest, "inequality_margin",
+                lambda *args: np.linalg.eigvalsh(selftest._operator_stack(*args))[..., 0].min(axis=(-2, -1)),
+            )
+        assert main(["verify-inequality", "--s", "-0.5755102040816326", "--theta-points", "2"]) == 1
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == "worst margin -9.439e-01 at theta = 0 (s = -0.575510204)"
 
 
 GOLDEN = {

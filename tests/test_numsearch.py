@@ -16,7 +16,6 @@ from steerbound.matkernel import I2, PAULI_X, PAULI_Y, PAULI_Z, ValidationError
 from steerbound.numsearch import (
     SearchConfig,
     _witness_candidate,
-    enforce_uniform_marginals,
     min_extractability_at_beta,
     sample_assemblage,
     sandwich_sweep,
@@ -119,13 +118,6 @@ class TestSampling:
         for _ in range(25):
             asm = sample_assemblage(rng, uniform_marginals=True)
             assert asm.max_marginal_deviation() < 1e-10
-
-    def test_enforce_uniform_marginals(self, rng):
-        for _ in range(25):
-            asm = sample_assemblage(rng)
-            fixed = enforce_uniform_marginals(asm)
-            assert fixed.max_marginal_deviation() < 1e-12
-            assert validate(fixed).passed
 
 
 class TestBestChannel:

@@ -5,7 +5,7 @@ import pytest
 
 from steerbound.assemblage import chsh_reference, random_realization, realize
 from steerbound.fidelity import assemblage_fidelity
-from steerbound.matkernel import I2, PAULI_X, PAULI_Z, ValidationError, min_eigval
+from steerbound.matkernel import I2, PAULI_X, PAULI_Z, ValidationError
 from steerbound.selftest import (
     _intercepts,
     _operator_stack,
@@ -150,13 +150,13 @@ def _margin_by_operators(s, t0, t1, theta, c):
     ts = t_operators(BobObservables(theta))
     shift = (t0, t1)
     return min(
-        min_eigval(ks[a, x] - s * ts[a, x] - shift[x] * I2) for a in range(2) for x in range(2)
+        np.linalg.eigvalsh(ks[a, x] - s * ts[a, x] - shift[x] * I2)[0] for a in range(2) for x in range(2)
     )
 
 
 class TestInequalityMargins:
     def test_margins_nonnegative_at_optimum(self):
-        thetas = theta_grid(801, S_OPTIMAL)
+        thetas = theta_grid(801)
         t0, t1 = t_constraints(S_OPTIMAL, thetas)
         c = dephasing_coefficient(thetas, S_OPTIMAL)
         assert np.all(inequality_margin(S_OPTIMAL, t0, t1, thetas, c) >= -1e-10)
@@ -193,7 +193,7 @@ class TestInequalityMargins:
     def test_tight_for_any_s(self, rng):
         # t_constraints is the largest shift: margin 0 at every theta, for any s
         for s in rng.uniform(-1, 2, 50):
-            thetas = theta_grid(200, s)
+            thetas = theta_grid(200)
             t0, t1 = t_constraints(s, thetas)
             c = dephasing_coefficient(thetas, s)
             margins = inequality_margin(s, t0, t1, thetas, c)
@@ -202,38 +202,38 @@ class TestInequalityMargins:
 
 class TestCoefficientSearch:
     def test_theta_grid_contains_boundary(self):
-        for size in (2, 100, 1000, 10_000):
-            for s in (0.2, S_OPTIMAL, -0.9):
-                grid = theta_grid(size, s)
-                assert grid[0] == 0.0
-                assert grid[-1] == pytest.approx(math.pi / 2)
-                assert np.all(np.diff(grid) >= 0)
-                breakpoints = [math.pi / 4]
-                if abs(4 * s) >= 1:
-                    r = 1 / abs(4 * s)
-                    breakpoints += [math.asin(r), math.acos(r)]
-                for b in breakpoints:
-                    assert b in grid
+        for size in (2, 3, 100, 1000, 10_000):
+            grid = theta_grid(size)
+            assert grid[0] == 0.0
+            assert grid[-1] == pytest.approx(math.pi / 2)
+            assert np.all(np.diff(grid) >= 0)
+            assert math.pi / 4 in grid
 
     def test_theta_grid_rejects_degenerate_input(self):
-        for size, s in ((1, S_OPTIMAL), (0, S_OPTIMAL), (10, math.nan), (10, math.inf)):
+        for size in (1, 0, -3):
             with pytest.raises(ValidationError):
-                theta_grid(size, s)
+                theta_grid(size)
 
     def test_breakpoint_minimum_is_exact(self, rng):
-        # the minimum of t0* + t1* over theta_grid(2, s) -- the breakpoints
-        # alone -- equals its minimum over a dense uniform grid
+        # the minimum of t0* + t1* over theta_grid(2) -- 0, pi/4 and pi/2
+        # alone -- equals its minimum over a dense uniform grid with the clamp
+        # angles asin/acos(1/|4s|) added, also for s within rounding of
+        # |4s| = 1 and |4s| = sqrt 2, where clamp angles meet 0, pi/2 or pi/4
+        edges = np.array([0.25, SQRT2 / 4])
+        near = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, 1)])
         dense = np.linspace(0, math.pi / 2, 200_001)
-        for s in rng.uniform(-1, 2, 200):
-            coarse = sum(t_constraints(s, theta_grid(2, s))).min()
-            assert coarse == pytest.approx(sum(t_constraints(s, dense)).min(), abs=1e-12)
+        for s in np.concatenate([rng.uniform(-1, 2, 200), near, -near]):
+            r = min(1.0, 1 / abs(4 * s))
+            fine = np.concatenate([dense, [math.asin(r), math.acos(r)]])
+            coarse = sum(t_constraints(s, theta_grid(2))).min()
+            assert coarse == pytest.approx(sum(t_constraints(s, fine)).min(), abs=1e-12), s
 
     def test_intercepts_match_scalar_grid(self, rng):
         # the one-broadcast intercepts equal the first minimiser of t0* + t1*
-        # over theta_grid(2, s) taken s by s: the value and the (t0, t1) split
+        # over theta_grid(2) taken s by s: the value and the (t0, t1) split
         s_values = np.concatenate([rng.uniform(-1, 2, 500), [0.0, 0.25, -0.25, S_OPTIMAL]])
         for s, got in zip(s_values, zip(*_intercepts(s_values))):
-            t0, t1 = t_constraints(float(s), theta_grid(2, float(s)))
+            t0, t1 = t_constraints(float(s), theta_grid(2))
             i = int(np.argmin(t0 + t1))
             assert got == (t0[i] + t1[i], t0[i], t1[i]), s
 
