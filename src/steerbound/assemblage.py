@@ -82,8 +82,9 @@ class Assemblage:
             raise ValidationError("cannot mix assemblages of different shape")
         return Assemblage(weight * self.elements + (1 - weight) * other.elements)
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        """The JSON object of ``to_json``, as Python lists and numbers."""
+        return {
             "outcomes": self.outcomes,
             "settings": self.settings,
             "elements": [
@@ -97,7 +98,9 @@ class Assemblage:
                 for x in range(self.settings)
             ],
         }
-        return json.dumps(payload, indent=2)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     @staticmethod
     def from_json(text: str) -> "Assemblage":
@@ -149,26 +152,36 @@ class QuantumRealization:
     state: np.ndarray
     alice_povms: dict  # x -> list over a of 2x2 POVM elements
 
-    def check(self, tol: float = 1e-10) -> np.ndarray:
+    def check(self, tol: float = 1e-10) -> tuple:
         """ValidationError unless the state is a 4x4 density matrix and the
-        POVMs are valid; returns the POVMs stacked as M[x, a]."""
-        if self.state.shape != (4, 4):
+        POVMs are valid; returns the state as a complex array and the POVMs
+        stacked as M[x, a]."""
+        state = _complex_array(self.state, "shared state")
+        if state.shape != (4, 4):
             raise ValidationError("shared state must be 4x4")
-        if abs(np.trace(self.state).real - 1) > tol:
+        if abs(np.trace(state).real - 1) > tol:
             raise ValidationError("shared state must have unit trace")
-        if hermitian_min_eigvals(self.state, tol) < -tol:
+        if hermitian_min_eigvals(state, tol) < -tol:
             raise ValidationError("shared state must be PSD")
         counts = {len(self.alice_povms.get(x, ())) for x in range(len(self.alice_povms))}
         if len(counts) != 1 or 0 in counts:
             raise ValidationError("POVMs must be keyed by settings 0, 1, ... with one common outcome count")
-        povms = np.array([self.alice_povms[x] for x in range(len(self.alice_povms))], dtype=complex)
+        povms = _complex_array([self.alice_povms[x] for x in range(len(self.alice_povms))], "POVMs")
         if povms.shape[2:] != (2, 2):
             raise ValidationError(f"POVM elements must be 2x2, got shape {povms.shape[2:]}")
         for x in np.flatnonzero(np.abs(povms.sum(axis=1) - I2).max(axis=(1, 2)) > tol):
             raise ValidationError(f"POVM for setting {x} does not sum to identity")
         for x, a in np.argwhere(hermitian_min_eigvals(povms, tol) < -tol):
             raise ValidationError(f"POVM element ({a}|{x}) is not PSD")
-        return povms
+        return state, povms
+
+
+def _complex_array(value, name: str) -> np.ndarray:
+    """value as a complex ndarray; ValidationError if it is ragged or not numeric."""
+    try:
+        return np.asarray(value, dtype=complex)
+    except (TypeError, ValueError) as err:
+        raise ValidationError(f"{name} must be a numeric array") from err
 
 
 @dataclass(frozen=True)
@@ -235,8 +248,8 @@ class ValidationReport:
 def realize(r: QuantumRealization) -> Assemblage:
     """sigma_{a|x} = tr_A[(M_{a|x} x I) rho_AB] for every (a, x), in one
     contraction: sigma_{a|x}[b, c] = sum_ij M_{a|x}[i, j] rho[(j, b), (i, c)]."""
-    povms = r.check()
-    elements = np.einsum("xaij,jbic->axbc", povms, r.state.reshape(2, 2, 2, 2))
+    state, povms = r.check()
+    elements = np.einsum("xaij,jbic->axbc", povms, state.reshape(2, 2, 2, 2))
     return _require_valid(Assemblage(elements), 1e-9)
 
 

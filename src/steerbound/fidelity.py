@@ -191,12 +191,13 @@ def fidelity_operator(asm: Assemblage) -> np.ndarray:
 # the dual variables (y, h_1, h_2, h_3).
 _SLACK_BASIS = np.array([I4] + [np.kron(p, I2) for p in (PAULI_X, PAULI_Y, PAULI_Z)])
 _H_BASIS = _SLACK_BASIS[1:].reshape(3, 16)  # h -> sum_k h_k (sigma_k (x) I), flattened
-# Central-path weights t of the log-det barrier. The point for weight t has
-# duality gap 4/t, so the last stage reaches about 1e-13, near the rounding
-# floor of a 4x4 eigendecomposition.
-_BARRIER_WEIGHTS = 10.0 ** np.arange(14)
+# Central-path weights t of the log-det barrier: 1, 1e2, ..., 1e12, then
+# 1e13. The point for weight t has duality gap 4/t, so the last stage
+# reaches about 1e-13, near the rounding floor of a 4x4 eigendecomposition.
+_BARRIER_WEIGHTS = np.append(10.0 ** np.arange(0, 13, 2), 1e13)
 _NEWTON_STEPS = 12  # per weight; each step costs one stacked 4x4 eigendecomposition
 _ROUNDING = 1e-14  # allowance for the rounding in the two bounds
+_EPS = np.finfo(float).eps
 
 
 def extractability(asm: Assemblage):
@@ -222,11 +223,14 @@ def extractabilities(assemblages) -> list:
     The dual is min 2 lambda_max(W - H (x) I) over traceless Hermitian H:
     three real parameters. It is solved by a log-det barrier method with
     damped Newton steps, which stay in the barrier's domain without a line
-    search. Every stage's steps run on the (K, 4, 4) stack of the items
-    still in that stage: an item leaves it when its step is rejected as
-    out of the domain (rounding) or when an accepted step's Newton
-    decrement drops below 1e-7. The work is capped at
-    1 + len(_BARRIER_WEIGHTS) * (_NEWTON_STEPS + 1) stacked eigendecompositions.
+    search. There is one stage per barrier weight t = 1, 1e2, ..., 1e12,
+    1e13. Every stage's steps run on the (K, 4, 4) stack of the items still
+    in that stage: an item leaves it when its step is rejected as out of
+    the domain (rounding) or when an accepted step's Newton decrement drops
+    below max(1e-7, sqrt(t eps)), the level under which the objective's
+    rounding hides the decrease a step predicts. The work is capped at
+    1 + len(_BARRIER_WEIGHTS) * (_NEWTON_STEPS + 1) = 105 stacked
+    eigendecompositions; the default sandwich sweep takes 39.
 
     At the end of each stage each item's primal estimate is rescaled,
     J <- (M (x) I) J (M (x) I)^dagger with M = (tr_out J)^(-1/2), so that
@@ -262,7 +266,10 @@ def extractabilities(assemblages) -> list:
             live = live[inside]
             x[live], vals[live], vecs[live] = trial[inside], trial_vals[inside], trial_vecs[inside]
             dual[live] = np.minimum(dual[live], 2 * trial_vals[inside, -1])
-            live = live[decrement[inside] >= 1e-7]
+            # The barrier objective 2ty - log det Z is about 2t, so it is known
+            # only to about t * eps; once the decrement squared (the predicted
+            # decrease) is below that, further steps gain nothing.
+            live = live[decrement[inside] >= max(1e-7, math.sqrt(t * _EPS))]
             if not live.size:
                 break
         j = (vecs / (t * (x[:, :1] - vals))[:, None, :]) @ _conj_t(vecs)

@@ -62,9 +62,13 @@ class SearchConfig:
         if not _is_real(self.tolerance) or not 0 < self.tolerance < math.inf:
             raise ValidationError(f"tolerance must be finite and > 0, got {self.tolerance!r}")
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The JSON object of ``to_json``, as Python lists and numbers."""
         raw = {f.name: getattr(self, f.name) for f in fields(self)}
-        return json.dumps({**raw, "beta_targets": list(self.beta_targets)}, indent=2)
+        return {**raw, "beta_targets": list(self.beta_targets)}
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     @staticmethod
     def from_json(text: str) -> "SearchConfig":
@@ -148,7 +152,7 @@ class SandwichReport:
     def to_json(self) -> str:
         return json.dumps(
             {
-                "config": json.loads(self.config.to_json()),
+                "config": self.config.to_dict(),
                 "passed": self.passed,
                 "records": [
                     {
@@ -186,7 +190,7 @@ def _records(betas) -> tuple:
             gap=gap,
             winner="witness",
             witness={
-                "assemblage": json.loads(asm.to_json()), "theta": theta,
+                "assemblage": asm.to_dict(), "theta": theta,
                 "channel": {"re": channel.choi.real.tolist(), "im": channel.choi.imag.tolist()},
             },
         )

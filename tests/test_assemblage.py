@@ -101,6 +101,16 @@ class TestRealize:
         with pytest.raises(ValidationError):
             realize(QuantumRealization(state, zx_povms()))
 
+    def test_nested_list_state(self):
+        povms = {0: [np.eye(2)]}
+        from_list = realize(QuantumRealization((np.eye(4) / 4).tolist(), povms))
+        from_array = realize(QuantumRealization(np.eye(4) / 4, povms))
+        assert from_list.elements.shape == (1, 1, 2, 2)
+        np.testing.assert_array_equal(from_list.elements, from_array.elements)
+        for state in ([[0.5, 0], [0, 0.5]], [[0.25] * 4] * 3, [[1, 0, 0, 0], [0]]):
+            with pytest.raises(ValidationError):
+                realize(QuantumRealization(state, povms))
+
     def test_matches_partial_trace_definition(self, rng):
         # sigma_{a|x} = tr_A[(M_{a|x} (x) I) rho], with the Kronecker product
         # and the partial trace over the first factor written out

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from steerbound import fidelity
 from steerbound.assemblage import Assemblage, chsh_reference, from_classical, validate
 from steerbound.fidelity import (
     appendix_b_strategy,
@@ -14,6 +15,7 @@ from steerbound.fidelity import (
 )
 from steerbound.matkernel import I2, PAULI_X, PAULI_Y, PAULI_Z, ValidationError
 from steerbound.numsearch import (
+    _COLUMNS,
     SearchConfig,
     _witness_candidate,
     min_extractability_at_beta,
@@ -34,6 +36,24 @@ SQRT2 = math.sqrt(2)
 def xi_star(beta):
     """The closed-form minimum extractability at CHSH value beta."""
     return 0.75 + math.sqrt(beta * beta - 4) / 8
+
+
+# one eigendecomposition to start, then per stage at most one per Newton
+# step and one for the rescale to an exact channel
+EIGH_CAP = 1 + len(fidelity._BARRIER_WEIGHTS) * (fidelity._NEWTON_STEPS + 1)
+
+
+def count_eigh(monkeypatch):
+    """Patch np.linalg.eigh to count its calls; returns the call list."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(m):
+        calls.append(1)
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
 
 
 def general_assemblage(rng):
@@ -173,7 +193,9 @@ class TestBestChannel:
     def test_seeded_gap_and_residual(self, rng, uniform):
         for _ in range(30):
             asm = sample_assemblage(rng, uniform_marginals=uniform)
-            self._check_certificate(*extractability(asm))
+            value, channel, gap = extractability(asm)
+            self._check_certificate(value, channel, gap)
+            assert gap <= 1e-12  # the last weight 1e13 leaves about 3e-13
 
     def test_general_assemblage_gap(self, rng):
         for _ in range(30):
@@ -182,31 +204,18 @@ class TestBestChannel:
             self._check_certificate(*extractability(asm))
 
     def test_bounded_eigendecompositions(self, monkeypatch):
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counting(m):
-            calls.append(1)
-            return eigh(m)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
-        extractability(sample_assemblage(np.random.default_rng(5)))
-        assert 0 < len(calls) <= 1 + 14 * 12 + 14
+        asm = sample_assemblage(np.random.default_rng(5))
+        calls = count_eigh(monkeypatch)
+        extractability(asm)
+        assert 0 < len(calls) <= EIGH_CAP
 
     def test_batched_eigendecompositions(self, monkeypatch):
         # the stage schedule is shared, so a batch costs no more calls than one item
         rng = np.random.default_rng(5)
         batch = [sample_assemblage(rng) for _ in range(20)]
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counting(m):
-            calls.append(1)
-            return eigh(m)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
+        calls = count_eigh(monkeypatch)
         extractabilities(batch)
-        assert 0 < len(calls) <= 1 + 14 * 12 + 14
+        assert 0 < len(calls) <= EIGH_CAP
 
     def test_batch_matches_single_solves(self, rng):
         batch = [sample_assemblage(rng, uniform_marginals=True) for _ in range(8)]
@@ -315,6 +324,33 @@ class TestDefaultSweep:
         # one stacked solve for all targets gives each target's own record, bit for bit
         singles = tuple(min_extractability_at_beta(beta) for beta in SearchConfig().beta_targets)
         assert default_report.records == singles
+
+    def test_sweep_eigendecompositions(self, monkeypatch):
+        # stages end at the decrement's rounding floor: 39 stacked calls; a
+        # flat 1e-7 exit ran the late stages to the step cap (83 calls)
+        calls = count_eigh(monkeypatch)
+        sandwich_sweep(SearchConfig())
+        assert len(calls) <= 45
+
+    def test_report_json_matches_round_trip_form(self, default_report):
+        # the same bytes as serialising each witness and the config and
+        # parsing them back
+        def witness(r):
+            asm = json.loads(_witness_candidate(r.beta)[0].to_json())
+            return {**r.witness, "assemblage": asm}
+
+        old_form = json.dumps(
+            {
+                "config": json.loads(default_report.config.to_json()),
+                "passed": default_report.passed,
+                "records": [
+                    {**{c: getattr(r, c) for c in _COLUMNS}, "witness": witness(r)}
+                    for r in default_report.records
+                ],
+            },
+            indent=2,
+        )
+        assert default_report.to_json() == old_form
 
     def test_seed_is_ignored(self, default_report):
         assert sandwich_sweep(SearchConfig(rng_seed=1)).records == default_report.records
