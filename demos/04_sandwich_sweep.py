@@ -1,7 +1,8 @@
 """Numerical cross-check of the analytic bound: for each target violation,
-score an assemblage pinned to that violation with the exact extractability
-SDP and confirm the value lands between the analytic lower bound and the
-interpolation upper bound (eq8).
+score an assemblage pinned to that violation with its exact extractability
+(the identity channel and the SDP's dual bound at H = 0 meet) and confirm
+the value lands between the analytic lower bound and the interpolation
+upper bound (eq8).
 
 The assemblage is the sharp/unsharp witness (Alice measures Z sharply and X
 with sharpness m = sqrt(beta^2/4 - 1), read at theta* = atan m). It reaches

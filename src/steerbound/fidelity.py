@@ -230,7 +230,7 @@ def extractabilities(assemblages) -> list:
     below max(1e-7, sqrt(t eps)), the level under which the objective's
     rounding hides the decrease a step predicts. The work is capped at
     1 + len(_BARRIER_WEIGHTS) * (_NEWTON_STEPS + 1) = 105 stacked
-    eigendecompositions; the default sandwich sweep takes 39.
+    eigendecompositions; the five default sandwich witnesses take 39.
 
     At the end of each stage each item's primal estimate is rescaled,
     J <- (M (x) I) J (M (x) I)^dagger with M = (tr_out J)^(-1/2), so that

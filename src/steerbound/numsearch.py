@@ -2,13 +2,14 @@
 
 For each target CHSH value beta, the sharp/unsharp witness
 sigma_{a|x} = (I + (-1)^a n_x . sigma)/4 with n0 = z and n1 = m x,
-m = sqrt(beta^2/4 - 1), is scored with the exact extractability SDP of
-``fidelity.extractabilities``, all targets in one stack. Read at
-theta* = atan m, its CHSH value 2 (cos theta* + m sin theta*) =
-2 sqrt(1 + m^2) is beta, and its extractability is 3/4 + m/4 =
-3/4 + sqrt(beta^2 - 4)/8, the closed form xi*(beta).
+m = sqrt(beta^2/4 - 1), has CHSH value 2 (cos theta* + m sin theta*) =
+beta at theta* = atan m. Its fidelity operator W = (2 I(x)I + Z(x)Z +
+m X(x)X)/8 has eigenvalues (3 +- m)/8 and (1 +- m)/8, the top one at Phi+.
+So the identity channel (primal) and the dual point H = 0 (bound
+2 lambda_max(W)) meet at 3/4 + m/4 = 3/4 + sqrt(beta^2 - 4)/8, the closed
+form xi*(beta). One stacked eigenvalue call scores every target.
 
-That value is ``numeric_min``: the exact extractability (within the solver
+That value is ``numeric_min``: the exact extractability (within the pair's
 gap) of a valid assemblage at CHSH value beta, hence a proven upper
 estimate of the minimum. That it is the minimum is checked numerically
 only. It is at least the analytic witness channel's fidelity, hence above
@@ -27,9 +28,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .assemblage import Assemblage, ValidationError, random_realization, realize
-from .fidelity import extractabilities
-from .matkernel import I2, PAULI_X, PAULI_Z
-from .selftest import analytic_bound, upper_bound
+from .fidelity import _ROUNDING, fidelity_operator
+from .matkernel import HERMITICITY_TOL, I2, PAULI_X, PAULI_Z, hermitian_min_eigvals
+from .selftest import analytic_bound, dephasing_channel, upper_bound
 from .steering import BETA_CLASSICAL, BETA_QUANTUM, BobObservables, chsh_functional
 
 
@@ -59,8 +60,9 @@ class SearchConfig:
                 raise ValidationError(f"beta target {b!r} outside (2, 2*sqrt(2)]")
         if not _is_int(self.rng_seed) or self.rng_seed < 0:
             raise ValidationError(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
-        if not _is_real(self.tolerance) or not 0 < self.tolerance < math.inf:
-            raise ValidationError(f"tolerance must be finite and > 0, got {self.tolerance!r}")
+        if not _is_real(self.tolerance) or not _ROUNDING <= self.tolerance < math.inf:
+            # every gap carries the rounding allowance, so a smaller tolerance fails every record
+            raise ValidationError(f"tolerance must be finite and >= {_ROUNDING:g}, got {self.tolerance!r}")
 
     def to_dict(self) -> dict:
         """The JSON object of ``to_json``, as Python lists and numbers."""
@@ -115,10 +117,10 @@ def _witness_candidate(beta: float):
 
 @dataclass(frozen=True)
 class SandwichRecord:
-    """One target's outcome. numeric_min is the exact extractability (the
-    solver's primal value, within gap of the true value) of the witness;
-    winner is always "witness". residual is its |CHSH - beta| at its angle
-    witness["theta"]."""
+    """One target's outcome. numeric_min is the identity channel's fidelity
+    on the witness; its extractability lies in [numeric_min, numeric_min +
+    gap]. winner is always "witness". residual is its |CHSH - beta| at its
+    angle witness["theta"]."""
 
     beta: float
     numeric_min: float
@@ -134,6 +136,7 @@ class SandwichRecord:
             self.analytic_lower - tolerance
             <= self.numeric_min
             <= self.eq8_upper + tolerance
+            and self.gap <= tolerance
         )
 
 
@@ -177,9 +180,13 @@ class SandwichReport:
 
 
 def _records(betas) -> tuple:
-    """Each target's record, every witness scored in one stacked solve."""
+    """Each target's record: the identity channel's tr(J_id W) and the H = 0
+    dual bound 2 lambda_max(W), every witness in one eigenvalue call."""
     witnesses = [_witness_candidate(beta) for beta in betas]
-    solved = extractabilities([asm for asm, _ in witnesses])
+    w = np.array([fidelity_operator(asm) for asm, _ in witnesses])
+    identity = dephasing_channel(0.0, 1.0).choi
+    values = np.einsum("ij,nij->n", identity.conj(), w).real
+    gaps = np.maximum(-2 * hermitian_min_eigvals(-w, HERMITICITY_TOL) - values, 0) + _ROUNDING
     return tuple(
         SandwichRecord(
             beta=beta,
@@ -191,23 +198,23 @@ def _records(betas) -> tuple:
             winner="witness",
             witness={
                 "assemblage": asm.to_dict(), "theta": theta,
-                "channel": {"re": channel.choi.real.tolist(), "im": channel.choi.imag.tolist()},
+                "channel": {"re": identity.real.tolist(), "im": identity.imag.tolist()},
             },
         )
-        for beta, (asm, theta), (value, channel, gap) in zip(betas, witnesses, solved)
+        for beta, (asm, theta), value, gap in zip(betas, witnesses, values.tolist(), gaps.tolist())
     )
 
 
 def min_extractability_at_beta(beta: float) -> SandwichRecord:
     """The exact extractability of the sharp/unsharp witness at CHSH value
-    beta: an upper estimate of the true minimum (up to the solver gap); the
+    beta: an upper estimate of the true minimum (up to the gap); the
     certified, falsifiable direction is numeric >= analytic bound.
     """
     return _records([beta])[0]
 
 
 def sandwich_sweep(cfg: SearchConfig) -> SandwichReport:
-    """Score every target's witness in one stacked solve and assemble the
-    report; passing means every record satisfies the sandwich invariant."""
+    """Score every target's witness with one stacked eigenvalue call and
+    assemble the report; passing means every record passes."""
     cfg.check()
     return SandwichReport(cfg, _records(cfg.beta_targets))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -126,6 +127,10 @@ class TestConfig:
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ValidationError):
             SearchConfig(tolerance=0.0).check()
+        # below the gap's rounding allowance no record could pass
+        with pytest.raises(ValidationError, match="1e-14"):
+            SearchConfig(tolerance=fidelity._ROUNDING / 2).check()
+        SearchConfig(tolerance=fidelity._ROUNDING).check()
 
 
 class TestSampling:
@@ -282,6 +287,15 @@ class TestWitness:
             assert gap <= 1e-9
             assert abs(value - xi_star(beta)) <= gap + 1e-12
 
+    def test_identity_pair_matches_solve(self):
+        # on the whole grid the sandwich's records agree with the barrier
+        # solve, and their own gap is at the rounding floor
+        records = sandwich_sweep(SearchConfig(beta_targets=tuple(self.BETAS))).records
+        results = extractabilities(_witness_candidate(b)[0] for b in self.BETAS)
+        for record, (value, _, gap) in zip(records, results):
+            assert abs(record.numeric_min - value) <= gap + 1e-12
+            assert record.gap <= 1e-13
+
     def test_theta_star_maximises_chsh(self):
         for beta in self.BETAS:
             asm, theta = _witness_candidate(beta)
@@ -317,7 +331,12 @@ class TestDefaultSweep:
         top = records[4]
         assert top.beta == BETA_QUANTUM
         assert top.numeric_min == pytest.approx(1.0, abs=1e-12)
-        assert all(r.gap <= 1e-9 and r.residual <= 1e-12 and r.winner == "witness" for r in records)
+        assert all(r.gap <= 1e-13 and r.residual <= 1e-12 and r.winner == "witness" for r in records)
+        assert all(abs(r.numeric_min - xi_star(r.beta)) <= 1e-15 for r in records)
+        # the reported channel is exactly the identity's Choi matrix
+        identity = np.outer([1, 0, 0, 1], [1, 0, 0, 1])
+        assert all(np.array_equal(r.witness["channel"]["re"], identity) for r in records)
+        assert all(not np.any(r.witness["channel"]["im"]) for r in records)
         assert default_report.passed
 
     def test_stacked_solve_matches_single_targets(self, default_report):
@@ -326,10 +345,31 @@ class TestDefaultSweep:
         assert default_report.records == singles
 
     def test_sweep_eigendecompositions(self, monkeypatch):
-        # stages end at the decrement's rounding floor: 39 stacked calls; a
-        # flat 1e-7 exit ran the late stages to the step cap (83 calls)
-        calls = count_eigh(monkeypatch)
+        # no solve: the identity/H = 0 pair takes one stacked eigenvalue call
+        # for all five targets
+        def unused(*args):
+            raise AssertionError("the sandwich must not run the extractability solve")
+
+        monkeypatch.setattr(fidelity, "extractabilities", unused)
+        calls, shapes = count_eigh(monkeypatch), []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(m):
+            shapes.append(m.shape)
+            return eigvalsh(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
         sandwich_sweep(SearchConfig())
+        assert calls == []
+        assert shapes == [(5, 4, 4)]
+
+    def test_witness_solve_eigendecompositions(self, monkeypatch):
+        # the general solve on the five default witnesses: stages end at the
+        # decrement's rounding floor, 39 stacked calls; a flat 1e-7 exit ran
+        # the late stages to the step cap (83 calls)
+        witnesses = [_witness_candidate(beta)[0] for beta in SearchConfig().beta_targets]
+        calls = count_eigh(monkeypatch)
+        extractabilities(witnesses)
         assert len(calls) <= 45
 
     def test_report_json_matches_round_trip_form(self, default_report):
@@ -374,6 +414,13 @@ class TestSandwich:
         # the reported witness and channel reproduce numeric_min
         asm = Assemblage.from_json(json.dumps(record.witness["assemblage"]))
         assert np.vdot(choi, fidelity_operator(asm)).real == pytest.approx(record.numeric_min, abs=1e-12)
+
+    def test_gap_fails_closed(self):
+        # a value with no error bar does not pass, however close to xi*
+        record = min_extractability_at_beta(2.5)
+        tolerance = SearchConfig().tolerance
+        assert record.passes(tolerance)
+        assert not dataclasses.replace(record, gap=1e-3).passes(tolerance)
 
     def test_max_violation_pins_fidelity_one(self):
         record = min_extractability_at_beta(BETA_QUANTUM)
