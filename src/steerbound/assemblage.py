@@ -26,7 +26,9 @@ from .matkernel import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    PHYSICAL_TOL,
     ValidationError,
+    density_matrix,
     hermitian_min_eigvals,
     projector,
 )
@@ -152,26 +154,20 @@ class QuantumRealization:
     state: np.ndarray
     alice_povms: dict  # x -> list over a of 2x2 POVM elements
 
-    def check(self, tol: float = 1e-10) -> tuple:
+    def check(self) -> tuple:
         """ValidationError unless the state is a 4x4 density matrix and the
         POVMs are valid; returns the state as a complex array and the POVMs
         stacked as M[x, a]."""
-        state = _complex_array(self.state, "shared state")
-        if state.shape != (4, 4):
-            raise ValidationError("shared state must be 4x4")
-        if abs(np.trace(state).real - 1) > tol:
-            raise ValidationError("shared state must have unit trace")
-        if hermitian_min_eigvals(state, tol) < -tol:
-            raise ValidationError("shared state must be PSD")
+        state = density_matrix(_complex_array(self.state, "shared state"), 4, "shared state")
         counts = {len(self.alice_povms.get(x, ())) for x in range(len(self.alice_povms))}
         if len(counts) != 1 or 0 in counts:
             raise ValidationError("POVMs must be keyed by settings 0, 1, ... with one common outcome count")
         povms = _complex_array([self.alice_povms[x] for x in range(len(self.alice_povms))], "POVMs")
         if povms.shape[2:] != (2, 2):
             raise ValidationError(f"POVM elements must be 2x2, got shape {povms.shape[2:]}")
-        for x in np.flatnonzero(np.abs(povms.sum(axis=1) - I2).max(axis=(1, 2)) > tol):
+        for x in np.flatnonzero(np.abs(povms.sum(axis=1) - I2).max(axis=(1, 2)) > PHYSICAL_TOL):
             raise ValidationError(f"POVM for setting {x} does not sum to identity")
-        for x, a in np.argwhere(hermitian_min_eigvals(povms, tol) < -tol):
+        for x, a in np.argwhere(hermitian_min_eigvals(povms, PHYSICAL_TOL) < -PHYSICAL_TOL):
             raise ValidationError(f"POVM element ({a}|{x}) is not PSD")
         return state, povms
 
@@ -193,18 +189,16 @@ class ClassicalStrategy:
     response: dict  # (lambda, x) -> outcome a
     hidden_states: dict  # lambda -> 2x2 density matrix
 
-    def check(self, tol: float = 1e-10) -> None:
+    def check(self) -> None:
         ws = list(self.weights.values())
         if any(w < -PROB_FLOOR for w in ws):
             raise ValidationError("strategy weights must be nonnegative")
         if abs(sum(ws) - 1) > 1e-12:
             raise ValidationError("strategy weights must sum to 1")
-        rhos = np.array(list(self.hidden_states.values()), dtype=complex)
-        for lam, rho, low in zip(self.hidden_states, rhos, hermitian_min_eigvals(rhos, tol)):
-            if abs(np.trace(rho).real - 1) > tol:
-                raise ValidationError(f"hidden state {lam} must have unit trace")
-            if low < -tol:
-                raise ValidationError(f"hidden state {lam} must be PSD")
+        if not self.weights.keys() <= self.hidden_states.keys():
+            raise ValidationError("strategy needs a hidden state for every weight")
+        for lam, rho in self.hidden_states.items():
+            density_matrix(rho, 2, f"hidden state {lam}")
 
 
 @dataclass(frozen=True)
@@ -267,14 +261,15 @@ def chsh_reference() -> Assemblage:
     return Assemblage([[projector(k) / 2 for k in row] for row in kets])
 
 
-def from_classical(s: ClassicalStrategy, outcomes: int = 2, settings: int = 2) -> Assemblage:
-    """sigma_{a|x} = sum_lambda p(lambda) [response(lambda,x)=a] rho_lambda."""
+def from_classical(s: ClassicalStrategy) -> Assemblage:
+    """sigma_{a|x} = sum_lambda p(lambda) [response(lambda,x)=a] rho_lambda,
+    two outcomes and two settings."""
     s.check()
-    elements = np.zeros((outcomes, settings, 2, 2), dtype=complex)
+    elements = np.zeros((2, 2, 2, 2), dtype=complex)
     for lam, w in s.weights.items():
-        for x in range(settings):
+        for x in range(2):
             a = s.response[(lam, x)]
-            if not 0 <= a < outcomes:
+            if not 0 <= a < 2:
                 raise ValidationError(f"response ({lam},{x}) -> {a} out of range")
             elements[a, x] = elements[a, x] + w * s.hidden_states[lam]
     return _require_valid(Assemblage(elements), 1e-10)

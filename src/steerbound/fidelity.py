@@ -24,7 +24,6 @@ from .assemblage import (
     ClassicalStrategy,
     PROB_FLOOR,
     chsh_reference,
-    from_classical,
 )
 from .matkernel import (
     HERMITICITY_TOL,
@@ -34,26 +33,16 @@ from .matkernel import (
     PAULI_Y,
     PAULI_Z,
     ValidationError,
+    density_matrix,
     hermitian_min_eigvals,
 )
-
-
-def _check_density(rho: np.ndarray, name: str, tol: float = 1e-10) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValidationError(f"{name} must be a 2x2 matrix")
-    if abs(np.trace(rho).real - 1) > tol:
-        raise ValidationError(f"{name} must have unit trace")
-    if hermitian_min_eigvals(rho, tol) < -tol:
-        raise ValidationError(f"{name} must be PSD")
-    return rho
 
 
 def state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann-Jozsa fidelity, qubit closed form:
     F = tr(rho sigma) + 2 sqrt(det rho * det sigma)."""
-    rho = _check_density(rho, "rho")
-    sigma = _check_density(sigma, "sigma")
+    rho = density_matrix(rho, 2, "rho")
+    sigma = density_matrix(sigma, 2, "sigma")
     overlap = float(np.trace(rho @ sigma).real)
     det_prod = max(0.0, float((np.linalg.det(rho) * np.linalg.det(sigma)).real))
     return min(1.0, overlap + 2 * math.sqrt(det_prod))
@@ -143,7 +132,6 @@ class ExtractionChannel:
     """
 
     choi: np.ndarray
-    clamped: bool = False  # set when a dephasing parameter was clipped
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """channel(rho), for one 2x2 matrix or each in a (..., 2, 2) stack."""

@@ -2,9 +2,9 @@
 
 Everything downstream works with 2x2 (Bob's qubit) or 4x4 (two-qubit)
 complex Hermitian matrices represented as plain numpy arrays. This module
-holds the constants and the one checked eigenvalue routine that every
+holds the constants, the one checked eigenvalue routine that every
 validator calls: ``hermitian_min_eigvals`` (closed form for stacks of 2x2
-matrices, ``eigvals_2x2``).
+matrices, ``eigvals_2x2``), and the density-matrix check built on it.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
+PHYSICAL_TOL = 1e-10  # slack of the unit-trace, PSD and POVM-completeness checks
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -67,3 +68,17 @@ def hermitian_min_eigvals(m: np.ndarray, tol: float) -> np.ndarray:
     if m.shape[-1] == 2:
         return eigvals_2x2(m)[..., 0]
     return np.linalg.eigvalsh((m + adjoint) / 2)[..., 0]
+
+
+def density_matrix(m, size: int, name: str) -> np.ndarray:
+    """m as a complex size x size array; ValidationError, naming it ``name``,
+    unless it has that shape, unit trace, and is Hermitian and PSD, each
+    within PHYSICAL_TOL. The one density-matrix check."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (size, size):
+        raise ValidationError(f"{name} must be a {size}x{size} matrix")
+    if abs(np.trace(m).real - 1) > PHYSICAL_TOL:
+        raise ValidationError(f"{name} must have unit trace")
+    if hermitian_min_eigvals(m, PHYSICAL_TOL) < -PHYSICAL_TOL:
+        raise ValidationError(f"{name} must be PSD")
+    return m

@@ -10,10 +10,16 @@ So the identity channel (primal) and the dual point H = 0 (bound
 form xi*(beta). One stacked eigenvalue call scores every target.
 
 That value is ``numeric_min``: the exact extractability (within the pair's
-gap) of a valid assemblage at CHSH value beta, hence a proven upper
-estimate of the minimum. That it is the minimum is checked numerically
-only. It is at least the analytic witness channel's fidelity, hence above
-the analytic lower bound (up to the constraint residual), and xi* lies on
+gap) of a valid assemblage at CHSH value beta. It is the minimum for one
+qubit block with uniform marginals, sigma_{a|x} = (I + (r + (-1)^a n_x) .
+sigma)/4, read at one angle theta <= pi/4 (theta > pi/4 mirrors it with X):
+the identity and conjugation by Z give Xi >= (2 + n0_z + |n1_x|)/4, and the
+least value of that at 2 cos(theta) n0_z + 2 sin(theta) n1_x = beta, over
+|n_x| <= 1 and then over theta, is xi*. It is not the device-independent
+(DI) minimum. A DI device may be a direct sum of such blocks, over which
+CHSH value and extractability are both additive, and mixing the block
+(beta, Xi) = (2, 3/4) with the reference (2 sqrt 2, 1) traces the analytic
+lower bound itself: that line is the DI minimum. xi* lies above it and on
 or below the interpolation upper bound (eq8), its tangent at 2 sqrt 2.
 """
 
@@ -207,8 +213,8 @@ def _records(betas) -> tuple:
 
 def min_extractability_at_beta(beta: float) -> SandwichRecord:
     """The exact extractability of the sharp/unsharp witness at CHSH value
-    beta: an upper estimate of the true minimum (up to the gap); the
-    certified, falsifiable direction is numeric >= analytic bound.
+    beta: the one-block minimum xi*(beta) (up to the gap); the certified,
+    falsifiable direction is numeric >= analytic bound.
     """
     return _records([beta])[0]
 

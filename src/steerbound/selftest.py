@@ -53,20 +53,20 @@ def first_interval(theta):
 
 def dephasing_channel(theta: float, c: float) -> ExtractionChannel:
     """Two-term dephasing channel (1+c)/2 rho + (1-c)/2 G rho G with
-    G = Z on [0, pi/4] and G = X on (pi/4, pi/2]. c outside [-1, 1] is
-    clamped and flagged rather than rejected.
+    G = Z on [0, pi/4] and G = X on (pi/4, pi/2]. ValidationError unless c
+    is finite and in [-1, 1], where the map is a channel.
 
     The Choi matrix of rho -> U rho U^dagger is |U>><<U| with
     |U>> = sum_i |i> (x) U|i>, the row-major flattening of U^T."""
     check_theta(theta)
-    clamped = not -1 <= c <= 1
-    c = min(1.0, max(-1.0, c))
+    if not -1 <= c <= 1:  # NaN fails too
+        raise ValidationError(f"dephasing coefficient c = {c} outside [-1, 1]")
     gamma = PAULI_Z if first_interval(theta) else PAULI_X
     choi = sum(
         w * np.outer(u.T.reshape(4), u.T.reshape(4).conj())
         for w, u in ((0.5 * (1 + c), I2), (0.5 * (1 - c), gamma))
     )
-    return ExtractionChannel(choi, clamped=clamped)
+    return ExtractionChannel(choi)
 
 
 def dephasing_coefficient(theta, s):
@@ -149,10 +149,13 @@ def theta_grid(size: int) -> np.ndarray:
     return np.sort(np.append(np.linspace(0, math.pi / 2, size), math.pi / 4))
 
 
+_BREAKPOINTS = theta_grid(2)  # 0, pi/4 and pi/2
+
+
 def _intercepts(s):
-    """(t(s), t0, t1) per s at the first minimiser of t0* + t1* over 0, pi/4
-    and pi/2, where ``theta_grid`` shows its minimum lies."""
-    t0, t1 = t_constraints(np.reshape(s, (-1, 1)), np.array([0, math.pi / 4, math.pi / 2]))
+    """(t(s), t0, t1) per s at the first minimiser of t0* + t1* over
+    ``_BREAKPOINTS``, where ``theta_grid`` shows its minimum lies."""
+    t0, t1 = t_constraints(np.reshape(s, (-1, 1)), _BREAKPOINTS)
     first = np.argmin(t0 + t1, axis=1)[:, None]
     t0, t1 = (np.take_along_axis(t, first, 1)[:, 0] for t in (t0, t1))
     return t0 + t1, t0, t1
@@ -194,45 +197,25 @@ def coefficient_search(s_grid) -> BoundCoefficients:
 
 def analytic_bound(beta: float) -> float:
     """Certified lower bound on extractability:
-    ((1+sqrt(2))/8) beta + (2-sqrt(2))/4."""
-    return (1 + math.sqrt(2)) / 8 * beta + (2 - math.sqrt(2)) / 4
+    (S_OPTIMAL beta + T_OPTIMAL)/2 = ((1+sqrt(2))/8) beta + (2-sqrt(2))/4."""
+    return (S_OPTIMAL * beta + T_OPTIMAL) / 2
 
 
 def bound_value(coeffs: BoundCoefficients, beta: float) -> float:
     return (coeffs.s * beta + coeffs.t) / 2
 
 
-def upper_bound(
-    beta: float,
-    f_c: float = TRIVIAL_CLASSICAL_FIDELITY,
-    beta_c: float = BETA_CLASSICAL,
-    beta_q: float = BETA_QUANTUM,
-) -> float:
-    """Interpolation upper bound: f_c at the classical bound, 1 at the
-    quantum bound, affine in between."""
-    if not beta_q > beta_c:
-        raise ValidationError("degenerate bounds: beta_c must be < beta_q")
-    return f_c + (1 - f_c) * (beta - beta_c) / (beta_q - beta_c)
+def upper_bound(beta: float) -> float:
+    """Interpolation upper bound: the classical fidelity at the classical
+    bound, 1 at the quantum bound, affine in between."""
+    f_c = TRIVIAL_CLASSICAL_FIDELITY
+    return f_c + (1 - f_c) * (beta - BETA_CLASSICAL) / (BETA_QUANTUM - BETA_CLASSICAL)
 
 
-def threshold(
-    coeffs: BoundCoefficients = None, f_c: float = TRIVIAL_CLASSICAL_FIDELITY
-) -> float:
+def threshold() -> float:
     """Violation above which the analytic bound beats the classical
-    fidelity: solves (s*beta + t)/2 = f_c."""
-    if coeffs is None:
-        coeffs = optimal_coefficients()
-    if coeffs.s <= 0:
-        raise ValidationError("threshold undefined for s <= 0")
-    return (2 * f_c - coeffs.t) / coeffs.s
-
-
-def require_uniform_marginals(asm: Assemblage, tol: float = 1e-6) -> None:
-    dev = asm.max_marginal_deviation()
-    if dev > tol:
-        raise ValidationError(
-            f"analytic bound assumes p(a|x) = 1/2; deviation {dev:.3e} exceeds {tol}"
-        )
+    fidelity: solves (S_OPTIMAL beta + T_OPTIMAL)/2 = TRIVIAL_CLASSICAL_FIDELITY."""
+    return (2 * TRIVIAL_CLASSICAL_FIDELITY - T_OPTIMAL) / S_OPTIMAL
 
 
 def extractability_with_channel(asm: Assemblage, channel: ExtractionChannel) -> float:
@@ -241,15 +224,14 @@ def extractability_with_channel(asm: Assemblage, channel: ExtractionChannel) -> 
     return float(np.vdot(channel.choi, fidelity_operator(asm)).real)
 
 
-def certified_lower_bound(
-    asm: Assemblage, theta: float, allow_nonuniform: bool = False
-) -> float:
+def certified_lower_bound(asm: Assemblage, theta: float) -> float:
     """Analytic lower bound on extractability from the CHSH value at theta.
 
-    Rejects assemblages with non-uniform outcome probabilities unless
-    overridden, since the certified statement assumes p(a|x) = 1/2.
+    ValidationError when some p(a|x) is more than 1e-6 from 1/2, since the
+    certified statement assumes p(a|x) = 1/2.
     """
-    if not allow_nonuniform:
-        require_uniform_marginals(asm)
+    dev = asm.max_marginal_deviation()
+    if dev > 1e-6:
+        raise ValidationError(f"analytic bound assumes p(a|x) = 1/2; deviation {dev:.3e} exceeds 1e-06")
     beta = chsh_functional(asm, BobObservables(theta))
     return analytic_bound(beta)

@@ -157,6 +157,14 @@ class TestClassical:
         with pytest.raises(ValidationError):
             from_classical(s)
 
+    @pytest.mark.parametrize(
+        "hidden", [{}, {1: projector(KET0)}, {0: np.eye(4) / 4}], ids=["none", "wrong-key", "4x4"]
+    )
+    def test_hidden_states_checked(self, hidden):
+        s = ClassicalStrategy(weights={0: 1.0}, response={(0, 0): 0, (0, 1): 0}, hidden_states=hidden)
+        with pytest.raises(ValidationError):
+            from_classical(s)
+
     def test_random_mixtures_are_valid(self, rng):
         for _ in range(25):
             n_lam = int(rng.integers(1, 5))

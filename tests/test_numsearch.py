@@ -312,6 +312,28 @@ class TestWitness:
         np.testing.assert_allclose(asm.elements, chsh_reference().elements, atol=1e-15)
 
 
+class TestTwoBlockDevice:
+    """A device-independent (DI) device may be a direct sum of qubit blocks,
+    over which CHSH value and extractability are both additive. Two blocks
+    reach the analytic line, so it is the DI minimum; xi*(beta), the
+    sandwich's numeric_min, is only the one-block minimum."""
+
+    def test_mixtures_lie_on_the_analytic_line(self):
+        block1 = Assemblage([[(I2 + sign * PAULI_Z) / 4, I2 / 4] for sign in (1, -1)])
+        block2 = chsh_reference()
+        assert max_violation_over_theta(block1) == (0.0, 2.0)
+        beta2 = max_violation_over_theta(block2)[1]
+        assert beta2 == pytest.approx(BETA_QUANTUM, abs=1e-15)
+        (xi1, _, gap1), (xi2, _, gap2) = extractabilities([block1, block2])
+        assert xi1 <= 0.75 <= xi1 + gap1
+        assert xi2 <= 1.0 <= xi2 + gap2
+        for q in (0.1, 0.42, 0.7):
+            beta = q * 2.0 + (1 - q) * beta2
+            xi, gap = q * xi1 + (1 - q) * xi2, q * gap1 + (1 - q) * gap2
+            assert xi <= analytic_bound(beta) <= xi + gap, q
+            assert xi + gap < xi_star(beta), q
+
+
 @pytest.fixture(scope="module")
 def default_report():
     return sandwich_sweep(SearchConfig())

@@ -68,9 +68,12 @@ class TestDephasingChannel:
             m = (g + g.conj().T) / 2
             np.testing.assert_allclose(ch.apply(m), ch.dual(m), atol=1e-12)
 
-    def test_clamping_flagged(self):
-        assert dephasing_channel(0.1, 1.5).clamped
-        assert not dephasing_channel(0.1, 0.5).clamped
+    def test_coefficient_outside_unit_interval_rejected(self):
+        for c in (math.nan, math.inf, -math.inf, 1.5, -1 - 1e-9):
+            with pytest.raises(ValidationError):
+                dephasing_channel(0.1, c)
+        for c in (1.0, -1.0):  # the identity and conjugation by Z
+            np.testing.assert_allclose(dephasing_channel(0.1, c).apply(PAULI_X), c * PAULI_X, atol=1e-15)
 
     def test_trace_preserving(self, rng):
         for theta in (0.1, 1.0):
@@ -291,10 +294,6 @@ class TestBoundFormulas:
         assert analytic_bound(t) == pytest.approx(TRIVIAL_CLASSICAL_FIDELITY, abs=1e-12)
         assert analytic_bound(t + 0.01) > TRIVIAL_CLASSICAL_FIDELITY
         assert analytic_bound(t - 0.01) < TRIVIAL_CLASSICAL_FIDELITY
-
-    def test_degenerate_upper_bound_rejected(self):
-        with pytest.raises(ValidationError):
-            upper_bound(2.5, beta_c=2.0, beta_q=2.0)
 
 
 class TestCertification:
