@@ -14,7 +14,6 @@ from steerbound import (
     THRESHOLD_BETA,
     TRIVIAL_CLASSICAL_FIDELITY,
     analytic_bound,
-    threshold,
     upper_bound,
 )
 from steerbound.steering import BETA_CLASSICAL, BETA_QUANTUM
@@ -33,13 +32,13 @@ def main():
 
     print("wrote bound_curves.csv (200 points)")
     print(f"classical floor      : {TRIVIAL_CLASSICAL_FIDELITY:.9f}")
-    print(f"threshold violation  : {threshold():.9f} (= 8 - 4*sqrt(2))")
+    print(f"threshold violation  : {THRESHOLD_BETA:.9f} (= 8 - 4*sqrt(2))")
     print(f"bound at threshold   : {analytic_bound(THRESHOLD_BETA):.9f}")
     print(f"bound at Tsirelson   : {analytic_bound(BETA_QUANTUM):.9f}")
 
     # sample a few rows for a quick look without a plotting tool
     print("\n  beta     lower    upper")
-    for beta in (2.0, 2.2, threshold(), 2.5, 2.7, BETA_QUANTUM):
+    for beta in (2.0, 2.2, THRESHOLD_BETA, 2.5, 2.7, BETA_QUANTUM):
         print(f"  {beta:.4f}  {analytic_bound(beta):.5f}  {upper_bound(beta):.5f}")
 
 

@@ -25,7 +25,6 @@ from .numsearch import (
     SandwichReport,
     SearchConfig,
     min_extractability_at_beta,
-    sample_assemblage,
     sandwich_sweep,
 )
 from .selftest import (
@@ -42,7 +41,6 @@ from .selftest import (
     inequality_margin,
     k_operators,
     t_constraints,
-    threshold,
     upper_bound,
 )
 from .steering import (

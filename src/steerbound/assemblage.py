@@ -41,8 +41,8 @@ class Assemblage:
     """Family of subnormalized 2x2 states sigma_{a|x}.
 
     ``elements[a, x]`` is sigma_{a|x}: a read-only complex array of shape
-    (outcomes, settings, 2, 2). Probabilities and normalized conditional
-    states are derived accessors.
+    (outcomes, settings, 2, 2) with finite entries. Probabilities and
+    normalized conditional states are derived accessors.
     """
 
     elements: np.ndarray = field(repr=False)
@@ -53,6 +53,10 @@ class Assemblage:
             raise ValidationError(
                 f"assemblage elements must be an (outcomes, settings, 2, 2) array, got shape {elements.shape}"
             )
+        finite = np.isfinite(elements)
+        if not finite.all():
+            nonfinite = [(int(a), int(x)) for a, x in np.argwhere(~finite.all(axis=(2, 3)))]
+            raise ValidationError(f"non-finite entries in sigma_(a|x) for (a, x) in {nonfinite}")
         elements.flags.writeable = False
         object.__setattr__(self, "elements", elements)
 
@@ -191,9 +195,9 @@ class ClassicalStrategy:
 
     def check(self) -> None:
         ws = list(self.weights.values())
-        if any(w < -PROB_FLOOR for w in ws):
+        if any(not w >= -PROB_FLOOR for w in ws):  # NaN fails too
             raise ValidationError("strategy weights must be nonnegative")
-        if abs(sum(ws) - 1) > 1e-12:
+        if not abs(sum(ws) - 1) <= 1e-12:
             raise ValidationError("strategy weights must sum to 1")
         if not self.weights.keys() <= self.hidden_states.keys():
             raise ValidationError("strategy needs a hidden state for every weight")
@@ -207,32 +211,24 @@ class ValidationReport:
     no_signaling_deviation: float
     normalization_deviation: float
     tol: float
-    nonfinite: tuple = ()  # (a, x) indices of elements with a NaN or infinite entry
     hermitian: bool = True  # every element within tol of its adjoint
 
     @property
     def passed(self) -> bool:
-        return (
-            not self.nonfinite
-            and self.hermitian
-            and self.psd_margin >= -self.tol
-            and self.no_signaling_deviation <= self.tol
-            and self.normalization_deviation <= self.tol
-        )
+        return not self.failures()
 
     def failures(self) -> list:
-        if self.nonfinite:
-            return [f"non-finite entries in sigma_(a|x) for (a, x) in {list(self.nonfinite)}"]
+        """One line per violated constraint; a NaN deviation (overflow) fails."""
         out = []
         if not self.hermitian:
             out.append(f"Hermiticity violated: a sigma_(a|x) differs from its adjoint by more than {self.tol:.3g}")
-        if self.psd_margin < -self.tol:
+        elif not self.psd_margin >= -self.tol:
             out.append(f"positivity violated: min eigenvalue {self.psd_margin:.3e}")
-        if self.no_signaling_deviation > self.tol:
+        if not self.no_signaling_deviation <= self.tol:
             out.append(
                 f"no-signaling violated: deviation {self.no_signaling_deviation:.3e}"
             )
-        if self.normalization_deviation > self.tol:
+        if not self.normalization_deviation <= self.tol:
             out.append(
                 f"normalization violated: deviation {self.normalization_deviation:.3e}"
             )
@@ -276,13 +272,10 @@ def from_classical(s: ClassicalStrategy) -> Assemblage:
 
 
 def validate(asm: Assemblage, tol: float = 1e-10) -> ValidationReport:
-    """Report PSD margins, no-signaling and normalization deviations, or
-    the elements with non-finite entries. An assemblage with an element
-    that is not Hermitian within tol fails, with no PSD margin (NaN)."""
-    finite = np.isfinite(asm.elements).all(axis=(2, 3))
-    if not finite.all():
-        nonfinite = tuple((int(a), int(x)) for a, x in np.argwhere(~finite))
-        return ValidationReport(math.nan, math.nan, math.nan, tol, nonfinite)
+    """Report PSD margins and no-signaling and normalization deviations
+    (every entry is finite: ``Assemblage`` refuses the rest). An assemblage
+    with an element that is not Hermitian within tol fails, with no PSD
+    margin (NaN)."""
     try:
         psd_margin, hermitian = float(hermitian_min_eigvals(asm.elements, tol).min()), True
     except ValidationError:

@@ -166,8 +166,6 @@ def fidelity_operator(asm: Assemblage) -> np.ndarray:
     """
     if asm.elements.shape != _REFERENCE.elements.shape:
         raise ValidationError("extractability needs a two-setting, two-outcome assemblage")
-    if not np.all(np.isfinite(asm.elements)):
-        raise ValidationError("assemblage has non-finite entries")
     p = np.trace(asm.elements, axis1=2, axis2=3).real
     live = p >= PROB_FLOOR
     weights = np.where(live, np.sqrt(_REFERENCE_P) / np.sqrt(np.where(live, p, 1.0)), 0.0)

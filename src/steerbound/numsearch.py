@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .assemblage import Assemblage, ValidationError, random_realization, realize
+from .assemblage import Assemblage, ValidationError
 from .fidelity import _ROUNDING, fidelity_operator
 from .matkernel import HERMITICITY_TOL, I2, PAULI_X, PAULI_Z, hermitian_min_eigvals
 from .selftest import analytic_bound, dephasing_channel, upper_bound
@@ -94,17 +94,6 @@ class SearchConfig:
         cfg = SearchConfig(**raw)
         cfg.check()
         return cfg
-
-
-# ---------------------------------------------------------------------------
-# Assemblage sampling
-
-def sample_assemblage(
-    rng: np.random.Generator, uniform_marginals: bool = False
-) -> Assemblage:
-    """Random valid quantum assemblage of ``random_realization``; with
-    ``uniform_marginals`` every p(a|x) is 1/2 (to rounding)."""
-    return realize(random_realization(rng, uniform_marginals=uniform_marginals))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .steering import BETA_CLASSICAL, BETA_QUANTUM, BobObservables, check_theta,
 S_OPTIMAL = (1 + math.sqrt(2)) / 4
 T_OPTIMAL = (2 - math.sqrt(2)) / 2
 TRIVIAL_CLASSICAL_FIDELITY = (2 + math.sqrt(2)) / 4
-THRESHOLD_BETA = 8 - 4 * math.sqrt(2)
+THRESHOLD_BETA = 8 - 4 * math.sqrt(2)  # where analytic_bound reaches TRIVIAL_CLASSICAL_FIDELITY
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,7 @@ def dephasing_channel(theta: float, c: float) -> ExtractionChannel:
     The Choi matrix of rho -> U rho U^dagger is |U>><<U| with
     |U>> = sum_i |i> (x) U|i>, the row-major flattening of U^T."""
     check_theta(theta)
-    if not -1 <= c <= 1:  # NaN fails too
-        raise ValidationError(f"dephasing coefficient c = {c} outside [-1, 1]")
+    _check_coefficient(c)
     gamma = PAULI_Z if first_interval(theta) else PAULI_X
     choi = sum(
         w * np.outer(u.T.reshape(4), u.T.reshape(4).conj())
@@ -70,16 +69,25 @@ def dephasing_channel(theta: float, c: float) -> ExtractionChannel:
 
 
 def dephasing_coefficient(theta, s):
-    """c(theta) = min{1, 4s sin(theta)} on the first interval and
-    min{1, 4s cos(theta)} on the second. Broadcasts over theta and s."""
+    """c(theta) = 4s sin(theta) on the first interval and 4s cos(theta) on
+    the second, clipped to [-1, 1], where the map is a channel: it saturates
+    at 1 for s >= 0 and at -1 for s < 0. Broadcasts over theta and s."""
     check_theta(theta)
-    return np.minimum(1.0, 4 * s * np.where(first_interval(theta), np.sin(theta), np.cos(theta)))
+    return np.clip(4 * s * np.where(first_interval(theta), np.sin(theta), np.cos(theta)), -1.0, 1.0)
+
+
+def _check_coefficient(c) -> None:
+    """ValidationError naming the first dephasing coefficient (of a float or
+    an array) outside [-1, 1]; NaN fails too."""
+    inside = (c >= -1) & (c <= 1)
+    if not (inside.all() if isinstance(inside, np.ndarray) else inside):
+        first = np.ravel(c)[~np.ravel(inside)][0]
+        raise ValidationError(f"dephasing coefficient c = {first} outside [-1, 1]")
 
 
 def _contractions(theta, c):
     """(kz, kx): how the channel shrinks the Z- and X-basis reference pairs;
-    Gamma's pair stays sharp, the other shrinks by c clamped to [-1, 1]."""
-    c = np.clip(c, -1.0, 1.0)
+    Gamma's pair stays sharp, the other shrinks by c."""
     first = first_interval(theta)
     return np.where(first, 1.0, c), np.where(first, c, 1.0)
 
@@ -87,6 +95,7 @@ def _contractions(theta, c):
 def k_operators(theta, c) -> np.ndarray:
     """Dual images K[..., a, x] of the reference conditional states: by
     self-duality, the channel applied to them (``_operator_stack`` at s = t = 0).
+    ValidationError unless every c is in [-1, 1].
     """
     return _operator_stack(0.0, 0.0, 0.0, theta, c)
 
@@ -108,6 +117,7 @@ def _operator_stack(s: float, t0, t1, theta, c) -> np.ndarray:
     (I + (-1)^a k_x P_x)/2 and T_{ax} = (-1)^a 2 v_x P_x, written entry by entry
     as alpha I + zeta Z + xi X: no per-operator (..., 2, 2) arrays, to save memory."""
     check_theta(theta)
+    _check_coefficient(c)
     theta, t0, t1, c = np.broadcast_arrays(theta, t0, t1, c)
     kz, kx = _contractions(theta, c)
     z = kz / 2 - 2 * s * np.cos(theta)
@@ -127,6 +137,7 @@ def inequality_margin(s: float, t0, t1, theta, c):
     Nonnegative iff the inequality holds at this theta. The operators are
     built from their definitions, so it cross-checks ``t_constraints``; each
     2x2 [[p, b], [b, q]] has smallest eigenvalue (p+q)/2 - hypot((p-q)/2, b).
+    ValidationError unless every c is in [-1, 1].
     """
     ops = _operator_stack(s, t0, t1, theta, c)
     p, q, b = ops[..., 0, 0], ops[..., 1, 1], ops[..., 0, 1]
@@ -210,12 +221,6 @@ def upper_bound(beta: float) -> float:
     bound, 1 at the quantum bound, affine in between."""
     f_c = TRIVIAL_CLASSICAL_FIDELITY
     return f_c + (1 - f_c) * (beta - BETA_CLASSICAL) / (BETA_QUANTUM - BETA_CLASSICAL)
-
-
-def threshold() -> float:
-    """Violation above which the analytic bound beats the classical
-    fidelity: solves (S_OPTIMAL beta + T_OPTIMAL)/2 = TRIVIAL_CLASSICAL_FIDELITY."""
-    return (2 * TRIVIAL_CLASSICAL_FIDELITY - T_OPTIMAL) / S_OPTIMAL
 
 
 def extractability_with_channel(asm: Assemblage, channel: ExtractionChannel) -> float:

@@ -8,6 +8,7 @@ with T_{00} = -T_{10} = 2cos(t)Z and T_{01} = -T_{11} = 2sin(t)X.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -52,31 +53,39 @@ def t_operators(obs: BobObservables) -> np.ndarray:
     return np.array([t0, -t0])
 
 
-def chsh_functional(asm: Assemblage, obs: BobObservables) -> float:
-    """Value of the CHSH steering functional on an assemblage."""
+def _chsh_coefficients(asm: Assemblage):
+    """(u, w) with beta(theta) = u cos(theta) + w sin(theta): u = 2 tr[Z(sigma_00
+    - sigma_10)] and w = 2 tr[X(sigma_01 - sigma_11)]. ValidationError unless
+    the assemblage is 2x2 and u and w are finite, each with an imaginary
+    residue of at most 1e-10. The one reader of the CHSH value."""
     if asm.outcomes != 2 or asm.settings != 2:
         raise ValidationError("CHSH functional requires |A| = |X| = 2")
-    total = np.einsum("axij,axji->", t_operators(obs), asm.elements)
-    if abs(total.imag) > 1e-10:
-        raise ValidationError(f"functional has imaginary residue {total.imag:.3e}")
-    return float(total.real)
+    d = (asm.elements[0] - asm.elements[1]).tolist()  # d[x] = sigma_{0|x} - sigma_{1|x}
+    u = 2 * (d[0][0][0] - d[0][1][1])
+    w = 2 * (d[1][0][1] + d[1][1][0])
+    if not (cmath.isfinite(u) and cmath.isfinite(w)):
+        raise ValidationError(f"CHSH coefficients not finite: u = {u}, w = {w}")
+    residue = max(abs(u.imag), abs(w.imag))
+    if residue > 1e-10:
+        raise ValidationError(f"functional has imaginary residue {residue:.3e}")
+    return u.real, w.real
+
+
+def chsh_functional(asm: Assemblage, obs: BobObservables) -> float:
+    """Value of the CHSH steering functional on an assemblage,
+    Tr[sum_{a,x} T_{ax} sigma_{a|x}] = u cos(theta) + w sin(theta)."""
+    u, w = _chsh_coefficients(asm)
+    return u * math.cos(obs.theta) + w * math.sin(obs.theta)
 
 
 def max_violation_over_theta(asm: Assemblage):
     """(theta*, beta*): the maximum of the functional over theta in [0, pi/2].
 
-    beta(theta) = u cos(theta) + w sin(theta) with u = 2 tr[Z(sigma_00 -
-    sigma_10)] and w = 2 tr[X(sigma_01 - sigma_11)]. For u, w > 0 the maximum
-    is hypot(u, w) at atan2(w, u); otherwise there is no interior maximum and
-    the better endpoint wins: theta* = 0 if u >= w, else pi/2.
+    For u, w > 0 (see ``_chsh_coefficients``) the maximum is hypot(u, w) at
+    atan2(w, u); otherwise there is no interior maximum and the better
+    endpoint wins: theta* = 0 if u >= w, else pi/2.
     """
-    if asm.outcomes != 2 or asm.settings != 2:
-        raise ValidationError("CHSH functional requires |A| = |X| = 2")
-    el = asm.elements
-    u = 2 * float(np.trace(PAULI_Z @ (el[0, 0] - el[1, 0])).real)
-    w = 2 * float(np.trace(PAULI_X @ (el[0, 1] - el[1, 1])).real)
-    if not (math.isfinite(u) and math.isfinite(w)):
-        raise ValidationError(f"CHSH coefficients not finite: u = {u}, w = {w}")
+    u, w = _chsh_coefficients(asm)
     if u > 0 and w > 0:
         theta = math.atan2(w, u)
     else:

@@ -26,10 +26,11 @@ from steerbound.fidelity import (
     state_fidelity,
 )
 from steerbound.matkernel import I2, PAULI_X, PAULI_Z
-from steerbound.numsearch import SearchConfig, sandwich_sweep, sample_assemblage
+from steerbound.numsearch import SearchConfig, sandwich_sweep
 from steerbound.selftest import (
     S_OPTIMAL,
     T_OPTIMAL,
+    THRESHOLD_BETA,
     analytic_bound,
     coefficient_search,
     dephasing_channel,
@@ -38,7 +39,6 @@ from steerbound.selftest import (
     inequality_margin,
     t_constraints,
     theta_grid,
-    threshold,
     upper_bound,
 )
 from steerbound.steering import (
@@ -89,7 +89,7 @@ def test_03_coefficient_recovery():
 def test_04_bound_endpoints_and_threshold():
     assert analytic_bound(2 * SQRT2) == pytest.approx(1.0, abs=1e-12)
     assert analytic_bound(8 - 4 * SQRT2) == pytest.approx((2 + SQRT2) / 4, abs=1e-12)
-    assert threshold() == pytest.approx(8 - 4 * SQRT2, abs=1e-9)
+    assert THRESHOLD_BETA == pytest.approx(8 - 4 * SQRT2, abs=1e-9)
     _report("bound endpoints and non-triviality threshold 8 - 4*sqrt(2)")
 
 
@@ -126,7 +126,7 @@ def test_06_sandwich_property():
 
 def test_07_per_instance_witness_chain():
     rng = np.random.default_rng(20240817)
-    assemblages = [sample_assemblage(rng, uniform_marginals=True) for _ in range(200)]
+    assemblages = [realize(random_realization(rng, uniform_marginals=True)) for _ in range(200)]
     worst_slack = math.inf
     for asm, (exact, _, gap) in zip(assemblages, extractabilities(assemblages)):
         theta, _ = max_violation_over_theta(asm)

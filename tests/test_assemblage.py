@@ -148,6 +148,11 @@ class TestClassical:
         with pytest.raises(ValidationError):
             from_classical(s)
 
+    def test_nan_weight_rejected(self):
+        s = ClassicalStrategy({0: math.nan}, {(0, 0): 0, (0, 1): 0}, {0: I2 / 2})
+        with pytest.raises(ValidationError, match="nonnegative"):
+            s.check()
+
     def test_response_out_of_range(self):
         s = ClassicalStrategy(
             weights={0: 1.0},
@@ -208,12 +213,16 @@ class TestValidate:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_names_non_finite_entries(self, bad):
+        # the constructor refuses them, so no report can hold one
         elements = chsh_reference().elements.copy()
         elements[1, 1] += bad
-        report = validate(Assemblage(elements))
-        assert not report.passed
-        assert report.nonfinite == ((1, 1),)
-        assert report.failures() == ["non-finite entries in sigma_(a|x) for (a, x) in [(1, 1)]"]
+        message = r"^non-finite entries in sigma_\(a\|x\) for \(a, x\) in \[\(1, 1\)\]$"
+        with pytest.raises(ValidationError, match=message):
+            Assemblage(elements)
+
+    def test_mix_with_nan_weight_rejected(self):
+        with pytest.raises(ValidationError, match=r"for \(a, x\) in \[\(0, 0\), \(0, 1\), \(1, 0\), \(1, 1\)\]$"):
+            chsh_reference().mix(chsh_reference(), math.nan)
 
     def test_names_hermiticity_failure(self):
         report = validate(_skewed_reference(), 1e-9)

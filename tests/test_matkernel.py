@@ -18,6 +18,11 @@ from steerbound.matkernel import (
 )
 from conftest import random_density, random_hermitian
 
+try:
+    from numpy.exceptions import ComplexWarning
+except ImportError:  # numpy < 1.25
+    from numpy import ComplexWarning
+
 SQRT2 = math.sqrt(2)
 TOL = 1e-12
 
@@ -97,3 +102,10 @@ class TestHermitianMinEigvals:
     def test_bad_shape_rejected(self, shape):
         with pytest.raises(ValidationError, match="2x2 or 4x4"):
             hermitian_min_eigvals(np.zeros(shape), TOL)
+
+
+def test_complex_warning_is_an_error():
+    # numpy's ComplexWarning (an imaginary part silently dropped) subclasses
+    # RuntimeWarning, which the pytest configuration turns into an error
+    with pytest.raises(ComplexWarning):
+        np.array([1j]).astype(float)

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from steerbound import fidelity
-from steerbound.assemblage import Assemblage, chsh_reference, from_classical, validate
+from steerbound.assemblage import (
+    Assemblage,
+    chsh_reference,
+    from_classical,
+    random_realization,
+    realize,
+    validate,
+)
 from steerbound.fidelity import (
     appendix_b_strategy,
     assemblage_fidelity,
@@ -20,7 +27,6 @@ from steerbound.numsearch import (
     SearchConfig,
     _witness_candidate,
     min_extractability_at_beta,
-    sample_assemblage,
     sandwich_sweep,
 )
 from steerbound.selftest import (
@@ -136,12 +142,12 @@ class TestConfig:
 class TestSampling:
     def test_samples_are_valid(self, rng):
         for _ in range(25):
-            asm = sample_assemblage(rng)
+            asm = realize(random_realization(rng))
             assert validate(asm).passed
 
     def test_uniform_marginal_mode(self, rng):
         for _ in range(25):
-            asm = sample_assemblage(rng, uniform_marginals=True)
+            asm = realize(random_realization(rng, uniform_marginals=True))
             assert asm.max_marginal_deviation() < 1e-10
 
 
@@ -197,7 +203,7 @@ class TestBestChannel:
     @pytest.mark.parametrize("uniform", [True, False])
     def test_seeded_gap_and_residual(self, rng, uniform):
         for _ in range(30):
-            asm = sample_assemblage(rng, uniform_marginals=uniform)
+            asm = realize(random_realization(rng, uniform_marginals=uniform))
             value, channel, gap = extractability(asm)
             self._check_certificate(value, channel, gap)
             assert gap <= 1e-12  # the last weight 1e13 leaves about 3e-13
@@ -209,7 +215,7 @@ class TestBestChannel:
             self._check_certificate(*extractability(asm))
 
     def test_bounded_eigendecompositions(self, monkeypatch):
-        asm = sample_assemblage(np.random.default_rng(5))
+        asm = realize(random_realization(np.random.default_rng(5)))
         calls = count_eigh(monkeypatch)
         extractability(asm)
         assert 0 < len(calls) <= EIGH_CAP
@@ -217,14 +223,14 @@ class TestBestChannel:
     def test_batched_eigendecompositions(self, monkeypatch):
         # the stage schedule is shared, so a batch costs no more calls than one item
         rng = np.random.default_rng(5)
-        batch = [sample_assemblage(rng) for _ in range(20)]
+        batch = [realize(random_realization(rng)) for _ in range(20)]
         calls = count_eigh(monkeypatch)
         extractabilities(batch)
         assert 0 < len(calls) <= EIGH_CAP
 
     def test_batch_matches_single_solves(self, rng):
-        batch = [sample_assemblage(rng, uniform_marginals=True) for _ in range(8)]
-        batch += [sample_assemblage(rng) for _ in range(8)]
+        batch = [realize(random_realization(rng, uniform_marginals=True)) for _ in range(8)]
+        batch += [realize(random_realization(rng)) for _ in range(8)]
         batch += [general_assemblage(rng) for _ in range(8)]
         batch += [chsh_reference(), from_classical(appendix_b_strategy())]
         results = extractabilities(batch)
@@ -242,7 +248,7 @@ class TestBestChannel:
             extractabilities([chsh_reference(), three_settings])
 
     def test_fidelity_matches_direct_evaluation(self, rng):
-        asm = sample_assemblage(rng, uniform_marginals=True)
+        asm = realize(random_realization(rng, uniform_marginals=True))
         value, channel, _ = extractability(asm)
         direct = assemblage_fidelity(chsh_reference(), channel.apply_elementwise(asm))
         assert value == pytest.approx(direct, abs=1e-12)
@@ -250,7 +256,7 @@ class TestBestChannel:
     def test_fidelity_after_kraus_agrees(self, rng):
         # the Choi form tr(J W) equals the fidelity of the mapped assemblage
         for _ in range(10):
-            asm = sample_assemblage(rng)
+            asm = realize(random_realization(rng))
             channels = [dephasing_channel(0.4, 0.6), dephasing_channel(1.2, -0.3)]
             channels.append(extractability(asm)[1])
             for ch in channels:
@@ -259,7 +265,7 @@ class TestBestChannel:
 
     def test_witness_never_beats_exact(self, rng):
         for _ in range(20):
-            asm = sample_assemblage(rng)
+            asm = realize(random_realization(rng))
             value, _, gap = extractability(asm)
             for theta, c in ((0.3, 0.5), (1.0, -0.2), (0.7, 1.0)):
                 witness = extractability_with_channel(asm, dephasing_channel(theta, c))

@@ -25,7 +25,6 @@ from steerbound.selftest import (
     optimal_coefficients,
     t_constraints,
     theta_grid,
-    threshold,
     upper_bound,
 )
 from steerbound.steering import BETA_CLASSICAL, BETA_QUANTUM, BobObservables, t_operators
@@ -69,9 +68,15 @@ class TestDephasingChannel:
             np.testing.assert_allclose(ch.apply(m), ch.dual(m), atol=1e-12)
 
     def test_coefficient_outside_unit_interval_rejected(self):
+        # dephasing_channel, k_operators and inequality_margin share one
+        # check, whose message names the first value that fails it
         for c in (math.nan, math.inf, -math.inf, 1.5, -1 - 1e-9):
-            with pytest.raises(ValidationError):
+            with pytest.raises(ValidationError, match=f"c = {c} outside"):
                 dephasing_channel(0.1, c)
+            with pytest.raises(ValidationError, match=f"c = {c} outside"):
+                k_operators(np.array([0.3, 0.4, 0.5]), np.array([0.5, c, -2.0]))
+            with pytest.raises(ValidationError, match=f"c = {c} outside"):
+                inequality_margin(S_OPTIMAL, 0.1, 0.1, 0.3, np.array([c, 0.2]))
         for c in (1.0, -1.0):  # the identity and conjugation by Z
             np.testing.assert_allclose(dephasing_channel(0.1, c).apply(PAULI_X), c * PAULI_X, atol=1e-15)
 
@@ -94,6 +99,9 @@ class TestCoefficientRule:
         assert dephasing_coefficient(math.pi / 4, s) == pytest.approx(
             min(1.0, 4 * s * math.sin(math.pi / 4)), abs=1e-12
         )
+        # saturates at 1 for s >= 0 and at -1 for s < 0, always a channel's c
+        assert dephasing_coefficient(math.pi / 4, 0.7) == 1.0
+        assert dephasing_coefficient(math.pi / 4, -0.7) == -1.0
 
     def test_k_operators_first_interval(self):
         c = dephasing_coefficient(0.3, S_OPTIMAL)
@@ -180,12 +188,12 @@ class TestInequalityMargins:
         assert m < -0.04
 
     def test_matches_operator_loop(self, rng):
-        # random shifts and contractions, both signs of s, c outside [-1, 1];
+        # random shifts and contractions, both signs of s, c across [-1, 1];
         # also against LAPACK's eigenvalues of the same built stack
         for s in rng.uniform(-1, 2, 20):
             thetas = rng.uniform(0, math.pi / 2, 50)
             t0, t1 = rng.uniform(-1, 1, (2, 50))
-            c = rng.uniform(-1.5, 1.5, 50)
+            c = rng.uniform(-1, 1, 50)
             batched = inequality_margin(s, t0, t1, thetas, c)
             lapack = np.linalg.eigvalsh(_operator_stack(s, t0, t1, thetas, c))[..., 0].min(axis=(-2, -1))
             np.testing.assert_allclose(batched, lapack, rtol=0, atol=1e-12)
@@ -286,11 +294,11 @@ class TestBoundFormulas:
             assert analytic_bound(float(beta)) <= upper_bound(float(beta)) + 1e-12
 
     def test_threshold_value(self):
-        assert threshold() == pytest.approx(8 - 4 * SQRT2, abs=1e-12)
-        assert threshold() == pytest.approx(2.34314575050762, abs=1e-11)
+        assert THRESHOLD_BETA == pytest.approx(8 - 4 * SQRT2, abs=1e-12)
+        assert THRESHOLD_BETA == pytest.approx(2.34314575050762, abs=1e-11)
 
     def test_threshold_is_crossover(self):
-        t = threshold()
+        t = THRESHOLD_BETA
         assert analytic_bound(t) == pytest.approx(TRIVIAL_CLASSICAL_FIDELITY, abs=1e-12)
         assert analytic_bound(t + 0.01) > TRIVIAL_CLASSICAL_FIDELITY
         assert analytic_bound(t - 0.01) < TRIVIAL_CLASSICAL_FIDELITY
@@ -315,11 +323,10 @@ class TestCertification:
         # on every uniform-marginal assemblage, and never beats the exact
         # extractability: analytic <= witness <= exact + gap
         from steerbound.fidelity import extractability
-        from steerbound.numsearch import sample_assemblage
         from steerbound.steering import max_violation_over_theta
 
         for _ in range(40):
-            asm = sample_assemblage(rng, uniform_marginals=True)
+            asm = realize(random_realization(rng, uniform_marginals=True))
             theta, beta = max_violation_over_theta(asm)
             c = dephasing_coefficient(theta, S_OPTIMAL)
             ch = dephasing_channel(theta, c)

@@ -67,6 +67,25 @@ class TestFunctional:
             expected = 2 * (math.cos(theta) + math.sin(theta))
             assert beta == pytest.approx(expected, abs=1e-12)
 
+    def test_matches_t_operators(self, rng):
+        # u cos(theta) + w sin(theta) is the definition Tr sum T_ax sigma_ax
+        for k in range(500):
+            asm = realize(random_realization(rng, uniform_marginals=k % 2 == 0))
+            obs = BobObservables(float(rng.uniform(0, math.pi / 2)))
+            definition = np.einsum("axij,axji->", t_operators(obs), asm.elements)
+            assert abs(chsh_functional(asm, obs) - definition.real) <= 1e-15
+
+    def test_imaginary_residue_rejected(self):
+        # sigma_{0|0} + 0.1i Z gives u = 2 tr[Z(sigma_00 - sigma_10)] an imaginary part 0.4
+        from steerbound.selftest import certified_lower_bound
+
+        elements = chsh_reference().elements.copy()
+        elements[0, 0] += 0.1j * PAULI_Z
+        asm = Assemblage(elements)
+        for read in (max_violation_over_theta, lambda a: certified_lower_bound(a, math.pi / 4)):
+            with pytest.raises(ValidationError, match="imaginary residue 4.000e-01"):
+                read(asm)
+
     def test_appendix_strategy_reaches_classical_bound(self):
         asm = from_classical(appendix_b_strategy())
         beta = chsh_functional(asm, BobObservables(math.pi / 4))
