@@ -84,10 +84,7 @@ def cmd_bound_curve(args) -> int:
 def cmd_verify_inequality(args) -> int:
     s, t_opt = args.s, selftest.T_OPTIMAL
     thetas = selftest.theta_grid(args.theta_points)
-    t0, t1 = selftest.t_constraints(s, thetas)
-    c = selftest.dephasing_coefficient(thetas, s)
-    margins = selftest.inequality_margin(s, t0, t_opt - t0, thetas, c)
-    g = t0 + t1
+    margins, g = selftest.split_margins(s, thetas, t_opt)
     # the first theta within 1e-12 of the least margin, so that an exact tie
     # is not decided by the last bit of the eigenvalue formula
     worst = margins.min()

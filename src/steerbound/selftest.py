@@ -73,7 +73,11 @@ def dephasing_coefficient(theta, s):
     the second, clipped to [-1, 1], where the map is a channel: it saturates
     at 1 for s >= 0 and at -1 for s < 0. Broadcasts over theta and s."""
     check_theta(theta)
-    return np.clip(4 * s * np.where(first_interval(theta), np.sin(theta), np.cos(theta)), -1.0, 1.0)
+    return _coefficient_rule(s, first_interval(theta), np.cos(theta), np.sin(theta))
+
+
+def _coefficient_rule(s, first, cos, sin):
+    return np.clip(4 * s * np.where(first, sin, cos), -1.0, 1.0)
 
 
 def _check_coefficient(c) -> None:
@@ -85,11 +89,28 @@ def _check_coefficient(c) -> None:
         raise ValidationError(f"dephasing coefficient c = {first} outside [-1, 1]")
 
 
-def _contractions(theta, c):
-    """(kz, kx): how the channel shrinks the Z- and X-basis reference pairs;
-    Gamma's pair stays sharp, the other shrinks by c."""
-    first = first_interval(theta)
-    return np.where(first, 1.0, c), np.where(first, c, 1.0)
+def _pauli_coefficients(s, first, cos, sin, c):
+    """(z, x) with K_{ax} - s T_{ax} = I/2 + (-1)^a z Z for x = 0 and
+    I/2 + (-1)^a x X for x = 1: K_{ax} = (I + (-1)^a k_x P_x)/2 and
+    T_{ax} = (-1)^a 2 v_x P_x, v = (cos, sin), so z = kz/2 - 2s cos(theta)
+    and x = kx/2 - 2s sin(theta). The channel keeps Gamma's pair sharp
+    (k = 1) and shrinks the other by c. Broadcasts."""
+    kz, kx = np.where(first, 1.0, c), np.where(first, c, 1.0)
+    return kz / 2 - 2 * s * cos, kx / 2 - 2 * s * sin
+
+
+def _rule_coefficients(s, theta):
+    """(c, z, x): the dephasing coefficient by its closed rule and
+    ``_pauli_coefficients`` at it, from one cosine and one sine per theta."""
+    check_theta(theta)
+    first, cos, sin = first_interval(theta), np.cos(theta), np.sin(theta)
+    c = _coefficient_rule(s, first, cos, sin)
+    return (c, *_pauli_coefficients(s, first, cos, sin, c))
+
+
+def _largest_shifts(z, x):
+    """(1/2 - |z|, 1/2 - |x|): (1/2 - t) I +/- z Z is PSD iff t <= 1/2 - |z|."""
+    return 0.5 - np.abs(z), 0.5 - np.abs(x)
 
 
 def k_operators(theta, c) -> np.ndarray:
@@ -106,22 +127,18 @@ def t_constraints(s, theta):
     coefficient set by its closed rule: K_{ax} - s T_{ax} - t I =
     (1/2 - t) I +/- (k_x/2 - 2 s v_x) P_x, v = (cos, sin), is PSD iff
     t <= (1 - |k_x - 4 s v_x|)/2."""
-    kz, kx = _contractions(theta, dephasing_coefficient(theta, s))
-    t0 = (1 - np.abs(kz - 4 * s * np.cos(theta))) / 2
-    t1 = (1 - np.abs(kx - 4 * s * np.sin(theta))) / 2
-    return t0, t1
+    _, z, x = _rule_coefficients(s, theta)
+    return _largest_shifts(z, x)
 
 
 def _operator_stack(s: float, t0, t1, theta, c) -> np.ndarray:
-    """K_{ax} - s T_{ax} - t_x I at [..., a, x], with K_{ax} =
-    (I + (-1)^a k_x P_x)/2 and T_{ax} = (-1)^a 2 v_x P_x, written entry by entry
-    as alpha I + zeta Z + xi X: no per-operator (..., 2, 2) arrays, to save memory."""
+    """K_{ax} - s T_{ax} - t_x I at [..., a, x], written entry by entry as
+    (1/2 - t_x) I + (-1)^a (z Z or x X) from ``_pauli_coefficients``: the
+    reference that LAPACK's eigenvalues check ``inequality_margin`` against."""
     check_theta(theta)
     _check_coefficient(c)
     theta, t0, t1, c = np.broadcast_arrays(theta, t0, t1, c)
-    kz, kx = _contractions(theta, c)
-    z = kz / 2 - 2 * s * np.cos(theta)
-    x = kx / 2 - 2 * s * np.sin(theta)
+    z, x = _pauli_coefficients(s, first_interval(theta), np.cos(theta), np.sin(theta), c)
     ops = np.zeros(theta.shape + (2, 2, 2, 2))
     for a, sign in enumerate((1, -1)):
         for i, (alpha, zeta, xi) in enumerate(((0.5 - t0, sign * z, 0), (0.5 - t1, 0, sign * x))):
@@ -132,16 +149,34 @@ def _operator_stack(s: float, t0, t1, theta, c) -> np.ndarray:
 
 
 def inequality_margin(s: float, t0, t1, theta, c):
-    """Smallest eigenvalue over the four operators K_{ax} - s T_{ax} - t_x I.
+    """Smallest eigenvalue over the four operators K_{ax} - s T_{ax} - t_x I,
+    in the broadcast shape of (theta, t0, t1, c).
 
-    Nonnegative iff the inequality holds at this theta. The operators are
-    built from their definitions, so it cross-checks ``t_constraints``; each
-    2x2 [[p, b], [b, q]] has smallest eigenvalue (p+q)/2 - hypot((p-q)/2, b).
-    ValidationError unless every c is in [-1, 1].
+    Nonnegative iff the inequality holds at this theta. Each operator is
+    alpha I + zeta Z + xi X with least eigenvalue alpha - hypot(zeta, xi);
+    here alpha = 1/2 - t_x and one of zeta, xi is zero, so the four margins
+    are 1/2 - t0 - |z| and 1/2 - t1 - |x| (twice each: the sign of a does
+    not change them), with z, x from ``_pauli_coefficients``. No matrix is
+    built. The margin is 0 at the shifts of ``t_constraints``, so at other
+    shifts it checks them against t0* and t1*; the tests check z and x
+    against the operators built from ``k_operators`` and
+    ``steering.t_operators``. ValidationError unless every c is in [-1, 1].
     """
-    ops = _operator_stack(s, t0, t1, theta, c)
-    p, q, b = ops[..., 0, 0], ops[..., 1, 1], ops[..., 0, 1]
-    return ((p + q) / 2 - np.hypot((p - q) / 2, b)).min(axis=(-2, -1))
+    check_theta(theta)
+    _check_coefficient(c)
+    z, x = _pauli_coefficients(s, first_interval(theta), np.cos(theta), np.sin(theta), c)
+    return np.minimum(0.5 - t0 - np.abs(z), 0.5 - t1 - np.abs(x))
+
+
+def split_margins(s: float, theta, t: float):
+    """(margins, t0* + t1*) over theta at one s: ``inequality_margin`` at the
+    split t0 = t0*(theta), t1 = t - t0*(theta) with the dephasing coefficient
+    by its closed rule, and the sum of ``t_constraints``, whose shifts and
+    coefficient come from one pass over theta. A margin is nonnegative iff
+    t0* + t1* >= t there, which is the paper's claim at (s, t)."""
+    c, z, x = _rule_coefficients(s, theta)
+    t0, t1 = _largest_shifts(z, x)
+    return inequality_margin(s, t0, t - t0, theta, c), t0 + t1
 
 
 def theta_grid(size: int) -> np.ndarray:
@@ -172,13 +207,29 @@ def _intercepts(s):
     return t0 + t1, t0, t1
 
 
+_SECTION_POINTS = 257  # per broadcast round: 256 sub-brackets
+_SECTION_ROUNDS = 5  # 256**5 ~ 1.1e12, so a bracket of width 1 narrows below 1e-12
+
+
 def coefficient_search(s_grid) -> BoundCoefficients:
     """Recover the optimal (s, t) pair by a search over s.
 
-    For each s the bound intercept t(s) = min_theta (t0* + t1*) is exact over
-    0, pi/4 and pi/2 (see ``theta_grid``), the whole s grid in one broadcast.
-    The bound at maximal violation, (s*beta_Q + t(s))/2, plateaus at 1 past the
-    optimum; the smallest grid s on the plateau is refined by bisection.
+    For each s the bound intercept t(s) = min_theta (t0* + t1*) is read from
+    ``t_constraints`` over 0, pi/4 and pi/2, where it is exact (see
+    ``theta_grid``), the whole s grid in one broadcast; the search checks
+    nothing against ``t_constraints``, and the tests check the pair it
+    returns against S_OPTIMAL and T_OPTIMAL. The bound at maximal violation,
+    (s*beta_Q + t(s))/2, plateaus at 1 past the optimum. The first grid s
+    within 1e-10 of the plateau is refined against the grid point before it
+    by k-section: each round evaluates the bound on ``_SECTION_POINTS``
+    points across the bracket in one broadcast and keeps the first
+    sub-bracket that reaches the plateau. It stops at a width of 1e-12
+    (relative to |s| above 1) or after ``_SECTION_ROUNDS`` rounds, so it
+    returns on any finite grid, also where rounding noise on the plateau
+    exceeds 1e-10 (|s| of about 1e5 and more). The upper end is returned.
+    Below the optimum t(s) = 3/2 - 2s and the bound rises as
+    (sqrt(2) - 1) s, so that end lies 1e-10/(sqrt(2) - 1), about 2.4e-10,
+    below S_OPTIMAL.
     """
     s_values = np.array(sorted(float(s) for s in s_grid))
     if not len(s_values) or not np.isfinite(s_values).all():
@@ -188,19 +239,16 @@ def coefficient_search(s_grid) -> BoundCoefficients:
         return (s * BETA_QUANTUM + _intercepts(s)[0]) / 2
 
     values = bound_at_max(s_values)
-    best_value = values.max()
-    idx = int(np.argmax(values >= best_value - 1e-10))
-    s_star = s_values[idx]
-
-    if idx > 0 and values[idx - 1] < best_value - 1e-10:
-        lo, hi = s_values[idx - 1], s_star
-        while hi - lo > 1e-12:
-            mid = (lo + hi) / 2
-            if bound_at_max(mid)[0] >= best_value - 1e-10:
-                hi = mid
-            else:
-                lo = mid
-        s_star = hi
+    plateau = values.max() - 1e-10
+    idx = int(np.argmax(values >= plateau))
+    lo, s_star = s_values[max(idx - 1, 0)], s_values[idx]
+    for _ in range(_SECTION_ROUNDS):
+        if s_star - lo <= 1e-12 * max(1.0, abs(s_star)):
+            break
+        points = np.linspace(lo, s_star, _SECTION_POINTS)
+        # the ends are known to be off and on the plateau
+        j = 1 + int(np.argmax(np.append(bound_at_max(points[1:-1]) >= plateau, True)))
+        lo, s_star = points[j - 1], points[j]
 
     _, t0, t1 = _intercepts(s_star)
     return BoundCoefficients(float(s_star), float(t0[0]), float(t1[0]))

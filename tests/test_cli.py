@@ -163,6 +163,18 @@ def test_certificate_output_is_pinned(argv, capsys):
     assert capsys.readouterr() == (out, err)
 
 
+def test_verify_builds_no_operator_matrices(monkeypatch, capsys):
+    # the margins come from Pauli coefficients; no 2x2 operator is built
+    def refuse(*args):
+        raise AssertionError("operator matrices built")
+
+    monkeypatch.setattr(selftest, "_operator_stack", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    code, out, err = GOLDEN[("verify-inequality",)]
+    assert main(["verify-inequality"]) == code
+    assert capsys.readouterr() == (out, err)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,4 +1,6 @@
 import math
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from steerbound.assemblage import chsh_reference, random_realization, realize
 from steerbound.fidelity import assemblage_fidelity
 from steerbound.matkernel import I2, PAULI_X, PAULI_Z, ValidationError
+from steerbound import selftest
 from steerbound.selftest import (
     _intercepts,
     _operator_stack,
@@ -23,6 +26,7 @@ from steerbound.selftest import (
     inequality_margin,
     k_operators,
     optimal_coefficients,
+    split_margins,
     t_constraints,
     theta_grid,
     upper_bound,
@@ -201,6 +205,37 @@ class TestInequalityMargins:
                 expected = _margin_by_operators(s, t0[i], t1[i], thetas[i], c[i])
                 assert batched[i] == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "theta, t0, t1, c, shape",
+        [
+            (0.3, 0.1, 0.2, 0.5, ()),
+            (np.linspace(0, 1, 4), 0.1, 0.2, 0.5, (4,)),
+            (0.3, np.zeros((3, 1)), 0.2, 0.5, (3, 1)),
+            (0.3, 0.1, np.zeros(5), np.linspace(-1, 1, 5), (5,)),
+            (np.linspace(0, 1, 4), np.zeros((3, 1)), 0.2, np.full((2, 1, 1), 0.5), (2, 3, 4)),
+        ],
+    )
+    def test_broadcast_shape(self, theta, t0, t1, c, shape):
+        # the shape numpy broadcasts (theta, t0, t1, c) to, and the same
+        # values as the one-point call at each entry
+        margins = inequality_margin(S_OPTIMAL, t0, t1, theta, c)
+        assert np.shape(margins) == shape
+        args = np.broadcast_arrays(t0, t1, theta, c)
+        for index in np.ndindex(shape):
+            point = [float(a[index]) for a in args]
+            assert margins[index] == inequality_margin(S_OPTIMAL, *point)
+
+    def test_split_margins_match_public_calls(self):
+        # the one-pass sweep behind verify-inequality against t_constraints,
+        # dephasing_coefficient and inequality_margin called separately
+        thetas = theta_grid(1000)
+        for s in (-0.3, 0.2, S_OPTIMAL, 0.6036, 0.9):
+            t0, t1 = t_constraints(s, thetas)
+            c = dephasing_coefficient(thetas, s)
+            margins, g = split_margins(s, thetas, T_OPTIMAL)
+            np.testing.assert_array_equal(g, t0 + t1)
+            np.testing.assert_array_equal(margins, inequality_margin(s, t0, T_OPTIMAL - t0, thetas, c))
+
     def test_tight_for_any_s(self, rng):
         # t_constraints is the largest shift: margin 0 at every theta, for any s
         for s in rng.uniform(-1, 2, 50):
@@ -249,10 +284,68 @@ class TestCoefficientSearch:
             assert got == (t0[i] + t1[i], t0[i], t1[i]), s
 
     def test_recovers_optimum(self):
+        # the search returns where the bound at maximal violation comes within
+        # 1e-10 of its plateau 1; below S_OPTIMAL, t(s) = 3/2 - 2s and the
+        # bound rises as (sqrt(2) - 1) s, so that point is 1e-10/(sqrt(2) - 1)
+        # below S_OPTIMAL, and (s, t) lies on the line through the optimum
         coeffs = coefficient_search(np.linspace(0.0, 0.8, 512))
-        assert coeffs.s == pytest.approx(S_OPTIMAL, abs=1e-8)
-        assert coeffs.t == pytest.approx(T_OPTIMAL, abs=1e-8)
-        assert bound_value(coeffs, BETA_QUANTUM) == pytest.approx(1.0, abs=1e-9)
+        assert abs(coeffs.s + 1e-10 / (SQRT2 - 1) - S_OPTIMAL) <= 1e-12
+        assert abs(coeffs.t - 2 * (S_OPTIMAL - coeffs.s) - T_OPTIMAL) <= 1e-12
+        assert abs(bound_value(coeffs, BETA_QUANTUM) - (1 - 1e-10)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 512, 4096])
+    def test_ksection_matches_bisection(self, n):
+        # the broadcast k-section against the scalar bisection it replaced
+        s_values = np.linspace(0.0, 0.8, n)
+
+        def bound_at_max(s):
+            return (s * BETA_QUANTUM + _intercepts(s)[0]) / 2
+
+        values = bound_at_max(s_values)
+        plateau = values.max() - 1e-10
+        idx = int(np.argmax(values >= plateau))
+        lo, hi = s_values[idx - 1], s_values[idx]
+        while hi - lo > 1e-12:
+            mid = (lo + hi) / 2
+            if bound_at_max(mid)[0] >= plateau:
+                hi = mid
+            else:
+                lo = mid
+        assert abs(coefficient_search(s_values).s - hi) <= 1e-12
+
+    def test_refinement_is_a_few_broadcasts(self, monkeypatch):
+        # one call for the grid, at most five for the refinement, one for the
+        # returned (t0, t1)
+        calls = []
+
+        def counted(s):
+            calls.append(np.size(s))
+            return _intercepts(s)
+
+        monkeypatch.setattr(selftest, "_intercepts", counted)
+        coefficient_search(np.linspace(0.0, 0.8, 2))
+        assert 3 <= len(calls) <= 7
+        assert calls[0] == 2 and calls[-1] == 1
+        assert all(size > 1 for size in calls[1:-1])
+
+    @pytest.mark.parametrize("s_grid", [np.linspace(1e5, 1e6, 64), np.linspace(0, 1e8, 512)])
+    def test_large_s_grid_returns(self, s_grid):
+        # rounding noise of about 1e-10 on the plateau brackets s where the
+        # float spacing exceeds 1e-12; the refinement must still end
+        def hang(signum, frame):
+            raise TimeoutError("coefficient_search did not return")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(20)
+        try:
+            start = time.perf_counter()
+            coeffs = coefficient_search(s_grid)
+            elapsed = time.perf_counter() - start
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert elapsed < 1.0
+        assert np.isfinite([coeffs.s, coeffs.t0, coeffs.t1]).all()
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError):
