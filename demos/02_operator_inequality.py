@@ -7,9 +7,9 @@ operators positive semidefinite. The paper's claim is that the split
 t0 = t0*(theta), t1 = t - t0*(theta) works at every theta for
 t = (2 - sqrt(2))/2, i.e. that min over theta of t0* + t1* is at least t.
 The grid holds 0, pi/4 and pi/2, where t0* + t1* takes its minimum, so
-its minimum is exact; a
-batched eigen-solve of the operators cross-checks the closed form, and
-pushing t past the optimum makes the check fail.
+its minimum is exact. The margin at that split is each operator's least
+eigenvalue in closed form, read from its Pauli coefficients without
+building a matrix, and pushing t past the optimum makes the check fail.
 """
 
 import math

@@ -84,9 +84,11 @@ def cmd_bound_curve(args) -> int:
 def cmd_verify_inequality(args) -> int:
     s, t_opt = args.s, selftest.T_OPTIMAL
     thetas = selftest.theta_grid(args.theta_points)
-    margins, g = selftest.split_margins(s, thetas, t_opt)
+    g = sum(selftest.t_constraints(s, thetas))
+    # the least eigenvalue of the four operators at t0 = t0*, t1 = t - t0*
+    margins = np.minimum(g - t_opt, 0)
     # the first theta within 1e-12 of the least margin, so that an exact tie
-    # is not decided by the last bit of the eigenvalue formula
+    # is not decided by the last bit of the margin formula
     worst = margins.min()
     print(f"worst margin {worst:.3e} at theta = {thetas[np.argmax(margins <= worst + 1e-12)]:.9g} (s = {_fmt(s)})")
     first = selftest.first_interval(thetas)

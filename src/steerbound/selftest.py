@@ -42,10 +42,6 @@ class BoundCoefficients:
         return self.t0 + self.t1
 
 
-def optimal_coefficients() -> BoundCoefficients:
-    return BoundCoefficients(S_OPTIMAL, T_OPTIMAL / 2, T_OPTIMAL / 2)
-
-
 def first_interval(theta):
     """Gamma = Z on [0, pi/4], pi/4 included; Gamma = X on (pi/4, pi/2]."""
     return theta <= math.pi / 4
@@ -99,53 +95,31 @@ def _pauli_coefficients(s, first, cos, sin, c):
     return kz / 2 - 2 * s * cos, kx / 2 - 2 * s * sin
 
 
-def _rule_coefficients(s, theta):
-    """(c, z, x): the dephasing coefficient by its closed rule and
-    ``_pauli_coefficients`` at it, from one cosine and one sine per theta."""
-    check_theta(theta)
-    first, cos, sin = first_interval(theta), np.cos(theta), np.sin(theta)
-    c = _coefficient_rule(s, first, cos, sin)
-    return (c, *_pauli_coefficients(s, first, cos, sin, c))
-
-
-def _largest_shifts(z, x):
-    """(1/2 - |z|, 1/2 - |x|): (1/2 - t) I +/- z Z is PSD iff t <= 1/2 - |z|."""
-    return 0.5 - np.abs(z), 0.5 - np.abs(x)
-
-
 def k_operators(theta, c) -> np.ndarray:
-    """Dual images K[..., a, x] of the reference conditional states: by
-    self-duality, the channel applied to them (``_operator_stack`` at s = t = 0).
-    ValidationError unless every c is in [-1, 1].
-    """
-    return _operator_stack(0.0, 0.0, 0.0, theta, c)
+    """Dual images K[..., a, x] = (I + (-1)^a k_x P_x)/2 of the reference
+    conditional states, P = (Z, X), k = (1, c) on [0, pi/4] and (c, 1) past
+    it: by self-duality, the channel applied to them. Broadcasts over theta
+    and c. ValidationError unless every c is in [-1, 1]."""
+    check_theta(theta)
+    _check_coefficient(c)
+    first = first_interval(theta)
+    k = np.stack([np.where(first, 1.0, c), np.where(first, c, 1.0)], axis=-1)
+    signed = np.stack([k, -k], axis=-2)[..., None, None]  # [..., a, x, 1, 1]
+    return (I2.real + signed * np.stack([PAULI_Z.real, PAULI_X.real])) / 2
 
 
 def t_constraints(s, theta):
     """Largest shifts (t0*, t1*), possibly negative, keeping all four
-    operator inequalities PSD at each theta and s (broadcast), with the dephasing
-    coefficient set by its closed rule: K_{ax} - s T_{ax} - t I =
-    (1/2 - t) I +/- (k_x/2 - 2 s v_x) P_x, v = (cos, sin), is PSD iff
-    t <= (1 - |k_x - 4 s v_x|)/2."""
-    _, z, x = _rule_coefficients(s, theta)
-    return _largest_shifts(z, x)
-
-
-def _operator_stack(s: float, t0, t1, theta, c) -> np.ndarray:
-    """K_{ax} - s T_{ax} - t_x I at [..., a, x], written entry by entry as
-    (1/2 - t_x) I + (-1)^a (z Z or x X) from ``_pauli_coefficients``: the
-    reference that LAPACK's eigenvalues check ``inequality_margin`` against."""
+    operator inequalities PSD at each theta and s (broadcast), with the
+    dephasing coefficient set by its closed rule: K_{ax} - s T_{ax} - t I =
+    (1/2 - t) I +/- (z Z or x X), with z, x from ``_pauli_coefficients``, is
+    PSD iff t <= 1/2 - |z| or 1/2 - |x|. So the least eigenvalue of the four
+    operators at the shifts t0 = t0*, t1 = t - t0* is min(0, t0* + t1* - t):
+    the inequality holds at (s, t) iff min over theta of t0* + t1* >= t."""
     check_theta(theta)
-    _check_coefficient(c)
-    theta, t0, t1, c = np.broadcast_arrays(theta, t0, t1, c)
-    z, x = _pauli_coefficients(s, first_interval(theta), np.cos(theta), np.sin(theta), c)
-    ops = np.zeros(theta.shape + (2, 2, 2, 2))
-    for a, sign in enumerate((1, -1)):
-        for i, (alpha, zeta, xi) in enumerate(((0.5 - t0, sign * z, 0), (0.5 - t1, 0, sign * x))):
-            ops[..., a, i, 0, 0] = alpha + zeta
-            ops[..., a, i, 1, 1] = alpha - zeta
-            ops[..., a, i, 0, 1] = ops[..., a, i, 1, 0] = xi
-    return ops
+    first, cos, sin = first_interval(theta), np.cos(theta), np.sin(theta)
+    z, x = _pauli_coefficients(s, first, cos, sin, _coefficient_rule(s, first, cos, sin))
+    return 0.5 - np.abs(z), 0.5 - np.abs(x)
 
 
 def inequality_margin(s: float, t0, t1, theta, c):
@@ -158,25 +132,14 @@ def inequality_margin(s: float, t0, t1, theta, c):
     are 1/2 - t0 - |z| and 1/2 - t1 - |x| (twice each: the sign of a does
     not change them), with z, x from ``_pauli_coefficients``. No matrix is
     built. The margin is 0 at the shifts of ``t_constraints``, so at other
-    shifts it checks them against t0* and t1*; the tests check z and x
-    against the operators built from ``k_operators`` and
+    shifts it checks them against t0* and t1*; the tests check it against
+    the eigenvalues of the operators built from ``k_operators`` and
     ``steering.t_operators``. ValidationError unless every c is in [-1, 1].
     """
     check_theta(theta)
     _check_coefficient(c)
     z, x = _pauli_coefficients(s, first_interval(theta), np.cos(theta), np.sin(theta), c)
     return np.minimum(0.5 - t0 - np.abs(z), 0.5 - t1 - np.abs(x))
-
-
-def split_margins(s: float, theta, t: float):
-    """(margins, t0* + t1*) over theta at one s: ``inequality_margin`` at the
-    split t0 = t0*(theta), t1 = t - t0*(theta) with the dephasing coefficient
-    by its closed rule, and the sum of ``t_constraints``, whose shifts and
-    coefficient come from one pass over theta. A margin is nonnegative iff
-    t0* + t1* >= t there, which is the paper's claim at (s, t)."""
-    c, z, x = _rule_coefficients(s, theta)
-    t0, t1 = _largest_shifts(z, x)
-    return inequality_margin(s, t0, t - t0, theta, c), t0 + t1
 
 
 def theta_grid(size: int) -> np.ndarray:
@@ -219,17 +182,18 @@ def coefficient_search(s_grid) -> BoundCoefficients:
     ``theta_grid``), the whole s grid in one broadcast; the search checks
     nothing against ``t_constraints``, and the tests check the pair it
     returns against S_OPTIMAL and T_OPTIMAL. The bound at maximal violation,
-    (s*beta_Q + t(s))/2, plateaus at 1 past the optimum. The first grid s
-    within 1e-10 of the plateau is refined against the grid point before it
+    (s*beta_Q + t(s))/2, plateaus at 1 past the optimum. The plateau is
+    reached within max(1e-10, 16 eps max|s|), which covers the rounding of
+    the bound at the grid's largest |s| (both terms are of order |s|). The
+    first grid s that reaches it is refined against the grid point before it
     by k-section: each round evaluates the bound on ``_SECTION_POINTS``
     points across the bracket in one broadcast and keeps the first
     sub-bracket that reaches the plateau. It stops at a width of 1e-12
     (relative to |s| above 1) or after ``_SECTION_ROUNDS`` rounds, so it
-    returns on any finite grid, also where rounding noise on the plateau
-    exceeds 1e-10 (|s| of about 1e5 and more). The upper end is returned.
-    Below the optimum t(s) = 3/2 - 2s and the bound rises as
-    (sqrt(2) - 1) s, so that end lies 1e-10/(sqrt(2) - 1), about 2.4e-10,
-    below S_OPTIMAL.
+    returns on any finite grid. The upper end is returned. Below the
+    optimum t(s) = 3/2 - 2s and the bound rises as (sqrt(2) - 1) s, so on
+    grids with |s| below about 3e4 that end lies 1e-10/(sqrt(2) - 1), about
+    2.4e-10, below S_OPTIMAL.
     """
     s_values = np.array(sorted(float(s) for s in s_grid))
     if not len(s_values) or not np.isfinite(s_values).all():
@@ -239,7 +203,7 @@ def coefficient_search(s_grid) -> BoundCoefficients:
         return (s * BETA_QUANTUM + _intercepts(s)[0]) / 2
 
     values = bound_at_max(s_values)
-    plateau = values.max() - 1e-10
+    plateau = values.max() - max(1e-10, 16 * np.finfo(float).eps * np.abs(s_values).max())
     idx = int(np.argmax(values >= plateau))
     lo, s_star = s_values[max(idx - 1, 0)], s_values[idx]
     for _ in range(_SECTION_ROUNDS):

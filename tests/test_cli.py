@@ -112,16 +112,10 @@ class TestVerifyInequality:
         assert ("operator inequality verified" in out) == (code == 0)
         assert ("operator inequality FAILED" in err) == (code == 1)
 
-    @pytest.mark.parametrize("routine", ["closed form", "lapack"])
-    def test_worst_margin_tie_goes_to_first_theta(self, routine, monkeypatch, capsys):
+    def test_worst_margin_tie_goes_to_first_theta(self, capsys):
         # at this s the margins at theta = 0 and pi/2 are equal in exact
-        # arithmetic; the closed form makes pi/2 lower by an ulp, LAPACK makes
-        # 0 lower, and the printed angle must not depend on which is used
-        if routine == "lapack":
-            monkeypatch.setattr(
-                selftest, "inequality_margin",
-                lambda *args: np.linalg.eigvalsh(selftest._operator_stack(*args))[..., 0].min(axis=(-2, -1)),
-            )
+        # arithmetic, and the printed angle is the first of the tied ones
+        # whichever way rounding breaks the tie
         assert main(["verify-inequality", "--s", "-0.5755102040816326", "--theta-points", "2"]) == 1
         first = capsys.readouterr().out.splitlines()[0]
         assert first == "worst margin -9.439e-01 at theta = 0 (s = -0.575510204)"
@@ -145,6 +139,39 @@ GOLDEN = {
         "min t0* + t1* = 0.292761388 at theta = 0.785398163 against T_OPTIMAL = 0.292893219\n",
         "operator inequality FAILED\n",
     ),
+    ("verify-inequality", "--s", "0.5"): (
+        0,
+        "worst margin 0.000e+00 at theta = 0 (s = 0.5)\n"
+        "worst theta in [0, pi/4]: 0 (t0* + t1* = 0.5)\n"
+        "worst theta in (pi/4, pi/2]: 1.57079633 (t0* + t1* = 0.5)\n"
+        "min t0* + t1* = 0.5 at theta = 0 against T_OPTIMAL = 0.292893219\n"
+        "operator inequality verified\n",
+        "",
+    ),
+    ("verify-inequality", "--s", "0.7", "--theta-points", "7"): (
+        1,
+        "worst margin -2.728e-01 at theta = 0.785398163 (s = 0.7)\n"
+        "worst theta in [0, pi/4]: 0.785398163 (t0* + t1* = 0.0201010127)\n"
+        "worst theta in (pi/4, pi/2]: 1.04719755 (t0* + t1* = 0.0875644347)\n"
+        "min t0* + t1* = 0.0201010127 at theta = 0.785398163 against T_OPTIMAL = 0.292893219\n",
+        "operator inequality FAILED\n",
+    ),
+    ("verify-inequality", "--s", "-0.5755102040816326", "--theta-points", "2"): (
+        1,
+        "worst margin -9.439e-01 at theta = 0 (s = -0.575510204)\n"
+        "worst theta in [0, pi/4]: 0 (t0* + t1* = -0.651020408)\n"
+        "worst theta in (pi/4, pi/2]: 1.57079633 (t0* + t1* = -0.651020408)\n"
+        "min t0* + t1* = -0.651020408 at theta = 0 against T_OPTIMAL = 0.292893219\n",
+        "operator inequality FAILED\n",
+    ),
+    ("verify-inequality", "--s", "5"): (
+        1,
+        "worst margin -1.244e+01 at theta = 0.785398163 (s = 5)\n"
+        "worst theta in [0, pi/4]: 0.785398163 (t0* + t1* = -12.1421356)\n"
+        "worst theta in (pi/4, pi/2]: 0.785476711 (t0* + t1* = -12.1421356)\n"
+        "min t0* + t1* = -12.1421356 at theta = 0.785398163 against T_OPTIMAL = 0.292893219\n",
+        "operator inequality FAILED\n",
+    ),
     ("coefficient-search",): (
         0,
         "s = 0.60355339\n"
@@ -164,15 +191,25 @@ def test_certificate_output_is_pinned(argv, capsys):
 
 
 def test_verify_builds_no_operator_matrices(monkeypatch, capsys):
-    # the margins come from Pauli coefficients; no 2x2 operator is built
+    # the verdict comes from t0* + t1* alone, in one t_constraints call: no
+    # 2x2 operator is built, no margin or eigenvalue routine runs
     def refuse(*args):
         raise AssertionError("operator matrices built")
 
-    monkeypatch.setattr(selftest, "_operator_stack", refuse)
+    calls, original = [], selftest.t_constraints
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name in ("k_operators", "inequality_margin"):
+        monkeypatch.setattr(selftest, name, refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(selftest, "t_constraints", counted)
     code, out, err = GOLDEN[("verify-inequality",)]
     assert main(["verify-inequality"]) == code
     assert capsys.readouterr() == (out, err)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from steerbound.matkernel import I2, PAULI_X, PAULI_Z, ValidationError
 from steerbound import selftest
 from steerbound.selftest import (
     _intercepts,
-    _operator_stack,
+    BoundCoefficients,
     S_OPTIMAL,
     T_OPTIMAL,
     THRESHOLD_BETA,
@@ -25,8 +25,6 @@ from steerbound.selftest import (
     extractability_with_channel,
     inequality_margin,
     k_operators,
-    optimal_coefficients,
-    split_margins,
     t_constraints,
     theta_grid,
     upper_bound,
@@ -113,6 +111,24 @@ class TestCoefficientRule:
         np.testing.assert_allclose(ks[0, 0], (I2 + PAULI_Z) / 2, atol=1e-14)
         np.testing.assert_allclose(ks[0, 1], (I2 + c * PAULI_X) / 2, atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "theta, c, shape",
+        [
+            (0.3, 0.5, ()),
+            (np.linspace(0, math.pi / 2, 5), 0.5, (5,)),
+            (1.2, np.linspace(-1, 1, 3), (3,)),
+            (np.linspace(0, math.pi / 2, 4), np.linspace(-1, 1, 3)[:, None], (3, 4)),
+        ],
+    )
+    def test_k_operators_broadcast_shape(self, theta, c, shape):
+        # (..., a, x, 2, 2) over the broadcast shape of (theta, c), both
+        # intervals, and the same operators as the one-point call
+        ks = k_operators(theta, c)
+        assert ks.shape == shape + (2, 2, 2, 2)
+        args = np.broadcast_arrays(theta, c)
+        for index in np.ndindex(shape):
+            np.testing.assert_array_equal(ks[index], k_operators(*(float(a[index]) for a in args)))
+
     def test_k_operators_are_channel_images(self):
         # self-duality: K_{ax} equals the channel applied to the reference state
         ref = chsh_reference()
@@ -192,15 +208,14 @@ class TestInequalityMargins:
         assert m < -0.04
 
     def test_matches_operator_loop(self, rng):
-        # random shifts and contractions, both signs of s, c across [-1, 1];
-        # also against LAPACK's eigenvalues of the same built stack
+        # random shifts and contractions, both signs of s, c across [-1, 1],
+        # against LAPACK's eigenvalues of the operators built from their
+        # definitions, independent of the Pauli coefficients
         for s in rng.uniform(-1, 2, 20):
             thetas = rng.uniform(0, math.pi / 2, 50)
             t0, t1 = rng.uniform(-1, 1, (2, 50))
             c = rng.uniform(-1, 1, 50)
             batched = inequality_margin(s, t0, t1, thetas, c)
-            lapack = np.linalg.eigvalsh(_operator_stack(s, t0, t1, thetas, c))[..., 0].min(axis=(-2, -1))
-            np.testing.assert_allclose(batched, lapack, rtol=0, atol=1e-12)
             for i in range(50):
                 expected = _margin_by_operators(s, t0[i], t1[i], thetas[i], c[i])
                 assert batched[i] == pytest.approx(expected, abs=1e-12)
@@ -225,17 +240,6 @@ class TestInequalityMargins:
             point = [float(a[index]) for a in args]
             assert margins[index] == inequality_margin(S_OPTIMAL, *point)
 
-    def test_split_margins_match_public_calls(self):
-        # the one-pass sweep behind verify-inequality against t_constraints,
-        # dephasing_coefficient and inequality_margin called separately
-        thetas = theta_grid(1000)
-        for s in (-0.3, 0.2, S_OPTIMAL, 0.6036, 0.9):
-            t0, t1 = t_constraints(s, thetas)
-            c = dephasing_coefficient(thetas, s)
-            margins, g = split_margins(s, thetas, T_OPTIMAL)
-            np.testing.assert_array_equal(g, t0 + t1)
-            np.testing.assert_array_equal(margins, inequality_margin(s, t0, T_OPTIMAL - t0, thetas, c))
-
     def test_tight_for_any_s(self, rng):
         # t_constraints is the largest shift: margin 0 at every theta, for any s
         for s in rng.uniform(-1, 2, 50):
@@ -244,6 +248,17 @@ class TestInequalityMargins:
             c = dephasing_coefficient(thetas, s)
             margins = inequality_margin(s, t0, t1, thetas, c)
             np.testing.assert_allclose(margins, 0.0, atol=1e-12)
+
+    def test_split_margin_is_shift_sum_minus_t(self, rng):
+        # at the split t0 = t0*, t1 = t - t0* the least eigenvalue is
+        # min(0, t0* + t1* - t), the value verify-inequality prints
+        thetas = theta_grid(500)
+        for s in np.append(rng.uniform(-1, 2, 20), S_OPTIMAL):
+            t0, t1 = t_constraints(s, thetas)
+            c = dephasing_coefficient(thetas, s)
+            for t in (T_OPTIMAL, 0.0, 0.6):
+                margins = inequality_margin(s, t0, t - t0, thetas, c)
+                np.testing.assert_allclose(margins, np.minimum(t0 + t1 - t, 0), rtol=0, atol=1e-12)
 
 
 class TestCoefficientSearch:
@@ -328,10 +343,18 @@ class TestCoefficientSearch:
         assert calls[0] == 2 and calls[-1] == 1
         assert all(size > 1 for size in calls[1:-1])
 
-    @pytest.mark.parametrize("s_grid", [np.linspace(1e5, 1e6, 64), np.linspace(0, 1e8, 512)])
-    def test_large_s_grid_returns(self, s_grid):
-        # rounding noise of about 1e-10 on the plateau brackets s where the
-        # float spacing exceeds 1e-12; the refinement must still end
+    @pytest.mark.parametrize(
+        "s_grid, expected, tol",
+        [
+            # every point is past the optimum, so the first one is the answer
+            (np.linspace(1e5, 1e6, 64), 1e5, 0.0),
+            (np.linspace(0, 1e8, 512), S_OPTIMAL, 1e-5),
+        ],
+    )
+    def test_large_s_grid_returns(self, s_grid, expected, tol):
+        # the plateau values carry rounding noise above 1e-10 at this |s|,
+        # which the plateau tolerance covers, and the float spacing exceeds
+        # 1e-12, where the refinement must still end
         def hang(signum, frame):
             raise TimeoutError("coefficient_search did not return")
 
@@ -345,7 +368,8 @@ class TestCoefficientSearch:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert elapsed < 1.0
-        assert np.isfinite([coeffs.s, coeffs.t0, coeffs.t1]).all()
+        assert abs(coeffs.s - expected) <= tol
+        assert np.isfinite([coeffs.t0, coeffs.t1]).all()
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError):
@@ -370,7 +394,9 @@ class TestBoundFormulas:
         )
 
     def test_matches_coefficient_form(self):
-        coeffs = optimal_coefficients()
+        # the paper's pair with the (t0*, t1*) split at theta = 0
+        coeffs = BoundCoefficients(S_OPTIMAL, *map(float, t_constraints(S_OPTIMAL, 0.0)))
+        assert coeffs.t == pytest.approx(T_OPTIMAL, abs=1e-15)
         for beta in np.linspace(2.0, BETA_QUANTUM, 20):
             assert analytic_bound(float(beta)) == pytest.approx(
                 bound_value(coeffs, float(beta)), abs=1e-12
