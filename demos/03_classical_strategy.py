@@ -25,11 +25,9 @@ def main():
     print(f"closed form (2+sqrt(2))/4  : {(2 + math.sqrt(2)) / 4:.12f}")
 
     print("\noptimizing strategy (one deterministic response per lambda):")
-    for lam in sorted(strategy.weights):
-        resp = [strategy.response[(lam, x)] for x in range(ref.settings)]
-        rho = strategy.hidden_states[lam]
+    for lam, (weight, resp, rho) in enumerate(zip(strategy.weights, strategy.responses, strategy.hidden_states)):
         print(
-            f"  lambda={lam}  weight={strategy.weights[lam]:.3f}  responses={resp}"
+            f"  lambda={lam}  weight={weight:.3f}  responses={resp.tolist()}"
             f"  bloch_z={2 * rho[0, 0].real - 1:+.4f}"
         )
 

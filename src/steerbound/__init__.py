@@ -46,7 +46,6 @@ from .selftest import (
 from .steering import (
     BETA_CLASSICAL,
     BETA_QUANTUM,
-    BobObservables,
     chsh_functional,
     max_violation_over_theta,
     t_operators,

@@ -41,8 +41,8 @@ class Assemblage:
     """Family of subnormalized 2x2 states sigma_{a|x}.
 
     ``elements[a, x]`` is sigma_{a|x}: a read-only complex array of shape
-    (outcomes, settings, 2, 2) with finite entries. Probabilities and
-    normalized conditional states are derived accessors.
+    (outcomes, settings, 2, 2) with finite entries; p(a|x) is the trace of
+    ``elements[a, x]``.
     """
 
     elements: np.ndarray = field(repr=False)
@@ -67,15 +67,6 @@ class Assemblage:
     @property
     def settings(self) -> int:
         return self.elements.shape[1]
-
-    def prob(self, a: int, x: int) -> float:
-        return float(np.trace(self.elements[a, x]).real)
-
-    def conditional_state(self, a: int, x: int) -> np.ndarray:
-        p = self.prob(a, x)
-        if p < PROB_FLOOR:
-            raise ValidationError(f"conditional state undefined: p({a}|{x}) = 0")
-        return self.elements[a, x] / p
 
     def max_marginal_deviation(self) -> float:
         """max_{a,x} |p(a|x) - 1/|A||; zero for uniform-marginal assemblages."""
@@ -162,11 +153,11 @@ class QuantumRealization:
         """ValidationError unless the state is a 4x4 density matrix and the
         POVMs are valid; returns the state as a complex array and the POVMs
         stacked as M[x, a]."""
-        state = density_matrix(_complex_array(self.state, "shared state"), 4, "shared state")
+        state = density_matrix(_numeric_array(self.state, "shared state"), 4, "shared state")
         counts = {len(self.alice_povms.get(x, ())) for x in range(len(self.alice_povms))}
         if len(counts) != 1 or 0 in counts:
             raise ValidationError("POVMs must be keyed by settings 0, 1, ... with one common outcome count")
-        povms = _complex_array([self.alice_povms[x] for x in range(len(self.alice_povms))], "POVMs")
+        povms = _numeric_array([self.alice_povms[x] for x in range(len(self.alice_povms))], "POVMs")
         if povms.shape[2:] != (2, 2):
             raise ValidationError(f"POVM elements must be 2x2, got shape {povms.shape[2:]}")
         for x in np.flatnonzero(np.abs(povms.sum(axis=1) - I2).max(axis=(1, 2)) > PHYSICAL_TOL):
@@ -176,33 +167,40 @@ class QuantumRealization:
         return state, povms
 
 
-def _complex_array(value, name: str) -> np.ndarray:
-    """value as a complex ndarray; ValidationError if it is ragged or not numeric."""
+def _numeric_array(value, name: str, dtype=complex) -> np.ndarray:
+    """value as an ndarray of ``dtype``; ValidationError if it is ragged or not numeric."""
     try:
-        return np.asarray(value, dtype=complex)
+        return np.asarray(value, dtype=dtype)
     except (TypeError, ValueError) as err:
         raise ValidationError(f"{name} must be a numeric array") from err
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassicalStrategy:
-    """Hidden-variable strategy: weights p(lambda), deterministic responses
-    a = response[(lambda, x)], and hidden states rho_lambda."""
+    """Hidden-variable strategy over L values of lambda for two outcomes and
+    two settings: weights p(lambda), deterministic responses
+    a = responses[lambda, x], and hidden states rho_lambda."""
 
-    weights: dict  # lambda -> probability
-    response: dict  # (lambda, x) -> outcome a
-    hidden_states: dict  # lambda -> 2x2 density matrix
+    weights: np.ndarray  # (L,) probabilities
+    responses: np.ndarray  # (L, 2) outcomes, each 0 or 1
+    hidden_states: np.ndarray  # (L, 2, 2) density matrices
 
-    def check(self) -> None:
-        ws = list(self.weights.values())
-        if any(not w >= -PROB_FLOOR for w in ws):  # NaN fails too
-            raise ValidationError("strategy weights must be nonnegative")
-        if not abs(sum(ws) - 1) <= 1e-12:
+    def check(self) -> tuple:
+        """ValidationError unless the weights are a probability vector, the
+        responses an (L, 2) array of 0s and 1s and the hidden states L
+        density matrices; returns the three as arrays (responses as ints)."""
+        weights = _numeric_array(self.weights, "strategy weights", float)
+        if weights.ndim != 1 or not (weights >= -PROB_FLOOR).all():  # NaN fails too
+            raise ValidationError("strategy weights must be a vector of nonnegative numbers")
+        if not abs(weights.sum() - 1) <= 1e-12:
             raise ValidationError("strategy weights must sum to 1")
-        if not self.weights.keys() <= self.hidden_states.keys():
-            raise ValidationError("strategy needs a hidden state for every weight")
-        for lam, rho in self.hidden_states.items():
-            density_matrix(rho, 2, f"hidden state {lam}")
+        responses = _numeric_array(self.responses, "strategy responses", float)
+        if responses.shape != (len(weights), 2) or not np.isin(responses, (0, 1)).all():
+            raise ValidationError(f"strategy responses must be an (L, 2) array of 0s and 1s, L = {len(weights)}")
+        hidden = density_matrix(_numeric_array(self.hidden_states, "hidden states"), 2, "hidden state")
+        if hidden.shape != (len(weights), 2, 2):
+            raise ValidationError("strategy needs one hidden state for every weight")
+        return weights, responses.astype(int), hidden
 
 
 @dataclass(frozen=True)
@@ -258,17 +256,11 @@ def chsh_reference() -> Assemblage:
 
 
 def from_classical(s: ClassicalStrategy) -> Assemblage:
-    """sigma_{a|x} = sum_lambda p(lambda) [response(lambda,x)=a] rho_lambda,
-    two outcomes and two settings."""
-    s.check()
-    elements = np.zeros((2, 2, 2, 2), dtype=complex)
-    for lam, w in s.weights.items():
-        for x in range(2):
-            a = s.response[(lam, x)]
-            if not 0 <= a < 2:
-                raise ValidationError(f"response ({lam},{x}) -> {a} out of range")
-            elements[a, x] = elements[a, x] + w * s.hidden_states[lam]
-    return _require_valid(Assemblage(elements), 1e-10)
+    """sigma_{a|x} = sum_lambda p(lambda) [responses[lambda, x] = a] rho_lambda,
+    two outcomes and two settings, in one contraction over lambda."""
+    weights, responses, hidden = s.check()
+    chosen = np.eye(2)[responses]  # [lambda, x, a]: 1 where a is the response
+    return _require_valid(Assemblage(np.einsum("l,lxa,lij->axij", weights, chosen, hidden)), 1e-10)
 
 
 def validate(asm: Assemblage, tol: float = 1e-10) -> ValidationReport:

@@ -108,12 +108,10 @@ def cmd_classical_fidelity(args) -> int:
     ref = _load_assemblage(args.assemblage)
     value, strategy = classical_fidelity(ref)
     print(f"classical fidelity: {_fmt(value)}")
-    for lam in sorted(strategy.weights):
-        resp = [strategy.response[(lam, x)] for x in range(ref.settings)]
-        rho = strategy.hidden_states[lam]
+    for lam, (weight, resp, rho) in enumerate(zip(strategy.weights, strategy.responses, strategy.hidden_states)):
         print(
-            f"  lambda={lam} weight={_fmt(strategy.weights[lam])} "
-            f"responses={resp} state_diag=({_fmt(rho[0,0].real)}, {_fmt(rho[1,1].real)})"
+            f"  lambda={lam} weight={_fmt(weight)} "
+            f"responses={resp.tolist()} state_diag=({_fmt(rho[0,0].real)}, {_fmt(rho[1,1].real)})"
         )
     return 0
 

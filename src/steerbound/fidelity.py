@@ -5,7 +5,8 @@ reference, and the extractability of an assemblage.
 Both optima are solved exactly without an SDP solver. The classical one:
 for fixed deterministic responses the objective is linear in each hidden
 state, so each inner optimum is the top eigenvalue of a response-indexed
-operator, attained at the corresponding eigenvector. Extractability: the
+operator, attained at the corresponding eigenvector (one stacked
+eigendecomposition over the four responses). Extractability: the
 best fidelity to the CHSH reference over all channels on Bob's qubit is
 linear in the channel's 4x4 Choi matrix, and its dual has three real
 parameters, so a short barrier method solves it with a certified gap.
@@ -13,7 +14,6 @@ parameters, so a short barrier method solves it with a certified gap.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -38,74 +38,65 @@ from .matkernel import (
 )
 
 
-def state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
+def state_fidelity(rho: np.ndarray, sigma: np.ndarray):
     """Uhlmann-Jozsa fidelity, qubit closed form:
-    F = tr(rho sigma) + 2 sqrt(det rho * det sigma)."""
+    F = tr(rho sigma) + 2 sqrt(det rho * det sigma), for two density
+    matrices or for each pair in broadcast (..., 2, 2) stacks."""
     rho = density_matrix(rho, 2, "rho")
     sigma = density_matrix(sigma, 2, "sigma")
-    overlap = float(np.trace(rho @ sigma).real)
-    det_prod = max(0.0, float((np.linalg.det(rho) * np.linalg.det(sigma)).real))
-    return min(1.0, overlap + 2 * math.sqrt(det_prod))
+    overlap = np.trace(rho @ sigma, axis1=-2, axis2=-1).real
+    det_prod = np.maximum(0.0, (np.linalg.det(rho) * np.linalg.det(sigma)).real)
+    return np.minimum(1.0, overlap + 2 * np.sqrt(det_prod))
 
 
 def assemblage_fidelity(ref: Assemblage, other: Assemblage) -> float:
     """Average-over-settings fidelity between assemblages:
     (1/|X|) sum_{a,x} sqrt(p*(a|x) p(a|x)) F(rho*_{a|x}, rho_{a|x}).
 
-    Terms where either probability vanishes contribute zero.
+    Terms where either probability vanishes contribute zero. The terms are
+    summed x-major, one setting after another.
     """
-    if (ref.outcomes, ref.settings) != (other.outcomes, other.settings):
+    if ref.elements.shape != other.elements.shape:
         raise ValidationError("assemblages must share |A| and |X|")
-    total = 0.0
-    for x in range(ref.settings):
-        for a in range(ref.outcomes):
-            p_ref = ref.prob(a, x)
-            p = other.prob(a, x)
-            if p_ref < PROB_FLOOR or p < PROB_FLOOR:
-                continue
-            total += math.sqrt(p_ref * p) * state_fidelity(
-                ref.conditional_state(a, x), other.conditional_state(a, x)
-            )
-    return total / ref.settings
+    elements = [asm.elements.swapaxes(0, 1) for asm in (ref, other)]  # [x, a]
+    p_ref, p = (np.trace(e, axis1=2, axis2=3).real for e in elements)
+    live = (p_ref >= PROB_FLOOR) & (p >= PROB_FLOOR)
+    states_ref, states = (e[live] / q[live, None, None] for e, q in zip(elements, (p_ref, p)))
+    terms = np.sqrt(p_ref[live] * p[live]) * state_fidelity(states_ref, states)
+    return float(terms.sum()) / ref.settings
 
 
 def classical_fidelity(ref: Assemblage):
-    """Best fidelity of any classical assemblage with a pure reference.
+    """Best fidelity of any classical assemblage with a pure two-outcome,
+    two-setting reference.
 
-    Enumerates all |A|^|X| deterministic responses lambda. Each hidden
-    state enters linearly, so its optimum over the density-matrix simplex
-    sits at a pure state: the top eigenvector of
+    Each of the four deterministic responses lambda = (lambda_0, lambda_1)
+    enters with weight 1/4. Its hidden state enters linearly, so its
+    optimum over the density-matrix simplex sits at a pure state: the top
+    eigenvector of
 
-        M_lambda = sqrt(|A|)/(|X| |A|^|X|) * sum_x sqrt(p*(lambda_x|x)) rho*_{lambda_x|x}.
+        M_lambda = sqrt(2)/(2 * 4) * sum_x sqrt(p*(lambda_x|x)) rho*_{lambda_x|x},
 
-    Returns (value, strategy) where the strategy mixes all responses
-    uniformly with the maximizing pure hidden states.
+    all four from one stacked eigendecomposition. Returns (value, strategy)
+    where the strategy mixes the responses uniformly with the maximizing
+    pure hidden states. ValidationError unless the reference is 2x2 and its
+    elements are rank 1.
     """
-    n_a, n_x = ref.outcomes, ref.settings
+    if ref.elements.shape != (2, 2, 2, 2):
+        raise ValidationError("classical fidelity needs a two-setting, two-outcome reference")
     probs = np.trace(ref.elements, axis1=2, axis2=3).real
     live = probs >= PROB_FLOOR
     if (hermitian_min_eigvals(ref.elements[live] / probs[live, None, None], HERMITICITY_TOL) > 1e-9).any():
         raise ValidationError("classical_fidelity requires pure (rank-1) reference elements")
 
-    responses = list(itertools.product(range(n_a), repeat=n_x))
-    prefactor = math.sqrt(n_a) / (n_x * len(responses))
-    value = 0.0
-    weights, response, hidden = {}, {}, {}
-    for lam, resp in enumerate(responses):
-        m = np.zeros((2, 2), dtype=complex)
-        for x, a in enumerate(resp):
-            p = ref.prob(a, x)
-            if p >= PROB_FLOOR:
-                m += math.sqrt(p) * ref.conditional_state(a, x)
-        m *= prefactor
-        vals, vecs = np.linalg.eigh(m)  # Hermitian by construction
-        value += float(vals[-1])
-        top = vecs[:, -1]
-        weights[lam] = 1.0 / len(responses)
-        hidden[lam] = np.outer(top, top.conj())
-        for x, a in enumerate(resp):
-            response[(lam, x)] = a
-    return value, ClassicalStrategy(weights, response, hidden)
+    responses = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])  # [lambda, x]
+    safe = np.where(live, probs, 1.0)[..., None, None]
+    terms = np.where(live[..., None, None], np.sqrt(safe) * (ref.elements / safe), 0)  # [a, x]
+    m = terms[responses, [0, 1]].sum(axis=1) * (math.sqrt(2) / (2 * 4))
+    vals, vecs = np.linalg.eigh(m)  # Hermitian by construction
+    top = vecs[..., -1:]  # [lambda, i, 1]
+    hidden = top * top.conj().swapaxes(1, 2)
+    return float(vals[:, -1].sum()), ClassicalStrategy(np.full(4, 1 / 4), responses, hidden)
 
 
 def appendix_b_strategy() -> ClassicalStrategy:
@@ -113,12 +104,10 @@ def appendix_b_strategy() -> ClassicalStrategy:
     the CHSH-type reference: Alice copies the shared bit, Bob outputs a
     pure state polarized along +-(Z+X)/sqrt(2)."""
     diag = (PAULI_Z + PAULI_X) / math.sqrt(2)
-    rho_plus = (I2 + diag) / 2
-    rho_minus = (I2 - diag) / 2
     return ClassicalStrategy(
-        weights={0: 0.5, 1: 0.5},
-        response={(0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 1},
-        hidden_states={0: rho_plus, 1: rho_minus},
+        weights=np.array([0.5, 0.5]),
+        responses=np.array([[0, 0], [1, 1]]),
+        hidden_states=np.array([I2 + diag, I2 - diag]) / 2,
     )
 
 

@@ -71,14 +71,15 @@ def hermitian_min_eigvals(m: np.ndarray, tol: float) -> np.ndarray:
 
 
 def density_matrix(m, size: int, name: str) -> np.ndarray:
-    """m as a complex size x size array; ValidationError, naming it ``name``,
-    unless it has that shape, unit trace, and is Hermitian and PSD, each
-    within PHYSICAL_TOL. The one density-matrix check."""
+    """m as a complex size x size array, or a (..., size, size) stack of
+    them; ValidationError, naming it ``name``, unless it has that shape and
+    every matrix has unit trace and is Hermitian and PSD, each within
+    PHYSICAL_TOL. The one density-matrix check."""
     m = np.asarray(m, dtype=complex)
-    if m.shape != (size, size):
+    if m.shape[-2:] != (size, size):
         raise ValidationError(f"{name} must be a {size}x{size} matrix")
-    if abs(np.trace(m).real - 1) > PHYSICAL_TOL:
+    if (np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1) > PHYSICAL_TOL).any():
         raise ValidationError(f"{name} must have unit trace")
-    if hermitian_min_eigvals(m, PHYSICAL_TOL) < -PHYSICAL_TOL:
+    if (hermitian_min_eigvals(m, PHYSICAL_TOL) < -PHYSICAL_TOL).any():
         raise ValidationError(f"{name} must be PSD")
     return m

@@ -37,7 +37,7 @@ from .assemblage import Assemblage, ValidationError
 from .fidelity import _ROUNDING, fidelity_operator
 from .matkernel import HERMITICITY_TOL, I2, PAULI_X, PAULI_Z, hermitian_min_eigvals
 from .selftest import analytic_bound, dephasing_channel, upper_bound
-from .steering import BETA_CLASSICAL, BETA_QUANTUM, BobObservables, chsh_functional
+from .steering import BETA_CLASSICAL, BETA_QUANTUM, chsh_functional
 
 
 def _is_int(v) -> bool:
@@ -46,6 +46,13 @@ def _is_int(v) -> bool:
 
 def _is_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _check_beta(beta) -> None:
+    """ValidationError unless beta is a number in (2, 2 sqrt 2], with 1e-12
+    slack at the top: the targets the witness covers."""
+    if not _is_real(beta) or not BETA_CLASSICAL < beta <= BETA_QUANTUM + 1e-12:
+        raise ValidationError(f"beta target {beta!r} outside (2, 2*sqrt(2)]")
 
 
 @dataclass(frozen=True)
@@ -62,8 +69,7 @@ class SearchConfig:
         if not isinstance(self.beta_targets, (list, tuple)) or not self.beta_targets:
             raise ValidationError("beta_targets must be a nonempty list of numbers")
         for b in self.beta_targets:
-            if not _is_real(b) or not BETA_CLASSICAL < b <= BETA_QUANTUM + 1e-12:
-                raise ValidationError(f"beta target {b!r} outside (2, 2*sqrt(2)]")
+            _check_beta(b)
         if not _is_int(self.rng_seed) or self.rng_seed < 0:
             raise ValidationError(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
         if not _is_real(self.tolerance) or not _ROUNDING <= self.tolerance < math.inf:
@@ -103,8 +109,7 @@ def _witness_candidate(beta: float):
     """The sharp/unsharp witness at theta* = atan m: sigma_{a|0} =
     (I + (-1)^a Z)/4 and sigma_{a|1} = (I + (-1)^a m X)/4. m is clamped to
     1, because at 2 sqrt 2 the radicand beta^2/4 - 1 rounds to 1 + 2e-16."""
-    if not BETA_CLASSICAL < beta <= BETA_QUANTUM + 1e-12:
-        raise ValidationError(f"beta = {beta} outside (2, 2*sqrt(2)]")
+    _check_beta(beta)
     m = min(1.0, math.sqrt(beta * beta / 4 - 1))
     asm = Assemblage([[(I2 + sign * PAULI_Z) / 4, (I2 + sign * m * PAULI_X) / 4] for sign in (1, -1)])
     return asm, math.atan(m)
@@ -188,7 +193,7 @@ def _records(betas) -> tuple:
             numeric_min=value,
             analytic_lower=analytic_bound(beta),
             eq8_upper=upper_bound(beta),
-            residual=abs(chsh_functional(asm, BobObservables(theta)) - beta),
+            residual=abs(chsh_functional(asm, theta) - beta),
             gap=gap,
             winner="witness",
             witness={

@@ -23,7 +23,7 @@ import numpy as np
 from .assemblage import Assemblage
 from .fidelity import ExtractionChannel, fidelity_operator
 from .matkernel import I2, PAULI_X, PAULI_Z, ValidationError
-from .steering import BETA_CLASSICAL, BETA_QUANTUM, BobObservables, check_theta, chsh_functional
+from .steering import BETA_CLASSICAL, BETA_QUANTUM, check_theta, chsh_functional
 
 S_OPTIMAL = (1 + math.sqrt(2)) / 4
 T_OPTIMAL = (2 - math.sqrt(2)) / 2
@@ -184,7 +184,9 @@ def coefficient_search(s_grid) -> BoundCoefficients:
     returns against S_OPTIMAL and T_OPTIMAL. The bound at maximal violation,
     (s*beta_Q + t(s))/2, plateaus at 1 past the optimum. The plateau is
     reached within max(1e-10, 16 eps max|s|), which covers the rounding of
-    the bound at the grid's largest |s| (both terms are of order |s|). The
+    the bound at the grid's largest |s| (both terms are of order |s|); a
+    grid where that rounding exceeds 1e-6 (|s| above about 2.8e8) is a
+    ValidationError, since the plateau edge is then lost in it. The
     first grid s that reaches it is refined against the grid point before it
     by k-section: each round evaluates the bound on ``_SECTION_POINTS``
     points across the bracket in one broadcast and keeps the first
@@ -198,12 +200,15 @@ def coefficient_search(s_grid) -> BoundCoefficients:
     s_values = np.array(sorted(float(s) for s in s_grid))
     if not len(s_values) or not np.isfinite(s_values).all():
         raise ValidationError("s_grid must be nonempty and finite")
+    rounding = 16 * np.finfo(float).eps * np.abs(s_values).max()
+    if rounding > 1e-6:
+        raise ValidationError(f"s_grid's rounding 16 eps max|s| = {rounding:.3g} exceeds 1e-6: keep |s| below 2.8e8")
 
     def bound_at_max(s):
         return (s * BETA_QUANTUM + _intercepts(s)[0]) / 2
 
     values = bound_at_max(s_values)
-    plateau = values.max() - max(1e-10, 16 * np.finfo(float).eps * np.abs(s_values).max())
+    plateau = values.max() - max(1e-10, rounding)
     idx = int(np.argmax(values >= plateau))
     lo, s_star = s_values[max(idx - 1, 0)], s_values[idx]
     for _ in range(_SECTION_ROUNDS):
@@ -250,5 +255,5 @@ def certified_lower_bound(asm: Assemblage, theta: float) -> float:
     dev = asm.max_marginal_deviation()
     if dev > 1e-6:
         raise ValidationError(f"analytic bound assumes p(a|x) = 1/2; deviation {dev:.3e} exceeds 1e-06")
-    beta = chsh_functional(asm, BobObservables(theta))
+    beta = chsh_functional(asm, theta)
     return analytic_bound(beta)

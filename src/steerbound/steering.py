@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,28 +27,13 @@ def check_theta(theta) -> None:
         raise ValidationError(f"theta = {theta} outside [0, pi/2]")
 
 
-@dataclass(frozen=True)
-class BobObservables:
-    """Jordan-lemma angle for Bob's pair of dichotomic observables."""
-
-    theta: float
-
-    def __post_init__(self):
-        check_theta(self.theta)
-
-    @property
-    def b0(self) -> np.ndarray:
-        return math.cos(self.theta) * PAULI_Z + math.sin(self.theta) * PAULI_X
-
-    @property
-    def b1(self) -> np.ndarray:
-        return math.cos(self.theta) * PAULI_Z - math.sin(self.theta) * PAULI_X
-
-
-def t_operators(obs: BobObservables) -> np.ndarray:
-    """T[a, x], in the assemblage layout: T_{00} = B0 + B1 = 2cos(t)Z and
-    T_{01} = B0 - B1 = 2sin(t)X, with sign-flipped partners for outcome 1."""
-    t0 = np.array([obs.b0 + obs.b1, obs.b0 - obs.b1])
+def t_operators(theta: float) -> np.ndarray:
+    """T[a, x], in the assemblage layout, for Bob's pair at the Jordan angle
+    theta: T_{00} = B0 + B1 = 2cos(t)Z and T_{01} = B0 - B1 = 2sin(t)X, with
+    sign-flipped partners for outcome 1. ValidationError unless theta is in
+    [0, pi/2]."""
+    check_theta(theta)
+    t0 = np.array([2 * math.cos(theta) * PAULI_Z, 2 * math.sin(theta) * PAULI_X])
     return np.array([t0, -t0])
 
 
@@ -71,11 +55,13 @@ def _chsh_coefficients(asm: Assemblage):
     return u.real, w.real
 
 
-def chsh_functional(asm: Assemblage, obs: BobObservables) -> float:
-    """Value of the CHSH steering functional on an assemblage,
-    Tr[sum_{a,x} T_{ax} sigma_{a|x}] = u cos(theta) + w sin(theta)."""
+def chsh_functional(asm: Assemblage, theta: float) -> float:
+    """Value of the CHSH steering functional on an assemblage at the Jordan
+    angle theta, Tr[sum_{a,x} T_{ax} sigma_{a|x}] = u cos(theta) + w sin(theta).
+    ValidationError unless theta is in [0, pi/2]."""
+    check_theta(theta)
     u, w = _chsh_coefficients(asm)
-    return u * math.cos(obs.theta) + w * math.sin(obs.theta)
+    return u * math.cos(theta) + w * math.sin(theta)
 
 
 def max_violation_over_theta(asm: Assemblage):

@@ -43,7 +43,6 @@ from steerbound.selftest import (
 )
 from steerbound.steering import (
     BETA_QUANTUM,
-    BobObservables,
     chsh_functional,
     max_violation_over_theta,
 )
@@ -102,7 +101,7 @@ def test_05_reference_realization():
     }
     asm = realize(QuantumRealization(np.outer(phi, phi.conj()), povms))
     np.testing.assert_allclose(asm.elements, chsh_reference().elements, atol=1e-12)
-    beta = chsh_functional(asm, BobObservables(math.pi / 4))
+    beta = chsh_functional(asm, math.pi / 4)
     assert beta == pytest.approx(BETA_QUANTUM, abs=1e-10)
     _report("Z/X on maximally entangled pair realizes the reference, beta = 2*sqrt(2)")
 
@@ -130,7 +129,7 @@ def test_07_per_instance_witness_chain():
     worst_slack = math.inf
     for asm, (exact, _, gap) in zip(assemblages, extractabilities(assemblages)):
         theta, _ = max_violation_over_theta(asm)
-        beta = chsh_functional(asm, BobObservables(theta))
+        beta = chsh_functional(asm, theta)
         c = dephasing_coefficient(theta, S_OPTIMAL)
         channel = dephasing_channel(theta, c)
         witness = extractability_with_channel(asm, channel)

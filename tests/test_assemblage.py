@@ -55,9 +55,8 @@ class TestReference:
 
     def test_uniform_probabilities(self):
         ref = chsh_reference()
-        for x in range(2):
-            for a in range(2):
-                assert ref.prob(a, x) == pytest.approx(0.5, abs=1e-14)
+        probs = np.trace(ref.elements, axis1=2, axis2=3).real
+        np.testing.assert_allclose(probs, 0.5, rtol=0, atol=1e-14)
         assert ref.max_marginal_deviation() < 1e-14
 
     def test_valid(self):
@@ -128,65 +127,60 @@ class TestRealize:
 class TestClassical:
     def test_single_state_strategy(self):
         rho = projector(KET0)
-        s = ClassicalStrategy(
-            weights={0: 1.0},
-            response={(0, 0): 0, (0, 1): 1},
-            hidden_states={0: rho},
-        )
+        s = ClassicalStrategy(weights=[1.0], responses=[[0, 1]], hidden_states=[rho])
         asm = from_classical(s)
         np.testing.assert_allclose(asm.elements[0, 0], rho, atol=1e-14)
         np.testing.assert_allclose(asm.elements[1, 1], rho, atol=1e-14)
-        assert asm.prob(1, 0) == pytest.approx(0.0, abs=1e-14)
+        assert np.trace(asm.elements[1, 0]).real == pytest.approx(0.0, abs=1e-14)
         assert validate(asm).passed
 
     def test_weights_must_sum_to_one(self):
-        s = ClassicalStrategy(
-            weights={0: 0.7},
-            response={(0, 0): 0, (0, 1): 0},
-            hidden_states={0: projector(KET0)},
-        )
+        s = ClassicalStrategy(weights=[0.7], responses=[[0, 0]], hidden_states=[projector(KET0)])
         with pytest.raises(ValidationError):
             from_classical(s)
 
     def test_nan_weight_rejected(self):
-        s = ClassicalStrategy({0: math.nan}, {(0, 0): 0, (0, 1): 0}, {0: I2 / 2})
+        s = ClassicalStrategy([math.nan], [[0, 0]], [I2 / 2])
         with pytest.raises(ValidationError, match="nonnegative"):
             s.check()
 
     def test_response_out_of_range(self):
-        s = ClassicalStrategy(
-            weights={0: 1.0},
-            response={(0, 0): 3, (0, 1): 0},
-            hidden_states={0: projector(KET0)},
-        )
+        s = ClassicalStrategy(weights=[1.0], responses=[[3, 0]], hidden_states=[projector(KET0)])
         with pytest.raises(ValidationError):
             from_classical(s)
 
+    @pytest.mark.parametrize("responses", [[[0, 0, 1]], [[0]], [0, 1], [[0, 1], [1, 0]], [[0.5, 1]]])
+    def test_responses_must_be_one_pair_of_bits_per_weight(self, responses):
+        # a third setting's response used to be dropped without a word
+        s = ClassicalStrategy(weights=[1.0], responses=responses, hidden_states=[projector(KET0)])
+        with pytest.raises(ValidationError, match=r"\(L, 2\) array of 0s and 1s"):
+            from_classical(s)
+
     @pytest.mark.parametrize(
-        "hidden", [{}, {1: projector(KET0)}, {0: np.eye(4) / 4}], ids=["none", "wrong-key", "4x4"]
+        "hidden",
+        [np.zeros((0, 2, 2)), [projector(KET0)] * 2, [np.eye(4) / 4], projector(KET0)],
+        ids=["none", "one-too-many", "4x4", "unstacked"],
     )
     def test_hidden_states_checked(self, hidden):
-        s = ClassicalStrategy(weights={0: 1.0}, response={(0, 0): 0, (0, 1): 0}, hidden_states=hidden)
+        s = ClassicalStrategy(weights=[1.0], responses=[[0, 0]], hidden_states=hidden)
         with pytest.raises(ValidationError):
             from_classical(s)
 
     def test_random_mixtures_are_valid(self, rng):
         for _ in range(25):
             n_lam = int(rng.integers(1, 5))
-            w = rng.dirichlet(np.ones(n_lam))
-            weights = {lam: float(w[lam]) for lam in range(n_lam)}
-            response = {
-                (lam, x): int(rng.integers(0, 2))
-                for lam in range(n_lam)
-                for x in range(2)
-            }
-            hidden = {}
-            for lam in range(n_lam):
-                g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-                m = g @ g.conj().T
-                hidden[lam] = m / np.trace(m).real
-            asm = from_classical(ClassicalStrategy(weights, response, hidden))
+            g = rng.normal(size=(n_lam, 2, 2)) + 1j * rng.normal(size=(n_lam, 2, 2))
+            m = g @ g.conj().swapaxes(1, 2)
+            hidden = m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+            strategy = ClassicalStrategy(rng.dirichlet(np.ones(n_lam)), rng.integers(0, 2, size=(n_lam, 2)), hidden)
+            asm = from_classical(strategy)
             assert validate(asm).passed
+            # the contraction over lambda is the sum of p(lambda) rho_lambda at each response
+            expected = np.zeros((2, 2, 2, 2), dtype=complex)
+            for w, resp, rho in zip(strategy.weights, strategy.responses, hidden):
+                for x, a in enumerate(resp):
+                    expected[a, x] += w * rho
+            np.testing.assert_allclose(asm.elements, expected, rtol=0, atol=1e-15)
 
 
 class TestValidate:
@@ -264,8 +258,8 @@ def _skewed_povms():
 
 def _skewed_strategy():
     s = appendix_b_strategy()
-    hidden = {**s.hidden_states, 0: s.hidden_states[0] + np.array([[0, 0.1], [-0.1, 0]])}
-    return ClassicalStrategy(s.weights, s.response, hidden)
+    hidden = s.hidden_states + [[[0, 0.1], [-0.1, 0]], np.zeros((2, 2))]
+    return ClassicalStrategy(s.weights, s.responses, hidden)
 
 
 def _cli_validate(tmp_path, capsys):
@@ -305,17 +299,6 @@ class TestAssemblageOps:
             0.25 * ref.elements[0, 0] + 0.75 * ref.elements[1, 0],
             atol=1e-14,
         )
-
-    def test_conditional_state_of_zero_prob_element(self):
-        asm = from_classical(
-            ClassicalStrategy(
-                weights={0: 1.0},
-                response={(0, 0): 0, (0, 1): 0},
-                hidden_states={0: projector(KET0)},
-            )
-        )
-        with pytest.raises(ValidationError):
-            asm.conditional_state(1, 0)
 
     def test_json_round_trip(self, rng):
         asm = realize(random_realization(rng))

@@ -172,6 +172,15 @@ GOLDEN = {
         "min t0* + t1* = -12.1421356 at theta = 0.785398163 against T_OPTIMAL = 0.292893219\n",
         "operator inequality FAILED\n",
     ),
+    ("classical-fidelity",): (
+        0,
+        "classical fidelity: 0.853553391\n"
+        "  lambda=0 weight=0.25 responses=[0, 0] state_diag=(0.853553391, 0.146446609)\n"
+        "  lambda=1 weight=0.25 responses=[0, 1] state_diag=(0.853553391, 0.146446609)\n"
+        "  lambda=2 weight=0.25 responses=[1, 0] state_diag=(0.146446609, 0.853553391)\n"
+        "  lambda=3 weight=0.25 responses=[1, 1] state_diag=(0.146446609, 0.853553391)\n",
+        "",
+    ),
     ("coefficient-search",): (
         0,
         "s = 0.60355339\n"
@@ -250,6 +259,18 @@ class TestClassicalFidelity:
         value = float(result.stdout.split("classical fidelity: ")[1].split("\n")[0])
         assert value == pytest.approx((2 + SQRT2) / 4, abs=1e-9)
         assert result.stdout.count("lambda=") == 4
+
+    def test_three_settings_is_one_error_line(self, tmp_path, run_cli):
+        # a 2x3 reference used to print an 8-response strategy
+        ket_y = np.array([1, 1j]) / SQRT2
+        kets = (np.array([1, 0]), np.array([1, 1]) / SQRT2, ket_y)
+        elements = [[np.outer(k, k.conj()) / 2 for k in kets], [(np.eye(2) - np.outer(k, k.conj())) / 2 for k in kets]]
+        path = tmp_path / "asm.json"
+        path.write_text(Assemblage(elements).to_json())
+        result = run_cli("classical-fidelity", "--assemblage", str(path))
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: classical fidelity needs a two-setting, two-outcome reference\n"
 
 
 class TestCoefficientSearch:

@@ -5,6 +5,8 @@ import pytest
 
 from steerbound.assemblage import (
     Assemblage,
+    ClassicalStrategy,
+    QuantumRealization,
     chsh_reference,
     from_classical,
     random_realization,
@@ -80,6 +82,20 @@ class TestStateFidelity:
         with pytest.raises(ValidationError):
             state_fidelity(projector(KET0), PAULI_Z)
 
+    def test_broadcasts_over_stacks(self, rng):
+        rhos = np.array([random_density(rng) for _ in range(12)]).reshape(3, 4, 2, 2)
+        sigma = random_density(rng)
+        stacked = state_fidelity(rhos, sigma)
+        assert stacked.shape == (3, 4)
+        for index in np.ndindex(3, 4):
+            assert stacked[index] == state_fidelity(rhos[index], sigma)
+
+    def test_stack_rejects_any_non_density(self, rng):
+        rhos = np.array([random_density(rng) for _ in range(3)])
+        rhos[1] = PAULI_Z
+        with pytest.raises(ValidationError):
+            state_fidelity(rhos, I2 / 2)
+
 
 class TestAssemblageFidelity:
     def test_self_fidelity(self):
@@ -105,6 +121,14 @@ class TestAssemblageFidelity:
         with pytest.raises(ValidationError):
             assemblage_fidelity(ref, other)
 
+    def test_zero_probability_terms_vanish(self):
+        # sigma_{1|x} = 0: those terms contribute nothing, so the value is
+        # (1/2) sqrt(1/2) (F_00 + F_01) with F_0x = |<0|rho*_{0|x}|0>| = 1, 1/2
+        one_sided = from_classical(ClassicalStrategy([1.0], [[0, 0]], [projector(KET0)]))
+        expected = math.sqrt(0.5) * (1 + 0.5) / 2
+        assert assemblage_fidelity(chsh_reference(), one_sided) == pytest.approx(expected, abs=1e-15)
+        assert assemblage_fidelity(one_sided, chsh_reference()) == pytest.approx(expected, abs=1e-15)
+
     def test_bounded_by_one(self, rng):
         ref = chsh_reference()
         for _ in range(25):
@@ -126,24 +150,14 @@ class TestClassicalFidelity:
 
     def test_no_classical_strategy_beats_it(self, rng):
         # random hidden-state models with up to 4 lambdas never exceed the optimum
-        from steerbound.assemblage import ClassicalStrategy
-
         value, _ = classical_fidelity(chsh_reference())
         ref = chsh_reference()
         worst_gap = math.inf
         for _ in range(300):
             n_lam = int(rng.integers(1, 5))
             w = rng.dirichlet(np.ones(n_lam))
-            hidden = {lam: random_density(rng) for lam in range(n_lam)}
-            strategy = ClassicalStrategy(
-                {lam: float(w[lam]) for lam in range(n_lam)},
-                {
-                    (lam, x): int(rng.integers(0, 2))
-                    for lam in range(n_lam)
-                    for x in range(2)
-                },
-                hidden,
-            )
+            hidden = [random_density(rng) for _ in range(n_lam)]
+            strategy = ClassicalStrategy(w, rng.integers(0, 2, size=(n_lam, 2)), hidden)
             f = assemblage_fidelity(ref, from_classical(strategy))
             worst_gap = min(worst_gap, value - f)
             assert f <= value + 1e-9
@@ -163,6 +177,20 @@ class TestClassicalFidelity:
 
     def test_strategy_structure(self):
         _, strategy = classical_fidelity(chsh_reference())
-        assert len(strategy.weights) == 4  # |A|^|X| deterministic responses
-        assert all(w == pytest.approx(0.25) for w in strategy.weights.values())
+        # the four deterministic responses (a_0, a_1), uniformly mixed
+        np.testing.assert_array_equal(strategy.responses, [[0, 0], [0, 1], [1, 0], [1, 1]])
+        np.testing.assert_array_equal(strategy.weights, 0.25)
+        assert strategy.hidden_states.shape == (4, 2, 2)
         strategy.check()
+
+    def test_rejects_three_settings(self):
+        # a third setting used to yield an 8-response strategy whose
+        # assemblage silently dropped that setting
+        ket_y = np.array([1, 1j]) / SQRT2
+        povms = {x: [projector(k), I2 - projector(k)] for x, k in enumerate((KET0, KET_PLUS, ket_y))}
+        phi = np.zeros(4, dtype=complex)
+        phi[0] = phi[3] = 1 / SQRT2
+        ref = realize(QuantumRealization(np.outer(phi, phi.conj()), povms))
+        assert ref.elements.shape == (2, 3, 2, 2)
+        with pytest.raises(ValidationError, match="two-setting, two-outcome"):
+            classical_fidelity(ref)

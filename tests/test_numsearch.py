@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -455,9 +456,13 @@ class TestSandwich:
         assert record.numeric_min == pytest.approx(1.0, abs=1e-12)
 
     def test_beta_out_of_range(self):
-        for beta in (1.9, 2.0, 2.9, math.nan):
-            with pytest.raises(ValidationError):
+        # the same check and message as SearchConfig.check
+        for beta in (1.9, 2.0, 2.9, math.nan, True):
+            message = rf"^beta target {re.escape(repr(beta))} outside \(2, 2\*sqrt\(2\)\]$"
+            with pytest.raises(ValidationError, match=message):
                 min_extractability_at_beta(beta)
+            with pytest.raises(ValidationError, match=message):
+                SearchConfig(beta_targets=(beta,)).check()
 
     def test_sweep_reproducible(self):
         cfg = SearchConfig(beta_targets=(2.3, 2.6))

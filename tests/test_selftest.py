@@ -1,3 +1,4 @@
+import contextlib
 import math
 import signal
 import time
@@ -29,7 +30,7 @@ from steerbound.selftest import (
     theta_grid,
     upper_bound,
 )
-from steerbound.steering import BETA_CLASSICAL, BETA_QUANTUM, BobObservables, t_operators
+from steerbound.steering import BETA_CLASSICAL, BETA_QUANTUM, t_operators
 
 SQRT2 = math.sqrt(2)
 
@@ -178,7 +179,7 @@ class TestCoefficientRule:
 def _margin_by_operators(s, t0, t1, theta, c):
     """Reference: the per-theta loop over k_operators and t_operators."""
     ks = k_operators(theta, c)
-    ts = t_operators(BobObservables(theta))
+    ts = t_operators(theta)
     shift = (t0, t1)
     return min(
         np.linalg.eigvalsh(ks[a, x] - s * ts[a, x] - shift[x] * I2)[0] for a in range(2) for x in range(2)
@@ -349,6 +350,13 @@ class TestCoefficientSearch:
             # every point is past the optimum, so the first one is the answer
             (np.linspace(1e5, 1e6, 64), 1e5, 0.0),
             (np.linspace(0, 1e8, 512), S_OPTIMAL, 1e-5),
+            # the largest |s| whose rounding, 16 eps |s|, stays below 1e-6
+            (np.linspace(0, 2.8e8, 512), S_OPTIMAL, 1e-5),
+            # past that the rounding hides the plateau edge, so these are
+            # refused (expected None): they returned s 7.3e-3 below
+            # S_OPTIMAL and s = 0 (bound 0.25 at maximal violation)
+            (np.linspace(0, 1e12, 512), None, None),
+            (np.linspace(0, 1e15, 512), None, None),
         ],
     )
     def test_large_s_grid_returns(self, s_grid, expected, tol):
@@ -358,18 +366,21 @@ class TestCoefficientSearch:
         def hang(signum, frame):
             raise TimeoutError("coefficient_search did not return")
 
+        refused = pytest.raises(ValidationError, match="exceeds 1e-6")
         previous = signal.signal(signal.SIGALRM, hang)
         signal.alarm(20)
         try:
             start = time.perf_counter()
-            coeffs = coefficient_search(s_grid)
+            with refused if expected is None else contextlib.nullcontext():
+                coeffs = coefficient_search(s_grid)
             elapsed = time.perf_counter() - start
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert elapsed < 1.0
-        assert abs(coeffs.s - expected) <= tol
-        assert np.isfinite([coeffs.t0, coeffs.t1]).all()
+        if expected is not None:
+            assert abs(coeffs.s - expected) <= tol
+            assert np.isfinite([coeffs.t0, coeffs.t1]).all()
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError):

@@ -16,7 +16,6 @@ from steerbound.matkernel import I2, KET0, PAULI_X, PAULI_Z, ValidationError, pr
 from steerbound.steering import (
     BETA_CLASSICAL,
     BETA_QUANTUM,
-    BobObservables,
     chsh_functional,
     max_violation_over_theta,
     t_operators,
@@ -26,28 +25,31 @@ SQRT2 = math.sqrt(2)
 
 
 class TestObservables:
+    # Bob's pair B0, B1 = cos(theta) Z +- sin(theta) X, read back from
+    # T_{00} = B0 + B1 and T_{01} = B0 - B1
     def test_b0_b1_at_pi_over_4(self):
-        obs = BobObservables(math.pi / 4)
-        np.testing.assert_allclose(obs.b0, (PAULI_Z + PAULI_X) / SQRT2, atol=1e-14)
-        np.testing.assert_allclose(obs.b1, (PAULI_Z - PAULI_X) / SQRT2, atol=1e-14)
+        ops = t_operators(math.pi / 4)
+        np.testing.assert_allclose((ops[0, 0] + ops[0, 1]) / 2, (PAULI_Z + PAULI_X) / SQRT2, atol=1e-14)
+        np.testing.assert_allclose((ops[0, 0] - ops[0, 1]) / 2, (PAULI_Z - PAULI_X) / SQRT2, atol=1e-14)
 
     def test_unit_eigenvalues(self):
         for theta in np.linspace(0, math.pi / 2, 21):
-            obs = BobObservables(float(theta))
-            np.testing.assert_allclose(obs.b0 @ obs.b0, np.eye(2), atol=1e-12)
-            np.testing.assert_allclose(obs.b1 @ obs.b1, np.eye(2), atol=1e-12)
+            ops = t_operators(float(theta))
+            for b in ((ops[0, 0] + ops[0, 1]) / 2, (ops[0, 0] - ops[0, 1]) / 2):
+                np.testing.assert_allclose(b @ b, np.eye(2), atol=1e-12)
 
     def test_theta_out_of_range(self):
-        with pytest.raises(ValidationError):
-            BobObservables(-0.1)
-        with pytest.raises(ValidationError):
-            BobObservables(math.pi)
+        for theta in (-0.1, math.pi, math.nan):
+            with pytest.raises(ValidationError):
+                t_operators(theta)
+            with pytest.raises(ValidationError):
+                chsh_functional(chsh_reference(), theta)
 
 
 class TestTOperators:
     def test_structure(self):
         theta = 0.3
-        ops = t_operators(BobObservables(theta))
+        ops = t_operators(theta)
         assert ops.shape == (2, 2, 2, 2)
         np.testing.assert_allclose(ops[0, 0], 2 * math.cos(theta) * PAULI_Z, atol=1e-14)
         np.testing.assert_allclose(ops[0, 1], 2 * math.sin(theta) * PAULI_X, atol=1e-14)
@@ -57,13 +59,13 @@ class TestTOperators:
 
 class TestFunctional:
     def test_reference_saturates_tsirelson_at_pi_over_4(self):
-        beta = chsh_functional(chsh_reference(), BobObservables(math.pi / 4))
+        beta = chsh_functional(chsh_reference(), math.pi / 4)
         assert beta == pytest.approx(BETA_QUANTUM, abs=1e-12)
 
     def test_reference_value_closed_form(self):
         # beta*(theta) = 2(cos + sin) for the reference
         for theta in np.linspace(0, math.pi / 2, 17):
-            beta = chsh_functional(chsh_reference(), BobObservables(float(theta)))
+            beta = chsh_functional(chsh_reference(), float(theta))
             expected = 2 * (math.cos(theta) + math.sin(theta))
             assert beta == pytest.approx(expected, abs=1e-12)
 
@@ -71,9 +73,9 @@ class TestFunctional:
         # u cos(theta) + w sin(theta) is the definition Tr sum T_ax sigma_ax
         for k in range(500):
             asm = realize(random_realization(rng, uniform_marginals=k % 2 == 0))
-            obs = BobObservables(float(rng.uniform(0, math.pi / 2)))
-            definition = np.einsum("axij,axji->", t_operators(obs), asm.elements)
-            assert abs(chsh_functional(asm, obs) - definition.real) <= 1e-15
+            theta = float(rng.uniform(0, math.pi / 2))
+            definition = np.einsum("axij,axji->", t_operators(theta), asm.elements)
+            assert abs(chsh_functional(asm, theta) - definition.real) <= 1e-15
 
     def test_imaginary_residue_rejected(self):
         # sigma_{0|0} + 0.1i Z gives u = 2 tr[Z(sigma_00 - sigma_10)] an imaginary part 0.4
@@ -88,27 +90,17 @@ class TestFunctional:
 
     def test_appendix_strategy_reaches_classical_bound(self):
         asm = from_classical(appendix_b_strategy())
-        beta = chsh_functional(asm, BobObservables(math.pi / 4))
+        beta = chsh_functional(asm, math.pi / 4)
         assert beta == pytest.approx(BETA_CLASSICAL, abs=1e-12)
 
     def test_classical_assemblages_respect_classical_bound(self, rng):
         for _ in range(50):
             n_lam = int(rng.integers(1, 5))
             w = rng.dirichlet(np.ones(n_lam))
-            hidden = {}
-            for lam in range(n_lam):
-                g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-                m = g @ g.conj().T
-                hidden[lam] = m / np.trace(m).real
-            strategy = ClassicalStrategy(
-                {lam: float(w[lam]) for lam in range(n_lam)},
-                {
-                    (lam, x): int(rng.integers(0, 2))
-                    for lam in range(n_lam)
-                    for x in range(2)
-                },
-                hidden,
-            )
+            g = rng.normal(size=(n_lam, 2, 2)) + 1j * rng.normal(size=(n_lam, 2, 2))
+            m = g @ g.conj().swapaxes(1, 2)
+            hidden = m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+            strategy = ClassicalStrategy(w, rng.integers(0, 2, size=(n_lam, 2)), hidden)
             asm = from_classical(strategy)
             _, beta = max_violation_over_theta(asm)
             assert beta <= BETA_CLASSICAL + 1e-9
@@ -122,7 +114,7 @@ class TestFunctional:
     def test_wrong_shape_rejected(self):
         asm = Assemblage([[projector(KET0) / 2], [projector(KET0) / 2]])
         with pytest.raises(ValidationError):
-            chsh_functional(asm, BobObservables(0.1))
+            chsh_functional(asm, 0.1)
 
 
 def _uw_assemblage(u: float, w: float) -> Assemblage:
@@ -135,7 +127,7 @@ def _uw_assemblage(u: float, w: float) -> Assemblage:
 
 def _brute_force_max(asm, points: int = 2001) -> float:
     return max(
-        chsh_functional(asm, BobObservables(float(t)))
+        chsh_functional(asm, float(t))
         for t in np.linspace(0, math.pi / 2, points)
     )
 
@@ -163,12 +155,12 @@ class TestMaximization:
         values = _chsh_on_grid(np.array([asm.elements for asm in asms]), grid)
         for asm, row in zip(asms, values):
             for k in range(0, grid.size, 2000):  # the stack is the functional
-                direct = chsh_functional(asm, BobObservables(float(grid[k])))
+                direct = chsh_functional(asm, float(grid[k]))
                 assert row[k] == pytest.approx(direct, abs=1e-12)
             theta_star, beta_star = max_violation_over_theta(asm)
             assert beta_star >= row.max() - 1e-8
             assert beta_star == pytest.approx(
-                chsh_functional(asm, BobObservables(theta_star)), abs=1e-12
+                chsh_functional(asm, theta_star), abs=1e-12
             )
 
     @pytest.mark.parametrize(
@@ -189,7 +181,7 @@ class TestMaximization:
         assert theta == pytest.approx(theta_expected, abs=1e-15)
         expected = math.hypot(u, w) if u > 0 and w > 0 else max(u, w)
         assert beta == pytest.approx(expected, abs=1e-12)
-        assert beta == pytest.approx(chsh_functional(asm, BobObservables(theta)), abs=1e-12)
+        assert beta == pytest.approx(chsh_functional(asm, theta), abs=1e-12)
         assert beta >= _brute_force_max(asm) - 1e-12
 
     def test_non_finite_rejected(self):
