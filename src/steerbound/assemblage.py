@@ -41,8 +41,8 @@ class Assemblage:
     """Family of subnormalized 2x2 states sigma_{a|x}.
 
     ``elements[a, x]`` is sigma_{a|x}: a read-only complex array of shape
-    (outcomes, settings, 2, 2) with finite entries; p(a|x) is the trace of
-    ``elements[a, x]``.
+    (outcomes, settings, 2, 2) with finite entries; p(a|x), the trace of
+    ``elements[a, x]``, is ``probabilities()[a, x]``.
     """
 
     elements: np.ndarray = field(repr=False)
@@ -68,10 +68,13 @@ class Assemblage:
     def settings(self) -> int:
         return self.elements.shape[1]
 
+    def probabilities(self) -> np.ndarray:
+        """p(a|x) = tr sigma_{a|x}, as an (outcomes, settings) array."""
+        return np.trace(self.elements, axis1=2, axis2=3).real
+
     def max_marginal_deviation(self) -> float:
         """max_{a,x} |p(a|x) - 1/|A||; zero for uniform-marginal assemblages."""
-        probs = np.trace(self.elements, axis1=2, axis2=3).real
-        return float(np.abs(probs - 1.0 / self.outcomes).max())
+        return float(np.abs(self.probabilities() - 1.0 / self.outcomes).max())
 
     def mix(self, other: "Assemblage", weight: float) -> "Assemblage":
         """Convex mixture weight*self + (1-weight)*other."""

@@ -265,13 +265,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parse_args reads the parser and writes only the
+# fresh namespace it returns, so main() may be called repeatedly.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValidationError, OSError, ValueError, json.JSONDecodeError, MemoryError) as exc:
+        # a bare MemoryError() has an empty message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

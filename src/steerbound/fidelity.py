@@ -59,7 +59,7 @@ def assemblage_fidelity(ref: Assemblage, other: Assemblage) -> float:
     if ref.elements.shape != other.elements.shape:
         raise ValidationError("assemblages must share |A| and |X|")
     elements = [asm.elements.swapaxes(0, 1) for asm in (ref, other)]  # [x, a]
-    p_ref, p = (np.trace(e, axis1=2, axis2=3).real for e in elements)
+    p_ref, p = (asm.probabilities().T for asm in (ref, other))
     live = (p_ref >= PROB_FLOOR) & (p >= PROB_FLOOR)
     states_ref, states = (e[live] / q[live, None, None] for e, q in zip(elements, (p_ref, p)))
     terms = np.sqrt(p_ref[live] * p[live]) * state_fidelity(states_ref, states)
@@ -84,7 +84,7 @@ def classical_fidelity(ref: Assemblage):
     """
     if ref.elements.shape != (2, 2, 2, 2):
         raise ValidationError("classical fidelity needs a two-setting, two-outcome reference")
-    probs = np.trace(ref.elements, axis1=2, axis2=3).real
+    probs = ref.probabilities()
     live = probs >= PROB_FLOOR
     if (hermitian_min_eigvals(ref.elements[live] / probs[live, None, None], HERMITICITY_TOL) > 1e-9).any():
         raise ValidationError("classical_fidelity requires pure (rank-1) reference elements")
@@ -139,7 +139,7 @@ def _trace_out(choi: np.ndarray) -> np.ndarray:
 
 
 _REFERENCE = chsh_reference()
-_REFERENCE_P = np.trace(_REFERENCE.elements, axis1=2, axis2=3).real
+_REFERENCE_P = _REFERENCE.probabilities()
 _REFERENCE_STATES = _REFERENCE.elements / _REFERENCE_P[..., None, None]
 
 
@@ -155,7 +155,7 @@ def fidelity_operator(asm: Assemblage) -> np.ndarray:
     """
     if asm.elements.shape != _REFERENCE.elements.shape:
         raise ValidationError("extractability needs a two-setting, two-outcome assemblage")
-    p = np.trace(asm.elements, axis1=2, axis2=3).real
+    p = asm.probabilities()
     live = p >= PROB_FLOOR
     weights = np.where(live, np.sqrt(_REFERENCE_P) / np.sqrt(np.where(live, p, 1.0)), 0.0)
     w = np.einsum("ax,axji,axcd->icjd", weights, asm.elements, _REFERENCE_STATES)

@@ -290,6 +290,11 @@ def test_non_hermitian_input_fails_closed(case, tmp_path, capsys):
 
 
 class TestAssemblageOps:
+    def test_probabilities_are_indexed_a_x(self):
+        p = np.array([[0.1, 0.2], [0.3, 0.5], [0.6, 0.3]])
+        elements = p[..., None, None] * np.array([[0.75, 0.1j], [-0.1j, 0.25]])
+        np.testing.assert_allclose(Assemblage(elements).probabilities(), p, rtol=0, atol=1e-16)
+
     def test_mix_interpolates_probabilities(self):
         ref = chsh_reference()
         flipped = Assemblage(ref.elements[::-1])  # relabel a -> 1 - a

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 from steerbound import selftest
 from steerbound.assemblage import Assemblage, chsh_reference
-from steerbound.cli import main
+from steerbound.cli import build_parser, main
 
 SQRT2 = math.sqrt(2)
 
@@ -250,6 +251,103 @@ def test_degenerate_numeric_argument_is_usage_error(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "error: argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound-curve", "--points", "1000000000000"],
+        ["coefficient-search", "--s-points", "1000000000000"],
+    ],
+)
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        # numpy's _ArrayMemoryError for a grid it cannot allocate
+        (
+            MemoryError("Unable to allocate an array with shape (1000000000000,) and data type float64"),
+            "Unable to allocate an array with shape (1000000000000,) and data type float64",
+        ),
+        # CPython's own, e.g. from growing a list, carries no message
+        (MemoryError(), "MemoryError"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_unallocatable_grid_is_one_error_line(argv, exc, message, monkeypatch, capsys):
+    # stand in for the failed allocation rather than allocate terabytes
+    def refuse(start, stop, num):
+        raise exc
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+SUBCOMMANDS = (
+    "bound-curve",
+    "verify-inequality",
+    "classical-fidelity",
+    "coefficient-search",
+    "sandwich",
+    "realize",
+    "validate",
+)
+
+
+def _sandwich_outputs(tmp_path, capsys):
+    cfg_path, out_json, out_csv = (tmp_path / name for name in ("cfg.json", "report.json", "report.csv"))
+    cfg_path.write_text('{"beta_targets": [2.4, 2.7]}')
+    code = main(["sandwich", "--config", str(cfg_path), "--out-json", str(out_json), "--out-csv", str(out_csv)])
+    return code, capsys.readouterr(), out_json.read_bytes(), out_csv.read_bytes()
+
+
+def test_main_builds_no_parser(monkeypatch, tmp_path, capsys):
+    # the parser is built once, when steerbound.cli is imported; main() only
+    # parses with it
+    expected = _sandwich_outputs(tmp_path, capsys)
+    assert expected[0] == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("main() built an argparse parser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    for argv, (code, out, err) in GOLDEN.items():
+        assert main(list(argv)) == code
+        assert capsys.readouterr() == (out, err)
+    assert _sandwich_outputs(tmp_path, capsys) == expected
+
+
+def _exit_output(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, capsys.readouterr()
+
+
+def test_shared_parser_is_reentrant(capsys):
+    # a failed check, a usage error and --help leave nothing behind in the
+    # shared parser for the next call
+    assert main(["verify-inequality", "--s", "0.6036"]) == 1
+    assert capsys.readouterr().err == "operator inequality FAILED\n"
+    code, out, err = GOLDEN[("verify-inequality",)]
+    assert main(["verify-inequality"]) == code
+    assert capsys.readouterr() == (out, err)
+
+    code, (_, err) = _exit_output(main, ["verify-inequality", "--s", "nan"], capsys)
+    assert code == 2 and "error: argument --s" in err
+    code, out, err = GOLDEN[("coefficient-search",)]
+    assert main(["coefficient-search"]) == code
+    assert capsys.readouterr() == (out, err)
+
+    fresh = build_parser()
+    for argv in [["--help"]] + [[command, "--help"] for command in SUBCOMMANDS]:
+        code, (out, err) = _exit_output(main, argv, capsys)
+        assert code == 0 and out.startswith("usage: steerbound") and err == ""
+        assert (code, (out, err)) == _exit_output(fresh.parse_args, argv, capsys)
+    code, out, err = GOLDEN[("verify-inequality",)]
+    assert main(["verify-inequality"]) == code
+    assert capsys.readouterr() == (out, err)
 
 
 class TestClassicalFidelity:
