@@ -39,7 +39,6 @@ from .selftest import (
     dephasing_channel,
     extractability_with_channel,
     inequality_margin,
-    k_operators,
     t_constraints,
     upper_bound,
 )

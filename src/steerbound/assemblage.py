@@ -26,6 +26,7 @@ from .matkernel import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    PHI_PLUS,
     PHYSICAL_TOL,
     ValidationError,
     density_matrix,
@@ -150,19 +151,16 @@ class QuantumRealization:
     """Shared two-qubit state plus Alice's POVMs {M_{a|x}}."""
 
     state: np.ndarray
-    alice_povms: dict  # x -> list over a of 2x2 POVM elements
+    povms: np.ndarray  # M[x, a]: (settings, outcomes, 2, 2)
 
     def check(self) -> tuple:
         """ValidationError unless the state is a 4x4 density matrix and the
-        POVMs are valid; returns the state as a complex array and the POVMs
-        stacked as M[x, a]."""
+        POVMs a numeric (settings, outcomes, 2, 2) array, no axis empty, of
+        valid POVMs; returns the state and the POVMs as complex arrays."""
         state = density_matrix(_numeric_array(self.state, "shared state"), 4, "shared state")
-        counts = {len(self.alice_povms.get(x, ())) for x in range(len(self.alice_povms))}
-        if len(counts) != 1 or 0 in counts:
-            raise ValidationError("POVMs must be keyed by settings 0, 1, ... with one common outcome count")
-        povms = _numeric_array([self.alice_povms[x] for x in range(len(self.alice_povms))], "POVMs")
-        if povms.shape[2:] != (2, 2):
-            raise ValidationError(f"POVM elements must be 2x2, got shape {povms.shape[2:]}")
+        povms = _numeric_array(self.povms, "POVMs")
+        if povms.ndim != 4 or povms.shape[2:] != (2, 2) or 0 in povms.shape:
+            raise ValidationError(f"POVMs must be a (settings, outcomes, 2, 2) array, got shape {povms.shape}")
         for x in np.flatnonzero(np.abs(povms.sum(axis=1) - I2).max(axis=(1, 2)) > PHYSICAL_TOL):
             raise ValidationError(f"POVM for setting {x} does not sum to identity")
         for x, a in np.argwhere(hermitian_min_eigvals(povms, PHYSICAL_TOL) < -PHYSICAL_TOL):
@@ -175,7 +173,7 @@ def _numeric_array(value, name: str, dtype=complex) -> np.ndarray:
     try:
         return np.asarray(value, dtype=dtype)
     except (TypeError, ValueError) as err:
-        raise ValidationError(f"{name} must be a numeric array") from err
+        raise ValidationError(f"{name} must be a numeric array (no ragged lists)") from err
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,22 +316,20 @@ def random_realization(
     p(a|x) to 1/2 for projective measurements.
     """
     if uniform_marginals:
-        phi = np.zeros(4, dtype=complex)
-        phi[0] = phi[3] = 1 / math.sqrt(2)
         u = np.kron(_haar_unitary_2(rng), _haar_unitary_2(rng))
-        psi = u @ phi
+        psi = u @ PHI_PLUS
     else:
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi /= np.linalg.norm(psi)
     v = rng.uniform(0.0, 1.0)
     state = v * np.outer(psi, psi.conj()) + (1 - v) * I4 / 4
 
-    povms = {}
-    for x in range(2):
+    povms = []
+    for _ in range(2):
         if projective or uniform_marginals:
-            povms[x] = _bloch_projectors(_random_bloch(rng))
+            povms.append(_bloch_projectors(_random_bloch(rng)))
         else:
             u = _haar_unitary_2(rng)
             m0 = u @ np.diag(rng.uniform(0, 1, size=2)) @ u.conj().T
-            povms[x] = [m0, I2 - m0]
+            povms.append([m0, I2 - m0])
     return QuantumRealization(state, povms)

@@ -127,10 +127,8 @@ class ExtractionChannel:
         return np.einsum("...ij,iajb->...ab", rho, self.choi.reshape(2, 2, 2, 2))
 
     def dual(self, rho: np.ndarray) -> np.ndarray:
-        return np.einsum("iajb,ba->ji", self.choi.reshape(2, 2, 2, 2), rho)
-
-    def apply_elementwise(self, asm: Assemblage) -> Assemblage:
-        return Assemblage(self.apply(asm.elements))
+        """The dual (Heisenberg-picture) map, on one 2x2 matrix or a stack."""
+        return np.einsum("iajb,...ba->...ji", self.choi.reshape(2, 2, 2, 2), rho)
 
 
 def _trace_out(choi: np.ndarray) -> np.ndarray:

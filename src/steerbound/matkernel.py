@@ -26,6 +26,7 @@ KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
 KET_PLUS = np.array([1, 1], dtype=complex) / math.sqrt(2)
 KET_MINUS = np.array([1, -1], dtype=complex) / math.sqrt(2)
+PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)  # (|00> + |11>)/sqrt(2)
 
 
 class ValidationError(ValueError):

@@ -95,19 +95,6 @@ def _pauli_coefficients(s, first, cos, sin, c):
     return kz / 2 - 2 * s * cos, kx / 2 - 2 * s * sin
 
 
-def k_operators(theta, c) -> np.ndarray:
-    """Dual images K[..., a, x] = (I + (-1)^a k_x P_x)/2 of the reference
-    conditional states, P = (Z, X), k = (1, c) on [0, pi/4] and (c, 1) past
-    it: by self-duality, the channel applied to them. Broadcasts over theta
-    and c. ValidationError unless every c is in [-1, 1]."""
-    check_theta(theta)
-    _check_coefficient(c)
-    first = first_interval(theta)
-    k = np.stack([np.where(first, 1.0, c), np.where(first, c, 1.0)], axis=-1)
-    signed = np.stack([k, -k], axis=-2)[..., None, None]  # [..., a, x, 1, 1]
-    return (I2.real + signed * np.stack([PAULI_Z.real, PAULI_X.real])) / 2
-
-
 def t_constraints(s, theta):
     """Largest shifts (t0*, t1*), possibly negative, keeping all four
     operator inequalities PSD at each theta and s (broadcast), with the
@@ -133,8 +120,10 @@ def inequality_margin(s: float, t0, t1, theta, c):
     not change them), with z, x from ``_pauli_coefficients``. No matrix is
     built. The margin is 0 at the shifts of ``t_constraints``, so at other
     shifts it checks them against t0* and t1*; the tests check it against
-    the eigenvalues of the operators built from ``k_operators`` and
-    ``steering.t_operators``. ValidationError unless every c is in [-1, 1].
+    the eigenvalues of the operators built from their definitions, K_{ax} =
+    ``dephasing_channel(theta, c).dual`` of twice sigma_{a|x} of
+    ``chsh_reference()`` and T_{ax} from ``steering.t_operators``.
+    ValidationError unless every c is in [-1, 1].
     """
     check_theta(theta)
     _check_coefficient(c)

@@ -25,7 +25,7 @@ from steerbound.fidelity import (
     extractabilities,
     state_fidelity,
 )
-from steerbound.matkernel import I2, PAULI_X, PAULI_Z
+from steerbound.matkernel import I2, PAULI_X, PAULI_Z, PHI_PLUS
 from steerbound.numsearch import SearchConfig, sandwich_sweep
 from steerbound.selftest import (
     S_OPTIMAL,
@@ -93,13 +93,11 @@ def test_04_bound_endpoints_and_threshold():
 
 
 def test_05_reference_realization():
-    phi = np.zeros(4, dtype=complex)
-    phi[0] = phi[3] = 1 / SQRT2
-    povms = {
-        0: [(I2 + PAULI_Z) / 2, (I2 - PAULI_Z) / 2],
-        1: [(I2 + PAULI_X) / 2, (I2 - PAULI_X) / 2],
-    }
-    asm = realize(QuantumRealization(np.outer(phi, phi.conj()), povms))
+    povms = [
+        [(I2 + PAULI_Z) / 2, (I2 - PAULI_Z) / 2],
+        [(I2 + PAULI_X) / 2, (I2 - PAULI_X) / 2],
+    ]
+    asm = realize(QuantumRealization(np.outer(PHI_PLUS, PHI_PLUS.conj()), povms))
     np.testing.assert_allclose(asm.elements, chsh_reference().elements, atol=1e-12)
     beta = chsh_functional(asm, math.pi / 4)
     assert beta == pytest.approx(BETA_QUANTUM, abs=1e-10)

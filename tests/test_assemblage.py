@@ -26,23 +26,20 @@ from steerbound.matkernel import (
     KET_PLUS,
     PAULI_X,
     PAULI_Z,
+    PHI_PLUS,
     projector,
 )
 
-SQRT2 = math.sqrt(2)
-
 
 def phi_plus():
-    v = np.zeros(4, dtype=complex)
-    v[0] = v[3] = 1 / SQRT2
-    return np.outer(v, v.conj())
+    return np.outer(PHI_PLUS, PHI_PLUS.conj())
 
 
 def zx_povms():
-    return {
-        0: [(I2 + PAULI_Z) / 2, (I2 - PAULI_Z) / 2],
-        1: [(I2 + PAULI_X) / 2, (I2 - PAULI_X) / 2],
-    }
+    return [
+        [(I2 + PAULI_Z) / 2, (I2 - PAULI_Z) / 2],
+        [(I2 + PAULI_X) / 2, (I2 - PAULI_X) / 2],
+    ]
 
 
 class TestReference:
@@ -94,6 +91,22 @@ class TestRealize:
         with pytest.raises(ValidationError):
             realize(QuantumRealization(phi_plus(), povms))
 
+    @pytest.mark.parametrize(
+        "povms",
+        [
+            {0: zx_povms()[0], 1: zx_povms()[1]},  # the retired setting-keyed dict
+            [zx_povms()[0], zx_povms()[1][:1]],  # ragged: one setting short an outcome
+            np.zeros((2, 2, 3, 3)),  # 3x3 elements
+            [zx_povms()[0], []],  # an empty setting
+            [[], []],
+            [],
+        ],
+        ids=["dict", "ragged", "3x3", "empty-setting", "no-outcomes", "no-settings"],
+    )
+    def test_rejects_povms_that_are_not_one_array(self, povms):
+        with pytest.raises(ValidationError, match="POVMs must be a"):
+            QuantumRealization(phi_plus(), povms).check()
+
     def test_rejects_non_psd_state(self):
         state = phi_plus() - 0.2 * I4 / 4
         state = state / np.trace(state).real
@@ -101,7 +114,7 @@ class TestRealize:
             realize(QuantumRealization(state, zx_povms()))
 
     def test_nested_list_state(self):
-        povms = {0: [np.eye(2)]}
+        povms = [[np.eye(2)]]
         from_list = realize(QuantumRealization((np.eye(4) / 4).tolist(), povms))
         from_array = realize(QuantumRealization(np.eye(4) / 4, povms))
         assert from_list.elements.shape == (1, 1, 2, 2)
@@ -117,7 +130,7 @@ class TestRealize:
             for _ in range(25):
                 r = random_realization(rng, projective=projective)
                 asm = realize(r)
-                for x, povm in r.alice_povms.items():
+                for x, povm in enumerate(r.povms):
                     for a, m in enumerate(povm):
                         joint = (np.kron(m, I2) @ r.state).reshape(2, 2, 2, 2)
                         expected = np.einsum("ibic->bc", joint)
@@ -253,7 +266,7 @@ def _skewed_state():
 
 def _skewed_povms():
     skew = np.array([[0, 0.4], [-0.4, 0]])
-    return {**zx_povms(), 0: [I2 / 2 + skew, I2 / 2 - skew]}
+    return [[I2 / 2 + skew, I2 / 2 - skew], zx_povms()[1]]
 
 
 def _skewed_strategy():

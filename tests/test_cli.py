@@ -103,6 +103,12 @@ class TestVerifyInequality:
             # s = 0.6035 and 1.3e-4 below it at 0.6036, just past (1+sqrt 2)/4
             (("--s", "0.6035"), 0),
             (("--s", "0.6036"), 1),
+            # min t0* + t1* - T_OPTIMAL is +1.1e-16 at S_OPTIMAL, -2.2e-16 at
+            # the next float (rounding, within the 1e-14 slack) and -2.8e-11
+            # at S_OPTIMAL + 1e-11, a false claim
+            (("--s", repr(selftest.S_OPTIMAL)), 0),
+            (("--s", repr(float(np.nextafter(selftest.S_OPTIMAL, 1)))), 0),
+            (("--s", repr(selftest.S_OPTIMAL + 1e-11)), 1),
             (("--s", "0.9"), 1),
             (("--s", "5"), 1),
         ],
@@ -212,7 +218,7 @@ def test_verify_builds_no_operator_matrices(monkeypatch, capsys):
         calls.append(args)
         return original(*args)
 
-    for name in ("k_operators", "inequality_margin"):
+    for name in ("dephasing_channel", "inequality_margin"):
         monkeypatch.setattr(selftest, name, refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(selftest, "t_constraints", counted)
@@ -251,6 +257,29 @@ def test_degenerate_numeric_argument_is_usage_error(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "error: argument" in capsys.readouterr().err
+
+
+GRID_MAX = np.iinfo(np.intp).max // 8  # the most float64 points an array can address
+
+
+@pytest.mark.parametrize(
+    "command, option, minimum",
+    [
+        ("bound-curve", "--points", 1),
+        ("verify-inequality", "--theta-points", 2),
+        ("coefficient-search", "--s-points", 1),
+        ("coefficient-search", "--theta-points", 2),
+    ],
+)
+@pytest.mark.parametrize("count", [GRID_MAX + 1, 2**63 - 1])
+def test_unaddressable_grid_is_usage_error(command, option, minimum, count, capsys):
+    # 2**63 - 1 points used to end in an IndexError traceback from linspace
+    with pytest.raises(SystemExit) as exc:
+        main([command, option, str(count)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"error: argument {option}: '{count}' is not a finite number in [{minimum}, {GRID_MAX}]\n")
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,7 @@ from steerbound.matkernel import (
     KET_PLUS,
     PAULI_X,
     PAULI_Z,
+    PHI_PLUS,
     ValidationError,
     projector,
 )
@@ -187,10 +188,8 @@ class TestClassicalFidelity:
         # a third setting used to yield an 8-response strategy whose
         # assemblage silently dropped that setting
         ket_y = np.array([1, 1j]) / SQRT2
-        povms = {x: [projector(k), I2 - projector(k)] for x, k in enumerate((KET0, KET_PLUS, ket_y))}
-        phi = np.zeros(4, dtype=complex)
-        phi[0] = phi[3] = 1 / SQRT2
-        ref = realize(QuantumRealization(np.outer(phi, phi.conj()), povms))
+        povms = [[projector(k), I2 - projector(k)] for k in (KET0, KET_PLUS, ket_y)]
+        ref = realize(QuantumRealization(np.outer(PHI_PLUS, PHI_PLUS.conj()), povms))
         assert ref.elements.shape == (2, 3, 2, 2)
         with pytest.raises(ValidationError, match="two-setting, two-outcome"):
             classical_fidelity(ref)

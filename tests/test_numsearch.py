@@ -251,7 +251,7 @@ class TestBestChannel:
     def test_fidelity_matches_direct_evaluation(self, rng):
         asm = realize(random_realization(rng, uniform_marginals=True))
         value, channel, _ = extractability(asm)
-        direct = assemblage_fidelity(chsh_reference(), channel.apply_elementwise(asm))
+        direct = assemblage_fidelity(chsh_reference(), Assemblage(channel.apply(asm.elements)))
         assert value == pytest.approx(direct, abs=1e-12)
 
     def test_fidelity_after_kraus_agrees(self, rng):
@@ -261,7 +261,7 @@ class TestBestChannel:
             channels = [dephasing_channel(0.4, 0.6), dephasing_channel(1.2, -0.3)]
             channels.append(extractability(asm)[1])
             for ch in channels:
-                direct = assemblage_fidelity(chsh_reference(), ch.apply_elementwise(asm))
+                direct = assemblage_fidelity(chsh_reference(), Assemblage(ch.apply(asm.elements)))
                 assert extractability_with_channel(asm, ch) == pytest.approx(direct, abs=1e-12)
 
     def test_witness_never_beats_exact(self, rng):

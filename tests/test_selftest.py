@@ -25,7 +25,6 @@ from steerbound.selftest import (
     dephasing_coefficient,
     extractability_with_channel,
     inequality_margin,
-    k_operators,
     t_constraints,
     theta_grid,
     upper_bound,
@@ -69,15 +68,17 @@ class TestDephasingChannel:
             g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             m = (g + g.conj().T) / 2
             np.testing.assert_allclose(ch.apply(m), ch.dual(m), atol=1e-12)
+        stack = chsh_reference().elements  # both maps take (..., 2, 2) stacks
+        np.testing.assert_allclose(ch.dual(stack), ch.apply(stack), atol=1e-12)
 
     def test_coefficient_outside_unit_interval_rejected(self):
-        # dephasing_channel, k_operators and inequality_margin share one
-        # check, whose message names the first value that fails it
+        # dephasing_channel and inequality_margin share one check, whose
+        # message names the first value that fails it
         for c in (math.nan, math.inf, -math.inf, 1.5, -1 - 1e-9):
             with pytest.raises(ValidationError, match=f"c = {c} outside"):
                 dephasing_channel(0.1, c)
             with pytest.raises(ValidationError, match=f"c = {c} outside"):
-                k_operators(np.array([0.3, 0.4, 0.5]), np.array([0.5, c, -2.0]))
+                inequality_margin(S_OPTIMAL, 0.1, 0.1, np.array([0.3, 0.4, 0.5]), np.array([0.5, c, -2.0]))
             with pytest.raises(ValidationError, match=f"c = {c} outside"):
                 inequality_margin(S_OPTIMAL, 0.1, 0.1, 0.3, np.array([c, 0.2]))
         for c in (1.0, -1.0):  # the identity and conjugation by Z
@@ -107,41 +108,23 @@ class TestCoefficientRule:
         assert dephasing_coefficient(math.pi / 4, -0.7) == -1.0
 
     def test_k_operators_first_interval(self):
+        # K_{ax}, the channel's dual image of the reference state
         c = dephasing_coefficient(0.3, S_OPTIMAL)
-        ks = k_operators(0.3, c)
+        ks = _k_operators(0.3, c)
         np.testing.assert_allclose(ks[0, 0], (I2 + PAULI_Z) / 2, atol=1e-14)
         np.testing.assert_allclose(ks[0, 1], (I2 + c * PAULI_X) / 2, atol=1e-14)
 
-    @pytest.mark.parametrize(
-        "theta, c, shape",
-        [
-            (0.3, 0.5, ()),
-            (np.linspace(0, math.pi / 2, 5), 0.5, (5,)),
-            (1.2, np.linspace(-1, 1, 3), (3,)),
-            (np.linspace(0, math.pi / 2, 4), np.linspace(-1, 1, 3)[:, None], (3, 4)),
-        ],
-    )
-    def test_k_operators_broadcast_shape(self, theta, c, shape):
-        # (..., a, x, 2, 2) over the broadcast shape of (theta, c), both
-        # intervals, and the same operators as the one-point call
-        ks = k_operators(theta, c)
-        assert ks.shape == shape + (2, 2, 2, 2)
-        args = np.broadcast_arrays(theta, c)
-        for index in np.ndindex(shape):
-            np.testing.assert_array_equal(ks[index], k_operators(*(float(a[index]) for a in args)))
-
-    def test_k_operators_are_channel_images(self):
-        # self-duality: K_{ax} equals the channel applied to the reference state
-        ref = chsh_reference()
-        for theta in (0.2, 1.1):
-            c = dephasing_coefficient(theta, S_OPTIMAL)
-            ch = dephasing_channel(theta, c)
-            ks = k_operators(theta, c)
+    def test_k_operators_are_channel_images(self, rng):
+        # K_{ax} = (I + (-1)^a k_x P_x)/2 with P = (Z, X): the channel keeps
+        # Gamma's pair sharp (k = 1) and shrinks the other by c, the form
+        # the Pauli coefficients of inequality_margin assume
+        for theta, c in zip(rng.uniform(0, math.pi / 2, 20), rng.uniform(-1, 1, 20)):
+            k = (1.0, c) if theta <= math.pi / 4 else (c, 1.0)
+            ks = _k_operators(theta, c)
             for a in range(2):
-                for x in range(2):
-                    np.testing.assert_allclose(
-                        ks[a, x], ch.dual(2 * ref.elements[a, x]), atol=1e-12
-                    )
+                for x, pauli in enumerate((PAULI_Z, PAULI_X)):
+                    expected = (I2 + (-1) ** a * k[x] * pauli) / 2
+                    np.testing.assert_allclose(ks[a, x], expected, rtol=0, atol=1e-15)
 
     def test_t_constraints_closed_form(self):
         # the broadcast closed form against the per-interval formulas, both intervals
@@ -176,9 +159,16 @@ class TestCoefficientRule:
             assert lo == pytest.approx(hi, abs=1e-9)
 
 
+def _k_operators(theta, c):
+    """K[a, x]: the dephasing channel's dual image of the reference
+    conditional state, 2 sigma_{a|x} (every p(a|x) is 1/2)."""
+    return dephasing_channel(theta, c).dual(2 * chsh_reference().elements)
+
+
 def _margin_by_operators(s, t0, t1, theta, c):
-    """Reference: the per-theta loop over k_operators and t_operators."""
-    ks = k_operators(theta, c)
+    """Reference: the per-theta loop over the channel's K operators and
+    t_operators."""
+    ks = _k_operators(theta, c)
     ts = t_operators(theta)
     shift = (t0, t1)
     return min(
