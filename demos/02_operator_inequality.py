@@ -6,8 +6,8 @@ rule and t0*(theta), t1*(theta) are the largest shifts keeping all four
 operators positive semidefinite. The paper's claim is that the split
 t0 = t0*(theta), t1 = t - t0*(theta) works at every theta for
 t = (2 - sqrt(2))/2, i.e. that min over theta of t0* + t1* is at least t.
-The grid holds 0, pi/4 and pi/2, where t0* + t1* takes its minimum, so
-its minimum is exact. The margin at that split is each operator's least
+The check reads theta at BREAKPOINTS alone, 0, pi/4 and pi/2, where
+t0* + t1* takes its minimum over [0, pi/2], so its minimum is exact. The margin at that split is each operator's least
 eigenvalue in closed form, read from its Pauli coefficients without
 building a matrix, and pushing t past the optimum makes the check fail.
 """
@@ -16,16 +16,16 @@ import math
 
 from steerbound import inequality_margin, t_constraints
 from steerbound.selftest import (
+    BREAKPOINTS,
     S_OPTIMAL,
     T_OPTIMAL,
     dephasing_coefficient,
-    theta_grid,
 )
 
 
 def main():
     print(f"s = (1+sqrt(2))/4 = {S_OPTIMAL:.9f}")
-    thetas = theta_grid(20_000)
+    thetas = BREAKPOINTS
     t0, t1 = t_constraints(S_OPTIMAL, thetas)
     c = dephasing_coefficient(thetas, S_OPTIMAL)
     g = t0 + t1

@@ -82,8 +82,7 @@ def cmd_bound_curve(args) -> int:
 
 
 def cmd_verify_inequality(args) -> int:
-    s, t_opt = args.s, selftest.T_OPTIMAL
-    thetas = selftest.theta_grid(args.theta_points)
+    s, t_opt, thetas = args.s, selftest.T_OPTIMAL, selftest.BREAKPOINTS
     g = sum(selftest.t_constraints(s, thetas))
     # the least eigenvalue of the four operators at t0 = t0*, t1 = t - t0*
     margins = np.minimum(g - t_opt, 0)
@@ -91,15 +90,16 @@ def cmd_verify_inequality(args) -> int:
     # is not decided by the last bit of the margin formula
     worst = margins.min()
     print(f"worst margin {worst:.3e} at theta = {thetas[np.argmax(margins <= worst + 1e-12)]:.9g} (s = {_fmt(s)})")
-    first = selftest.first_interval(thetas)
-    for label, cell in (("[0, pi/4]", first), ("(pi/4, pi/2]", ~first)):
-        i = np.flatnonzero(cell)[np.argmin(g[cell])]
+    # g is continuous at pi/4, so each closed cell's least value is at an end
+    for label, cell in (("[0, pi/4]", [0, 1]), ("[pi/4, pi/2]", [1, 2])):
+        i = cell[np.argmin(g[cell])]
         print(f"worst theta in {label}: {thetas[i]:.9g} (t0* + t1* = {_fmt(g[i])})")
     i = int(np.argmin(g))
     print(f"min t0* + t1* = {_fmt(g[i])} at theta = {thetas[i]:.9g} against T_OPTIMAL = {_fmt(t_opt)}")
     # slack for rounding alone: min t0* + t1* - T_OPTIMAL is +1.1e-16 at
-    # S_OPTIMAL, -2.2e-16 at the next float and -2.8e-11 at S_OPTIMAL + 1e-11
-    if worst < -1e-14:
+    # S_OPTIMAL, -2.2e-16 at the next float and -2.8e-11 at S_OPTIMAL + 1e-11;
+    # written so that a NaN margin fails
+    if not worst >= -1e-14:
         print("operator inequality FAILED", file=sys.stderr)
         return 1
     print("operator inequality verified")
@@ -225,9 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bound_curve)
 
+    # both certificate commands read theta at selftest.BREAKPOINTS alone
+    theta_points = dict(type=_checked(int, 2, grid_max), help="accepted for compatibility; changes nothing")
+    # 4 s stays finite, and so does every term of t_constraints
+    s_max = np.finfo(float).max / 4
     p = sub.add_parser("verify-inequality", help="check the operator inequalities at t = T_OPTIMAL")
-    p.add_argument("--theta-points", type=_checked(int, 2, grid_max), default=10_000)
-    p.add_argument("--s", type=_checked(_s_value), default="optimal", help='s, or "optimal"')
+    p.add_argument("--theta-points", **theta_points)
+    p.add_argument("--s", type=_checked(_s_value, -s_max, s_max), default="optimal", help='s, or "optimal"')
     p.set_defaults(func=cmd_verify_inequality)
 
     p = sub.add_parser("classical-fidelity", help="best classical fidelity with a reference")
@@ -236,10 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coefficient-search", help="recover the optimal bound coefficients")
     p.add_argument("--s-points", type=_checked(int, 1, grid_max), default=512)
-    p.add_argument(
-        "--theta-points", type=_checked(int, 2, grid_max), default=10_000,
-        help="accepted for compatibility; t(s) is exact on the breakpoints alone",
-    )
+    p.add_argument("--theta-points", **theta_points)
     p.set_defaults(func=cmd_coefficient_search)
 
     p = sub.add_parser("sandwich", help="run the numerical sandwich sweep")

@@ -23,7 +23,7 @@ import numpy as np
 from .assemblage import Assemblage
 from .fidelity import ExtractionChannel, fidelity_operator
 from .matkernel import I2, PAULI_X, PAULI_Z, ValidationError
-from .steering import BETA_CLASSICAL, BETA_QUANTUM, check_theta, chsh_functional
+from .steering import BETA_CLASSICAL, BETA_QUANTUM, check_theta, chsh_functional, max_violation_over_theta
 
 S_OPTIMAL = (1 + math.sqrt(2)) / 4
 T_OPTIMAL = (2 - math.sqrt(2)) / 2
@@ -131,29 +131,21 @@ def inequality_margin(s: float, t0, t1, theta, c):
     return np.minimum(0.5 - t0 - np.abs(z), 0.5 - t1 - np.abs(x))
 
 
-def theta_grid(size: int) -> np.ndarray:
-    """Uniform grid of ``size`` points on [0, pi/2] with pi/4 pinned, so it
-    holds 0, pi/4 and pi/2, where g = t0* + t1* takes its minimum over
-    [0, pi/2] for every s. Between those angles each term of g is
-    alpha + a cos(theta) + b sin(theta), |a|, |b| in {0, 2|s|}, or a minimum
-    of two such branches. A branch is monotone unless a = b != 0, whose only
-    extremum is at pi/4. A clamp angle arcsin or arccos(1/|4s|), where the
-    dephasing coefficient saturates, is a concave kink of a minimum of two
-    branches while the other term is smooth there, so it is never a
-    minimiser. So the grid minimum of g is its exact minimum for any
-    size >= 2."""
-    if size < 2:
-        raise ValidationError(f"theta grid needs size >= 2, got {size}")
-    return np.sort(np.append(np.linspace(0, math.pi / 2, size), math.pi / 4))
-
-
-_BREAKPOINTS = theta_grid(2)  # 0, pi/4 and pi/2
+# Every theta set the certificates use: g = t0* + t1* takes its minimum over
+# [0, pi/2] at 0, pi/4 or pi/2 for every s. Between those angles each term of
+# g is alpha + a cos(theta) + b sin(theta), |a|, |b| in {0, 2|s|}, or a
+# minimum of two such branches. A branch is monotone unless a = b != 0, whose
+# only extremum is at pi/4. A clamp angle arcsin or arccos(1/|4s|), where the
+# dephasing coefficient saturates, is a concave kink of a minimum of two
+# branches while the other term is smooth there, so it is never a minimiser.
+BREAKPOINTS = np.array([0.0, math.pi / 4, math.pi / 2])
+BREAKPOINTS.flags.writeable = False
 
 
 def _intercepts(s):
     """(t(s), t0, t1) per s at the first minimiser of t0* + t1* over
-    ``_BREAKPOINTS``, where ``theta_grid`` shows its minimum lies."""
-    t0, t1 = t_constraints(np.reshape(s, (-1, 1)), _BREAKPOINTS)
+    ``BREAKPOINTS``, where its minimum lies."""
+    t0, t1 = t_constraints(np.reshape(s, (-1, 1)), BREAKPOINTS)
     first = np.argmin(t0 + t1, axis=1)[:, None]
     t0, t1 = (np.take_along_axis(t, first, 1)[:, 0] for t in (t0, t1))
     return t0 + t1, t0, t1
@@ -167,8 +159,8 @@ def coefficient_search(s_grid) -> BoundCoefficients:
     """Recover the optimal (s, t) pair by a search over s.
 
     For each s the bound intercept t(s) = min_theta (t0* + t1*) is read from
-    ``t_constraints`` over 0, pi/4 and pi/2, where it is exact (see
-    ``theta_grid``), the whole s grid in one broadcast; the search checks
+    ``t_constraints`` over ``BREAKPOINTS`` (0, pi/4 and pi/2), where it is
+    exact, the whole s grid in one broadcast; the search checks
     nothing against ``t_constraints``, and the tests check the pair it
     returns against S_OPTIMAL and T_OPTIMAL. The bound at maximal violation,
     (s*beta_Q + t(s))/2, plateaus at 1 past the optimum. The plateau is
@@ -239,10 +231,15 @@ def certified_lower_bound(asm: Assemblage, theta: float) -> float:
     """Analytic lower bound on extractability from the CHSH value at theta.
 
     ValidationError when some p(a|x) is more than 1e-6 from 1/2, since the
-    certified statement assumes p(a|x) = 1/2.
+    certified statement assumes p(a|x) = 1/2, and when the functional's
+    maximum over theta exceeds 2 sqrt(2) by more than 1e-12, which no
+    quantum assemblage reaches.
     """
     dev = asm.max_marginal_deviation()
     if dev > 1e-6:
         raise ValidationError(f"analytic bound assumes p(a|x) = 1/2; deviation {dev:.3e} exceeds 1e-06")
+    peak = max_violation_over_theta(asm)[1]
+    if peak > BETA_QUANTUM + 1e-12:
+        raise ValidationError(f"CHSH maximum {peak:.9g} exceeds 2 sqrt(2): not a quantum assemblage")
     beta = chsh_functional(asm, theta)
     return analytic_bound(beta)

@@ -28,6 +28,7 @@ from steerbound.fidelity import (
 from steerbound.matkernel import I2, PAULI_X, PAULI_Z, PHI_PLUS
 from steerbound.numsearch import SearchConfig, sandwich_sweep
 from steerbound.selftest import (
+    BREAKPOINTS,
     S_OPTIMAL,
     T_OPTIMAL,
     THRESHOLD_BETA,
@@ -38,7 +39,6 @@ from steerbound.selftest import (
     extractability_with_channel,
     inequality_margin,
     t_constraints,
-    theta_grid,
     upper_bound,
 )
 from steerbound.steering import (
@@ -68,7 +68,7 @@ def test_02_operator_inequality_sweep():
     # the paper's pair (s, t) through the fixed split t0 = t0*(theta),
     # t1 = t - t0*(theta): PSD at every angle of a grid that holds the
     # breakpoints 0, pi/4 and pi/2 for t = T_OPTIMAL, and violated once t exceeds it
-    thetas = theta_grid(10_000)
+    thetas = np.union1d(np.linspace(0, math.pi / 2, 10_000), BREAKPOINTS)
     t0, _ = t_constraints(S_OPTIMAL, thetas)
     c = dephasing_coefficient(thetas, S_OPTIMAL)
     worst = inequality_margin(S_OPTIMAL, t0, T_OPTIMAL - t0, thetas, c).min()

@@ -83,7 +83,7 @@ class TestVerifyInequality:
         lines = result.stdout.splitlines()
         assert lines[0].startswith("worst margin ")
         assert lines[1].startswith("worst theta in [0, pi/4]: ")
-        assert lines[2].startswith("worst theta in (pi/4, pi/2]: ")
+        assert lines[2].startswith("worst theta in [pi/4, pi/2]: ")
         assert lines[3].startswith("min t0* + t1* = 0.292893219 at theta = ")
         assert lines[3].endswith("against T_OPTIMAL = 0.292893219")
 
@@ -119,6 +119,21 @@ class TestVerifyInequality:
         assert ("operator inequality verified" in out) == (code == 0)
         assert ("operator inequality FAILED" in err) == (code == 1)
 
+    @pytest.mark.parametrize("s", ["optimal", "0.5", "0.6036", "0.7", "5"])
+    def test_theta_points_changes_nothing(self, s, capsys):
+        # the verdict is read at the breakpoints 0, pi/4 and pi/2 alone
+        outputs = []
+        for points in ("2", "7", "10000"):
+            code = main(["verify-inequality", "--s", s, "--theta-points", points])
+            outputs.append((code, capsys.readouterr()))
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_nan_margin_fails(self, monkeypatch, capsys):
+        # a margin that is not a number is never a pass
+        monkeypatch.setattr(selftest, "t_constraints", lambda s, theta: (np.full(3, np.nan), np.zeros(3)))
+        assert main(["verify-inequality"]) == 1
+        assert capsys.readouterr().err == "operator inequality FAILED\n"
+
     def test_worst_margin_tie_goes_to_first_theta(self, capsys):
         # at this s the margins at theta = 0 and pi/2 are equal in exact
         # arithmetic, and the printed angle is the first of the tied ones
@@ -133,7 +148,7 @@ GOLDEN = {
         0,
         "worst margin 0.000e+00 at theta = 0 (s = 0.603553391)\n"
         "worst theta in [0, pi/4]: 0 (t0* + t1* = 0.292893219)\n"
-        "worst theta in (pi/4, pi/2]: 1.57079633 (t0* + t1* = 0.292893219)\n"
+        "worst theta in [pi/4, pi/2]: 1.57079633 (t0* + t1* = 0.292893219)\n"
         "min t0* + t1* = 0.292893219 at theta = 0 against T_OPTIMAL = 0.292893219\n"
         "operator inequality verified\n",
         "",
@@ -142,7 +157,7 @@ GOLDEN = {
         1,
         "worst margin -1.318e-04 at theta = 0.785398163 (s = 0.6036)\n"
         "worst theta in [0, pi/4]: 0.785398163 (t0* + t1* = 0.292761388)\n"
-        "worst theta in (pi/4, pi/2]: 0.785476711 (t0* + t1* = 0.292761393)\n"
+        "worst theta in [pi/4, pi/2]: 0.785398163 (t0* + t1* = 0.292761388)\n"
         "min t0* + t1* = 0.292761388 at theta = 0.785398163 against T_OPTIMAL = 0.292893219\n",
         "operator inequality FAILED\n",
     ),
@@ -150,7 +165,7 @@ GOLDEN = {
         0,
         "worst margin 0.000e+00 at theta = 0 (s = 0.5)\n"
         "worst theta in [0, pi/4]: 0 (t0* + t1* = 0.5)\n"
-        "worst theta in (pi/4, pi/2]: 1.57079633 (t0* + t1* = 0.5)\n"
+        "worst theta in [pi/4, pi/2]: 1.57079633 (t0* + t1* = 0.5)\n"
         "min t0* + t1* = 0.5 at theta = 0 against T_OPTIMAL = 0.292893219\n"
         "operator inequality verified\n",
         "",
@@ -159,7 +174,7 @@ GOLDEN = {
         1,
         "worst margin -2.728e-01 at theta = 0.785398163 (s = 0.7)\n"
         "worst theta in [0, pi/4]: 0.785398163 (t0* + t1* = 0.0201010127)\n"
-        "worst theta in (pi/4, pi/2]: 1.04719755 (t0* + t1* = 0.0875644347)\n"
+        "worst theta in [pi/4, pi/2]: 0.785398163 (t0* + t1* = 0.0201010127)\n"
         "min t0* + t1* = 0.0201010127 at theta = 0.785398163 against T_OPTIMAL = 0.292893219\n",
         "operator inequality FAILED\n",
     ),
@@ -167,7 +182,7 @@ GOLDEN = {
         1,
         "worst margin -9.439e-01 at theta = 0 (s = -0.575510204)\n"
         "worst theta in [0, pi/4]: 0 (t0* + t1* = -0.651020408)\n"
-        "worst theta in (pi/4, pi/2]: 1.57079633 (t0* + t1* = -0.651020408)\n"
+        "worst theta in [pi/4, pi/2]: 1.57079633 (t0* + t1* = -0.651020408)\n"
         "min t0* + t1* = -0.651020408 at theta = 0 against T_OPTIMAL = 0.292893219\n",
         "operator inequality FAILED\n",
     ),
@@ -175,7 +190,7 @@ GOLDEN = {
         1,
         "worst margin -1.244e+01 at theta = 0.785398163 (s = 5)\n"
         "worst theta in [0, pi/4]: 0.785398163 (t0* + t1* = -12.1421356)\n"
-        "worst theta in (pi/4, pi/2]: 0.785476711 (t0* + t1* = -12.1421356)\n"
+        "worst theta in [pi/4, pi/2]: 0.785398163 (t0* + t1* = -12.1421356)\n"
         "min t0* + t1* = -12.1421356 at theta = 0.785398163 against T_OPTIMAL = 0.292893219\n",
         "operator inequality FAILED\n",
     ),
@@ -234,6 +249,10 @@ def test_verify_builds_no_operator_matrices(monkeypatch, capsys):
         ["verify-inequality", "--s", "nan"],
         ["verify-inequality", "--s", "inf"],
         ["verify-inequality", "--s=-inf"],
+        # 4 s would overflow to inf, and inf * sin(0) is NaN
+        ["verify-inequality", "--s", "1e308"],
+        ["verify-inequality", "--s=-1e308"],
+        ["verify-inequality", "--s", "1.7e308"],
         ["verify-inequality", "--theta-points", "1"],
         ["verify-inequality", "--theta-points", "0"],
         ["coefficient-search", "--theta-points", "0"],

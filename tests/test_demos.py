@@ -21,6 +21,8 @@ def test_demo_runs(demo, tmp_path):
     # run in a temporary directory so the files a demo writes land there
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
+    # pytest's warning filters do not reach a subprocess
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning,error::DeprecationWarning"
     result = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, capture_output=True, text=True, env=env
     )

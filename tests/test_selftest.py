@@ -6,12 +6,13 @@ import time
 import numpy as np
 import pytest
 
-from steerbound.assemblage import chsh_reference, random_realization, realize
+from steerbound.assemblage import Assemblage, chsh_reference, random_realization, realize
 from steerbound.fidelity import assemblage_fidelity
 from steerbound.matkernel import I2, PAULI_X, PAULI_Z, ValidationError
 from steerbound import selftest
 from steerbound.selftest import (
     _intercepts,
+    BREAKPOINTS,
     BoundCoefficients,
     S_OPTIMAL,
     T_OPTIMAL,
@@ -26,7 +27,6 @@ from steerbound.selftest import (
     extractability_with_channel,
     inequality_margin,
     t_constraints,
-    theta_grid,
     upper_bound,
 )
 from steerbound.steering import BETA_CLASSICAL, BETA_QUANTUM, t_operators
@@ -178,7 +178,7 @@ def _margin_by_operators(s, t0, t1, theta, c):
 
 class TestInequalityMargins:
     def test_margins_nonnegative_at_optimum(self):
-        thetas = theta_grid(801)
+        thetas = np.union1d(np.linspace(0, math.pi / 2, 801), BREAKPOINTS)
         t0, t1 = t_constraints(S_OPTIMAL, thetas)
         c = dephasing_coefficient(thetas, S_OPTIMAL)
         assert np.all(inequality_margin(S_OPTIMAL, t0, t1, thetas, c) >= -1e-10)
@@ -234,7 +234,7 @@ class TestInequalityMargins:
     def test_tight_for_any_s(self, rng):
         # t_constraints is the largest shift: margin 0 at every theta, for any s
         for s in rng.uniform(-1, 2, 50):
-            thetas = theta_grid(200)
+            thetas = np.union1d(np.linspace(0, math.pi / 2, 200), BREAKPOINTS)
             t0, t1 = t_constraints(s, thetas)
             c = dephasing_coefficient(thetas, s)
             margins = inequality_margin(s, t0, t1, thetas, c)
@@ -243,7 +243,7 @@ class TestInequalityMargins:
     def test_split_margin_is_shift_sum_minus_t(self, rng):
         # at the split t0 = t0*, t1 = t - t0* the least eigenvalue is
         # min(0, t0* + t1* - t), the value verify-inequality prints
-        thetas = theta_grid(500)
+        thetas = np.union1d(np.linspace(0, math.pi / 2, 500), BREAKPOINTS)
         for s in np.append(rng.uniform(-1, 2, 20), S_OPTIMAL):
             t0, t1 = t_constraints(s, thetas)
             c = dephasing_coefficient(thetas, s)
@@ -253,21 +253,14 @@ class TestInequalityMargins:
 
 
 class TestCoefficientSearch:
-    def test_theta_grid_contains_boundary(self):
-        for size in (2, 3, 100, 1000, 10_000):
-            grid = theta_grid(size)
-            assert grid[0] == 0.0
-            assert grid[-1] == pytest.approx(math.pi / 2)
-            assert np.all(np.diff(grid) >= 0)
-            assert math.pi / 4 in grid
-
-    def test_theta_grid_rejects_degenerate_input(self):
-        for size in (1, 0, -3):
-            with pytest.raises(ValidationError):
-                theta_grid(size)
+    def test_breakpoints_are_read_only(self):
+        # every certificate reads theta here, so no caller may move an angle
+        np.testing.assert_array_equal(BREAKPOINTS, [0.0, math.pi / 4, math.pi / 2])
+        with pytest.raises(ValueError):
+            BREAKPOINTS[1] = 0.0
 
     def test_breakpoint_minimum_is_exact(self, rng):
-        # the minimum of t0* + t1* over theta_grid(2) -- 0, pi/4 and pi/2
+        # the minimum of t0* + t1* over BREAKPOINTS -- 0, pi/4 and pi/2
         # alone -- equals its minimum over a dense uniform grid with the clamp
         # angles asin/acos(1/|4s|) added, also for s within rounding of
         # |4s| = 1 and |4s| = sqrt 2, where clamp angles meet 0, pi/2 or pi/4
@@ -277,15 +270,15 @@ class TestCoefficientSearch:
         for s in np.concatenate([rng.uniform(-1, 2, 200), near, -near]):
             r = min(1.0, 1 / abs(4 * s))
             fine = np.concatenate([dense, [math.asin(r), math.acos(r)]])
-            coarse = sum(t_constraints(s, theta_grid(2))).min()
+            coarse = sum(t_constraints(s, BREAKPOINTS)).min()
             assert coarse == pytest.approx(sum(t_constraints(s, fine)).min(), abs=1e-12), s
 
     def test_intercepts_match_scalar_grid(self, rng):
         # the one-broadcast intercepts equal the first minimiser of t0* + t1*
-        # over theta_grid(2) taken s by s: the value and the (t0, t1) split
+        # over BREAKPOINTS taken s by s: the value and the (t0, t1) split
         s_values = np.concatenate([rng.uniform(-1, 2, 500), [0.0, 0.25, -0.25, S_OPTIMAL]])
         for s, got in zip(s_values, zip(*_intercepts(s_values))):
-            t0, t1 = t_constraints(float(s), theta_grid(2))
+            t0, t1 = t_constraints(float(s), BREAKPOINTS)
             i = int(np.argmin(t0 + t1))
             assert got == (t0[i] + t1[i], t0[i], t1[i]), s
 
@@ -437,6 +430,18 @@ class TestCertification:
                     certified_lower_bound(asm, 0.5)
                 return
         pytest.fail("no non-uniform sample drawn")
+
+    def test_rejects_chsh_above_quantum_bound(self):
+        # uniform marginals, but sigma_{a|0} = diag(0.6, -0.1) and diag(-0.1,
+        # 0.6) give u = 2.8 and w = 2, a maximum hypot(u, w) = 3.44 that no
+        # quantum assemblage reaches; it used to be certified at 0.991
+        elements = chsh_reference().elements.copy()
+        elements[0, 0], elements[1, 0] = np.diag([0.6, -0.1]), np.diag([-0.1, 0.6])
+        asm = Assemblage(elements)
+        assert asm.max_marginal_deviation() <= 1e-15
+        for theta in (0.0, math.pi / 4, math.pi / 2):
+            with pytest.raises(ValidationError, match="CHSH maximum 3.44093011 exceeds 2 sqrt"):
+                certified_lower_bound(asm, theta)
 
     def test_witness_channel_dominates_bound(self, rng):
         # the dephasing witness channel achieves at least the analytic bound
