@@ -16,7 +16,6 @@ from .fidelity import (
     appendix_b_strategy,
     assemblage_fidelity,
     classical_fidelity,
-    extractabilities,
     extractability,
     state_fidelity,
 )

@@ -272,7 +272,8 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, OSError, ValueError, json.JSONDecodeError, MemoryError) as exc:
+    # ValidationError and json.JSONDecodeError are ValueErrors
+    except (OSError, ValueError, MemoryError) as exc:
         # a bare MemoryError() has an empty message
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

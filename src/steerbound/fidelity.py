@@ -132,8 +132,8 @@ class ExtractionChannel:
 
 
 def _trace_out(choi: np.ndarray) -> np.ndarray:
-    """tr_out of a Choi matrix, or of each in a (..., 4, 4) stack."""
-    return choi.reshape(choi.shape[:-2] + (2, 2, 2, 2)).trace(axis1=-3, axis2=-1)
+    """tr_out of a 4x4 Choi matrix."""
+    return choi.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
 
 
 _REFERENCE = chsh_reference()
@@ -168,7 +168,7 @@ _H_BASIS = _SLACK_BASIS[1:].reshape(3, 16)  # h -> sum_k h_k (sigma_k (x) I), fl
 # 1e13. The point for weight t has duality gap 4/t, so the last stage
 # reaches about 1e-13, near the rounding floor of a 4x4 eigendecomposition.
 _BARRIER_WEIGHTS = np.append(10.0 ** np.arange(0, 13, 2), 1e13)
-_NEWTON_STEPS = 12  # per weight; each step costs one stacked 4x4 eigendecomposition
+_NEWTON_STEPS = 12  # per weight; each step costs one 4x4 eigendecomposition
 _ROUNDING = 1e-14  # allowance for the rounding in the two bounds
 _EPS = np.finfo(float).eps
 
@@ -181,77 +181,61 @@ def extractability(asm: Assemblage):
 
     with W = fidelity_operator(asm). Returns (value, channel, gap): value =
     tr(J W) is attained by the returned channel, and the extractability
-    lies in [value, value + gap]. It is ``extractabilities`` on one item.
-    """
-    return extractabilities([asm])[0]
-
-
-def _conj_t(m: np.ndarray) -> np.ndarray:
-    return m.conj().swapaxes(-1, -2)
-
-
-def extractabilities(assemblages) -> list:
-    """``extractability`` for each assemblage, solved together as a stack.
+    lies in [value, value + gap].
 
     The dual is min 2 lambda_max(W - H (x) I) over traceless Hermitian H:
     three real parameters. It is solved by a log-det barrier method with
     damped Newton steps, which stay in the barrier's domain without a line
     search. There is one stage per barrier weight t = 1, 1e2, ..., 1e12,
-    1e13. Every stage's steps run on the (K, 4, 4) stack of the items still
-    in that stage: an item leaves it when its step is rejected as out of
-    the domain (rounding) or when an accepted step's Newton decrement drops
-    below max(1e-7, sqrt(t eps)), the level under which the objective's
-    rounding hides the decrease a step predicts. The work is capped at
-    1 + len(_BARRIER_WEIGHTS) * (_NEWTON_STEPS + 1) = 105 stacked
-    eigendecompositions; the five default sandwich witnesses take 39.
+    1e13. A stage ends when a step is rejected as out of the domain
+    (rounding) or when an accepted step's Newton decrement drops below
+    max(1e-7, sqrt(t eps)), the level under which the objective's rounding
+    hides the decrease a step predicts. The work is capped at
+    1 + len(_BARRIER_WEIGHTS) * (_NEWTON_STEPS + 1) = 1 + 8 * 13 = 105
+    eigendecompositions; the five default sandwich witnesses take 39, 38,
+    36, 36 and 36.
 
-    At the end of each stage each item's primal estimate is rescaled,
+    At the end of each stage the primal estimate is rescaled,
     J <- (M (x) I) J (M (x) I)^dagger with M = (tr_out J)^(-1/2), so that
-    it is exactly a channel. Each item keeps its best such value and its
-    best dual bound. Returns a list of (value, channel, gap).
+    it is exactly a channel. The solve keeps its best such value and its
+    best dual bound.
     """
-    assemblages = list(assemblages)
-    if not assemblages:
-        raise ValidationError("extractabilities needs at least one assemblage")
-    w = np.array([fidelity_operator(asm) for asm in assemblages])
+    w = fidelity_operator(asm)
     vals, vecs = np.linalg.eigh(w)
-    x = np.zeros((len(w), 4))  # (y, h): strictly feasible
-    x[:, 0] = vals[:, -1] + 1.0
-    dual = 2 * vals[:, -1]
-    value = np.full(len(w), -math.inf)
+    x = np.zeros(4)  # (y, h): strictly feasible
+    x[0] = vals[-1] + 1.0
+    dual = 2 * vals[-1]
+    value = -math.inf
     choi = np.zeros_like(w)
     for t in _BARRIER_WEIGHTS:
-        live = np.arange(len(w))
         for _ in range(_NEWTON_STEPS):
-            inv = 1 / (x[live, :1] - vals[live])  # eigenvalues of Z^-1
-            v = vecs[live, None]
-            basis = _conj_t(v) @ _SLACK_BASIS @ v
-            grad = -(np.diagonal(basis, axis1=-2, axis2=-1).real @ inv[:, :, None])[..., 0]
-            grad[:, 0] += 2 * t
-            scaled = inv[:, None, :, None] * basis * inv[:, None, None, :]
-            hess = (scaled.reshape(-1, 4, 16) @ _conj_t(basis.reshape(-1, 4, 16))).real
-            step = np.linalg.solve(hess, grad[..., None])[..., 0]
-            decrement = np.sqrt(np.maximum((grad * step).sum(axis=1), 0.0))
-            trial = x[live] - step / (1 + decrement[:, None])
-            slack = w[live] - (trial[:, 1:] @ _H_BASIS).reshape(-1, 4, 4)
+            inv = 1 / (x[0] - vals)  # eigenvalues of Z^-1
+            basis = vecs.conj().T @ _SLACK_BASIS @ vecs
+            grad = -(np.diagonal(basis, axis1=-2, axis2=-1).real @ inv)
+            grad[0] += 2 * t
+            scaled = inv[:, None] * basis * inv
+            hess = (scaled.reshape(4, 16) @ basis.reshape(4, 16).conj().T).real
+            step = np.linalg.solve(hess, grad)
+            decrement = math.sqrt(max((grad * step).sum(), 0.0))
+            trial = x - step / (1 + decrement)
+            slack = w - (trial[1:] @ _H_BASIS).reshape(4, 4)
             trial_vals, trial_vecs = np.linalg.eigh(slack)
-            inside = trial[:, 0] > trial_vals[:, -1]  # rounding can push a step out
-            live = live[inside]
-            x[live], vals[live], vecs[live] = trial[inside], trial_vals[inside], trial_vecs[inside]
-            dual[live] = np.minimum(dual[live], 2 * trial_vals[inside, -1])
+            if not trial[0] > trial_vals[-1]:  # rounding can push a step out
+                break
+            x, vals, vecs = trial, trial_vals, trial_vecs
+            dual = min(dual, 2 * trial_vals[-1])
             # The barrier objective 2ty - log det Z is about 2t, so it is known
             # only to about t * eps; once the decrement squared (the predicted
             # decrease) is below that, further steps gain nothing.
-            live = live[decrement[inside] >= max(1e-7, math.sqrt(t * _EPS))]
-            if not live.size:
+            if decrement < max(1e-7, math.sqrt(t * _EPS)):
                 break
-        j = (vecs / (t * (x[:, :1] - vals))[:, None, :]) @ _conj_t(vecs)
+        j = (vecs / (t * (x[0] - vals))) @ vecs.conj().T
         m_vals, m_vecs = np.linalg.eigh(_trace_out(j))
-        m = (m_vecs / np.sqrt(m_vals)[:, None, :]) @ _conj_t(m_vecs)
-        m = np.einsum("nij,ab->niajb", m, I2).reshape(j.shape)
-        j = m @ j @ _conj_t(m)
-        candidate = np.einsum("nij,nij->n", j.conj(), w).real
-        better = candidate > value
-        value[better], choi[better] = candidate[better], j[better]
-    gap = np.maximum(dual - value, 0.0) + _ROUNDING
-    return [(float(v), ExtractionChannel(c), float(g)) for v, c, g in zip(value, choi, gap)]
+        m = (m_vecs / np.sqrt(m_vals)) @ m_vecs.conj().T
+        m = np.einsum("ij,ab->iajb", m, I2).reshape(4, 4)
+        j = m @ j @ m.conj().T
+        candidate = np.einsum("ij,ij->", j.conj(), w).real
+        if candidate > value:
+            value, choi = candidate, j
+    gap = max(dual - value, 0.0) + _ROUNDING
+    return float(value), ExtractionChannel(choi), float(gap)

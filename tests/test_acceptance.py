@@ -22,7 +22,7 @@ from steerbound.fidelity import (
     appendix_b_strategy,
     assemblage_fidelity,
     classical_fidelity,
-    extractabilities,
+    extractability,
     state_fidelity,
 )
 from steerbound.matkernel import I2, PAULI_X, PAULI_Z, PHI_PLUS
@@ -67,15 +67,18 @@ def test_01_trivial_classical_fidelity():
 def test_02_operator_inequality_sweep():
     # the paper's pair (s, t) through the fixed split t0 = t0*(theta),
     # t1 = t - t0*(theta): PSD at every angle of a grid that holds the
-    # breakpoints 0, pi/4 and pi/2 for t = T_OPTIMAL, and violated once t exceeds it
+    # breakpoints 0, pi/4 and pi/2 for t = T_OPTIMAL, and violated once t exceeds
+    # it; the slack -1e-14 is verify-inequality's, for rounding alone
     thetas = np.union1d(np.linspace(0, math.pi / 2, 10_000), BREAKPOINTS)
     t0, _ = t_constraints(S_OPTIMAL, thetas)
     c = dephasing_coefficient(thetas, S_OPTIMAL)
     worst = inequality_margin(S_OPTIMAL, t0, T_OPTIMAL - t0, thetas, c).min()
-    assert worst >= -1e-10
+    assert worst >= -1e-14
+    near = inequality_margin(S_OPTIMAL, t0, T_OPTIMAL + 1e-11 - t0, thetas, c).min()
+    assert near < -1e-14
     over = inequality_margin(S_OPTIMAL, t0, T_OPTIMAL + 1e-6 - t0, thetas, c).min()
     assert over < -5e-7
-    _report(f"operator inequality at (s, t) optimal: worst margin {worst:.2e} >= -1e-10")
+    _report(f"operator inequality at (s, t) optimal: worst margin {worst:.2e} >= -1e-14")
 
 
 def test_03_coefficient_recovery():
@@ -125,7 +128,8 @@ def test_07_per_instance_witness_chain():
     rng = np.random.default_rng(20240817)
     assemblages = [realize(random_realization(rng, uniform_marginals=True)) for _ in range(200)]
     worst_slack = math.inf
-    for asm, (exact, _, gap) in zip(assemblages, extractabilities(assemblages)):
+    for asm in assemblages:
+        exact, _, gap = extractability(asm)
         theta, _ = max_violation_over_theta(asm)
         beta = chsh_functional(asm, theta)
         c = dephasing_coefficient(theta, S_OPTIMAL)

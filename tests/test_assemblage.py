@@ -107,6 +107,13 @@ class TestRealize:
         with pytest.raises(ValidationError, match="POVMs must be a"):
             QuantumRealization(phi_plus(), povms).check()
 
+    def test_rejects_non_psd_povm_element(self):
+        m0 = np.diag([1.5, 0.5]).astype(complex)
+        povms = zx_povms()
+        povms[0] = [m0, I2 - m0]  # sums to identity, but M_{1|0} = diag(-0.5, 0.5)
+        with pytest.raises(ValidationError, match=r"POVM element \(1\|0\) is not PSD"):
+            QuantumRealization(phi_plus(), povms).check()
+
     def test_rejects_non_psd_state(self):
         state = phi_plus() - 0.2 * I4 / 4
         state = state / np.trace(state).real
@@ -317,6 +324,11 @@ class TestAssemblageOps:
             0.25 * ref.elements[0, 0] + 0.75 * ref.elements[1, 0],
             atol=1e-14,
         )
+
+    def test_mix_rejects_other_shape(self):
+        three_settings = Assemblage(np.broadcast_to(I2 / 6, (2, 3, 2, 2)))
+        with pytest.raises(ValidationError, match="cannot mix assemblages of different shape"):
+            chsh_reference().mix(three_settings, 0.5)
 
     def test_json_round_trip(self, rng):
         asm = realize(random_realization(rng))

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -269,6 +270,10 @@ def test_verify_builds_no_operator_matrices(monkeypatch, capsys):
         ["bound-curve", "--beta-max", "2.8285"],
         ["bound-curve", "--beta-min", "-2.5"],
         ["validate", "--assemblage", "chsh", "--tol", "nan"],
+        # text that is no number
+        ["verify-inequality", "--s", "abc"],
+        ["bound-curve", "--points", "1.5"],
+        ["validate", "--assemblage", "chsh", "--tol", "x"],
     ],
 )
 def test_degenerate_numeric_argument_is_usage_error(argv, capsys):
@@ -509,6 +514,13 @@ class TestRealizeValidate:
         asm = Assemblage.from_json(out.read_text())
         np.testing.assert_allclose(asm.elements, chsh_reference().elements, atol=1e-12)
 
+    def test_realize_without_out_prints_json(self, tmp_path, run_cli):
+        out = tmp_path / "asm.json"
+        run_cli("realize", "--out", str(out))
+        result = run_cli("realize")
+        assert result.returncode == 0
+        assert result.stdout == out.read_text() + "\n"
+
     def test_validate_round_trip(self, tmp_path, run_cli):
         out = tmp_path / "asm.json"
         run_cli("realize", "--out", str(out))
@@ -594,6 +606,17 @@ def test_malformed_realization_is_one_error_line(tmp_path, capsys, option, docum
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_failed_replace_leaves_no_temp_file(tmp_path, monkeypatch, run_cli):
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    result = run_cli("bound-curve", "--out", str(tmp_path / "curve.csv"))
+    assert result.returncode == 1
+    assert result.stderr == "error: replace refused\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestExitCodes:

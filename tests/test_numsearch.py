@@ -18,7 +18,6 @@ from steerbound.assemblage import (
 from steerbound.fidelity import (
     appendix_b_strategy,
     assemblage_fidelity,
-    extractabilities,
     extractability,
     fidelity_operator,
 )
@@ -152,7 +151,7 @@ class TestSampling:
             assert asm.max_marginal_deviation() < 1e-10
 
 
-class TestBestChannel:
+class TestExtractability:
     """The exact extractability solve: value, optimal channel and gap."""
 
     @staticmethod
@@ -221,32 +220,11 @@ class TestBestChannel:
         extractability(asm)
         assert 0 < len(calls) <= EIGH_CAP
 
-    def test_batched_eigendecompositions(self, monkeypatch):
-        # the stage schedule is shared, so a batch costs no more calls than one item
-        rng = np.random.default_rng(5)
-        batch = [realize(random_realization(rng)) for _ in range(20)]
-        calls = count_eigh(monkeypatch)
-        extractabilities(batch)
-        assert 0 < len(calls) <= EIGH_CAP
-
-    def test_batch_matches_single_solves(self, rng):
-        batch = [realize(random_realization(rng, uniform_marginals=True)) for _ in range(8)]
-        batch += [realize(random_realization(rng)) for _ in range(8)]
-        batch += [general_assemblage(rng) for _ in range(8)]
-        batch += [chsh_reference(), from_classical(appendix_b_strategy())]
-        results = extractabilities(batch)
-        assert len(results) == len(batch)
-        for asm, (value, channel, gap) in zip(batch, results):
-            self._check_certificate(value, channel, gap)
-            assert value == pytest.approx(extractability(asm)[0], abs=1e-12)
-
-    def test_batch_rejects_bad_input(self):
-        with pytest.raises(ValidationError):
-            extractabilities([])
+    def test_rejects_three_settings(self):
         # qutrit elements are refused by the Assemblage constructor itself
         three_settings = Assemblage(np.broadcast_to(I2 / 6, (2, 3, 2, 2)))
         with pytest.raises(ValidationError):
-            extractabilities([chsh_reference(), three_settings])
+            extractability(three_settings)
 
     def test_fidelity_matches_direct_evaluation(self, rng):
         asm = realize(random_realization(rng, uniform_marginals=True))
@@ -254,7 +232,7 @@ class TestBestChannel:
         direct = assemblage_fidelity(chsh_reference(), Assemblage(channel.apply(asm.elements)))
         assert value == pytest.approx(direct, abs=1e-12)
 
-    def test_fidelity_after_kraus_agrees(self, rng):
+    def test_choi_form_equals_mapped_fidelity(self, rng):
         # the Choi form tr(J W) equals the fidelity of the mapped assemblage
         for _ in range(10):
             asm = realize(random_realization(rng))
@@ -289,8 +267,8 @@ class TestWitness:
     BETAS = [float(b) for b in np.linspace(2, BETA_QUANTUM, 46)[1:]]
 
     def test_extractability_is_closed_form(self):
-        results = extractabilities(_witness_candidate(b)[0] for b in self.BETAS)
-        for beta, (value, _, gap) in zip(self.BETAS, results):
+        for beta in self.BETAS:
+            value, _, gap = extractability(_witness_candidate(beta)[0])
             assert gap <= 1e-9
             assert abs(value - xi_star(beta)) <= gap + 1e-12
 
@@ -298,8 +276,8 @@ class TestWitness:
         # on the whole grid the sandwich's records agree with the barrier
         # solve, and their own gap is at the rounding floor
         records = sandwich_sweep(SearchConfig(beta_targets=tuple(self.BETAS))).records
-        results = extractabilities(_witness_candidate(b)[0] for b in self.BETAS)
-        for record, (value, _, gap) in zip(records, results):
+        for record in records:
+            value, _, gap = extractability(_witness_candidate(record.beta)[0])
             assert abs(record.numeric_min - value) <= gap + 1e-12
             assert record.gap <= 1e-13
 
@@ -331,7 +309,7 @@ class TestTwoBlockDevice:
         assert max_violation_over_theta(block1) == (0.0, 2.0)
         beta2 = max_violation_over_theta(block2)[1]
         assert beta2 == pytest.approx(BETA_QUANTUM, abs=1e-15)
-        (xi1, _, gap1), (xi2, _, gap2) = extractabilities([block1, block2])
+        (xi1, _, gap1), (xi2, _, gap2) = extractability(block1), extractability(block2)
         assert xi1 <= 0.75 <= xi1 + gap1
         assert xi2 <= 1.0 <= xi2 + gap2
         for q in (0.1, 0.42, 0.7):
@@ -379,7 +357,7 @@ class TestDefaultSweep:
         def unused(*args):
             raise AssertionError("the sandwich must not run the extractability solve")
 
-        monkeypatch.setattr(fidelity, "extractabilities", unused)
+        monkeypatch.setattr(fidelity, "extractability", unused)
         calls, shapes = count_eigh(monkeypatch), []
         eigvalsh = np.linalg.eigvalsh
 
@@ -393,13 +371,15 @@ class TestDefaultSweep:
         assert shapes == [(5, 4, 4)]
 
     def test_witness_solve_eigendecompositions(self, monkeypatch):
-        # the general solve on the five default witnesses: stages end at the
-        # decrement's rounding floor, 39 stacked calls; a flat 1e-7 exit ran
-        # the late stages to the step cap (83 calls)
-        witnesses = [_witness_candidate(beta)[0] for beta in SearchConfig().beta_targets]
+        # the general solve on each default witness: stages end at the
+        # decrement's rounding floor, 36 to 39 calls a solve; a flat 1e-7
+        # exit ran the late stages to the step cap
         calls = count_eigh(monkeypatch)
-        extractabilities(witnesses)
-        assert len(calls) <= 45
+        for beta in SearchConfig().beta_targets:
+            witness = _witness_candidate(beta)[0]
+            calls.clear()
+            extractability(witness)
+            assert 0 < len(calls) <= 45, beta
 
     def test_report_json_matches_round_trip_form(self, default_report):
         # the same bytes as serialising each witness and the config and
