@@ -17,6 +17,7 @@ import math
 from steerbound import inequality_margin, t_constraints
 from steerbound.selftest import (
     BREAKPOINTS,
+    INEQUALITY_SLACK,
     S_OPTIMAL,
     T_OPTIMAL,
     dephasing_coefficient,
@@ -34,7 +35,7 @@ def main():
     for t in (T_OPTIMAL, T_OPTIMAL + 1e-6):
         worst = inequality_margin(S_OPTIMAL, t0, t - t0, thetas, c).min()
         # the slack of `steerbound verify-inequality`: rounding alone
-        status = "verified" if worst >= -1e-14 else "FAILED"
+        status = "verified" if worst >= -INEQUALITY_SLACK else "FAILED"
         print(f"t = {t:.9f}: worst eigenvalue margin {worst:+.3e} -> {status}")
 
     print(f"\nintercept min t0* + t1*  : {g[best]:.9f} at theta = {thetas[best]:.6f}")

@@ -96,10 +96,8 @@ def cmd_verify_inequality(args) -> int:
         print(f"worst theta in {label}: {thetas[i]:.9g} (t0* + t1* = {_fmt(g[i])})")
     i = int(np.argmin(g))
     print(f"min t0* + t1* = {_fmt(g[i])} at theta = {thetas[i]:.9g} against T_OPTIMAL = {_fmt(t_opt)}")
-    # slack for rounding alone: min t0* + t1* - T_OPTIMAL is +1.1e-16 at
-    # S_OPTIMAL, -2.2e-16 at the next float and -2.8e-11 at S_OPTIMAL + 1e-11;
     # written so that a NaN margin fails
-    if not worst >= -1e-14:
+    if not worst >= -selftest.INEQUALITY_SLACK:
         print("operator inequality FAILED", file=sys.stderr)
         return 1
     print("operator inequality verified")
@@ -119,8 +117,7 @@ def cmd_classical_fidelity(args) -> int:
 
 
 def cmd_coefficient_search(args) -> int:
-    s_grid = np.linspace(0.0, 0.8, args.s_points)
-    coeffs = selftest.coefficient_search(s_grid)
+    coeffs = selftest.coefficient_search()
     print(f"s = {_fmt(coeffs.s)}")
     print(f"t = {_fmt(coeffs.t)} (t0 = {_fmt(coeffs.t0)}, t1 = {_fmt(coeffs.t1)})")
     print(f"bound at maximal violation = {_fmt(selftest.bound_value(coeffs, BETA_QUANTUM))}")
@@ -128,6 +125,8 @@ def cmd_coefficient_search(args) -> int:
 
 
 def cmd_sandwich(args) -> int:
+    if args.out_csv and os.path.realpath(args.out_csv) == os.path.realpath(args.out_json):
+        _PARSER.error("argument --out-csv: names the same file as --out-json")
     with open(args.config) as handle:
         cfg = SearchConfig.from_json(handle.read())
     report = sandwich_sweep(cfg)
@@ -225,8 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bound_curve)
 
-    # both certificate commands read theta at selftest.BREAKPOINTS alone
-    theta_points = dict(type=_checked(int, 2, grid_max), help="accepted for compatibility; changes nothing")
+    # both certificate commands read theta at selftest.BREAKPOINTS alone, and
+    # coefficient-search searches s over one fixed bracket
+    retired = "accepted for compatibility; changes nothing"
+    theta_points = dict(type=_checked(int, 2, grid_max), help=retired)
     # 4 s stays finite, and so does every term of t_constraints
     s_max = np.finfo(float).max / 4
     p = sub.add_parser("verify-inequality", help="check the operator inequalities at t = T_OPTIMAL")
@@ -239,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classical_fidelity)
 
     p = sub.add_parser("coefficient-search", help="recover the optimal bound coefficients")
-    p.add_argument("--s-points", type=_checked(int, 1, grid_max), default=512)
+    p.add_argument("--s-points", type=_checked(int, 1, grid_max), help=retired)
     p.add_argument("--theta-points", **theta_points)
     p.set_defaults(func=cmd_coefficient_search)
 

@@ -29,6 +29,10 @@ S_OPTIMAL = (1 + math.sqrt(2)) / 4
 T_OPTIMAL = (2 - math.sqrt(2)) / 2
 TRIVIAL_CLASSICAL_FIDELITY = (2 + math.sqrt(2)) / 4
 THRESHOLD_BETA = 8 - 4 * math.sqrt(2)  # where analytic_bound reaches TRIVIAL_CLASSICAL_FIDELITY
+# the least operator-inequality margin that still verifies, a slack for
+# rounding alone: min t0* + t1* - T_OPTIMAL is +1.1e-16 at S_OPTIMAL, -2.2e-16
+# at the next float and -2.8e-11 at S_OPTIMAL + 1e-11
+INEQUALITY_SLACK = 1e-14
 
 
 @dataclass(frozen=True)
@@ -152,52 +156,39 @@ def _intercepts(s):
 
 
 _SECTION_POINTS = 257  # per broadcast round: 256 sub-brackets
-_SECTION_ROUNDS = 5  # 256**5 ~ 1.1e12, so a bracket of width 1 narrows below 1e-12
+_SECTION_ROUNDS = 5  # 0.8/256**5 ~ 7.3e-13: the bracket's width after the last round
 
 
-def coefficient_search(s_grid) -> BoundCoefficients:
-    """Recover the optimal (s, t) pair by a search over s.
+def coefficient_search() -> BoundCoefficients:
+    """Recover the optimal (s, t) pair by a search over s in [0, 0.8].
 
     For each s the bound intercept t(s) = min_theta (t0* + t1*) is read from
     ``t_constraints`` over ``BREAKPOINTS`` (0, pi/4 and pi/2), where it is
-    exact, the whole s grid in one broadcast; the search checks
-    nothing against ``t_constraints``, and the tests check the pair it
-    returns against S_OPTIMAL and T_OPTIMAL. The bound at maximal violation,
-    (s*beta_Q + t(s))/2, plateaus at 1 past the optimum. The plateau is
-    reached within max(1e-10, 16 eps max|s|), which covers the rounding of
-    the bound at the grid's largest |s| (both terms are of order |s|); a
-    grid where that rounding exceeds 1e-6 (|s| above about 2.8e8) is a
-    ValidationError, since the plateau edge is then lost in it. The
-    first grid s that reaches it is refined against the grid point before it
-    by k-section: each round evaluates the bound on ``_SECTION_POINTS``
-    points across the bracket in one broadcast and keeps the first
-    sub-bracket that reaches the plateau. It stops at a width of 1e-12
-    (relative to |s| above 1) or after ``_SECTION_ROUNDS`` rounds, so it
-    returns on any finite grid. The upper end is returned. Below the
-    optimum t(s) = 3/2 - 2s and the bound rises as (sqrt(2) - 1) s, so on
-    grids with |s| below about 3e4 that end lies 1e-10/(sqrt(2) - 1), about
-    2.4e-10, below S_OPTIMAL.
+    exact; the search checks nothing against ``t_constraints``, and the
+    tests check the pair it returns against S_OPTIMAL and T_OPTIMAL. The
+    bound at maximal violation, (s*beta_Q + t(s))/2, is 1/4 at s = 0 and
+    plateaus at 1 from S_OPTIMAL on, inside the bracket. Each of
+    ``_SECTION_ROUNDS`` k-section rounds evaluates the bound on
+    ``_SECTION_POINTS`` points across the bracket in one broadcast and keeps
+    the first sub-bracket whose upper end comes within 1e-10 of the first
+    round's maximum. That end is returned. Below the optimum t(s) = 3/2 - 2s
+    and the bound rises as (sqrt(2) - 1) s, so it lies 1e-10/(sqrt(2) - 1),
+    about 2.4e-10, below S_OPTIMAL, where the first minimiser of t0* + t1*
+    is theta = 0.
     """
-    s_values = np.array(sorted(float(s) for s in s_grid))
-    if not len(s_values) or not np.isfinite(s_values).all():
-        raise ValidationError("s_grid must be nonempty and finite")
-    rounding = 16 * np.finfo(float).eps * np.abs(s_values).max()
-    if rounding > 1e-6:
-        raise ValidationError(f"s_grid's rounding 16 eps max|s| = {rounding:.3g} exceeds 1e-6: keep |s| below 2.8e8")
 
     def bound_at_max(s):
         return (s * BETA_QUANTUM + _intercepts(s)[0]) / 2
 
-    values = bound_at_max(s_values)
-    plateau = values.max() - max(1e-10, rounding)
-    idx = int(np.argmax(values >= plateau))
-    lo, s_star = s_values[max(idx - 1, 0)], s_values[idx]
-    for _ in range(_SECTION_ROUNDS):
-        if s_star - lo <= 1e-12 * max(1.0, abs(s_star)):
-            break
+    lo, s_star = 0.0, 0.8
+    for k in range(_SECTION_ROUNDS):
         points = np.linspace(lo, s_star, _SECTION_POINTS)
-        # the ends are known to be off and on the plateau
-        j = 1 + int(np.argmax(np.append(bound_at_max(points[1:-1]) >= plateau, True)))
+        values = bound_at_max(points)
+        if k == 0:
+            plateau = values.max() - 1e-10
+        # j >= 1: the lower end is off the plateau (s = 0, then the last
+        # round's lower end) and the upper end is on it
+        j = int(np.argmax(values >= plateau))
         lo, s_star = points[j - 1], points[j]
 
     _, t0, t1 = _intercepts(s_star)

@@ -29,6 +29,7 @@ from steerbound.matkernel import I2, PAULI_X, PAULI_Z, PHI_PLUS
 from steerbound.numsearch import SearchConfig, sandwich_sweep
 from steerbound.selftest import (
     BREAKPOINTS,
+    INEQUALITY_SLACK,
     S_OPTIMAL,
     T_OPTIMAL,
     THRESHOLD_BETA,
@@ -68,21 +69,21 @@ def test_02_operator_inequality_sweep():
     # the paper's pair (s, t) through the fixed split t0 = t0*(theta),
     # t1 = t - t0*(theta): PSD at every angle of a grid that holds the
     # breakpoints 0, pi/4 and pi/2 for t = T_OPTIMAL, and violated once t exceeds
-    # it; the slack -1e-14 is verify-inequality's, for rounding alone
+    # it; the slack is verify-inequality's, for rounding alone
     thetas = np.union1d(np.linspace(0, math.pi / 2, 10_000), BREAKPOINTS)
     t0, _ = t_constraints(S_OPTIMAL, thetas)
     c = dephasing_coefficient(thetas, S_OPTIMAL)
     worst = inequality_margin(S_OPTIMAL, t0, T_OPTIMAL - t0, thetas, c).min()
-    assert worst >= -1e-14
+    assert worst >= -INEQUALITY_SLACK
     near = inequality_margin(S_OPTIMAL, t0, T_OPTIMAL + 1e-11 - t0, thetas, c).min()
-    assert near < -1e-14
+    assert near < -INEQUALITY_SLACK
     over = inequality_margin(S_OPTIMAL, t0, T_OPTIMAL + 1e-6 - t0, thetas, c).min()
     assert over < -5e-7
-    _report(f"operator inequality at (s, t) optimal: worst margin {worst:.2e} >= -1e-14")
+    _report(f"operator inequality at (s, t) optimal: worst margin {worst:.2e} >= {-INEQUALITY_SLACK:.0e}")
 
 
 def test_03_coefficient_recovery():
-    coeffs = coefficient_search(np.linspace(0.0, 0.8, 512))
+    coeffs = coefficient_search()
     assert coeffs.s == pytest.approx(S_OPTIMAL, abs=2e-3)
     assert coeffs.t == pytest.approx(T_OPTIMAL, abs=1e-4)
     _report("coefficient recovery s = (1+sqrt(2))/4, t = (2-sqrt(2))/2")

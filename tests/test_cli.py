@@ -308,10 +308,7 @@ def test_unaddressable_grid_is_usage_error(command, option, minimum, count, caps
 
 @pytest.mark.parametrize(
     "argv",
-    [
-        ["bound-curve", "--points", "1000000000000"],
-        ["coefficient-search", "--s-points", "1000000000000"],
-    ],
+    [["bound-curve", "--points", "1000000000000"]],
 )
 @pytest.mark.parametrize(
     "exc, message",
@@ -425,6 +422,13 @@ class TestClassicalFidelity:
 
 
 class TestCoefficientSearch:
+    @pytest.mark.parametrize("points", ["1", "2", "512", "4096", str(10**12), str(GRID_MAX)])
+    def test_s_points_changes_nothing(self, points, capsys):
+        # the search runs on one fixed bracket of s, whatever the grid size
+        code, out, err = GOLDEN[("coefficient-search",)]
+        assert main(["coefficient-search", "--s-points", points]) == code
+        assert capsys.readouterr() == (out, err)
+
     def test_recovers_optimum(self, run_cli):
         result = run_cli(
             "coefficient-search", "--s-points", "128", "--theta-points", "2000"
@@ -499,6 +503,21 @@ class TestSandwich:
         assert result.stderr.count("\n") == 1
         assert "Traceback" not in result.stderr
         assert not out_json.exists()
+
+    @pytest.mark.parametrize("csv_name", ["report.json", "./report.json", "link.json", "absolute"])
+    def test_one_file_for_both_reports_is_usage_error(self, tmp_path, csv_name, monkeypatch, run_cli):
+        # the CSV used to replace the JSON report, with exit 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("{}")
+        (tmp_path / "link.json").symlink_to(tmp_path / "report.json")
+        monkeypatch.chdir(tmp_path)
+        if csv_name == "absolute":
+            csv_name = str(tmp_path / "report.json")
+        result = run_cli("sandwich", "--config", str(cfg_path), "--out-json", "report.json", "--out-csv", csv_name)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "error: argument --out-csv: names the same file as --out-json" in result.stderr
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "link.json"]
 
     def test_missing_config_is_error(self, tmp_path, run_cli):
         result = run_cli("sandwich", "--config", str(tmp_path / "nope.json"))

@@ -1,7 +1,4 @@
-import contextlib
 import math
-import signal
-import time
 
 import numpy as np
 import pytest
@@ -287,34 +284,41 @@ class TestCoefficientSearch:
         # 1e-10 of its plateau 1; below S_OPTIMAL, t(s) = 3/2 - 2s and the
         # bound rises as (sqrt(2) - 1) s, so that point is 1e-10/(sqrt(2) - 1)
         # below S_OPTIMAL, and (s, t) lies on the line through the optimum
-        coeffs = coefficient_search(np.linspace(0.0, 0.8, 512))
+        coeffs = coefficient_search()
         assert abs(coeffs.s + 1e-10 / (SQRT2 - 1) - S_OPTIMAL) <= 1e-12
         assert abs(coeffs.t - 2 * (S_OPTIMAL - coeffs.s) - T_OPTIMAL) <= 1e-12
         assert abs(bound_value(coeffs, BETA_QUANTUM) - (1 - 1e-10)) <= 1e-12
 
-    @pytest.mark.parametrize("n", [2, 3, 64, 512, 4096])
-    def test_ksection_matches_bisection(self, n):
-        # the broadcast k-section against the scalar bisection it replaced
-        s_values = np.linspace(0.0, 0.8, n)
+    @pytest.mark.parametrize(
+        "points, rounds",
+        # the shipped shape, then coarser sections run for as many rounds as
+        # narrow [0, 0.8] below 1e-12: 0.8/64**7, 0.8/16**10 and 0.8/2**40
+        [(None, None), (65, 7), (17, 10), (3, 40)],
+        ids=["shipped", "65x7", "17x10", "3x40"],
+    )
+    def test_ksection_matches_bisection(self, points, rounds, monkeypatch):
+        # the broadcast k-section against a scalar bisection on the same
+        # bracket [0, 0.8] and plateau, whatever the section's shape
+        if points is not None:
+            monkeypatch.setattr(selftest, "_SECTION_POINTS", points)
+            monkeypatch.setattr(selftest, "_SECTION_ROUNDS", rounds)
 
         def bound_at_max(s):
             return (s * BETA_QUANTUM + _intercepts(s)[0]) / 2
 
-        values = bound_at_max(s_values)
-        plateau = values.max() - 1e-10
-        idx = int(np.argmax(values >= plateau))
-        lo, hi = s_values[idx - 1], s_values[idx]
+        plateau = bound_at_max(np.linspace(0.0, 0.8, selftest._SECTION_POINTS)).max() - 1e-10
+        lo, hi = 0.0, 0.8
         while hi - lo > 1e-12:
             mid = (lo + hi) / 2
             if bound_at_max(mid)[0] >= plateau:
                 hi = mid
             else:
                 lo = mid
-        assert abs(coefficient_search(s_values).s - hi) <= 1e-12
+        assert abs(coefficient_search().s - hi) <= 1e-12
 
     def test_refinement_is_a_few_broadcasts(self, monkeypatch):
-        # one call for the grid, at most five for the refinement, one for the
-        # returned (t0, t1)
+        # one broadcast per k-section round, then one call for the returned
+        # (t0, t1)
         calls = []
 
         def counted(s):
@@ -322,62 +326,33 @@ class TestCoefficientSearch:
             return _intercepts(s)
 
         monkeypatch.setattr(selftest, "_intercepts", counted)
-        coefficient_search(np.linspace(0.0, 0.8, 2))
-        assert 3 <= len(calls) <= 7
-        assert calls[0] == 2 and calls[-1] == 1
-        assert all(size > 1 for size in calls[1:-1])
+        coefficient_search()
+        assert calls == [selftest._SECTION_POINTS] * selftest._SECTION_ROUNDS + [1]
 
-    @pytest.mark.parametrize(
-        "s_grid, expected, tol",
-        [
-            # every point is past the optimum, so the first one is the answer
-            (np.linspace(1e5, 1e6, 64), 1e5, 0.0),
-            (np.linspace(0, 1e8, 512), S_OPTIMAL, 1e-5),
-            # the largest |s| whose rounding, 16 eps |s|, stays below 1e-6
-            (np.linspace(0, 2.8e8, 512), S_OPTIMAL, 1e-5),
-            # past that the rounding hides the plateau edge, so these are
-            # refused (expected None): they returned s 7.3e-3 below
-            # S_OPTIMAL and s = 0 (bound 0.25 at maximal violation)
-            (np.linspace(0, 1e12, 512), None, None),
-            (np.linspace(0, 1e15, 512), None, None),
-        ],
-    )
-    def test_large_s_grid_returns(self, s_grid, expected, tol):
-        # the plateau values carry rounding noise above 1e-10 at this |s|,
-        # which the plateau tolerance covers, and the float spacing exceeds
-        # 1e-12, where the refinement must still end
-        def hang(signum, frame):
-            raise TimeoutError("coefficient_search did not return")
-
-        refused = pytest.raises(ValidationError, match="exceeds 1e-6")
-        previous = signal.signal(signal.SIGALRM, hang)
-        signal.alarm(20)
-        try:
-            start = time.perf_counter()
-            with refused if expected is None else contextlib.nullcontext():
-                coeffs = coefficient_search(s_grid)
-            elapsed = time.perf_counter() - start
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        assert elapsed < 1.0
-        if expected is not None:
-            assert abs(coeffs.s - expected) <= tol
-            assert np.isfinite([coeffs.t0, coeffs.t1]).all()
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValidationError):
-            coefficient_search([])
-
-    def test_nonfinite_grid_rejected(self):
-        for s_grid in ([0.1, math.nan], [math.inf]):
-            with pytest.raises(ValidationError):
-                coefficient_search(s_grid)
+    def test_split_is_the_theta_zero_minimiser(self):
+        # below S_OPTIMAL the first minimiser of t0* + t1* over BREAKPOINTS is
+        # theta = 0, where the split is t0 = (1 - sqrt 2)/2 + 2 (S_OPTIMAL - s)
+        # and t1 = 1/2 (printed as -0.207106781 and 0.5)
+        coeffs = coefficient_search()
+        t0, t1 = t_constraints(coeffs.s, BREAKPOINTS)
+        assert int(np.argmin(t0 + t1)) == 0
+        assert (coeffs.t0, coeffs.t1) == (t0[0], t1[0])
+        assert abs(coeffs.t0 - (1 - SQRT2) / 2) <= 1e-9
+        assert abs(coeffs.t1 - 0.5) <= 1e-9
 
     def test_smaller_s_gives_smaller_bound(self):
-        coeffs = coefficient_search(np.linspace(0.0, 0.5, 64))
-        weak = coefficient_search(np.linspace(0.0, 0.4, 64))
-        assert bound_value(weak, BETA_QUANTUM) <= bound_value(coeffs, BETA_QUANTUM) + 1e-12
+        # the bound at maximal violation never falls as s grows to the
+        # returned one, which is what lets the k-section keep the first
+        # sub-bracket that reaches the plateau
+        coeffs = coefficient_search()
+        s_values = np.linspace(0.0, coeffs.s, 64)
+        _, t0, t1 = _intercepts(s_values)
+        weak = [
+            bound_value(BoundCoefficients(float(s), float(a), float(b)), BETA_QUANTUM)
+            for s, a, b in zip(s_values, t0, t1)
+        ]
+        assert np.all(np.diff(weak) >= -1e-12)
+        assert max(weak) <= bound_value(coeffs, BETA_QUANTUM) + 1e-12
 
 
 class TestBoundFormulas:
