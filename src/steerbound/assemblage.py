@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
@@ -101,13 +102,13 @@ class Assemblage:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json_text(self.to_dict())
 
     @staticmethod
     def from_json(text: str) -> "Assemblage":
         """Parse the ``to_json`` format; ValidationError unless every key is
         present, typed, in range, 2x2 and finite, one element per (a, x)."""
-        payload = json.loads(text)
+        payload = parse_json(text)
         outcomes = _json_field(payload, "outcomes", int)
         settings = _json_field(payload, "settings", int)
         entries = _json_field(payload, "elements", list)
@@ -122,6 +123,52 @@ class Assemblage:
             seen.add((a, x))
             elements[a, x] = json_matrix(entry)
         return Assemblage(elements)
+
+
+def json_text(value, pad: str = "\n") -> str:
+    """Byte-identical to ``json.dumps(value, indent=2)``, which runs the
+    standard library's pure-Python encoder whenever an indent is given;
+    every JSON document steerbound writes comes from here. Dict keys must
+    be strings. ``pad`` is a newline and the indent of ``value``'s level.
+    Finite floats in a container are written in its join, with no call
+    (a call for each would take about a fifth longer)."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        items = [float.__repr__(v) if type(v) is float and v - v == 0 else json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [
+            _json_string(k) + ": " + (float.__repr__(v) if type(v) is float and v - v == 0 else json_text(v, inner))
+            for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    # a float outside a container, NaN, the infinities and any other scalar
+    # json can write, spelled as json.dumps spells them
+    return json.dumps(value)
+
+
+def parse_json(text: str):
+    """json.loads(text); a document nested too deeply to parse is a
+    ValidationError, not a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValidationError("JSON document is nested too deeply to parse") from None
 
 
 def _json_field(obj, key: str, kind: type):

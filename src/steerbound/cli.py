@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 computation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -26,6 +25,7 @@ from .assemblage import (
     ValidationError,
     chsh_reference,
     json_matrix,
+    parse_json,
     realize,
     validate,
 )
@@ -146,7 +146,7 @@ def _load_state(spec: str) -> np.ndarray:
     if spec == "phi+":
         return np.outer(PHI_PLUS, PHI_PLUS.conj())
     with open(spec) as handle:
-        return json_matrix(json.load(handle), 4)
+        return json_matrix(parse_json(handle.read()), 4)
 
 
 def _load_measurements(spec: str) -> list:
@@ -155,7 +155,7 @@ def _load_measurements(spec: str) -> list:
     if spec == "ZX":
         return [[(I2 + p) / 2, (I2 - p) / 2] for p in (PAULI_Z, PAULI_X)]
     with open(spec) as handle:
-        raw = json.load(handle)
+        raw = parse_json(handle.read())
     if not isinstance(raw, dict) or set(raw) != {str(x) for x in range(len(raw))}:
         raise ValidationError('measurements must be a JSON object keyed by settings "0", "1", ...')
     if any(type(elements) is not list for elements in raw.values()):

@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .assemblage import Assemblage, ValidationError
+from .assemblage import Assemblage, ValidationError, json_text, parse_json
 from .fidelity import _ROUNDING, fidelity_operator
 from .matkernel import HERMITICITY_TOL, I2, PAULI_X, PAULI_Z, hermitian_min_eigvals
 from .selftest import analytic_bound, dephasing_channel, upper_bound
@@ -82,14 +81,14 @@ class SearchConfig:
         return {**raw, "beta_targets": list(self.beta_targets)}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json_text(self.to_dict())
 
     @staticmethod
     def from_json(text: str) -> "SearchConfig":
         """Parse and check a config document; every key is optional, and
         any other key (including the retired samples, channel_family and
         seesaw_rounds) is rejected."""
-        raw = json.loads(text)
+        raw = parse_json(text)
         if not isinstance(raw, dict):
             raise ValidationError("search config must be a JSON object")
         unknown = sorted(set(raw) - {f.name for f in fields(SearchConfig)})
@@ -153,7 +152,9 @@ class SandwichReport:
         return all(r.passes(self.config.tolerance) for r in self.records)
 
     def to_json(self) -> str:
-        return json.dumps(
+        """The report as JSON, byte-identical to ``json.dumps(report,
+        indent=2)`` of the same object (see ``json_text``)."""
+        return json_text(
             {
                 "config": self.config.to_dict(),
                 "passed": self.passed,
@@ -164,8 +165,7 @@ class SandwichReport:
                     }
                     for r in self.records
                 ],
-            },
-            indent=2,
+            }
         )
 
     def to_csv(self) -> str:

@@ -11,6 +11,7 @@ import pytest
 from steerbound import selftest
 from steerbound.assemblage import Assemblage, chsh_reference
 from steerbound.cli import build_parser, main
+from steerbound.numsearch import SearchConfig, sandwich_sweep
 
 SQRT2 = math.sqrt(2)
 
@@ -657,3 +658,42 @@ class TestExitCodes:
         path.write_text("{not json")
         result = run_cli("validate", "--assemblage", str(path))
         assert result.returncode == 1
+
+
+@pytest.mark.parametrize(
+    "option, argv",
+    [
+        ("--assemblage", ["validate"]),
+        ("--assemblage", ["classical-fidelity"]),
+        ("--state", ["realize"]),
+        ("--measurements", ["realize"]),
+        ("--config", ["sandwich", "--out-json", "report.json"]),
+    ],
+)
+@pytest.mark.parametrize("opener", ["[", '{"a": '])
+def test_deeply_nested_input_is_one_error_line(tmp_path, monkeypatch, option, argv, opener, run_cli):
+    # json's parser raises RecursionError on such input; main must still
+    # print one error line and write nothing
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.json").write_text(opener * 200000)
+    result = run_cli(*argv, option, "deep.json")
+    assert result.returncode == 1
+    assert result.stderr == "error: JSON document is nested too deeply to parse\n"
+    assert os.listdir(tmp_path) == ["deep.json"]
+
+
+def test_no_indented_dumps_is_left(tmp_path, monkeypatch, capsys):
+    # every document is written by assemblage.json_text; json.dumps with an
+    # indent runs the slow pure-Python encoder and must not be reached
+    expected = (chsh_reference().to_json(), SearchConfig().to_json(), sandwich_sweep(SearchConfig()).to_json())
+    sandwich_outputs = _sandwich_outputs(tmp_path, capsys)
+    dumps = json.dumps
+
+    def refuse_indent(*args, **kwargs):
+        if kwargs.get("indent") is not None:
+            raise AssertionError("json.dumps called with an indent")
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", refuse_indent)
+    assert (chsh_reference().to_json(), SearchConfig().to_json(), sandwich_sweep(SearchConfig()).to_json()) == expected
+    assert _sandwich_outputs(tmp_path, capsys) == sandwich_outputs
