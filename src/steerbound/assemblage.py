@@ -114,14 +114,17 @@ class Assemblage:
         entries = _json_field(payload, "elements", list)
         if min(outcomes, settings) < 1 or len(entries) != outcomes * settings:
             raise ValidationError(f"need one element per (a, x), {outcomes} x {settings}")
-        elements = np.zeros((outcomes, settings, 2, 2), dtype=complex)
-        seen = set()
+        seen, values = {}, []  # seen's keys: every (a, x), in entry order
         for entry in entries:
             a, x = _json_field(entry, "a", int), _json_field(entry, "x", int)
             if (a, x) in seen or not (0 <= a < outcomes and 0 <= x < settings):
                 raise ValidationError(f"element (a, x) = ({a}, {x}) is out of range or repeated")
-            seen.add((a, x))
-            elements[a, x] = json_matrix(entry)
+            seen[a, x] = None
+            _json_rows(entry, "re", 2, values)
+            _json_rows(entry, "im", 2, values)
+        parts = _json_reals(values, 2).reshape(-1, 2, 2, 2)  # [entry, re/im, row, column]
+        elements = np.empty((outcomes, settings, 2, 2), dtype=complex)  # every (a, x) is set
+        elements[tuple(zip(*seen))] = parts[:, 0] + 1j * parts[:, 1]
         return Assemblage(elements)
 
 
@@ -178,19 +181,51 @@ def _json_field(obj, key: str, kind: type):
     return obj[key]
 
 
-def _json_real(entry: dict, key: str, size: int) -> np.ndarray:
+def _json_rows(entry, key: str, size: int, values: list) -> None:
+    """Append the values of entry[key], row by row, to ``values``;
+    ValidationError unless it is a size x size list of lists."""
     rows = _json_field(entry, key, list)
-    values = [v for row in rows if type(row) is list and len(row) == size for v in row]
-    finite = all(type(v) in (int, float) and abs(v) < 1e308 for v in values)  # no NaN, inf, huge int
-    if len(rows) != size or len(values) != size * size or not finite:
-        raise ValidationError(f"{key!r} must be a {size}x{size} list of finite numbers")
-    return np.array(rows, dtype=float)
+    if len(rows) != size:
+        raise _matrix_error(key, size)
+    for row in rows:
+        if type(row) is not list or len(row) != size:
+            raise _matrix_error(key, size)
+        values += row
+
+
+def _json_reals(values: list, size: int) -> np.ndarray:
+    """``values``, collected by ``_json_rows`` for "re" then "im" of each
+    matrix, as one float array: one type check, one conversion and one
+    magnitude check for all of them. ValidationError, naming the key of the
+    first bad value, unless every value is an int or a float (no bool) of
+    magnitude below 1e308 (no NaN, inf or huge int)."""
+    if not set(map(type, values)) <= {int, float}:
+        bad = next(i for i, v in enumerate(values) if type(v) not in (int, float))
+    else:
+        try:
+            reals = np.array(values, dtype=float)
+        except OverflowError:  # an int beyond the float range
+            bad = next(i for i, v in enumerate(values) if not abs(v) < 1e308)
+        else:
+            finite = np.abs(reals) < 1e308  # NaN and inf fail
+            if finite.all():
+                return reals
+            bad = int(np.argmin(finite))
+    raise _matrix_error(("re", "im")[bad // (size * size) % 2], size)
+
+
+def _matrix_error(key: str, size: int) -> ValidationError:
+    return ValidationError(f"{key!r} must be a {size}x{size} list of finite numbers")
 
 
 def json_matrix(entry, size: int = 2) -> np.ndarray:
     """The complex size x size matrix held in a JSON object's "re" and "im"
     row lists; ValidationError unless both are size x size and finite."""
-    return _json_real(entry, "re", size) + 1j * _json_real(entry, "im", size)
+    values = []
+    _json_rows(entry, "re", size, values)
+    _json_rows(entry, "im", size, values)
+    re, im = _json_reals(values, size).reshape(2, size, size)
+    return re + 1j * im
 
 
 @dataclass(frozen=True)

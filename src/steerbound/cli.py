@@ -36,11 +36,17 @@ from .steering import BETA_CLASSICAL, BETA_QUANTUM
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write text to a temporary file beside path and rename it over path.
+    The file gets the mode a plain open would give it, 0o666 less the
+    umask, not mkstemp's 0o600."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".steerbound-")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        umask = os.umask(0)  # the only way to read it; restored at once
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

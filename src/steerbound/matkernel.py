@@ -4,7 +4,8 @@ Everything downstream works with 2x2 (Bob's qubit) or 4x4 (two-qubit)
 complex Hermitian matrices represented as plain numpy arrays. This module
 holds the constants, the one checked eigenvalue routine that every
 validator calls: ``hermitian_min_eigvals`` (closed form for stacks of 2x2
-matrices, ``eigvals_2x2``), and the density-matrix check built on it.
+matrices, the lower of ``eigvals_2x2``), and the density-matrix check
+built on it.
 """
 
 from __future__ import annotations
@@ -40,19 +41,26 @@ def projector(ket: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def _mean_radius(m: np.ndarray):
+    """(mean, radius) of the Hermitian part of each matrix in a (..., 2, 2)
+    stack, whose eigenvalues are mean -+ radius: mean = (a + d)/2 and radius
+    = hypot((a - d)/2, |b|), with a, d the real diagonal and b the averaged
+    off-diagonal entry."""
+    a, d = m[..., 0, 0].real, m[..., 1, 1].real
+    return (a + d) / 2, np.hypot((a - d) / 2, np.abs(m[..., 0, 1] + m[..., 1, 0].conj()) / 2)
+
+
 def eigvals_2x2(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part of each matrix in a
-    (..., 2, 2) stack, in closed form: mean -+ hypot((a - d)/2, |b|), with
-    a, d the real diagonal and b the averaged off-diagonal entry."""
-    a, d = m[..., 0, 0].real, m[..., 1, 1].real
-    mean = (a + d) / 2
-    radius = np.hypot((a - d) / 2, np.abs(m[..., 0, 1] + m[..., 1, 0].conj()) / 2)
+    (..., 2, 2) stack, in closed form (see ``_mean_radius``)."""
+    mean, radius = _mean_radius(m)
     return np.stack([mean - radius, mean + radius], axis=-1)
 
 
 def hermitian_min_eigvals(m: np.ndarray, tol: float) -> np.ndarray:
     """Smallest eigenvalue of each matrix in a (..., n, n) stack, n = 2 or 4:
-    ``eigvals_2x2`` for n = 2, numpy's ``eigvalsh`` for n = 4.
+    mean - radius (the lower of ``eigvals_2x2``) for n = 2, numpy's
+    ``eigvalsh`` for n = 4.
 
     ValidationError on any other shape, and unless every entry of every
     matrix is finite and within ``tol`` of the adjoint's. This is the one
@@ -67,7 +75,8 @@ def hermitian_min_eigvals(m: np.ndarray, tol: float) -> np.ndarray:
     if not deviation <= tol:  # NaN, from a non-finite entry, fails too
         raise ValidationError(f"matrix is not Hermitian within {tol:g}: max |M - M^dagger| = {deviation:.3e}")
     if m.shape[-1] == 2:
-        return eigvals_2x2(m)[..., 0]
+        mean, radius = _mean_radius(m)
+        return mean - radius
     return np.linalg.eigvalsh((m + adjoint) / 2)[..., 0]
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .assemblage import Assemblage
 from .fidelity import ExtractionChannel, fidelity_operator
 from .matkernel import I2, PAULI_X, PAULI_Z, ValidationError
-from .steering import BETA_CLASSICAL, BETA_QUANTUM, check_theta, chsh_functional, max_violation_over_theta
+from .steering import BETA_CLASSICAL, BETA_QUANTUM, _chsh_coefficients, _maximum, check_theta
 
 S_OPTIMAL = (1 + math.sqrt(2)) / 4
 T_OPTIMAL = (2 - math.sqrt(2)) / 2
@@ -51,21 +51,28 @@ def first_interval(theta):
     return theta <= math.pi / 4
 
 
+def _unitary_choi(u: np.ndarray) -> np.ndarray:
+    """Read-only Choi matrix |U>><<U| of rho -> U rho U^dagger, where
+    |U>> = sum_i |i> (x) U|i> is the row-major flattening of U^T."""
+    ket = u.T.reshape(4)
+    choi = np.outer(ket, ket.conj())
+    choi.flags.writeable = False
+    return choi
+
+
+_CHOI_I, _CHOI_Z, _CHOI_X = (_unitary_choi(u) for u in (I2, PAULI_Z, PAULI_X))
+
+
 def dephasing_channel(theta: float, c: float) -> ExtractionChannel:
     """Two-term dephasing channel (1+c)/2 rho + (1-c)/2 G rho G with
     G = Z on [0, pi/4] and G = X on (pi/4, pi/2]. ValidationError unless c
-    is finite and in [-1, 1], where the map is a channel.
-
-    The Choi matrix of rho -> U rho U^dagger is |U>><<U| with
-    |U>> = sum_i |i> (x) U|i>, the row-major flattening of U^T."""
+    is finite and in [-1, 1], where the map is a channel. Its Choi matrix
+    is (1+c)/2 J_I + (1-c)/2 J_G, from the constant Choi matrices of the
+    identity and of G."""
     check_theta(theta)
     _check_coefficient(c)
-    gamma = PAULI_Z if first_interval(theta) else PAULI_X
-    choi = sum(
-        w * np.outer(u.T.reshape(4), u.T.reshape(4).conj())
-        for w, u in ((0.5 * (1 + c), I2), (0.5 * (1 - c), gamma))
-    )
-    return ExtractionChannel(choi)
+    gamma = _CHOI_Z if first_interval(theta) else _CHOI_X
+    return ExtractionChannel(0.5 * (1 + c) * _CHOI_I + 0.5 * (1 - c) * gamma)
 
 
 def dephasing_coefficient(theta, s):
@@ -229,8 +236,9 @@ def certified_lower_bound(asm: Assemblage, theta: float) -> float:
     dev = asm.max_marginal_deviation()
     if dev > 1e-6:
         raise ValidationError(f"analytic bound assumes p(a|x) = 1/2; deviation {dev:.3e} exceeds 1e-06")
-    peak = max_violation_over_theta(asm)[1]
+    u, w = _chsh_coefficients(asm)  # read once: the maximum and beta at theta both come from them
+    peak = _maximum(u, w)[1]
     if peak > BETA_QUANTUM + 1e-12:
         raise ValidationError(f"CHSH maximum {peak:.9g} exceeds 2 sqrt(2): not a quantum assemblage")
-    beta = chsh_functional(asm, theta)
-    return analytic_bound(beta)
+    check_theta(theta)
+    return analytic_bound(u * math.cos(theta) + w * math.sin(theta))

@@ -71,7 +71,11 @@ def max_violation_over_theta(asm: Assemblage):
     atan2(w, u); otherwise there is no interior maximum and the better
     endpoint wins: theta* = 0 if u >= w, else pi/2.
     """
-    u, w = _chsh_coefficients(asm)
+    return _maximum(*_chsh_coefficients(asm))
+
+
+def _maximum(u: float, w: float):
+    """(theta*, beta*) of ``max_violation_over_theta`` from the coefficients."""
     if u > 0 and w > 0:
         theta = math.atan2(w, u)
     else:

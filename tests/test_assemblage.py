@@ -13,6 +13,7 @@ from steerbound.assemblage import (
     ValidationError,
     chsh_reference,
     from_classical,
+    json_matrix,
     json_text,
     random_realization,
     realize,
@@ -381,11 +382,65 @@ class TestFromJsonFailsClosed:
         with pytest.raises(ValidationError):
             Assemblage.from_json(text)
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            (_edit(lambda p: p["elements"][0]["re"][0].__setitem__(1, True)), "re"),
+            (_edit(lambda p: p["elements"][3]["im"][1].__setitem__(1, True)), "im"),
+            (_edit(lambda p: p["elements"][1]["im"][0].__setitem__(0, 1.5e308)), "im"),
+            (_edit(lambda p: p["elements"][2]["re"][1].__setitem__(0, -1.5e308)), "re"),
+            (_edit(lambda p: p["elements"][2]["re"][1].__setitem__(0, -(10**400))), "re"),
+            (_edit(lambda p: p["elements"][3]["im"][0].__setitem__(1, 10**400)), "im"),
+            (_edit(lambda p: p["elements"][1]["re"][1].__setitem__(1, 10**308)), "re"),  # rounds to 1e308
+            (_edit(lambda p: p["elements"][1].update(im=[[0.0, 0.0]] * 3)), "im"),
+            (_edit(lambda p: p["elements"][0].update(re=[[0.5, 0.0]])), "re"),
+            (_edit(lambda p: p["elements"][2].update(re=[[0.5, 0.0], [0.0]])), "re"),
+            (_edit(lambda p: p["elements"][2].update(im=[[0.0, 0.0], "row"])), "im"),
+            (_edit(lambda p: p["elements"][1]["re"][0].__setitem__(1, "0")), "re"),
+            (_edit(lambda p: p["elements"][3]["im"][0].__setitem__(0, None)), "im"),
+            (_edit(lambda p: p["elements"][0]["re"][1].__setitem__(1, math.nan)), "re"),
+            (_edit(lambda p: p["elements"][3]["im"][1].__setitem__(0, -math.inf)), "im"),
+            (_edit(lambda p: p["elements"][3]["im"][1].__setitem__(0, [0.0])), "im"),
+        ],
+    )
+    def test_bad_matrix_names_its_key(self, text, key):
+        with pytest.raises(ValidationError, match=f"^'{key}' must be a 2x2 list of finite numbers$"):
+            Assemblage.from_json(text)
+
+    def test_json_matrix_names_its_key_and_size(self):
+        zeros = [[0.0] * 4] * 4
+        assert json_matrix({"re": zeros, "im": [[0, 1, 0, 0]] * 4}, 4)[0, 1] == 1j
+        for entry, key in [({"re": zeros, "im": zeros[:3]}, "im"), ({"re": [[True] * 4] * 4, "im": zeros}, "re")]:
+            with pytest.raises(ValidationError, match=f"^'{key}' must be a 4x4 list of finite numbers$"):
+                json_matrix(entry, 4)
+
     def test_integer_entries_accepted(self):
         payload = _reference_payload()
         payload["elements"][0]["im"] = [[0, 0], [0, 0]]
         asm = Assemblage.from_json(json.dumps(payload))
         np.testing.assert_allclose(asm.elements[0, 0], chsh_reference().elements[0, 0])
+
+    def test_matches_elementwise_conversion_on_random_documents(self):
+        # the one flat conversion places every matrix where the JSON puts
+        # it, in any entry order and with int entries mixed in
+        rng = np.random.default_rng(20240817)
+        kinds = [dict(), dict(projective=False), dict(uniform_marginals=True)]
+        for n in range(240):
+            asm = realize(random_realization(rng, **kinds[n % 3]))
+            entries = [
+                {"a": a, "x": x, "re": asm.elements[a, x].real.tolist(), "im": asm.elements[a, x].imag.tolist()}
+                for a in range(2)
+                for x in range(2)
+            ]
+            if n % 4 == 0:  # some entries integers, 0 included
+                for entry in entries:
+                    for key, i, j in zip(rng.choice(["re", "im"], 3), rng.integers(0, 2, 3), rng.integers(0, 2, 3)):
+                        entry[key][i][j] = int(rng.integers(-3, 4))
+            rng.shuffle(entries)
+            parsed = Assemblage.from_json(json.dumps({"outcomes": 2, "settings": 2, "elements": entries}))
+            for entry in entries:
+                expected = np.array(entry["re"]) + 1j * np.array(entry["im"])
+                np.testing.assert_array_equal(parsed.elements[entry["a"], entry["x"]], expected)
 
 
 class TestLayout:

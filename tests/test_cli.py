@@ -697,3 +697,32 @@ def test_no_indented_dumps_is_left(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(json, "dumps", refuse_indent)
     assert (chsh_reference().to_json(), SearchConfig().to_json(), sandwich_sweep(SearchConfig()).to_json()) == expected
     assert _sandwich_outputs(tmp_path, capsys) == sandwich_outputs
+
+
+@pytest.fixture
+def restore_umask():
+    saved = os.umask(0o022)
+    os.umask(saved)
+    yield
+    os.umask(saved)
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640), (0o077, 0o600)], ids=["022", "027", "077"])
+def test_written_files_follow_the_umask(tmp_path, monkeypatch, restore_umask, umask, mode, run_cli):
+    # each file takes the mode a shell redirect would give it, not
+    # mkstemp's 0600, also when it replaces a file of another mode
+    monkeypatch.chdir(tmp_path)
+    os.umask(umask)
+    (tmp_path / "cfg.json").write_text('{"beta_targets": [2.4]}')
+    (tmp_path / "asm.json").write_text("{}")
+    os.chmod(tmp_path / "asm.json", 0o604)
+    runs = [
+        ("realize", "--out", "asm.json"),
+        ("bound-curve", "--points", "3", "--out", "curve.csv"),
+        ("sandwich", "--config", "cfg.json", "--out-json", "report.json", "--out-csv", "report.csv"),
+    ]
+    for argv in runs:
+        assert run_cli(*argv).returncode == 0
+    for name in ("asm.json", "curve.csv", "report.json", "report.csv"):
+        assert oct(os.stat(tmp_path / name).st_mode & 0o777) == oct(mode), name
+    assert not [name for name in os.listdir(tmp_path) if name.startswith(".steerbound-")]

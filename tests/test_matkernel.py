@@ -98,6 +98,21 @@ class TestHermitianMinEigvals:
         with pytest.raises(ValidationError, match="not Hermitian"):
             hermitian_min_eigvals(m, TOL)
 
+    def test_two_by_two_is_the_lower_closed_form_eigenvalue(self, rng):
+        # the 2x2 branch computes only mean - radius, bit for bit the first
+        # of eigvals_2x2's pair, also off Hermitian by less than tol
+        m = rng.normal(size=(40, 3, 2, 2)) + 1j * rng.normal(size=(40, 3, 2, 2))
+        m = (m + m.conj().swapaxes(-1, -2)) / 2 + 1e-13 * rng.normal(size=m.shape)
+        got = hermitian_min_eigvals(m, TOL)
+        assert got.shape == (40, 3)
+        np.testing.assert_array_equal(got, eigvals_2x2(m)[..., 0])
+        assert hermitian_min_eigvals(m[0, 0], TOL) == eigvals_2x2(m[0, 0])[0]
+
+    def test_hermiticity_refusal_text(self):
+        with pytest.raises(ValidationError) as err:
+            hermitian_min_eigvals(np.array([[0, 1], [0, 0]]), TOL)
+        assert str(err.value) == "matrix is not Hermitian within 1e-12: max |M - M^dagger| = 1.000e+00"
+
     @pytest.mark.parametrize("shape", [(3, 3), (2,), (2, 3), (5, 2, 4), (1, 1)])
     def test_bad_shape_rejected(self, shape):
         with pytest.raises(ValidationError, match="2x2 or 4x4"):

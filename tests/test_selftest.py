@@ -26,7 +26,7 @@ from steerbound.selftest import (
     t_constraints,
     upper_bound,
 )
-from steerbound.steering import BETA_CLASSICAL, BETA_QUANTUM, t_operators
+from steerbound.steering import BETA_CLASSICAL, BETA_QUANTUM, chsh_functional, max_violation_over_theta, t_operators
 
 SQRT2 = math.sqrt(2)
 
@@ -80,6 +80,33 @@ class TestDephasingChannel:
                 inequality_margin(S_OPTIMAL, 0.1, 0.1, 0.3, np.array([c, 0.2]))
         for c in (1.0, -1.0):  # the identity and conjugation by Z
             np.testing.assert_allclose(dephasing_channel(0.1, c).apply(PAULI_X), c * PAULI_X, atol=1e-15)
+
+    def test_choi_matches_outer_product_formula(self):
+        # the sum of the two weighted unitary Choi matrices, each built from
+        # its outer product, bit for bit
+        def formula(theta, c):
+            gamma = PAULI_Z if theta <= math.pi / 4 else PAULI_X
+            return sum(
+                w * np.outer(u.T.reshape(4), u.T.reshape(4).conj())
+                for w, u in ((0.5 * (1 + c), I2), (0.5 * (1 - c), gamma))
+            )
+
+        rng = np.random.default_rng(7)
+        pairs = [(theta, c) for theta in BREAKPOINTS for c in (-1.0, 0.0, 0.37, 1.0)]
+        pairs += zip(rng.uniform(0, math.pi / 2, 50), rng.uniform(-1, 1, 50))
+        for theta, c in pairs:
+            np.testing.assert_array_equal(dephasing_channel(theta, c).choi, formula(theta, c))
+        c = dephasing_coefficient(0.3, S_OPTIMAL)  # a numpy scalar, as the witness passes it
+        np.testing.assert_array_equal(dephasing_channel(0.3, c).choi, formula(0.3, c))
+
+    def test_choi_constants_are_read_only(self):
+        constants = (selftest._CHOI_I, selftest._CHOI_Z, selftest._CHOI_X)
+        for choi in constants:
+            assert not choi.flags.writeable
+            with pytest.raises(ValueError):
+                choi[0, 0] = 2.0
+        choi = dephasing_channel(0.3, 0.5).choi  # a new array each call
+        assert not any(np.shares_memory(choi, constant) for constant in constants)
 
     def test_trace_preserving(self, rng):
         for theta in (0.1, 1.0):
@@ -400,11 +427,28 @@ class TestCertification:
     def test_rejects_nonuniform_marginals(self, rng):
         for _ in range(20):
             asm = realize(random_realization(rng))
-            if asm.max_marginal_deviation() > 1e-3:
-                with pytest.raises(ValidationError):
+            dev = asm.max_marginal_deviation()
+            if dev > 1e-3:
+                with pytest.raises(ValidationError) as err:
                     certified_lower_bound(asm, 0.5)
+                assert str(err.value) == f"analytic bound assumes p(a|x) = 1/2; deviation {dev:.3e} exceeds 1e-06"
                 return
         pytest.fail("no non-uniform sample drawn")
+
+    def test_matches_bound_of_functional(self):
+        # one read of the CHSH coefficients gives the same float as the
+        # bound of chsh_functional, at the maximising angle and elsewhere
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            asm = realize(random_realization(rng, uniform_marginals=True))
+            theta_star = max_violation_over_theta(asm)[0]
+            for theta in (theta_star, *BREAKPOINTS, float(rng.uniform(0, math.pi / 2))):
+                assert certified_lower_bound(asm, theta) == analytic_bound(chsh_functional(asm, theta))
+
+    def test_rejects_theta_outside_range(self):
+        for theta in (-0.1, 2.0, math.nan):
+            with pytest.raises(ValidationError, match="outside \\[0, pi/2\\]"):
+                certified_lower_bound(chsh_reference(), theta)
 
     def test_rejects_chsh_above_quantum_bound(self):
         # uniform marginals, but sigma_{a|0} = diag(0.6, -0.1) and diag(-0.1,
@@ -415,15 +459,15 @@ class TestCertification:
         asm = Assemblage(elements)
         assert asm.max_marginal_deviation() <= 1e-15
         for theta in (0.0, math.pi / 4, math.pi / 2):
-            with pytest.raises(ValidationError, match="CHSH maximum 3.44093011 exceeds 2 sqrt"):
+            with pytest.raises(ValidationError) as err:
                 certified_lower_bound(asm, theta)
+            assert str(err.value) == "CHSH maximum 3.44093011 exceeds 2 sqrt(2): not a quantum assemblage"
 
     def test_witness_channel_dominates_bound(self, rng):
         # the dephasing witness channel achieves at least the analytic bound
         # on every uniform-marginal assemblage, and never beats the exact
         # extractability: analytic <= witness <= exact + gap
         from steerbound.fidelity import extractability
-        from steerbound.steering import max_violation_over_theta
 
         for _ in range(40):
             asm = realize(random_realization(rng, uniform_marginals=True))
