@@ -79,9 +79,13 @@ class Assemblage:
         return float(np.abs(self.probabilities() - 1.0 / self.outcomes).max())
 
     def mix(self, other: "Assemblage", weight: float) -> "Assemblage":
-        """Convex mixture weight*self + (1-weight)*other."""
+        """Convex mixture weight*self + (1-weight)*other. ValidationError
+        unless weight is in [0, 1] (NaN is not): any other weight gives an
+        affine combination, which need not be an assemblage."""
         if self.elements.shape != other.elements.shape:
             raise ValidationError("cannot mix assemblages of different shape")
+        if not 0 <= weight <= 1:
+            raise ValidationError(f"mixture weight {weight} outside [0, 1]")
         return Assemblage(weight * self.elements + (1 - weight) * other.elements)
 
     def to_dict(self) -> dict:

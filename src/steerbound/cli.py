@@ -14,7 +14,6 @@ import argparse
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -37,16 +36,22 @@ from .steering import BETA_CLASSICAL, BETA_QUANTUM
 
 def _atomic_write(path: str, text: str) -> None:
     """Write text to a temporary file beside path and rename it over path.
-    The file gets the mode a plain open would give it, 0o666 less the
-    umask, not mkstemp's 0o600."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".steerbound-")
+    The temporary file is created with mode 0o666, which the kernel reduces
+    by the umask, so path gets the mode a plain open would give it; the
+    process's umask is never changed, not even for a moment."""
+    directory = os.path.dirname(os.path.abspath(path))
+    for _ in range(100):  # 48 random bits per name: a clash is all but impossible
+        tmp = os.path.join(directory, f".steerbound-{os.urandom(6).hex()}")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+    else:
+        raise FileExistsError(f"no free temporary name beside {path}")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
-        umask = os.umask(0)  # the only way to read it; restored at once
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -89,7 +94,7 @@ def cmd_bound_curve(args) -> int:
 
 def cmd_verify_inequality(args) -> int:
     s, t_opt, thetas = args.s, selftest.T_OPTIMAL, selftest.BREAKPOINTS
-    g = sum(selftest.t_constraints(s, thetas))
+    g = sum(selftest._shifts(s, *selftest.BREAKPOINT_TABLE))  # t_constraints(s, thetas)
     # the least eigenvalue of the four operators at t0 = t0*, t1 = t - t0*
     margins = np.minimum(g - t_opt, 0)
     # the first theta within 1e-12 of the least margin, so that an exact tie

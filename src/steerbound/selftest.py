@@ -84,7 +84,9 @@ def dephasing_coefficient(theta, s):
 
 
 def _coefficient_rule(s, first, cos, sin):
-    return np.clip(4 * s * np.where(first, sin, cos), -1.0, 1.0)
+    # np.minimum(np.maximum(...)) gives np.clip's bits, -0.0, +-inf and NaN
+    # included, with less per-call overhead
+    return np.minimum(np.maximum(4 * s * np.where(first, sin, cos), -1.0), 1.0)
 
 
 def _check_coefficient(c) -> None:
@@ -115,7 +117,12 @@ def t_constraints(s, theta):
     operators at the shifts t0 = t0*, t1 = t - t0* is min(0, t0* + t1* - t):
     the inequality holds at (s, t) iff min over theta of t0* + t1* >= t."""
     check_theta(theta)
-    first, cos, sin = first_interval(theta), np.cos(theta), np.sin(theta)
+    return _shifts(s, first_interval(theta), np.cos(theta), np.sin(theta))
+
+
+def _shifts(s, first, cos, sin):
+    """``t_constraints`` at checked angles given by their ``first_interval``
+    flags, cosines and sines, such as ``BREAKPOINT_TABLE``."""
     z, x = _pauli_coefficients(s, first, cos, sin, _coefficient_rule(s, first, cos, sin))
     return 0.5 - np.abs(z), 0.5 - np.abs(x)
 
@@ -151,12 +158,18 @@ def inequality_margin(s: float, t0, t1, theta, c):
 # branches while the other term is smooth there, so it is never a minimiser.
 BREAKPOINTS = np.array([0.0, math.pi / 4, math.pi / 2])
 BREAKPOINTS.flags.writeable = False
+# (first_interval, cos, sin) of BREAKPOINTS, read-only: the certificates read
+# t0* + t1* as _shifts(s, *BREAKPOINT_TABLE), bit for bit t_constraints(s,
+# BREAKPOINTS) without its check and trigonometry on every call
+BREAKPOINT_TABLE = (first_interval(BREAKPOINTS), np.cos(BREAKPOINTS), np.sin(BREAKPOINTS))
+for _column in BREAKPOINT_TABLE:
+    _column.flags.writeable = False
 
 
 def _intercepts(s):
     """(t(s), t0, t1) per s at the first minimiser of t0* + t1* over
     ``BREAKPOINTS``, where its minimum lies."""
-    t0, t1 = t_constraints(np.reshape(s, (-1, 1)), BREAKPOINTS)
+    t0, t1 = _shifts(np.reshape(s, (-1, 1)), *BREAKPOINT_TABLE)
     first = np.argmin(t0 + t1, axis=1)[:, None]
     t0, t1 = (np.take_along_axis(t, first, 1)[:, 0] for t in (t0, t1))
     return t0 + t1, t0, t1
@@ -169,28 +182,27 @@ _SECTION_ROUNDS = 5  # 0.8/256**5 ~ 7.3e-13: the bracket's width after the last 
 def coefficient_search() -> BoundCoefficients:
     """Recover the optimal (s, t) pair by a search over s in [0, 0.8].
 
-    For each s the bound intercept t(s) = min_theta (t0* + t1*) is read from
-    ``t_constraints`` over ``BREAKPOINTS`` (0, pi/4 and pi/2), where it is
-    exact; the search checks nothing against ``t_constraints``, and the
-    tests check the pair it returns against S_OPTIMAL and T_OPTIMAL. The
-    bound at maximal violation, (s*beta_Q + t(s))/2, is 1/4 at s = 0 and
-    plateaus at 1 from S_OPTIMAL on, inside the bracket. Each of
-    ``_SECTION_ROUNDS`` k-section rounds evaluates the bound on
-    ``_SECTION_POINTS`` points across the bracket in one broadcast and keeps
-    the first sub-bracket whose upper end comes within 1e-10 of the first
-    round's maximum. That end is returned. Below the optimum t(s) = 3/2 - 2s
-    and the bound rises as (sqrt(2) - 1) s, so it lies 1e-10/(sqrt(2) - 1),
-    about 2.4e-10, below S_OPTIMAL, where the first minimiser of t0* + t1*
-    is theta = 0.
+    For each s the bound intercept t(s) = min_theta (t0* + t1*) is read as
+    ``_shifts(s, *BREAKPOINT_TABLE)``, ``t_constraints`` over ``BREAKPOINTS``
+    (0, pi/4 and pi/2), where it is exact; the search checks nothing against
+    ``t_constraints``, and the tests check the pair it returns against
+    S_OPTIMAL and T_OPTIMAL. The bound at maximal violation,
+    (s*beta_Q + t(s))/2, is 1/4 at s = 0 and plateaus at 1 from S_OPTIMAL
+    on, inside the bracket. Each of ``_SECTION_ROUNDS`` k-section rounds
+    evaluates the bound on ``_SECTION_POINTS`` points across the bracket in
+    one broadcast, taking only the minimum of t0* + t1* over the table, and
+    keeps the first sub-bracket whose upper end comes within 1e-10 of the
+    first round's maximum. That end is returned, with the (t0, t1) split of
+    ``_intercepts`` read for it alone. Below the optimum t(s) = 3/2 - 2s and
+    the bound rises as (sqrt(2) - 1) s, so it lies 1e-10/(sqrt(2) - 1), about
+    2.4e-10, below S_OPTIMAL, where the first minimiser of t0* + t1* is
+    theta = 0.
     """
-
-    def bound_at_max(s):
-        return (s * BETA_QUANTUM + _intercepts(s)[0]) / 2
-
     lo, s_star = 0.0, 0.8
     for k in range(_SECTION_ROUNDS):
         points = np.linspace(lo, s_star, _SECTION_POINTS)
-        values = bound_at_max(points)
+        t0, t1 = _shifts(points[:, None], *BREAKPOINT_TABLE)
+        values = (points * BETA_QUANTUM + (t0 + t1).min(axis=1)) / 2
         if k == 0:
             plateau = values.max() - 1e-10
         # j >= 1: the lower end is off the plateau (s = 0, then the last

@@ -239,7 +239,7 @@ class TestValidate:
             Assemblage(elements)
 
     def test_mix_with_nan_weight_rejected(self):
-        with pytest.raises(ValidationError, match=r"for \(a, x\) in \[\(0, 0\), \(0, 1\), \(1, 0\), \(1, 1\)\]$"):
+        with pytest.raises(ValidationError, match=r"^mixture weight nan outside \[0, 1\]$"):
             chsh_reference().mix(chsh_reference(), math.nan)
 
     def test_names_hermiticity_failure(self):
@@ -328,6 +328,19 @@ class TestAssemblageOps:
             0.25 * ref.elements[0, 0] + 0.75 * ref.elements[1, 0],
             atol=1e-14,
         )
+
+    @pytest.mark.parametrize("weight, valid", [(0.0, True), (1.0, True), (-1e-12, False), (1 + 1e-12, False), (math.nan, False)])
+    def test_mix_weight_must_be_in_unit_interval(self, weight, valid):
+        # a weight outside [0, 1] is an affine, not a convex, combination:
+        # at 2.0 this pair gives a sigma_(a|x) with eigenvalue -1.18e-1
+        ref, classical = chsh_reference(), from_classical(appendix_b_strategy())
+        if valid:
+            mixed = ref.mix(classical, weight)
+            assert validate(mixed, 1e-9).passed
+            np.testing.assert_array_equal(mixed.elements, (ref if weight == 1 else classical).elements)
+        else:
+            with pytest.raises(ValidationError, match=r"^mixture weight .* outside \[0, 1\]$"):
+                ref.mix(classical, weight)
 
     def test_mix_rejects_other_shape(self):
         three_settings = Assemblage(np.broadcast_to(I2 / 6, (2, 3, 2, 2)))

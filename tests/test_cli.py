@@ -132,7 +132,7 @@ class TestVerifyInequality:
 
     def test_nan_margin_fails(self, monkeypatch, capsys):
         # a margin that is not a number is never a pass
-        monkeypatch.setattr(selftest, "t_constraints", lambda s, theta: (np.full(3, np.nan), np.zeros(3)))
+        monkeypatch.setattr(selftest, "_shifts", lambda s, *table: (np.full(3, np.nan), np.zeros(3)))
         assert main(["verify-inequality"]) == 1
         assert capsys.readouterr().err == "operator inequality FAILED\n"
 
@@ -224,12 +224,12 @@ def test_certificate_output_is_pinned(argv, capsys):
 
 
 def test_verify_builds_no_operator_matrices(monkeypatch, capsys):
-    # the verdict comes from t0* + t1* alone, in one t_constraints call: no
-    # 2x2 operator is built, no margin or eigenvalue routine runs
+    # the verdict comes from t0* + t1* alone, in one read of the breakpoint
+    # table: no 2x2 operator is built, no margin or eigenvalue routine runs
     def refuse(*args):
         raise AssertionError("operator matrices built")
 
-    calls, original = [], selftest.t_constraints
+    calls, original = [], selftest._shifts
 
     def counted(*args):
         calls.append(args)
@@ -238,11 +238,12 @@ def test_verify_builds_no_operator_matrices(monkeypatch, capsys):
     for name in ("dephasing_channel", "inequality_margin"):
         monkeypatch.setattr(selftest, name, refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    monkeypatch.setattr(selftest, "t_constraints", counted)
+    monkeypatch.setattr(selftest, "_shifts", counted)
     code, out, err = GOLDEN[("verify-inequality",)]
     assert main(["verify-inequality"]) == code
     assert capsys.readouterr() == (out, err)
     assert len(calls) == 1
+    assert all(got is want for got, want in zip(calls[0][1:], selftest.BREAKPOINT_TABLE, strict=True))
 
 
 @pytest.mark.parametrize(
@@ -726,3 +727,18 @@ def test_written_files_follow_the_umask(tmp_path, monkeypatch, restore_umask, um
     for name in ("asm.json", "curve.csv", "report.json", "report.csv"):
         assert oct(os.stat(tmp_path / name).st_mode & 0o777) == oct(mode), name
     assert not [name for name in os.listdir(tmp_path) if name.startswith(".steerbound-")]
+
+
+def test_sandwich_leaves_the_umask_alone(tmp_path, monkeypatch, run_cli):
+    # the kernel applies the umask when the temporary file is created, so no
+    # write changes the process's umask, even for a moment, or any mode
+    def refuse(*args):
+        raise AssertionError("os.umask or os.chmod called")
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text('{"beta_targets": [2.4]}')
+    monkeypatch.setattr(os, "umask", refuse)
+    monkeypatch.setattr(os, "chmod", refuse)
+    result = run_cli("sandwich", "--config", "cfg.json", "--out-json", "report.json", "--out-csv", "report.csv")
+    assert result.returncode == 0, result.stderr
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "report.csv", "report.json"]

@@ -8,7 +8,10 @@ from steerbound.fidelity import assemblage_fidelity
 from steerbound.matkernel import I2, PAULI_X, PAULI_Z, ValidationError
 from steerbound import selftest
 from steerbound.selftest import (
+    _coefficient_rule,
     _intercepts,
+    _shifts,
+    BREAKPOINT_TABLE,
     BREAKPOINTS,
     BoundCoefficients,
     S_OPTIMAL,
@@ -130,6 +133,24 @@ class TestCoefficientRule:
         # saturates at 1 for s >= 0 and at -1 for s < 0, always a channel's c
         assert dephasing_coefficient(math.pi / 4, 0.7) == 1.0
         assert dephasing_coefficient(math.pi / 4, -0.7) == -1.0
+
+    def test_min_max_rule_is_clip_bit_for_bit(self):
+        # the clamp np.minimum(np.maximum(., -1), 1) returns np.clip's bits,
+        # the sign of a zero and NaN included; s and the trigonometric factor
+        # are chosen so that 4 s factor is each value exactly, without overflow
+        edges = np.array([0.0, 1.0, math.inf])
+        values = np.concatenate([edges, np.nextafter(edges, -math.inf), np.nextafter(edges, math.inf), [math.nan]])
+        values = np.concatenate([values, -values])
+        large = np.abs(values) > 1
+        s, factor = np.where(large, values / 4, values), np.where(large, 1.0, 0.25)
+        assert (4 * s * factor).tobytes() == values.tobytes()
+        for first in (True, False):
+            got = _coefficient_rule(s, first, factor, factor)
+            assert got.tobytes() == np.clip(values, -1.0, 1.0).tobytes()
+            for args in zip(s.tolist(), factor.tolist(), values.tolist()):  # Python floats
+                scalar = _coefficient_rule(args[0], first, args[1], args[1])
+                assert type(scalar) is np.float64
+                assert scalar.tobytes() == np.clip(args[2], -1.0, 1.0).tobytes(), args[2]
 
     def test_k_operators_first_interval(self):
         # K_{ax}, the channel's dual image of the reference state
@@ -283,6 +304,30 @@ class TestCoefficientSearch:
         with pytest.raises(ValueError):
             BREAKPOINTS[1] = 0.0
 
+    def test_breakpoint_table_is_read_only(self):
+        # (first_interval, cos, sin) of BREAKPOINTS, computed once
+        first, cos, sin = BREAKPOINT_TABLE
+        np.testing.assert_array_equal(first, [True, True, False])
+        assert cos.tobytes() == np.cos(BREAKPOINTS).tobytes()
+        assert sin.tobytes() == np.sin(BREAKPOINTS).tobytes()
+        for column in BREAKPOINT_TABLE:
+            with pytest.raises(ValueError):
+                column[0] = column[1]
+
+    def test_table_shifts_are_t_constraints_bit_for_bit(self, rng):
+        # the certificates' reads through the table are the one formula:
+        # s by s and broadcast, at the clamp edges |4s| = 1 and sqrt 2 and
+        # at s = +-0, with their neighbours
+        edges = np.array([0.0, 0.25, SQRT2 / 4])
+        edges = np.concatenate([edges, np.nextafter(edges, -1), np.nextafter(edges, 1)])
+        s_values = np.concatenate([rng.uniform(-1, 2, 500), edges, -edges])
+        for s in s_values:
+            got, want = _shifts(float(s), *BREAKPOINT_TABLE), t_constraints(float(s), BREAKPOINTS)
+            assert [t.tobytes() for t in got] == [t.tobytes() for t in want], s
+        column = s_values[:, None]
+        got, want = _shifts(column, *BREAKPOINT_TABLE), t_constraints(column, BREAKPOINTS)
+        assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
+
     def test_breakpoint_minimum_is_exact(self, rng):
         # the minimum of t0* + t1* over BREAKPOINTS -- 0, pi/4 and pi/2
         # alone -- equals its minimum over a dense uniform grid with the clamp
@@ -343,18 +388,41 @@ class TestCoefficientSearch:
                 lo = mid
         assert abs(coefficient_search().s - hi) <= 1e-12
 
+    def test_search_equals_the_intercepts_replica(self):
+        # the min-only rounds return the same bits as rounds that read t(s)
+        # through t_constraints and _intercepts' split at every point
+        def bound_at_max(s):
+            t0, t1 = t_constraints(np.reshape(s, (-1, 1)), BREAKPOINTS)
+            first = np.argmin(t0 + t1, axis=1)[:, None]
+            t0, t1 = (np.take_along_axis(t, first, 1)[:, 0] for t in (t0, t1))
+            return (s * BETA_QUANTUM + (t0 + t1)) / 2
+
+        lo, s_star = 0.0, 0.8
+        for k in range(selftest._SECTION_ROUNDS):
+            points = np.linspace(lo, s_star, selftest._SECTION_POINTS)
+            values = bound_at_max(points)
+            if k == 0:
+                plateau = values.max() - 1e-10
+            j = int(np.argmax(values >= plateau))
+            lo, s_star = points[j - 1], points[j]
+        _, t0, t1 = _intercepts(s_star)
+        expected = BoundCoefficients(float(s_star), float(t0[0]), float(t1[0]))
+        assert coefficient_search() == expected
+        assert expected == BoundCoefficients(0.6035533903523173, -0.2071067807046345, 0.5)
+
     def test_refinement_is_a_few_broadcasts(self, monkeypatch):
-        # one broadcast per k-section round, then one call for the returned
-        # (t0, t1)
-        calls = []
+        # one read of the breakpoint table per k-section round, of every
+        # point of the round, then one for the returned (t0, t1)
+        calls, original = [], selftest._shifts
 
-        def counted(s):
-            calls.append(np.size(s))
-            return _intercepts(s)
+        def counted(s, *table):
+            assert all(got is want for got, want in zip(table, BREAKPOINT_TABLE, strict=True))
+            calls.append(np.shape(s))
+            return original(s, *table)
 
-        monkeypatch.setattr(selftest, "_intercepts", counted)
+        monkeypatch.setattr(selftest, "_shifts", counted)
         coefficient_search()
-        assert calls == [selftest._SECTION_POINTS] * selftest._SECTION_ROUNDS + [1]
+        assert calls == [(selftest._SECTION_POINTS, 1)] * selftest._SECTION_ROUNDS + [(1, 1)]
 
     def test_split_is_the_theta_zero_minimiser(self):
         # below S_OPTIMAL the first minimiser of t0* + t1* over BREAKPOINTS is
