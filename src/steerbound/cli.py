@@ -50,8 +50,12 @@ def _atomic_write(path: str, text: str) -> None:
     else:
         raise FileExistsError(f"no free temporary name beside {path}")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        try:
+            data = memoryview(text.encode())  # every document steerbound writes is ASCII
+            while data:  # os.write may take only part of the bytes
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

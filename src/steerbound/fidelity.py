@@ -153,11 +153,18 @@ def fidelity_operator(asm: Assemblage) -> np.ndarray:
     """
     if asm.elements.shape != _REFERENCE.elements.shape:
         raise ValidationError("extractability needs a two-setting, two-outcome assemblage")
-    p = asm.probabilities()
+    return _fidelity_operators(asm.elements)
+
+
+def _fidelity_operators(elements: np.ndarray) -> np.ndarray:
+    """fidelity_operator's W for each (2, 2, 2, 2) block of a (..., 2, 2,
+    2, 2) stack of assemblage elements, in one einsum; the shape is the
+    caller's to check."""
+    p = np.trace(elements, axis1=-2, axis2=-1).real
     live = p >= PROB_FLOOR
     weights = np.where(live, np.sqrt(_REFERENCE_P) / np.sqrt(np.where(live, p, 1.0)), 0.0)
-    w = np.einsum("ax,axji,axcd->icjd", weights, asm.elements, _REFERENCE_STATES)
-    return w.reshape(4, 4) / _REFERENCE.settings
+    w = np.einsum("...ax,...axji,axcd->...icjd", weights, elements, _REFERENCE_STATES)
+    return w.reshape(w.shape[:-4] + (4, 4)) / _REFERENCE.settings
 
 
 # Dual slack Z = y I - W + sum_k h_k (sigma_k (x) I); its derivatives in

@@ -7,7 +7,8 @@ beta at theta* = atan m. Its fidelity operator W = (2 I(x)I + Z(x)Z +
 m X(x)X)/8 has eigenvalues (3 +- m)/8 and (1 +- m)/8, the top one at Phi+.
 So the identity channel (primal) and the dual point H = 0 (bound
 2 lambda_max(W)) meet at 3/4 + m/4 = 3/4 + sqrt(beta^2 - 4)/8, the closed
-form xi*(beta). One stacked eigenvalue call scores every target.
+form xi*(beta). The sweep scores every target from one witness stack,
+one W einsum and one eigenvalue call.
 
 That value is ``numeric_min``: the exact extractability (within the pair's
 gap) of a valid assemblage at CHSH value beta. It is the minimum for one
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .assemblage import Assemblage, ValidationError, json_text, parse_json
-from .fidelity import _ROUNDING, fidelity_operator
+from .fidelity import _ROUNDING, _fidelity_operators
 from .matkernel import HERMITICITY_TOL, I2, PAULI_X, PAULI_Z, hermitian_min_eigvals
 from .selftest import analytic_bound, dephasing_channel, upper_bound
 from .steering import BETA_CLASSICAL, BETA_QUANTUM, chsh_functional
@@ -104,14 +105,28 @@ class SearchConfig:
 # ---------------------------------------------------------------------------
 # The witness
 
+def _witnesses(betas):
+    """Every target's sharp/unsharp witness at theta* = atan m, as one
+    (targets, 2, 2, 2, 2) elements array and the list of the angles:
+    sigma_{a|0} = (I + (-1)^a Z)/4 and sigma_{a|1} = (I + (-1)^a m X)/4. m
+    is clamped to 1, because at 2 sqrt 2 the radicand beta^2/4 - 1 rounds
+    to 1 + 2e-16."""
+    for beta in betas:
+        _check_beta(beta)
+    ms = [min(1.0, math.sqrt(beta * beta / 4 - 1)) for beta in betas]
+    m = np.array(ms)[:, None, None]
+    elements = np.empty((len(ms), 2, 2, 2, 2), dtype=complex)
+    for a, sign in enumerate((1, -1)):
+        elements[:, a, 0] = (I2 + sign * PAULI_Z) / 4
+        elements[:, a, 1] = (I2 + (sign * m) * PAULI_X) / 4
+    # math.atan, not np.arctan: numpy's SIMD arctan need not match it in the last bit
+    return elements, [math.atan(v) for v in ms]
+
+
 def _witness_candidate(beta: float):
-    """The sharp/unsharp witness at theta* = atan m: sigma_{a|0} =
-    (I + (-1)^a Z)/4 and sigma_{a|1} = (I + (-1)^a m X)/4. m is clamped to
-    1, because at 2 sqrt 2 the radicand beta^2/4 - 1 rounds to 1 + 2e-16."""
-    _check_beta(beta)
-    m = min(1.0, math.sqrt(beta * beta / 4 - 1))
-    asm = Assemblage([[(I2 + sign * PAULI_Z) / 4, (I2 + sign * m * PAULI_X) / 4] for sign in (1, -1)])
-    return asm, math.atan(m)
+    """One target's witness, as an Assemblage, and its angle theta*."""
+    elements, thetas = _witnesses([beta])
+    return Assemblage(elements[0]), thetas[0]
 
 
 @dataclass(frozen=True)
@@ -181,9 +196,10 @@ class SandwichReport:
 
 def _records(betas) -> tuple:
     """Each target's record: the identity channel's tr(J_id W) and the H = 0
-    dual bound 2 lambda_max(W), every witness in one eigenvalue call."""
-    witnesses = [_witness_candidate(beta) for beta in betas]
-    w = np.array([fidelity_operator(asm) for asm, _ in witnesses])
+    dual bound 2 lambda_max(W), from one witness stack, one W einsum and
+    one eigenvalue call."""
+    elements, thetas = _witnesses(betas)
+    w = _fidelity_operators(elements)
     identity = dephasing_channel(0.0, 1.0).choi
     values = np.einsum("ij,nij->n", identity.conj(), w).real
     gaps = np.maximum(-2 * hermitian_min_eigvals(-w, HERMITICITY_TOL) - values, 0) + _ROUNDING
@@ -201,7 +217,9 @@ def _records(betas) -> tuple:
                 "channel": {"re": identity.real.tolist(), "im": identity.imag.tolist()},
             },
         )
-        for beta, (asm, theta), value, gap in zip(betas, witnesses, values.tolist(), gaps.tolist())
+        for beta, asm, theta, value, gap in zip(
+            betas, map(Assemblage, elements), thetas, values.tolist(), gaps.tolist()
+        )
     )
 
 
@@ -214,7 +232,8 @@ def min_extractability_at_beta(beta: float) -> SandwichRecord:
 
 
 def sandwich_sweep(cfg: SearchConfig) -> SandwichReport:
-    """Score every target's witness with one stacked eigenvalue call and
-    assemble the report; passing means every record passes."""
+    """Score every target's witness, from one witness stack, one W einsum
+    and one eigenvalue call, and assemble the report; passing means every
+    record passes."""
     cfg.check()
     return SandwichReport(cfg, _records(cfg.beta_targets))

@@ -658,3 +658,22 @@ class TestJsonText:
         with pytest.raises(TypeError):
             json_text([np.int64(1)])
         assert json_text([np.float64(0.1)]) == json.dumps([np.float64(0.1)], indent=2)
+
+    def test_float_first_containers(self):
+        # a container that starts with a float is tried as one float run; any
+        # later item that is no float, or spells nan or inf, must still come
+        # out as json.dumps writes it
+        later = [
+            1, 0, True, False, None, "", "n", [0.5, 1], (), {"k": 0.5}, {},
+            math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, np.float64(0.1), np.float64(math.nan),
+        ]
+        rng = random.Random(20240817)
+        for _ in range(3000):
+            items = [rng.uniform(-2, 2) if rng.randrange(2) else rng.choice(later) for _ in range(rng.randrange(5))]
+            first = rng.choice([rng.uniform(-2, 2), -0.0, 5e-324, 1e16, math.nan, math.inf])
+            for doc in ([first, *items], (first, *items), {"k": [first, *items]}):
+                assert json_text(doc) == json.dumps(doc, indent=2), doc
+
+    def test_float_run_refuses_arrays(self):
+        with pytest.raises(TypeError):
+            json_text([0.5, np.array([1.0])])

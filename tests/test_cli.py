@@ -742,3 +742,26 @@ def test_sandwich_leaves_the_umask_alone(tmp_path, monkeypatch, run_cli):
     result = run_cli("sandwich", "--config", "cfg.json", "--out-json", "report.json", "--out-csv", "report.csv")
     assert result.returncode == 0, result.stderr
     assert sorted(os.listdir(tmp_path)) == ["cfg.json", "report.csv", "report.json"]
+
+
+def test_partial_writes_give_the_same_bytes(tmp_path, monkeypatch):
+    # os.write may take fewer bytes than it is given; the writer goes on from
+    # where it stopped, and every file holds the same bytes
+    (tmp_path / "cfg.json").write_text("{}")
+    argv = ["sandwich", "--config", str(tmp_path / "cfg.json"), "--out-json", "report.json", "--out-csv", "report.csv"]
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    expected = [(tmp_path / name).read_bytes() for name in ("report.json", "report.csv")]
+    assert expected[0] == sandwich_sweep(SearchConfig()).to_json().encode()
+    sizes = []
+    write = os.write
+
+    def short_write(fd, data):
+        sizes.append(write(fd, data[:1000]))
+        return sizes[-1]
+
+    monkeypatch.setattr(os, "write", short_write)
+    assert main(argv) == 0
+    assert [(tmp_path / name).read_bytes() for name in ("report.json", "report.csv")] == expected
+    assert len(sizes) == -(-len(expected[0]) // 1000) + 1 and max(sizes) == 1000
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "report.csv", "report.json"]

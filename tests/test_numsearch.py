@@ -6,8 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from steerbound import fidelity
+from steerbound import fidelity, numsearch
 from steerbound.assemblage import (
+    PROB_FLOOR,
     Assemblage,
     chsh_reference,
     from_classical,
@@ -21,10 +22,21 @@ from steerbound.fidelity import (
     extractability,
     fidelity_operator,
 )
-from steerbound.matkernel import I2, PAULI_X, PAULI_Y, PAULI_Z, ValidationError
+from steerbound.matkernel import (
+    HERMITICITY_TOL,
+    I2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    ValidationError,
+    hermitian_min_eigvals,
+)
 from steerbound.numsearch import (
     _COLUMNS,
+    SandwichRecord,
+    SandwichReport,
     SearchConfig,
+    _records,
     _witness_candidate,
     min_extractability_at_beta,
     sandwich_sweep,
@@ -35,7 +47,7 @@ from steerbound.selftest import (
     extractability_with_channel,
     upper_bound,
 )
-from steerbound.steering import BETA_CLASSICAL, BETA_QUANTUM, max_violation_over_theta
+from steerbound.steering import BETA_CLASSICAL, BETA_QUANTUM, chsh_functional, max_violation_over_theta
 
 SQRT2 = math.sqrt(2)
 
@@ -404,6 +416,107 @@ class TestDefaultSweep:
     def test_seed_is_ignored(self, default_report):
         assert sandwich_sweep(SearchConfig(rng_seed=1)).records == default_report.records
         assert sandwich_sweep(SearchConfig(rng_seed=2)).records == default_report.records
+
+
+def seeded_targets(count=500):
+    """count targets in (2, 2 sqrt 2]: the two ends, 2 sqrt 2 and the float
+    just above 2, then uniform draws."""
+    draws = 2 + (BETA_QUANTUM - 2) * (1 - np.random.default_rng(20240817).random(count - 2))
+    return (BETA_QUANTUM, float(np.nextafter(2, 3)), *np.maximum(draws, np.nextafter(2, 3)).tolist())
+
+
+def one_witness(beta):
+    """The witness built one target at a time, from a nested list."""
+    m = min(1.0, math.sqrt(beta * beta / 4 - 1))
+    return Assemblage([[(I2 + sign * PAULI_Z) / 4, (I2 + sign * m * PAULI_X) / 4] for sign in (1, -1)])
+
+
+def one_fidelity_operator(asm):
+    """fidelity_operator's formula for one assemblage, with no stack axis."""
+    reference = chsh_reference()
+    p_ref, p = reference.probabilities(), asm.probabilities()
+    live = p >= PROB_FLOOR
+    weights = np.where(live, np.sqrt(p_ref) / np.sqrt(np.where(live, p, 1.0)), 0.0)
+    states = reference.elements / p_ref[..., None, None]
+    return np.einsum("ax,axji,axcd->icjd", weights, asm.elements, states).reshape(4, 4) / reference.settings
+
+
+def per_witness_records(betas):
+    """The sweep's records built one witness and one W at a time, then
+    stacked for the eigenvalue call."""
+    witnesses = [_witness_candidate(beta) for beta in betas]
+    w = np.array([fidelity_operator(asm) for asm, _ in witnesses])
+    identity = dephasing_channel(0.0, 1.0).choi
+    values = np.einsum("ij,nij->n", identity.conj(), w).real
+    gaps = np.maximum(-2 * hermitian_min_eigvals(-w, HERMITICITY_TOL) - values, 0) + fidelity._ROUNDING
+    return tuple(
+        SandwichRecord(
+            beta=beta,
+            numeric_min=value,
+            analytic_lower=analytic_bound(beta),
+            eq8_upper=upper_bound(beta),
+            residual=abs(chsh_functional(asm, theta) - beta),
+            gap=gap,
+            winner="witness",
+            witness={
+                "assemblage": asm.to_dict(), "theta": theta,
+                "channel": {"re": identity.real.tolist(), "im": identity.imag.tolist()},
+            },
+        )
+        for beta, (asm, theta), value, gap in zip(betas, witnesses, values.tolist(), gaps.tolist())
+    )
+
+
+class TestStackedSweep:
+    """One witness stack and one W einsum give the per-witness results bit for bit."""
+
+    @pytest.mark.parametrize("betas", [SearchConfig().beta_targets, seeded_targets()], ids=["default", "seeded"])
+    def test_records_match_per_witness_path(self, betas):
+        stacked, single = _records(betas), per_witness_records(betas)
+        assert stacked == single
+        cfg = SearchConfig(beta_targets=betas)
+        assert SandwichReport(cfg, stacked).to_json() == SandwichReport(cfg, single).to_json()
+
+    def test_witness_matches_one_target_formula(self):
+        for beta in seeded_targets():
+            asm, theta = _witness_candidate(beta)
+            assert asm.elements.tobytes() == one_witness(beta).elements.tobytes(), beta
+            assert theta == math.atan(min(1.0, math.sqrt(beta * beta / 4 - 1)))
+
+    def test_stacked_operators_match_single(self):
+        rng = np.random.default_rng(20240817)
+        rho = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
+        asms = [Assemblage([[rho, rho / 2], [rho * 1e-13, rho / 2]])]  # one p(a|x) below PROB_FLOOR
+        for kwargs in ({}, {"projective": False}, {"uniform_marginals": True}):
+            asms += [realize(random_realization(rng, **kwargs)) for _ in range(100)]
+        assert asms[0].probabilities()[1, 0] < PROB_FLOOR
+        stacked = fidelity._fidelity_operators(np.array([asm.elements for asm in asms]))
+        assert stacked.shape == (301, 4, 4)
+        for asm, w in zip(asms, stacked):
+            assert w.tobytes() == fidelity_operator(asm).tobytes() == one_fidelity_operator(asm).tobytes()
+
+    def test_default_sweep_makes_one_operator_call(self, monkeypatch):
+        shapes = []
+        operators = numsearch._fidelity_operators
+
+        def recording(elements):
+            shapes.append(elements.shape)
+            return operators(elements)
+
+        monkeypatch.setattr(numsearch, "_fidelity_operators", recording)
+        sandwich_sweep(SearchConfig())
+        assert shapes == [(5, 2, 2, 2, 2)]
+
+    def test_records_share_no_list(self, default_report):
+        # every record owns its witness dict, down to each row
+        seen = set()
+        for record in default_report.records:
+            assemblage = record.witness["assemblage"]["elements"]
+            lists = [entry[key] for entry in assemblage for key in ("re", "im")]
+            lists += [row for matrix in lists for row in matrix]
+            ids = {id(v) for v in lists}
+            assert len(ids) == len(lists) and not seen & ids
+            seen |= ids
 
 
 class TestSandwich:
