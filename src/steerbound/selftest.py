@@ -8,9 +8,9 @@ Q >= (s*beta + t)/2, obtained from the operator inequalities
 where K_{ax} is the dual image of the reference conditional state under a
 theta-dependent dephasing channel. This module builds the channel family,
 checks the inequalities in closed form over theta, recovers the optimal
-coefficients s = (1+sqrt(2))/4 and t = (2-sqrt(2))/2, and evaluates the
-resulting lower bound, the interpolation upper bound, and the
-non-triviality threshold.
+coefficients s = (1+sqrt(2))/4 and t = (2-sqrt(2))/2 as the kink of the
+concave bound at maximal violation, and evaluates the resulting lower
+bound, the interpolation upper bound, and the non-triviality threshold.
 """
 
 from __future__ import annotations
@@ -167,51 +167,51 @@ for _column in BREAKPOINT_TABLE:
 
 
 def _intercepts(s):
-    """(t(s), t0, t1) per s at the first minimiser of t0* + t1* over
-    ``BREAKPOINTS``, where its minimum lies."""
+    """(t(s), t0, t1) per s at the first of ``BREAKPOINTS`` whose t0* + t1*
+    is within 1e-12 of the least, as ``verify-inequality`` picks: a tie is
+    not decided by the last bit."""
     t0, t1 = _shifts(np.reshape(s, (-1, 1)), *BREAKPOINT_TABLE)
-    first = np.argmin(t0 + t1, axis=1)[:, None]
+    g = t0 + t1
+    first = np.argmax(g <= g.min(axis=1, keepdims=True) + 1e-12, axis=1)[:, None]
     t0, t1 = (np.take_along_axis(t, first, 1)[:, 0] for t in (t0, t1))
     return t0 + t1, t0, t1
 
 
-_SECTION_POINTS = 257  # per broadcast round: 256 sub-brackets
-_SECTION_ROUNDS = 5  # 0.8/256**5 ~ 7.3e-13: the bracket's width after the last round
+_SECTION_POINTS = 257  # the grid over [0, 0.8]: 256 cells of 0.003125
+_KINK_TOL = 1e-14  # rounding alone: the bound is about 1 near the kink
 
 
 def coefficient_search() -> BoundCoefficients:
-    """Recover the optimal (s, t) pair by a search over s in [0, 0.8].
+    """Recover the optimal (s, t) pair as the kink of the concave bound.
 
-    For each s the bound intercept t(s) = min_theta (t0* + t1*) is read as
-    ``_shifts(s, *BREAKPOINT_TABLE)``, ``t_constraints`` over ``BREAKPOINTS``
-    (0, pi/4 and pi/2), where it is exact; the search checks nothing against
-    ``t_constraints``, and the tests check the pair it returns against
-    S_OPTIMAL and T_OPTIMAL. The bound at maximal violation,
-    (s*beta_Q + t(s))/2, is 1/4 at s = 0 and plateaus at 1 from S_OPTIMAL
-    on, inside the bracket. Each of ``_SECTION_ROUNDS`` k-section rounds
-    evaluates the bound on ``_SECTION_POINTS`` points across the bracket in
-    one broadcast, taking only the minimum of t0* + t1* over the table, and
-    keeps the first sub-bracket whose upper end comes within 1e-10 of the
-    first round's maximum. That end is returned, with the (t0, t1) split of
-    ``_intercepts`` read for it alone. Below the optimum t(s) = 3/2 - 2s and
-    the bound rises as (sqrt(2) - 1) s, so it lies 1e-10/(sqrt(2) - 1), about
-    2.4e-10, below S_OPTIMAL, where the first minimiser of t0* + t1* is
-    theta = 0.
+    On [0, 0.8] the bound at maximal violation, f(s) = (s*beta_Q + t(s))/2
+    with t(s) = min over ``BREAKPOINTS`` of t0* + t1*, is a minimum of
+    concave piecewise-linear branches (1 - |1/2 - 2s| at 0 and pi/2,
+    min(1/2 + sqrt(2) s, 2 - 2 sqrt(2) s) at pi/4) plus a linear term, so
+    its first maximiser S_OPTIMAL is the kink where the last rising piece,
+    (sqrt(2) - 1) s + 3/4, meets the plateau 1. One broadcast reads f on
+    ``_SECTION_POINTS`` points; the line through the two below the first
+    one on the plateau meets the line through it and the next at the kink,
+    where ``_intercepts`` reads the (t0, t1) split. ValidationError unless f
+    there lies on both lines and no grid value exceeds it, within
+    ``_KINK_TOL``: a second kink near the first fails closed.
     """
-    lo, s_star = 0.0, 0.8
-    for k in range(_SECTION_ROUNDS):
-        points = np.linspace(lo, s_star, _SECTION_POINTS)
-        t0, t1 = _shifts(points[:, None], *BREAKPOINT_TABLE)
-        values = (points * BETA_QUANTUM + (t0 + t1).min(axis=1)) / 2
-        if k == 0:
-            plateau = values.max() - 1e-10
-        # j >= 1: the lower end is off the plateau (s = 0, then the last
-        # round's lower end) and the upper end is on it
-        j = int(np.argmax(values >= plateau))
-        lo, s_star = points[j - 1], points[j]
-
-    _, t0, t1 = _intercepts(s_star)
-    return BoundCoefficients(float(s_star), float(t0[0]), float(t1[0]))
+    points = np.linspace(0.0, 0.8, _SECTION_POINTS)
+    t0, t1 = _shifts(points[:, None], *BREAKPOINT_TABLE)
+    values = (points * BETA_QUANTUM + (t0 + t1).min(axis=1)) / 2
+    top = values.max()
+    j = int(np.argmax(values >= top - _KINK_TOL))
+    if not 2 <= j <= _SECTION_POINTS - 2:
+        raise ValidationError(f"bound plateau starts at grid point {j}, not inside the bracket")
+    (a, b, c, d), (fa, fb, fc, fd) = points[j - 2 : j + 2].tolist(), values[j - 2 : j + 2].tolist()
+    rise, flat = (fb - fa) / (b - a), (fd - fc) / (d - c)
+    s = b + (fc - fb - flat * (c - b)) / (rise - flat)
+    t, t0, t1 = _intercepts(s)
+    value = (s * BETA_QUANTUM + t[0]) / 2
+    gaps = (abs(value - fb - rise * (s - b)), abs(value - fc - flat * (s - c)), top - value)
+    if not all(gap <= _KINK_TOL for gap in gaps):  # a NaN fails too
+        raise ValidationError(f"bound {value:.17g} at s = {s!r} is not the kink of its grid lines")
+    return BoundCoefficients(s, float(t0[0]), float(t1[0]))
 
 
 def analytic_bound(beta: float) -> float:

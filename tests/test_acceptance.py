@@ -84,8 +84,8 @@ def test_02_operator_inequality_sweep():
 
 def test_03_coefficient_recovery():
     coeffs = coefficient_search()
-    assert coeffs.s == pytest.approx(S_OPTIMAL, abs=2e-3)
-    assert coeffs.t == pytest.approx(T_OPTIMAL, abs=1e-4)
+    assert coeffs.s == pytest.approx(S_OPTIMAL, abs=1e-12)
+    assert coeffs.t == pytest.approx(T_OPTIMAL, abs=1e-12)
     _report("coefficient recovery s = (1+sqrt(2))/4, t = (2-sqrt(2))/2")
 
 

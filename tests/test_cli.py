@@ -207,7 +207,7 @@ GOLDEN = {
     ),
     ("coefficient-search",): (
         0,
-        "s = 0.60355339\n"
+        "s = 0.603553391\n"
         "t = 0.292893219 (t0 = -0.207106781, t1 = 0.5)\n"
         "bound at maximal violation = 1\n",
         "",
@@ -432,14 +432,38 @@ class TestCoefficientSearch:
         assert capsys.readouterr() == (out, err)
 
     def test_recovers_optimum(self, run_cli):
+        # 9 significant digits: the printed s and t are S_OPTIMAL's and
+        # T_OPTIMAL's to the last digit
         result = run_cli(
             "coefficient-search", "--s-points", "128", "--theta-points", "2000"
         )
         assert result.returncode == 0
-        s_line = [l for l in result.stdout.split("\n") if l.startswith("s = ")][0]
-        assert float(s_line[4:]) == pytest.approx((1 + SQRT2) / 4, abs=1e-4)
+        s_line, t_line = result.stdout.split("\n")[:2]
+        assert float(s_line.removeprefix("s = ")) == float(f"{(1 + SQRT2) / 4:.9g}")
+        assert float(t_line.removeprefix("t = ").split()[0]) == float(f"{(2 - SQRT2) / 2:.9g}")
         bound_line = [l for l in result.stdout.split("\n") if "bound at" in l][0]
-        assert float(bound_line.split("= ")[1]) == pytest.approx(1.0, abs=1e-6)
+        assert float(bound_line.split("= ")[1]) == 1.0
+
+    def test_s_is_the_one_verify_inequality_prints(self, run_cli):
+        verify = run_cli("verify-inequality").stdout.split("\n")[0]
+        search = run_cli("coefficient-search").stdout.split("\n")[0]
+        assert search == "s = " + verify.split("(s = ")[1].removesuffix(")")
+
+    def test_extra_kink_is_one_error_line(self, monkeypatch, run_cli):
+        # a bound bent between grid points below the plateau fails closed
+        original = selftest._shifts
+
+        def bent(s, *table):
+            t0, t1 = original(s, *table)
+            return t0, np.minimum(t1, 1.5 - 2 * 0.6034 - 2.4 * (s - 0.6034) - t0)
+
+        monkeypatch.setattr(selftest, "_shifts", bent)
+        result = run_cli("coefficient-search")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: bound ") and "not the kink" in lines[0]
+        assert "Traceback" not in result.stderr
 
 
 class TestSandwich:

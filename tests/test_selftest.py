@@ -343,76 +343,39 @@ class TestCoefficientSearch:
             assert coarse == pytest.approx(sum(t_constraints(s, fine)).min(), abs=1e-12), s
 
     def test_intercepts_match_scalar_grid(self, rng):
-        # the one-broadcast intercepts equal the first minimiser of t0* + t1*
-        # over BREAKPOINTS taken s by s: the value and the (t0, t1) split
+        # the one-broadcast intercepts equal the first breakpoint within 1e-12
+        # of the least t0* + t1* taken s by s: the value and the (t0, t1) split
         s_values = np.concatenate([rng.uniform(-1, 2, 500), [0.0, 0.25, -0.25, S_OPTIMAL]])
         for s, got in zip(s_values, zip(*_intercepts(s_values))):
             t0, t1 = t_constraints(float(s), BREAKPOINTS)
-            i = int(np.argmin(t0 + t1))
+            i = int(np.argmax(t0 + t1 <= (t0 + t1).min() + 1e-12))
             assert got == (t0[i] + t1[i], t0[i], t1[i]), s
 
     def test_recovers_optimum(self):
-        # the search returns where the bound at maximal violation comes within
-        # 1e-10 of its plateau 1; below S_OPTIMAL, t(s) = 3/2 - 2s and the
-        # bound rises as (sqrt(2) - 1) s, so that point is 1e-10/(sqrt(2) - 1)
-        # below S_OPTIMAL, and (s, t) lies on the line through the optimum
+        # the kink of the concave bound is the optimum to rounding, and the
+        # bound at maximal violation is 1 there
         coeffs = coefficient_search()
-        assert abs(coeffs.s + 1e-10 / (SQRT2 - 1) - S_OPTIMAL) <= 1e-12
-        assert abs(coeffs.t - 2 * (S_OPTIMAL - coeffs.s) - T_OPTIMAL) <= 1e-12
-        assert abs(bound_value(coeffs, BETA_QUANTUM) - (1 - 1e-10)) <= 1e-12
+        assert abs(coeffs.s - S_OPTIMAL) <= 1e-15
+        assert abs(coeffs.t - T_OPTIMAL) <= 1e-15
+        assert abs(bound_value(coeffs, BETA_QUANTUM) - 1) <= 1e-15
 
-    @pytest.mark.parametrize(
-        "points, rounds",
-        # the shipped shape, then coarser sections run for as many rounds as
-        # narrow [0, 0.8] below 1e-12: 0.8/64**7, 0.8/16**10 and 0.8/2**40
-        [(None, None), (65, 7), (17, 10), (3, 40)],
-        ids=["shipped", "65x7", "17x10", "3x40"],
-    )
-    def test_ksection_matches_bisection(self, points, rounds, monkeypatch):
-        # the broadcast k-section against a scalar bisection on the same
-        # bracket [0, 0.8] and plateau, whatever the section's shape
-        if points is not None:
-            monkeypatch.setattr(selftest, "_SECTION_POINTS", points)
-            monkeypatch.setattr(selftest, "_SECTION_ROUNDS", rounds)
-
-        def bound_at_max(s):
-            return (s * BETA_QUANTUM + _intercepts(s)[0]) / 2
-
-        plateau = bound_at_max(np.linspace(0.0, 0.8, selftest._SECTION_POINTS)).max() - 1e-10
-        lo, hi = 0.0, 0.8
-        while hi - lo > 1e-12:
-            mid = (lo + hi) / 2
-            if bound_at_max(mid)[0] >= plateau:
-                hi = mid
-            else:
-                lo = mid
-        assert abs(coefficient_search().s - hi) <= 1e-12
-
-    def test_search_equals_the_intercepts_replica(self):
-        # the min-only rounds return the same bits as rounds that read t(s)
-        # through t_constraints and _intercepts' split at every point
-        def bound_at_max(s):
-            t0, t1 = t_constraints(np.reshape(s, (-1, 1)), BREAKPOINTS)
-            first = np.argmin(t0 + t1, axis=1)[:, None]
-            t0, t1 = (np.take_along_axis(t, first, 1)[:, 0] for t in (t0, t1))
-            return (s * BETA_QUANTUM + (t0 + t1)) / 2
-
-        lo, s_star = 0.0, 0.8
-        for k in range(selftest._SECTION_ROUNDS):
-            points = np.linspace(lo, s_star, selftest._SECTION_POINTS)
-            values = bound_at_max(points)
-            if k == 0:
-                plateau = values.max() - 1e-10
-            j = int(np.argmax(values >= plateau))
-            lo, s_star = points[j - 1], points[j]
-        _, t0, t1 = _intercepts(s_star)
-        expected = BoundCoefficients(float(s_star), float(t0[0]), float(t1[0]))
-        assert coefficient_search() == expected
-        assert expected == BoundCoefficients(0.6035533903523173, -0.2071067807046345, 0.5)
+    def test_grid_lines_are_the_pieces_of_the_bound(self):
+        # the first grid point on the plateau is 194 (s = 0.60625); the two
+        # below it lie on the rising piece (sqrt(2) - 1) s + 3/4 and it and
+        # the next on the plateau 1, so the two lines meet at S_OPTIMAL
+        points = np.linspace(0.0, 0.8, selftest._SECTION_POINTS)
+        t0, t1 = t_constraints(points[:, None], BREAKPOINTS)
+        values = (points * BETA_QUANTUM + (t0 + t1).min(axis=1)) / 2
+        j = int(np.argmax(values >= values.max() - selftest._KINK_TOL))
+        assert j == 194
+        rising = (SQRT2 - 1) * points[j - 2 : j] + 0.75
+        assert np.abs(values[j - 2 : j] - rising).max() <= 1e-15
+        assert np.abs(values[j : j + 2] - 1).max() <= 1e-15
+        assert np.all(values[:j] < 1 - 1e-4)
 
     def test_refinement_is_a_few_broadcasts(self, monkeypatch):
-        # one read of the breakpoint table per k-section round, of every
-        # point of the round, then one for the returned (t0, t1)
+        # one read of the breakpoint table over every grid point, then one for
+        # the (t0, t1) split at the kink, on every call: nothing is memoized
         calls, original = [], selftest._shifts
 
         def counted(s, *table):
@@ -422,12 +385,15 @@ class TestCoefficientSearch:
 
         monkeypatch.setattr(selftest, "_shifts", counted)
         coefficient_search()
-        assert calls == [(selftest._SECTION_POINTS, 1)] * selftest._SECTION_ROUNDS + [(1, 1)]
+        assert calls == [(selftest._SECTION_POINTS, 1), (1, 1)]
+        coefficient_search()
+        assert calls == [(selftest._SECTION_POINTS, 1), (1, 1)] * 2
 
     def test_split_is_the_theta_zero_minimiser(self):
-        # below S_OPTIMAL the first minimiser of t0* + t1* over BREAKPOINTS is
-        # theta = 0, where the split is t0 = (1 - sqrt 2)/2 + 2 (S_OPTIMAL - s)
-        # and t1 = 1/2 (printed as -0.207106781 and 0.5)
+        # at the returned s, one float below S_OPTIMAL, the first minimiser of
+        # t0* + t1* over BREAKPOINTS is theta = 0, where the split is
+        # t0 = (1 - sqrt 2)/2 + 2 (S_OPTIMAL - s) and t1 = 1/2 (printed as
+        # -0.207106781 and 0.5)
         coeffs = coefficient_search()
         t0, t1 = t_constraints(coeffs.s, BREAKPOINTS)
         assert int(np.argmin(t0 + t1)) == 0
@@ -435,10 +401,52 @@ class TestCoefficientSearch:
         assert abs(coeffs.t0 - (1 - SQRT2) / 2) <= 1e-9
         assert abs(coeffs.t1 - 0.5) <= 1e-9
 
+    def test_split_at_the_three_way_tie(self):
+        # at S_OPTIMAL, t0* + t1* ties at 0, pi/4 and pi/2 in exact
+        # arithmetic; in floats pi/4 is 1 ulp above at S_OPTIMAL and 1 ulp
+        # below at the next float. The 1e-12 tie rule reads theta = 0's split
+        # at all of them, so the printed split cannot flip with the last bit
+        found = coefficient_search().s
+        for s in (S_OPTIMAL, found):
+            for near in (np.nextafter(s, 0), s, np.nextafter(s, 1)):
+                t, t0, t1 = _intercepts(float(near))
+                want0, want1 = t_constraints(float(near), 0.0)
+                assert (t0[0], t1[0]) == (want0, want1), near
+                assert abs(t0[0] - (1 - SQRT2) / 2) <= 1e-15 and t1[0] == 0.5, near
+        # the case the tie rule decides: argmin alone would take pi/4's split
+        g = sum(t_constraints(float(np.nextafter(S_OPTIMAL, 1)), BREAKPOINTS))
+        assert int(np.argmin(g)) == 1
+
+    @pytest.mark.parametrize("s_kink", [0.601, 0.6034], ids=["below-last-rising-point", "in-the-kink-cell"])
+    def test_extra_kink_between_grid_points_fails_closed(self, s_kink, monkeypatch):
+        # t0* + t1* capped by a steeper line from the rising piece at s_kink
+        # bends the bound between grid points before it reaches the plateau:
+        # the two grid lines no longer meet on the bound
+        original = selftest._shifts
+
+        def bent(s, *table):
+            t0, t1 = original(s, *table)
+            return t0, np.minimum(t1, 1.5 - 2 * s_kink - 2.4 * (s - s_kink) - t0)
+
+        monkeypatch.setattr(selftest, "_shifts", bent)
+        with pytest.raises(ValidationError, match="not the kink of its grid lines"):
+            coefficient_search()
+
+    @pytest.mark.parametrize("total", [0.0, np.nan], ids=["no-plateau", "nan"])
+    def test_plateau_outside_the_bracket_fails_closed(self, total, monkeypatch):
+        # a bound that rises across the whole bracket, or is not a number
+        def flat(s, *table):
+            shape = np.broadcast_shapes(np.shape(s), np.shape(table[0]))
+            return np.full(shape, total), np.zeros(shape)
+
+        monkeypatch.setattr(selftest, "_shifts", flat)
+        with pytest.raises(ValidationError, match="not inside the bracket"):
+            coefficient_search()
+
     def test_smaller_s_gives_smaller_bound(self):
         # the bound at maximal violation never falls as s grows to the
-        # returned one, which is what lets the k-section keep the first
-        # sub-bracket that reaches the plateau
+        # returned one, which is what puts the grid points below the first
+        # one on the plateau on its rising side
         coeffs = coefficient_search()
         s_values = np.linspace(0.0, coeffs.s, 64)
         _, t0, t1 = _intercepts(s_values)
