@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_string
+from operator import add
 
 import numpy as np
 
@@ -30,6 +31,10 @@ from .matkernel import (
     PHI_PLUS,
     PHYSICAL_TOL,
     ValidationError,
+    _hermitian_lower,
+    _largest,
+    _rows,
+    _smallest,
     density_matrix,
     hermitian_min_eigvals,
     projector,
@@ -44,19 +49,30 @@ class Assemblage:
 
     ``elements[a, x]`` is sigma_{a|x}: a read-only complex array of shape
     (outcomes, settings, 2, 2) with finite entries; p(a|x), the trace of
-    ``elements[a, x]``, is ``probabilities()[a, x]``.
+    ``elements[a, x]``, is ``probabilities()[a, x]``. The constructor keeps
+    a read-only complex array that owns its data, such as ``from_json``
+    builds, and copies anything else, so no caller can write the elements.
     """
 
     elements: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        elements = np.array(self.elements, dtype=complex)
+        elements = self.elements
+        # a read-only complex array that owns its data has no writable view
+        # a caller could hold: keep it; copy anything else
+        if not (
+            type(elements) is np.ndarray
+            and elements.dtype == complex
+            and elements.base is None
+            and not elements.flags.writeable
+        ):
+            elements = np.array(elements, dtype=complex)
         if elements.ndim != 4 or elements.shape[2:] != (2, 2) or 0 in elements.shape:
             raise ValidationError(
                 f"assemblage elements must be an (outcomes, settings, 2, 2) array, got shape {elements.shape}"
             )
         finite = np.isfinite(elements)
-        if not finite.all():
+        if np.count_nonzero(finite) < finite.size:
             nonfinite = [(int(a), int(x)) for a, x in np.argwhere(~finite.all(axis=(2, 3)))]
             raise ValidationError(f"non-finite entries in sigma_(a|x) for (a, x) in {nonfinite}")
         elements.flags.writeable = False
@@ -75,8 +91,11 @@ class Assemblage:
         return np.trace(self.elements, axis1=2, axis2=3).real
 
     def max_marginal_deviation(self) -> float:
-        """max_{a,x} |p(a|x) - 1/|A||; zero for uniform-marginal assemblages."""
-        return float(np.abs(self.probabilities() - 1.0 / self.outcomes).max())
+        """max_{a,x} |p(a|x) - 1/|A||; zero for uniform-marginal assemblages.
+        The elements are read once, as rows of floats (see
+        ``matkernel._rows``); finite entries give no NaN."""
+        uniform = 1.0 / self.outcomes
+        return max(abs(row[0] + row[6] - uniform) for row in _rows(self.elements))
 
     def mix(self, other: "Assemblage", weight: float) -> "Assemblage":
         """Convex mixture weight*self + (1-weight)*other. ValidationError
@@ -114,17 +133,18 @@ class Assemblage:
         entries = _json_field(payload, "elements", list)
         if min(outcomes, settings) < 1 or len(entries) != outcomes * settings:
             raise ValidationError(f"need one element per (a, x), {outcomes} x {settings}")
-        seen, values = {}, []  # seen's keys: every (a, x), in entry order
+        seen, values = {}, []  # seen's keys: a * settings + x of every entry, in entry order
         for entry in entries:
             a, x = _json_field(entry, "a", int), _json_field(entry, "x", int)
-            if (a, x) in seen or not (0 <= a < outcomes and 0 <= x < settings):
+            if not (0 <= a < outcomes and 0 <= x < settings) or a * settings + x in seen:
                 raise ValidationError(f"element (a, x) = ({a}, {x}) is out of range or repeated")
-            seen[a, x] = None
+            seen[a * settings + x] = None
             _json_rows(entry, "re", 2, values)
             _json_rows(entry, "im", 2, values)
         parts = _json_reals(values, 2).reshape(-1, 2, 2, 2)  # [entry, re/im, row, column]
         elements = np.empty((outcomes, settings, 2, 2), dtype=complex)  # every (a, x) is set
-        elements[tuple(zip(*seen))] = parts[:, 0] + 1j * parts[:, 1]
+        elements.reshape(-1, 2, 2)[list(seen)] = parts[:, 0] + 1j * parts[:, 1]
+        elements.flags.writeable = False  # no other reference: the constructor keeps it
         return Assemblage(elements)
 
 
@@ -220,7 +240,7 @@ def _json_reals(values: list, size: int) -> np.ndarray:
             bad = next(i for i, v in enumerate(values) if not abs(v) < 1e308)
         else:
             finite = np.abs(reals) < 1e308  # NaN and inf fail
-            if finite.all():
+            if np.count_nonzero(finite) == finite.size:
                 return reals
             bad = int(np.argmin(finite))
     raise _matrix_error(("re", "im")[bad // (size * size) % 2], size)
@@ -362,16 +382,24 @@ def validate(asm: Assemblage, tol: float = 1e-10) -> ValidationReport:
     """Report PSD margins and no-signaling and normalization deviations
     (every entry is finite: ``Assemblage`` refuses the rest). An assemblage
     with an element that is not Hermitian within tol fails, with no PSD
-    margin (NaN)."""
+    margin (NaN). Every quantity comes from one read of the elements, as
+    Python numbers (see ``matkernel._rows``); an overflow to NaN still
+    fails."""
+    rows = _rows(asm.elements)  # rows[a * settings + x]: sigma_{a|x} as the parts of [a, b, c, d]
     try:
-        psd_margin, hermitian = float(hermitian_min_eigvals(asm.elements, tol).min()), True
+        psd_margin, hermitian = _smallest(_hermitian_lower(rows, tol)), True
     except ValidationError:
         psd_margin, hermitian = math.nan, False
-    marginals = asm.elements.sum(axis=0)  # Bob's marginal for each setting
+    settings = asm.settings
+    marginals = rows[:settings]  # Bob's marginal for each setting, summed over a in order
+    for start in range(settings, len(rows), settings):
+        marginals = [list(map(add, m, row)) for m, row in zip(marginals, rows[start : start + settings])]
+    first = marginals[0]  # |m - first| entry by entry, from the parts at i and i + 1
+    gaps = [math.hypot(m[i] - first[i], m[i + 1] - first[i + 1]) for m in marginals for i in (0, 2, 4, 6)]
     return ValidationReport(
         psd_margin=psd_margin,
-        no_signaling_deviation=float(np.abs(marginals - marginals[0]).max()),
-        normalization_deviation=float(np.abs(np.trace(marginals, axis1=1, axis2=2).real - 1).max()),
+        no_signaling_deviation=_largest(gaps),
+        normalization_deviation=_largest([abs(m[0] + m[6] - 1) for m in marginals]),
         tol=tol,
         hermitian=hermitian,
     )

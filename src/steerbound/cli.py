@@ -101,10 +101,10 @@ def cmd_verify_inequality(args) -> int:
     g = sum(selftest._shifts(s, *selftest.BREAKPOINT_TABLE))  # t_constraints(s, thetas)
     # the least eigenvalue of the four operators at t0 = t0*, t1 = t - t0*
     margins = np.minimum(g - t_opt, 0)
-    # the first theta within 1e-12 of the least margin, so that an exact tie
-    # is not decided by the last bit of the margin formula
+    # the first theta within selftest.BREAKPOINT_TIE of the least margin
     worst = margins.min()
-    print(f"worst margin {worst:.3e} at theta = {thetas[np.argmax(margins <= worst + 1e-12)]:.9g} (s = {_fmt(s)})")
+    tied = margins <= worst + selftest.BREAKPOINT_TIE
+    print(f"worst margin {worst:.3e} at theta = {thetas[np.argmax(tied)]:.9g} (s = {_fmt(s)})")
     # g is continuous at pi/4, so each closed cell's least value is at an end
     for label, cell in (("[0, pi/4]", [0, 1]), ("[pi/4, pi/2]", [1, 2])):
         i = cell[np.argmin(g[cell])]

@@ -6,6 +6,11 @@ holds the constants, the one checked eigenvalue routine that every
 validator calls: ``hermitian_min_eigvals`` (closed form for stacks of 2x2
 matrices, the lower of ``eigvals_2x2``), and the density-matrix check
 built on it.
+
+A stack of 2x2 matrices is read once with ``tolist`` and worked on as
+Python floats, matrix by matrix: the stacks here hold a handful of
+matrices, where each numpy call on a tiny array costs more than the
+arithmetic it does. 4x4 stacks stay in numpy.
 """
 
 from __future__ import annotations
@@ -41,42 +46,90 @@ def projector(ket: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def _mean_radius(m: np.ndarray):
-    """(mean, radius) of the Hermitian part of each matrix in a (..., 2, 2)
-    stack, whose eigenvalues are mean -+ radius: mean = (a + d)/2 and radius
-    = hypot((a - d)/2, |b|), with a, d the real diagonal and b the averaged
-    off-diagonal entry."""
-    a, d = m[..., 0, 0].real, m[..., 1, 1].real
-    return (a + d) / 2, np.hypot((a - d) / 2, np.abs(m[..., 0, 1] + m[..., 1, 0].conj()) / 2)
+def _largest(values: list) -> float:
+    """The largest of the floats ``values`` (0 for none) as numpy's ``max``
+    gives it: NaN if any is NaN, which Python's ``max`` keeps only when it
+    comes first."""
+    return math.nan if any(map(math.isnan, values)) else max(values) if values else 0.0
+
+
+def _smallest(values: list) -> float:
+    """The least of the floats ``values`` as numpy's ``min`` gives it: NaN
+    if any is NaN."""
+    return math.nan if any(map(math.isnan, values)) else min(values)
+
+
+def _rows(m: np.ndarray) -> list:
+    """A complex (..., 2, 2) stack read once, in C order: for each matrix
+    [[a, b], [c, d]] the floats [Re a, Im a, Re b, Im b, Re c, Im c, Re d,
+    Im d]. Sums of parts are numpy's complex sums bit for bit; hypot(re, im)
+    is |z| to the last bit, with numpy's NaN, inf and overflow to inf."""
+    return np.ascontiguousarray(m).view(float).reshape(-1, 8).tolist()
+
+
+def _mean_radius(rows: list) -> list:
+    """(mean, radius) of the Hermitian part of each matrix given by a row of
+    ``_rows``: its eigenvalues are mean -+ radius, with mean = Re(a + d)/2
+    and radius the length of its Bloch vector (Re(a - d), Re(b + c),
+    Im(b - c))/2."""
+    hypot = math.hypot
+    return [
+        ((ar + dr) / 2, hypot((ar - dr) / 2, (br + cr) / 2, (bi - ci) / 2))
+        for ar, ai, br, bi, cr, ci, dr, di in rows
+    ]
+
+
+def _hermitian_lower(rows: list, tol: float) -> list:
+    """mean - radius, the smallest eigenvalue, of each matrix given by a row
+    of ``_rows``; ValidationError unless every matrix is Hermitian within
+    ``tol``. The 2x2 rule of ``hermitian_min_eigvals``, for a caller that
+    has read the stack already. |M - M^dagger| has the entries |a - a*|,
+    |d - d*| and, twice, |b - c*|."""
+    hypot = math.hypot
+    deviations = [
+        gap
+        for ar, ai, br, bi, cr, ci, dr, di in rows
+        for gap in (hypot(ar - ar, ai + ai), hypot(br - cr, bi + ci), hypot(dr - dr, di + di))
+    ]
+    _check_hermitian(_largest(deviations), tol)
+    return [mean - radius for mean, radius in _mean_radius(rows)]
+
+
+def _check_hermitian(deviation: float, tol: float) -> None:
+    if not deviation <= tol:  # NaN, from a non-finite entry, fails too
+        raise ValidationError(f"matrix is not Hermitian within {tol:g}: max |M - M^dagger| = {deviation:.3e}")
 
 
 def eigvals_2x2(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part of each matrix in a
     (..., 2, 2) stack, in closed form (see ``_mean_radius``)."""
-    mean, radius = _mean_radius(m)
-    return np.stack([mean - radius, mean + radius], axis=-1)
+    m = np.asarray(m, dtype=complex)
+    pairs = [(mean - radius, mean + radius) for mean, radius in _mean_radius(_rows(m))]
+    return np.array(pairs, dtype=float).reshape(m.shape[:-2] + (2,))
 
 
 def hermitian_min_eigvals(m: np.ndarray, tol: float) -> np.ndarray:
-    """Smallest eigenvalue of each matrix in a (..., n, n) stack, n = 2 or 4:
-    mean - radius (the lower of ``eigvals_2x2``) for n = 2, numpy's
-    ``eigvalsh`` for n = 4.
+    """Smallest eigenvalue of each matrix in a (..., n, n) stack, n = 2 or 4,
+    as an array of the stack's shape: mean - radius (the lower of
+    ``eigvals_2x2``) for n = 2, numpy's ``eigvalsh`` for n = 4.
 
     ValidationError on any other shape, and unless every entry of every
     matrix is finite and within ``tol`` of the adjoint's. This is the one
-    place that decides Hermiticity.
+    place that decides Hermiticity (``validate`` calls its 2x2 rule,
+    ``_hermitian_lower``, on the stack it has read).
+
+    A 2x2 stack is read once with ``tolist`` (``_rows``); each matrix's
+    deviations |M - M^dagger| and its mean - radius are Python arithmetic
+    on its parts.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] not in (2, 4):
         raise ValidationError(f"expected a stack of 2x2 or 4x4 matrices, got shape {m.shape}")
+    if m.shape[-1] == 2:
+        return np.array(_hermitian_lower(_rows(m), tol), dtype=float).reshape(m.shape[:-2])
     adjoint = m.conj().swapaxes(-1, -2)
     with np.errstate(invalid="ignore"):  # inf - inf
-        deviation = np.abs(m - adjoint).max(initial=0.0)
-    if not deviation <= tol:  # NaN, from a non-finite entry, fails too
-        raise ValidationError(f"matrix is not Hermitian within {tol:g}: max |M - M^dagger| = {deviation:.3e}")
-    if m.shape[-1] == 2:
-        mean, radius = _mean_radius(m)
-        return mean - radius
+        _check_hermitian(np.abs(m - adjoint).max(initial=0.0), tol)
     return np.linalg.eigvalsh((m + adjoint) / 2)[..., 0]
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assemblage import Assemblage
+from .assemblage import Assemblage, _require_valid
 from .fidelity import ExtractionChannel, fidelity_operator
 from .matkernel import I2, PAULI_X, PAULI_Z, ValidationError
 from .steering import BETA_CLASSICAL, BETA_QUANTUM, _chsh_coefficients, _maximum, check_theta
@@ -33,6 +33,10 @@ THRESHOLD_BETA = 8 - 4 * math.sqrt(2)  # where analytic_bound reaches TRIVIAL_CL
 # rounding alone: min t0* + t1* - T_OPTIMAL is +1.1e-16 at S_OPTIMAL, -2.2e-16
 # at the next float and -2.8e-11 at S_OPTIMAL + 1e-11
 INEQUALITY_SLACK = 1e-14
+# the tie rule of both certificate commands: the first breakpoint whose
+# t0* + t1* (or margin) is within this of the least is taken, so that an
+# exact tie is not decided by the last bit of the shift formula
+BREAKPOINT_TIE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -168,12 +172,13 @@ for _column in BREAKPOINT_TABLE:
 
 def _intercepts(s):
     """(t(s), t0, t1) per s at the first of ``BREAKPOINTS`` whose t0* + t1*
-    is within 1e-12 of the least, as ``verify-inequality`` picks: a tie is
-    not decided by the last bit."""
+    is within ``BREAKPOINT_TIE`` of the least, as ``verify-inequality``
+    picks."""
     t0, t1 = _shifts(np.reshape(s, (-1, 1)), *BREAKPOINT_TABLE)
     g = t0 + t1
-    first = np.argmax(g <= g.min(axis=1, keepdims=True) + 1e-12, axis=1)[:, None]
-    t0, t1 = (np.take_along_axis(t, first, 1)[:, 0] for t in (t0, t1))
+    first = np.argmax(g <= g.min(axis=1, keepdims=True) + BREAKPOINT_TIE, axis=1)
+    each = np.arange(len(g))
+    t0, t1 = t0[each, first], t1[each, first]
     return t0 + t1, t0, t1
 
 
@@ -241,9 +246,11 @@ def certified_lower_bound(asm: Assemblage, theta: float) -> float:
     """Analytic lower bound on extractability from the CHSH value at theta.
 
     ValidationError when some p(a|x) is more than 1e-6 from 1/2, since the
-    certified statement assumes p(a|x) = 1/2, and when the functional's
+    certified statement assumes p(a|x) = 1/2, when the functional's
     maximum over theta exceeds 2 sqrt(2) by more than 1e-12, which no
-    quantum assemblage reaches.
+    quantum assemblage reaches, and, after those checks, unless the
+    assemblage passes ``validate`` at 1e-10: the bound holds only for a
+    valid quantum assemblage.
     """
     dev = asm.max_marginal_deviation()
     if dev > 1e-6:
@@ -253,4 +260,5 @@ def certified_lower_bound(asm: Assemblage, theta: float) -> float:
     if peak > BETA_QUANTUM + 1e-12:
         raise ValidationError(f"CHSH maximum {peak:.9g} exceeds 2 sqrt(2): not a quantum assemblage")
     check_theta(theta)
+    _require_valid(asm, 1e-10)
     return analytic_bound(u * math.cos(theta) + w * math.sin(theta))

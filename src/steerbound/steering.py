@@ -44,9 +44,9 @@ def _chsh_coefficients(asm: Assemblage):
     residue of at most 1e-10. The one reader of the CHSH value."""
     if asm.outcomes != 2 or asm.settings != 2:
         raise ValidationError("CHSH functional requires |A| = |X| = 2")
-    d = (asm.elements[0] - asm.elements[1]).tolist()  # d[x] = sigma_{0|x} - sigma_{1|x}
-    u = 2 * (d[0][0][0] - d[0][1][1])
-    w = 2 * (d[1][0][1] + d[1][1][0])
+    (s00, s01), (s10, s11) = asm.elements.reshape(2, 2, 4).tolist()  # [a][x]: [a, b, c, d] of sigma_{a|x}
+    u = 2 * ((s00[0] - s10[0]) - (s00[3] - s10[3]))
+    w = 2 * ((s01[1] - s11[1]) + (s01[2] - s11[2]))
     if not (cmath.isfinite(u) and cmath.isfinite(w)):
         raise ValidationError(f"CHSH coefficients not finite: u = {u}, w = {w}")
     residue = max(abs(u.imag), abs(w.imag))

@@ -33,6 +33,7 @@ from steerbound.matkernel import (
     PHI_PLUS,
     projector,
 )
+from conftest import numpy_min_eigvals
 
 
 def phi_plus():
@@ -241,6 +242,54 @@ class TestValidate:
     def test_mix_with_nan_weight_rejected(self):
         with pytest.raises(ValidationError, match=r"^mixture weight nan outside \[0, 1\]$"):
             chsh_reference().mix(chsh_reference(), math.nan)
+
+    def test_matches_the_numpy_formulas(self):
+        # the one-read report against the same quantities as whole-array
+        # numpy formulas, on valid, non-PSD, signalling, unnormalized and
+        # slightly non-Hermitian assemblages of 2 to 3 outcomes and settings
+        rng = np.random.default_rng(26)
+        verdicts = set()
+        for n in range(600):
+            shape = (2 + n % 2, 2 + n // 2 % 2, 2, 2)
+            g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            elements = (g @ g.conj().swapaxes(-1, -2)) / (4 * shape[0] * shape[1])
+            kind = n % 5
+            if kind == 1:  # non-PSD
+                elements = elements - rng.uniform(0, 0.1) * I2
+            elif kind == 2:  # one element off Hermitian by about 1e-10
+                elements[0, 0, 0, 1] += rng.uniform(0, 2e-10)
+            elif kind == 3:  # Bob's marginals agree, traces do not
+                elements = elements - elements.sum(axis=0, keepdims=True) / shape[0] + I2 / (shape[0] * 2)
+                elements = elements * rng.uniform(0.9, 1.1)
+            elif kind == 4:  # no-signalling and normalization hold
+                elements = elements - elements.sum(axis=0, keepdims=True) / shape[0] + I2 / (shape[0] * 2)
+            asm = Assemblage(elements)
+            got = validate(asm)
+            marginals = asm.elements.sum(axis=0)
+            lower = numpy_min_eigvals(asm.elements, 1e-10)
+            assert got.hermitian == (lower is not None)
+            if got.hermitian:
+                assert abs(got.psd_margin - lower.min()) <= 1e-15
+            assert abs(got.no_signaling_deviation - np.abs(marginals - marginals[0]).max()) <= 1e-15
+            assert got.normalization_deviation == np.abs(np.trace(marginals, axis1=1, axis2=2).real - 1).max()
+            verdicts.add((got.passed, tuple(f.split()[0] for f in got.failures())))
+        assert len(verdicts) >= 5, verdicts
+
+    def test_overflow_fails_with_nan(self):
+        # finite entries whose sum over a overflows: inf - inf in the
+        # no-signalling deviation is NaN, which fails, as numpy's max gives it
+        elements = np.zeros((2, 2, 2, 2), dtype=complex)
+        elements[:, 0, 0, 0] = 1.5e308
+        report = validate(Assemblage(elements))
+        assert math.isnan(report.no_signaling_deviation)
+        assert report.normalization_deviation == math.inf
+        assert not report.passed
+
+    def test_max_marginal_deviation_is_the_trace_formula(self, rng):
+        for _ in range(50):
+            asm = realize(random_realization(rng, projective=False))
+            want = np.abs(np.trace(asm.elements, axis1=2, axis2=3).real - 0.5).max()
+            assert asm.max_marginal_deviation() == want
 
     def test_names_hermiticity_failure(self):
         report = validate(_skewed_reference(), 1e-9)
@@ -497,6 +546,45 @@ class TestLayout:
             asm.elements[0, 0] = 0
         source[0, 0] = 0  # the assemblage holds its own copy
         np.testing.assert_array_equal(asm.elements, chsh_reference().elements)
+
+    @pytest.mark.parametrize("kind", ["array", "read-only view", "real array", "list"])
+    def test_callers_input_is_copied(self, kind):
+        # whatever the caller can still write is copied: mutating it after
+        # construction leaves the assemblage unchanged
+        reference = chsh_reference().elements
+        if kind == "array":
+            source = reference.copy()
+            given = source
+        elif kind == "read-only view":  # its base stays writable
+            source = reference.copy()
+            given = source[:]
+            given.flags.writeable = False
+        elif kind == "real array":
+            source = reference.real.copy()
+            given = source
+        else:
+            source = reference.tolist()
+            given = source
+        asm = Assemblage(given)
+        want = asm.elements.copy()
+        if kind == "list":
+            source[0][0][0][0] = 7.0
+        else:
+            source[0, 0, 0, 0] = 7.0
+        np.testing.assert_array_equal(asm.elements, want)
+        assert not asm.elements.flags.writeable
+
+    def test_read_only_array_is_kept(self):
+        # a read-only complex array that owns its data, as from_json builds
+        # it, is taken without a copy; its entries are still checked
+        asm = Assemblage.from_json(chsh_reference().to_json())
+        assert asm.elements.base is None and not asm.elements.flags.writeable
+        assert Assemblage(asm.elements).elements is asm.elements
+        frozen = chsh_reference().elements.copy()
+        frozen[1, 1, 0, 0] = math.nan
+        frozen.flags.writeable = False
+        with pytest.raises(ValidationError, match="non-finite"):
+            Assemblage(frozen)
 
 
 REFERENCE_JSON = """{

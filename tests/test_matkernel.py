@@ -16,7 +16,7 @@ from steerbound.matkernel import (
     hermitian_min_eigvals,
     projector,
 )
-from conftest import random_density, random_hermitian
+from conftest import numpy_min_eigvals, random_density, random_hermitian
 
 try:
     from numpy.exceptions import ComplexWarning
@@ -25,6 +25,7 @@ except ImportError:  # numpy < 1.25
 
 SQRT2 = math.sqrt(2)
 TOL = 1e-12
+
 
 
 class TestEigvals2x2:
@@ -107,6 +108,39 @@ class TestHermitianMinEigvals:
         assert got.shape == (40, 3)
         np.testing.assert_array_equal(got, eigvals_2x2(m)[..., 0])
         assert hermitian_min_eigvals(m[0, 0], TOL) == eigvals_2x2(m[0, 0])[0]
+
+    def test_matches_the_numpy_closed_form_on_seeded_stacks(self):
+        # 10,000 seeded stacks of every shape from (2, 2) to (3, 3, 2, 2),
+        # entries up to 10, off Hermitian by 1e-14 to 1e-8: refused exactly
+        # where the numpy formula refuses, and otherwise within a few ulps
+        # of its values (numpy's complex abs and math.hypot may differ in
+        # the last bit)
+        rng = np.random.default_rng(26)
+        shapes = [(2, 2), (1, 2, 2), (4, 2, 2), (2, 2, 2, 2), (3, 3, 2, 2)]
+        refused = 0
+        for n in range(10_000):
+            shape, scale = shapes[n % 5], 10 ** rng.uniform(-2, 1)
+            g = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+            m = scale * (g + g.conj().swapaxes(-1, -2)) / 2
+            m = m + 10 ** rng.uniform(-14, -8) * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+            want = numpy_min_eigvals(m, TOL)
+            if want is None:
+                refused += 1
+                with pytest.raises(ValidationError, match="not Hermitian"):
+                    hermitian_min_eigvals(m, TOL)
+                continue
+            got = hermitian_min_eigvals(m, TOL)
+            assert got.shape == shape[:-2]
+            assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * max(1.0, np.abs(m).max()), n
+        assert 1_000 < refused < 9_000
+
+    def test_overflowing_deviation_is_a_refusal(self):
+        # |M - M^dagger| of finite entries can exceed the float range, where
+        # abs of a Python complex raises OverflowError: numpy gives inf
+        m = np.array([[0, 1.3e308 * (1 + 1j)], [0, 0]])
+        with pytest.raises(ValidationError) as err:
+            hermitian_min_eigvals(m, TOL)
+        assert str(err.value) == "matrix is not Hermitian within 1e-12: max |M - M^dagger| = inf"
 
     def test_hermiticity_refusal_text(self):
         with pytest.raises(ValidationError) as err:

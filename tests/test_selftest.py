@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from steerbound.assemblage import Assemblage, chsh_reference, random_realization, realize
+from steerbound.assemblage import Assemblage, chsh_reference, random_realization, realize, validate
+from steerbound.cli import main
 from steerbound.fidelity import assemblage_fidelity
 from steerbound.matkernel import I2, PAULI_X, PAULI_Z, ValidationError
 from steerbound import selftest
@@ -558,3 +560,115 @@ class TestCertification:
         ch = dephasing_channel(0.5, 1.0)
         f = extractability_with_channel(chsh_reference(), ch)
         assert f == pytest.approx(1.0, abs=1e-12)
+
+
+def _setting_zero(sigma00, sigma10) -> Assemblage:
+    """sigma_{0|0} and sigma_{1|0} as given, sigma_{0|1} = sigma_{1|1} = I/4:
+    with sigma00 + sigma10 = I/2, no-signalling holds and p(a|x) = 1/2 when
+    both traces are 1/2, and the CHSH maximum is u = 2 tr[Z(sigma00 -
+    sigma10)] at theta = 0."""
+    return Assemblage([[sigma00, I2 / 4], [sigma10, I2 / 4]])
+
+
+def _biased(delta: float) -> Assemblage:
+    """The reference mixed with the answer a = 0 (Bob's marginal I/2): a
+    valid assemblage with p(0|x) = 1/2 + delta."""
+    answer = np.zeros((2, 2, 2, 2), dtype=complex)
+    answer[0] = I2 / 2
+    return chsh_reference().mix(Assemblage(answer), 1 - 2 * delta)
+
+
+def _stretched(excess: float) -> Assemblage:
+    """sigma_{a|x} = (I + (-1)^a k P_x)/4 with P_0 = Z and P_1 = X: the
+    reference's Bloch vectors stretched by k = 1 + excess/(2 sqrt 2), so
+    the CHSH maximum is 2 sqrt 2 + excess and the least eigenvalue is
+    (1 - k)/4."""
+    k = 1 + excess / BETA_QUANTUM
+    return Assemblage([[(I2 + sign * k * p) / 4 for p in (PAULI_Z, PAULI_X)] for sign in (1, -1)])
+
+
+def _non_psd_reference() -> Assemblage:
+    """chsh_reference() with sigma_{0|0} = diag(0.6, -0.1) and sigma_{1|0} =
+    diag(-0.1, 0.6): uniform marginals and a CHSH maximum of 3.44."""
+    elements = chsh_reference().elements.copy()
+    elements[0, 0], elements[1, 0] = np.diag([0.6, -0.1]), np.diag([-0.1, 0.6])
+    return Assemblage(elements)
+
+
+def _skewed(h: float) -> Assemblage:
+    """chsh_reference() with +-[[0, h], [-h, 0]] on sigma_{0|0} and
+    sigma_{1|0}: Hermitian parts, traces, marginals and CHSH value are the
+    reference's, and |M - M^dagger| is 2h."""
+    skew = np.array([[0, h], [-h, 0]])
+    elements = chsh_reference().elements.copy()
+    elements[0, 0] += skew
+    elements[1, 0] -= skew
+    return Assemblage(elements)
+
+
+# each guard of certified_lower_bound, one case just inside and one just
+# outside; the validate cases fail only if the validate call is dropped
+CERTIFICATION_EDGES = {
+    "marginals-inside": (lambda: _biased(0.9e-6), None),
+    "marginals-outside": (lambda: _biased(1.1e-6), r"^analytic bound assumes p\(a\|x\) = 1/2; deviation 1\.100e-06 exceeds 1e-06$"),
+    "cap-inside": (lambda: _stretched(0.5e-12), None),
+    "cap-outside": (lambda: _stretched(2e-12), r"^CHSH maximum 2\.82842712 exceeds 2 sqrt\(2\): not a quantum assemblage$"),
+    "hermitian-inside": (lambda: _skewed(0.4e-10), None),
+    "hermitian-outside": (
+        lambda: _skewed(0.6e-10),
+        r"^Hermiticity violated: a sigma_\(a\|x\) differs from its adjoint by more than 1e-10$",
+    ),
+    "psd-inside": (lambda: _setting_zero(np.diag([0.5 + 5e-11, -5e-11]), np.diag([-5e-11, 0.5 + 5e-11])), None),
+    "psd-outside": (
+        lambda: _setting_zero(np.diag([0.5 + 2e-10, -2e-10]), np.diag([-2e-10, 0.5 + 2e-10])),
+        r"^positivity violated: min eigenvalue -2\.000e-10$",
+    ),
+    # the two inputs it used to certify: a non-Hermitian reference at 1.0,
+    # and a non-PSD assemblage at 0.991 (now refused by the cap)
+    "found-skewed": (
+        lambda: _skewed(0.2),
+        r"^Hermiticity violated: a sigma_\(a\|x\) differs from its adjoint by more than 1e-10$",
+    ),
+    "found-non-psd": (lambda: _non_psd_reference(), r"^CHSH maximum 3\.44093011 exceeds 2 sqrt\(2\): not a quantum assemblage$"),
+    "non-psd-below-the-cap": (
+        lambda: _setting_zero(np.diag([0.51, -0.01]), np.diag([-0.01, 0.51])),
+        r"^positivity violated: min eigenvalue -1\.000e-02$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CERTIFICATION_EDGES)
+def test_certification_guards_at_their_edges(case):
+    asm, refusal = CERTIFICATION_EDGES[case][0](), CERTIFICATION_EDGES[case][1]
+    theta = max_violation_over_theta(asm)[0]
+    if refusal is None:
+        assert certified_lower_bound(asm, theta) == analytic_bound(chsh_functional(asm, theta))
+    else:
+        with pytest.raises(ValidationError, match=refusal):
+            certified_lower_bound(asm, theta)
+
+
+def test_certification_edges_sit_where_they_say():
+    # the inside and outside cases straddle each guard's threshold
+    assert 0.89e-6 < _biased(0.9e-6).max_marginal_deviation() < 1e-6 < _biased(1.1e-6).max_marginal_deviation()
+    for excess in (0.5e-12, 2e-12):
+        assert abs(max_violation_over_theta(_stretched(excess))[1] - BETA_QUANTUM - excess) <= 1e-14
+    assert -1e-10 < validate(_stretched(0.5e-12)).psd_margin < 0
+
+
+@pytest.mark.parametrize("tie", [selftest.BREAKPOINT_TIE, 0.0], ids=["tie-rule", "strict"])
+def test_both_certificates_pick_the_same_breakpoint(tie, monkeypatch, capsys):
+    # verify-inequality's worst theta and coefficient search's (t0, t1)
+    # split come from one tie rule: at s = 0 t0* + t1* ties exactly at all
+    # three breakpoints, and just above S_OPTIMAL pi/4 is 1 ulp lowest, a
+    # tie under BREAKPOINT_TIE but not without it
+    monkeypatch.setattr(selftest, "BREAKPOINT_TIE", tie)
+    picked = []
+    for s in (0.0, S_OPTIMAL, float(np.nextafter(S_OPTIMAL, 1))):
+        main(["verify-inequality", "--s", repr(s)])
+        printed = re.search(r"^worst margin \S+ at theta = (\S+) ", capsys.readouterr().out).group(1)
+        i = [f"{theta:.9g}" for theta in BREAKPOINTS].index(printed)
+        _, t0, t1 = _intercepts(s)
+        assert (t0[0], t1[0]) == tuple(float(t[i]) for t in _shifts(s, *BREAKPOINT_TABLE)), s
+        picked.append(i)
+    assert picked == ([0, 0, 0] if tie else [0, 0, 1])
