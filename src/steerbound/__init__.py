@@ -23,7 +23,6 @@ from .matkernel import ValidationError
 from .numsearch import (
     SandwichReport,
     SearchConfig,
-    min_extractability_at_beta,
     sandwich_sweep,
 )
 from .selftest import (

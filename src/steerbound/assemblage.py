@@ -30,6 +30,10 @@ from .matkernel import (
     PAULI_Z,
     PHI_PLUS,
     PHYSICAL_TOL,
+    PROB_FLOOR,
+    REALIZED_TOL,
+    VALIDITY_TOL,
+    WEIGHT_SUM_TOL,
     ValidationError,
     _hermitian_lower,
     _largest,
@@ -39,8 +43,6 @@ from .matkernel import (
     hermitian_min_eigvals,
     projector,
 )
-
-PROB_FLOOR = 1e-12  # below this, p(a|x) is treated as exactly 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,7 +309,7 @@ class ClassicalStrategy:
         weights = _numeric_array(self.weights, "strategy weights", float)
         if weights.ndim != 1 or not (weights >= -PROB_FLOOR).all():  # NaN fails too
             raise ValidationError("strategy weights must be a vector of nonnegative numbers")
-        if not abs(weights.sum() - 1) <= 1e-12:
+        if not abs(weights.sum() - 1) <= WEIGHT_SUM_TOL:
             raise ValidationError("strategy weights must sum to 1")
         responses = _numeric_array(self.responses, "strategy responses", float)
         if responses.shape != (len(weights), 2) or not np.isin(responses, (0, 1)).all():
@@ -353,7 +355,7 @@ def realize(r: QuantumRealization) -> Assemblage:
     contraction: sigma_{a|x}[b, c] = sum_ij M_{a|x}[i, j] rho[(j, b), (i, c)]."""
     state, povms = r.check()
     elements = np.einsum("xaij,jbic->axbc", povms, state.reshape(2, 2, 2, 2))
-    return _require_valid(Assemblage(elements), 1e-9)
+    return _require_valid(Assemblage(elements), REALIZED_TOL)
 
 
 def _require_valid(asm: Assemblage, tol: float) -> Assemblage:
@@ -375,10 +377,10 @@ def from_classical(s: ClassicalStrategy) -> Assemblage:
     two outcomes and two settings, in one contraction over lambda."""
     weights, responses, hidden = s.check()
     chosen = np.eye(2)[responses]  # [lambda, x, a]: 1 where a is the response
-    return _require_valid(Assemblage(np.einsum("l,lxa,lij->axij", weights, chosen, hidden)), 1e-10)
+    return _require_valid(Assemblage(np.einsum("l,lxa,lij->axij", weights, chosen, hidden)), VALIDITY_TOL)
 
 
-def validate(asm: Assemblage, tol: float = 1e-10) -> ValidationReport:
+def validate(asm: Assemblage, tol: float = VALIDITY_TOL) -> ValidationReport:
     """Report PSD margins and no-signaling and normalization deviations
     (every entry is finite: ``Assemblage`` refuses the rest). An assemblage
     with an element that is not Hermitian within tol fails, with no PSD

@@ -29,7 +29,7 @@ from .assemblage import (
     validate,
 )
 from .fidelity import classical_fidelity
-from .matkernel import I2, PAULI_X, PAULI_Z, PHI_PLUS
+from .matkernel import BREAKPOINT_TIE, ENDPOINT_SLACK, I2, INEQUALITY_SLACK, PAULI_X, PAULI_Z, PHI_PLUS, REALIZED_TOL
 from .numsearch import SearchConfig, sandwich_sweep
 from .steering import BETA_CLASSICAL, BETA_QUANTUM
 
@@ -101,9 +101,9 @@ def cmd_verify_inequality(args) -> int:
     g = sum(selftest._shifts(s, *selftest.BREAKPOINT_TABLE))  # t_constraints(s, thetas)
     # the least eigenvalue of the four operators at t0 = t0*, t1 = t - t0*
     margins = np.minimum(g - t_opt, 0)
-    # the first theta within selftest.BREAKPOINT_TIE of the least margin
+    # the first theta within BREAKPOINT_TIE of the least margin
     worst = margins.min()
-    tied = margins <= worst + selftest.BREAKPOINT_TIE
+    tied = margins <= worst + BREAKPOINT_TIE
     print(f"worst margin {worst:.3e} at theta = {thetas[np.argmax(tied)]:.9g} (s = {_fmt(s)})")
     # g is continuous at pi/4, so each closed cell's least value is at an end
     for label, cell in (("[0, pi/4]", [0, 1]), ("[pi/4, pi/2]", [1, 2])):
@@ -112,7 +112,7 @@ def cmd_verify_inequality(args) -> int:
     i = int(np.argmin(g))
     print(f"min t0* + t1* = {_fmt(g[i])} at theta = {thetas[i]:.9g} against T_OPTIMAL = {_fmt(t_opt)}")
     # written so that a NaN margin fails
-    if not worst >= -selftest.INEQUALITY_SLACK:
+    if not worst >= -INEQUALITY_SLACK:
         print("operator inequality FAILED", file=sys.stderr)
         return 1
     print("operator inequality verified")
@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # both bounds are affine interpolations that hold only on [2, 2 sqrt 2]
-    beta = _checked(float, BETA_CLASSICAL - 1e-12, BETA_QUANTUM + 1e-12)
+    beta = _checked(float, BETA_CLASSICAL - ENDPOINT_SLACK, BETA_QUANTUM + ENDPOINT_SLACK)
     # no float64 grid with more points than this is addressable
     grid_max = np.iinfo(np.intp).max // 8
     p = sub.add_parser("bound-curve", help="emit lower/upper bound curves as CSV")
@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check assemblage validity")
     p.add_argument("--assemblage", required=True)
-    p.add_argument("--tol", type=_checked(float, 0), default=1e-9)
+    p.add_argument("--tol", type=_checked(float, 0), default=REALIZED_TOL)
     p.set_defaults(func=cmd_validate)
 
     return parser

@@ -19,20 +19,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assemblage import (
-    Assemblage,
-    ClassicalStrategy,
-    PROB_FLOOR,
-    chsh_reference,
-)
+from .assemblage import Assemblage, ClassicalStrategy, _require_valid, chsh_reference
 from .matkernel import (
     HERMITICITY_TOL,
     I2,
     I4,
+    NEWTON_FLOOR,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    PROB_FLOOR,
+    PURITY_TOL,
+    VALIDITY_TOL,
     ValidationError,
+    _ROUNDING,
     density_matrix,
     hermitian_min_eigvals,
 )
@@ -79,14 +79,17 @@ def classical_fidelity(ref: Assemblage):
 
     all four from one stacked eigendecomposition. Returns (value, strategy)
     where the strategy mixes the responses uniformly with the maximizing
-    pure hidden states. ValidationError unless the reference is 2x2 and its
-    elements are rank 1.
+    pure hidden states. ValidationError unless the reference is 2x2, passes
+    ``validate`` at VALIDITY_TOL, and each element's least eigenvalue, over
+    its trace, is 0 within PURITY_TOL (rank 1).
     """
     if ref.elements.shape != (2, 2, 2, 2):
         raise ValidationError("classical fidelity needs a two-setting, two-outcome reference")
+    _require_valid(ref, VALIDITY_TOL)
     probs = ref.probabilities()
     live = probs >= PROB_FLOOR
-    if (hermitian_min_eigvals(ref.elements[live] / probs[live, None, None], HERMITICITY_TOL) > 1e-9).any():
+    least = hermitian_min_eigvals(ref.elements[live] / probs[live, None, None], HERMITICITY_TOL)
+    if not (np.abs(least) <= PURITY_TOL).all():
         raise ValidationError("classical_fidelity requires pure (rank-1) reference elements")
 
     responses = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])  # [lambda, x]
@@ -176,7 +179,6 @@ _H_BASIS = _SLACK_BASIS[1:].reshape(3, 16)  # h -> sum_k h_k (sigma_k (x) I), fl
 # reaches about 1e-13, near the rounding floor of a 4x4 eigendecomposition.
 _BARRIER_WEIGHTS = np.append(10.0 ** np.arange(0, 13, 2), 1e13)
 _NEWTON_STEPS = 12  # per weight; each step costs one 4x4 eigendecomposition
-_ROUNDING = 1e-14  # allowance for the rounding in the two bounds
 _EPS = np.finfo(float).eps
 
 
@@ -196,8 +198,8 @@ def extractability(asm: Assemblage):
     search. There is one stage per barrier weight t = 1, 1e2, ..., 1e12,
     1e13. A stage ends when a step is rejected as out of the domain
     (rounding) or when an accepted step's Newton decrement drops below
-    max(1e-7, sqrt(t eps)), the level under which the objective's rounding
-    hides the decrease a step predicts. The work is capped at
+    max(NEWTON_FLOOR, sqrt(t eps)), the level under which the objective's
+    rounding hides the decrease a step predicts. The work is capped at
     1 + len(_BARRIER_WEIGHTS) * (_NEWTON_STEPS + 1) = 1 + 8 * 13 = 105
     eigendecompositions; the five default sandwich witnesses take 39, 38,
     36, 36 and 36.
@@ -234,7 +236,7 @@ def extractability(asm: Assemblage):
             # The barrier objective 2ty - log det Z is about 2t, so it is known
             # only to about t * eps; once the decrement squared (the predicted
             # decrease) is below that, further steps gain nothing.
-            if decrement < max(1e-7, math.sqrt(t * _EPS)):
+            if decrement < max(NEWTON_FLOOR, math.sqrt(t * _EPS)):
                 break
         j = (vecs / (t * (x[0] - vals))) @ vecs.conj().T
         m_vals, m_vecs = np.linalg.eigh(_trace_out(j))

@@ -34,8 +34,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .assemblage import Assemblage, ValidationError, json_text, parse_json
-from .fidelity import _ROUNDING, _fidelity_operators
-from .matkernel import HERMITICITY_TOL, I2, PAULI_X, PAULI_Z, hermitian_min_eigvals
+from .fidelity import _fidelity_operators
+from .matkernel import ENDPOINT_SLACK, HERMITICITY_TOL, SEARCH_TOLERANCE, _ROUNDING
+from .matkernel import I2, PAULI_X, PAULI_Z, hermitian_min_eigvals
 from .selftest import analytic_bound, dephasing_channel, upper_bound
 from .steering import BETA_CLASSICAL, BETA_QUANTUM, chsh_functional
 
@@ -49,9 +50,9 @@ def _is_real(v) -> bool:
 
 
 def _check_beta(beta) -> None:
-    """ValidationError unless beta is a number in (2, 2 sqrt 2], with 1e-12
-    slack at the top: the targets the witness covers."""
-    if not _is_real(beta) or not BETA_CLASSICAL < beta <= BETA_QUANTUM + 1e-12:
+    """ValidationError unless beta is a number in (2, 2 sqrt 2], with
+    ENDPOINT_SLACK at the top: the targets the witness covers."""
+    if not _is_real(beta) or not BETA_CLASSICAL < beta <= BETA_QUANTUM + ENDPOINT_SLACK:
         raise ValidationError(f"beta target {beta!r} outside (2, 2*sqrt(2)]")
 
 
@@ -63,7 +64,7 @@ class SearchConfig:
 
     beta_targets: tuple = (2.1, 2.34, 2.5, 2.7, BETA_QUANTUM)
     rng_seed: int = 20240817
-    tolerance: float = 1e-4
+    tolerance: float = SEARCH_TOLERANCE
 
     def check(self) -> None:
         if not isinstance(self.beta_targets, (list, tuple)) or not self.beta_targets:
@@ -110,9 +111,7 @@ def _witnesses(betas):
     (targets, 2, 2, 2, 2) elements array and the list of the angles:
     sigma_{a|0} = (I + (-1)^a Z)/4 and sigma_{a|1} = (I + (-1)^a m X)/4. m
     is clamped to 1, because at 2 sqrt 2 the radicand beta^2/4 - 1 rounds
-    to 1 + 2e-16."""
-    for beta in betas:
-        _check_beta(beta)
+    to 1 + 2e-16. The targets are ``SearchConfig.check``'s to check."""
     ms = [min(1.0, math.sqrt(beta * beta / 4 - 1)) for beta in betas]
     m = np.array(ms)[:, None, None]
     elements = np.empty((len(ms), 2, 2, 2, 2), dtype=complex)
@@ -221,14 +220,6 @@ def _records(betas) -> tuple:
             betas, map(Assemblage, elements), thetas, values.tolist(), gaps.tolist()
         )
     )
-
-
-def min_extractability_at_beta(beta: float) -> SandwichRecord:
-    """The exact extractability of the sharp/unsharp witness at CHSH value
-    beta: the one-block minimum xi*(beta) (up to the gap); the certified,
-    falsifiable direction is numeric >= analytic bound.
-    """
-    return _records([beta])[0]
 
 
 def sandwich_sweep(cfg: SearchConfig) -> SandwichReport:

@@ -22,6 +22,8 @@ import numpy as np
 
 from .assemblage import Assemblage, _require_valid
 from .fidelity import ExtractionChannel, fidelity_operator
+from .matkernel import BREAKPOINT_TIE, ENDPOINT_SLACK, MARGINAL_WINDOW, VALIDITY_TOL, _KINK_TOL
+from .matkernel import INEQUALITY_SLACK  # noqa: F401 (re-exported: verify-inequality's slack)
 from .matkernel import I2, PAULI_X, PAULI_Z, ValidationError
 from .steering import BETA_CLASSICAL, BETA_QUANTUM, _chsh_coefficients, _maximum, check_theta
 
@@ -29,14 +31,6 @@ S_OPTIMAL = (1 + math.sqrt(2)) / 4
 T_OPTIMAL = (2 - math.sqrt(2)) / 2
 TRIVIAL_CLASSICAL_FIDELITY = (2 + math.sqrt(2)) / 4
 THRESHOLD_BETA = 8 - 4 * math.sqrt(2)  # where analytic_bound reaches TRIVIAL_CLASSICAL_FIDELITY
-# the least operator-inequality margin that still verifies, a slack for
-# rounding alone: min t0* + t1* - T_OPTIMAL is +1.1e-16 at S_OPTIMAL, -2.2e-16
-# at the next float and -2.8e-11 at S_OPTIMAL + 1e-11
-INEQUALITY_SLACK = 1e-14
-# the tie rule of both certificate commands: the first breakpoint whose
-# t0* + t1* (or margin) is within this of the least is taken, so that an
-# exact tie is not decided by the last bit of the shift formula
-BREAKPOINT_TIE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -183,7 +177,6 @@ def _intercepts(s):
 
 
 _SECTION_POINTS = 257  # the grid over [0, 0.8]: 256 cells of 0.003125
-_KINK_TOL = 1e-14  # rounding alone: the bound is about 1 near the kink
 
 
 def coefficient_search() -> BoundCoefficients:
@@ -245,20 +238,20 @@ def extractability_with_channel(asm: Assemblage, channel: ExtractionChannel) -> 
 def certified_lower_bound(asm: Assemblage, theta: float) -> float:
     """Analytic lower bound on extractability from the CHSH value at theta.
 
-    ValidationError when some p(a|x) is more than 1e-6 from 1/2, since the
-    certified statement assumes p(a|x) = 1/2, when the functional's
-    maximum over theta exceeds 2 sqrt(2) by more than 1e-12, which no
-    quantum assemblage reaches, and, after those checks, unless the
-    assemblage passes ``validate`` at 1e-10: the bound holds only for a
-    valid quantum assemblage.
+    ValidationError when some p(a|x) is more than MARGINAL_WINDOW from 1/2,
+    since the certified statement assumes p(a|x) = 1/2, when the
+    functional's maximum over theta exceeds 2 sqrt(2) by more than
+    ENDPOINT_SLACK, which no quantum assemblage reaches, and, after those
+    checks, unless the assemblage passes ``validate`` at VALIDITY_TOL: the
+    bound holds only for a valid quantum assemblage.
     """
     dev = asm.max_marginal_deviation()
-    if dev > 1e-6:
-        raise ValidationError(f"analytic bound assumes p(a|x) = 1/2; deviation {dev:.3e} exceeds 1e-06")
+    if dev > MARGINAL_WINDOW:
+        raise ValidationError(f"analytic bound assumes p(a|x) = 1/2; deviation {dev:.3e} exceeds {MARGINAL_WINDOW:.0e}")
     u, w = _chsh_coefficients(asm)  # read once: the maximum and beta at theta both come from them
     peak = _maximum(u, w)[1]
-    if peak > BETA_QUANTUM + 1e-12:
+    if peak > BETA_QUANTUM + ENDPOINT_SLACK:
         raise ValidationError(f"CHSH maximum {peak:.9g} exceeds 2 sqrt(2): not a quantum assemblage")
     check_theta(theta)
-    _require_valid(asm, 1e-10)
+    _require_valid(asm, VALIDITY_TOL)
     return analytic_bound(u * math.cos(theta) + w * math.sin(theta))

@@ -14,15 +14,15 @@ import math
 import numpy as np
 
 from .assemblage import Assemblage
-from .matkernel import PAULI_X, PAULI_Z, ValidationError
+from .matkernel import CHSH_RESIDUE_TOL, ENDPOINT_SLACK, PAULI_X, PAULI_Z, ValidationError
 
 BETA_CLASSICAL = 2.0
 BETA_QUANTUM = 2 * math.sqrt(2)
 
 
 def check_theta(theta) -> None:
-    """ValidationError unless every angle (a float or an array) is in [0, pi/2 + 1e-12]."""
-    inside = (theta >= 0) & (theta <= math.pi / 2 + 1e-12)
+    """ValidationError unless every angle (a float or an array) is in [0, pi/2 + ENDPOINT_SLACK]."""
+    inside = (theta >= 0) & (theta <= math.pi / 2 + ENDPOINT_SLACK)
     if not (inside.all() if isinstance(inside, np.ndarray) else inside):
         raise ValidationError(f"theta = {theta} outside [0, pi/2]")
 
@@ -41,7 +41,7 @@ def _chsh_coefficients(asm: Assemblage):
     """(u, w) with beta(theta) = u cos(theta) + w sin(theta): u = 2 tr[Z(sigma_00
     - sigma_10)] and w = 2 tr[X(sigma_01 - sigma_11)]. ValidationError unless
     the assemblage is 2x2 and u and w are finite, each with an imaginary
-    residue of at most 1e-10. The one reader of the CHSH value."""
+    residue of at most CHSH_RESIDUE_TOL. The one reader of the CHSH value."""
     if asm.outcomes != 2 or asm.settings != 2:
         raise ValidationError("CHSH functional requires |A| = |X| = 2")
     (s00, s01), (s10, s11) = asm.elements.reshape(2, 2, 4).tolist()  # [a][x]: [a, b, c, d] of sigma_{a|x}
@@ -50,7 +50,7 @@ def _chsh_coefficients(asm: Assemblage):
     if not (cmath.isfinite(u) and cmath.isfinite(w)):
         raise ValidationError(f"CHSH coefficients not finite: u = {u}, w = {w}")
     residue = max(abs(u.imag), abs(w.imag))
-    if residue > 1e-10:
+    if residue > CHSH_RESIDUE_TOL:
         raise ValidationError(f"functional has imaginary residue {residue:.3e}")
     return u.real, w.real
 

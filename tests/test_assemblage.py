@@ -90,6 +90,29 @@ class TestRealize:
         with pytest.raises(ValidationError):
             realize(QuantumRealization(2 * phi_plus(), zx_povms()))
 
+    @pytest.mark.parametrize("excess, refused", [(0.5e-10, False), (2e-10, True)])
+    def test_physical_tolerance_edge(self, excess, refused):
+        # the state's trace and each POVM's sum are checked at PHYSICAL_TOL = 1e-10
+        scaled = [[(1 + excess) * m for m in povm] for povm in zx_povms()]
+        for state, povms, message in (
+            ((1 + excess) * phi_plus(), zx_povms(), "shared state must have unit trace"),
+            (phi_plus(), scaled, "POVM for setting 0 does not sum to identity"),
+        ):
+            if refused:
+                with pytest.raises(ValidationError, match=message):
+                    realize(QuantumRealization(state, povms))
+            else:
+                assert validate(realize(QuantumRealization(state, povms))).passed
+
+    def test_realized_tolerance_edge(self):
+        # a state and POVMs each 0.9e-10 past normal pass their checks, and
+        # their assemblage, 1.8e-10 from normalized, passes realize's
+        # REALIZED_TOL = 1e-9 (validate's default 1e-10 would refuse it)
+        scale = 1 + 0.9e-10
+        povms = [[scale * m for m in povm] for povm in zx_povms()]
+        asm = realize(QuantumRealization(scale * phi_plus(), povms))
+        assert 1.7e-10 < validate(asm).normalization_deviation < 1.9e-10
+
     def test_rejects_bad_povm(self):
         povms = zx_povms()
         povms[0] = [I2, I2]  # does not sum to identity
@@ -164,6 +187,43 @@ class TestClassical:
         with pytest.raises(ValidationError):
             from_classical(s)
 
+    @pytest.mark.parametrize("excess, refused", [(0.5e-12, False), (2e-12, True)])
+    def test_weight_sum_edge(self, excess, refused):
+        # weights summing to 1 + excess, against WEIGHT_SUM_TOL = 1e-12
+        s = ClassicalStrategy([0.5, 0.5 + excess], [[0, 0], [1, 1]], [projector(KET0), projector(KET1)])
+        if refused:
+            with pytest.raises(ValidationError, match="must sum to 1"):
+                s.check()
+        else:
+            s.check()
+
+    @pytest.mark.parametrize("weight, refused", [(-0.5e-12, False), (-2e-12, True)])
+    def test_negative_weight_edge(self, weight, refused):
+        # a weight this far below 0 is 0 within PROB_FLOOR = 1e-12, or not
+        s = ClassicalStrategy([1 - weight, weight], [[0, 0], [1, 1]], [projector(KET0), projector(KET1)])
+        if refused:
+            with pytest.raises(ValidationError, match="nonnegative"):
+                s.check()
+        else:
+            s.check()
+
+    @pytest.mark.parametrize(
+        "trace_excess, weight_excess, refused", [(0.5e-10, 0.0, False), (0.995e-10, 0.95e-12, True)]
+    )
+    def test_output_validity_edge(self, trace_excess, weight_excess, refused):
+        # hidden states and weights each within their own checks: traces
+        # 1 + trace_excess within PHYSICAL_TOL, weights summing to 1 +
+        # weight_excess within WEIGHT_SUM_TOL, so the assemblage is about
+        # trace_excess + weight_excess from normalized: 0.5e-10, or
+        # 1.0045e-10, past from_classical's VALIDITY_TOL = 1e-10
+        hidden = [(1 + trace_excess) * projector(k) for k in (KET0, KET1)]
+        s = ClassicalStrategy([0.5, 0.5 + weight_excess], [[0, 0], [1, 1]], hidden)
+        if refused:
+            with pytest.raises(ValidationError, match="normalization violated"):
+                from_classical(s)
+        else:
+            assert validate(from_classical(s)).normalization_deviation < 1e-10
+
     def test_nan_weight_rejected(self):
         s = ClassicalStrategy([math.nan], [[0, 0]], [I2 / 2])
         with pytest.raises(ValidationError, match="nonnegative"):
@@ -224,6 +284,13 @@ class TestValidate:
         report = validate(Assemblage(bad))
         assert report.psd_margin < -1e-3
         assert any("positivity" in f for f in report.failures())
+
+    @pytest.mark.parametrize("excess, passed", [(0.5e-10, True), (2e-10, False)])
+    def test_default_tolerance_edge(self, excess, passed):
+        # validate's default is VALIDITY_TOL = 1e-10
+        report = validate(Assemblage((1 + excess) * chsh_reference().elements))
+        assert report.passed == passed
+        assert report.tol == 1e-10
 
     def test_flags_normalization(self):
         report = validate(Assemblage(1.3 * chsh_reference().elements))

@@ -66,6 +66,7 @@ class TestBoundCurve:
         ],
     )
     def test_range_endpoints_accepted(self, args, capsys):
+        # both ends are allowed ENDPOINT_SLACK = 1e-12 of rounding
         assert main(["bound-curve", *args, "--points", "3"]) == 0
         for row in capsys.readouterr().out.splitlines()[1:]:
             _, lower, upper, trivial = map(float, row.split(","))
@@ -113,6 +114,8 @@ class TestVerifyInequality:
             (("--s", repr(selftest.S_OPTIMAL + 1e-11)), 1),
             (("--s", "0.9"), 1),
             (("--s", "5"), 1),
+            # margin -1.4e-13, past the 1e-14 slack
+            (("--s", repr(selftest.S_OPTIMAL + 5e-14)), 1),
         ],
     )
     def test_claim_is_falsifiable(self, args, code, capsys):
@@ -276,6 +279,9 @@ def test_verify_builds_no_operator_matrices(monkeypatch, capsys):
         ["verify-inequality", "--s", "abc"],
         ["bound-curve", "--points", "1.5"],
         ["validate", "--assemblage", "chsh", "--tol", "x"],
+        # 2e-12 past either end of [2, 2 sqrt 2], beyond the 1e-12 slack
+        ["bound-curve", "--beta-min", "1.999999999998"],
+        ["bound-curve", "--beta-max", repr(2 * SQRT2 + 2e-12)],
     ],
 )
 def test_degenerate_numeric_argument_is_usage_error(argv, capsys):
@@ -409,6 +415,18 @@ class TestClassicalFidelity:
         value = float(result.stdout.split("classical fidelity: ")[1].split("\n")[0])
         assert value == pytest.approx((2 + SQRT2) / 4, abs=1e-9)
         assert result.stdout.count("lambda=") == 4
+
+    def test_invalid_reference_is_one_error_line(self, tmp_path, run_cli):
+        # sigma_{0|0} = diag(0.75, -0.25), sigma_{1|0} = diag(-0.25, 0.75):
+        # it used to print a classical fidelity of 1.05901699 and exit 0
+        elements = chsh_reference().elements.copy()
+        elements[0, 0], elements[1, 0] = np.diag([0.75, -0.25]), np.diag([-0.25, 0.75])
+        path = tmp_path / "bad.json"
+        path.write_text(Assemblage(elements).to_json())
+        result = run_cli("classical-fidelity", "--assemblage", str(path))
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: positivity violated: min eigenvalue -2.500e-01\n"
 
     def test_three_settings_is_one_error_line(self, tmp_path, run_cli):
         # a 2x3 reference used to print an 8-response strategy
@@ -572,6 +590,15 @@ class TestRealizeValidate:
         result = run_cli("validate", "--assemblage", str(out))
         assert result.returncode == 0
         assert "valid assemblage" in result.stdout
+
+    @pytest.mark.parametrize("excess, code", [(0.5e-9, 0), (2e-9, 1)])
+    def test_validate_default_tolerance_edge(self, tmp_path, excess, code, run_cli):
+        # validate --tol defaults to realize's REALIZED_TOL = 1e-9
+        path = tmp_path / "asm.json"
+        path.write_text(Assemblage((1 + excess) * chsh_reference().elements).to_json())
+        result = run_cli("validate", "--assemblage", str(path))
+        assert result.returncode == code
+        assert ("normalization violated" in result.stderr) == bool(code)
 
     def test_validate_rejects_corrupted(self, tmp_path, run_cli):
         path = tmp_path / "bad.json"

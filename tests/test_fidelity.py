@@ -11,6 +11,7 @@ from steerbound.assemblage import (
     from_classical,
     random_realization,
     realize,
+    validate,
 )
 from steerbound.fidelity import (
     appendix_b_strategy,
@@ -130,6 +131,17 @@ class TestAssemblageFidelity:
         assert assemblage_fidelity(chsh_reference(), one_sided) == pytest.approx(expected, abs=1e-15)
         assert assemblage_fidelity(one_sided, chsh_reference()) == pytest.approx(expected, abs=1e-15)
 
+    @pytest.mark.parametrize("p, live", [(0.5e-12, False), (2e-12, True)])
+    def test_probability_floor_edge(self, p, live):
+        # a sigma_{1|0} of trace p below PROB_FLOOR = 1e-12 contributes
+        # nothing; above it, about sqrt(p/2)/2, 5e-7 at p = 2e-12
+        def value(trace):
+            elements = chsh_reference().elements.copy()
+            elements[1, 0] = trace * projector(KET1)
+            return assemblage_fidelity(chsh_reference(), Assemblage(elements))
+
+        assert (value(p) != value(0.0)) == live
+
     def test_bounded_by_one(self, rng):
         ref = chsh_reference()
         for _ in range(25):
@@ -183,6 +195,60 @@ class TestClassicalFidelity:
         np.testing.assert_array_equal(strategy.weights, 0.25)
         assert strategy.hidden_states.shape == (4, 2, 2)
         strategy.check()
+
+    def test_rejects_invalid_reference(self):
+        # sigma_{0|0} = diag(0.75, -0.25), sigma_{1|0} = diag(-0.25, 0.75):
+        # the reference's marginals and traces, but validate refuses it, and
+        # classical_fidelity used to return 1.05901699 for it
+        elements = chsh_reference().elements.copy()
+        elements[0, 0], elements[1, 0] = np.diag([0.75, -0.25]), np.diag([-0.25, 0.75])
+        with pytest.raises(ValidationError, match=r"^positivity violated: min eigenvalue -2\.500e-01$"):
+            classical_fidelity(Assemblage(elements))
+
+    @pytest.mark.parametrize("h, refused", [(0.2e-12, False), (1e-12, True)])
+    def test_hermiticity_edge(self, h, refused):
+        # sigma_{0|0} gets +h above its diagonal only: over p = 1/2 its
+        # |M - M^dagger| is 2h, against HERMITICITY_TOL = 1e-12, while
+        # validate at 1e-10 passes it
+        elements = chsh_reference().elements.copy()
+        elements[0, 0, 0, 1] += h
+        ref = Assemblage(elements)
+        if refused:
+            with pytest.raises(ValidationError, match="not Hermitian within 1e-12"):
+                classical_fidelity(ref)
+        else:
+            assert classical_fidelity(ref)[0] == pytest.approx((2 + SQRT2) / 4, abs=1e-9)
+
+    @pytest.mark.parametrize("eps, refused", [(0.5e-9, False), (2e-9, True)])
+    def test_purity_edge(self, eps, refused):
+        # sigma_{a|0} = ((1 - eps) P_a + eps P_(1-a))/2: a valid reference
+        # whose setting-0 states have least eigenvalue eps, against
+        # PURITY_TOL = 1e-9
+        p0, p1 = projector(KET0), projector(KET1)
+        elements = chsh_reference().elements.copy()
+        elements[0, 0], elements[1, 0] = ((1 - eps) * p0 + eps * p1) / 2, ((1 - eps) * p1 + eps * p0) / 2
+        self._check_purity(Assemblage(elements), refused)
+
+    @pytest.mark.parametrize("p, refused", [(0.1, False), (0.025, True)])
+    def test_purity_edge_is_two_sided(self, p, refused):
+        # sigma_{0|0} = p |0><0| - 5e-11 |1><1| passes validate (the least
+        # eigenvalue is -5e-11), and over its trace p its least eigenvalue
+        # is -5e-10 at p = 0.1 and -2e-9 at p = 0.025: the purity test used
+        # to pass any negative value
+        eta = 0.5e-10
+        p0, p1 = projector(KET0), projector(KET1)
+        elements = np.array([[p * p0 - eta * p1, p * p0], [(1 - p + eta) * p1, (1 - p) * p1]])
+        ref = Assemblage(elements)
+        assert validate(ref).passed
+        self._check_purity(ref, refused)
+
+    @staticmethod
+    def _check_purity(ref, refused):
+        if refused:
+            with pytest.raises(ValidationError, match=r"pure \(rank-1\)"):
+                classical_fidelity(ref)
+        else:
+            assert 0 < classical_fidelity(ref)[0] <= 1
 
     def test_rejects_three_settings(self):
         # a third setting used to yield an 8-response strategy whose

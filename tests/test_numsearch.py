@@ -38,7 +38,6 @@ from steerbound.numsearch import (
     SearchConfig,
     _records,
     _witness_candidate,
-    min_extractability_at_beta,
     sandwich_sweep,
 )
 from steerbound.selftest import (
@@ -55,6 +54,11 @@ SQRT2 = math.sqrt(2)
 def xi_star(beta):
     """The closed-form minimum extractability at CHSH value beta."""
     return 0.75 + math.sqrt(beta * beta - 4) / 8
+
+
+def single_record(beta):
+    """The sandwich record of the one target beta."""
+    return sandwich_sweep(SearchConfig(beta_targets=(beta,))).records[0]
 
 
 # one eigendecomposition to start, then per stage at most one per Newton
@@ -142,13 +146,19 @@ class TestConfig:
         with pytest.raises(ValidationError):
             SearchConfig(beta_targets=(3.0,)).check()
 
+    def test_target_edge(self):
+        # 2 sqrt 2 is allowed ENDPOINT_SLACK = 1e-12 of rounding
+        SearchConfig(beta_targets=(BETA_QUANTUM + 0.5e-12,)).check()
+        with pytest.raises(ValidationError, match="outside"):
+            SearchConfig(beta_targets=(BETA_QUANTUM + 2e-12,)).check()
+
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ValidationError):
             SearchConfig(tolerance=0.0).check()
-        # below the gap's rounding allowance no record could pass
+        # below the gap's rounding allowance, 1e-14, no record could pass
         with pytest.raises(ValidationError, match="1e-14"):
-            SearchConfig(tolerance=fidelity._ROUNDING / 2).check()
-        SearchConfig(tolerance=fidelity._ROUNDING).check()
+            SearchConfig(tolerance=0.5e-14).check()
+        SearchConfig(tolerance=1e-14).check()
 
 
 class TestSampling:
@@ -360,7 +370,7 @@ class TestDefaultSweep:
 
     def test_stacked_solve_matches_single_targets(self, default_report):
         # one stacked solve for all targets gives each target's own record, bit for bit
-        singles = tuple(min_extractability_at_beta(beta) for beta in SearchConfig().beta_targets)
+        singles = tuple(single_record(beta) for beta in SearchConfig().beta_targets)
         assert default_report.records == singles
 
     def test_sweep_eigendecompositions(self, monkeypatch):
@@ -383,15 +393,18 @@ class TestDefaultSweep:
         assert shapes == [(5, 4, 4)]
 
     def test_witness_solve_eigendecompositions(self, monkeypatch):
-        # the general solve on each default witness: stages end at the
-        # decrement's rounding floor, 36 to 39 calls a solve; a flat 1e-7
-        # exit ran the late stages to the step cap
-        calls = count_eigh(monkeypatch)
+        # the general solve on each default witness: the first stage ends at
+        # NEWTON_FLOOR = 1e-7, the others at the decrement's rounding floor,
+        # 36 to 39 calls a solve; a flat 1e-7 exit ran the late stages to
+        # the step cap. A floor 1e3 times higher gives 37 and 36 calls for
+        # the first two, and one 1e3 times lower 37 for the last three
+        calls, counts = count_eigh(monkeypatch), []
         for beta in SearchConfig().beta_targets:
             witness = _witness_candidate(beta)[0]
             calls.clear()
             extractability(witness)
-            assert 0 < len(calls) <= 45, beta
+            counts.append(len(calls))
+        assert counts == [39, 38, 36, 36, 36]
 
     def test_report_json_matches_round_trip_form(self, default_report):
         # the same bytes as serialising each witness and the config and
@@ -521,7 +534,7 @@ class TestStackedSweep:
 
 class TestSandwich:
     def test_single_target_record(self):
-        record = min_extractability_at_beta(2.5)
+        record = single_record(2.5)
         assert record.residual <= 1e-12
         assert record.analytic_lower == pytest.approx(analytic_bound(2.5), abs=1e-12)
         assert record.eq8_upper == pytest.approx(upper_bound(2.5), abs=1e-12)
@@ -539,21 +552,26 @@ class TestSandwich:
 
     def test_gap_fails_closed(self):
         # a value with no error bar does not pass, however close to xi*
-        record = min_extractability_at_beta(2.5)
+        record = single_record(2.5)
         tolerance = SearchConfig().tolerance
         assert record.passes(tolerance)
         assert not dataclasses.replace(record, gap=1e-3).passes(tolerance)
 
+    @pytest.mark.parametrize("shortfall, passes", [(0.5e-4, True), (2e-4, False)])
+    def test_default_tolerance_edge(self, shortfall, passes):
+        # a record this far below its analytic lower bound, against the
+        # default tolerance 1e-4
+        record = single_record(2.5)
+        short = dataclasses.replace(record, numeric_min=record.analytic_lower - shortfall)
+        assert short.passes(SearchConfig().tolerance) == passes
+
     def test_max_violation_pins_fidelity_one(self):
-        record = min_extractability_at_beta(BETA_QUANTUM)
+        record = single_record(BETA_QUANTUM)
         assert record.numeric_min == pytest.approx(1.0, abs=1e-12)
 
     def test_beta_out_of_range(self):
-        # the same check and message as SearchConfig.check
         for beta in (1.9, 2.0, 2.9, math.nan, True):
             message = rf"^beta target {re.escape(repr(beta))} outside \(2, 2\*sqrt\(2\)\]$"
-            with pytest.raises(ValidationError, match=message):
-                min_extractability_at_beta(beta)
             with pytest.raises(ValidationError, match=message):
                 SearchConfig(beta_targets=(beta,)).check()
 

@@ -8,7 +8,7 @@ from steerbound.assemblage import Assemblage, chsh_reference, random_realization
 from steerbound.cli import main
 from steerbound.fidelity import assemblage_fidelity
 from steerbound.matkernel import I2, PAULI_X, PAULI_Z, ValidationError
-from steerbound import selftest
+from steerbound import cli, selftest
 from steerbound.selftest import (
     _coefficient_rule,
     _intercepts,
@@ -661,8 +661,10 @@ def test_both_certificates_pick_the_same_breakpoint(tie, monkeypatch, capsys):
     # verify-inequality's worst theta and coefficient search's (t0, t1)
     # split come from one tie rule: at s = 0 t0* + t1* ties exactly at all
     # three breakpoints, and just above S_OPTIMAL pi/4 is 1 ulp lowest, a
-    # tie under BREAKPOINT_TIE but not without it
-    monkeypatch.setattr(selftest, "BREAKPOINT_TIE", tie)
+    # tie under BREAKPOINT_TIE but not without it. Each module binds the
+    # name at import, so the strict case patches both bindings
+    for module in (selftest, cli):
+        monkeypatch.setattr(module, "BREAKPOINT_TIE", tie)
     picked = []
     for s in (0.0, S_OPTIMAL, float(np.nextafter(S_OPTIMAL, 1))):
         main(["verify-inequality", "--s", repr(s)])
@@ -672,3 +674,45 @@ def test_both_certificates_pick_the_same_breakpoint(tie, monkeypatch, capsys):
         assert (t0[0], t1[0]) == tuple(float(t[i]) for t in _shifts(s, *BREAKPOINT_TABLE)), s
         picked.append(i)
     assert picked == ([0, 0, 0] if tie else [0, 0, 1])
+
+
+S_CROSS = 1 / (2 + SQRT2)  # below S_OPTIMAL, t0* + t1* at 0 and pi/4 cross here
+
+
+@pytest.mark.parametrize("excess, first", [(0.5e-12, 0), (2e-12, 1)])
+def test_tie_rule_edge(excess, first, capsys):
+    # a breakpoint excess above the least is tied with it, and comes first,
+    # within BREAKPOINT_TIE = 1e-12 only. Just below S_CROSS, t0* + t1* at
+    # theta = 0 (and pi/2) is (2 + sqrt 2)(S_CROSS - s) above its value at
+    # pi/4; just above S_OPTIMAL, its margin is (2 sqrt 2 - 2)(s -
+    # S_OPTIMAL) above pi/4's
+    s = S_CROSS - excess / (2 + SQRT2)
+    g = sum(_shifts(s, *BREAKPOINT_TABLE))
+    assert 0.9 * excess < g[0] - g[1] < 1.1 * excess and g[2] > g[1]
+    _, t0, t1 = _intercepts(s)
+    assert (t0[0], t1[0]) == tuple(float(t[first]) for t in _shifts(s, *BREAKPOINT_TABLE))
+
+    s = S_OPTIMAL + excess / (2 * SQRT2 - 2)
+    g = sum(_shifts(s, *BREAKPOINT_TABLE))
+    assert 0.9 * excess < g[0] - g[1] < 1.1 * excess and g[1] < T_OPTIMAL
+    assert main(["verify-inequality", "--s", repr(s)]) == 1
+    printed = re.search(r"^worst margin \S+ at theta = (\S+) ", capsys.readouterr().out).group(1)
+    assert printed == f"{BREAKPOINTS[first]:.9g}"
+
+
+@pytest.mark.parametrize("offset, refused", [(2e-15, False), (1e-13, True)])
+def test_kink_check_edge(offset, refused, monkeypatch):
+    # t(s) at the kink raised by offset moves the bound offset/2 off both
+    # grid lines, against _KINK_TOL = 1e-14
+    original = selftest._intercepts
+
+    def raised(s):
+        t, t0, t1 = original(s)
+        return t + offset, t0, t1
+
+    monkeypatch.setattr(selftest, "_intercepts", raised)
+    if refused:
+        with pytest.raises(ValidationError, match="not the kink of its grid lines"):
+            coefficient_search()
+    else:
+        assert coefficient_search().s == pytest.approx(S_OPTIMAL, abs=1e-15)

@@ -16,6 +16,7 @@ from steerbound.matkernel import I2, KET0, PAULI_X, PAULI_Z, ValidationError, pr
 from steerbound.steering import (
     BETA_CLASSICAL,
     BETA_QUANTUM,
+    check_theta,
     chsh_functional,
     max_violation_over_theta,
     t_operators,
@@ -44,6 +45,17 @@ class TestObservables:
                 t_operators(theta)
             with pytest.raises(ValidationError):
                 chsh_functional(chsh_reference(), theta)
+
+
+    @pytest.mark.parametrize("excess, refused", [(0.5e-12, False), (2e-12, True)])
+    def test_theta_edge(self, excess, refused):
+        # pi/2 is allowed ENDPOINT_SLACK = 1e-12 of rounding
+        for theta in (math.pi / 2 + excess, np.array([0.0, math.pi / 2 + excess])):
+            if refused:
+                with pytest.raises(ValidationError, match="outside"):
+                    check_theta(theta)
+            else:
+                check_theta(theta)
 
 
 class TestTOperators:
@@ -87,6 +99,19 @@ class TestFunctional:
         for read in (max_violation_over_theta, lambda a: certified_lower_bound(a, math.pi / 4)):
             with pytest.raises(ValidationError, match="imaginary residue 4.000e-01"):
                 read(asm)
+
+    @pytest.mark.parametrize("residue, refused", [(0.5e-10, False), (2e-10, True)])
+    def test_imaginary_residue_edge(self, residue, refused):
+        # sigma_{0|0} + i (residue/4) Z gives u the imaginary part residue,
+        # against CHSH_RESIDUE_TOL = 1e-10
+        elements = chsh_reference().elements.copy()
+        elements[0, 0] += 0.25j * residue * PAULI_Z
+        asm = Assemblage(elements)
+        if refused:
+            with pytest.raises(ValidationError, match="imaginary residue 2.000e-10"):
+                max_violation_over_theta(asm)
+        else:
+            assert max_violation_over_theta(asm)[1] == pytest.approx(BETA_QUANTUM, abs=1e-15)
 
     def test_appendix_strategy_reaches_classical_bound(self):
         asm = from_classical(appendix_b_strategy())

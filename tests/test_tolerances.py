@@ -1,0 +1,89 @@
+"""The tolerance table in ``matkernel``: the only place a guard's value is
+written, imported by name wherever the same decision is made, and every
+name gated by ``tests/mutants.py``."""
+
+import ast
+import importlib
+import io
+import re
+import tokenize
+from pathlib import Path
+
+import pytest
+
+import mutants
+from steerbound import matkernel
+
+PACKAGE = Path(matkernel.__file__).resolve().parent
+ROWS = mutants.table(PACKAGE / "matkernel.py")
+TABLE_LINES = {index + 1 for index, _, _ in ROWS}
+NAMES = [name for _, name, _ in ROWS]
+
+# decisions made at more than one site: each site module imports the name
+SHARED = {
+    "ENDPOINT_SLACK": ("cli", "numsearch", "selftest", "steering"),
+    "BREAKPOINT_TIE": ("cli", "selftest"),
+    "VALIDITY_TOL": ("assemblage", "fidelity", "selftest"),
+    "REALIZED_TOL": ("assemblage", "cli"),
+}
+
+
+def _matkernel_imports(path: Path) -> set:
+    """Names a module imports with ``from .matkernel import ...``."""
+    tree = ast.parse(path.read_text())
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "matkernel"
+        for alias in node.names
+    }
+
+
+def test_no_tolerance_literal_outside_the_table():
+    # a NUMBER token such as 1e-12 anywhere in the package but the table is
+    # a guard with no name; docstrings and comments are other tokens
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+        for token in tokens:
+            if token.type == tokenize.NUMBER and re.search(r"e-", token.string, re.IGNORECASE):
+                if not (path.name == "matkernel.py" and token.start[0] in TABLE_LINES):
+                    found.append(f"{path.name}:{token.start[0]}: {token.string}")
+    assert found == []
+
+
+def test_table_names_are_unique_and_defined_once():
+    assert len(NAMES) == len(set(NAMES)) >= 16
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "matkernel.py":
+            continue
+        assigned = {
+            target.id
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        assert not assigned & set(NAMES), path.name
+
+
+@pytest.mark.parametrize("name", SHARED)
+def test_shared_decisions_import_one_name(name):
+    for module in SHARED[name]:
+        assert name in _matkernel_imports(PACKAGE / f"{module}.py"), module
+
+
+def test_every_name_has_gate_rows():
+    # the gate builds its rows from the table; each name needs test files
+    assert set(mutants.TESTS) == set(NAMES)
+    assert all(Path(mutants.ROOT, f).is_file() for files in mutants.TESTS.values() for f in files)
+    assert {name for name, _ in mutants.EQUIVALENT} <= set(NAMES)
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [("selftest", "INEQUALITY_SLACK"), ("selftest", "BREAKPOINT_TIE"), ("selftest", "_KINK_TOL"),
+     ("fidelity", "_ROUNDING"), ("assemblage", "PROB_FLOOR")],
+)
+def test_moved_names_still_import_from_their_old_modules(module, name):
+    assert getattr(importlib.import_module(f"steerbound.{module}"), name) is getattr(matkernel, name)
