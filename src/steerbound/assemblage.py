@@ -29,9 +29,7 @@ from .matkernel import (
     PAULI_Y,
     PAULI_Z,
     PHI_PLUS,
-    PHYSICAL_TOL,
     PROB_FLOOR,
-    REALIZED_TOL,
     VALIDITY_TOL,
     WEIGHT_SUM_TOL,
     ValidationError,
@@ -51,24 +49,14 @@ class Assemblage:
 
     ``elements[a, x]`` is sigma_{a|x}: a read-only complex array of shape
     (outcomes, settings, 2, 2) with finite entries; p(a|x), the trace of
-    ``elements[a, x]``, is ``probabilities()[a, x]``. The constructor keeps
-    a read-only complex array that owns its data, such as ``from_json``
-    builds, and copies anything else, so no caller can write the elements.
+    ``elements[a, x]``, is ``probabilities()[a, x]``. The constructor
+    always copies what it is given, so no caller can write the elements.
     """
 
     elements: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        elements = self.elements
-        # a read-only complex array that owns its data has no writable view
-        # a caller could hold: keep it; copy anything else
-        if not (
-            type(elements) is np.ndarray
-            and elements.dtype == complex
-            and elements.base is None
-            and not elements.flags.writeable
-        ):
-            elements = np.array(elements, dtype=complex)
+        elements = np.array(self.elements, dtype=complex)
         if elements.ndim != 4 or elements.shape[2:] != (2, 2) or 0 in elements.shape:
             raise ValidationError(
                 f"assemblage elements must be an (outcomes, settings, 2, 2) array, got shape {elements.shape}"
@@ -146,7 +134,6 @@ class Assemblage:
         parts = _json_reals(values, 2).reshape(-1, 2, 2, 2)  # [entry, re/im, row, column]
         elements = np.empty((outcomes, settings, 2, 2), dtype=complex)  # every (a, x) is set
         elements.reshape(-1, 2, 2)[list(seen)] = parts[:, 0] + 1j * parts[:, 1]
-        elements.flags.writeable = False  # no other reference: the constructor keeps it
         return Assemblage(elements)
 
 
@@ -277,9 +264,9 @@ class QuantumRealization:
         povms = _numeric_array(self.povms, "POVMs")
         if povms.ndim != 4 or povms.shape[2:] != (2, 2) or 0 in povms.shape:
             raise ValidationError(f"POVMs must be a (settings, outcomes, 2, 2) array, got shape {povms.shape}")
-        for x in np.flatnonzero(np.abs(povms.sum(axis=1) - I2).max(axis=(1, 2)) > PHYSICAL_TOL):
+        for x in np.flatnonzero(np.abs(povms.sum(axis=1) - I2).max(axis=(1, 2)) > VALIDITY_TOL):
             raise ValidationError(f"POVM for setting {x} does not sum to identity")
-        for x, a in np.argwhere(hermitian_min_eigvals(povms, PHYSICAL_TOL) < -PHYSICAL_TOL):
+        for x, a in np.argwhere(hermitian_min_eigvals(povms, VALIDITY_TOL) < -VALIDITY_TOL):
             raise ValidationError(f"POVM element ({a}|{x}) is not PSD")
         return state, povms
 
@@ -355,11 +342,14 @@ def realize(r: QuantumRealization) -> Assemblage:
     contraction: sigma_{a|x}[b, c] = sum_ij M_{a|x}[i, j] rho[(j, b), (i, c)]."""
     state, povms = r.check()
     elements = np.einsum("xaij,jbic->axbc", povms, state.reshape(2, 2, 2, 2))
-    return _require_valid(Assemblage(elements), REALIZED_TOL)
+    return _require_valid(Assemblage(elements))
 
 
-def _require_valid(asm: Assemblage, tol: float) -> Assemblage:
-    report = validate(asm, tol)
+def _require_valid(asm: Assemblage) -> Assemblage:
+    """asm, or ValidationError with ``validate``'s failure lines: the one
+    rule, at VALIDITY_TOL, for every assemblage the package issues or
+    certifies."""
+    report = validate(asm)
     if not report.passed:
         raise ValidationError("; ".join(report.failures()))
     return asm
@@ -377,7 +367,7 @@ def from_classical(s: ClassicalStrategy) -> Assemblage:
     two outcomes and two settings, in one contraction over lambda."""
     weights, responses, hidden = s.check()
     chosen = np.eye(2)[responses]  # [lambda, x, a]: 1 where a is the response
-    return _require_valid(Assemblage(np.einsum("l,lxa,lij->axij", weights, chosen, hidden)), VALIDITY_TOL)
+    return _require_valid(Assemblage(np.einsum("l,lxa,lij->axij", weights, chosen, hidden)))
 
 
 def validate(asm: Assemblage, tol: float = VALIDITY_TOL) -> ValidationReport:

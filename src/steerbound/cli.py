@@ -29,7 +29,7 @@ from .assemblage import (
     validate,
 )
 from .fidelity import classical_fidelity
-from .matkernel import BREAKPOINT_TIE, ENDPOINT_SLACK, I2, INEQUALITY_SLACK, PAULI_X, PAULI_Z, PHI_PLUS, REALIZED_TOL
+from .matkernel import BREAKPOINT_TIE, ENDPOINT_SLACK, I2, INEQUALITY_SLACK, PAULI_X, PAULI_Z, PHI_PLUS, VALIDITY_TOL
 from .numsearch import SearchConfig, sandwich_sweep
 from .steering import BETA_CLASSICAL, BETA_QUANTUM
 
@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check assemblage validity")
     p.add_argument("--assemblage", required=True)
-    p.add_argument("--tol", type=_checked(float, 0), default=REALIZED_TOL)
+    p.add_argument("--tol", type=_checked(float, 0), default=VALIDITY_TOL)
     p.set_defaults(func=cmd_validate)
 
     return parser

@@ -30,7 +30,6 @@ from .matkernel import (
     PAULI_Z,
     PROB_FLOOR,
     PURITY_TOL,
-    VALIDITY_TOL,
     ValidationError,
     _ROUNDING,
     density_matrix,
@@ -85,7 +84,7 @@ def classical_fidelity(ref: Assemblage):
     """
     if ref.elements.shape != (2, 2, 2, 2):
         raise ValidationError("classical fidelity needs a two-setting, two-outcome reference")
-    _require_valid(ref, VALIDITY_TOL)
+    _require_valid(ref)
     probs = ref.probabilities()
     live = probs >= PROB_FLOOR
     least = hermitian_min_eigvals(ref.elements[live] / probs[live, None, None], HERMITICITY_TOL)
@@ -190,7 +189,9 @@ def extractability(asm: Assemblage):
 
     with W = fidelity_operator(asm). Returns (value, channel, gap): value =
     tr(J W) is attained by the returned channel, and the extractability
-    lies in [value, value + gap].
+    lies in [value, value + gap]. ValidationError unless asm is two-setting
+    and two-outcome and passes ``validate`` at VALIDITY_TOL: the
+    extractability is a fidelity in [0, 1] only for a valid assemblage.
 
     The dual is min 2 lambda_max(W - H (x) I) over traceless Hermitian H:
     three real parameters. It is solved by a log-det barrier method with
@@ -210,6 +211,7 @@ def extractability(asm: Assemblage):
     best dual bound.
     """
     w = fidelity_operator(asm)
+    _require_valid(asm)
     vals, vecs = np.linalg.eigh(w)
     x = np.zeros(4)  # (y, h): strictly feasible
     x[0] = vals[-1] + 1.0

@@ -26,9 +26,7 @@ import numpy as np
 # the rows below, from here to the first blank line, one "NAME = value  #
 # reason" a line, and scales each value by 1e3 and by 1e-3: a test must fail.
 HERMITICITY_TOL = 1e-12  # largest |M - M^dagger| entry of a matrix read as Hermitian
-PHYSICAL_TOL = 1e-10  # slack of the unit-trace, PSD and POVM-completeness checks
-VALIDITY_TOL = 1e-10  # validate()'s default: what from_classical and both certificates require
-REALIZED_TOL = 1e-9  # realize's check and `validate --tol`'s default: slack for inputs checked at PHYSICAL_TOL
+VALIDITY_TOL = 1e-10  # slack of every unit-trace, PSD, POVM and assemblage check: what "valid" means
 ENDPOINT_SLACK = 1e-12  # rounding allowed past beta in [2, 2 sqrt 2] and theta in [0, pi/2]
 BREAKPOINT_TIE = 1e-12  # both certificates take the first breakpoint this close to the least
 PROB_FLOOR = 1e-12  # below this, p(a|x) (or a strategy weight below 0) is exactly 0
@@ -157,12 +155,12 @@ def density_matrix(m, size: int, name: str) -> np.ndarray:
     """m as a complex size x size array, or a (..., size, size) stack of
     them; ValidationError, naming it ``name``, unless it has that shape and
     every matrix has unit trace and is Hermitian and PSD, each within
-    PHYSICAL_TOL. The one density-matrix check."""
+    VALIDITY_TOL. The one density-matrix check."""
     m = np.asarray(m, dtype=complex)
     if m.shape[-2:] != (size, size):
         raise ValidationError(f"{name} must be a {size}x{size} matrix")
-    if (np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1) > PHYSICAL_TOL).any():
+    if (np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1) > VALIDITY_TOL).any():
         raise ValidationError(f"{name} must have unit trace")
-    if (hermitian_min_eigvals(m, PHYSICAL_TOL) < -PHYSICAL_TOL).any():
+    if (hermitian_min_eigvals(m, VALIDITY_TOL) < -VALIDITY_TOL).any():
         raise ValidationError(f"{name} must be PSD")
     return m

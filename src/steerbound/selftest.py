@@ -22,7 +22,7 @@ import numpy as np
 
 from .assemblage import Assemblage, _require_valid
 from .fidelity import ExtractionChannel, fidelity_operator
-from .matkernel import BREAKPOINT_TIE, ENDPOINT_SLACK, MARGINAL_WINDOW, VALIDITY_TOL, _KINK_TOL
+from .matkernel import BREAKPOINT_TIE, ENDPOINT_SLACK, MARGINAL_WINDOW, _KINK_TOL
 from .matkernel import INEQUALITY_SLACK  # noqa: F401 (re-exported: verify-inequality's slack)
 from .matkernel import I2, PAULI_X, PAULI_Z, ValidationError
 from .steering import BETA_CLASSICAL, BETA_QUANTUM, _chsh_coefficients, _maximum, check_theta
@@ -253,5 +253,5 @@ def certified_lower_bound(asm: Assemblage, theta: float) -> float:
     if peak > BETA_QUANTUM + ENDPOINT_SLACK:
         raise ValidationError(f"CHSH maximum {peak:.9g} exceeds 2 sqrt(2): not a quantum assemblage")
     check_theta(theta)
-    _require_valid(asm, VALIDITY_TOL)
+    _require_valid(asm)
     return analytic_bound(u * math.cos(theta) + w * math.sin(theta))

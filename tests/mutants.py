@@ -1,12 +1,15 @@
-"""Mutation gate: show that every named tolerance's edge can fail.
+"""Mutation gate: show that every named tolerance's edge, and every
+validity check, can fail.
 
-The rows come from the tolerance table in ``src/steerbound/matkernel.py``:
-the lines after its "# Tolerances" comment, up to the first blank line, each
-``NAME = value  # reason``. Every row gives two mutants, the value times 1e3
-and times 1e-3. For each mutant, ``src/``, ``tests/`` and ``pyproject.toml``
-are copied to a temporary directory, the row is changed there, and the
-name's test files (``TESTS``) run with ``pytest -x``. A failing test kills
-the mutant; a mutant whose tests all pass survives.
+The table rows come from the tolerance table in
+``src/steerbound/matkernel.py``: the lines after its "# Tolerances" comment,
+up to the first blank line, each ``NAME = value  # reason``. Every row gives
+two mutants, the value times 1e3 and times 1e-3. The structural rows
+(``STRUCTURAL``) each drop one ``_require_valid`` call, replacing it with its
+argument. For each mutant, ``src/``, ``tests/`` and ``pyproject.toml`` are
+copied to a temporary directory, its text (which must occur exactly once in
+its file) is replaced there, and its test files run with ``pytest -x``. A
+failing test kills the mutant; a mutant whose tests all pass survives.
 
 The script prints one line per mutant and exits 1 when a mutant survives
 that ``EQUIVALENT`` does not list with its reason, when a table name has no
@@ -29,7 +32,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-TABLE = ROOT / "src" / "steerbound" / "matkernel.py"
+PACKAGE = Path("src", "steerbound")
+TABLE = ROOT / PACKAGE / "matkernel.py"
 ROW = re.compile(r"(_?[A-Z][A-Z_]*) = (\S+)  # \S")
 FACTORS = (1e3, 1e-3)
 WORKERS = 2
@@ -38,9 +42,7 @@ WORKERS = 2
 # and one just outside.
 TESTS = {
     "HERMITICITY_TOL": ("tests/test_fidelity.py",),
-    "PHYSICAL_TOL": ("tests/test_assemblage.py",),
-    "VALIDITY_TOL": ("tests/test_assemblage.py", "tests/test_fidelity.py", "tests/test_selftest.py"),
-    "REALIZED_TOL": ("tests/test_assemblage.py", "tests/test_cli.py"),
+    "VALIDITY_TOL": ("tests/test_assemblage.py", "tests/test_fidelity.py", "tests/test_selftest.py", "tests/test_cli.py"),
     "ENDPOINT_SLACK": ("tests/test_steering.py", "tests/test_numsearch.py", "tests/test_cli.py", "tests/test_selftest.py"),
     "BREAKPOINT_TIE": ("tests/test_selftest.py",),
     "PROB_FLOOR": ("tests/test_fidelity.py", "tests/test_assemblage.py"),
@@ -55,7 +57,19 @@ TESTS = {
     "SEARCH_TOLERANCE": ("tests/test_numsearch.py",),
 }
 
-# (name, factor) -> why no test can tell that mutant from the program
+# One row per _require_valid call site: (label, module, old text, new text,
+# the site's test files); the mutant certifies or issues what validate refuses.
+STRUCTURAL = (
+    ("realize", "assemblage.py", "return _require_valid(Assemblage(elements))", "return Assemblage(elements)",
+     ("tests/test_assemblage.py",)),
+    ("from_classical", "assemblage.py", "return _require_valid(Assemblage(np.einsum(", "return (Assemblage(np.einsum(",
+     ("tests/test_assemblage.py",)),
+    ("classical_fidelity", "fidelity.py", "_require_valid(ref)", "ref", ("tests/test_fidelity.py",)),
+    ("extractability", "fidelity.py", "_require_valid(asm)", "asm", ("tests/test_fidelity.py",)),
+    ("certified_lower_bound", "selftest.py", "_require_valid(asm)", "asm", ("tests/test_selftest.py",)),
+)
+
+# mutant label -> why no test can tell that mutant from the program
 EQUIVALENT: dict = {}
 
 
@@ -77,52 +91,60 @@ def table(path: Path = TABLE) -> list:
     return rows
 
 
-def run_mutant(index: int, name: str, value: str, factor: float, files) -> int:
-    """pytest's exit code on ``files`` with row ``index`` of the table set to
-    ``value`` times ``factor``, in a temporary copy of the project."""
+def mutants() -> list:
+    """(label, path, old text, new text, test files) of every mutant: two per
+    table row, then the structural rows."""
+    found = [
+        (f"{name} {value} x {factor:g}", TABLE, f"\n{name} = {value}  ", f"\n{name} = {float(value) * factor!r}  ",
+         TESTS[name])
+        for _, name, value in table()
+        for factor in FACTORS
+    ]
+    found += [(label, ROOT / PACKAGE / module, old, new, files) for label, module, old, new, files in STRUCTURAL]
+    return found
+
+
+def run_mutant(path: Path, old: str, new: str, files) -> int:
+    """pytest's exit code on ``files`` with the one ``old`` in ``path``
+    replaced by ``new``, in a temporary copy of the project."""
     with tempfile.TemporaryDirectory(prefix="steerbound-mutant-") as tmp:
         copy = Path(tmp)
         skip = shutil.ignore_patterns("__pycache__", "*.egg-info")
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, copy / part, ignore=skip)
         shutil.copy(ROOT / "pyproject.toml", copy)
-        target = copy / TABLE.relative_to(ROOT)
-        lines = target.read_text().splitlines(keepends=True)
-        old = f"{name} = {value}  "
-        if not lines[index].startswith(old):
-            raise ValueError(f"row {index + 1} is not {old!r}")
-        lines[index] = f"{name} = {float(value) * factor!r}  " + lines[index][len(old):]
-        target.write_text("".join(lines))
+        target = copy / path.relative_to(ROOT)
+        text = target.read_text()
+        if text.count(old) != 1:
+            raise ValueError(f"{path.name}: {old!r} does not occur exactly once")
+        target.write_text(text.replace(old, new))
         env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *files]
         return subprocess.run(argv, cwd=copy, env=env, capture_output=True, timeout=600).returncode
 
 
 def main() -> int:
-    rows = table()
-    names = [name for _, name, _ in rows]
-    missing = sorted(set(names) - set(TESTS))
+    missing = sorted({name for _, name, _ in table()} - set(TESTS))
     if missing:
         print(f"no test files for: {', '.join(missing)}")
         return 1
     start = time.perf_counter()
-    # each set of test files first passes unmutated (the value times 1), so
-    # that a failure below is the mutant's and not the copy's
-    first = rows[0]
-    suites = sorted(set(TESTS.values()))
+    rows = mutants()
+    # each set of test files first passes unmutated (the table's first line
+    # replaced by itself), so that a failure below is the mutant's and not
+    # the copy's
+    suites = sorted({files for *_, files in rows})
     with ThreadPoolExecutor(WORKERS) as pool:
-        codes = list(pool.map(lambda files: run_mutant(*first, 1.0, files), suites))
+        codes = list(pool.map(lambda files: run_mutant(TABLE, "# Tolerances", "# Tolerances", files), suites))
     broken = [" ".join(files) for files, code in zip(suites, codes) if code != 0]
     if broken:
         print(f"tests fail without a mutant: {'; '.join(broken)}")
         return 1
-    mutants = [(i, name, value, factor) for i, name, value in rows for factor in FACTORS]
     with ThreadPoolExecutor(WORKERS) as pool:
-        codes = list(pool.map(lambda m: run_mutant(*m, TESTS[m[1]]), mutants))
+        codes = list(pool.map(lambda row: run_mutant(*row[1:]), rows))
     bad = []
-    for (_, name, value, factor), code in zip(mutants, codes):
-        label = f"{name} {value} x {factor:g}"
-        reason = EQUIVALENT.get((name, factor))
+    for (label, *_), code in zip(rows, codes):
+        reason = EQUIVALENT.get(label)
         if code == 1:
             verdict = "killed"
         elif code == 0 and reason:
@@ -131,7 +153,8 @@ def main() -> int:
             verdict = "SURVIVED" if code == 0 else f"ERROR (pytest exit {code})"
             bad.append(label)
         print(f"{label:<32} {verdict}")
-    print(f"{len(mutants)} mutants of {len(rows)} names, and {len(suites)} unmutated runs, in {time.perf_counter() - start:.0f} s")
+    print(f"{len(rows)} mutants, {len(STRUCTURAL)} of them structural, and {len(suites)} unmutated runs,"
+          f" in {time.perf_counter() - start:.0f} s")
     if bad:
         print(f"not killed: {', '.join(bad)}")
         return 1

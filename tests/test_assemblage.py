@@ -92,7 +92,7 @@ class TestRealize:
 
     @pytest.mark.parametrize("excess, refused", [(0.5e-10, False), (2e-10, True)])
     def test_physical_tolerance_edge(self, excess, refused):
-        # the state's trace and each POVM's sum are checked at PHYSICAL_TOL = 1e-10
+        # the state's trace and each POVM's sum are checked at VALIDITY_TOL = 1e-10
         scaled = [[(1 + excess) * m for m in povm] for povm in zx_povms()]
         for state, povms, message in (
             ((1 + excess) * phi_plus(), zx_povms(), "shared state must have unit trace"),
@@ -104,14 +104,35 @@ class TestRealize:
             else:
                 assert validate(realize(QuantumRealization(state, povms))).passed
 
-    def test_realized_tolerance_edge(self):
-        # a state and POVMs each 0.9e-10 past normal pass their checks, and
-        # their assemblage, 1.8e-10 from normalized, passes realize's
-        # REALIZED_TOL = 1e-9 (validate's default 1e-10 would refuse it)
-        scale = 1 + 0.9e-10
-        povms = [[scale * m for m in povm] for povm in zx_povms()]
-        asm = realize(QuantumRealization(scale * phi_plus(), povms))
-        assert 1.7e-10 < validate(asm).normalization_deviation < 1.9e-10
+    @pytest.mark.parametrize("excess, refused", [(0.4e-10, False), (0.9e-10, True)])
+    def test_realized_tolerance_edge(self, excess, refused):
+        # a state and POVMs each `excess` past normal pass their own checks,
+        # and their assemblage, about 2 excess from normalized, is held to
+        # the same VALIDITY_TOL = 1e-10: 0.8e-10 is issued, 1.8e-10 refused
+        povms = [[(1 + excess) * m for m in povm] for povm in zx_povms()]
+        r = QuantumRealization((1 + excess) * phi_plus(), povms)
+        r.check()
+        if refused:
+            with pytest.raises(ValidationError, match=r"^normalization violated: deviation 1\.800e-10$"):
+                realize(r)
+        else:
+            assert 0.7e-10 < validate(realize(r)).normalization_deviation < 0.9e-10
+
+    def test_never_issues_what_validate_refuses(self):
+        # state and POVMs scaled by 1 + k 1e-11, across the edge of both the
+        # input checks and the output's: each case is refused or valid
+        issued = []
+        for k in range(21):
+            scale = 1 + k * 1e-11
+            povms = [[scale * m for m in povm] for povm in zx_povms()]
+            try:
+                asm = realize(QuantumRealization(scale * phi_plus(), povms))
+            except ValidationError:
+                issued.append(False)
+            else:
+                assert validate(asm).passed, k
+                issued.append(True)
+        assert issued[0] and not issued[-1]
 
     def test_rejects_bad_povm(self):
         povms = zx_povms()
@@ -212,10 +233,10 @@ class TestClassical:
     )
     def test_output_validity_edge(self, trace_excess, weight_excess, refused):
         # hidden states and weights each within their own checks: traces
-        # 1 + trace_excess within PHYSICAL_TOL, weights summing to 1 +
+        # 1 + trace_excess within VALIDITY_TOL, weights summing to 1 +
         # weight_excess within WEIGHT_SUM_TOL, so the assemblage is about
         # trace_excess + weight_excess from normalized: 0.5e-10, or
-        # 1.0045e-10, past from_classical's VALIDITY_TOL = 1e-10
+        # 1.0045e-10, past the output's VALIDITY_TOL = 1e-10
         hidden = [(1 + trace_excess) * projector(k) for k in (KET0, KET1)]
         s = ClassicalStrategy([0.5, 0.5 + weight_excess], [[0, 0], [1, 1]], hidden)
         if refused:
@@ -614,13 +635,17 @@ class TestLayout:
         source[0, 0] = 0  # the assemblage holds its own copy
         np.testing.assert_array_equal(asm.elements, chsh_reference().elements)
 
-    @pytest.mark.parametrize("kind", ["array", "read-only view", "real array", "list"])
+    @pytest.mark.parametrize("kind", ["array", "read-only array", "read-only view", "real array", "list"])
     def test_callers_input_is_copied(self, kind):
         # whatever the caller can still write is copied: mutating it after
         # construction leaves the assemblage unchanged
         reference = chsh_reference().elements
         if kind == "array":
             source = reference.copy()
+            given = source
+        elif kind == "read-only array":  # it owns its data: writes can be turned back on
+            source = reference.copy()
+            source.flags.writeable = False
             given = source
         elif kind == "read-only view":  # its base stays writable
             source = reference.copy()
@@ -637,16 +662,13 @@ class TestLayout:
         if kind == "list":
             source[0][0][0][0] = 7.0
         else:
+            source.flags.writeable = True
             source[0, 0, 0, 0] = 7.0
         np.testing.assert_array_equal(asm.elements, want)
         assert not asm.elements.flags.writeable
 
-    def test_read_only_array_is_kept(self):
-        # a read-only complex array that owns its data, as from_json builds
-        # it, is taken without a copy; its entries are still checked
-        asm = Assemblage.from_json(chsh_reference().to_json())
-        assert asm.elements.base is None and not asm.elements.flags.writeable
-        assert Assemblage(asm.elements).elements is asm.elements
+    def test_read_only_array_is_checked(self):
+        # a read-only input is scanned for non-finite entries like any other
         frozen = chsh_reference().elements.copy()
         frozen[1, 1, 0, 0] = math.nan
         frozen.flags.writeable = False

@@ -591,9 +591,10 @@ class TestRealizeValidate:
         assert result.returncode == 0
         assert "valid assemblage" in result.stdout
 
-    @pytest.mark.parametrize("excess, code", [(0.5e-9, 0), (2e-9, 1)])
+    @pytest.mark.parametrize("excess, code", [(0.5e-10, 0), (2e-10, 1)])
     def test_validate_default_tolerance_edge(self, tmp_path, excess, code, run_cli):
-        # validate --tol defaults to realize's REALIZED_TOL = 1e-9
+        # validate --tol defaults to VALIDITY_TOL = 1e-10, the rule realize
+        # and both certificates hold to
         path = tmp_path / "asm.json"
         path.write_text(Assemblage((1 + excess) * chsh_reference().elements).to_json())
         result = run_cli("validate", "--assemblage", str(path))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from steerbound.fidelity import (
     appendix_b_strategy,
     assemblage_fidelity,
     classical_fidelity,
+    extractability,
     state_fidelity,
 )
 from steerbound.matkernel import (
@@ -33,6 +35,14 @@ from steerbound.matkernel import (
 from conftest import random_density
 
 SQRT2 = math.sqrt(2)
+
+
+def _non_psd_reference() -> Assemblage:
+    """The reference with sigma_{0|0} = diag(0.75, -0.25) and sigma_{1|0} =
+    diag(-0.25, 0.75): its marginals and traces, but not PSD."""
+    elements = chsh_reference().elements.copy()
+    elements[0, 0], elements[1, 0] = np.diag([0.75, -0.25]), np.diag([-0.25, 0.75])
+    return Assemblage(elements)
 
 
 class TestStateFidelity:
@@ -200,10 +210,8 @@ class TestClassicalFidelity:
         # sigma_{0|0} = diag(0.75, -0.25), sigma_{1|0} = diag(-0.25, 0.75):
         # the reference's marginals and traces, but validate refuses it, and
         # classical_fidelity used to return 1.05901699 for it
-        elements = chsh_reference().elements.copy()
-        elements[0, 0], elements[1, 0] = np.diag([0.75, -0.25]), np.diag([-0.25, 0.75])
         with pytest.raises(ValidationError, match=r"^positivity violated: min eigenvalue -2\.500e-01$"):
-            classical_fidelity(Assemblage(elements))
+            classical_fidelity(_non_psd_reference())
 
     @pytest.mark.parametrize("h, refused", [(0.2e-12, False), (1e-12, True)])
     def test_hermiticity_edge(self, h, refused):
@@ -259,3 +267,36 @@ class TestClassicalFidelity:
         assert ref.elements.shape == (2, 3, 2, 2)
         with pytest.raises(ValidationError, match="two-setting, two-outcome"):
             classical_fidelity(ref)
+
+
+class TestExtractability:
+    """extractability solves only what validate passes: a fidelity in [0, 1]."""
+
+    @pytest.mark.parametrize(
+        "make, failure",
+        [
+            # it used to return 1.2499999999997 (gap 3.1e-13) and 1.183
+            (_non_psd_reference, "positivity violated: min eigenvalue -2.500e-01"),
+            (lambda: Assemblage(1.4 * chsh_reference().elements), "normalization violated: deviation 4.000e-01"),
+        ],
+        ids=["non-psd", "scaled-1.4"],
+    )
+    def test_rejects_invalid_input(self, make, failure):
+        # the error is validate's one failure line
+        asm = make()
+        assert validate(asm).failures() == [failure]
+        with pytest.raises(ValidationError, match=f"^{re.escape(failure)}$"):
+            extractability(asm)
+
+    @pytest.mark.parametrize("excess, refused", [(0.5e-10, False), (2e-10, True)])
+    def test_validity_edge(self, excess, refused):
+        # the reference scaled by 1 + excess, against VALIDITY_TOL = 1e-10
+        asm = Assemblage((1 + excess) * chsh_reference().elements)
+        if refused:
+            with pytest.raises(ValidationError, match=r"^normalization violated: deviation 2\.000e-10$"):
+                extractability(asm)
+        else:
+            value, _, gap = extractability(asm)
+            assert 0 < gap <= 3.1e-13  # the unscaled reference's gap
+            # W, and so the extractability, scales by sqrt(1 + excess)
+            assert value <= math.sqrt(1 + excess) <= value + gap

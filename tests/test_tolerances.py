@@ -4,6 +4,7 @@ name gated by ``tests/mutants.py``."""
 
 import ast
 import importlib
+import inspect
 import io
 import re
 import tokenize
@@ -23,8 +24,7 @@ NAMES = [name for _, name, _ in ROWS]
 SHARED = {
     "ENDPOINT_SLACK": ("cli", "numsearch", "selftest", "steering"),
     "BREAKPOINT_TIE": ("cli", "selftest"),
-    "VALIDITY_TOL": ("assemblage", "fidelity", "selftest"),
-    "REALIZED_TOL": ("assemblage", "cli"),
+    "VALIDITY_TOL": ("assemblage", "cli"),
 }
 
 
@@ -53,7 +53,7 @@ def test_no_tolerance_literal_outside_the_table():
 
 
 def test_table_names_are_unique_and_defined_once():
-    assert len(NAMES) == len(set(NAMES)) >= 16
+    assert len(NAMES) == len(set(NAMES)) >= 14
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "matkernel.py":
             continue
@@ -77,7 +77,25 @@ def test_every_name_has_gate_rows():
     # the gate builds its rows from the table; each name needs test files
     assert set(mutants.TESTS) == set(NAMES)
     assert all(Path(mutants.ROOT, f).is_file() for files in mutants.TESTS.values() for f in files)
-    assert {name for name, _ in mutants.EQUIVALENT} <= set(NAMES)
+    assert set(mutants.EQUIVALENT) <= {label for label, *_ in mutants.mutants()}
+
+
+def test_structural_rows_apply():
+    # each structural mutant drops one _require_valid call, written once in
+    # its module, and every call site has its row
+    calls = sum(path.read_text().count("_require_valid(") for path in PACKAGE.glob("*.py"))
+    assert len(mutants.STRUCTURAL) == calls - 1  # less the definition
+    for _, module, old, new, files in mutants.STRUCTURAL:
+        assert (PACKAGE / module).read_text().count(old) == 1, old
+        assert "_require_valid(" in old and "_require_valid(" not in new
+        assert all(Path(mutants.ROOT, f).is_file() for f in files)
+
+
+def test_require_valid_takes_only_the_assemblage():
+    # one validity rule, at VALIDITY_TOL: no caller picks a tolerance
+    from steerbound.assemblage import _require_valid
+
+    assert list(inspect.signature(_require_valid).parameters) == ["asm"]
 
 
 @pytest.mark.parametrize(
