@@ -50,22 +50,25 @@ class Assemblage:
     ``elements[a, x]`` is sigma_{a|x}: a read-only complex array of shape
     (outcomes, settings, 2, 2) with finite entries; p(a|x), the trace of
     ``elements[a, x]``, is ``probabilities()[a, x]``. The constructor
-    always copies what it is given, so no caller can write the elements.
+    copies what it is given into an immutable ``bytes`` buffer and keeps a
+    view of it, so neither a caller nor a holder of the assemblage can
+    write the elements: numpy refuses to turn writes on for that view and
+    for its base.
     """
 
     elements: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        elements = np.array(self.elements, dtype=complex)
-        if elements.ndim != 4 or elements.shape[2:] != (2, 2) or 0 in elements.shape:
+        given = np.asarray(self.elements, dtype=complex)
+        if given.ndim != 4 or given.shape[2:] != (2, 2) or 0 in given.shape:
             raise ValidationError(
-                f"assemblage elements must be an (outcomes, settings, 2, 2) array, got shape {elements.shape}"
+                f"assemblage elements must be an (outcomes, settings, 2, 2) array, got shape {given.shape}"
             )
+        elements = np.frombuffer(given.tobytes(), complex).reshape(given.shape)
         finite = np.isfinite(elements)
         if np.count_nonzero(finite) < finite.size:
             nonfinite = [(int(a), int(x)) for a, x in np.argwhere(~finite.all(axis=(2, 3)))]
             raise ValidationError(f"non-finite entries in sigma_(a|x) for (a, x) in {nonfinite}")
-        elements.flags.writeable = False
         object.__setattr__(self, "elements", elements)
 
     @property

@@ -22,14 +22,23 @@ CHSH value and extractability are both additive, and mixing the block
 (beta, Xi) = (2, 3/4) with the reference (2 sqrt 2, 1) traces the analytic
 lower bound itself: that line is the DI minimum. xi* lies above it and on
 or below the interpolation upper bound (eq8), its tangent at 2 sqrt 2.
+
+Every record of the sweep has one layout: six float columns, ``winner``
+and a witness of 65 floats (a 2x2 assemblage, theta and a 4x4 channel).
+So ``SandwichReport.to_json`` writes each record as one fill of a record
+template, the text ``json_text`` writes for that layout with a slot at
+each varying leaf, compiled once per process on first use, and not by
+walking the record's nested dicts. Its bytes are ``json_text``'s.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
@@ -167,20 +176,13 @@ class SandwichReport:
 
     def to_json(self) -> str:
         """The report as JSON, byte-identical to ``json.dumps(report,
-        indent=2)`` of the same object (see ``json_text``)."""
-        return json_text(
-            {
-                "config": self.config.to_dict(),
-                "passed": self.passed,
-                "records": [
-                    {
-                        **{c: getattr(r, c) for c in _COLUMNS},
-                        "witness": r.witness,
-                    }
-                    for r in self.records
-                ],
-            }
-        )
+        indent=2)`` of the same object (see ``json_text``), where a record
+        is its columns and then its witness. ``json_text`` writes the head
+        (config and passed) and the joins between records; each record is
+        one fill of the record template (see ``_record_text``)."""
+        records = self.records
+        head = _compile({"config": self.config.to_dict(), "passed": self.passed, "records": [_SLOT] * len(records)})
+        return head % tuple(map(_record_text, records))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -191,6 +193,80 @@ class SandwichReport:
                 [f"{v:.9g}" if isinstance(v, float) else v for v in (getattr(r, c) for c in _COLUMNS)]
             )
         return buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# The report's JSON
+
+_SLOT = "\0"  # a leaf no report holds; json_text writes it as "\u0000"
+_RECORD_PAD = "\n    "  # json_text's pad for an item of a report's "records"
+
+
+def _compile(value, pad: str = "\n") -> str:
+    """``json_text(value, pad)`` as a %-template: each ``_SLOT`` leaf is a
+    %s slot, and every other byte is ``json_text``'s."""
+    return json_text(value, pad).replace("%", "%%").replace(json_text(_SLOT), "%s")
+
+
+def _witness_layout(v: list) -> dict:
+    """A record's witness as ``_records`` writes it, holding the 65 floats
+    of ``v`` in order: each (a, x) element's re rows then im rows, theta,
+    then the channel's re rows and im rows."""
+    elements = [
+        {"a": i // 16, "x": i // 8 % 2, "re": [v[i : i + 2], v[i + 2 : i + 4]],
+         "im": [v[i + 4 : i + 6], v[i + 6 : i + 8]]}
+        for i in range(0, 32, 8)
+    ]
+    return {
+        "assemblage": {"outcomes": 2, "settings": 2, "elements": elements},
+        "theta": v[32],
+        "channel": {"re": [v[i : i + 4] for i in range(33, 49, 4)], "im": [v[i : i + 4] for i in range(49, 65, 4)]},
+    }
+
+
+def _shape(witness) -> tuple:
+    """What ``==`` on two witness dicts leaves out and ``json_text``
+    writes: the key order of each dict and the types of the integers."""
+    asm = witness["assemblage"]
+    ints = (asm["outcomes"], asm["settings"], *[e[k] for e in asm["elements"] for k in ("a", "x")])
+    return (list(witness), list(asm), *map(list, asm["elements"]), list(witness["channel"]), *map(type, ints))
+
+
+@functools.cache
+def _record_template() -> tuple:
+    """The record template and the ``_shape`` of ``_witness_layout``. The
+    template is ``json_text`` of a record at its indent in the report, with
+    a %s slot for each of its 72 varying leaves: the six float columns,
+    winner, then the witness's 65 floats in ``_witness_layout``'s order.
+    Compiled once, on first use; the number of targets does not change it."""
+    witness = _witness_layout([_SLOT] * 65)
+    return _compile({**dict.fromkeys(_COLUMNS, _SLOT), "witness": witness}, _RECORD_PAD), _shape(witness)
+
+
+def _record_text(r: SandwichRecord) -> str:
+    """``json_text`` of the record at ``_RECORD_PAD``, as the record
+    template filled with its leaves' texts. Every record of the sweep fills
+    it: the witness is in ``_witness_layout``'s layout, and every leaf is a
+    finite float (the targets are checked, and the witness, the residual
+    and the gap are finite by construction), so ``float.__repr__`` writes
+    it as ``json_text`` does. Any other record (a NaN, an int leaf, another
+    layout) is written by ``json_text``."""
+    w = r.witness
+    template, shape = _record_template()
+    try:
+        asm, channel = w["assemblage"], w["channel"]
+        leaves = [v for e in asm["elements"] for m in (e["re"], e["im"]) for row in m for v in row]
+        leaves.append(w["theta"])
+        leaves += [v for m in (channel["re"], channel["im"]) for row in m for v in row]
+        floats = [r.beta, r.numeric_min, r.analytic_lower, r.eq8_upper, r.residual, r.gap, *leaves]
+        texts = list(map(float.__repr__, floats))
+        texts.insert(6, _json_string(r.winner))
+        fits = math.isfinite(sum(floats)) and w == _witness_layout(leaves) and _shape(w) == shape
+    except (IndexError, KeyError, TypeError):  # too few leaves, a missing key, a leaf of another type
+        fits = False
+    if fits:
+        return template % tuple(texts)
+    return json_text({**{c: getattr(r, c) for c in _COLUMNS}, "witness": w}, _RECORD_PAD)
 
 
 def _records(betas) -> tuple:

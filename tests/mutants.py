@@ -6,10 +6,12 @@ The table rows come from the tolerance table in
 up to the first blank line, each ``NAME = value  # reason``. Every row gives
 two mutants, the value times 1e3 and times 1e-3. The structural rows
 (``STRUCTURAL``) each drop one ``_require_valid`` call, replacing it with its
-argument. For each mutant, ``src/``, ``tests/`` and ``pyproject.toml`` are
-copied to a temporary directory, its text (which must occur exactly once in
-its file) is replaced there, and its test files run with ``pytest -x``. A
-failing test kills the mutant; a mutant whose tests all pass survives.
+argument, and ``GUARDS`` each remove one other guard: a tie rule, the kink
+check or the elements' immutable buffer. For each mutant, ``src/``,
+``tests/`` and ``pyproject.toml`` are copied to a temporary directory, its
+text (which must occur exactly once in its file) is replaced there, and its
+test files run with ``pytest -x``. A failing test kills the mutant; a mutant
+whose tests all pass survives.
 
 The script prints one line per mutant and exits 1 when a mutant survives
 that ``EQUIVALENT`` does not list with its reason, when a table name has no
@@ -69,6 +71,21 @@ STRUCTURAL = (
     ("certified_lower_bound", "selftest.py", "_require_valid(asm)", "asm", ("tests/test_selftest.py",)),
 )
 
+# Every other structural guard, removed: (label, module, old text, new text,
+# the test files that must kill it). The tie rules fall back to the least
+# value alone, the kink check to no check, and the elements' immutable
+# buffer to a copy that is read-only by its flag only.
+GUARDS = (
+    ("intercepts tie rule", "selftest.py", "np.argmax(g <= g.min(axis=1, keepdims=True) + BREAKPOINT_TIE, axis=1)",
+     "np.argmin(g, axis=1)", ("tests/test_selftest.py",)),
+    ("verify-inequality tie rule", "cli.py", "tied = margins <= worst + BREAKPOINT_TIE", "tied = margins <= worst",
+     ("tests/test_cli.py",)),
+    ("kink check", "selftest.py", "if not all(gap <= _KINK_TOL for gap in gaps):", "if False:",
+     ("tests/test_selftest.py",)),
+    ("immutable elements", "assemblage.py", "np.frombuffer(given.tobytes(), complex).reshape(given.shape)",
+     "given.copy(); elements.flags.writeable = False", ("tests/test_assemblage.py",)),
+)
+
 # mutant label -> why no test can tell that mutant from the program
 EQUIVALENT: dict = {}
 
@@ -93,14 +110,16 @@ def table(path: Path = TABLE) -> list:
 
 def mutants() -> list:
     """(label, path, old text, new text, test files) of every mutant: two per
-    table row, then the structural rows."""
+    table row, then the structural rows and the guards."""
     found = [
         (f"{name} {value} x {factor:g}", TABLE, f"\n{name} = {value}  ", f"\n{name} = {float(value) * factor!r}  ",
          TESTS[name])
         for _, name, value in table()
         for factor in FACTORS
     ]
-    found += [(label, ROOT / PACKAGE / module, old, new, files) for label, module, old, new, files in STRUCTURAL]
+    found += [
+        (label, ROOT / PACKAGE / module, old, new, files) for label, module, old, new, files in STRUCTURAL + GUARDS
+    ]
     return found
 
 
@@ -153,8 +172,8 @@ def main() -> int:
             verdict = "SURVIVED" if code == 0 else f"ERROR (pytest exit {code})"
             bad.append(label)
         print(f"{label:<32} {verdict}")
-    print(f"{len(rows)} mutants, {len(STRUCTURAL)} of them structural, and {len(suites)} unmutated runs,"
-          f" in {time.perf_counter() - start:.0f} s")
+    print(f"{len(rows)} mutants, {len(STRUCTURAL) + len(GUARDS)} of them structural, and {len(suites)} unmutated"
+          f" runs, in {time.perf_counter() - start:.0f} s")
     if bad:
         print(f"not killed: {', '.join(bad)}")
         return 1

@@ -667,6 +667,19 @@ class TestLayout:
         np.testing.assert_array_equal(asm.elements, want)
         assert not asm.elements.flags.writeable
 
+    def test_holder_cannot_turn_writes_on(self):
+        # the elements view an immutable buffer: numpy refuses writes on the
+        # view and on its base, so what was certified stays what was checked
+        asm = chsh_reference()
+        want = asm.elements.tobytes()
+        for array in (asm.elements, asm.elements.base):
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
+            with pytest.raises(ValueError):
+                array.reshape(-1)[0] *= -1
+        assert asm.elements.tobytes() == want
+        assert validate(asm).passed
+
     def test_read_only_array_is_checked(self):
         # a read-only input is scanned for non-finite entries like any other
         frozen = chsh_reference().elements.copy()

@@ -147,6 +147,16 @@ class TestVerifyInequality:
         first = capsys.readouterr().out.splitlines()[0]
         assert first == "worst margin -9.439e-01 at theta = 0 (s = -0.575510204)"
 
+    @pytest.mark.parametrize("excess, theta", [(0.5e-12, "0"), (2e-12, "0.785398163")])
+    def test_worst_margin_tie_rule_edge(self, excess, theta, capsys):
+        # just above S_OPTIMAL the margin at theta = 0 is (2 sqrt 2 - 2)(s -
+        # S_OPTIMAL) above pi/4's: the first angle is printed while that is
+        # within BREAKPOINT_TIE = 1e-12, and pi/4 once it is past it
+        s = selftest.S_OPTIMAL + excess / (2 * SQRT2 - 2)
+        assert main(["verify-inequality", "--s", repr(s)]) == 1
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith("worst margin -") and first.endswith(f" at theta = {theta} (s = 0.603553391)")
+
 
 GOLDEN = {
     ("verify-inequality",): (

@@ -12,6 +12,7 @@ from steerbound.assemblage import (
     Assemblage,
     chsh_reference,
     from_classical,
+    json_text,
     random_realization,
     realize,
     validate,
@@ -406,25 +407,92 @@ class TestDefaultSweep:
             counts.append(len(calls))
         assert counts == [39, 38, 36, 36, 36]
 
-    def test_report_json_matches_round_trip_form(self, default_report):
-        # the same bytes as serialising each witness and the config and
-        # parsing them back
-        def witness(r):
-            asm = json.loads(_witness_candidate(r.beta)[0].to_json())
-            return {**r.witness, "assemblage": asm}
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SearchConfig(beta_targets=(2.5,)),
+            SearchConfig(beta_targets=(2.1, BETA_QUANTUM)),
+            SearchConfig(),
+            SearchConfig(beta_targets=(2.05, 2.1, 2.34, 2.5, 2.6, 2.7, BETA_QUANTUM)),
+            SearchConfig(beta_targets=(2.34, 2.34, 2.7, 2.34)),
+            SearchConfig(tolerance=0.25, rng_seed=7),
+        ],
+        ids=["1 target", "2 targets", "default", "7 targets", "repeated targets", "tolerance and seed"],
+    )
+    def test_report_json_matches_round_trip_form(self, cfg):
+        """The record template writes the bytes json.dumps and json_text
+        write for the record-dict form. Every leaf it fills is a finite
+        float: the targets are checked, and the witness, the gap and the
+        residual are finite by construction."""
+        report = sandwich_sweep(cfg)
+        text = report.to_json()
+        form = {
+            "config": report.config.to_dict(),
+            "passed": report.passed,
+            "records": [{**{c: getattr(r, c) for c in _COLUMNS}, "witness": r.witness} for r in report.records],
+        }
+        assert text == json.dumps(json.loads(text), indent=2)
+        assert text == json_text(form) == json.dumps(form, indent=2)
 
-        old_form = json.dumps(
-            {
-                "config": json.loads(default_report.config.to_json()),
-                "passed": default_report.passed,
-                "records": [
-                    {**{c: getattr(r, c) for c in _COLUMNS}, "witness": witness(r)}
-                    for r in default_report.records
-                ],
-            },
-            indent=2,
-        )
-        assert default_report.to_json() == old_form
+    def test_sweep_records_fill_the_template(self, monkeypatch):
+        # json_text writes only the head: no record falls back to it
+        report = sandwich_sweep(SearchConfig(beta_targets=seeded_targets()))
+        numsearch._record_template()  # compiled before the spy
+        pads = []
+
+        def spy(value, pad="\n"):
+            pads.append(pad)
+            return json_text(value, pad)
+
+        monkeypatch.setattr(numsearch, "json_text", spy)
+        assert json.loads(report.to_json())["records"][0]["beta"] == BETA_QUANTUM
+        assert pads and numsearch._RECORD_PAD not in pads
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda w: w["channel"]["re"][0].__setitem__(0, math.nan),
+            lambda w: w["channel"]["im"][3].__setitem__(3, -math.inf),
+            lambda w: w["assemblage"]["elements"][1]["re"][0].__setitem__(1, 1),
+            lambda w: w.__setitem__("theta", True),
+            lambda w: w["assemblage"].__setitem__("outcomes", 2.0),
+            lambda w: w["assemblage"]["elements"][3].__setitem__("x", True),
+            lambda w: w["assemblage"]["elements"][2]["im"].append([0.0, 0.0]),
+            lambda w: w["channel"]["re"].pop(),
+            lambda w: w["assemblage"]["elements"].pop(),
+            lambda w: w.update(note="extra"),
+            lambda w: w.update({"theta": w.pop("theta")}),
+            lambda w: w["assemblage"]["elements"][0].update({"a": w["assemblage"]["elements"][0].pop("a")}),
+            lambda w: w.pop("channel"),
+            lambda w: w.__setitem__("assemblage", [1.0]),
+            lambda w: w.update(assemblage={"outcomes": 2, "settings": 2, "elements": []}, channel={"re": [], "im": []}),
+        ],
+        ids=["nan", "-inf", "int leaf", "bool leaf", "float outcomes", "bool x", "3 rows", "3 channel rows",
+             "3 elements", "extra key", "key order", "element key order", "no channel", "list assemblage",
+             "theta alone"],
+    )
+    def test_other_records_are_written_by_json_text(self, default_report, edit):
+        # a record outside the sweep's layout is still json.dumps's bytes
+        record = default_report.records[1]
+        witness = json.loads(json.dumps(record.witness))
+        edit(witness)
+        records = (default_report.records[0], dataclasses.replace(record, witness=witness))
+        report = SandwichReport(default_report.config, records)
+        form = {
+            "config": report.config.to_dict(),
+            "passed": report.passed,
+            "records": [{**{c: getattr(r, c) for c in _COLUMNS}, "witness": r.witness} for r in records],
+        }
+        assert report.to_json() == json.dumps(form, indent=2)
+
+    @pytest.mark.parametrize("column", ["gap", "beta", "winner"])
+    def test_other_columns_are_written_by_json_text(self, default_report, column):
+        value = {"gap": math.nan, "beta": 2, "winner": 7}[column]
+        record = dataclasses.replace(default_report.records[0], **{column: value})
+        report = SandwichReport(default_report.config, (record,))
+        text = report.to_json()
+        assert text == json.dumps(json.loads(text), indent=2)
+        assert f'"{column}": {json.dumps(value)},' in text
 
     def test_seed_is_ignored(self, default_report):
         assert sandwich_sweep(SearchConfig(rng_seed=1)).records == default_report.records

@@ -91,6 +91,14 @@ def test_structural_rows_apply():
         assert all(Path(mutants.ROOT, f).is_file() for f in files)
 
 
+def test_guard_rows_apply():
+    # each guard row's text is written once in its module
+    for _, module, old, new, files in mutants.GUARDS:
+        assert (PACKAGE / module).read_text().count(old) == 1, old
+        assert old != new
+        assert all(Path(mutants.ROOT, f).is_file() for f in files)
+
+
 def test_require_valid_takes_only_the_assemblage():
     # one validity rule, at VALIDITY_TOL: no caller picks a tolerance
     from steerbound.assemblage import _require_valid
