@@ -23,12 +23,14 @@ CHSH value and extractability are both additive, and mixing the block
 lower bound itself: that line is the DI minimum. xi* lies above it and on
 or below the interpolation upper bound (eq8), its tangent at 2 sqrt 2.
 
-Every record of the sweep has one layout: six float columns, ``winner``
-and a witness of 65 floats (a 2x2 assemblage, theta and a 4x4 channel).
-So ``SandwichReport.to_json`` writes each record as one fill of a record
-template, the text ``json_text`` writes for that layout with a slot at
-each varying leaf, compiled once per process on first use, and not by
-walking the record's nested dicts. Its bytes are ``json_text``'s.
+A record holds six float columns, ``winner`` and its witness as
+``leaves``: a flat tuple of 65 floats (a 2x2 assemblage, theta and a 4x4
+channel), which the sweep reads from the witness stack in one ``tolist``.
+A record refuses any column or leaf that is no finite float, so every
+record fills one record template: ``SandwichReport.to_json`` writes it as
+one ``%`` of the text ``json_text`` writes for that layout, with a slot at
+each leaf, compiled once per process on first use. Its bytes are
+``json_text``'s, and there is no other path.
 """
 
 from __future__ import annotations
@@ -38,16 +40,17 @@ import functools
 import io
 import math
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
-from .assemblage import Assemblage, ValidationError, json_text, parse_json
+from .assemblage import ValidationError, json_text, parse_json
 from .fidelity import _fidelity_operators
 from .matkernel import ENDPOINT_SLACK, HERMITICITY_TOL, SEARCH_TOLERANCE, _ROUNDING
 from .matkernel import I2, PAULI_X, PAULI_Z, hermitian_min_eigvals
 from .selftest import analytic_bound, dephasing_channel, upper_bound
-from .steering import BETA_CLASSICAL, BETA_QUANTUM, chsh_functional
+from .steering import BETA_CLASSICAL, BETA_QUANTUM, _coefficients, check_theta
 
 
 def _is_int(v) -> bool:
@@ -131,18 +134,14 @@ def _witnesses(betas):
     return elements, [math.atan(v) for v in ms]
 
 
-def _witness_candidate(beta: float):
-    """One target's witness, as an Assemblage, and its angle theta*."""
-    elements, thetas = _witnesses([beta])
-    return Assemblage(elements[0]), thetas[0]
-
-
 @dataclass(frozen=True)
 class SandwichRecord:
     """One target's outcome. numeric_min is the identity channel's fidelity
     on the witness; its extractability lies in [numeric_min, numeric_min +
     gap]. winner is always "witness". residual is its |CHSH - beta| at its
-    angle witness["theta"]."""
+    angle witness["theta"]. ``leaves`` is the witness, a tuple of 65 floats
+    in ``_witness_layout``'s order. ValidationError unless every column and
+    leaf is a finite float and winner is a string."""
 
     beta: float
     numeric_min: float
@@ -151,7 +150,25 @@ class SandwichRecord:
     residual: float
     gap: float
     winner: str
-    witness: dict = field(repr=False)
+    leaves: tuple = field(repr=False)
+
+    def __post_init__(self):
+        columns = (self.beta, self.numeric_min, self.analytic_lower, self.eq8_upper, self.residual, self.gap)
+        values = (*columns, *self.leaves) if isinstance(self.leaves, tuple) else ()
+        if not (
+            isinstance(self.winner, str)
+            and len(values) == 71
+            and all(map(isinstance, values, repeat(float)))
+            and all(map(math.isfinite, values))
+        ):
+            raise ValidationError("a sandwich record needs six finite float columns, a string winner"
+                                  " and a tuple of 65 finite float leaves")
+
+    @property
+    def witness(self) -> dict:
+        """The witness as the report writes it: its assemblage, theta and
+        the channel's Choi matrix, in ``_witness_layout``."""
+        return _witness_layout(list(self.leaves))
 
     def passes(self, tolerance: float) -> bool:
         return (
@@ -188,10 +205,7 @@ class SandwichReport:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_COLUMNS)
-        for r in self.records:
-            writer.writerow(
-                [f"{v:.9g}" if isinstance(v, float) else v for v in (getattr(r, c) for c in _COLUMNS)]
-            )
+        writer.writerows([*(f"{getattr(r, c):.9g}" for c in _COLUMNS[:6]), r.winner] for r in self.records)
         return buf.getvalue()
 
 
@@ -209,7 +223,7 @@ def _compile(value, pad: str = "\n") -> str:
 
 
 def _witness_layout(v: list) -> dict:
-    """A record's witness as ``_records`` writes it, holding the 65 floats
+    """A record's witness as the report writes it, holding the 65 floats
     of ``v`` in order: each (a, x) element's re rows then im rows, theta,
     then the channel's re rows and im rows."""
     elements = [
@@ -224,78 +238,52 @@ def _witness_layout(v: list) -> dict:
     }
 
 
-def _shape(witness) -> tuple:
-    """What ``==`` on two witness dicts leaves out and ``json_text``
-    writes: the key order of each dict and the types of the integers."""
-    asm = witness["assemblage"]
-    ints = (asm["outcomes"], asm["settings"], *[e[k] for e in asm["elements"] for k in ("a", "x")])
-    return (list(witness), list(asm), *map(list, asm["elements"]), list(witness["channel"]), *map(type, ints))
-
-
 @functools.cache
-def _record_template() -> tuple:
-    """The record template and the ``_shape`` of ``_witness_layout``. The
-    template is ``json_text`` of a record at its indent in the report, with
-    a %s slot for each of its 72 varying leaves: the six float columns,
-    winner, then the witness's 65 floats in ``_witness_layout``'s order.
-    Compiled once, on first use; the number of targets does not change it."""
-    witness = _witness_layout([_SLOT] * 65)
-    return _compile({**dict.fromkeys(_COLUMNS, _SLOT), "witness": witness}, _RECORD_PAD), _shape(witness)
+def _record_template() -> str:
+    """``json_text`` of a record at its indent in the report, with a %s
+    slot for each of its 72 varying leaves: the six float columns, winner,
+    then the witness's 65 floats in ``_witness_layout``'s order. Compiled
+    once, on first use; the number of targets does not change it."""
+    return _compile({**dict.fromkeys(_COLUMNS, _SLOT), "witness": _witness_layout([_SLOT] * 65)}, _RECORD_PAD)
 
 
 def _record_text(r: SandwichRecord) -> str:
-    """``json_text`` of the record at ``_RECORD_PAD``, as the record
-    template filled with its leaves' texts. Every record of the sweep fills
-    it: the witness is in ``_witness_layout``'s layout, and every leaf is a
-    finite float (the targets are checked, and the witness, the residual
-    and the gap are finite by construction), so ``float.__repr__`` writes
-    it as ``json_text`` does. Any other record (a NaN, an int leaf, another
-    layout) is written by ``json_text``."""
-    w = r.witness
-    template, shape = _record_template()
-    try:
-        asm, channel = w["assemblage"], w["channel"]
-        leaves = [v for e in asm["elements"] for m in (e["re"], e["im"]) for row in m for v in row]
-        leaves.append(w["theta"])
-        leaves += [v for m in (channel["re"], channel["im"]) for row in m for v in row]
-        floats = [r.beta, r.numeric_min, r.analytic_lower, r.eq8_upper, r.residual, r.gap, *leaves]
-        texts = list(map(float.__repr__, floats))
-        texts.insert(6, _json_string(r.winner))
-        fits = math.isfinite(sum(floats)) and w == _witness_layout(leaves) and _shape(w) == shape
-    except (IndexError, KeyError, TypeError):  # too few leaves, a missing key, a leaf of another type
-        fits = False
-    if fits:
-        return template % tuple(texts)
-    return json_text({**{c: getattr(r, c) for c in _COLUMNS}, "witness": w}, _RECORD_PAD)
+    """``json_text`` of the record at ``_RECORD_PAD``: the record template
+    filled with its leaves' texts. Every leaf is a finite float (the record
+    refuses any other), so ``float.__repr__`` writes it as ``json_text``
+    does."""
+    columns = map(float.__repr__, (r.beta, r.numeric_min, r.analytic_lower, r.eq8_upper, r.residual, r.gap))
+    return _record_template() % (*columns, _json_string(r.winner), *map(float.__repr__, r.leaves))
 
 
 def _records(betas) -> tuple:
     """Each target's record: the identity channel's tr(J_id W) and the H = 0
     dual bound 2 lambda_max(W), from one witness stack, one W einsum and
-    one eigenvalue call."""
+    one eigenvalue call. The witness leaves come from one read of the
+    stack, and each residual from its [a][x] rows through the CHSH reader."""
     elements, thetas = _witnesses(betas)
     w = _fidelity_operators(elements)
     identity = dephasing_channel(0.0, 1.0).choi
     values = np.einsum("ij,nij->n", identity.conj(), w).real
     gaps = np.maximum(-2 * hermitian_min_eigvals(-w, HERMITICITY_TOL) - values, 0) + _ROUNDING
+    leaves = np.stack((elements.real, elements.imag), axis=3).reshape(-1, 32).tolist()
+    channel = tuple(np.stack((identity.real, identity.imag)).ravel().tolist())
+    rows = elements.reshape(-1, 2, 2, 4).tolist()
     return tuple(
         SandwichRecord(
-            beta=beta,
-            numeric_min=value,
-            analytic_lower=analytic_bound(beta),
-            eq8_upper=upper_bound(beta),
-            residual=abs(chsh_functional(asm, theta) - beta),
-            gap=gap,
-            winner="witness",
-            witness={
-                "assemblage": asm.to_dict(), "theta": theta,
-                "channel": {"re": identity.real.tolist(), "im": identity.imag.tolist()},
-            },
+            beta, value, analytic_bound(beta), upper_bound(beta), _residual(r, theta, beta), gap, "witness",
+            (*v, theta, *channel),
         )
-        for beta, asm, theta, value, gap in zip(
-            betas, map(Assemblage, elements), thetas, values.tolist(), gaps.tolist()
-        )
+        for beta, v, r, theta, value, gap in zip(betas, leaves, rows, thetas, values.tolist(), gaps.tolist())
     )
+
+
+def _residual(rows, theta: float, beta: float) -> float:
+    """|CHSH - beta| of one witness, ``abs(chsh_functional(asm, theta) -
+    beta)`` computed from its [a][x] rows by the same reader."""
+    check_theta(theta)
+    u, w = _coefficients(rows)
+    return abs(u * math.cos(theta) + w * math.sin(theta) - beta)
 
 
 def sandwich_sweep(cfg: SearchConfig) -> SandwichReport:

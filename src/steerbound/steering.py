@@ -38,13 +38,20 @@ def t_operators(theta: float) -> np.ndarray:
 
 
 def _chsh_coefficients(asm: Assemblage):
-    """(u, w) with beta(theta) = u cos(theta) + w sin(theta): u = 2 tr[Z(sigma_00
-    - sigma_10)] and w = 2 tr[X(sigma_01 - sigma_11)]. ValidationError unless
-    the assemblage is 2x2 and u and w are finite, each with an imaginary
-    residue of at most CHSH_RESIDUE_TOL. The one reader of the CHSH value."""
+    """``_coefficients`` of a 2x2 assemblage; ValidationError for any other
+    shape."""
     if asm.outcomes != 2 or asm.settings != 2:
         raise ValidationError("CHSH functional requires |A| = |X| = 2")
-    (s00, s01), (s10, s11) = asm.elements.reshape(2, 2, 4).tolist()  # [a][x]: [a, b, c, d] of sigma_{a|x}
+    return _coefficients(asm.elements.reshape(2, 2, 4).tolist())
+
+
+def _coefficients(rows):
+    """(u, w) with beta(theta) = u cos(theta) + w sin(theta): u = 2 tr[Z(sigma_00
+    - sigma_10)] and w = 2 tr[X(sigma_01 - sigma_11)], from ``rows[a][x]``, the
+    complex entries [a, b, c, d] of sigma_{a|x}. ValidationError unless u and
+    w are finite, each with an imaginary residue of at most CHSH_RESIDUE_TOL.
+    The one reader of the CHSH value."""
+    (s00, s01), (s10, s11) = rows
     u = 2 * ((s00[0] - s10[0]) - (s00[3] - s10[3]))
     w = 2 * ((s01[1] - s11[1]) + (s01[2] - s11[2]))
     if not (cmath.isfinite(u) and cmath.isfinite(w)):

@@ -7,10 +7,10 @@ up to the first blank line, each ``NAME = value  # reason``. Every row gives
 two mutants, the value times 1e3 and times 1e-3. The structural rows
 (``STRUCTURAL``) each drop one ``_require_valid`` call, replacing it with its
 argument, and ``GUARDS`` each remove one other guard: a tie rule, the kink
-check or the elements' immutable buffer. For each mutant, ``src/``,
-``tests/`` and ``pyproject.toml`` are copied to a temporary directory, its
-text (which must occur exactly once in its file) is replaced there, and its
-test files run with ``pytest -x``. A failing test kills the mutant; a mutant
+check, the elements' immutable buffer or the sandwich record's leaf guard.
+For each mutant, ``src/``, ``tests/`` and ``pyproject.toml`` are copied to a
+temporary directory, its text (which must occur exactly once in its file)
+is replaced there, and its test files run with ``pytest -x``. A failing test kills the mutant; a mutant
 whose tests all pass survives.
 
 The script prints one line per mutant and exits 1 when a mutant survives
@@ -73,8 +73,9 @@ STRUCTURAL = (
 
 # Every other structural guard, removed: (label, module, old text, new text,
 # the test files that must kill it). The tie rules fall back to the least
-# value alone, the kink check to no check, and the elements' immutable
-# buffer to a copy that is read-only by its flag only.
+# value alone, the kink check to no check, the elements' immutable buffer
+# to a copy that is read-only by its flag only, and the sandwich record's
+# guard to its winner and leaf-count checks alone (no type or finiteness).
 GUARDS = (
     ("intercepts tie rule", "selftest.py", "np.argmax(g <= g.min(axis=1, keepdims=True) + BREAKPOINT_TIE, axis=1)",
      "np.argmin(g, axis=1)", ("tests/test_selftest.py",)),
@@ -84,6 +85,9 @@ GUARDS = (
      ("tests/test_selftest.py",)),
     ("immutable elements", "assemblage.py", "np.frombuffer(given.tobytes(), complex).reshape(given.shape)",
      "given.copy(); elements.flags.writeable = False", ("tests/test_assemblage.py",)),
+    ("record leaf guard", "numsearch.py",
+     "            and all(map(isinstance, values, repeat(float)))\n            and all(map(math.isfinite, values))\n",
+     "", ("tests/test_numsearch.py",)),
 )
 
 # mutant label -> why no test can tell that mutant from the program

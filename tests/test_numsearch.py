@@ -38,7 +38,7 @@ from steerbound.numsearch import (
     SandwichReport,
     SearchConfig,
     _records,
-    _witness_candidate,
+    _witnesses,
     sandwich_sweep,
 )
 from steerbound.selftest import (
@@ -60,6 +60,24 @@ def xi_star(beta):
 def single_record(beta):
     """The sandwich record of the one target beta."""
     return sandwich_sweep(SearchConfig(beta_targets=(beta,))).records[0]
+
+
+def witness_candidate(beta):
+    """One target's witness, as an Assemblage, and its angle theta*."""
+    elements, thetas = _witnesses([beta])
+    return Assemblage(elements[0]), thetas[0]
+
+
+def leaves_of(witness):
+    """The leaves of a witness dict in document order, without the
+    assemblage's outcomes and settings and each element's a and x: a
+    record's ``leaves`` for a witness in the sweep's layout."""
+    if isinstance(witness, dict):
+        skip = ("outcomes", "settings", "a", "x")
+        return tuple(v for key, item in witness.items() if key not in skip for v in leaves_of(item))
+    if isinstance(witness, list):
+        return tuple(v for item in witness for v in leaves_of(item))
+    return (witness,)
 
 
 # one eigendecomposition to start, then per stage at most one per Newton
@@ -291,7 +309,7 @@ class TestWitness:
 
     def test_extractability_is_closed_form(self):
         for beta in self.BETAS:
-            value, _, gap = extractability(_witness_candidate(beta)[0])
+            value, _, gap = extractability(witness_candidate(beta)[0])
             assert gap <= 1e-9
             assert abs(value - xi_star(beta)) <= gap + 1e-12
 
@@ -300,13 +318,13 @@ class TestWitness:
         # solve, and their own gap is at the rounding floor
         records = sandwich_sweep(SearchConfig(beta_targets=tuple(self.BETAS))).records
         for record in records:
-            value, _, gap = extractability(_witness_candidate(record.beta)[0])
+            value, _, gap = extractability(witness_candidate(record.beta)[0])
             assert abs(record.numeric_min - value) <= gap + 1e-12
             assert record.gap <= 1e-13
 
     def test_theta_star_maximises_chsh(self):
         for beta in self.BETAS:
-            asm, theta = _witness_candidate(beta)
+            asm, theta = witness_candidate(beta)
             assert validate(asm).passed
             assert asm.max_marginal_deviation() <= 1e-15
             theta_max, beta_max = max_violation_over_theta(asm)
@@ -315,7 +333,7 @@ class TestWitness:
 
     def test_clamped_at_maximal_violation(self):
         # beta^2/4 - 1 rounds above 1 at 2 sqrt 2; the clamp keeps m = 1
-        asm, theta = _witness_candidate(BETA_QUANTUM)
+        asm, theta = witness_candidate(BETA_QUANTUM)
         assert theta == math.pi / 4
         np.testing.assert_allclose(asm.elements, chsh_reference().elements, atol=1e-15)
 
@@ -401,7 +419,7 @@ class TestDefaultSweep:
         # the first two, and one 1e3 times lower 37 for the last three
         calls, counts = count_eigh(monkeypatch), []
         for beta in SearchConfig().beta_targets:
-            witness = _witness_candidate(beta)[0]
+            witness = witness_candidate(beta)[0]
             calls.clear()
             extractability(witness)
             counts.append(len(calls))
@@ -455,44 +473,82 @@ class TestDefaultSweep:
             lambda w: w["channel"]["im"][3].__setitem__(3, -math.inf),
             lambda w: w["assemblage"]["elements"][1]["re"][0].__setitem__(1, 1),
             lambda w: w.__setitem__("theta", True),
-            lambda w: w["assemblage"].__setitem__("outcomes", 2.0),
-            lambda w: w["assemblage"]["elements"][3].__setitem__("x", True),
             lambda w: w["assemblage"]["elements"][2]["im"].append([0.0, 0.0]),
             lambda w: w["channel"]["re"].pop(),
             lambda w: w["assemblage"]["elements"].pop(),
             lambda w: w.update(note="extra"),
-            lambda w: w.update({"theta": w.pop("theta")}),
-            lambda w: w["assemblage"]["elements"][0].update({"a": w["assemblage"]["elements"][0].pop("a")}),
             lambda w: w.pop("channel"),
             lambda w: w.__setitem__("assemblage", [1.0]),
             lambda w: w.update(assemblage={"outcomes": 2, "settings": 2, "elements": []}, channel={"re": [], "im": []}),
         ],
-        ids=["nan", "-inf", "int leaf", "bool leaf", "float outcomes", "bool x", "3 rows", "3 channel rows",
-             "3 elements", "extra key", "key order", "element key order", "no channel", "list assemblage",
-             "theta alone"],
+        ids=["nan", "-inf", "int leaf", "bool leaf", "3 rows", "3 channel rows", "3 elements", "extra key",
+             "no channel", "list assemblage", "theta alone"],
     )
-    def test_other_records_are_written_by_json_text(self, default_report, edit):
-        # a record outside the sweep's layout is still json.dumps's bytes
+    def test_other_witnesses_are_refused(self, default_report, edit):
+        # a witness outside the sweep's layout, or with a leaf that is no
+        # finite float, makes no record: every record fills the template
         record = default_report.records[1]
-        witness = json.loads(json.dumps(record.witness))
+        witness = record.witness
         edit(witness)
-        records = (default_report.records[0], dataclasses.replace(record, witness=witness))
-        report = SandwichReport(default_report.config, records)
-        form = {
-            "config": report.config.to_dict(),
-            "passed": report.passed,
-            "records": [{**{c: getattr(r, c) for c in _COLUMNS}, "witness": r.witness} for r in records],
-        }
-        assert report.to_json() == json.dumps(form, indent=2)
+        with pytest.raises(ValidationError, match="sandwich record"):
+            dataclasses.replace(record, leaves=leaves_of(witness))
 
-    @pytest.mark.parametrize("column", ["gap", "beta", "winner"])
-    def test_other_columns_are_written_by_json_text(self, default_report, column):
-        value = {"gap": math.nan, "beta": 2, "winner": 7}[column]
-        record = dataclasses.replace(default_report.records[0], **{column: value})
-        report = SandwichReport(default_report.config, (record,))
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda w: w["assemblage"].__setitem__("outcomes", 2.0),
+            lambda w: w["assemblage"]["elements"][3].__setitem__("x", True),
+            lambda w: w.update({"theta": w.pop("theta")}),
+            lambda w: w["assemblage"]["elements"][0].update({"a": w["assemblage"]["elements"][0].pop("a")}),
+        ],
+        ids=["float outcomes", "bool x", "key order", "element key order"],
+    )
+    def test_witness_layout_is_fixed(self, default_report, edit):
+        # the leaves hold no keys and no integers: a record's witness always
+        # has the sweep's key order and integer types
+        record = default_report.records[1]
+        witness = record.witness
+        edit(witness)
+        held = dataclasses.replace(record, leaves=leaves_of(witness))
+        assert json.dumps(held.witness) != json.dumps(witness)
+        text = SandwichReport(default_report.config, (held,)).to_json()
+        assert text == json.dumps(json.loads(text), indent=2)
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [("gap", math.nan), ("beta", 2), ("winner", 7), ("residual", math.inf), ("numeric_min", -math.inf),
+         ("eq8_upper", True)],
+    )
+    def test_other_columns_are_refused(self, default_report, column, value):
+        with pytest.raises(ValidationError, match="sandwich record"):
+            dataclasses.replace(default_report.records[0], **{column: value})
+
+    @pytest.mark.parametrize("count, refused", [(64, True), (65, False), (66, True)])
+    def test_leaf_count_edge(self, default_report, count, refused):
+        leaves = (default_report.records[0].leaves * 2)[:count]
+        if refused:
+            with pytest.raises(ValidationError, match="65 finite float leaves"):
+                dataclasses.replace(default_report.records[0], leaves=leaves)
+        else:
+            assert dataclasses.replace(default_report.records[0], leaves=leaves) == default_report.records[0]
+
+    def test_leaves_must_be_a_tuple(self, default_report):
+        record = default_report.records[0]
+        for leaves in (list(record.leaves), record.witness, None):
+            with pytest.raises(ValidationError, match="tuple of 65"):
+                dataclasses.replace(record, leaves=leaves)
+
+    def test_float_subclass_targets(self):
+        # np.float64 is a float: its targets sweep, and every leaf is
+        # written as json.dumps writes it
+        report = sandwich_sweep(SearchConfig(beta_targets=(np.float64(2.5), 2.7)))
+        assert type(report.records[0].beta) is np.float64
         text = report.to_json()
         assert text == json.dumps(json.loads(text), indent=2)
-        assert f'"{column}": {json.dumps(value)},' in text
+        assert json.loads(text)["records"][0]["beta"] == 2.5
+        record = report.records[1]
+        held = dataclasses.replace(record, leaves=tuple(map(np.float64, record.leaves)))
+        assert SandwichReport(report.config, (held,)).to_json() == SandwichReport(report.config, (record,)).to_json()
 
     def test_seed_is_ignored(self, default_report):
         assert sandwich_sweep(SearchConfig(rng_seed=1)).records == default_report.records
@@ -524,14 +580,20 @@ def one_fidelity_operator(asm):
 
 def per_witness_records(betas):
     """The sweep's records built one witness and one W at a time, then
-    stacked for the eigenvalue call."""
-    witnesses = [_witness_candidate(beta) for beta in betas]
+    stacked for the eigenvalue call, each witness written as a dict and
+    read into its leaves."""
+    witnesses = [witness_candidate(beta) for beta in betas]
     w = np.array([fidelity_operator(asm) for asm, _ in witnesses])
     identity = dephasing_channel(0.0, 1.0).choi
     values = np.einsum("ij,nij->n", identity.conj(), w).real
     gaps = np.maximum(-2 * hermitian_min_eigvals(-w, HERMITICITY_TOL) - values, 0) + fidelity._ROUNDING
-    return tuple(
-        SandwichRecord(
+    records = []
+    for beta, (asm, theta), value, gap in zip(betas, witnesses, values.tolist(), gaps.tolist()):
+        witness = {
+            "assemblage": asm.to_dict(), "theta": theta,
+            "channel": {"re": identity.real.tolist(), "im": identity.imag.tolist()},
+        }
+        record = SandwichRecord(
             beta=beta,
             numeric_min=value,
             analytic_lower=analytic_bound(beta),
@@ -539,13 +601,11 @@ def per_witness_records(betas):
             residual=abs(chsh_functional(asm, theta) - beta),
             gap=gap,
             winner="witness",
-            witness={
-                "assemblage": asm.to_dict(), "theta": theta,
-                "channel": {"re": identity.real.tolist(), "im": identity.imag.tolist()},
-            },
+            leaves=leaves_of(witness),
         )
-        for beta, (asm, theta), value, gap in zip(betas, witnesses, values.tolist(), gaps.tolist())
-    )
+        assert json.dumps(record.witness) == json.dumps(witness)
+        records.append(record)
+    return tuple(records)
 
 
 class TestStackedSweep:
@@ -560,7 +620,7 @@ class TestStackedSweep:
 
     def test_witness_matches_one_target_formula(self):
         for beta in seeded_targets():
-            asm, theta = _witness_candidate(beta)
+            asm, theta = witness_candidate(beta)
             assert asm.elements.tobytes() == one_witness(beta).elements.tobytes(), beta
             assert theta == math.atan(min(1.0, math.sqrt(beta * beta / 4 - 1)))
 
@@ -589,15 +649,35 @@ class TestStackedSweep:
         assert shapes == [(5, 2, 2, 2, 2)]
 
     def test_records_share_no_list(self, default_report):
-        # every record owns its witness dict, down to each row
-        seen = set()
+        # each record's leaves are an immutable tuple, and every read of its
+        # witness builds its own dict, down to each row
+        seen, witnesses = set(), []
         for record in default_report.records:
-            assemblage = record.witness["assemblage"]["elements"]
-            lists = [entry[key] for entry in assemblage for key in ("re", "im")]
-            lists += [row for matrix in lists for row in matrix]
-            ids = {id(v) for v in lists}
-            assert len(ids) == len(lists) and not seen & ids
-            seen |= ids
+            assert type(record.leaves) is tuple
+            for _ in range(2):
+                witnesses.append(record.witness)  # kept alive, so no id is reused
+                elements = witnesses[-1]["assemblage"]["elements"]
+                lists = [entry[key] for entry in elements for key in ("re", "im")]
+                lists += [row for matrix in lists for row in matrix]
+                ids = {id(v) for v in lists}
+                assert len(ids) == len(lists) and not seen & ids
+                seen |= ids
+
+    def test_residuals_match_chsh_functional(self):
+        # each residual is abs(chsh_functional - beta) on the target's own
+        # Assemblage, bit for bit
+        betas = seeded_targets()
+        elements, thetas = _witnesses(betas)
+        for record, beta, element, theta in zip(_records(betas), betas, elements, thetas):
+            assert record.residual == abs(chsh_functional(Assemblage(element), theta) - beta), beta
+
+    def test_records_construct_no_assemblage(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("_records must not build an Assemblage or its dict")
+
+        monkeypatch.setattr(Assemblage, "__post_init__", unused)
+        monkeypatch.setattr(Assemblage, "to_dict", unused)
+        assert len(_records(seeded_targets())) == 500
 
 
 class TestSandwich:
