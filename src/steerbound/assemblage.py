@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import add
 
@@ -33,8 +34,9 @@ from .matkernel import (
     VALIDITY_TOL,
     WEIGHT_SUM_TOL,
     ValidationError,
-    _hermitian_lower,
+    _hermitian_deviation,
     _largest,
+    _mean_radius,
     _rows,
     _smallest,
     density_matrix,
@@ -53,7 +55,9 @@ class Assemblage:
     copies what it is given into an immutable ``bytes`` buffer and keeps a
     view of it, so neither a caller nor a holder of the assemblage can
     write the elements: numpy refuses to turn writes on for that view and
-    for its base.
+    for its base. So what is read from them cannot go stale and is kept:
+    ``_rows``, their floats as ``matkernel._rows`` reads them, as tuples
+    (row a * settings + x is sigma_{a|x}), and ``validate``'s measures.
     """
 
     elements: np.ndarray = field(repr=False)
@@ -70,6 +74,7 @@ class Assemblage:
             nonfinite = [(int(a), int(x)) for a, x in np.argwhere(~finite.all(axis=(2, 3)))]
             raise ValidationError(f"non-finite entries in sigma_(a|x) for (a, x) in {nonfinite}")
         object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "_rows", tuple(map(tuple, _rows(elements))))
 
     @property
     def outcomes(self) -> int:
@@ -83,12 +88,29 @@ class Assemblage:
         """p(a|x) = tr sigma_{a|x}, as an (outcomes, settings) array."""
         return np.trace(self.elements, axis1=2, axis2=3).real
 
+    @cached_property
+    def _measures(self) -> tuple:
+        """``validate``'s measures, none of which depends on a tolerance:
+        the largest |M - M^dagger| entry, the least mean - radius and the
+        no-signaling and normalization deviations, from ``_rows``."""
+        rows, settings = self._rows, self.settings
+        marginals = rows[:settings]  # Bob's marginal for each setting, summed over a in order
+        for start in range(settings, len(rows), settings):
+            marginals = [list(map(add, m, row)) for m, row in zip(marginals, rows[start : start + settings])]
+        first = marginals[0]  # |m - first| entry by entry, from the parts at i and i + 1
+        gaps = [math.hypot(m[i] - first[i], m[i + 1] - first[i + 1]) for m in marginals for i in (0, 2, 4, 6)]
+        return (
+            _hermitian_deviation(rows),
+            _smallest([mean - radius for mean, radius in _mean_radius(rows)]),
+            _largest(gaps),
+            _largest([abs(m[0] + m[6] - 1) for m in marginals]),
+        )
+
     def max_marginal_deviation(self) -> float:
         """max_{a,x} |p(a|x) - 1/|A||; zero for uniform-marginal assemblages.
-        The elements are read once, as rows of floats (see
-        ``matkernel._rows``); finite entries give no NaN."""
+        Read from ``_rows``; finite entries give no NaN."""
         uniform = 1.0 / self.outcomes
-        return max(abs(row[0] + row[6] - uniform) for row in _rows(self.elements))
+        return max(abs(row[0] + row[6] - uniform) for row in self._rows)
 
     def mix(self, other: "Assemblage", weight: float) -> "Assemblage":
         """Convex mixture weight*self + (1-weight)*other. ValidationError
@@ -377,24 +399,16 @@ def validate(asm: Assemblage, tol: float = VALIDITY_TOL) -> ValidationReport:
     """Report PSD margins and no-signaling and normalization deviations
     (every entry is finite: ``Assemblage`` refuses the rest). An assemblage
     with an element that is not Hermitian within tol fails, with no PSD
-    margin (NaN). Every quantity comes from one read of the elements, as
-    Python numbers (see ``matkernel._rows``); an overflow to NaN still
-    fails."""
-    rows = _rows(asm.elements)  # rows[a * settings + x]: sigma_{a|x} as the parts of [a, b, c, d]
-    try:
-        psd_margin, hermitian = _smallest(_hermitian_lower(rows, tol)), True
-    except ValidationError:
-        psd_margin, hermitian = math.nan, False
-    settings = asm.settings
-    marginals = rows[:settings]  # Bob's marginal for each setting, summed over a in order
-    for start in range(settings, len(rows), settings):
-        marginals = [list(map(add, m, row)) for m, row in zip(marginals, rows[start : start + settings])]
-    first = marginals[0]  # |m - first| entry by entry, from the parts at i and i + 1
-    gaps = [math.hypot(m[i] - first[i], m[i + 1] - first[i + 1]) for m in marginals for i in (0, 2, 4, 6)]
+    margin (NaN). Each call compares the assemblage's kept measures
+    (``Assemblage._measures``, read once as Python floats; none depends on
+    ``tol``) with its own ``tol``, so no earlier call at another tolerance
+    changes a report. An overflow to NaN still fails."""
+    deviation, least, no_signaling, normalization = asm._measures
+    hermitian = deviation <= tol  # NaN fails
     return ValidationReport(
-        psd_margin=psd_margin,
-        no_signaling_deviation=_largest(gaps),
-        normalization_deviation=_largest([abs(m[0] + m[6] - 1) for m in marginals]),
+        psd_margin=least if hermitian else math.nan,
+        no_signaling_deviation=no_signaling,
+        normalization_deviation=normalization,
         tol=tol,
         hermitian=hermitian,
     )

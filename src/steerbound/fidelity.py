@@ -141,6 +141,13 @@ def _trace_out(choi: np.ndarray) -> np.ndarray:
 _REFERENCE = chsh_reference()
 _REFERENCE_P = _REFERENCE.probabilities()
 _REFERENCE_STATES = _REFERENCE.elements / _REFERENCE_P[..., None, None]
+# tr(J W) = sum over (a, x) of (row . v_ax) / sqrt(p(a|x)), row the ``_rows`` floats
+# of sigma_{a|x} and v = _REFERENCE_MAP @ J.ravel() read as floats, a * 2 + x major:
+# v_ax[j, i] = (sqrt(p*(a|x)) / |X|) sum_cd J[(i, c), (j, d)] conj(rho*_{a|x}[c, d])
+_REFERENCE_MAP = np.einsum(
+    "ax,axcd,ik,jl->axjikcld", np.sqrt(_REFERENCE_P) / _REFERENCE.settings, _REFERENCE_STATES.conj(), I2, I2
+).reshape(16, 16)
+_REFERENCE_MAP.flags.writeable = False
 
 
 def fidelity_operator(asm: Assemblage) -> np.ndarray:
@@ -153,9 +160,13 @@ def fidelity_operator(asm: Assemblage) -> np.ndarray:
     needs every rho* to be pure. Elements with p(a|x) below PROB_FLOOR
     contribute zero, as in assemblage_fidelity.
     """
+    _check_reference_shape(asm)
+    return _fidelity_operators(asm.elements)
+
+
+def _check_reference_shape(asm: Assemblage) -> None:
     if asm.elements.shape != _REFERENCE.elements.shape:
         raise ValidationError("extractability needs a two-setting, two-outcome assemblage")
-    return _fidelity_operators(asm.elements)
 
 
 def _fidelity_operators(elements: np.ndarray) -> np.ndarray:

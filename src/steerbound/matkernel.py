@@ -97,20 +97,16 @@ def _mean_radius(rows: list) -> list:
     ]
 
 
-def _hermitian_lower(rows: list, tol: float) -> list:
-    """mean - radius, the smallest eigenvalue, of each matrix given by a row
-    of ``_rows``; ValidationError unless every matrix is Hermitian within
-    ``tol``. The 2x2 rule of ``hermitian_min_eigvals``, for a caller that
-    has read the stack already. |M - M^dagger| has the entries |a - a*|,
-    |d - d*| and, twice, |b - c*|."""
+def _hermitian_deviation(rows: list) -> float:
+    """The largest |M - M^dagger| entry over the matrices given by rows of
+    ``_rows`` (NaN for a non-finite entry): |M - M^dagger| has the entries
+    |a - a*|, |d - d*| and, twice, |b - c*|."""
     hypot = math.hypot
-    deviations = [
+    return _largest([
         gap
         for ar, ai, br, bi, cr, ci, dr, di in rows
         for gap in (hypot(ar - ar, ai + ai), hypot(br - cr, bi + ci), hypot(dr - dr, di + di))
-    ]
-    _check_hermitian(_largest(deviations), tol)
-    return [mean - radius for mean, radius in _mean_radius(rows)]
+    ])
 
 
 def _check_hermitian(deviation: float, tol: float) -> None:
@@ -133,8 +129,8 @@ def hermitian_min_eigvals(m: np.ndarray, tol: float) -> np.ndarray:
 
     ValidationError on any other shape, and unless every entry of every
     matrix is finite and within ``tol`` of the adjoint's. This is the one
-    place that decides Hermiticity (``validate`` calls its 2x2 rule,
-    ``_hermitian_lower``, on the stack it has read).
+    place that decides Hermiticity (``validate`` compares the same 2x2
+    deviation, ``_hermitian_deviation``, with its tolerance).
 
     A 2x2 stack is read once with ``tolist`` (``_rows``); each matrix's
     deviations |M - M^dagger| and its mean - radius are Python arithmetic
@@ -144,7 +140,9 @@ def hermitian_min_eigvals(m: np.ndarray, tol: float) -> np.ndarray:
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] not in (2, 4):
         raise ValidationError(f"expected a stack of 2x2 or 4x4 matrices, got shape {m.shape}")
     if m.shape[-1] == 2:
-        return np.array(_hermitian_lower(_rows(m), tol), dtype=float).reshape(m.shape[:-2])
+        rows = _rows(m)
+        _check_hermitian(_hermitian_deviation(rows), tol)
+        return np.array([mean - radius for mean, radius in _mean_radius(rows)], dtype=float).reshape(m.shape[:-2])
     adjoint = m.conj().swapaxes(-1, -2)
     with np.errstate(invalid="ignore"):  # inf - inf
         _check_hermitian(np.abs(m - adjoint).max(initial=0.0), tol)

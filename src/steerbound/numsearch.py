@@ -48,7 +48,7 @@ import numpy as np
 from .assemblage import ValidationError, json_text, parse_json
 from .fidelity import _fidelity_operators
 from .matkernel import ENDPOINT_SLACK, HERMITICITY_TOL, SEARCH_TOLERANCE, _ROUNDING
-from .matkernel import I2, PAULI_X, PAULI_Z, hermitian_min_eigvals
+from .matkernel import I2, PAULI_X, PAULI_Z, _rows, hermitian_min_eigvals
 from .selftest import analytic_bound, dephasing_channel, upper_bound
 from .steering import BETA_CLASSICAL, BETA_QUANTUM, _coefficients, check_theta
 
@@ -260,7 +260,8 @@ def _records(betas) -> tuple:
     """Each target's record: the identity channel's tr(J_id W) and the H = 0
     dual bound 2 lambda_max(W), from one witness stack, one W einsum and
     one eigenvalue call. The witness leaves come from one read of the
-    stack, and each residual from its [a][x] rows through the CHSH reader."""
+    stack, and each residual from its four ``matkernel._rows`` rows through
+    the CHSH reader."""
     elements, thetas = _witnesses(betas)
     w = _fidelity_operators(elements)
     identity = dephasing_channel(0.0, 1.0).choi
@@ -268,7 +269,8 @@ def _records(betas) -> tuple:
     gaps = np.maximum(-2 * hermitian_min_eigvals(-w, HERMITICITY_TOL) - values, 0) + _ROUNDING
     leaves = np.stack((elements.real, elements.imag), axis=3).reshape(-1, 32).tolist()
     channel = tuple(np.stack((identity.real, identity.imag)).ravel().tolist())
-    rows = elements.reshape(-1, 2, 2, 4).tolist()
+    flat = _rows(elements)
+    rows = [flat[i : i + 4] for i in range(0, len(flat), 4)]  # each target's four rows
     return tuple(
         SandwichRecord(
             beta, value, analytic_bound(beta), upper_bound(beta), _residual(r, theta, beta), gap, "witness",
@@ -280,7 +282,7 @@ def _records(betas) -> tuple:
 
 def _residual(rows, theta: float, beta: float) -> float:
     """|CHSH - beta| of one witness, ``abs(chsh_functional(asm, theta) -
-    beta)`` computed from its [a][x] rows by the same reader."""
+    beta)`` computed from its four rows by the same reader."""
     check_theta(theta)
     u, w = _coefficients(rows)
     return abs(u * math.cos(theta) + w * math.sin(theta) - beta)

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
 from .assemblage import Assemblage, _require_valid
-from .fidelity import ExtractionChannel, fidelity_operator
-from .matkernel import BREAKPOINT_TIE, ENDPOINT_SLACK, MARGINAL_WINDOW, _KINK_TOL
+from .fidelity import _REFERENCE_MAP, ExtractionChannel, _check_reference_shape
+from .matkernel import BREAKPOINT_TIE, ENDPOINT_SLACK, MARGINAL_WINDOW, PROB_FLOOR, _KINK_TOL
 from .matkernel import INEQUALITY_SLACK  # noqa: F401 (re-exported: verify-inequality's slack)
 from .matkernel import I2, PAULI_X, PAULI_Z, ValidationError
 from .steering import BETA_CLASSICAL, BETA_QUANTUM, _chsh_coefficients, _maximum, check_theta
@@ -76,8 +77,11 @@ def dephasing_channel(theta: float, c: float) -> ExtractionChannel:
 def dephasing_coefficient(theta, s):
     """c(theta) = 4s sin(theta) on the first interval and 4s cos(theta) on
     the second, clipped to [-1, 1], where the map is a channel: it saturates
-    at 1 for s >= 0 and at -1 for s < 0. Broadcasts over theta and s."""
+    at 1 for s >= 0 and at -1 for s < 0. Broadcasts over theta and s; two
+    Python floats give a Python float, by ``math`` with the same bits."""
     check_theta(theta)
+    if type(theta) is float and type(s) is float:
+        return min(max(4 * s * (math.sin(theta) if first_interval(theta) else math.cos(theta)), -1.0), 1.0)
     return _coefficient_rule(s, first_interval(theta), np.cos(theta), np.sin(theta))
 
 
@@ -231,8 +235,17 @@ def upper_bound(beta: float) -> float:
 
 def extractability_with_channel(asm: Assemblage, channel: ExtractionChannel) -> float:
     """Fidelity of the reference with the channel applied elementwise,
-    tr(J W): a lower-bound witness for extractability at this fixed channel."""
-    return float(np.vdot(channel.choi, fidelity_operator(asm)).real)
+    tr(J W) with W = ``fidelity_operator(asm)``, from the assemblage's rows
+    and ``fidelity._REFERENCE_MAP``, no W built (p(a|x) below PROB_FLOOR
+    adds zero): a lower-bound witness for extractability at this channel."""
+    _check_reference_shape(asm)
+    v = (_REFERENCE_MAP @ np.reshape(channel.choi, 16)).view(float).tolist()
+    total = 0.0
+    for k, row in enumerate(asm._rows):
+        p = row[0] + row[6]
+        if p >= PROB_FLOOR:
+            total += sum(map(mul, row, v[8 * k : 8 * k + 8])) / math.sqrt(p)
+    return total
 
 
 def certified_lower_bound(asm: Assemblage, theta: float) -> float:

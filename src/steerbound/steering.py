@@ -8,7 +8,6 @@ with T_{00} = -T_{10} = 2cos(t)Z and T_{01} = -T_{11} = 2sin(t)X.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -38,28 +37,31 @@ def t_operators(theta: float) -> np.ndarray:
 
 
 def _chsh_coefficients(asm: Assemblage):
-    """``_coefficients`` of a 2x2 assemblage; ValidationError for any other
-    shape."""
+    """``_coefficients`` of a 2x2 assemblage, from the rows it keeps;
+    ValidationError for any other shape."""
     if asm.outcomes != 2 or asm.settings != 2:
         raise ValidationError("CHSH functional requires |A| = |X| = 2")
-    return _coefficients(asm.elements.reshape(2, 2, 4).tolist())
+    return _coefficients(asm._rows)
 
 
 def _coefficients(rows):
     """(u, w) with beta(theta) = u cos(theta) + w sin(theta): u = 2 tr[Z(sigma_00
-    - sigma_10)] and w = 2 tr[X(sigma_01 - sigma_11)], from ``rows[a][x]``, the
-    complex entries [a, b, c, d] of sigma_{a|x}. ValidationError unless u and
-    w are finite, each with an imaginary residue of at most CHSH_RESIDUE_TOL.
-    The one reader of the CHSH value."""
-    (s00, s01), (s10, s11) = rows
-    u = 2 * ((s00[0] - s10[0]) - (s00[3] - s10[3]))
-    w = 2 * ((s01[1] - s11[1]) + (s01[2] - s11[2]))
-    if not (cmath.isfinite(u) and cmath.isfinite(w)):
-        raise ValidationError(f"CHSH coefficients not finite: u = {u}, w = {w}")
-    residue = max(abs(u.imag), abs(w.imag))
+    - sigma_10)] and w = 2 tr[X(sigma_01 - sigma_11)], from ``rows``, the
+    four ``matkernel._rows`` rows [Re a, Im a, Re b, Im b, Re c, Im c, Re d,
+    Im d] of sigma_00, sigma_01, sigma_10 and sigma_11. ValidationError
+    unless u and w are finite, each with an imaginary residue of at most
+    CHSH_RESIDUE_TOL. The one reader of the CHSH value."""
+    s00, s01, s10, s11 = rows
+    u = 2 * ((s00[0] - s10[0]) - (s00[6] - s10[6]))
+    u_im = 2 * ((s00[1] - s10[1]) - (s00[7] - s10[7]))
+    w = 2 * ((s01[2] - s11[2]) + (s01[4] - s11[4]))
+    w_im = 2 * ((s01[3] - s11[3]) + (s01[5] - s11[5]))
+    if not all(map(math.isfinite, (u, u_im, w, w_im))):
+        raise ValidationError(f"CHSH coefficients not finite: u = {complex(u, u_im)}, w = {complex(w, w_im)}")
+    residue = max(abs(u_im), abs(w_im))
     if residue > CHSH_RESIDUE_TOL:
         raise ValidationError(f"functional has imaginary residue {residue:.3e}")
-    return u.real, w.real
+    return u, w
 
 
 def chsh_functional(asm: Assemblage, theta: float) -> float:

@@ -21,6 +21,7 @@ from steerbound.assemblage import (
 )
 from steerbound.cli import main
 from steerbound.fidelity import appendix_b_strategy, state_fidelity
+from steerbound.selftest import certified_lower_bound
 from steerbound.matkernel import (
     I2,
     I4,
@@ -384,6 +385,47 @@ class TestValidate:
         assert not report.passed and not report.hermitian
         assert report.failures() == ["Hermiticity violated: a sigma_(a|x) differs from its adjoint by more than 1e-09"]
 
+    @pytest.mark.parametrize("least", [-1e-11, -1e-9])
+    def test_measures_do_not_depend_on_tol(self, least):
+        # validate keeps its measures on the assemblage; each call compares
+        # them with its own tol, so reports at 1e-13, VALIDITY_TOL and 1e-6,
+        # in either order, are those of a fresh instance. Off Hermitian by
+        # 1e-11, the assemblage fails at 1e-13 on Hermiticity alone; with a
+        # least eigenvalue of -1e-9 it fails at 1e-10 on positivity
+        elements = _near_boundary(least)
+        tols = (1e-13, 1e-10, 1e-6)
+        fresh = {tol: repr(validate(Assemblage(elements), tol)) for tol in tols}
+        for order in (tols, tols[::-1]):
+            asm = Assemblage(elements)
+            assert {tol: repr(validate(asm, tol)) for tol in order} == fresh
+            assert asm._measures[:2] == pytest.approx((1e-11, least), rel=1e-3)
+        strict, default, loose = (validate(Assemblage(elements), tol) for tol in tols)
+        assert not strict.hermitian and math.isnan(strict.psd_margin)
+        assert [f.split()[0] for f in strict.failures()] == ["Hermiticity"]
+        assert default.hermitian and default.passed == (least > -1e-10)
+        assert loose.passed and loose.psd_margin == pytest.approx(least, rel=1e-3)
+
+    def test_loose_validate_leaves_certification_strict(self):
+        # a passing validate at 1e-6 does not make the assemblage valid at
+        # VALIDITY_TOL for the certificate that checks it afterwards
+        asm = Assemblage(_near_boundary(-1e-9))
+        assert validate(asm, 1e-6).passed
+        with pytest.raises(ValidationError, match=r"^positivity violated: min eigenvalue -1\.000e-09$"):
+            certified_lower_bound(asm, 0.0)
+        assert validate(asm, 1e-6).passed
+
+
+def _near_boundary(least: float) -> np.ndarray:
+    """sigma_{a|0} = (I +- v Z)/4 with least eigenvalue (1 - v)/4 = least and
+    sigma_{a|1} = (I +- X/2)/4, each sigma_{a|1} off Hermitian by 1e-11 in
+    its upper corner (opposite signs, so Bob's marginals stay I/2): every
+    p(a|x) is 1/2 and the CHSH maximum is about 2.24."""
+    v = 1 - 4 * least
+    elements = np.array([[(I2 + s * v * PAULI_Z) / 4, (I2 + s * PAULI_X / 2) / 4] for s in (1, -1)])
+    elements[0, 1, 0, 1] += 1e-11
+    elements[1, 1, 0, 1] -= 1e-11
+    return elements
+
 
 def _skewed_reference() -> Assemblage:
     """chsh_reference() with +-[[0, 0.2], [-0.2, 0]] on sigma_{0|0} and
@@ -634,6 +676,14 @@ class TestLayout:
             asm.elements[0, 0] = 0
         source[0, 0] = 0  # the assemblage holds its own copy
         np.testing.assert_array_equal(asm.elements, chsh_reference().elements)
+
+    def test_kept_rows_are_the_elements_and_read_only(self, rng):
+        # the rows validate, the CHSH reader and the witness read are the
+        # elements' floats, kept as tuples that no holder can write
+        asm = realize(random_realization(rng))
+        assert asm._rows == tuple(map(tuple, asm.elements.view(float).reshape(-1, 8).tolist()))
+        with pytest.raises(TypeError):
+            asm._rows[0][0] = 0.0
 
     @pytest.mark.parametrize("kind", ["array", "read-only array", "read-only view", "real array", "list"])
     def test_callers_input_is_copied(self, kind):

@@ -27,7 +27,6 @@ from steerbound.matkernel import (
     HERMITICITY_TOL,
     I2,
     PAULI_X,
-    PAULI_Y,
     PAULI_Z,
     ValidationError,
     hermitian_min_eigvals,
@@ -48,6 +47,7 @@ from steerbound.selftest import (
     upper_bound,
 )
 from steerbound.steering import BETA_CLASSICAL, BETA_QUANTUM, chsh_functional, max_violation_over_theta
+from devices import general_assemblage
 
 SQRT2 = math.sqrt(2)
 
@@ -96,23 +96,6 @@ def count_eigh(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     return calls
-
-
-def general_assemblage(rng):
-    """sigma_{0|x} = sqrt(rho) E_x sqrt(rho) for random effects 0 <= E_x <= I:
-    Bob's marginal rho is not I/2 and p(a|x) is not 1/2, which moves the
-    dual optimum of the extractability solve away from H = 0."""
-    r = rng.normal(size=3)
-    r *= rng.uniform(0, 0.9) / np.linalg.norm(r)
-    vals, vecs = np.linalg.eigh((I2 + r[0] * PAULI_X + r[1] * PAULI_Y + r[2] * PAULI_Z) / 2)
-    root = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    elements = np.zeros((2, 2, 2, 2), dtype=complex)
-    for x in range(2):
-        u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        effect = (u * rng.uniform(0, 1, size=2)) @ u.conj().T
-        elements[0, x] = root @ effect @ root
-        elements[1, x] = root @ (I2 - effect) @ root
-    return Assemblage(elements)
 
 
 class TestConfig:

@@ -6,8 +6,8 @@ import pytest
 
 from steerbound.assemblage import Assemblage, chsh_reference, random_realization, realize, validate
 from steerbound.cli import main
-from steerbound.fidelity import assemblage_fidelity
-from steerbound.matkernel import I2, PAULI_X, PAULI_Z, ValidationError
+from steerbound.fidelity import ExtractionChannel, assemblage_fidelity, fidelity_operator
+from steerbound.matkernel import I2, KET0, PAULI_X, PAULI_Z, PROB_FLOOR, ValidationError, projector
 from steerbound import cli, selftest
 from steerbound.selftest import (
     _coefficient_rule,
@@ -32,6 +32,7 @@ from steerbound.selftest import (
     upper_bound,
 )
 from steerbound.steering import BETA_CLASSICAL, BETA_QUANTUM, chsh_functional, max_violation_over_theta, t_operators
+from devices import REFERENCE, Z_SHARP_X_BLANK, block_point, chord_device, device_point, general_assemblage
 
 SQRT2 = math.sqrt(2)
 
@@ -101,7 +102,7 @@ class TestDephasingChannel:
         pairs += zip(rng.uniform(0, math.pi / 2, 50), rng.uniform(-1, 1, 50))
         for theta, c in pairs:
             np.testing.assert_array_equal(dephasing_channel(theta, c).choi, formula(theta, c))
-        c = dephasing_coefficient(0.3, S_OPTIMAL)  # a numpy scalar, as the witness passes it
+        c = dephasing_coefficient(0.3, S_OPTIMAL)  # a Python float, as the witness passes it
         np.testing.assert_array_equal(dephasing_channel(0.3, c).choi, formula(0.3, c))
 
     def test_choi_constants_are_read_only(self):
@@ -153,6 +154,22 @@ class TestCoefficientRule:
                 scalar = _coefficient_rule(args[0], first, args[1], args[1])
                 assert type(scalar) is np.float64
                 assert scalar.tobytes() == np.clip(args[2], -1.0, 1.0).tobytes(), args[2]
+
+    def test_float_path_is_the_broadcast_path_bit_for_bit(self):
+        # two Python floats take the math path, the same angles as an array
+        # the numpy rule: the same bits on both intervals, at pi/4 exactly
+        # (the first interval) and its next float, at both ends, saturated
+        # at +-1 and for negative s and -0.0
+        rng = np.random.default_rng(31)
+        thetas = [0.0, math.pi / 4, math.nextafter(math.pi / 4, 2.0), math.pi / 2]
+        thetas += rng.uniform(0, math.pi / 2, 40).tolist()
+        seen = set()
+        for s in (S_OPTIMAL, -S_OPTIMAL, 0.7, -0.7, 0.0, -0.0, -3.0, *rng.uniform(-1, 1, 10).tolist()):
+            got = [dephasing_coefficient(theta, s) for theta in thetas]
+            assert {type(c) for c in got} == {float}
+            assert np.array(got).tobytes() == dephasing_coefficient(np.array(thetas), s).tobytes(), s
+            seen.update(got)
+        assert {1.0, -1.0} <= seen
 
     def test_k_operators_first_interval(self):
         # K_{ax}, the channel's dual image of the reference state
@@ -560,6 +577,57 @@ class TestCertification:
         ch = dephasing_channel(0.5, 1.0)
         f = extractability_with_channel(chsh_reference(), ch)
         assert f == pytest.approx(1.0, abs=1e-12)
+
+    def test_witness_is_the_fidelity_operator_trace(self):
+        # tr(J W) read from the rows and the reference map, against the
+        # formula np.vdot(J, W).real, within 1e-15: dephasing channels on both
+        # intervals and a random channel, on seeded uniform items, general
+        # assemblages and an item with p(0|0) below PROB_FLOOR, whose term
+        # (about 7e-7 if it were kept) must be dropped
+        rng = np.random.default_rng(29)
+        isometry = np.linalg.qr(rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2)))[0]
+        kets = [k.T.reshape(4) for k in isometry.reshape(4, 2, 2)]  # |K>> of each Kraus operator
+        random_choi = sum(np.outer(ket, ket.conj()) for ket in kets)
+        np.testing.assert_allclose(random_choi.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3), I2, atol=1e-14)
+        channels = [dephasing_channel(theta, c) for theta in (0.3, 1.2) for c in (-0.6, 1.0)]
+        channels += [dephasing_channel(theta, dephasing_coefficient(theta, S_OPTIMAL)) for theta in (0.3, 1.2)]
+        channels.append(ExtractionChannel(random_choi))
+        faint = PROB_FLOOR / 2 * projector(KET0)
+        items = [realize(random_realization(rng, uniform_marginals=True)) for _ in range(20)]
+        items += [general_assemblage(rng) for _ in range(20)]
+        items.append(Assemblage([[faint, (I2 + PAULI_X) / 4], [I2 / 2 - faint, (I2 - PAULI_X) / 4]]))
+        assert validate(items[-1]).passed
+        for asm in items:
+            for ch in channels:
+                got = extractability_with_channel(asm, ch)
+                assert type(got) is float
+                assert abs(got - np.vdot(ch.choi, fidelity_operator(asm)).real) <= 1e-15
+
+    def test_witness_needs_two_settings_and_outcomes(self):
+        three_settings = Assemblage(np.broadcast_to(I2 / 6, (2, 3, 2, 2)))
+        with pytest.raises(ValidationError, match="^extractability needs a two-setting, two-outcome assemblage$"):
+            extractability_with_channel(three_settings, dephasing_channel(0.3, 0.5))
+
+
+class TestChordDevice:
+    def test_blocks_are_the_ends_of_the_line(self):
+        for asm, beta, xi in [(Z_SHARP_X_BLANK, BETA_CLASSICAL, 0.75), (REFERENCE, BETA_QUANTUM, 1.0)]:
+            block_beta, value, gap = block_point(asm)
+            assert block_beta == beta
+            assert value <= xi <= value + gap + 1e-12
+
+    def test_biased_blocks_are_refused(self, rng):
+        with pytest.raises(ValueError, match="uniform-marginal blocks only"):
+            device_point([(1.0, general_assemblage(rng))])
+
+    def test_meets_the_analytic_bound(self):
+        # finding B: the chord device meets analytic_bound within its solves'
+        # gap at every beta in [2, 2 sqrt 2], so the line cannot be raised
+        for beta in np.linspace(BETA_CLASSICAL, BETA_QUANTUM, 20).tolist():
+            device_beta, value, gap = device_point(chord_device(beta))
+            assert device_beta == pytest.approx(beta, abs=1e-12)
+            assert value - 1e-12 <= analytic_bound(beta) <= value + gap + 1e-12
+            assert value + gap < analytic_bound(beta) + 1e-4
 
 
 def _setting_zero(sigma00, sigma10) -> Assemblage:
