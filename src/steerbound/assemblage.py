@@ -14,7 +14,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from json.encoder import encode_basestring_ascii as _json_string
 from operator import add
 
 import numpy as np
@@ -136,7 +135,7 @@ class Assemblage:
         }
 
     def to_json(self) -> str:
-        return json_text(self.to_dict())
+        return json.dumps(self.to_dict(), indent=2)
 
     @staticmethod
     def from_json(text: str) -> "Assemblage":
@@ -160,55 +159,6 @@ class Assemblage:
         elements = np.empty((outcomes, settings, 2, 2), dtype=complex)  # every (a, x) is set
         elements.reshape(-1, 2, 2)[list(seen)] = parts[:, 0] + 1j * parts[:, 1]
         return Assemblage(elements)
-
-
-def json_text(value, pad: str = "\n") -> str:
-    """Byte-identical to ``json.dumps(value, indent=2)``, which runs the
-    standard library's pure-Python encoder whenever an indent is given;
-    every JSON document steerbound writes comes from here. Dict keys must
-    be strings. ``pad`` is a newline and the indent of ``value``'s level.
-    Finite floats in a container are written in its join, with no call.
-    A list or tuple that starts with a float is first tried as a float
-    run, one ``float.__repr__`` join for all its items; an item that is no
-    float (TypeError) or a text holding "n" (nan or inf: a finite float's
-    repr has only digits, ".", "-", "e" and "+") falls back to the items
-    one by one."""
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = pad + "  "
-        if type(value[0]) is float:
-            try:
-                text = ("," + inner).join(map(float.__repr__, value))
-            except TypeError:
-                pass
-            else:
-                if "n" not in text:
-                    return "[" + inner + text + pad + "]"
-        items = [float.__repr__(v) if type(v) is float and v - v == 0 else json_text(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = pad + "  "
-        items = [
-            _json_string(k) + ": " + (float.__repr__(v) if type(v) is float and v - v == 0 else json_text(v, inner))
-            for k, v in value.items()
-        ]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(value, str):
-        return _json_string(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    # a float outside a container, NaN, the infinities and any other scalar
-    # json can write, spelled as json.dumps spells them
-    return json.dumps(value)
 
 
 def parse_json(text: str):

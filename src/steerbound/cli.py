@@ -203,14 +203,16 @@ def cmd_validate(args) -> int:
 
 def _checked(convert, minimum=-math.inf, maximum=math.inf):
     """argparse type: ``convert`` the text; a value that is not finite or is
-    outside [minimum, maximum] is a usage error."""
+    outside [minimum, maximum] is a usage error. So is an int past the float
+    range, on which math.isfinite raises OverflowError."""
 
     def parse(text: str):
         try:
             value = convert(text)
-        except ValueError:
-            value = math.nan
-        if not (math.isfinite(value) and minimum <= value <= maximum):
+            valid = math.isfinite(value) and minimum <= value <= maximum
+        except (ValueError, OverflowError):
+            valid = False
+        if not valid:
             raise argparse.ArgumentTypeError(f"{text!r} is not a finite number in [{minimum}, {maximum}]")
         return value
 

@@ -28,9 +28,9 @@ A record holds six float columns, ``winner`` and its witness as
 channel), which the sweep reads from the witness stack in one ``tolist``.
 A record refuses any column or leaf that is no finite float, so every
 record fills one record template: ``SandwichReport.to_json`` writes it as
-one ``%`` of the text ``json_text`` writes for that layout, with a slot at
-each leaf, compiled once per process on first use. Its bytes are
-``json_text``'s, and there is no other path.
+one ``%`` of the text ``json.dumps(indent=2)`` writes for that layout, with
+a slot at each leaf, compiled once per process on first use. Its bytes are
+``json.dumps``'s, and there is no other path.
 """
 
 from __future__ import annotations
@@ -38,14 +38,16 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import json
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
-from .assemblage import ValidationError, json_text, parse_json
+from .assemblage import ValidationError, parse_json
 from .fidelity import _fidelity_operators
 from .matkernel import ENDPOINT_SLACK, HERMITICITY_TOL, SEARCH_TOLERANCE, _ROUNDING
 from .matkernel import I2, PAULI_X, PAULI_Z, _rows, hermitian_min_eigvals
@@ -85,8 +87,9 @@ class SearchConfig:
             _check_beta(b)
         if not _is_int(self.rng_seed) or self.rng_seed < 0:
             raise ValidationError(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
-        if not _is_real(self.tolerance) or not _ROUNDING <= self.tolerance < math.inf:
-            # every gap carries the rounding allowance, so a smaller tolerance fails every record
+        if not _is_real(self.tolerance) or not _ROUNDING <= self.tolerance <= sys.float_info.max:
+            # every gap carries the rounding allowance, so a smaller tolerance fails every record;
+            # an int past the float range would overflow in SandwichRecord.passes
             raise ValidationError(f"tolerance must be finite and >= {_ROUNDING:g}, got {self.tolerance!r}")
 
     def to_dict(self) -> dict:
@@ -95,7 +98,7 @@ class SearchConfig:
         return {**raw, "beta_targets": list(self.beta_targets)}
 
     def to_json(self) -> str:
-        return json_text(self.to_dict())
+        return json.dumps(self.to_dict(), indent=2)
 
     @staticmethod
     def from_json(text: str) -> "SearchConfig":
@@ -193,10 +196,10 @@ class SandwichReport:
 
     def to_json(self) -> str:
         """The report as JSON, byte-identical to ``json.dumps(report,
-        indent=2)`` of the same object (see ``json_text``), where a record
-        is its columns and then its witness. ``json_text`` writes the head
-        (config and passed) and the joins between records; each record is
-        one fill of the record template (see ``_record_text``)."""
+        indent=2)`` of the same object, where a record is its columns and
+        then its witness. One ``json.dumps`` writes the head (config and
+        passed) and the joins between records; each record is one fill of
+        the record template (see ``_record_text``)."""
         records = self.records
         head = _compile({"config": self.config.to_dict(), "passed": self.passed, "records": [_SLOT] * len(records)})
         return head % tuple(map(_record_text, records))
@@ -212,14 +215,17 @@ class SandwichReport:
 # ---------------------------------------------------------------------------
 # The report's JSON
 
-_SLOT = "\0"  # a leaf no report holds; json_text writes it as "\u0000"
-_RECORD_PAD = "\n    "  # json_text's pad for an item of a report's "records"
+_SLOT = "\0"  # a leaf no report holds
+_SLOT_TEXT = json.dumps(_SLOT)  # "\u0000", with its quotes
+_RECORD_PAD = "\n    "  # a newline and the indent of an item of a report's "records"
 
 
 def _compile(value, pad: str = "\n") -> str:
-    """``json_text(value, pad)`` as a %-template: each ``_SLOT`` leaf is a
-    %s slot, and every other byte is ``json_text``'s."""
-    return json_text(value, pad).replace("%", "%%").replace(json_text(_SLOT), "%s")
+    """``json.dumps(value, indent=2)`` as a %-template indented by ``pad``:
+    each ``_SLOT`` leaf is a %s slot, and every other byte is json's.
+    json.dumps escapes every newline inside a string, so each raw newline
+    is one of its line breaks, and replacing it with ``pad`` indents all."""
+    return json.dumps(value, indent=2).replace("\n", pad).replace("%", "%%").replace(_SLOT_TEXT, "%s")
 
 
 def _witness_layout(v: list) -> dict:
@@ -240,7 +246,7 @@ def _witness_layout(v: list) -> dict:
 
 @functools.cache
 def _record_template() -> str:
-    """``json_text`` of a record at its indent in the report, with a %s
+    """``json.dumps`` of a record at its indent in the report, with a %s
     slot for each of its 72 varying leaves: the six float columns, winner,
     then the witness's 65 floats in ``_witness_layout``'s order. Compiled
     once, on first use; the number of targets does not change it."""
@@ -248,10 +254,10 @@ def _record_template() -> str:
 
 
 def _record_text(r: SandwichRecord) -> str:
-    """``json_text`` of the record at ``_RECORD_PAD``: the record template
+    """``json.dumps`` of the record at ``_RECORD_PAD``: the record template
     filled with its leaves' texts. Every leaf is a finite float (the record
-    refuses any other), so ``float.__repr__`` writes it as ``json_text``
-    does."""
+    refuses any other), so ``float.__repr__`` writes it as ``json.dumps``
+    does, and ``_json_string`` is json's own string writer."""
     columns = map(float.__repr__, (r.beta, r.numeric_min, r.analytic_lower, r.eq8_upper, r.residual, r.gap))
     return _record_template() % (*columns, _json_string(r.winner), *map(float.__repr__, r.leaves))
 

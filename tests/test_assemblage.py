@@ -1,7 +1,5 @@
 import json
 import math
-import random
-import struct
 
 import numpy as np
 import pytest
@@ -14,7 +12,6 @@ from steerbound.assemblage import (
     chsh_reference,
     from_classical,
     json_matrix,
-    json_text,
     random_realization,
     realize,
     validate,
@@ -653,7 +650,7 @@ class TestLayout:
         order = [(e["a"], e["x"]) for e in json.loads(asm.to_json())["elements"]]
         assert order == [(a, x) for a in range(2) for x in range(3)]
 
-    def test_reference_json_text(self):
+    def test_reference_json(self):
         assert chsh_reference().to_json() == REFERENCE_JSON
 
     @pytest.mark.parametrize(
@@ -841,79 +838,3 @@ REFERENCE_JSON = """{
     }
   ]
 }"""
-
-
-# Scalars json spells in ways that are easy to get wrong: NaN and the
-# infinities, a negative zero, subnormals, an int past float precision, the
-# three literals (a bool must not become an int) and strings that need
-# escapes or leave ASCII.
-EDGE_SCALARS = [
-    math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-310, 1e308, 2**70, -(2**70), 0, 1,
-    True, False, None, "", 'say "hi"\\', "\x00\x1f\t\n\x7f", "é ψ 𝜎 \u2028 \ud800",
-]
-STRING_CHARS = 'aZ "\\/\x00\x08\x1f\x7féψ𝜎\u2028\ud800'
-
-
-def _random_string(rng):
-    return "".join(rng.choice(STRING_CHARS) for _ in range(rng.randrange(4)))
-
-
-def _random_scalar(rng):
-    kind = rng.randrange(5)
-    if kind == 0:
-        return rng.choice(EDGE_SCALARS)
-    if kind == 1:  # any bit pattern: NaNs, infinities, subnormals, huge and tiny values
-        return struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
-    if kind == 2:
-        return rng.uniform(-2, 2)
-    if kind == 3:
-        return rng.randrange(-(2**80), 2**80)
-    return _random_string(rng)
-
-
-def _random_document(rng, depth):
-    kind = rng.randrange(4) if depth else 0
-    if kind == 0:
-        return _random_scalar(rng)
-    size = rng.randrange(5)  # an empty container one time in five
-    if kind == 1:
-        return [_random_document(rng, depth - 1) for _ in range(size)]
-    if kind == 2:
-        return tuple(_random_document(rng, depth - 1) for _ in range(size))
-    return {_random_string(rng): _random_document(rng, depth - 1) for _ in range(size)}
-
-
-class TestJsonText:
-    def test_matches_indented_dumps_on_random_documents(self):
-        rng = random.Random(20240817)
-        for _ in range(6000):
-            doc = _random_document(rng, rng.randrange(5))
-            assert json_text(doc) == json.dumps(doc, indent=2), doc
-
-    def test_literals_stay_literals(self):
-        assert json_text([True, False, None, 1, 0, -0.0]) == "[\n  true,\n  false,\n  null,\n  1,\n  0,\n  -0.0\n]"
-        assert json_text({"a": [], "b": {}, "c": ()}) == '{\n  "a": [],\n  "b": {},\n  "c": []\n}'
-
-    def test_unwritable_value_is_type_error(self):
-        with pytest.raises(TypeError):
-            json_text([np.int64(1)])
-        assert json_text([np.float64(0.1)]) == json.dumps([np.float64(0.1)], indent=2)
-
-    def test_float_first_containers(self):
-        # a container that starts with a float is tried as one float run; any
-        # later item that is no float, or spells nan or inf, must still come
-        # out as json.dumps writes it
-        later = [
-            1, 0, True, False, None, "", "n", [0.5, 1], (), {"k": 0.5}, {},
-            math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, np.float64(0.1), np.float64(math.nan),
-        ]
-        rng = random.Random(20240817)
-        for _ in range(3000):
-            items = [rng.uniform(-2, 2) if rng.randrange(2) else rng.choice(later) for _ in range(rng.randrange(5))]
-            first = rng.choice([rng.uniform(-2, 2), -0.0, 5e-324, 1e16, math.nan, math.inf])
-            for doc in ([first, *items], (first, *items), {"k": [first, *items]}):
-                assert json_text(doc) == json.dumps(doc, indent=2), doc
-
-    def test_float_run_refuses_arrays(self):
-        with pytest.raises(TypeError):
-            json_text([0.5, np.array([1.0])])

@@ -11,7 +11,7 @@ import pytest
 from steerbound import selftest
 from steerbound.assemblage import Assemblage, chsh_reference
 from steerbound.cli import build_parser, main
-from steerbound.numsearch import SearchConfig, sandwich_sweep
+from steerbound.numsearch import _SLOT, SearchConfig, sandwich_sweep
 
 SQRT2 = math.sqrt(2)
 
@@ -313,9 +313,10 @@ GRID_MAX = np.iinfo(np.intp).max // 8  # the most float64 points an array can ad
         ("coefficient-search", "--theta-points", 2),
     ],
 )
-@pytest.mark.parametrize("count", [GRID_MAX + 1, 2**63 - 1])
+@pytest.mark.parametrize("count", [GRID_MAX + 1, 2**63 - 1, pytest.param(10**400, id="10**400")])
 def test_unaddressable_grid_is_usage_error(command, option, minimum, count, capsys):
-    # 2**63 - 1 points used to end in an IndexError traceback from linspace
+    # 2**63 - 1 points used to end in an IndexError traceback from linspace,
+    # and 10**400, past the float range, in an OverflowError from math.isfinite
     with pytest.raises(SystemExit) as exc:
         main([command, option, str(count)])
     assert exc.value.code == 2
@@ -545,6 +546,8 @@ class TestSandwich:
             '{"channel_family": "dephasing-only"}',
             '{"seesaw_rounds": 2}',
             '{"beta_targets": [Infinity]}',
+            # an int past the float range used to overflow in SandwichRecord.passes
+            pytest.param('{"tolerance": 1%s}' % ("0" * 400), id="tolerance 10**400"),
         ],
     )
     def test_bad_config_is_one_error_line(self, tmp_path, text, run_cli):
@@ -745,21 +748,25 @@ def test_deeply_nested_input_is_one_error_line(tmp_path, monkeypatch, option, ar
     assert os.listdir(tmp_path) == ["deep.json"]
 
 
-def test_no_indented_dumps_is_left(tmp_path, monkeypatch, capsys):
-    # every document is written by assemblage.json_text; json.dumps with an
-    # indent runs the slow pure-Python encoder and must not be reached
-    expected = (chsh_reference().to_json(), SearchConfig().to_json(), sandwich_sweep(SearchConfig()).to_json())
-    sandwich_outputs = _sandwich_outputs(tmp_path, capsys)
-    dumps = json.dumps
+@pytest.mark.parametrize("count", [1, 7, 500])
+def test_a_report_is_one_dumps(tmp_path, capsys, monkeypatch, count):
+    # with the record template compiled, sandwich writes its report with one
+    # json.dumps, of the head; no record goes through the encoder
+    cfg_path, out_json = tmp_path / "cfg.json", tmp_path / "report.json"
+    cfg_path.write_text(json.dumps({"beta_targets": np.linspace(2.01, 2.8, count).tolist()}))
+    argv = ["sandwich", "--config", str(cfg_path), "--out-json", str(out_json)]
+    assert main(argv) == 0  # compiles the template
+    expected = out_json.read_bytes(), capsys.readouterr()
+    dumps, values = json.dumps, []
 
-    def refuse_indent(*args, **kwargs):
-        if kwargs.get("indent") is not None:
-            raise AssertionError("json.dumps called with an indent")
-        return dumps(*args, **kwargs)
+    def spy(value, **kwargs):
+        values.append(value)
+        return dumps(value, **kwargs)
 
-    monkeypatch.setattr(json, "dumps", refuse_indent)
-    assert (chsh_reference().to_json(), SearchConfig().to_json(), sandwich_sweep(SearchConfig()).to_json()) == expected
-    assert _sandwich_outputs(tmp_path, capsys) == sandwich_outputs
+    monkeypatch.setattr(json, "dumps", spy)
+    assert main(argv) == 0
+    assert (out_json.read_bytes(), capsys.readouterr()) == expected
+    assert len(values) == 1 and values[0]["records"] == [_SLOT] * count
 
 
 @pytest.fixture

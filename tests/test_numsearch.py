@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from steerbound.assemblage import (
     Assemblage,
     chsh_reference,
     from_classical,
-    json_text,
     random_realization,
     realize,
     validate,
@@ -132,6 +132,7 @@ class TestConfig:
             '{"tolerance": Infinity}',
             '{"tolerance": 0}',
             '{"tolerance": "1e-4"}',
+            pytest.param('{"tolerance": 1%s}' % ("0" * 400), id="tolerance 10**400"),
             '{"channel_famly": "dephasing-only"}',
         ],
     )
@@ -161,6 +162,14 @@ class TestConfig:
         with pytest.raises(ValidationError, match="1e-14"):
             SearchConfig(tolerance=0.5e-14).check()
         SearchConfig(tolerance=1e-14).check()
+
+    def test_tolerance_float_range_edge(self):
+        # the largest float is a tolerance, as an int too; an int past it
+        # would overflow in SandwichRecord.passes
+        SearchConfig(tolerance=sys.float_info.max).check()
+        SearchConfig(tolerance=int(sys.float_info.max)).check()
+        with pytest.raises(ValidationError, match="tolerance must be finite"):
+            SearchConfig(tolerance=int(sys.float_info.max) + 1).check()
 
 
 class TestSampling:
@@ -421,10 +430,10 @@ class TestDefaultSweep:
         ids=["1 target", "2 targets", "default", "7 targets", "repeated targets", "tolerance and seed"],
     )
     def test_report_json_matches_round_trip_form(self, cfg):
-        """The record template writes the bytes json.dumps and json_text
-        write for the record-dict form. Every leaf it fills is a finite
-        float: the targets are checked, and the witness, the gap and the
-        residual are finite by construction."""
+        """The record template writes the bytes json.dumps writes for the
+        record-dict form. Every leaf it fills is a finite float: the targets
+        are checked, and the witness, the gap and the residual are finite by
+        construction."""
         report = sandwich_sweep(cfg)
         text = report.to_json()
         form = {
@@ -433,21 +442,21 @@ class TestDefaultSweep:
             "records": [{**{c: getattr(r, c) for c in _COLUMNS}, "witness": r.witness} for r in report.records],
         }
         assert text == json.dumps(json.loads(text), indent=2)
-        assert text == json_text(form) == json.dumps(form, indent=2)
+        assert text == json.dumps(form, indent=2)
 
     def test_sweep_records_fill_the_template(self, monkeypatch):
-        # json_text writes only the head: no record falls back to it
+        # json.dumps writes only the head: no record goes through it
         report = sandwich_sweep(SearchConfig(beta_targets=seeded_targets()))
         numsearch._record_template()  # compiled before the spy
-        pads = []
+        dumps, values = json.dumps, []
 
-        def spy(value, pad="\n"):
-            pads.append(pad)
-            return json_text(value, pad)
+        def spy(value, **kwargs):
+            values.append(value)
+            return dumps(value, **kwargs)
 
-        monkeypatch.setattr(numsearch, "json_text", spy)
+        monkeypatch.setattr(json, "dumps", spy)
         assert json.loads(report.to_json())["records"][0]["beta"] == BETA_QUANTUM
-        assert pads and numsearch._RECORD_PAD not in pads
+        assert len(values) == 1 and values[0]["records"] == [numsearch._SLOT] * len(report.records)
 
     @pytest.mark.parametrize(
         "edit",
