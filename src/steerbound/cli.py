@@ -5,7 +5,9 @@ external plotting, operator-inequality sweeps, the classical-fidelity
 optimum, coefficient recovery, the numerical sandwich sweep, and
 assemblage realization/validation round-trips.
 
-Exit codes: 0 success, 1 computation failure, 2 usage error.
+Exit codes: 0 success, 1 computation failure, 2 usage error, 141 (128 +
+SIGPIPE, as a shell reports a process that signal ended) when the reader
+of stdout has gone, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -286,10 +288,31 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at os.devnull, so that the interpreter's
+    flush at exit of what stdout still buffers succeeds instead of
+    reporting the broken pipe again. A stdout with no descriptor is left
+    alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:  # an OSError: `steerbound ... | head -1` is no failure
+        _discard_stdout()
+        return 141
     # ValidationError and json.JSONDecodeError are ValueErrors
     except (OSError, ValueError, MemoryError) as exc:
         # a bare MemoryError() has an empty message

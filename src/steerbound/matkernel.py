@@ -28,7 +28,7 @@ import numpy as np
 HERMITICITY_TOL = 1e-12  # largest |M - M^dagger| entry of a matrix read as Hermitian
 VALIDITY_TOL = 1e-10  # slack of every unit-trace, PSD, POVM and assemblage check: what "valid" means
 ENDPOINT_SLACK = 1e-12  # rounding allowed past beta in [2, 2 sqrt 2] and theta in [0, pi/2]
-BREAKPOINT_TIE = 1e-12  # both certificates take the first breakpoint this close to the least
+BREAKPOINT_TIE = 1e-12  # first breakpoint this close to the least: verify-inequality's line 1, the (t0, t1) split
 PROB_FLOOR = 1e-12  # below this, p(a|x) (or a strategy weight below 0) is exactly 0
 WEIGHT_SUM_TOL = 1e-12  # a classical strategy's weights sum to 1 within this
 CHSH_RESIDUE_TOL = 1e-10  # largest imaginary part of the CHSH coefficients u and w

@@ -23,13 +23,14 @@ CHSH value and extractability are both additive, and mixing the block
 lower bound itself: that line is the DI minimum. xi* lies above it and on
 or below the interpolation upper bound (eq8), its tangent at 2 sqrt 2.
 
-A record holds six float columns, ``winner`` and its witness as
-``leaves``: a flat tuple of 65 floats (a 2x2 assemblage, theta and a 4x4
-channel), which the sweep reads from the witness stack in one ``tolist``.
-A record refuses any column or leaf that is no finite float, so every
-record fills one record template: ``SandwichReport.to_json`` writes it as
-one ``%`` of the text ``json.dumps(indent=2)`` writes for that layout, with
-a slot at each leaf, compiled once per process on first use. Its bytes are
+A record holds six float columns and the witness's m; ``winner`` is the
+class constant "witness". ``_witness`` defines the witness family once:
+the sweep scores the stack built from it, ``record.witness`` is it at the
+record's m, and the record template is it with a slot at each entry that
+varies. A record refuses any of its seven floats that is not finite, so
+every record fills that template: ``SandwichReport.to_json`` writes it as
+one ``%`` of the text ``json.dumps(indent=2)`` writes for the record, with
+11 slots, compiled once per process on first use. Its bytes are
 ``json.dumps``'s, and there is no other path.
 """
 
@@ -41,16 +42,14 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import repeat
-from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
 from .assemblage import ValidationError, parse_json
 from .fidelity import _fidelity_operators
-from .matkernel import ENDPOINT_SLACK, HERMITICITY_TOL, SEARCH_TOLERANCE, _ROUNDING
-from .matkernel import I2, PAULI_X, PAULI_Z, _rows, hermitian_min_eigvals
+from .matkernel import ENDPOINT_SLACK, HERMITICITY_TOL, SEARCH_TOLERANCE, _ROUNDING, _rows, hermitian_min_eigvals
 from .selftest import analytic_bound, dephasing_channel, upper_bound
 from .steering import BETA_CLASSICAL, BETA_QUANTUM, _coefficients, check_theta
 
@@ -121,30 +120,43 @@ class SearchConfig:
 # ---------------------------------------------------------------------------
 # The witness
 
+_IDENTITY = dephasing_channel(0.0, 1.0).choi  # the identity channel's Choi matrix
+
+
+def _witness(plus, minus, theta) -> dict:
+    """The witness family as the report writes it, built fresh down to each
+    row: sigma_{a|0} = (I + (-1)^a Z)/4 and sigma_{a|1} = (I + (-1)^a m X)/4,
+    whose only entries that vary are sigma_{a|1}'s off-diagonals plus = m/4
+    and minus = -m/4, read at theta, and the identity channel. Every
+    imaginary part is 0."""
+    re = ([[0.5, 0.0], [0.0, 0.0]], [[0.25, plus], [plus, 0.25]], [[0.0, 0.0], [0.0, 0.5]],
+          [[0.25, minus], [minus, 0.25]])
+    elements = [{"a": i // 2, "x": i % 2, "re": rows, "im": [[0.0, 0.0], [0.0, 0.0]]} for i, rows in enumerate(re)]
+    return {
+        "assemblage": {"outcomes": 2, "settings": 2, "elements": elements},
+        "theta": theta,
+        "channel": {"re": _IDENTITY.real.tolist(), "im": _IDENTITY.imag.tolist()},
+    }
+
+
 def _witnesses(betas):
-    """Every target's sharp/unsharp witness at theta* = atan m, as one
-    (targets, 2, 2, 2, 2) elements array and the list of the angles:
-    sigma_{a|0} = (I + (-1)^a Z)/4 and sigma_{a|1} = (I + (-1)^a m X)/4. m
-    is clamped to 1, because at 2 sqrt 2 the radicand beta^2/4 - 1 rounds
-    to 1 + 2e-16. The targets are ``SearchConfig.check``'s to check."""
+    """Every target's witness as one (targets, 2, 2, 2, 2) elements array,
+    read from ``_witness``, and the list of their m = sqrt(beta^2/4 - 1),
+    each at theta* = atan m. m is clamped to 1, because at 2 sqrt 2 the
+    radicand rounds to 1 + 2e-16. The targets are ``SearchConfig.check``'s
+    to check."""
     ms = [min(1.0, math.sqrt(beta * beta / 4 - 1)) for beta in betas]
-    m = np.array(ms)[:, None, None]
-    elements = np.empty((len(ms), 2, 2, 2, 2), dtype=complex)
-    for a, sign in enumerate((1, -1)):
-        elements[:, a, 0] = (I2 + sign * PAULI_Z) / 4
-        elements[:, a, 1] = (I2 + (sign * m) * PAULI_X) / 4
-    # math.atan, not np.arctan: numpy's SIMD arctan need not match it in the last bit
-    return elements, [math.atan(v) for v in ms]
+    re = [[e["re"] for e in _witness(m / 4, -m / 4, 0.0)["assemblage"]["elements"]] for m in ms]
+    return np.array(re, dtype=complex).reshape(-1, 2, 2, 2, 2), ms
 
 
 @dataclass(frozen=True)
 class SandwichRecord:
     """One target's outcome. numeric_min is the identity channel's fidelity
-    on the witness; its extractability lies in [numeric_min, numeric_min +
-    gap]. winner is always "witness". residual is its |CHSH - beta| at its
-    angle witness["theta"]. ``leaves`` is the witness, a tuple of 65 floats
-    in ``_witness_layout``'s order. ValidationError unless every column and
-    leaf is a finite float and winner is a string."""
+    on the witness of parameter m; its extractability lies in [numeric_min,
+    numeric_min + gap]. residual is its |CHSH - beta| at its angle
+    witness["theta"] = atan m. ValidationError unless each of the seven
+    fields is a finite float."""
 
     beta: float
     numeric_min: float
@@ -152,26 +164,20 @@ class SandwichRecord:
     eq8_upper: float
     residual: float
     gap: float
-    winner: str
-    leaves: tuple = field(repr=False)
+    m: float
+
+    winner = "witness"  # a class constant, not a field: the one kind of record
 
     def __post_init__(self):
-        columns = (self.beta, self.numeric_min, self.analytic_lower, self.eq8_upper, self.residual, self.gap)
-        values = (*columns, *self.leaves) if isinstance(self.leaves, tuple) else ()
-        if not (
-            isinstance(self.winner, str)
-            and len(values) == 71
-            and all(map(isinstance, values, repeat(float)))
-            and all(map(math.isfinite, values))
-        ):
-            raise ValidationError("a sandwich record needs six finite float columns, a string winner"
-                                  " and a tuple of 65 finite float leaves")
+        values = (self.beta, self.numeric_min, self.analytic_lower, self.eq8_upper, self.residual, self.gap, self.m)
+        if not (all(map(isinstance, values, repeat(float))) and all(map(math.isfinite, values))):
+            raise ValidationError("a sandwich record needs six finite float columns and a finite float m")
 
     @property
     def witness(self) -> dict:
-        """The witness as the report writes it: its assemblage, theta and
-        the channel's Choi matrix, in ``_witness_layout``."""
-        return _witness_layout(list(self.leaves))
+        """The witness as the report writes it: ``_witness`` at m, fresh on
+        each read."""
+        return _witness(self.m / 4, -self.m / 4, math.atan(self.m))
 
     def passes(self, tolerance: float) -> bool:
         return (
@@ -228,61 +234,41 @@ def _compile(value, pad: str = "\n") -> str:
     return json.dumps(value, indent=2).replace("\n", pad).replace("%", "%%").replace(_SLOT_TEXT, "%s")
 
 
-def _witness_layout(v: list) -> dict:
-    """A record's witness as the report writes it, holding the 65 floats
-    of ``v`` in order: each (a, x) element's re rows then im rows, theta,
-    then the channel's re rows and im rows."""
-    elements = [
-        {"a": i // 16, "x": i // 8 % 2, "re": [v[i : i + 2], v[i + 2 : i + 4]],
-         "im": [v[i + 4 : i + 6], v[i + 6 : i + 8]]}
-        for i in range(0, 32, 8)
-    ]
-    return {
-        "assemblage": {"outcomes": 2, "settings": 2, "elements": elements},
-        "theta": v[32],
-        "channel": {"re": [v[i : i + 4] for i in range(33, 49, 4)], "im": [v[i : i + 4] for i in range(49, 65, 4)]},
-    }
-
-
 @functools.cache
 def _record_template() -> str:
     """``json.dumps`` of a record at its indent in the report, with a %s
-    slot for each of its 72 varying leaves: the six float columns, winner,
-    then the witness's 65 floats in ``_witness_layout``'s order. Compiled
-    once, on first use; the number of targets does not change it."""
-    return _compile({**dict.fromkeys(_COLUMNS, _SLOT), "witness": _witness_layout([_SLOT] * 65)}, _RECORD_PAD)
+    slot for each of its 11 varying leaves: the six float columns, then the
+    witness's m/4 twice, -m/4 twice and theta. winner, the constant
+    entries and the channel are template text. Compiled once, on first
+    use; the number of targets does not change it."""
+    record = {**dict.fromkeys(_COLUMNS, _SLOT), "winner": SandwichRecord.winner}
+    return _compile({**record, "witness": _witness(_SLOT, _SLOT, _SLOT)}, _RECORD_PAD)
 
 
 def _record_text(r: SandwichRecord) -> str:
     """``json.dumps`` of the record at ``_RECORD_PAD``: the record template
     filled with its leaves' texts. Every leaf is a finite float (the record
     refuses any other), so ``float.__repr__`` writes it as ``json.dumps``
-    does, and ``_json_string`` is json's own string writer."""
+    does."""
     columns = map(float.__repr__, (r.beta, r.numeric_min, r.analytic_lower, r.eq8_upper, r.residual, r.gap))
-    return _record_template() % (*columns, _json_string(r.winner), *map(float.__repr__, r.leaves))
+    plus, minus = float.__repr__(r.m / 4), float.__repr__(-r.m / 4)
+    return _record_template() % (*columns, plus, plus, minus, minus, float.__repr__(math.atan(r.m)))
 
 
 def _records(betas) -> tuple:
     """Each target's record: the identity channel's tr(J_id W) and the H = 0
     dual bound 2 lambda_max(W), from one witness stack, one W einsum and
-    one eigenvalue call. The witness leaves come from one read of the
-    stack, and each residual from its four ``matkernel._rows`` rows through
-    the CHSH reader."""
-    elements, thetas = _witnesses(betas)
+    one eigenvalue call, and each residual from its four
+    ``matkernel._rows`` rows through the CHSH reader."""
+    elements, ms = _witnesses(betas)
     w = _fidelity_operators(elements)
-    identity = dephasing_channel(0.0, 1.0).choi
-    values = np.einsum("ij,nij->n", identity.conj(), w).real
+    values = np.einsum("ij,nij->n", _IDENTITY.conj(), w).real
     gaps = np.maximum(-2 * hermitian_min_eigvals(-w, HERMITICITY_TOL) - values, 0) + _ROUNDING
-    leaves = np.stack((elements.real, elements.imag), axis=3).reshape(-1, 32).tolist()
-    channel = tuple(np.stack((identity.real, identity.imag)).ravel().tolist())
     flat = _rows(elements)
     rows = [flat[i : i + 4] for i in range(0, len(flat), 4)]  # each target's four rows
     return tuple(
-        SandwichRecord(
-            beta, value, analytic_bound(beta), upper_bound(beta), _residual(r, theta, beta), gap, "witness",
-            (*v, theta, *channel),
-        )
-        for beta, v, r, theta, value, gap in zip(betas, leaves, rows, thetas, values.tolist(), gaps.tolist())
+        SandwichRecord(beta, value, analytic_bound(beta), upper_bound(beta), _residual(r, math.atan(m), beta), gap, m)
+        for beta, m, r, value, gap in zip(betas, ms, rows, values.tolist(), gaps.tolist())
     )
 
 

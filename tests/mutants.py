@@ -7,7 +7,7 @@ up to the first blank line, each ``NAME = value  # reason``. Every row gives
 two mutants, the value times 1e3 and times 1e-3. The structural rows
 (``STRUCTURAL``) each drop one ``_require_valid`` call, replacing it with its
 argument, and ``GUARDS`` each remove one other guard: a tie rule, the kink
-check, the elements' immutable buffer, the sandwich record's leaf guard,
+check, the elements' immutable buffer, the sandwich record's float guard,
 ``validate``'s comparison of the kept measures with its tolerance or an
 overflow guard (a CLI integer or a config tolerance past the float range).
 For each mutant, ``src/``, ``tests/`` and ``pyproject.toml`` are copied to a
@@ -77,9 +77,9 @@ STRUCTURAL = (
 # the test files that must kill it). The tie rules fall back to the least
 # value alone, the kink check to no check, the elements' immutable buffer
 # to a copy that is read-only by its flag only, the sandwich record's guard
-# to its winner and leaf-count checks alone (no type or finiteness),
-# validate's Hermiticity verdict to True whatever the tolerance, and each
-# overflow guard to the check that let an int past the float range through.
+# on its seven floats to no check (no type or finiteness), validate's
+# Hermiticity verdict to True whatever the tolerance, and each overflow
+# guard to the check that let an int past the float range through.
 GUARDS = (
     ("intercepts tie rule", "selftest.py", "np.argmax(g <= g.min(axis=1, keepdims=True) + BREAKPOINT_TIE, axis=1)",
      "np.argmin(g, axis=1)", ("tests/test_selftest.py",)),
@@ -89,9 +89,9 @@ GUARDS = (
      ("tests/test_selftest.py",)),
     ("immutable elements", "assemblage.py", "np.frombuffer(given.tobytes(), complex).reshape(given.shape)",
      "given.copy(); elements.flags.writeable = False", ("tests/test_assemblage.py",)),
-    ("record leaf guard", "numsearch.py",
-     "            and all(map(isinstance, values, repeat(float)))\n            and all(map(math.isfinite, values))\n",
-     "", ("tests/test_numsearch.py",)),
+    ("record float guard", "numsearch.py",
+     "all(map(isinstance, values, repeat(float))) and all(map(math.isfinite, values))", "True",
+     ("tests/test_numsearch.py",)),
     ("validate tolerance", "assemblage.py", "hermitian = deviation <= tol", "hermitian = True", ("tests/test_assemblage.py",)),
     ("CLI int overflow", "cli.py", "except (ValueError, OverflowError):", "except ValueError:", ("tests/test_cli.py",)),
     ("config tolerance overflow", "numsearch.py", "self.tolerance <= sys.float_info.max", "self.tolerance < math.inf",

@@ -1,4 +1,6 @@
 import argparse
+import errno
+import io
 import json
 import math
 import os
@@ -707,8 +709,8 @@ def test_failed_replace_leaves_no_temp_file(tmp_path, monkeypatch, run_cli):
 
 class TestExitCodes:
     def test_module_entry_point(self):
-        # the one test that starts an interpreter: `python -m steerbound.cli`
-        # itself, which must pass main()'s nonzero return on as the exit code
+        # `python -m steerbound.cli` itself, which must pass main()'s
+        # nonzero return on as the exit code
         argv = [sys.executable, "-m", "steerbound.cli", "verify-inequality", "--s", "0.9", "--theta-points", "3"]
         result = subprocess.run(argv, capture_output=True, text=True)
         assert result.returncode == 1
@@ -724,6 +726,56 @@ class TestExitCodes:
         path.write_text("{not json")
         result = run_cli("validate", "--assemblage", str(path))
         assert result.returncode == 1
+
+
+class BrokenPipe(io.StringIO):
+    """A stdout whose reader has gone. ``method`` is where it shows: "write"
+    fails as an unbuffered stdout does, "flush" as a buffered one does at
+    main's last flush. It has no descriptor, as a test's stdout has none."""
+
+    def __init__(self, method):
+        super().__init__()
+        self.method = method
+
+    def _refuse(self, method):
+        if method == self.method:
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    def write(self, text):
+        self._refuse("write")
+        return super().write(text)
+
+    def flush(self):
+        self._refuse("flush")
+
+
+@pytest.mark.parametrize("method", ["write", "flush"])
+@pytest.mark.parametrize(
+    "argv",
+    [["coefficient-search"], ["verify-inequality"], ["classical-fidelity"], ["realize"], ["bound-curve", "--points", "3"]],
+)
+def test_closed_stdout_is_quiet_141(capsys, monkeypatch, argv, method):
+    # `steerbound ... | head -1` is no failure: main returns 128 + SIGPIPE
+    # and writes nothing to stderr
+    monkeypatch.setattr(sys, "stdout", BrokenPipe(method))
+    assert main(argv) == 141
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("buffering", ["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", ["coefficient-search", "realize"])
+def test_pipe_into_true_is_quiet_141(tmp_path, command, buffering):
+    # `python -m steerbound.cli ... | true`: the reader exits before the
+    # interpreter has started, so stdout's first write (unbuffered) or the
+    # last flush (buffered) meets a closed pipe. Exit 141, an empty stderr
+    # and no "Exception ignored" at interpreter exit
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    err = tmp_path / "err"
+    script = f'"$0" -m steerbound.cli {command} 2>"$1" | true; exit "${{PIPESTATUS[0]}}"'
+    assert subprocess.run(["bash", "-c", script, sys.executable, str(err)], env=env).returncode == 141
+    assert err.read_text() == ""
 
 
 @pytest.mark.parametrize(

@@ -64,20 +64,8 @@ def single_record(beta):
 
 def witness_candidate(beta):
     """One target's witness, as an Assemblage, and its angle theta*."""
-    elements, thetas = _witnesses([beta])
-    return Assemblage(elements[0]), thetas[0]
-
-
-def leaves_of(witness):
-    """The leaves of a witness dict in document order, without the
-    assemblage's outcomes and settings and each element's a and x: a
-    record's ``leaves`` for a witness in the sweep's layout."""
-    if isinstance(witness, dict):
-        skip = ("outcomes", "settings", "a", "x")
-        return tuple(v for key, item in witness.items() if key not in skip for v in leaves_of(item))
-    if isinstance(witness, list):
-        return tuple(v for item in witness for v in leaves_of(item))
-    return (witness,)
+    elements, ms = _witnesses([beta])
+    return Assemblage(elements[0]), math.atan(ms[0])
 
 
 # one eigendecomposition to start, then per stage at most one per Newton
@@ -461,33 +449,6 @@ class TestDefaultSweep:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda w: w["channel"]["re"][0].__setitem__(0, math.nan),
-            lambda w: w["channel"]["im"][3].__setitem__(3, -math.inf),
-            lambda w: w["assemblage"]["elements"][1]["re"][0].__setitem__(1, 1),
-            lambda w: w.__setitem__("theta", True),
-            lambda w: w["assemblage"]["elements"][2]["im"].append([0.0, 0.0]),
-            lambda w: w["channel"]["re"].pop(),
-            lambda w: w["assemblage"]["elements"].pop(),
-            lambda w: w.update(note="extra"),
-            lambda w: w.pop("channel"),
-            lambda w: w.__setitem__("assemblage", [1.0]),
-            lambda w: w.update(assemblage={"outcomes": 2, "settings": 2, "elements": []}, channel={"re": [], "im": []}),
-        ],
-        ids=["nan", "-inf", "int leaf", "bool leaf", "3 rows", "3 channel rows", "3 elements", "extra key",
-             "no channel", "list assemblage", "theta alone"],
-    )
-    def test_other_witnesses_are_refused(self, default_report, edit):
-        # a witness outside the sweep's layout, or with a leaf that is no
-        # finite float, makes no record: every record fills the template
-        record = default_report.records[1]
-        witness = record.witness
-        edit(witness)
-        with pytest.raises(ValidationError, match="sandwich record"):
-            dataclasses.replace(record, leaves=leaves_of(witness))
-
-    @pytest.mark.parametrize(
-        "edit",
-        [
             lambda w: w["assemblage"].__setitem__("outcomes", 2.0),
             lambda w: w["assemblage"]["elements"][3].__setitem__("x", True),
             lambda w: w.update({"theta": w.pop("theta")}),
@@ -496,39 +457,33 @@ class TestDefaultSweep:
         ids=["float outcomes", "bool x", "key order", "element key order"],
     )
     def test_witness_layout_is_fixed(self, default_report, edit):
-        # the leaves hold no keys and no integers: a record's witness always
-        # has the sweep's key order and integer types
+        # a record holds no keys and no integers: an edit to a witness it
+        # returned leaves its next witness and its JSON in the sweep's key
+        # order and integer types
         record = default_report.records[1]
-        witness = record.witness
+        witness, text = record.witness, SandwichReport(default_report.config, (record,)).to_json()
         edit(witness)
-        held = dataclasses.replace(record, leaves=leaves_of(witness))
-        assert json.dumps(held.witness) != json.dumps(witness)
-        text = SandwichReport(default_report.config, (held,)).to_json()
+        assert json.dumps(record.witness) != json.dumps(witness)
+        assert SandwichReport(default_report.config, (record,)).to_json() == text
         assert text == json.dumps(json.loads(text), indent=2)
 
     @pytest.mark.parametrize(
         "column, value",
-        [("gap", math.nan), ("beta", 2), ("winner", 7), ("residual", math.inf), ("numeric_min", -math.inf),
-         ("eq8_upper", True)],
+        [("gap", math.nan), ("beta", 2), ("residual", math.inf), ("numeric_min", -math.inf), ("eq8_upper", True),
+         ("analytic_lower", "0.9"), ("m", math.nan), ("m", -math.inf), ("m", 1), ("m", False), ("m", None)],
     )
     def test_other_columns_are_refused(self, default_report, column, value):
         with pytest.raises(ValidationError, match="sandwich record"):
             dataclasses.replace(default_report.records[0], **{column: value})
 
-    @pytest.mark.parametrize("count, refused", [(64, True), (65, False), (66, True)])
-    def test_leaf_count_edge(self, default_report, count, refused):
-        leaves = (default_report.records[0].leaves * 2)[:count]
-        if refused:
-            with pytest.raises(ValidationError, match="65 finite float leaves"):
-                dataclasses.replace(default_report.records[0], leaves=leaves)
-        else:
-            assert dataclasses.replace(default_report.records[0], leaves=leaves) == default_report.records[0]
-
-    def test_leaves_must_be_a_tuple(self, default_report):
+    def test_record_holds_seven_floats(self, default_report):
+        # winner is a class constant, and the witness is built from m alone:
+        # no record holds a copy of a constant
         record = default_report.records[0]
-        for leaves in (list(record.leaves), record.witness, None):
-            with pytest.raises(ValidationError, match="tuple of 65"):
-                dataclasses.replace(record, leaves=leaves)
+        assert [f.name for f in dataclasses.fields(record)] == [*_COLUMNS[:6], "m"]
+        assert "winner" not in vars(record) and SandwichRecord.winner == "witness"
+        with pytest.raises(TypeError):
+            dataclasses.replace(record, winner="witness")
 
     def test_float_subclass_targets(self):
         # np.float64 is a float: its targets sweep, and every leaf is
@@ -539,7 +494,7 @@ class TestDefaultSweep:
         assert text == json.dumps(json.loads(text), indent=2)
         assert json.loads(text)["records"][0]["beta"] == 2.5
         record = report.records[1]
-        held = dataclasses.replace(record, leaves=tuple(map(np.float64, record.leaves)))
+        held = SandwichRecord(*map(np.float64, dataclasses.astuple(record)))
         assert SandwichReport(report.config, (held,)).to_json() == SandwichReport(report.config, (record,)).to_json()
 
     def test_seed_is_ignored(self, default_report):
@@ -572,8 +527,9 @@ def one_fidelity_operator(asm):
 
 def per_witness_records(betas):
     """The sweep's records built one witness and one W at a time, then
-    stacked for the eigenvalue call, each witness written as a dict and
-    read into its leaves."""
+    stacked for the eigenvalue call; each record's witness is checked
+    against the dict written from its Assemblage and the identity
+    channel."""
     witnesses = [witness_candidate(beta) for beta in betas]
     w = np.array([fidelity_operator(asm) for asm, _ in witnesses])
     identity = dephasing_channel(0.0, 1.0).choi
@@ -592,8 +548,7 @@ def per_witness_records(betas):
             eq8_upper=upper_bound(beta),
             residual=abs(chsh_functional(asm, theta) - beta),
             gap=gap,
-            winner="witness",
-            leaves=leaves_of(witness),
+            m=min(1.0, math.sqrt(beta * beta / 4 - 1)),
         )
         assert json.dumps(record.witness) == json.dumps(witness)
         records.append(record)
@@ -641,11 +596,9 @@ class TestStackedSweep:
         assert shapes == [(5, 2, 2, 2, 2)]
 
     def test_records_share_no_list(self, default_report):
-        # each record's leaves are an immutable tuple, and every read of its
-        # witness builds its own dict, down to each row
+        # every read of a record's witness builds its own dict, down to each row
         seen, witnesses = set(), []
         for record in default_report.records:
-            assert type(record.leaves) is tuple
             for _ in range(2):
                 witnesses.append(record.witness)  # kept alive, so no id is reused
                 elements = witnesses[-1]["assemblage"]["elements"]
@@ -659,9 +612,23 @@ class TestStackedSweep:
         # each residual is abs(chsh_functional - beta) on the target's own
         # Assemblage, bit for bit
         betas = seeded_targets()
-        elements, thetas = _witnesses(betas)
-        for record, beta, element, theta in zip(_records(betas), betas, elements, thetas):
-            assert record.residual == abs(chsh_functional(Assemblage(element), theta) - beta), beta
+        elements, ms = _witnesses(betas)
+        for record, beta, element, m in zip(_records(betas), betas, elements, ms):
+            assert record.residual == abs(chsh_functional(Assemblage(element), math.atan(m)) - beta), beta
+
+    def test_written_witnesses_are_the_scored_stack(self):
+        # each witness the report writes reads back as the stack entry the
+        # sweep scored, bit for bit, at theta = atan m
+        betas = seeded_targets()
+        elements, ms = _witnesses(betas)
+        report = sandwich_sweep(SearchConfig(beta_targets=betas))
+        written = json.loads(report.to_json())["records"]
+        assert len(written) == len(ms) == 500
+        for entry, element, m, record in zip(written, elements, ms, report.records):
+            asm = Assemblage.from_json(json.dumps(entry["witness"]["assemblage"]))
+            assert asm.elements.tobytes() == element.tobytes(), entry["beta"]
+            assert entry["witness"]["theta"] == math.atan(m) == math.atan(record.m)
+            assert record.m == m
 
     def test_records_construct_no_assemblage(self, monkeypatch):
         def unused(*args):
