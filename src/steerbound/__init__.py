@@ -36,7 +36,6 @@ from .selftest import (
     coefficient_search,
     dephasing_channel,
     extractability_with_channel,
-    inequality_margin,
     t_constraints,
     upper_bound,
 )

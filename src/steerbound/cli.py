@@ -31,7 +31,7 @@ from .assemblage import (
     validate,
 )
 from .fidelity import classical_fidelity
-from .matkernel import BREAKPOINT_TIE, ENDPOINT_SLACK, I2, INEQUALITY_SLACK, PAULI_X, PAULI_Z, PHI_PLUS, VALIDITY_TOL
+from .matkernel import ENDPOINT_SLACK, I2, INEQUALITY_SLACK, PAULI_X, PAULI_Z, PHI_PLUS, VALIDITY_TOL
 from .numsearch import SearchConfig, sandwich_sweep
 from .steering import BETA_CLASSICAL, BETA_QUANTUM
 
@@ -103,10 +103,9 @@ def cmd_verify_inequality(args) -> int:
     g = sum(selftest._shifts(s, *selftest.BREAKPOINT_TABLE))  # t_constraints(s, thetas)
     # the least eigenvalue of the four operators at t0 = t0*, t1 = t - t0*
     margins = np.minimum(g - t_opt, 0)
-    # the first theta within BREAKPOINT_TIE of the least margin
     worst = margins.min()
-    tied = margins <= worst + BREAKPOINT_TIE
-    print(f"worst margin {worst:.3e} at theta = {thetas[np.argmax(tied)]:.9g} (s = {_fmt(s)})")
+    i = selftest._first_tied(margins)  # the first theta within BREAKPOINT_TIE of the least margin
+    print(f"worst margin {worst:.3e} at theta = {thetas[i]:.9g} (s = {_fmt(s)})")
     # g is continuous at pi/4, so each closed cell's least value is at an end
     for label, cell in (("[0, pi/4]", [0, 1]), ("[pi/4, pi/2]", [1, 2])):
         i = cell[np.argmin(g[cell])]
@@ -305,11 +304,12 @@ def _discard_stdout() -> None:
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
-        return code
+        try:
+            args = _PARSER.parse_args(argv)  # --help exits here, its text still buffered
+            return args.func(args)
+        finally:
+            sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
     except BrokenPipeError:  # an OSError: `steerbound ... | head -1` is no failure
         _discard_stdout()
         return 141

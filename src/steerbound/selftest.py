@@ -69,7 +69,8 @@ def dephasing_channel(theta: float, c: float) -> ExtractionChannel:
     is (1+c)/2 J_I + (1-c)/2 J_G, from the constant Choi matrices of the
     identity and of G."""
     check_theta(theta)
-    _check_coefficient(c)
+    if not -1 <= c <= 1:  # a NaN fails too
+        raise ValidationError(f"dephasing coefficient c = {c} outside [-1, 1]")
     gamma = _CHOI_Z if first_interval(theta) else _CHOI_X
     return ExtractionChannel(0.5 * (1 + c) * _CHOI_I + 0.5 * (1 - c) * gamma)
 
@@ -91,64 +92,30 @@ def _coefficient_rule(s, first, cos, sin):
     return np.minimum(np.maximum(4 * s * np.where(first, sin, cos), -1.0), 1.0)
 
 
-def _check_coefficient(c) -> None:
-    """ValidationError naming the first dephasing coefficient (of a float or
-    an array) outside [-1, 1]; NaN fails too."""
-    inside = (c >= -1) & (c <= 1)
-    if not (inside.all() if isinstance(inside, np.ndarray) else inside):
-        first = np.ravel(c)[~np.ravel(inside)][0]
-        raise ValidationError(f"dephasing coefficient c = {first} outside [-1, 1]")
-
-
-def _pauli_coefficients(s, first, cos, sin, c):
-    """(z, x) with K_{ax} - s T_{ax} = I/2 + (-1)^a z Z for x = 0 and
-    I/2 + (-1)^a x X for x = 1: K_{ax} = (I + (-1)^a k_x P_x)/2 and
-    T_{ax} = (-1)^a 2 v_x P_x, v = (cos, sin), so z = kz/2 - 2s cos(theta)
-    and x = kx/2 - 2s sin(theta). The channel keeps Gamma's pair sharp
-    (k = 1) and shrinks the other by c. Broadcasts."""
-    kz, kx = np.where(first, 1.0, c), np.where(first, c, 1.0)
-    return kz / 2 - 2 * s * cos, kx / 2 - 2 * s * sin
-
-
 def t_constraints(s, theta):
     """Largest shifts (t0*, t1*), possibly negative, keeping all four
     operator inequalities PSD at each theta and s (broadcast), with the
-    dephasing coefficient set by its closed rule: K_{ax} - s T_{ax} - t I =
-    (1/2 - t) I +/- (z Z or x X), with z, x from ``_pauli_coefficients``, is
-    PSD iff t <= 1/2 - |z| or 1/2 - |x|. So the least eigenvalue of the four
-    operators at the shifts t0 = t0*, t1 = t - t0* is min(0, t0* + t1* - t):
-    the inequality holds at (s, t) iff min over theta of t0* + t1* >= t."""
+    dephasing coefficient set by its closed rule; see ``_shifts``. The least
+    eigenvalue of the four operators at the shifts t0 = t0*, t1 = t - t0* is
+    min(0, t0* + t1* - t): the inequality holds at (s, t) iff min over theta
+    of t0* + t1* >= t."""
     check_theta(theta)
     return _shifts(s, first_interval(theta), np.cos(theta), np.sin(theta))
 
 
 def _shifts(s, first, cos, sin):
     """``t_constraints`` at checked angles given by their ``first_interval``
-    flags, cosines and sines, such as ``BREAKPOINT_TABLE``."""
-    z, x = _pauli_coefficients(s, first, cos, sin, _coefficient_rule(s, first, cos, sin))
-    return 0.5 - np.abs(z), 0.5 - np.abs(x)
+    flags, cosines and sines, such as ``BREAKPOINT_TABLE``.
 
-
-def inequality_margin(s: float, t0, t1, theta, c):
-    """Smallest eigenvalue over the four operators K_{ax} - s T_{ax} - t_x I,
-    in the broadcast shape of (theta, t0, t1, c).
-
-    Nonnegative iff the inequality holds at this theta. Each operator is
-    alpha I + zeta Z + xi X with least eigenvalue alpha - hypot(zeta, xi);
-    here alpha = 1/2 - t_x and one of zeta, xi is zero, so the four margins
-    are 1/2 - t0 - |z| and 1/2 - t1 - |x| (twice each: the sign of a does
-    not change them), with z, x from ``_pauli_coefficients``. No matrix is
-    built. The margin is 0 at the shifts of ``t_constraints``, so at other
-    shifts it checks them against t0* and t1*; the tests check it against
-    the eigenvalues of the operators built from their definitions, K_{ax} =
-    ``dephasing_channel(theta, c).dual`` of twice sigma_{a|x} of
-    ``chsh_reference()`` and T_{ax} from ``steering.t_operators``.
-    ValidationError unless every c is in [-1, 1].
-    """
-    check_theta(theta)
-    _check_coefficient(c)
-    z, x = _pauli_coefficients(s, first_interval(theta), np.cos(theta), np.sin(theta), c)
-    return np.minimum(0.5 - t0 - np.abs(z), 0.5 - t1 - np.abs(x))
+    K_{ax} = (I + (-1)^a k_x P_x)/2 and T_{ax} = (-1)^a 2 v_x P_x, with P =
+    (Z, X) and v = (cos, sin): the channel keeps Gamma's pair sharp (k = 1)
+    and shrinks the other by c. So K_{ax} - s T_{ax} - t I is (1/2 - t) I +/-
+    z Z for x = 0 and (1/2 - t) I +/- x X for x = 1, with z = kz/2 - 2s
+    cos(theta) and x = kx/2 - 2s sin(theta): PSD iff t <= 1/2 - |z| and
+    t <= 1/2 - |x| respectively."""
+    c = _coefficient_rule(s, first, cos, sin)
+    kz, kx = np.where(first, 1.0, c), np.where(first, c, 1.0)
+    return 0.5 - np.abs(kz / 2 - 2 * s * cos), 0.5 - np.abs(kx / 2 - 2 * s * sin)
 
 
 # Every theta set the certificates use: g = t0* + t1* takes its minimum over
@@ -168,14 +135,20 @@ for _column in BREAKPOINT_TABLE:
     _column.flags.writeable = False
 
 
+def _first_tied(values):
+    """Index, along the last axis, of the first value within
+    ``BREAKPOINT_TIE`` of the least: the one tie rule of both certificates."""
+    return np.argmax(values <= values.min(axis=-1, keepdims=True) + BREAKPOINT_TIE, axis=-1)
+
+
 def _intercepts(s):
     """(t(s), t0, t1) per s at the first of ``BREAKPOINTS`` whose t0* + t1*
-    is within ``BREAKPOINT_TIE`` of the least, as ``verify-inequality``
-    picks."""
+    is within ``BREAKPOINT_TIE`` of the least. ``verify-inequality`` applies
+    the same ``_first_tied`` to its margins, min(t0* + t1* - t, 0), which
+    are all 0 wherever t0* + t1* >= t: for 0 < s < 1/(2 + sqrt 2) it names
+    theta = 0 where this picks pi/4."""
     t0, t1 = _shifts(np.reshape(s, (-1, 1)), *BREAKPOINT_TABLE)
-    g = t0 + t1
-    first = np.argmax(g <= g.min(axis=1, keepdims=True) + BREAKPOINT_TIE, axis=1)
-    each = np.arange(len(g))
+    each, first = np.arange(len(t0)), _first_tied(t0 + t1)
     t0, t1 = t0[each, first], t1[each, first]
     return t0 + t1, t0, t1
 

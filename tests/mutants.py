@@ -6,10 +6,11 @@ The table rows come from the tolerance table in
 up to the first blank line, each ``NAME = value  # reason``. Every row gives
 two mutants, the value times 1e3 and times 1e-3. The structural rows
 (``STRUCTURAL``) each drop one ``_require_valid`` call, replacing it with its
-argument, and ``GUARDS`` each remove one other guard: a tie rule, the kink
-check, the elements' immutable buffer, the sandwich record's float guard,
-``validate``'s comparison of the kept measures with its tolerance or an
-overflow guard (a CLI integer or a config tolerance past the float range).
+argument, and ``GUARDS`` each remove one other guard: the tie rule, the
+dephasing coefficient check, the kink check, the elements' immutable
+buffer, the sandwich record's float guard, ``validate``'s comparison of the
+kept measures with its tolerance or an overflow guard (a CLI integer or a
+config tolerance past the float range).
 For each mutant, ``src/``, ``tests/`` and ``pyproject.toml`` are copied to a
 temporary directory, its text (which must occur exactly once in its file)
 is replaced there, and its test files run with ``pytest -x``. A failing test kills the mutant; a mutant
@@ -74,17 +75,17 @@ STRUCTURAL = (
 )
 
 # Every other structural guard, removed: (label, module, old text, new text,
-# the test files that must kill it). The tie rules fall back to the least
-# value alone, the kink check to no check, the elements' immutable buffer
-# to a copy that is read-only by its flag only, the sandwich record's guard
-# on its seven floats to no check (no type or finiteness), validate's
-# Hermiticity verdict to True whatever the tolerance, and each overflow
-# guard to the check that let an int past the float range through.
+# the test files that must kill it). The tie rule falls back to the least
+# value alone, the dephasing coefficient check and the kink check to no
+# check, the elements' immutable buffer to a copy that is read-only by its
+# flag only, the sandwich record's guard on its seven floats to no check
+# (no type or finiteness), validate's Hermiticity verdict to True whatever
+# the tolerance, and each overflow guard to the check that let an int past
+# the float range through.
 GUARDS = (
-    ("intercepts tie rule", "selftest.py", "np.argmax(g <= g.min(axis=1, keepdims=True) + BREAKPOINT_TIE, axis=1)",
-     "np.argmin(g, axis=1)", ("tests/test_selftest.py",)),
-    ("verify-inequality tie rule", "cli.py", "tied = margins <= worst + BREAKPOINT_TIE", "tied = margins <= worst",
-     ("tests/test_cli.py",)),
+    ("tie rule", "selftest.py", "values.min(axis=-1, keepdims=True) + BREAKPOINT_TIE",
+     "values.min(axis=-1, keepdims=True)", ("tests/test_selftest.py", "tests/test_cli.py")),
+    ("dephasing coefficient check", "selftest.py", "if not -1 <= c <= 1:", "if False:", ("tests/test_selftest.py",)),
     ("kink check", "selftest.py", "if not all(gap <= _KINK_TOL for gap in gaps):", "if False:",
      ("tests/test_selftest.py",)),
     ("immutable elements", "assemblage.py", "np.frombuffer(given.tobytes(), complex).reshape(given.shape)",

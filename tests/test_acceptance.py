@@ -38,7 +38,6 @@ from steerbound.selftest import (
     dephasing_channel,
     dephasing_coefficient,
     extractability_with_channel,
-    inequality_margin,
     t_constraints,
     upper_bound,
 )
@@ -67,17 +66,17 @@ def test_01_trivial_classical_fidelity():
 
 def test_02_operator_inequality_sweep():
     # the paper's pair (s, t) through the fixed split t0 = t0*(theta),
-    # t1 = t - t0*(theta): PSD at every angle of a grid that holds the
-    # breakpoints 0, pi/4 and pi/2 for t = T_OPTIMAL, and violated once t exceeds
-    # it; the slack is verify-inequality's, for rounding alone
+    # t1 = t - t0*(theta), whose least eigenvalue is min(t0* + t1* - t, 0):
+    # PSD at every angle of a grid that holds the breakpoints 0, pi/4 and
+    # pi/2 for t = T_OPTIMAL, and violated once t exceeds it; the slack is
+    # verify-inequality's, for rounding alone
     thetas = np.union1d(np.linspace(0, math.pi / 2, 10_000), BREAKPOINTS)
-    t0, _ = t_constraints(S_OPTIMAL, thetas)
-    c = dephasing_coefficient(thetas, S_OPTIMAL)
-    worst = inequality_margin(S_OPTIMAL, t0, T_OPTIMAL - t0, thetas, c).min()
+    g = sum(t_constraints(S_OPTIMAL, thetas))
+    worst = np.minimum(g - T_OPTIMAL, 0).min()
     assert worst >= -INEQUALITY_SLACK
-    near = inequality_margin(S_OPTIMAL, t0, T_OPTIMAL + 1e-11 - t0, thetas, c).min()
+    near = np.minimum(g - (T_OPTIMAL + 1e-11), 0).min()
     assert near < -INEQUALITY_SLACK
-    over = inequality_margin(S_OPTIMAL, t0, T_OPTIMAL + 1e-6 - t0, thetas, c).min()
+    over = np.minimum(g - (T_OPTIMAL + 1e-6), 0).min()
     assert over < -5e-7
     _report(f"operator inequality at (s, t) optimal: worst margin {worst:.2e} >= {-INEQUALITY_SLACK:.0e}")
 

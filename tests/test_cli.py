@@ -250,8 +250,7 @@ def test_verify_builds_no_operator_matrices(monkeypatch, capsys):
         calls.append(args)
         return original(*args)
 
-    for name in ("dephasing_channel", "inequality_margin"):
-        monkeypatch.setattr(selftest, name, refuse)
+    monkeypatch.setattr(selftest, "dephasing_channel", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(selftest, "_shifts", counted)
     code, out, err = GOLDEN[("verify-inequality",)]
@@ -760,6 +759,28 @@ def test_closed_stdout_is_quiet_141(capsys, monkeypatch, argv, method):
     monkeypatch.setattr(sys, "stdout", BrokenPipe(method))
     assert main(argv) == 141
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify-inequality", "-h"], ["sandwich", "--help"]], ids=" ".join)
+def test_help_into_closed_stdout_is_quiet_141(capsys, monkeypatch, argv):
+    # argparse prints the help, still buffered, and exits: the flush at the
+    # end of main meets the closed pipe, as it does for a command's output
+    monkeypatch.setattr(sys, "stdout", BrokenPipe("flush"))
+    assert main(argv) == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_help_into_true_is_quiet_141(tmp_path):
+    # buffered stdout (no PYTHONUNBUFFERED), and the reader gone before the
+    # interpreter has started: no "Exception ignored" and exit 141, not 120;
+    # a usage error still exits 2 with argparse's message
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    err = tmp_path / "err"
+    script = '"$0" -m steerbound.cli "$2" 2>"$1" | true; exit "${PIPESTATUS[0]}"'
+    assert subprocess.run(["bash", "-c", script, sys.executable, str(err), "--help"], env=env).returncode == 141
+    assert err.read_text() == ""
+    assert subprocess.run(["bash", "-c", script, sys.executable, str(err), "--no-such"], env=env).returncode == 2
+    assert err.read_text().splitlines()[-1] == "steerbound: error: the following arguments are required: command"
 
 
 @pytest.mark.parametrize("buffering", ["unbuffered", "buffered"])

@@ -8,7 +8,7 @@ from steerbound.assemblage import Assemblage, chsh_reference, random_realization
 from steerbound.cli import main
 from steerbound.fidelity import ExtractionChannel, assemblage_fidelity, fidelity_operator
 from steerbound.matkernel import I2, KET0, PAULI_X, PAULI_Z, PROB_FLOOR, ValidationError, projector
-from steerbound import cli, selftest
+from steerbound import selftest
 from steerbound.selftest import (
     _coefficient_rule,
     _intercepts,
@@ -27,7 +27,6 @@ from steerbound.selftest import (
     dephasing_channel,
     dephasing_coefficient,
     extractability_with_channel,
-    inequality_margin,
     t_constraints,
     upper_bound,
 )
@@ -75,15 +74,10 @@ class TestDephasingChannel:
         np.testing.assert_allclose(ch.dual(stack), ch.apply(stack), atol=1e-12)
 
     def test_coefficient_outside_unit_interval_rejected(self):
-        # dephasing_channel and inequality_margin share one check, whose
-        # message names the first value that fails it
+        # the message names the value that fails the check, NaN included
         for c in (math.nan, math.inf, -math.inf, 1.5, -1 - 1e-9):
             with pytest.raises(ValidationError, match=f"c = {c} outside"):
                 dephasing_channel(0.1, c)
-            with pytest.raises(ValidationError, match=f"c = {c} outside"):
-                inequality_margin(S_OPTIMAL, 0.1, 0.1, np.array([0.3, 0.4, 0.5]), np.array([0.5, c, -2.0]))
-            with pytest.raises(ValidationError, match=f"c = {c} outside"):
-                inequality_margin(S_OPTIMAL, 0.1, 0.1, 0.3, np.array([c, 0.2]))
         for c in (1.0, -1.0):  # the identity and conjugation by Z
             np.testing.assert_allclose(dephasing_channel(0.1, c).apply(PAULI_X), c * PAULI_X, atol=1e-15)
 
@@ -181,7 +175,7 @@ class TestCoefficientRule:
     def test_k_operators_are_channel_images(self, rng):
         # K_{ax} = (I + (-1)^a k_x P_x)/2 with P = (Z, X): the channel keeps
         # Gamma's pair sharp (k = 1) and shrinks the other by c, the form
-        # the Pauli coefficients of inequality_margin assume
+        # _shifts assumes
         for theta, c in zip(rng.uniform(0, math.pi / 2, 20), rng.uniform(-1, 1, 20)):
             k = (1.0, c) if theta <= math.pi / 4 else (c, 1.0)
             ks = _k_operators(theta, c)
@@ -229,91 +223,57 @@ def _k_operators(theta, c):
     return dephasing_channel(theta, c).dual(2 * chsh_reference().elements)
 
 
-def _margin_by_operators(s, t0, t1, theta, c):
-    """Reference: the per-theta loop over the channel's K operators and
-    t_operators."""
-    ks = _k_operators(theta, c)
-    ts = t_operators(theta)
-    shift = (t0, t1)
-    return min(
-        np.linalg.eigvalsh(ks[a, x] - s * ts[a, x] - shift[x] * I2)[0] for a in range(2) for x in range(2)
-    )
+def _least_eigenvalues(operators, t0=0.0, t1=0.0):
+    """(x = 0, x = 1): the least over a of LAPACK's least eigenvalue of
+    operators[a, x] - t_x I."""
+    shifted = operators - np.multiply.outer([t0, t1], I2)
+    return np.linalg.eigvalsh(shifted)[..., 0].min(axis=0)
+
+
+def _operators(s, theta):
+    """K_{ax} - s T_{ax} from their definitions, the dephasing coefficient
+    at its rule and T_{ax} from t_operators, independent of _shifts."""
+    return _k_operators(theta, dephasing_coefficient(theta, s)) - s * t_operators(theta)
 
 
 class TestInequalityMargins:
     def test_margins_nonnegative_at_optimum(self):
         thetas = np.union1d(np.linspace(0, math.pi / 2, 801), BREAKPOINTS)
         t0, t1 = t_constraints(S_OPTIMAL, thetas)
-        c = dephasing_coefficient(thetas, S_OPTIMAL)
-        assert np.all(inequality_margin(S_OPTIMAL, t0, t1, thetas, c) >= -1e-10)
+        for theta, a, b in zip(thetas.tolist(), t0.tolist(), t1.tolist()):
+            assert _least_eigenvalues(_operators(S_OPTIMAL, theta), a, b).min() >= -1e-10, theta
 
     def test_margins_tight(self):
         # the constraint rule makes the smallest margin exactly zero
         for theta in (0.0, 0.3, math.pi / 4, 1.0, math.pi / 2):
-            t0, t1 = t_constraints(S_OPTIMAL, theta)
-            c = dephasing_coefficient(theta, S_OPTIMAL)
-            m = inequality_margin(S_OPTIMAL, t0, t1, theta, c)
+            t0, t1 = map(float, t_constraints(S_OPTIMAL, theta))
+            m = _least_eigenvalues(_operators(S_OPTIMAL, theta), t0, t1).min()
             assert m == pytest.approx(0.0, abs=1e-10)
 
     def test_overshifted_violates(self):
         theta = 0.3
-        t0, t1 = t_constraints(S_OPTIMAL, theta)
-        c = dephasing_coefficient(theta, S_OPTIMAL)
-        m = inequality_margin(S_OPTIMAL, t0 + 0.05, t1, theta, c)
+        t0, t1 = map(float, t_constraints(S_OPTIMAL, theta))
+        m = _least_eigenvalues(_operators(S_OPTIMAL, theta), t0 + 0.05, t1).min()
         assert m < -0.04
 
-    def test_matches_operator_loop(self, rng):
-        # random shifts and contractions, both signs of s, c across [-1, 1],
-        # against LAPACK's eigenvalues of the operators built from their
-        # definitions, independent of the Pauli coefficients
-        for s in rng.uniform(-1, 2, 20):
-            thetas = rng.uniform(0, math.pi / 2, 50)
-            t0, t1 = rng.uniform(-1, 1, (2, 50))
-            c = rng.uniform(-1, 1, 50)
-            batched = inequality_margin(s, t0, t1, thetas, c)
-            for i in range(50):
-                expected = _margin_by_operators(s, t0[i], t1[i], thetas[i], c[i])
-                assert batched[i] == pytest.approx(expected, abs=1e-12)
-
-    @pytest.mark.parametrize(
-        "theta, t0, t1, c, shape",
-        [
-            (0.3, 0.1, 0.2, 0.5, ()),
-            (np.linspace(0, 1, 4), 0.1, 0.2, 0.5, (4,)),
-            (0.3, np.zeros((3, 1)), 0.2, 0.5, (3, 1)),
-            (0.3, 0.1, np.zeros(5), np.linspace(-1, 1, 5), (5,)),
-            (np.linspace(0, 1, 4), np.zeros((3, 1)), 0.2, np.full((2, 1, 1), 0.5), (2, 3, 4)),
-        ],
-    )
-    def test_broadcast_shape(self, theta, t0, t1, c, shape):
-        # the shape numpy broadcasts (theta, t0, t1, c) to, and the same
-        # values as the one-point call at each entry
-        margins = inequality_margin(S_OPTIMAL, t0, t1, theta, c)
-        assert np.shape(margins) == shape
-        args = np.broadcast_arrays(t0, t1, theta, c)
-        for index in np.ndindex(shape):
-            point = [float(a[index]) for a in args]
-            assert margins[index] == inequality_margin(S_OPTIMAL, *point)
-
-    def test_tight_for_any_s(self, rng):
-        # t_constraints is the largest shift: margin 0 at every theta, for any s
-        for s in rng.uniform(-1, 2, 50):
-            thetas = np.union1d(np.linspace(0, math.pi / 2, 200), BREAKPOINTS)
+    def test_shifts_are_the_operators_least_eigenvalues(self):
+        # finding P's grid, 26 values of s times 41 angles: t_constraints is
+        # min over a of the least eigenvalue of K_{ax} - s T_{ax}, and at the
+        # split t0 = t0*, t1 = t - t0* the least eigenvalue of the four
+        # operators is min(t0* + t1* - t, 0), the margin verify-inequality
+        # prints; both to rounding
+        rng = np.random.default_rng(2025)
+        s_values = [S_OPTIMAL, -S_OPTIMAL, -0.5, -1.0, 0.0, 0.25, *rng.uniform(-1, 2, 20).tolist()]
+        thetas = np.union1d(np.linspace(0, math.pi / 2, 41), BREAKPOINTS)
+        assert len(s_values) * len(thetas) == 1066
+        for s in s_values:
             t0, t1 = t_constraints(s, thetas)
-            c = dephasing_coefficient(thetas, s)
-            margins = inequality_margin(s, t0, t1, thetas, c)
-            np.testing.assert_allclose(margins, 0.0, atol=1e-12)
-
-    def test_split_margin_is_shift_sum_minus_t(self, rng):
-        # at the split t0 = t0*, t1 = t - t0* the least eigenvalue is
-        # min(0, t0* + t1* - t), the value verify-inequality prints
-        thetas = np.union1d(np.linspace(0, math.pi / 2, 500), BREAKPOINTS)
-        for s in np.append(rng.uniform(-1, 2, 20), S_OPTIMAL):
-            t0, t1 = t_constraints(s, thetas)
-            c = dephasing_coefficient(thetas, s)
-            for t in (T_OPTIMAL, 0.0, 0.6):
-                margins = inequality_margin(s, t0, t - t0, thetas, c)
-                np.testing.assert_allclose(margins, np.minimum(t0 + t1 - t, 0), rtol=0, atol=1e-12)
+            for theta, a, b in zip(thetas.tolist(), t0.tolist(), t1.tolist()):
+                operators = _operators(s, theta)
+                assert np.abs(_least_eigenvalues(operators) - [a, b]).max() <= 2e-15, (s, theta)
+                for t in (T_OPTIMAL, 0.0, 0.6):
+                    split = _least_eigenvalues(operators, a, t - a).min()
+                    assert abs(split - min(a + b - t, 0)) <= 2e-15, (s, theta, t)
 
 
 class TestCoefficientSearch:
@@ -729,10 +689,9 @@ def test_both_certificates_pick_the_same_breakpoint(tie, monkeypatch, capsys):
     # verify-inequality's worst theta and coefficient search's (t0, t1)
     # split come from one tie rule: at s = 0 t0* + t1* ties exactly at all
     # three breakpoints, and just above S_OPTIMAL pi/4 is 1 ulp lowest, a
-    # tie under BREAKPOINT_TIE but not without it. Each module binds the
-    # name at import, so the strict case patches both bindings
-    for module in (selftest, cli):
-        monkeypatch.setattr(module, "BREAKPOINT_TIE", tie)
+    # tie under BREAKPOINT_TIE but not without it. Both read it through
+    # selftest._first_tied, so the strict case patches that one binding
+    monkeypatch.setattr(selftest, "BREAKPOINT_TIE", tie)
     picked = []
     for s in (0.0, S_OPTIMAL, float(np.nextafter(S_OPTIMAL, 1))):
         main(["verify-inequality", "--s", repr(s)])

@@ -23,7 +23,7 @@ NAMES = [name for _, name, _ in ROWS]
 # decisions made at more than one site: each site module imports the name
 SHARED = {
     "ENDPOINT_SLACK": ("cli", "numsearch", "selftest", "steering"),
-    "BREAKPOINT_TIE": ("cli", "selftest"),
+    "BREAKPOINT_TIE": ("selftest",),
     "VALIDITY_TOL": ("assemblage", "cli"),
 }
 
