@@ -256,24 +256,60 @@ class TestInequalityMargins:
         m = _least_eigenvalues(_operators(S_OPTIMAL, theta), t0 + 0.05, t1).min()
         assert m < -0.04
 
+    def test_matches_operator_loop(self, rng):
+        # random shifts, both signs of s, at the rule's coefficient: the least
+        # eigenvalue of K_{ax} - s T_{ax} - t_x I is min(t0* - t0, t1* - t1),
+        # the margin the README gives in place of inequality_margin
+        for s in rng.uniform(-1, 2, 20):
+            thetas = rng.uniform(0, math.pi / 2, 50)
+            t0, t1 = rng.uniform(-1, 1, (2, 50))
+            t0s, t1s = t_constraints(s, thetas)
+            batched = np.minimum(t0s - t0, t1s - t1)
+            for i in range(50):
+                expected = _least_eigenvalues(_operators(s, float(thetas[i])), t0[i], t1[i]).min()
+                assert batched[i] == pytest.approx(expected, abs=1e-12)
+
+    def test_tight_for_any_s(self, rng):
+        # t_constraints is the largest shift for any s, broadcast over an s
+        # column and a theta row: both margins 0 at (t0*, t1*), both negative
+        # one step above
+        s_values = rng.uniform(-1, 2, (20, 1))
+        thetas = np.union1d(np.linspace(0, math.pi / 2, 40), BREAKPOINTS)
+        t0, t1 = t_constraints(s_values, thetas)
+        assert t0.shape == t1.shape == (20, len(thetas))
+        for index in np.ndindex(t0.shape):
+            operators = _operators(float(s_values[index[0], 0]), float(thetas[index[1]]))
+            a, b = float(t0[index]), float(t1[index])
+            np.testing.assert_allclose(_least_eigenvalues(operators, a, b), 0.0, atol=1e-12)
+            assert np.all(_least_eigenvalues(operators, a + 1e-9, b + 1e-9) < 0), index
+
     def test_shifts_are_the_operators_least_eigenvalues(self):
-        # finding P's grid, 26 values of s times 41 angles: t_constraints is
-        # min over a of the least eigenvalue of K_{ax} - s T_{ax}, and at the
-        # split t0 = t0*, t1 = t - t0* the least eigenvalue of the four
-        # operators is min(t0* + t1* - t, 0), the margin verify-inequality
-        # prints; both to rounding
-        rng = np.random.default_rng(2025)
-        s_values = [S_OPTIMAL, -S_OPTIMAL, -0.5, -1.0, 0.0, 0.25, *rng.uniform(-1, 2, 20).tolist()]
-        thetas = np.union1d(np.linspace(0, math.pi / 2, 41), BREAKPOINTS)
-        assert len(s_values) * len(thetas) == 1066
-        for s in s_values:
-            t0, t1 = t_constraints(s, thetas)
+        # finding P's grid: t_constraints is min over a of the least
+        # eigenvalue of K_{ax} - s T_{ax}, to rounding
+        for s, thetas, t0, t1 in _finding_p_grid():
+            for theta, a, b in zip(thetas.tolist(), t0.tolist(), t1.tolist()):
+                assert np.abs(_least_eigenvalues(_operators(s, theta)) - [a, b]).max() <= 2e-15, (s, theta)
+
+    def test_split_margin_is_shift_sum_minus_t(self):
+        # finding P's grid: at the split t0 = t0*, t1 = t - t0* the least
+        # eigenvalue of the four operators is min(t0* + t1* - t, 0), the
+        # margin verify-inequality prints, to rounding
+        for s, thetas, t0, t1 in _finding_p_grid():
             for theta, a, b in zip(thetas.tolist(), t0.tolist(), t1.tolist()):
                 operators = _operators(s, theta)
-                assert np.abs(_least_eigenvalues(operators) - [a, b]).max() <= 2e-15, (s, theta)
                 for t in (T_OPTIMAL, 0.0, 0.6):
                     split = _least_eigenvalues(operators, a, t - a).min()
                     assert abs(split - min(a + b - t, 0)) <= 2e-15, (s, theta, t)
+
+
+def _finding_p_grid():
+    """(s, thetas, t0*, t1*) on finding P's grid: 26 values of s times the
+    41 angles and BREAKPOINTS, 1,066 points."""
+    rng = np.random.default_rng(2025)
+    s_values = [S_OPTIMAL, -S_OPTIMAL, -0.5, -1.0, 0.0, 0.25, *rng.uniform(-1, 2, 20).tolist()]
+    thetas = np.union1d(np.linspace(0, math.pi / 2, 41), BREAKPOINTS)
+    assert len(s_values) * len(thetas) == 1066
+    return [(s, thetas, *t_constraints(s, thetas)) for s in s_values]
 
 
 class TestCoefficientSearch:
