@@ -19,6 +19,7 @@ from operator import add
 import numpy as np
 
 from .matkernel import (
+    CHSH_RESIDUE_TOL,
     I2,
     I4,
     KET0,
@@ -33,9 +34,7 @@ from .matkernel import (
     VALIDITY_TOL,
     WEIGHT_SUM_TOL,
     ValidationError,
-    _hermitian_deviation,
     _largest,
-    _mean_radius,
     _rows,
     _smallest,
     density_matrix,
@@ -56,7 +55,7 @@ class Assemblage:
     write the elements: numpy refuses to turn writes on for that view and
     for its base. So what is read from them cannot go stale and is kept:
     ``_rows``, their floats as ``matkernel._rows`` reads them, as tuples
-    (row a * settings + x is sigma_{a|x}), and ``validate``'s measures.
+    (row a * settings + x is sigma_{a|x}), ``validate``'s measures and the CHSH pair.
     """
 
     elements: np.ndarray = field(repr=False)
@@ -68,12 +67,12 @@ class Assemblage:
                 f"assemblage elements must be an (outcomes, settings, 2, 2) array, got shape {given.shape}"
             )
         elements = np.frombuffer(given.tobytes(), complex).reshape(given.shape)
-        finite = np.isfinite(elements)
-        if np.count_nonzero(finite) < finite.size:
-            nonfinite = [(int(a), int(x)) for a, x in np.argwhere(~finite.all(axis=(2, 3)))]
+        rows = tuple(map(tuple, _rows(elements)))
+        nonfinite = [divmod(k, given.shape[1]) for k, row in enumerate(rows) if not all(map(math.isfinite, row))]
+        if nonfinite:
             raise ValidationError(f"non-finite entries in sigma_(a|x) for (a, x) in {nonfinite}")
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "_rows", tuple(map(tuple, _rows(elements))))
+        object.__setattr__(self, "_rows", rows)
 
     @property
     def outcomes(self) -> int:
@@ -89,21 +88,29 @@ class Assemblage:
 
     @cached_property
     def _measures(self) -> tuple:
-        """``validate``'s measures, none of which depends on a tolerance:
-        the largest |M - M^dagger| entry, the least mean - radius and the
-        no-signaling and normalization deviations, from ``_rows``."""
-        rows, settings = self._rows, self.settings
-        marginals = rows[:settings]  # Bob's marginal for each setting, summed over a in order
-        for start in range(settings, len(rows), settings):
-            marginals = [list(map(add, m, row)) for m, row in zip(marginals, rows[start : start + settings])]
+        """``validate``'s measures, none of which depends on a tolerance, in
+        one loop over ``_rows``: the largest |M - M^dagger| entry and the least
+        mean - radius (matkernel's arithmetic), no-signaling and normalization."""
+        rows, settings, hypot = self._rows, self.settings, math.hypot
+        deviations, lower, marginals = [], [], list(rows[:settings])
+        for k, row in enumerate(rows):
+            ar, ai, br, bi, cr, ci, dr, di = row
+            deviations += (hypot(ar - ar, ai + ai), hypot(br - cr, bi + ci), hypot(dr - dr, di + di))
+            lower.append((ar + dr) / 2 - hypot((ar - dr) / 2, (br + cr) / 2, (bi - ci) / 2))
+            if k >= settings:  # Bob's marginal for each setting, summed over a in order
+                marginals[k % settings] = list(map(add, marginals[k % settings], row))
         first = marginals[0]  # |m - first| entry by entry, from the parts at i and i + 1
-        gaps = [math.hypot(m[i] - first[i], m[i + 1] - first[i + 1]) for m in marginals for i in (0, 2, 4, 6)]
-        return (
-            _hermitian_deviation(rows),
-            _smallest([mean - radius for mean, radius in _mean_radius(rows)]),
-            _largest(gaps),
-            _largest([abs(m[0] + m[6] - 1) for m in marginals]),
-        )
+        gaps = [hypot(m[i] - first[i], m[i + 1] - first[i + 1]) for m in marginals for i in (0, 2, 4, 6)]
+        normalization = [abs(m[0] + m[6] - 1) for m in marginals]
+        return _largest(deviations), _smallest(lower), _largest(gaps), _largest(normalization)
+
+    @cached_property
+    def _chsh(self) -> tuple:
+        """The CHSH pair (u, w) of ``_coefficients``, kept like ``_measures``;
+        a refusal keeps nothing, so every read raises it again."""
+        if self.outcomes != 2 or self.settings != 2:
+            raise ValidationError("CHSH functional requires |A| = |X| = 2")
+        return _coefficients(self._rows)
 
     def max_marginal_deviation(self) -> float:
         """max_{a,x} |p(a|x) - 1/|A||; zero for uniform-marginal assemblages.
@@ -140,25 +147,56 @@ class Assemblage:
     @staticmethod
     def from_json(text: str) -> "Assemblage":
         """Parse the ``to_json`` format; ValidationError unless every key is
-        present, typed, in range, 2x2 and finite, one element per (a, x)."""
+        present, typed, in range, 2x2 and finite, one element per (a, x).
+        The elements hold the document's floats bit for bit, -0.0 too."""
         payload = parse_json(text)
         outcomes = _json_field(payload, "outcomes", int)
         settings = _json_field(payload, "settings", int)
         entries = _json_field(payload, "elements", list)
         if min(outcomes, settings) < 1 or len(entries) != outcomes * settings:
             raise ValidationError(f"need one element per (a, x), {outcomes} x {settings}")
-        seen, values = {}, []  # seen's keys: a * settings + x of every entry, in entry order
-        for entry in entries:
-            a, x = _json_field(entry, "a", int), _json_field(entry, "x", int)
-            if not (0 <= a < outcomes and 0 <= x < settings) or a * settings + x in seen:
-                raise ValidationError(f"element (a, x) = ({a}, {x}) is out of range or repeated")
-            seen[a * settings + x] = None
-            _json_rows(entry, "re", 2, values)
-            _json_rows(entry, "im", 2, values)
-        parts = _json_reals(values, 2).reshape(-1, 2, 2, 2)  # [entry, re/im, row, column]
-        elements = np.empty((outcomes, settings, 2, 2), dtype=complex)  # every (a, x) is set
-        elements.reshape(-1, 2, 2)[list(seen)] = parts[:, 0] + 1j * parts[:, 1]
-        return Assemblage(elements)
+        parts = [None] * (8 * len(entries))  # (a, x) in order, each in matkernel._rows' layout
+        for entry in entries:  # _reals refuses a None left, or the str of a string or object read as a pair
+            try:
+                a, x, ((r0, r1), (r2, r3)), ((i0, i1), (i2, i3)) = entry["a"], entry["x"], entry["re"], entry["im"]
+            except (KeyError, TypeError, ValueError):
+                break
+            if not (type(a) is type(x) is int and 0 <= a < outcomes and 0 <= x < settings):
+                break
+            k = 8 * (a * settings + x)  # a repeated (a, x) leaves another one's Nones
+            parts[k : k + 8] = r0, i0, r1, i1, r2, i2, r3, i3
+        reals = _reals(parts)
+        if reals is None:  # some key is bad: scan the entries in order and name the first
+            seen, values = set(), []
+            for entry in entries:
+                a, x = _json_field(entry, "a", int), _json_field(entry, "x", int)
+                if not (0 <= a < outcomes and 0 <= x < settings) or (a, x) in seen:
+                    raise ValidationError(f"element (a, x) = ({a}, {x}) is out of range or repeated")
+                seen.add((a, x))
+                _json_rows(entry, "re", 2, values)
+                _json_rows(entry, "im", 2, values)
+            raise _value_error(values, 2)
+        return Assemblage(reals.view(complex).reshape(outcomes, settings, 2, 2))
+
+
+def _coefficients(rows):
+    """(u, w) with beta(theta) = u cos(theta) + w sin(theta): u = 2 tr[Z(sigma_00
+    - sigma_10)] and w = 2 tr[X(sigma_01 - sigma_11)], from ``rows``, the
+    four ``matkernel._rows`` rows [Re a, Im a, Re b, Im b, Re c, Im c, Re d,
+    Im d] of sigma_00, sigma_01, sigma_10 and sigma_11. ValidationError
+    unless u and w are finite, each with an imaginary residue of at most
+    CHSH_RESIDUE_TOL. The one reader of the CHSH value."""
+    s00, s01, s10, s11 = rows
+    u = 2 * ((s00[0] - s10[0]) - (s00[6] - s10[6]))
+    u_im = 2 * ((s00[1] - s10[1]) - (s00[7] - s10[7]))
+    w = 2 * ((s01[2] - s11[2]) + (s01[4] - s11[4]))
+    w_im = 2 * ((s01[3] - s11[3]) + (s01[5] - s11[5]))
+    if not all(map(math.isfinite, (u, u_im, w, w_im))):
+        raise ValidationError(f"CHSH coefficients not finite: u = {complex(u, u_im)}, w = {complex(w, w_im)}")
+    residue = max(abs(u_im), abs(w_im))
+    if residue > CHSH_RESIDUE_TOL:
+        raise ValidationError(f"functional has imaginary residue {residue:.3e}")
+    return u, w
 
 
 def parse_json(text: str):
@@ -177,6 +215,17 @@ def _json_field(obj, key: str, kind: type):
     return obj[key]
 
 
+def _reals(values: list):
+    """``values`` as one float array, or None unless every value is an int
+    or a float (no bool) of magnitude below 1e308 (no NaN, inf or huge
+    int): one pass checks the type and the magnitude of each."""
+    try:
+        real = all(type(v) in (int, float) and abs(float(v)) < 1e308 for v in values)
+    except OverflowError:  # an int beyond the float range
+        real = False
+    return np.array(values, dtype=float) if real else None
+
+
 def _json_rows(entry, key: str, size: int, values: list) -> None:
     """Append the values of entry[key], row by row, to ``values``;
     ValidationError unless it is a size x size list of lists."""
@@ -189,25 +238,11 @@ def _json_rows(entry, key: str, size: int, values: list) -> None:
         values += row
 
 
-def _json_reals(values: list, size: int) -> np.ndarray:
-    """``values``, collected by ``_json_rows`` for "re" then "im" of each
-    matrix, as one float array: one type check, one conversion and one
-    magnitude check for all of them. ValidationError, naming the key of the
-    first bad value, unless every value is an int or a float (no bool) of
-    magnitude below 1e308 (no NaN, inf or huge int)."""
-    if not set(map(type, values)) <= {int, float}:
-        bad = next(i for i, v in enumerate(values) if type(v) not in (int, float))
-    else:
-        try:
-            reals = np.array(values, dtype=float)
-        except OverflowError:  # an int beyond the float range
-            bad = next(i for i, v in enumerate(values) if not abs(v) < 1e308)
-        else:
-            finite = np.abs(reals) < 1e308  # NaN and inf fail
-            if np.count_nonzero(finite) == finite.size:
-                return reals
-            bad = int(np.argmin(finite))
-    raise _matrix_error(("re", "im")[bad // (size * size) % 2], size)
+def _value_error(values: list, size: int) -> ValidationError:
+    """The error naming the key of the first value that ``_reals`` refuses
+    in ``values``, collected by ``_json_rows`` for "re" then "im" of each matrix."""
+    bad = next(i for i, v in enumerate(values) if _reals([v]) is None)
+    return _matrix_error(("re", "im")[bad // (size * size) % 2], size)
 
 
 def _matrix_error(key: str, size: int) -> ValidationError:
@@ -220,7 +255,10 @@ def json_matrix(entry, size: int = 2) -> np.ndarray:
     values = []
     _json_rows(entry, "re", size, values)
     _json_rows(entry, "im", size, values)
-    re, im = _json_reals(values, size).reshape(2, size, size)
+    reals = _reals(values)
+    if reals is None:
+        raise _value_error(values, size)
+    re, im = reals.reshape(2, size, size)
     return re + 1j * im
 
 

@@ -224,8 +224,13 @@ def _s_value(text: str) -> float:
     return selftest.S_OPTIMAL if text == "optimal" else float(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # argparse's own write drops a BrokenPipeError: main must see it
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="steerbound",
         description="Device-independent certification of the CHSH-type steering assemblage",
     )

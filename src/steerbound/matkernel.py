@@ -130,7 +130,7 @@ def hermitian_min_eigvals(m: np.ndarray, tol: float) -> np.ndarray:
     ValidationError on any other shape, and unless every entry of every
     matrix is finite and within ``tol`` of the adjoint's. This is the one
     place that decides Hermiticity (``validate`` compares the same 2x2
-    deviation, ``_hermitian_deviation``, with its tolerance).
+    deviation, by ``_hermitian_deviation``'s arithmetic, with its tolerance).
 
     A 2x2 stack is read once with ``tolist`` (``_rows``); each matrix's
     deviations |M - M^dagger| and its mean - radius are Python arithmetic

@@ -47,11 +47,11 @@ from itertools import repeat
 
 import numpy as np
 
-from .assemblage import ValidationError, parse_json
+from .assemblage import ValidationError, _coefficients, parse_json
 from .fidelity import _fidelity_operators
 from .matkernel import ENDPOINT_SLACK, HERMITICITY_TOL, SEARCH_TOLERANCE, _ROUNDING, _rows, hermitian_min_eigvals
 from .selftest import analytic_bound, dephasing_channel, upper_bound
-from .steering import BETA_CLASSICAL, BETA_QUANTUM, _coefficients, check_theta
+from .steering import BETA_CLASSICAL, BETA_QUANTUM, check_theta
 
 
 def _is_int(v) -> bool:

@@ -26,7 +26,7 @@ from .fidelity import _REFERENCE_MAP, ExtractionChannel, _check_reference_shape
 from .matkernel import BREAKPOINT_TIE, ENDPOINT_SLACK, MARGINAL_WINDOW, PROB_FLOOR, _KINK_TOL
 from .matkernel import INEQUALITY_SLACK  # noqa: F401 (re-exported: verify-inequality's slack)
 from .matkernel import I2, PAULI_X, PAULI_Z, ValidationError
-from .steering import BETA_CLASSICAL, BETA_QUANTUM, _chsh_coefficients, _maximum, check_theta
+from .steering import BETA_CLASSICAL, BETA_QUANTUM, _maximum, check_theta
 
 S_OPTIMAL = (1 + math.sqrt(2)) / 4
 T_OPTIMAL = (2 - math.sqrt(2)) / 2
@@ -234,7 +234,7 @@ def certified_lower_bound(asm: Assemblage, theta: float) -> float:
     dev = asm.max_marginal_deviation()
     if dev > MARGINAL_WINDOW:
         raise ValidationError(f"analytic bound assumes p(a|x) = 1/2; deviation {dev:.3e} exceeds {MARGINAL_WINDOW:.0e}")
-    u, w = _chsh_coefficients(asm)  # read once: the maximum and beta at theta both come from them
+    u, w = asm._chsh  # kept: the maximum and beta at theta both come from them
     peak = _maximum(u, w)[1]
     if peak > BETA_QUANTUM + ENDPOINT_SLACK:
         raise ValidationError(f"CHSH maximum {peak:.9g} exceeds 2 sqrt(2): not a quantum assemblage")

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .assemblage import Assemblage
-from .matkernel import CHSH_RESIDUE_TOL, ENDPOINT_SLACK, PAULI_X, PAULI_Z, ValidationError
+from .matkernel import ENDPOINT_SLACK, PAULI_X, PAULI_Z, ValidationError
 
 BETA_CLASSICAL = 2.0
 BETA_QUANTUM = 2 * math.sqrt(2)
@@ -36,51 +36,23 @@ def t_operators(theta: float) -> np.ndarray:
     return np.array([t0, -t0])
 
 
-def _chsh_coefficients(asm: Assemblage):
-    """``_coefficients`` of a 2x2 assemblage, from the rows it keeps;
-    ValidationError for any other shape."""
-    if asm.outcomes != 2 or asm.settings != 2:
-        raise ValidationError("CHSH functional requires |A| = |X| = 2")
-    return _coefficients(asm._rows)
-
-
-def _coefficients(rows):
-    """(u, w) with beta(theta) = u cos(theta) + w sin(theta): u = 2 tr[Z(sigma_00
-    - sigma_10)] and w = 2 tr[X(sigma_01 - sigma_11)], from ``rows``, the
-    four ``matkernel._rows`` rows [Re a, Im a, Re b, Im b, Re c, Im c, Re d,
-    Im d] of sigma_00, sigma_01, sigma_10 and sigma_11. ValidationError
-    unless u and w are finite, each with an imaginary residue of at most
-    CHSH_RESIDUE_TOL. The one reader of the CHSH value."""
-    s00, s01, s10, s11 = rows
-    u = 2 * ((s00[0] - s10[0]) - (s00[6] - s10[6]))
-    u_im = 2 * ((s00[1] - s10[1]) - (s00[7] - s10[7]))
-    w = 2 * ((s01[2] - s11[2]) + (s01[4] - s11[4]))
-    w_im = 2 * ((s01[3] - s11[3]) + (s01[5] - s11[5]))
-    if not all(map(math.isfinite, (u, u_im, w, w_im))):
-        raise ValidationError(f"CHSH coefficients not finite: u = {complex(u, u_im)}, w = {complex(w, w_im)}")
-    residue = max(abs(u_im), abs(w_im))
-    if residue > CHSH_RESIDUE_TOL:
-        raise ValidationError(f"functional has imaginary residue {residue:.3e}")
-    return u, w
-
-
 def chsh_functional(asm: Assemblage, theta: float) -> float:
     """Value of the CHSH steering functional on an assemblage at the Jordan
     angle theta, Tr[sum_{a,x} T_{ax} sigma_{a|x}] = u cos(theta) + w sin(theta).
     ValidationError unless theta is in [0, pi/2]."""
     check_theta(theta)
-    u, w = _chsh_coefficients(asm)
+    u, w = asm._chsh
     return u * math.cos(theta) + w * math.sin(theta)
 
 
 def max_violation_over_theta(asm: Assemblage):
     """(theta*, beta*): the maximum of the functional over theta in [0, pi/2].
 
-    For u, w > 0 (see ``_chsh_coefficients``) the maximum is hypot(u, w) at
-    atan2(w, u); otherwise there is no interior maximum and the better
-    endpoint wins: theta* = 0 if u >= w, else pi/2.
+    For u, w > 0 (the CHSH pair ``Assemblage._chsh``) the maximum is
+    hypot(u, w) at atan2(w, u); otherwise there is no interior maximum and
+    the better endpoint wins: theta* = 0 if u >= w, else pi/2.
     """
-    return _maximum(*_chsh_coefficients(asm))
+    return _maximum(*asm._chsh)
 
 
 def _maximum(u: float, w: float):

@@ -8,9 +8,10 @@ two mutants, the value times 1e3 and times 1e-3. The structural rows
 (``STRUCTURAL``) each drop one ``_require_valid`` call, replacing it with its
 argument, and ``GUARDS`` each remove one other guard: the tie rule, the
 dephasing coefficient check, the kink check, the elements' immutable
-buffer, the sandwich record's float guard, ``validate``'s comparison of the
-kept measures with its tolerance or an overflow guard (a CLI integer or a
-config tolerance past the float range).
+buffer, the JSON parse's type and magnitude check, the sandwich record's
+float guard, ``validate``'s comparison of the kept measures with its
+tolerance or an overflow guard (a CLI integer or a config tolerance past
+the float range).
 For each mutant, ``src/``, ``tests/`` and ``pyproject.toml`` are copied to a
 temporary directory, its text (which must occur exactly once in its file)
 is replaced there, and its test files run with ``pytest -x``. A failing test kills the mutant; a mutant
@@ -78,7 +79,8 @@ STRUCTURAL = (
 # the test files that must kill it). The tie rule falls back to the least
 # value alone, the dephasing coefficient check and the kink check to no
 # check, the elements' immutable buffer to a copy that is read-only by its
-# flag only, the sandwich record's guard on its seven floats to no check
+# flag only, the JSON parse's one-pass type and magnitude check on every
+# value to none, the sandwich record's guard on its seven floats to no check
 # (no type or finiteness), validate's Hermiticity verdict to True whatever
 # the tolerance, and each overflow guard to the check that let an int past
 # the float range through.
@@ -90,6 +92,8 @@ GUARDS = (
      ("tests/test_selftest.py",)),
     ("immutable elements", "assemblage.py", "np.frombuffer(given.tobytes(), complex).reshape(given.shape)",
      "given.copy(); elements.flags.writeable = False", ("tests/test_assemblage.py",)),
+    ("parse value check", "assemblage.py",
+     "all(type(v) in (int, float) and abs(float(v)) < 1e308 for v in values)", "True", ("tests/test_assemblage.py",)),
     ("record float guard", "numsearch.py",
      "all(map(isinstance, values, repeat(float))) and all(map(math.isfinite, values))", "True",
      ("tests/test_numsearch.py",)),

@@ -1,5 +1,6 @@
 import json
 import math
+from operator import add
 
 import numpy as np
 import pytest
@@ -29,9 +30,14 @@ from steerbound.matkernel import (
     PAULI_X,
     PAULI_Z,
     PHI_PLUS,
+    _hermitian_deviation,
+    _largest,
+    _mean_radius,
+    _smallest,
     projector,
 )
 from conftest import numpy_min_eigvals
+from devices import general_assemblage
 
 
 def phi_plus():
@@ -361,6 +367,33 @@ class TestValidate:
             verdicts.add((got.passed, tuple(f.split()[0] for f in got.failures())))
         assert len(verdicts) >= 5, verdicts
 
+    def test_measures_match_the_multi_pass_formula(self):
+        # the one-loop measures against the multi-pass formula they replaced,
+        # equal as floats (a NaN equals a NaN) on realizations, general
+        # assemblages, 3-outcome and 3-setting ones, and entries near 1e308
+        # whose sums overflow to inf and inf - inf to NaN
+        rng = np.random.default_rng(35)
+        cases = [realize(random_realization(rng, **kind)) for kind in _REALIZATIONS for _ in range(40)]
+        cases += [general_assemblage(rng) for _ in range(30)]
+        for shape in [(3, 2, 2, 2), (2, 3, 2, 2), (3, 3, 2, 2)] * 20:
+            g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            cases.append(Assemblage(g @ g.conj().swapaxes(-1, -2) / (4 * shape[0] * shape[1])))
+        for n in range(300):
+            parts = rng.normal(size=(2 + n % 2, 2 + n // 2 % 2, 2, 2, 2))
+            huge = rng.random(parts.shape) < 0.2
+            sizes = rng.choice([1e308, 1.5e308, np.finfo(float).max], size=huge.sum())
+            parts[huge] = rng.choice([-1, 1], size=huge.sum()) * sizes
+            cases.append(Assemblage(parts[..., 0] + 1j * parts[..., 1]))
+        opposite = np.zeros((2, 2, 2, 2), dtype=complex)  # Bob's marginal traces inf + -inf
+        opposite[:, 0] = np.diag([1.5e308, -1.5e308])
+        cases.append(Assemblage(opposite))
+        kinds = set()
+        for asm in cases:
+            want, got = _multi_pass_measures(asm), asm._measures
+            assert all(a == b or math.isnan(a) and math.isnan(b) for a, b in zip(got, want)), (got, want)
+            kinds.update((i, "nan" if math.isnan(v) else "inf" if math.isinf(v) else "") for i, v in enumerate(got))
+        assert kinds >= {(0, "inf"), (1, "inf"), (1, "nan"), (2, "nan"), (3, "inf"), (3, "nan")}, kinds
+
     def test_overflow_fails_with_nan(self):
         # finite entries whose sum over a overflows: inf - inf in the
         # no-signalling deviation is NaN, which fails, as numpy's max gives it
@@ -410,6 +443,26 @@ class TestValidate:
         with pytest.raises(ValidationError, match=r"^positivity violated: min eigenvalue -1\.000e-09$"):
             certified_lower_bound(asm, 0.0)
         assert validate(asm, 1e-6).passed
+
+
+_REALIZATIONS = (dict(), dict(projective=False), dict(uniform_marginals=True))
+
+
+def _multi_pass_measures(asm: Assemblage) -> tuple:
+    """``Assemblage._measures`` as it was computed before the one-loop
+    version: a pass over the rows for each measure, from matkernel's helpers."""
+    rows, settings = asm._rows, asm.settings
+    marginals = rows[:settings]
+    for start in range(settings, len(rows), settings):
+        marginals = [list(map(add, m, row)) for m, row in zip(marginals, rows[start : start + settings])]
+    first = marginals[0]
+    gaps = [math.hypot(m[i] - first[i], m[i + 1] - first[i + 1]) for m in marginals for i in (0, 2, 4, 6)]
+    return (
+        _hermitian_deviation(rows),
+        _smallest([mean - radius for mean, radius in _mean_radius(rows)]),
+        _largest(gaps),
+        _largest([abs(m[0] + m[6] - 1) for m in marginals]),
+    )
 
 
 def _near_boundary(least: float) -> np.ndarray:
@@ -610,12 +663,11 @@ class TestFromJsonFailsClosed:
         np.testing.assert_allclose(asm.elements[0, 0], chsh_reference().elements[0, 0])
 
     def test_matches_elementwise_conversion_on_random_documents(self):
-        # the one flat conversion places every matrix where the JSON puts
-        # it, in any entry order and with int entries mixed in
+        # each matrix lands where the JSON puts it, in any entry order and
+        # with int entries mixed in, holding the document's floats bit for bit
         rng = np.random.default_rng(20240817)
-        kinds = [dict(), dict(projective=False), dict(uniform_marginals=True)]
         for n in range(240):
-            asm = realize(random_realization(rng, **kinds[n % 3]))
+            asm = realize(random_realization(rng, **_REALIZATIONS[n % 3]))
             entries = [
                 {"a": a, "x": x, "re": asm.elements[a, x].real.tolist(), "im": asm.elements[a, x].imag.tolist()}
                 for a in range(2)
@@ -627,9 +679,45 @@ class TestFromJsonFailsClosed:
                         entry[key][i][j] = int(rng.integers(-3, 4))
             rng.shuffle(entries)
             parsed = Assemblage.from_json(json.dumps({"outcomes": 2, "settings": 2, "elements": entries}))
+            expected = np.empty((2, 2, 2, 2), dtype=complex)
             for entry in entries:
-                expected = np.array(entry["re"]) + 1j * np.array(entry["im"])
-                np.testing.assert_array_equal(parsed.elements[entry["a"], entry["x"]], expected)
+                expected[entry["a"], entry["x"]].real = entry["re"]
+                expected[entry["a"], entry["x"]].imag = entry["im"]
+            assert parsed.elements.tobytes() == expected.tobytes()
+            if n % 4:
+                assert parsed.elements.tobytes() == asm.elements.tobytes()
+
+    def test_signed_zeros_are_kept(self):
+        # a parsed element holds the document's -0.0 in both parts, so
+        # to_json then from_json gives back the elements' bytes
+        elements = chsh_reference().elements.copy()
+        elements[0, 0, 0, 1] = complex(-0.0, -0.0)
+        elements[1, 1, 1, 1] = complex(0.25, -0.0)
+        elements[1, 0, 0, 0] = complex(-0.0, 0.0)
+        asm = Assemblage(elements)
+        back = Assemblage.from_json(asm.to_json())
+        assert back.elements.tobytes() == asm.elements.tobytes()
+        parts = back.elements.view(float)
+        assert np.count_nonzero(np.signbit(parts) & (parts == 0)) == 4
+        text = _edit(lambda p: p["elements"][3]["im"][0].__setitem__(1, -0.0))  # (a, x) = (1, 1)
+        assert math.copysign(1.0, Assemblage.from_json(text).elements[1, 1, 0, 1].imag) == -1.0
+
+    @pytest.mark.parametrize(
+        "edits, key",
+        [
+            ([(0, "re", 0, 0, math.nan), (1, "im", 0, 0, "0")], "re"),
+            ([(0, "im", 1, 1, 10**400), (2, "re", 0, 0, True)], "im"),
+            ([(1, "re", 1, 0, None), (1, "im", 0, 0, math.inf)], "re"),
+        ],
+    )
+    def test_names_the_first_bad_value_in_document_order(self, edits, key):
+        # the first bad value of the document names its key, whatever the
+        # kind of bad value that comes after it
+        payload = _reference_payload()
+        for entry, name, i, j, value in edits:
+            payload["elements"][entry][name][i][j] = value
+        with pytest.raises(ValidationError, match=f"^'{key}' must be a 2x2 list of finite numbers$"):
+            Assemblage.from_json(json.dumps(payload))
 
 
 class TestLayout:

@@ -761,20 +761,26 @@ def test_closed_stdout_is_quiet_141(capsys, monkeypatch, argv, method):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("method", ["write", "flush"])
 @pytest.mark.parametrize("argv", [["--help"], ["verify-inequality", "-h"], ["sandwich", "--help"]], ids=" ".join)
-def test_help_into_closed_stdout_is_quiet_141(capsys, monkeypatch, argv):
-    # argparse prints the help, still buffered, and exits: the flush at the
-    # end of main meets the closed pipe, as it does for a command's output
-    monkeypatch.setattr(sys, "stdout", BrokenPipe("flush"))
+def test_help_into_closed_stdout_is_quiet_141(capsys, monkeypatch, argv, method):
+    # the help text's write (unbuffered) or, the help still buffered when
+    # argparse exits, the flush at the end of main meets the closed pipe,
+    # as it does for a command's output
+    monkeypatch.setattr(sys, "stdout", BrokenPipe(method))
     assert main(argv) == 141
     assert capsys.readouterr().err == ""
 
 
-def test_help_into_true_is_quiet_141(tmp_path):
-    # buffered stdout (no PYTHONUNBUFFERED), and the reader gone before the
-    # interpreter has started: no "Exception ignored" and exit 141, not 120;
-    # a usage error still exits 2 with argparse's message
+@pytest.mark.parametrize("buffering", ["unbuffered", "buffered"])
+def test_help_into_true_is_quiet_141(tmp_path, buffering):
+    # the reader gone before the interpreter has started: the help text's
+    # write (unbuffered; argparse's own write would drop the error) or the
+    # last flush (buffered) meets a closed pipe. No "Exception ignored" and
+    # exit 141, not 0 or 120; a usage error still exits 2 with argparse's message
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
     err = tmp_path / "err"
     script = '"$0" -m steerbound.cli "$2" 2>"$1" | true; exit "${PIPESTATUS[0]}"'
     assert subprocess.run(["bash", "-c", script, sys.executable, str(err), "--help"], env=env).returncode == 141

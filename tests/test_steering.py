@@ -97,7 +97,19 @@ class TestFunctional:
         elements[0, 0] += 0.1j * PAULI_Z
         asm = Assemblage(elements)
         for read in (max_violation_over_theta, lambda a: certified_lower_bound(a, math.pi / 4)):
-            with pytest.raises(ValidationError, match="imaginary residue 4.000e-01"):
+            for _ in range(2):  # a refusal is not kept: every call raises it
+                with pytest.raises(ValidationError, match="imaginary residue 4.000e-01"):
+                    read(asm)
+
+    def test_three_settings_refused_on_every_call(self):
+        # every p(a|x) is 1/2 and the assemblage is valid, so the shape
+        # check alone refuses it, on the second call as on the first
+        from steerbound.selftest import certified_lower_bound
+
+        asm = Assemblage(np.broadcast_to(I2 / 4, (2, 3, 2, 2)))
+        reads = (max_violation_over_theta, lambda a: chsh_functional(a, 0.0), lambda a: certified_lower_bound(a, 0.0))
+        for read in reads * 2:
+            with pytest.raises(ValidationError, match=r"^CHSH functional requires \|A\| = \|X\| = 2$"):
                 read(asm)
 
     @pytest.mark.parametrize("residue, refused", [(0.5e-10, False), (2e-10, True)])
