@@ -38,6 +38,7 @@ from .selftest import (
     extractability_with_channel,
     t_constraints,
     upper_bound,
+    xi_star,
 )
 from .steering import (
     BETA_CLASSICAL,

@@ -7,13 +7,13 @@ beta at theta* = atan m. Its fidelity operator W = (2 I(x)I + Z(x)Z +
 m X(x)X)/8 has eigenvalues (3 +- m)/8 and (1 +- m)/8, the top one at Phi+.
 So the identity channel (primal) and the dual point H = 0 (bound
 2 lambda_max(W)) meet at 3/4 + m/4 = 3/4 + sqrt(beta^2 - 4)/8, the closed
-form xi*(beta). The sweep scores every target from one witness stack,
-one W einsum and one eigenvalue call.
+form ``selftest.xi_star``. The sweep reads every column off closed forms,
+with no matrix work; only ``residual`` is read from the witness's entries.
 
-That value is ``numeric_min``: the exact extractability (within the pair's
-gap) of a valid assemblage at CHSH value beta. It is the minimum for one
-qubit block with uniform marginals, sigma_{a|x} = (I + (r + (-1)^a n_x) .
-sigma)/4, read at one angle theta <= pi/4 (theta > pi/4 mirrors it with X):
+That value is ``numeric_min``: the exact extractability of a valid
+assemblage at CHSH value beta. It is the minimum for one qubit block with
+uniform marginals, sigma_{a|x} = (I + (r + (-1)^a n_x) . sigma)/4, read
+at one angle theta <= pi/4 (theta > pi/4 mirrors it with X):
 the identity and conjugation by Z give Xi >= (2 + n0_z + |n1_x|)/4, and the
 least value of that at 2 cos(theta) n0_z + 2 sin(theta) n1_x = beta, over
 |n_x| <= 1 and then over theta, is xi*. It is not the device-independent
@@ -25,9 +25,9 @@ or below the interpolation upper bound (eq8), its tangent at 2 sqrt 2.
 
 A record holds six float columns and the witness's m; ``winner`` is the
 class constant "witness". ``_witness`` defines the witness family once:
-the sweep scores the stack built from it, ``record.witness`` is it at the
-record's m, and the record template is it with a slot at each entry that
-varies. A record refuses any of its seven floats that is not finite, so
+the sweep reads each residual from its entries, ``record.witness`` is it
+at the record's m, and the record template is it with a slot at each entry
+that varies. A record refuses any of its seven floats that is not finite, so
 every record fills that template: ``SandwichReport.to_json`` writes it as
 one ``%`` of the text ``json.dumps(indent=2)`` writes for the record, with
 11 slots, compiled once per process on first use. Its bytes are
@@ -45,13 +45,10 @@ import sys
 from dataclasses import dataclass, fields
 from itertools import repeat
 
-import numpy as np
-
 from .assemblage import ValidationError, _coefficients, parse_json
-from .fidelity import _fidelity_operators
-from .matkernel import ENDPOINT_SLACK, HERMITICITY_TOL, SEARCH_TOLERANCE, _ROUNDING, _rows, hermitian_min_eigvals
-from .selftest import analytic_bound, dephasing_channel, upper_bound
-from .steering import BETA_CLASSICAL, BETA_QUANTUM, check_theta
+from .matkernel import ENDPOINT_SLACK, SEARCH_TOLERANCE, _ROUNDING
+from .selftest import analytic_bound, dephasing_channel, upper_bound, xi_star
+from .steering import BETA_CLASSICAL, BETA_QUANTUM
 
 
 def _is_int(v) -> bool:
@@ -137,17 +134,6 @@ def _witness(plus, minus, theta) -> dict:
         "theta": theta,
         "channel": {"re": _IDENTITY.real.tolist(), "im": _IDENTITY.imag.tolist()},
     }
-
-
-def _witnesses(betas):
-    """Every target's witness as one (targets, 2, 2, 2, 2) elements array,
-    read from ``_witness``, and the list of their m = sqrt(beta^2/4 - 1),
-    each at theta* = atan m. m is clamped to 1, because at 2 sqrt 2 the
-    radicand rounds to 1 + 2e-16. The targets are ``SearchConfig.check``'s
-    to check."""
-    ms = [min(1.0, math.sqrt(beta * beta / 4 - 1)) for beta in betas]
-    re = [[e["re"] for e in _witness(m / 4, -m / 4, 0.0)["assemblage"]["elements"]] for m in ms]
-    return np.array(re, dtype=complex).reshape(-1, 2, 2, 2, 2), ms
 
 
 @dataclass(frozen=True)
@@ -256,33 +242,36 @@ def _record_text(r: SandwichRecord) -> str:
 
 
 def _records(betas) -> tuple:
-    """Each target's record: the identity channel's tr(J_id W) and the H = 0
-    dual bound 2 lambda_max(W), from one witness stack, one W einsum and
-    one eigenvalue call, and each residual from its four
-    ``matkernel._rows`` rows through the CHSH reader."""
-    elements, ms = _witnesses(betas)
-    w = _fidelity_operators(elements)
-    values = np.einsum("ij,nij->n", _IDENTITY.conj(), w).real
-    gaps = np.maximum(-2 * hermitian_min_eigvals(-w, HERMITICITY_TOL) - values, 0) + _ROUNDING
-    flat = _rows(elements)
-    rows = [flat[i : i + 4] for i in range(0, len(flat), 4)]  # each target's four rows
+    """Each target's record, read off closed forms with no matrix work:
+    m = min(1, sqrt(beta^2/4 - 1)), numeric_min = ``xi_star(beta)`` = 3/4 +
+    m/4 = tr(J_id W) and gap = ``_ROUNDING``, since W = (2 I(x)I + Z(x)Z +
+    m X(x)X)/8 has top eigenvalue (3 + m)/8: the identity channel and the
+    H = 0 dual point meet, with exact gap 0. The targets are
+    ``SearchConfig.check``'s to check."""
+    ms = [min(1.0, math.sqrt(beta * beta / 4 - 1)) for beta in betas]
     return tuple(
-        SandwichRecord(beta, value, analytic_bound(beta), upper_bound(beta), _residual(r, math.atan(m), beta), gap, m)
-        for beta, m, r, value, gap in zip(betas, ms, rows, values.tolist(), gaps.tolist())
+        SandwichRecord(beta, xi_star(beta), analytic_bound(beta), upper_bound(beta), _residual(m, beta), _ROUNDING, m)
+        for beta, m in zip(betas, ms)
     )
 
 
-def _residual(rows, theta: float, beta: float) -> float:
-    """|CHSH - beta| of one witness, ``abs(chsh_functional(asm, theta) -
-    beta)`` computed from its four rows by the same reader."""
-    check_theta(theta)
-    u, w = _coefficients(rows)
+def _residual(m: float, beta: float) -> float:
+    """|CHSH - beta| of the witness at m, ``abs(chsh_functional(asm, atan
+    m) - beta)`` computed by the same reader from its four
+    ``matkernel._rows`` rows [Re a, Im a, Re b, Im b, Re c, Im c, Re d,
+    Im d], tuples of the leaves ``_witness`` writes: plus = m/4, minus =
+    -m/4 and its constant entries."""
+    theta, plus, minus = math.atan(m), m / 4, -m / 4
+    u, w = _coefficients((
+        (0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), (0.25, 0.0, plus, 0.0, plus, 0.0, 0.25, 0.0),
+        (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0), (0.25, 0.0, minus, 0.0, minus, 0.0, 0.25, 0.0),
+    ))
     return abs(u * math.cos(theta) + w * math.sin(theta) - beta)
 
 
 def sandwich_sweep(cfg: SearchConfig) -> SandwichReport:
-    """Score every target's witness, from one witness stack, one W einsum
-    and one eigenvalue call, and assemble the report; passing means every
-    record passes."""
+    """Read every target's record off closed forms (see ``_records``), with
+    no matrix work, and assemble the report; passing means every record
+    passes."""
     cfg.check()
     return SandwichReport(cfg, _records(cfg.beta_targets))

@@ -10,7 +10,8 @@ theta-dependent dephasing channel. This module builds the channel family,
 checks the inequalities in closed form over theta, recovers the optimal
 coefficients s = (1+sqrt(2))/4 and t = (2-sqrt(2))/2 as the kink of the
 concave bound at maximal violation, and evaluates the resulting lower
-bound, the interpolation upper bound, and the non-triviality threshold.
+bound, the interpolation upper bound, the one-qubit-block minimum xi* and
+the non-triviality threshold.
 """
 
 from __future__ import annotations
@@ -204,6 +205,13 @@ def upper_bound(beta: float) -> float:
     bound, 1 at the quantum bound, affine in between."""
     f_c = TRIVIAL_CLASSICAL_FIDELITY
     return f_c + (1 - f_c) * (beta - BETA_CLASSICAL) / (BETA_QUANTUM - BETA_CLASSICAL)
+
+
+def xi_star(beta: float) -> float:
+    """Least extractability of one qubit block at CHSH value beta (see
+    ``numsearch``), 3/4 + sqrt(beta^2 - 4)/8, as 3/4 + m/4 with m clamped to
+    1: at 2 sqrt 2, beta^2/4 - 1 rounds to 1 + 2e-16."""
+    return 0.75 + min(1.0, math.sqrt(beta * beta / 4 - 1)) / 4
 
 
 def extractability_with_channel(asm: Assemblage, channel: ExtractionChannel) -> float:

@@ -11,7 +11,8 @@ dephasing coefficient check, the kink check, the elements' immutable
 buffer, the JSON parse's type and magnitude check, the sandwich record's
 float guard, ``validate``'s comparison of the kept measures with its
 tolerance or an overflow guard (a CLI integer or a config tolerance past
-the float range).
+the float range); one perturbs ``xi_star``, the closed form the sandwich
+reads its ``numeric_min`` from.
 For each mutant, ``src/``, ``tests/`` and ``pyproject.toml`` are copied to a
 temporary directory, its text (which must occur exactly once in its file)
 is replaced there, and its test files run with ``pytest -x``. A failing test kills the mutant; a mutant
@@ -83,7 +84,8 @@ STRUCTURAL = (
 # value to none, the sandwich record's guard on its seven floats to no check
 # (no type or finiteness), validate's Hermiticity verdict to True whatever
 # the tolerance, and each overflow guard to the check that let an int past
-# the float range through.
+# the float range through. The last row moves xi_star's 3/4 by 1e-10, which
+# the sandwich tests must tell from the witness's own W.
 GUARDS = (
     ("tie rule", "selftest.py", "values.min(axis=-1, keepdims=True) + BREAKPOINT_TIE",
      "values.min(axis=-1, keepdims=True)", ("tests/test_selftest.py", "tests/test_cli.py")),
@@ -101,6 +103,7 @@ GUARDS = (
     ("CLI int overflow", "cli.py", "except (ValueError, OverflowError):", "except ValueError:", ("tests/test_cli.py",)),
     ("config tolerance overflow", "numsearch.py", "self.tolerance <= sys.float_info.max", "self.tolerance < math.inf",
      ("tests/test_numsearch.py",)),
+    ("xi_star closed form", "selftest.py", "return 0.75 + min(", "return 0.7500000001 + min(", ("tests/test_numsearch.py",)),
 )
 
 # mutant label -> why no test can tell that mutant from the program

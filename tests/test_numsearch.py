@@ -24,12 +24,11 @@ from steerbound.fidelity import (
     fidelity_operator,
 )
 from steerbound.matkernel import (
-    HERMITICITY_TOL,
+    _ROUNDING,
     I2,
     PAULI_X,
     PAULI_Z,
     ValidationError,
-    hermitian_min_eigvals,
 )
 from steerbound.numsearch import (
     _COLUMNS,
@@ -37,7 +36,7 @@ from steerbound.numsearch import (
     SandwichReport,
     SearchConfig,
     _records,
-    _witnesses,
+    _witness,
     sandwich_sweep,
 )
 from steerbound.selftest import (
@@ -63,9 +62,12 @@ def single_record(beta):
 
 
 def witness_candidate(beta):
-    """One target's witness, as an Assemblage, and its angle theta*."""
-    elements, ms = _witnesses([beta])
-    return Assemblage(elements[0]), math.atan(ms[0])
+    """One target's witness, as an Assemblage read back from the dict
+    ``_witness`` builds at m = min(1, sqrt(beta^2/4 - 1)), and its angle
+    theta* = atan m."""
+    m = min(1.0, math.sqrt(beta * beta / 4 - 1))
+    witness = _witness(m / 4, -m / 4, math.atan(m))
+    return Assemblage.from_json(json.dumps(witness["assemblage"])), witness["theta"]
 
 
 # one eigendecomposition to start, then per stage at most one per Newton
@@ -373,23 +375,13 @@ class TestDefaultSweep:
         assert default_report.records == singles
 
     def test_sweep_eigendecompositions(self, monkeypatch):
-        # no solve: the identity/H = 0 pair takes one stacked eigenvalue call
-        # for all five targets
+        # no solve and no eigenvalue call: every column is a closed form
         def unused(*args):
-            raise AssertionError("the sandwich must not run the extractability solve")
+            raise AssertionError("the sandwich must not run the extractability solve or an eigenvalue call")
 
-        monkeypatch.setattr(fidelity, "extractability", unused)
-        calls, shapes = count_eigh(monkeypatch), []
-        eigvalsh = np.linalg.eigvalsh
-
-        def recording(m):
-            shapes.append(m.shape)
-            return eigvalsh(m)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-        sandwich_sweep(SearchConfig())
-        assert calls == []
-        assert shapes == [(5, 4, 4)]
+        for module, name in ((fidelity, "extractability"), (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
+            monkeypatch.setattr(module, name, unused)
+        assert sandwich_sweep(SearchConfig()).passed
 
     def test_witness_solve_eigendecompositions(self, monkeypatch):
         # the general solve on each default witness: the first stage ends at
@@ -525,45 +517,31 @@ def one_fidelity_operator(asm):
     return np.einsum("ax,axji,axcd->icjd", weights, asm.elements, states).reshape(4, 4) / reference.settings
 
 
-def per_witness_records(betas):
-    """The sweep's records built one witness and one W at a time, then
-    stacked for the eigenvalue call; each record's witness is checked
-    against the dict written from its Assemblage and the identity
-    channel."""
-    witnesses = [witness_candidate(beta) for beta in betas]
-    w = np.array([fidelity_operator(asm) for asm, _ in witnesses])
-    identity = dephasing_channel(0.0, 1.0).choi
-    values = np.einsum("ij,nij->n", identity.conj(), w).real
-    gaps = np.maximum(-2 * hermitian_min_eigvals(-w, HERMITICITY_TOL) - values, 0) + fidelity._ROUNDING
-    records = []
-    for beta, (asm, theta), value, gap in zip(betas, witnesses, values.tolist(), gaps.tolist()):
-        witness = {
-            "assemblage": asm.to_dict(), "theta": theta,
-            "channel": {"re": identity.real.tolist(), "im": identity.imag.tolist()},
-        }
-        record = SandwichRecord(
-            beta=beta,
-            numeric_min=value,
-            analytic_lower=analytic_bound(beta),
-            eq8_upper=upper_bound(beta),
-            residual=abs(chsh_functional(asm, theta) - beta),
-            gap=gap,
-            m=min(1.0, math.sqrt(beta * beta / 4 - 1)),
-        )
-        assert json.dumps(record.witness) == json.dumps(witness)
-        records.append(record)
-    return tuple(records)
-
-
-class TestStackedSweep:
-    """One witness stack and one W einsum give the per-witness results bit for bit."""
+class TestClosedFormSweep:
+    """The closed-form records against matrix paths on each record's own
+    witness: its W, W's eigenvalues and the CHSH functional."""
 
     @pytest.mark.parametrize("betas", [SearchConfig().beta_targets, seeded_targets()], ids=["default", "seeded"])
     def test_records_match_per_witness_path(self, betas):
-        stacked, single = _records(betas), per_witness_records(betas)
-        assert stacked == single
-        cfg = SearchConfig(beta_targets=betas)
-        assert SandwichReport(cfg, stacked).to_json() == SandwichReport(cfg, single).to_json()
+        # numeric_min is the identity channel's tr(J_id W) within the
+        # rounding allowance, LAPACK's H = 0 dual bound 2 lambda_max(W)
+        # lies within the record's gap of it, and the residual is the CHSH
+        # functional's bit for bit
+        identity = dephasing_channel(0.0, 1.0).choi
+        channel = {"re": identity.real.tolist(), "im": identity.imag.tolist()}
+        records = _records(betas)
+        assert [r.beta for r in records] == list(betas)
+        for record in records:
+            beta, witness = record.beta, record.witness
+            asm = Assemblage.from_json(json.dumps(witness["assemblage"]))
+            w = fidelity_operator(asm)
+            assert abs(np.vdot(identity, w).real - record.numeric_min) <= _ROUNDING, beta
+            assert 2 * np.linalg.eigvalsh(w)[-1] <= record.numeric_min + record.gap, beta
+            assert json.dumps(asm.to_dict()) == json.dumps(witness["assemblage"]), beta
+            assert witness["theta"] == math.atan(record.m) and witness["channel"] == channel
+            assert record.residual == abs(chsh_functional(asm, witness["theta"]) - beta), beta
+            assert record.m == min(1.0, math.sqrt(beta * beta / 4 - 1)), beta
+            assert (record.analytic_lower, record.eq8_upper) == (analytic_bound(beta), upper_bound(beta))
 
     def test_witness_matches_one_target_formula(self):
         for beta in seeded_targets():
@@ -583,17 +561,20 @@ class TestStackedSweep:
         for asm, w in zip(asms, stacked):
             assert w.tobytes() == fidelity_operator(asm).tobytes() == one_fidelity_operator(asm).tobytes()
 
-    def test_default_sweep_makes_one_operator_call(self, monkeypatch):
-        shapes = []
-        operators = numsearch._fidelity_operators
+    def test_sweep_builds_no_fidelity_operator(self, monkeypatch):
+        # no module of the package reaches a W builder or an einsum
+        betas = seeded_targets()
+        builders = (fidelity.fidelity_operator, fidelity._fidelity_operators, np.einsum)
 
-        def recording(elements):
-            shapes.append(elements.shape)
-            return operators(elements)
+        def unused(*args, **kwargs):
+            raise AssertionError("the sweep must not build a fidelity operator")
 
-        monkeypatch.setattr(numsearch, "_fidelity_operators", recording)
-        sandwich_sweep(SearchConfig())
-        assert shapes == [(5, 2, 2, 2, 2)]
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "steerbound"] + [np]
+        for module in modules:
+            for name, value in list(vars(module).items()):
+                if any(value is b for b in builders):
+                    monkeypatch.setattr(module, name, unused)
+        assert sandwich_sweep(SearchConfig(beta_targets=betas)).passed
 
     def test_records_share_no_list(self, default_report):
         # every read of a record's witness builds its own dict, down to each row
@@ -610,25 +591,25 @@ class TestStackedSweep:
 
     def test_residuals_match_chsh_functional(self):
         # each residual is abs(chsh_functional - beta) on the target's own
-        # Assemblage, bit for bit
+        # Assemblage, built from _witness, bit for bit
         betas = seeded_targets()
-        elements, ms = _witnesses(betas)
-        for record, beta, element, m in zip(_records(betas), betas, elements, ms):
-            assert record.residual == abs(chsh_functional(Assemblage(element), math.atan(m)) - beta), beta
+        for record, beta in zip(_records(betas), betas):
+            asm, theta = witness_candidate(beta)
+            assert theta == math.atan(record.m)
+            assert record.residual == abs(chsh_functional(asm, theta) - beta), beta
 
     def test_written_witnesses_are_the_scored_stack(self):
-        # each witness the report writes reads back as the stack entry the
-        # sweep scored, bit for bit, at theta = atan m
+        # each witness the report writes reads back as _witness's at the
+        # target's own m, bit for bit, at theta = atan m
         betas = seeded_targets()
-        elements, ms = _witnesses(betas)
         report = sandwich_sweep(SearchConfig(beta_targets=betas))
         written = json.loads(report.to_json())["records"]
-        assert len(written) == len(ms) == 500
-        for entry, element, m, record in zip(written, elements, ms, report.records):
-            asm = Assemblage.from_json(json.dumps(entry["witness"]["assemblage"]))
-            assert asm.elements.tobytes() == element.tobytes(), entry["beta"]
-            assert entry["witness"]["theta"] == math.atan(m) == math.atan(record.m)
-            assert record.m == m
+        assert len(written) == 500
+        for entry, beta, record in zip(written, betas, report.records):
+            asm, theta = witness_candidate(beta)
+            read = Assemblage.from_json(json.dumps(entry["witness"]["assemblage"]))
+            assert read.elements.tobytes() == asm.elements.tobytes(), beta
+            assert entry["witness"]["theta"] == theta == math.atan(record.m)
 
     def test_records_construct_no_assemblage(self, monkeypatch):
         def unused(*args):
@@ -671,6 +652,15 @@ class TestSandwich:
         record = single_record(2.5)
         short = dataclasses.replace(record, numeric_min=record.analytic_lower - shortfall)
         assert short.passes(SearchConfig().tolerance) == passes
+
+    def test_every_record_passes_at_least_tolerance(self):
+        # the least tolerance SearchConfig.check allows is the rounding
+        # allowance every gap carries: no record fails on rounding alone
+        for betas in (seeded_targets(), (2.522268017964232, 2.72988755493037)):
+            cfg = SearchConfig(beta_targets=betas, tolerance=_ROUNDING)
+            cfg.check()
+            report = sandwich_sweep(cfg)
+            assert report.passed, [r.beta for r in report.records if not r.passes(_ROUNDING)]
 
     def test_max_violation_pins_fidelity_one(self):
         record = single_record(BETA_QUANTUM)

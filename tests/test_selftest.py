@@ -29,6 +29,7 @@ from steerbound.selftest import (
     extractability_with_channel,
     t_constraints,
     upper_bound,
+    xi_star,
 )
 from steerbound.steering import BETA_CLASSICAL, BETA_QUANTUM, chsh_functional, max_violation_over_theta, t_operators
 from devices import REFERENCE, Z_SHARP_X_BLANK, block_point, chord_device, device_point, general_assemblage
@@ -498,6 +499,15 @@ class TestBoundFormulas:
     def test_sandwich_ordering(self):
         for beta in np.linspace(2.0, BETA_QUANTUM, 50):
             assert analytic_bound(float(beta)) <= upper_bound(float(beta)) + 1e-12
+
+    def test_xi_star_is_the_closed_form(self):
+        # 3/4 + sqrt(beta^2 - 4)/8, clamped to 1 at 2 sqrt 2, and between
+        # the analytic line and the interpolation upper bound
+        assert xi_star(BETA_QUANTUM) == 1.0
+        assert xi_star(float(np.nextafter(2, 3))) == pytest.approx(0.75, abs=1e-8)
+        for beta in np.linspace(2.0, BETA_QUANTUM, 50)[1:].tolist():
+            assert xi_star(beta) == pytest.approx(0.75 + math.sqrt(beta * beta - 4) / 8, abs=1e-15)
+            assert analytic_bound(beta) - 1e-12 <= xi_star(beta) <= upper_bound(beta) + 1e-12
 
     def test_threshold_value(self):
         assert THRESHOLD_BETA == pytest.approx(8 - 4 * SQRT2, abs=1e-12)
