@@ -9,32 +9,32 @@ t = (2 - sqrt(2))/2, i.e. that min over theta of t0* + t1* is at least t.
 The check reads theta at BREAKPOINTS alone, 0, pi/4 and pi/2, where
 t0* + t1* takes its minimum over [0, pi/2], so its minimum is exact. The
 margin at that split, the least eigenvalue of the four operators, is
-min(t0* + t1* - t, 0), so no matrix is built; it is decided as
-`steerbound verify-inequality` decides it, and pushing t past the optimum
-makes the check fail.
+min(t0* + t1* - t, 0), so no matrix is built. At the breakpoints every
+number lies in Q(sqrt 2) and every float is a dyadic rational, so the
+margins are decided exactly, with no slack, as `steerbound
+verify-inequality` decides them; pushing t past the optimum, or s one
+float past it, makes the check fail.
 """
 
 import math
 
-import numpy as np
-
-from steerbound import t_constraints
-from steerbound.selftest import BREAKPOINTS, INEQUALITY_SLACK, S_OPTIMAL, T_OPTIMAL
+from steerbound.selftest import BREAKPOINTS, S_OPTIMAL, T_OPTIMAL, breakpoint_shifts
 
 
 def main():
     print(f"s = (1+sqrt(2))/4 = {S_OPTIMAL:.9f}")
-    thetas = BREAKPOINTS
-    g = sum(t_constraints(S_OPTIMAL, thetas))
-    best = int(g.argmin())
+    g = sum(breakpoint_shifts(S_OPTIMAL))  # exact t0* + t1* at BREAKPOINTS
+    best = min(range(len(g)), key=lambda i: g[i])
 
     for t in (T_OPTIMAL, T_OPTIMAL + 1e-6):
-        worst = np.minimum(g - t, 0).min()
-        # the slack of `steerbound verify-inequality`: rounding alone
-        status = "verified" if worst >= -INEQUALITY_SLACK else "FAILED"
-        print(f"t = {t:.9f}: worst eigenvalue margin {worst:+.3e} -> {status}")
+        worst = min(min(x - t, 0) for x in g)
+        status = "verified" if worst >= 0 else "FAILED"
+        print(f"t = {t:.9f}: worst eigenvalue margin {float(worst):+.3e} -> {status}")
+    past = math.nextafter(S_OPTIMAL, 1)
+    worst = min(min(x - T_OPTIMAL, 0) for x in sum(breakpoint_shifts(past)))
+    print(f"s = {past!r} (next float): worst margin {float(worst):+.3e} -> {'verified' if worst >= 0 else 'FAILED'}")
 
-    print(f"\nintercept min t0* + t1*  : {g[best]:.9f} at theta = {thetas[best]:.6f}")
+    print(f"\nintercept min t0* + t1*  : {float(g[best]):.9f} at theta = {BREAKPOINTS[best]:.6f}")
     print(f"closed form (2-sqrt2)/2  : {T_OPTIMAL:.9f}")
     print(f"boundary pi/4            : {math.pi / 4:.6f}")
 

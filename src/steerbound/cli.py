@@ -31,7 +31,7 @@ from .assemblage import (
     validate,
 )
 from .fidelity import classical_fidelity
-from .matkernel import ENDPOINT_SLACK, I2, INEQUALITY_SLACK, PAULI_X, PAULI_Z, PHI_PLUS, VALIDITY_TOL
+from .matkernel import ENDPOINT_SLACK, I2, PAULI_X, PAULI_Z, PHI_PLUS, VALIDITY_TOL
 from .numsearch import SearchConfig, sandwich_sweep
 from .steering import BETA_CLASSICAL, BETA_QUANTUM
 
@@ -100,20 +100,21 @@ def cmd_bound_curve(args) -> int:
 
 def cmd_verify_inequality(args) -> int:
     s, t_opt, thetas = args.s, selftest.T_OPTIMAL, selftest.BREAKPOINTS
-    g = sum(selftest._shifts(s, *selftest.BREAKPOINT_TABLE))  # t_constraints(s, thetas)
-    # the least eigenvalue of the four operators at t0 = t0*, t1 = t - t0*
-    margins = np.minimum(g - t_opt, 0)
-    worst = margins.min()
-    i = selftest._first_tied(margins)  # the first theta within BREAKPOINT_TIE of the least margin
+    t0, t1 = selftest.breakpoint_shifts(s)  # t_constraints(s, thetas), exact
+    g = t0 + t1
+    least = selftest._first_tied(g)  # each line names the first theta exactly at its least value
+    # the least eigenvalue of the four operators at t0 = t0*, t1 = t - t0* is
+    # min(g - t, 0): all 0 when g >= t, so first at theta = 0, else least where g is
+    worst = min(g[least] - t_opt, 0)
+    i = 0 if worst >= 0 else least
     print(f"worst margin {worst:.3e} at theta = {thetas[i]:.9g} (s = {_fmt(s)})")
     # g is continuous at pi/4, so each closed cell's least value is at an end
-    for label, cell in (("[0, pi/4]", [0, 1]), ("[pi/4, pi/2]", [1, 2])):
-        i = cell[np.argmin(g[cell])]
+    for label, start in (("[0, pi/4]", 0), ("[pi/4, pi/2]", 1)):
+        i = start + selftest._first_tied(g[start : start + 2])
         print(f"worst theta in {label}: {thetas[i]:.9g} (t0* + t1* = {_fmt(g[i])})")
-    i = int(np.argmin(g))
-    print(f"min t0* + t1* = {_fmt(g[i])} at theta = {thetas[i]:.9g} against T_OPTIMAL = {_fmt(t_opt)}")
-    # written so that a NaN margin fails
-    if not worst >= -INEQUALITY_SLACK:
+    print(f"min t0* + t1* = {_fmt(g[least])} at theta = {thetas[least]:.9g} against T_OPTIMAL = {_fmt(t_opt)}")
+    # exact, with no slack; written so that a NaN margin fails
+    if not worst >= 0:
         print("operator inequality FAILED", file=sys.stderr)
         return 1
     print("operator inequality verified")

@@ -161,23 +161,16 @@ def fidelity_operator(asm: Assemblage) -> np.ndarray:
     contribute zero, as in assemblage_fidelity.
     """
     _check_reference_shape(asm)
-    return _fidelity_operators(asm.elements)
+    p = np.trace(asm.elements, axis1=-2, axis2=-1).real
+    live = p >= PROB_FLOOR
+    weights = np.where(live, np.sqrt(_REFERENCE_P) / np.sqrt(np.where(live, p, 1.0)), 0.0)
+    w = np.einsum("ax,axji,axcd->icjd", weights, asm.elements, _REFERENCE_STATES)
+    return w.reshape(4, 4) / _REFERENCE.settings
 
 
 def _check_reference_shape(asm: Assemblage) -> None:
     if asm.elements.shape != _REFERENCE.elements.shape:
         raise ValidationError("extractability needs a two-setting, two-outcome assemblage")
-
-
-def _fidelity_operators(elements: np.ndarray) -> np.ndarray:
-    """fidelity_operator's W for each (2, 2, 2, 2) block of a (..., 2, 2,
-    2, 2) stack of assemblage elements, in one einsum; the shape is the
-    caller's to check."""
-    p = np.trace(elements, axis1=-2, axis2=-1).real
-    live = p >= PROB_FLOOR
-    weights = np.where(live, np.sqrt(_REFERENCE_P) / np.sqrt(np.where(live, p, 1.0)), 0.0)
-    w = np.einsum("...ax,...axji,axcd->...icjd", weights, elements, _REFERENCE_STATES)
-    return w.reshape(w.shape[:-4] + (4, 4)) / _REFERENCE.settings
 
 
 # Dual slack Z = y I - W + sum_k h_k (sigma_k (x) I); its derivatives in

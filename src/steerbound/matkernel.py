@@ -28,14 +28,11 @@ import numpy as np
 HERMITICITY_TOL = 1e-12  # largest |M - M^dagger| entry of a matrix read as Hermitian
 VALIDITY_TOL = 1e-10  # slack of every unit-trace, PSD, POVM and assemblage check: what "valid" means
 ENDPOINT_SLACK = 1e-12  # rounding allowed past beta in [2, 2 sqrt 2] and theta in [0, pi/2]
-BREAKPOINT_TIE = 1e-12  # first breakpoint this close to the least: verify-inequality's line 1, the (t0, t1) split
 PROB_FLOOR = 1e-12  # below this, p(a|x) (or a strategy weight below 0) is exactly 0
 WEIGHT_SUM_TOL = 1e-12  # a classical strategy's weights sum to 1 within this
 CHSH_RESIDUE_TOL = 1e-10  # largest imaginary part of the CHSH coefficients u and w
 MARGINAL_WINDOW = 1e-6  # the analytic bound assumes p(a|x) = 1/2 within this
 PURITY_TOL = 1e-9  # a rank-1 reference state's least eigenvalue is 0 within this
-INEQUALITY_SLACK = 1e-14  # rounding alone: -2.2e-16 at the float after S_OPTIMAL verifies
-_KINK_TOL = 1e-14  # rounding alone: the bound is about 1 near the kink
 _ROUNDING = 1e-14  # allowance for the rounding in a primal-dual gap
 NEWTON_FLOOR = 1e-7  # a barrier stage ends once a Newton decrement falls below this
 SEARCH_TOLERANCE = 1e-4  # SearchConfig's default pass slack of a sandwich record

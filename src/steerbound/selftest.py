@@ -17,6 +17,7 @@ the non-triviality threshold.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from operator import mul
 
@@ -24,13 +25,88 @@ import numpy as np
 
 from .assemblage import Assemblage, _require_valid
 from .fidelity import _REFERENCE_MAP, ExtractionChannel, _check_reference_shape
-from .matkernel import BREAKPOINT_TIE, ENDPOINT_SLACK, MARGINAL_WINDOW, PROB_FLOOR, _KINK_TOL
-from .matkernel import INEQUALITY_SLACK  # noqa: F401 (re-exported: verify-inequality's slack)
-from .matkernel import I2, PAULI_X, PAULI_Z, ValidationError
+from .matkernel import ENDPOINT_SLACK, I2, MARGINAL_WINDOW, PAULI_X, PAULI_Z, PROB_FLOOR, ValidationError
 from .steering import BETA_CLASSICAL, BETA_QUANTUM, _maximum, check_theta
 
-S_OPTIMAL = (1 + math.sqrt(2)) / 4
-T_OPTIMAL = (2 - math.sqrt(2)) / 2
+
+class QSqrt2:
+    """Exact number (a + b sqrt 2) / 2^k on Python ints a, b and k >= 0: +,
+    -, *, abs and the comparisons are exact, with no division or sqrt. An
+    int or a finite float operand is read exactly (every float is a dyadic
+    rational), any other operand is NotImplemented. ``float`` gives the
+    nearest float, ``floor`` the largest float at or below, and a format
+    spec formats the nearest float."""
+
+    __slots__ = ("a", "b", "k")
+
+    def __init__(self, a: int, b: int = 0, k: int = 0):
+        self.a, self.b, self.k = a, b, k
+
+    @staticmethod
+    def of(x):
+        """x exactly, or None unless x is a QSqrt2, an int or a finite float."""
+        p = QSqrt2(0)._pair(x)  # x's own (a, b, k)
+        return None if p is None else QSqrt2(p[2], p[3], p[4])
+
+    def _pair(self, other):
+        """(a, b, c, d, k): self's (a, b) and other's (c, d) over one 2^k, or
+        None unless other is ``of`` a number."""
+        if type(other) is QSqrt2:
+            c, d, j = other.a, other.b, other.k
+        elif isinstance(other, (int, float)) and other - other == 0:  # other - other is NaN at +-inf
+            c, j = other.as_integer_ratio()  # j = 2^k
+            d, j = 0, j.bit_length() - 1
+        else:
+            return None
+        k = self.k
+        return (self.a, self.b, c << k - j, d << k - j, k) if k >= j else (self.a << j - k, self.b << j - k, c, d, j)
+
+    def __float__(self):
+        """Nearest float, ties to even. Over 2^(k+p+1), |b| sqrt 2 lies
+        strictly between two even numerators (sqrt 2 is irrational), and
+        the odd one between them rounds as the value does once 2^-(k+p)
+        divides the spacing of every rounding boundary near it: p >= 1075 -
+        k does, and so does p >= L + 56 with |a| and sqrt 2 |b| below 2^L,
+        since |a + b sqrt 2| >= 1/(|a| + sqrt 2 |b|) when b != 0."""
+        a, b = self.a, self.b
+        p = min(max(a.bit_length(), b.bit_length() + 1) + 56, max(1075 - self.k, 0))
+        root = ((b > 0) - (b < 0)) * (2 * math.isqrt(2 * b * b << 2 * p) + 1)
+        return ((a << p + 1) + root) / (1 << self.k + p + 1)
+
+    def floor(self) -> float:
+        """Largest float at or below the value."""
+        x = float(self)
+        return x if self >= x else math.nextafter(x, -math.inf)
+
+    # each operator works on the (a, b, c, d, k) of ``_pair``, or is NotImplemented
+    __add__ = __radd__ = lambda self, o: NotImplemented if (p := self._pair(o)) is None else QSqrt2(
+        p[0] + p[2], p[1] + p[3], p[4])
+    __sub__ = lambda self, o: NotImplemented if (p := self._pair(o)) is None else QSqrt2(
+        p[0] - p[2], p[1] - p[3], p[4])
+    __rsub__ = lambda self, o: NotImplemented if (p := self._pair(o)) is None else QSqrt2(
+        p[2] - p[0], p[3] - p[1], p[4])
+    __mul__ = __rmul__ = lambda self, o: NotImplemented if (p := self._pair(o)) is None else QSqrt2(
+        p[0] * p[2] + 2 * p[1] * p[3], p[0] * p[3] + p[1] * p[2], 2 * p[4])
+    __abs__ = lambda self: QSqrt2(-self.a, -self.b, self.k) if _sign(self.a, self.b) < 0 else self
+    __format__ = lambda self, spec: format(float(self), spec)
+    __hash__ = None
+
+
+def _sign(a: int, b: int) -> int:
+    """Sign of a + b sqrt 2, exactly: a's where a^2 > 2 b^2, else b's (a^2 = 2 b^2 only at 0)."""
+    x = a if a * a > 2 * b * b else b
+    return (x > 0) - (x < 0)
+
+
+for _name in ("eq", "ne", "lt", "le", "gt", "ge"):  # the sign of self - other against 0
+    setattr(QSqrt2, f"__{_name}__", lambda self, o, op=getattr(operator, _name): NotImplemented if (
+        p := self._pair(o)) is None else op(_sign(p[0] - p[2], p[1] - p[3]), 0))
+
+# the bound's last rising piece (sqrt 2 - 1) s + 3/4 meets its plateau 1 at
+# s = (1/4)/(sqrt 2 - 1) = (1 + sqrt 2)/4, where t is the plateau's 2 - 2 sqrt 2 s
+S_EXACT = (1 - 0.75) * QSqrt2(1, 1)
+T_EXACT = 2 - QSqrt2(0, 2) * S_EXACT
+S_OPTIMAL, T_OPTIMAL = S_EXACT.floor(), T_EXACT.floor()  # each rounded down
 TRIVIAL_CLASSICAL_FIDELITY = (2 + math.sqrt(2)) / 4
 THRESHOLD_BETA = 8 - 4 * math.sqrt(2)  # where analytic_bound reaches TRIVIAL_CLASSICAL_FIDELITY
 
@@ -106,7 +182,9 @@ def t_constraints(s, theta):
 
 def _shifts(s, first, cos, sin):
     """``t_constraints`` at checked angles given by their ``first_interval``
-    flags, cosines and sines, such as ``BREAKPOINT_TABLE``.
+    flags, cosines and sines: floats, or the QSqrt2s of ``BREAKPOINT_TABLE``
+    with a QSqrt2 s for the exact shifts, one formula for both (x * 0.5 is
+    the float x / 2, and QSqrt2 has no division).
 
     K_{ax} = (I + (-1)^a k_x P_x)/2 and T_{ax} = (-1)^a 2 v_x P_x, with P =
     (Z, X) and v = (cos, sin): the channel keeps Gamma's pair sharp (k = 1)
@@ -116,7 +194,7 @@ def _shifts(s, first, cos, sin):
     t <= 1/2 - |x| respectively."""
     c = _coefficient_rule(s, first, cos, sin)
     kz, kx = np.where(first, 1.0, c), np.where(first, c, 1.0)
-    return 0.5 - np.abs(kz / 2 - 2 * s * cos), 0.5 - np.abs(kx / 2 - 2 * s * sin)
+    return 0.5 - np.abs(kz * 0.5 - 2 * s * cos), 0.5 - np.abs(kx * 0.5 - 2 * s * sin)
 
 
 # Every theta set the certificates use: g = t0* + t1* takes its minimum over
@@ -128,33 +206,38 @@ def _shifts(s, first, cos, sin):
 # branches while the other term is smooth there, so it is never a minimiser.
 BREAKPOINTS = np.array([0.0, math.pi / 4, math.pi / 2])
 BREAKPOINTS.flags.writeable = False
-# (first_interval, cos, sin) of BREAKPOINTS, read-only: the certificates read
-# t0* + t1* as _shifts(s, *BREAKPOINT_TABLE), bit for bit t_constraints(s,
-# BREAKPOINTS) without its check and trigonometry on every call
-BREAKPOINT_TABLE = (first_interval(BREAKPOINTS), np.cos(BREAKPOINTS), np.sin(BREAKPOINTS))
+# (first_interval, cos, sin) of BREAKPOINTS, exact and read-only: cos and sin
+# are (1, sqrt 2/2, 0) and (0, sqrt 2/2, 1) at the true angles
+_ROOT = QSqrt2(0, 1, 1)
+BREAKPOINT_TABLE = (first_interval(BREAKPOINTS), np.array([QSqrt2(1), _ROOT, QSqrt2(0)]),
+                    np.array([QSqrt2(0), _ROOT, QSqrt2(1)]))
 for _column in BREAKPOINT_TABLE:
     _column.flags.writeable = False
 
 
-def _first_tied(values):
-    """Index, along the last axis, of the first value within
-    ``BREAKPOINT_TIE`` of the least: the one tie rule of both certificates."""
-    return np.argmax(values <= values.min(axis=-1, keepdims=True) + BREAKPOINT_TIE, axis=-1)
+def breakpoint_shifts(s: float):
+    """t_constraints(s, BREAKPOINTS) in exact arithmetic: ``_shifts`` on
+    ``BREAKPOINT_TABLE`` with s read as a QSqrt2. Both certificates decide
+    from these."""
+    return _shifts(QSqrt2.of(s), *BREAKPOINT_TABLE)
+
+
+def _first_tied(values) -> int:
+    """Index of the first of the values exactly equal to their least: the
+    one tie rule of both certificates."""
+    values = list(values)
+    return values.index(min(values))  # min keeps the first least, found by identity
 
 
 def _intercepts(s):
-    """(t(s), t0, t1) per s at the first of ``BREAKPOINTS`` whose t0* + t1*
-    is within ``BREAKPOINT_TIE`` of the least. ``verify-inequality`` applies
-    the same ``_first_tied`` to its margins, min(t0* + t1* - t, 0), which
-    are all 0 wherever t0* + t1* >= t: for 0 < s < 1/(2 + sqrt 2) it names
-    theta = 0 where this picks pi/4."""
-    t0, t1 = _shifts(np.reshape(s, (-1, 1)), *BREAKPOINT_TABLE)
-    each, first = np.arange(len(t0)), _first_tied(t0 + t1)
-    t0, t1 = t0[each, first], t1[each, first]
-    return t0 + t1, t0, t1
-
-
-_SECTION_POINTS = 257  # the grid over [0, 0.8]: 256 cells of 0.003125
+    """Exact (t(s), t0, t1) at the first of ``BREAKPOINTS`` where t0* + t1*
+    is least. ``verify-inequality``'s first line names the first least of
+    its margins, min(t0* + t1* - t, 0), which are all 0 wherever t0* + t1*
+    >= t: for 0 < s < 1/(2 + sqrt 2) it names theta = 0 where this picks
+    pi/4."""
+    t0, t1 = breakpoint_shifts(s)
+    i = _first_tied(t0 + t1)
+    return t0[i] + t1[i], t0[i], t1[i]
 
 
 def coefficient_search() -> BoundCoefficients:
@@ -164,30 +247,19 @@ def coefficient_search() -> BoundCoefficients:
     with t(s) = min over ``BREAKPOINTS`` of t0* + t1*, is a minimum of
     concave piecewise-linear branches (1 - |1/2 - 2s| at 0 and pi/2,
     min(1/2 + sqrt(2) s, 2 - 2 sqrt(2) s) at pi/4) plus a linear term, so
-    its first maximiser S_OPTIMAL is the kink where the last rising piece,
-    (sqrt(2) - 1) s + 3/4, meets the plateau 1. One broadcast reads f on
-    ``_SECTION_POINTS`` points; the line through the two below the first
-    one on the plateau meets the line through it and the next at the kink,
-    where ``_intercepts`` reads the (t0, t1) split. ValidationError unless f
-    there lies on both lines and no grid value exceeds it, within
-    ``_KINK_TOL``: a second kink near the first fails closed.
+    its first maximiser is the kink ``S_EXACT`` = (1 + sqrt 2)/4 where the
+    last rising piece, (sqrt(2) - 1) s + 3/4 (t = 3/2 - 2s at 0 and pi/2),
+    meets the plateau 1 (t = 2 - 2 sqrt(2) s at pi/4). The search returns
+    its float rounded down, S_OPTIMAL, with the (t0, t1) split that
+    ``_intercepts`` reads there exactly. ValidationError unless t there is
+    exactly on the rising piece: a kink or bend that ``_shifts`` puts below
+    S_OPTIMAL fails closed.
     """
-    points = np.linspace(0.0, 0.8, _SECTION_POINTS)
-    t0, t1 = _shifts(points[:, None], *BREAKPOINT_TABLE)
-    values = (points * BETA_QUANTUM + (t0 + t1).min(axis=1)) / 2
-    top = values.max()
-    j = int(np.argmax(values >= top - _KINK_TOL))
-    if not 2 <= j <= _SECTION_POINTS - 2:
-        raise ValidationError(f"bound plateau starts at grid point {j}, not inside the bracket")
-    (a, b, c, d), (fa, fb, fc, fd) = points[j - 2 : j + 2].tolist(), values[j - 2 : j + 2].tolist()
-    rise, flat = (fb - fa) / (b - a), (fd - fc) / (d - c)
-    s = b + (fc - fb - flat * (c - b)) / (rise - flat)
+    s = S_OPTIMAL
     t, t0, t1 = _intercepts(s)
-    value = (s * BETA_QUANTUM + t[0]) / 2
-    gaps = (abs(value - fb - rise * (s - b)), abs(value - fc - flat * (s - c)), top - value)
-    if not all(gap <= _KINK_TOL for gap in gaps):  # a NaN fails too
-        raise ValidationError(f"bound {value:.17g} at s = {s!r} is not the kink of its grid lines")
-    return BoundCoefficients(s, float(t0[0]), float(t1[0]))
+    if not t + 2 * s == 1.5:  # a NaN fails too
+        raise ValidationError(f"bound {(s * BETA_QUANTUM + float(t)) / 2:.17g} at s = {s!r} is not the kink")
+    return BoundCoefficients(s, float(t0), float(t1))
 
 
 def analytic_bound(beta: float) -> float:

@@ -6,13 +6,14 @@ The table rows come from the tolerance table in
 up to the first blank line, each ``NAME = value  # reason``. Every row gives
 two mutants, the value times 1e3 and times 1e-3. The structural rows
 (``STRUCTURAL``) each drop one ``_require_valid`` call, replacing it with its
-argument, and ``GUARDS`` each remove one other guard: the tie rule, the
-dephasing coefficient check, the kink check, the elements' immutable
-buffer, the JSON parse's type and magnitude check, the sandwich record's
-float guard, ``validate``'s comparison of the kept measures with its
-tolerance or an overflow guard (a CLI integer or a config tolerance past
-the float range); one perturbs ``xi_star``, the closed form the sandwich
-reads its ``numeric_min`` from.
+argument, and ``GUARDS`` each break one other guard: the exact decision of
+the certificate (``QSqrt2``'s sign, the tie rule, the kink check and
+``verify-inequality``'s zero slack), the dephasing coefficient check, the
+elements' immutable buffer, the JSON parse's type and magnitude check, the
+sandwich record's float guard, ``validate``'s comparison of the kept
+measures with its tolerance or an overflow guard (a CLI integer or a config
+tolerance past the float range); one perturbs ``xi_star``, the closed form
+the sandwich reads its ``numeric_min`` from.
 For each mutant, ``src/``, ``tests/`` and ``pyproject.toml`` are copied to a
 temporary directory, its text (which must occur exactly once in its file)
 is replaced there, and its test files run with ``pytest -x``. A failing test kills the mutant; a mutant
@@ -51,14 +52,11 @@ TESTS = {
     "HERMITICITY_TOL": ("tests/test_fidelity.py",),
     "VALIDITY_TOL": ("tests/test_assemblage.py", "tests/test_fidelity.py", "tests/test_selftest.py", "tests/test_cli.py"),
     "ENDPOINT_SLACK": ("tests/test_steering.py", "tests/test_numsearch.py", "tests/test_cli.py", "tests/test_selftest.py"),
-    "BREAKPOINT_TIE": ("tests/test_selftest.py",),
     "PROB_FLOOR": ("tests/test_fidelity.py", "tests/test_assemblage.py"),
     "WEIGHT_SUM_TOL": ("tests/test_assemblage.py",),
     "CHSH_RESIDUE_TOL": ("tests/test_steering.py",),
     "MARGINAL_WINDOW": ("tests/test_selftest.py",),
     "PURITY_TOL": ("tests/test_fidelity.py",),
-    "INEQUALITY_SLACK": ("tests/test_cli.py",),
-    "_KINK_TOL": ("tests/test_selftest.py",),
     "_ROUNDING": ("tests/test_numsearch.py",),
     "NEWTON_FLOOR": ("tests/test_numsearch.py",),
     "SEARCH_TOLERANCE": ("tests/test_numsearch.py",),
@@ -76,22 +74,28 @@ STRUCTURAL = (
     ("certified_lower_bound", "selftest.py", "_require_valid(asm)", "asm", ("tests/test_selftest.py",)),
 )
 
-# Every other structural guard, removed: (label, module, old text, new text,
-# the test files that must kill it). The tie rule falls back to the least
-# value alone, the dephasing coefficient check and the kink check to no
-# check, the elements' immutable buffer to a copy that is read-only by its
-# flag only, the JSON parse's one-pass type and magnitude check on every
-# value to none, the sandwich record's guard on its seven floats to no check
-# (no type or finiteness), validate's Hermiticity verdict to True whatever
-# the tolerance, and each overflow guard to the check that let an int past
-# the float range through. The last row moves xi_star's 3/4 by 1e-10, which
-# the sandwich tests must tell from the witness's own W.
+# Every other structural guard, broken: (label, module, old text, new text,
+# the test files that must kill it). QSqrt2's sign of a + b sqrt 2 is read
+# from a alone, ignoring the sqrt 2 term, the tie rule takes the last
+# least value, the kink check's rising piece has its intercept moved by
+# 2^-50 and verify-inequality's verdict takes back a 2^-46 (1.4e-14) slack,
+# the dephasing coefficient check falls back to no check, the elements'
+# immutable buffer to a copy that is read-only by its flag only, the JSON
+# parse's one-pass type and magnitude check on every value to none, the
+# sandwich record's guard on its seven floats to no check (no type or
+# finiteness), validate's Hermiticity verdict to True whatever the
+# tolerance, and each overflow guard to the check that let an int past the
+# float range through. The last row moves xi_star's 3/4 by 1e-10, which the
+# sandwich tests must tell from the witness's own W.
 GUARDS = (
-    ("tie rule", "selftest.py", "values.min(axis=-1, keepdims=True) + BREAKPOINT_TIE",
-     "values.min(axis=-1, keepdims=True)", ("tests/test_selftest.py", "tests/test_cli.py")),
+    ("QSqrt2 sign", "selftest.py", "x = a if a * a > 2 * b * b else b", "x = a",
+     ("tests/test_selftest.py", "tests/test_cli.py")),
+    ("tie rule", "selftest.py", "return values.index(min(values))",
+     "return len(values) - 1 - values[::-1].index(min(values))", ("tests/test_selftest.py", "tests/test_cli.py")),
+    ("kink check", "selftest.py", "if not t + 2 * s == 1.5:", "if not t + 2 * s == 1.5 + 2.0**-50:",
+     ("tests/test_selftest.py", "tests/test_cli.py")),
+    ("verify slack", "cli.py", "if not worst >= 0:", "if not worst >= -2.0**-46:", ("tests/test_cli.py",)),
     ("dephasing coefficient check", "selftest.py", "if not -1 <= c <= 1:", "if False:", ("tests/test_selftest.py",)),
-    ("kink check", "selftest.py", "if not all(gap <= _KINK_TOL for gap in gaps):", "if False:",
-     ("tests/test_selftest.py",)),
     ("immutable elements", "assemblage.py", "np.frombuffer(given.tobytes(), complex).reshape(given.shape)",
      "given.copy(); elements.flags.writeable = False", ("tests/test_assemblage.py",)),
     ("parse value check", "assemblage.py",

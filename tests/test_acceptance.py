@@ -29,11 +29,11 @@ from steerbound.matkernel import I2, PAULI_X, PAULI_Z, PHI_PLUS
 from steerbound.numsearch import SearchConfig, sandwich_sweep
 from steerbound.selftest import (
     BREAKPOINTS,
-    INEQUALITY_SLACK,
     S_OPTIMAL,
     T_OPTIMAL,
     THRESHOLD_BETA,
     analytic_bound,
+    breakpoint_shifts,
     coefficient_search,
     dephasing_channel,
     dephasing_coefficient,
@@ -67,18 +67,18 @@ def test_01_trivial_classical_fidelity():
 def test_02_operator_inequality_sweep():
     # the paper's pair (s, t) through the fixed split t0 = t0*(theta),
     # t1 = t - t0*(theta), whose least eigenvalue is min(t0* + t1* - t, 0):
-    # PSD at every angle of a grid that holds the breakpoints 0, pi/4 and
-    # pi/2 for t = T_OPTIMAL, and violated once t exceeds it; the slack is
-    # verify-inequality's, for rounding alone
+    # decided exactly at the breakpoints 0, pi/4 and pi/2, where t0* + t1*
+    # is least, with no slack, as verify-inequality decides it: it holds
+    # for t = T_OPTIMAL and fails once t exceeds it by 1e-11. In floats, no
+    # angle of a dense grid that holds the breakpoints falls below t either
+    g = sum(breakpoint_shifts(S_OPTIMAL))
+    worst = min(g - T_OPTIMAL)
+    assert worst >= 0
+    assert min(g - (T_OPTIMAL + 1e-11)) < 0
+    assert float(min(g - (T_OPTIMAL + 1e-6))) < -5e-7
     thetas = np.union1d(np.linspace(0, math.pi / 2, 10_000), BREAKPOINTS)
-    g = sum(t_constraints(S_OPTIMAL, thetas))
-    worst = np.minimum(g - T_OPTIMAL, 0).min()
-    assert worst >= -INEQUALITY_SLACK
-    near = np.minimum(g - (T_OPTIMAL + 1e-11), 0).min()
-    assert near < -INEQUALITY_SLACK
-    over = np.minimum(g - (T_OPTIMAL + 1e-6), 0).min()
-    assert over < -5e-7
-    _report(f"operator inequality at (s, t) optimal: worst margin {worst:.2e} >= {-INEQUALITY_SLACK:.0e}")
+    assert np.minimum(sum(t_constraints(S_OPTIMAL, thetas)) - T_OPTIMAL, 0).min() >= 0
+    _report(f"operator inequality at (s, t) optimal: exact worst margin {float(worst):.2e} >= 0")
 
 
 def test_03_coefficient_recovery():

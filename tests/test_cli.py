@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -108,15 +109,16 @@ class TestVerifyInequality:
             # s = 0.6035 and 1.3e-4 below it at 0.6036, just past (1+sqrt 2)/4
             (("--s", "0.6035"), 0),
             (("--s", "0.6036"), 1),
-            # min t0* + t1* - T_OPTIMAL is +1.1e-16 at S_OPTIMAL, -2.2e-16 at
-            # the next float (rounding, within the 1e-14 slack) and -2.8e-11
-            # at S_OPTIMAL + 1e-11, a false claim
+            # min t0* + t1* - T_OPTIMAL is exactly +1.1e-16 at S_OPTIMAL,
+            # -1.8e-16 at the next float, 0.6035533905932738 (a false claim,
+            # however small: no slack) and -2.8e-11 at S_OPTIMAL + 1e-11
             (("--s", repr(selftest.S_OPTIMAL)), 0),
-            (("--s", repr(float(np.nextafter(selftest.S_OPTIMAL, 1)))), 0),
+            (("--s", repr(float(np.nextafter(selftest.S_OPTIMAL, 1)))), 1),
+            (("--s", "0.6035533905932738"), 1),
             (("--s", repr(selftest.S_OPTIMAL + 1e-11)), 1),
             (("--s", "0.9"), 1),
             (("--s", "5"), 1),
-            # margin -1.4e-13, past the 1e-14 slack
+            # margin -1.4e-13
             (("--s", repr(selftest.S_OPTIMAL + 5e-14)), 1),
         ],
     )
@@ -149,15 +151,59 @@ class TestVerifyInequality:
         first = capsys.readouterr().out.splitlines()[0]
         assert first == "worst margin -9.439e-01 at theta = 0 (s = -0.575510204)"
 
-    @pytest.mark.parametrize("excess, theta", [(0.5e-12, "0"), (2e-12, "0.785398163")])
-    def test_worst_margin_tie_rule_edge(self, excess, theta, capsys):
-        # just above S_OPTIMAL the margin at theta = 0 is (2 sqrt 2 - 2)(s -
-        # S_OPTIMAL) above pi/4's: the first angle is printed while that is
-        # within BREAKPOINT_TIE = 1e-12, and pi/4 once it is past it
-        s = selftest.S_OPTIMAL + excess / (2 * SQRT2 - 2)
+    @pytest.mark.parametrize("s", [float(np.nextafter(selftest.S_OPTIMAL, 1)), selftest.S_OPTIMAL + 0.5e-12 / (2 * SQRT2 - 2),
+                                   selftest.S_OPTIMAL + 2e-12 / (2 * SQRT2 - 2)])
+    def test_worst_margin_tie_rule_edge(self, s, capsys):
+        # above S_OPTIMAL the margin at theta = 0 is (2 sqrt 2 - 2)(s -
+        # S_EXACT) above pi/4's, exactly: pi/4 is named from the first float
+        # on, 1.8e-16 below the others there, and for margins 0.5e-12 and
+        # 2e-12 below them, which a 1e-12 tie rule used to tell apart
         assert main(["verify-inequality", "--s", repr(s)]) == 1
         first = capsys.readouterr().out.splitlines()[0]
-        assert first.startswith("worst margin -") and first.endswith(f" at theta = {theta} (s = 0.603553391)")
+        assert first.startswith("worst margin -") and first.endswith(" at theta = 0.785398163 (s = 0.603553391)")
+
+    def test_float_after_the_optimum_fails(self, capsys):
+        # the first of the 32 floats past S_OPTIMAL that a 1e-14 slack let
+        # through: its exact margins are -1.1e-16 at 0 and pi/2 and -1.8e-16
+        # at pi/4, all four lines name pi/4
+        assert main(["verify-inequality", "--s", "0.6035533905932738"]) == 1
+        assert capsys.readouterr() == (
+            "worst margin -1.770e-16 at theta = 0.785398163 (s = 0.603553391)\n"
+            "worst theta in [0, pi/4]: 0.785398163 (t0* + t1* = 0.292893219)\n"
+            "worst theta in [pi/4, pi/2]: 0.785398163 (t0* + t1* = 0.292893219)\n"
+            "min t0* + t1* = 0.292893219 at theta = 0.785398163 against T_OPTIMAL = 0.292893219\n",
+            "operator inequality FAILED\n",
+        )
+
+    @pytest.mark.parametrize("s", [float(np.finfo(float).max / 4), -float(np.finfo(float).max / 4), 5e-324, -5e-324, 0.0, -0.0])
+    def test_every_accepted_s_runs_exactly(self, s, capsys):
+        # the extremes the parser lets through: the exact path raises no
+        # OverflowError, and prints finite nearest floats
+        code = main(["verify-inequality", f"--s={s!r}"])
+        out, err = capsys.readouterr()
+        assert code == (abs(s) > 1) and len(out.splitlines()) == 4 + (code == 0)
+        assert "nan" not in out and "inf" not in out and err in ("", "operator inequality FAILED\n")
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_line_names_theta_by_one_rule(self, seed, capsys):
+        # each of the four lines names the first breakpoint whose exact
+        # value is the least: of the margins, of t0* + t1* on each closed
+        # cell, and of t0* + t1* overall. At the default s, 0 and pi/2 tie
+        # exactly below pi/4
+        rng = np.random.default_rng(seed)
+        s_values = [selftest.S_OPTIMAL, 0.0, 0.5, 0.25, -0.3, *rng.uniform(-1, 2, 30).tolist()]
+        names = [f"{theta:.9g}" for theta in selftest.BREAKPOINTS]
+        for s in s_values:
+            main(["verify-inequality", "--s", repr(s)])
+            lines = capsys.readouterr().out.splitlines()
+            g = sum(selftest.breakpoint_shifts(s))
+            margins = [min(x - selftest.T_OPTIMAL, 0) for x in g]
+            first = [min(cell, key=lambda i: values[i]) for values, cell in
+                     ((margins, [0, 1, 2]), (g, [0, 1]), (g, [1, 2]), (g, [0, 1, 2]))]
+            printed = [re.search(r"(?:theta = |\]: )(\S+)", line).group(1) for line in lines[:4]]
+            assert printed == [names[i] for i in first], s
+        g = sum(selftest.breakpoint_shifts(selftest.S_OPTIMAL))
+        assert g[0] == g[2] < g[1]
 
 
 GOLDEN = {
@@ -456,7 +502,7 @@ class TestClassicalFidelity:
 class TestCoefficientSearch:
     @pytest.mark.parametrize("points", ["1", "2", "512", "4096", str(10**12), str(GRID_MAX)])
     def test_s_points_changes_nothing(self, points, capsys):
-        # the search runs on one fixed bracket of s, whatever the grid size
+        # the search reads no grid of s: the kink is exact, whatever the size
         code, out, err = GOLDEN[("coefficient-search",)]
         assert main(["coefficient-search", "--s-points", points]) == code
         assert capsys.readouterr() == (out, err)
@@ -480,7 +526,7 @@ class TestCoefficientSearch:
         assert search == "s = " + verify.split("(s = ")[1].removesuffix(")")
 
     def test_extra_kink_is_one_error_line(self, monkeypatch, run_cli):
-        # a bound bent between grid points below the plateau fails closed
+        # a bound bent just below the kink fails closed
         original = selftest._shifts
 
         def bent(s, *table):

@@ -549,22 +549,21 @@ class TestClosedFormSweep:
             assert asm.elements.tobytes() == one_witness(beta).elements.tobytes(), beta
             assert theta == math.atan(min(1.0, math.sqrt(beta * beta / 4 - 1)))
 
-    def test_stacked_operators_match_single(self):
+    def test_operator_matches_one_target_formula(self):
         rng = np.random.default_rng(20240817)
         rho = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
         asms = [Assemblage([[rho, rho / 2], [rho * 1e-13, rho / 2]])]  # one p(a|x) below PROB_FLOOR
         for kwargs in ({}, {"projective": False}, {"uniform_marginals": True}):
             asms += [realize(random_realization(rng, **kwargs)) for _ in range(100)]
-        assert asms[0].probabilities()[1, 0] < PROB_FLOOR
-        stacked = fidelity._fidelity_operators(np.array([asm.elements for asm in asms]))
-        assert stacked.shape == (301, 4, 4)
-        for asm, w in zip(asms, stacked):
-            assert w.tobytes() == fidelity_operator(asm).tobytes() == one_fidelity_operator(asm).tobytes()
+        assert asms[0].probabilities()[1, 0] < PROB_FLOOR and len(asms) == 301
+        for asm in asms:
+            w = fidelity_operator(asm)
+            assert w.shape == (4, 4) and w.tobytes() == one_fidelity_operator(asm).tobytes()
 
     def test_sweep_builds_no_fidelity_operator(self, monkeypatch):
         # no module of the package reaches a W builder or an einsum
         betas = seeded_targets()
-        builders = (fidelity.fidelity_operator, fidelity._fidelity_operators, np.einsum)
+        builders = (fidelity.fidelity_operator, np.einsum)
 
         def unused(*args, **kwargs):
             raise AssertionError("the sweep must not build a fidelity operator")

@@ -1,5 +1,7 @@
+import decimal
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,17 +13,22 @@ from steerbound.matkernel import I2, KET0, PAULI_X, PAULI_Z, PROB_FLOOR, Validat
 from steerbound import selftest
 from steerbound.selftest import (
     _coefficient_rule,
+    _first_tied,
     _intercepts,
     _shifts,
     BREAKPOINT_TABLE,
     BREAKPOINTS,
     BoundCoefficients,
+    QSqrt2,
+    S_EXACT,
     S_OPTIMAL,
+    T_EXACT,
     T_OPTIMAL,
     THRESHOLD_BETA,
     TRIVIAL_CLASSICAL_FIDELITY,
     analytic_bound,
     bound_value,
+    breakpoint_shifts,
     certified_lower_bound,
     coefficient_search,
     dephasing_channel,
@@ -43,6 +50,98 @@ class TestConstants:
         assert T_OPTIMAL == pytest.approx((2 - SQRT2) / 2, abs=1e-15)
         assert TRIVIAL_CLASSICAL_FIDELITY == pytest.approx((2 + SQRT2) / 4, abs=1e-15)
         assert THRESHOLD_BETA == pytest.approx(8 - 4 * SQRT2, abs=1e-15)
+
+    def test_exact_values_rounded_down(self):
+        # each float is its exact value in Q(sqrt 2) rounded down, and the
+        # float pair verifies with no slack: t0* + t1* - T_OPTIMAL >= 0 at
+        # every breakpoint, exactly
+        assert S_EXACT == QSqrt2(1, 1, 2) and T_EXACT == QSqrt2(2, -1, 1)
+        for exact, value in ((S_EXACT, S_OPTIMAL), (T_EXACT, T_OPTIMAL)):
+            assert QSqrt2.of(value) < exact < float(np.nextafter(value, 1))
+            assert value == exact.floor()
+        # the nearest float to (2 - sqrt 2)/2 is the one above T_OPTIMAL
+        assert float(S_EXACT) == S_OPTIMAL and float(T_EXACT) == float(np.nextafter(T_OPTIMAL, 1))
+        assert S_OPTIMAL == (1 + SQRT2) / 4 and T_OPTIMAL == (2 - SQRT2) / 2
+        assert all(g >= T_OPTIMAL for g in sum(breakpoint_shifts(S_OPTIMAL)))
+
+
+def _decimal(x: QSqrt2, digits: int = 400) -> decimal.Decimal:
+    """x to ``digits`` significant digits, by decimal's own sqrt."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        return (x.a + x.b * decimal.Decimal(2).sqrt()) / (decimal.Decimal(2) ** x.k)
+
+
+def _random_qsqrt2(rng, bits: int = 120) -> QSqrt2:
+    a, b = (int(v) for v in rng.integers(-(2**62), 2**62, 2))
+    return QSqrt2(a << int(rng.integers(0, bits - 62)), b << int(rng.integers(0, bits - 62)), int(rng.integers(0, 200)))
+
+
+class TestQSqrt2:
+    def test_arithmetic_matches_rational_pairs(self, rng):
+        # +, - and * against (a, b) as Fractions: (a + b sqrt 2)(c + d sqrt 2)
+        # = (ac + 2bd) + (ad + bc) sqrt 2; floats and ints are read exactly
+        def pair(x):
+            return Fraction(x.a, 2**x.k), Fraction(x.b, 2**x.k)
+
+        for _ in range(300):
+            x, y = _random_qsqrt2(rng), _random_qsqrt2(rng)
+            (a, b), (c, d) = pair(x), pair(y)
+            assert pair(x + y) == (a + c, b + d) and pair(x - y) == (a - c, b - d)
+            assert pair(x * y) == (a * c + 2 * b * d, a * d + b * c)
+            f = float(rng.normal())
+            assert pair(f - x) == (Fraction(f) - a, -b) and pair(x * f) == (a * Fraction(f), b * Fraction(f))
+            assert pair(3 + x) == (a + 3, b) and pair(-2 * x) == (-2 * a, -2 * b)
+            assert pair(abs(x)) == ((a, b) if x >= 0 else (-a, -b))
+
+    def test_sign_and_comparisons_are_exact(self, rng):
+        # a + b sqrt 2 against a 400-digit decimal, with a and b of opposite
+        # signs near the cancellation a^2 = 2 b^2: the continued-fraction
+        # convergents p/q of sqrt 2 give |p - q sqrt 2| = 1/(p + q sqrt 2)
+        p, q = 1, 1
+        cases = []
+        for _ in range(60):
+            p, q = p + 2 * q, p + q
+            cases += [QSqrt2(p, -q), QSqrt2(-p, q), QSqrt2(p, -q, 300), QSqrt2(2 * q, -p)]
+        cases += [_random_qsqrt2(rng) for _ in range(300)] + [QSqrt2(0), QSqrt2(5), QSqrt2(0, -3)]
+        for x in cases:
+            sign = (_decimal(x) > 0) - (_decimal(x) < 0)
+            assert (x > 0, x == 0, x < 0) == (sign > 0, sign == 0, sign < 0), (x.a, x.b, x.k)
+            assert (x >= 0, x != 0, x <= 0, 0 < x, 0.0 == x) == (sign >= 0, sign != 0, sign <= 0, sign > 0, sign == 0)
+        assert QSqrt2(0, 1, 1) * QSqrt2(0, 1, 1) == 0.5 and QSqrt2(3, 2) * QSqrt2(3, -2) == 1
+
+    def test_float_is_the_nearest(self, rng):
+        # the nearest float, against the 400-digit value: no float lies
+        # closer, near cancellation too; floor is at or below, its successor
+        # above
+        p, q = 1, 1
+        cases = [_random_qsqrt2(rng) for _ in range(300)]
+        for _ in range(40):
+            p, q = p + 2 * q, p + q
+            cases += [QSqrt2(p, -q, 10), QSqrt2(-p, q, 1100)]
+        cases += [QSqrt2(1, 0, 1074), QSqrt2(3, 0, 1076), QSqrt2(0, 1, 1075), QSqrt2(2**1023, 1, 0)]
+        for x in cases:
+            value, near = float(x), _decimal(x)
+            assert abs(decimal.Decimal(value) - near) <= abs(decimal.Decimal(float(np.nextafter(value, -np.inf))) - near)
+            assert abs(decimal.Decimal(value) - near) <= abs(decimal.Decimal(float(np.nextafter(value, np.inf))) - near)
+            low = x.floor()
+            assert QSqrt2.of(low) <= x < float(np.nextafter(low, np.inf)), (x.a, x.b, x.k)
+            assert f"{x:.3e}" == f"{value:.3e}"
+
+    def test_other_operands_are_not_implemented(self):
+        # an operand that is no int and no finite float is NotImplemented,
+        # so numpy arrays apply the operator elementwise and the rest raise
+        x = QSqrt2(1, 1)
+        assert QSqrt2.of(math.nan) is None and QSqrt2.of(math.inf) is None and QSqrt2.of("1") is None
+        assert QSqrt2.of(x) == x and QSqrt2.of(0.75) == QSqrt2(3, 0, 2) and QSqrt2.of(-0.0) == 0
+        assert x.__add__(math.nan) is NotImplemented and x.__lt__(None) is NotImplemented
+        assert (x == math.nan) is False and (x != "x") is True
+        with pytest.raises(TypeError):
+            x < math.inf
+        with pytest.raises(TypeError):
+            hash(x)
+        column = x * np.array([1.0, QSqrt2(0, 1)], dtype=object)
+        assert column[0] == x and column[1] == QSqrt2(2, 1)
 
 
 class TestDephasingChannel:
@@ -303,6 +402,23 @@ class TestInequalityMargins:
                     assert abs(split - min(a + b - t, 0)) <= 2e-15, (s, theta, t)
 
 
+def test_exact_verdict_matches_float_verdict():
+    # 10,000 seeded (s, t) pairs, t drawn around the float minimum of t0* +
+    # t1* over BREAKPOINTS: wherever that float margin is outside +-1e-13,
+    # the exact verdict at the breakpoints (verify-inequality's, no slack)
+    # is the float one; inside, only the exact one decides
+    rng = np.random.default_rng(37)
+    s_values = np.concatenate([rng.uniform(-1, 2, 9_000), S_OPTIMAL + rng.uniform(-1e-12, 1e-12, 1_000)])
+    decided = 0
+    for s in s_values.tolist():
+        g = sum(t_constraints(s, BREAKPOINTS)).min()
+        t = g + rng.choice([1e-3, 1e-9, 1e-14]) * rng.uniform(-1, 1)
+        if abs(g - t) > 1e-13:
+            assert (min(sum(breakpoint_shifts(s))) >= t) == (g >= t), (s, t)
+            decided += 1
+    assert 6_000 < decided < 10_000
+
+
 def _finding_p_grid():
     """(s, thetas, t0*, t1*) on finding P's grid: 26 values of s times the
     41 angles and BREAKPOINTS, 1,066 points."""
@@ -321,28 +437,32 @@ class TestCoefficientSearch:
             BREAKPOINTS[1] = 0.0
 
     def test_breakpoint_table_is_read_only(self):
-        # (first_interval, cos, sin) of BREAKPOINTS, computed once
+        # (first_interval, cos, sin) of BREAKPOINTS, exact: cos and sin are
+        # (1, sqrt 2/2, 0) and (0, sqrt 2/2, 1), the true angles' values
         first, cos, sin = BREAKPOINT_TABLE
         np.testing.assert_array_equal(first, [True, True, False])
-        assert cos.tobytes() == np.cos(BREAKPOINTS).tobytes()
-        assert sin.tobytes() == np.sin(BREAKPOINTS).tobytes()
+        assert all(c * c + v * v == 1 for c, v in zip(cos, sin))
+        assert cos[0] == sin[2] == 1 and cos[2] == sin[0] == 0 and cos[1] == sin[1] > 0
+        assert [float(c) for c in cos] == [1.0, math.sqrt(0.5), 0.0]
         for column in BREAKPOINT_TABLE:
             with pytest.raises(ValueError):
                 column[0] = column[1]
 
-    def test_table_shifts_are_t_constraints_bit_for_bit(self, rng):
-        # the certificates' reads through the table are the one formula:
-        # s by s and broadcast, at the clamp edges |4s| = 1 and sqrt 2 and
-        # at s = +-0, with their neighbours
+    def test_exact_shifts_round_to_t_constraints(self, rng):
+        # the certificates' exact reads through the table are the float
+        # formula's values to within one rounding unit of max(1, |4s|), s by
+        # s, at the clamp edges |4s| = 1 and sqrt 2 and at s = +-0, with their
+        # neighbours; _shifts on the float table is t_constraints bit for bit
         edges = np.array([0.0, 0.25, SQRT2 / 4])
         edges = np.concatenate([edges, np.nextafter(edges, -1), np.nextafter(edges, 1)])
-        s_values = np.concatenate([rng.uniform(-1, 2, 500), edges, -edges])
+        s_values = np.concatenate([rng.uniform(-1, 2, 500), edges, -edges]).tolist()
+        table = (BREAKPOINT_TABLE[0], np.cos(BREAKPOINTS), np.sin(BREAKPOINTS))
         for s in s_values:
-            got, want = _shifts(float(s), *BREAKPOINT_TABLE), t_constraints(float(s), BREAKPOINTS)
-            assert [t.tobytes() for t in got] == [t.tobytes() for t in want], s
-        column = s_values[:, None]
-        got, want = _shifts(column, *BREAKPOINT_TABLE), t_constraints(column, BREAKPOINTS)
-        assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
+            want = t_constraints(s, BREAKPOINTS)
+            assert [t.tobytes() for t in _shifts(s, *table)] == [t.tobytes() for t in want], s
+            for exact, floats in zip(breakpoint_shifts(s), want):
+                assert all(type(x) is QSqrt2 for x in exact)
+                assert np.abs(np.array([float(x) for x in exact]) - floats).max() <= np.spacing(max(1, abs(4 * s))), s
 
     def test_breakpoint_minimum_is_exact(self, rng):
         # the minimum of t0* + t1* over BREAKPOINTS -- 0, pi/4 and pi/2
@@ -359,85 +479,95 @@ class TestCoefficientSearch:
             assert coarse == pytest.approx(sum(t_constraints(s, fine)).min(), abs=1e-12), s
 
     def test_intercepts_match_scalar_grid(self, rng):
-        # the one-broadcast intercepts equal the first breakpoint within 1e-12
-        # of the least t0* + t1* taken s by s: the value and the (t0, t1) split
-        s_values = np.concatenate([rng.uniform(-1, 2, 500), [0.0, 0.25, -0.25, S_OPTIMAL]])
-        for s, got in zip(s_values, zip(*_intercepts(s_values))):
-            t0, t1 = t_constraints(float(s), BREAKPOINTS)
-            i = int(np.argmax(t0 + t1 <= (t0 + t1).min() + 1e-12))
-            assert got == (t0[i] + t1[i], t0[i], t1[i]), s
+        # the intercepts are t0* + t1* and its split at the first breakpoint
+        # exactly at the least, s by s: the float shifts' argmin wherever
+        # they part by more than 1e-13, and theta = 0 at the exact ties of
+        # s = +-0 (all three) and s = 0.5, S_OPTIMAL (0 and pi/2)
+        s_values = rng.uniform(-1, 2, 500).tolist()
+        for s in s_values + [0.0, -0.0, 0.5, S_OPTIMAL]:
+            t, t0, t1 = _intercepts(s)
+            exact0, exact1 = breakpoint_shifts(s)
+            i = min(range(3), key=lambda j: exact0[j] + exact1[j])  # the first least
+            assert (t0, t1) == (exact0[i], exact1[i]) and t == t0 + t1 and t == min(exact0 + exact1), s
+            g = sum(t_constraints(s, BREAKPOINTS))
+            if np.sort(g)[1] - g.min() > 1e-13:
+                assert i == int(np.argmin(g)), s
+            assert abs(float(t) - g.min()) <= np.spacing(max(1, abs(4 * s))), s
+        assert [_first_tied(sum(breakpoint_shifts(s))) for s in (0.0, -0.0, 0.5, S_OPTIMAL)] == [0, 0, 0, 0]
 
     def test_recovers_optimum(self):
-        # the kink of the concave bound is the optimum to rounding, and the
-        # bound at maximal violation is 1 there
+        # the kink of the concave bound, rounded down, and the bound at
+        # maximal violation is 1 there
         coeffs = coefficient_search()
-        assert abs(coeffs.s - S_OPTIMAL) <= 1e-15
+        assert coeffs.s == S_OPTIMAL
         assert abs(coeffs.t - T_OPTIMAL) <= 1e-15
         assert abs(bound_value(coeffs, BETA_QUANTUM) - 1) <= 1e-15
 
     def test_grid_lines_are_the_pieces_of_the_bound(self):
-        # the first grid point on the plateau is 194 (s = 0.60625); the two
-        # below it lie on the rising piece (sqrt(2) - 1) s + 3/4 and it and
-        # the next on the plateau 1, so the two lines meet at S_OPTIMAL
-        points = np.linspace(0.0, 0.8, selftest._SECTION_POINTS)
-        t0, t1 = t_constraints(points[:, None], BREAKPOINTS)
-        values = (points * BETA_QUANTUM + (t0 + t1).min(axis=1)) / 2
-        j = int(np.argmax(values >= values.max() - selftest._KINK_TOL))
-        assert j == 194
-        rising = (SQRT2 - 1) * points[j - 2 : j] + 0.75
-        assert np.abs(values[j - 2 : j] - rising).max() <= 1e-15
-        assert np.abs(values[j : j + 2] - 1).max() <= 1e-15
-        assert np.all(values[:j] < 1 - 1e-4)
+        # in exact arithmetic t(s) is the rising piece's 3/2 - 2s at S_OPTIMAL
+        # and below it, and the plateau's 2 - 2 sqrt 2 s from the next float
+        # on: f = (2 sqrt 2 s + t)/2 is (sqrt 2 - 1) s + 3/4 < 1, then exactly
+        # 1. The two lines meet at S_EXACT, between the two floats
+        root8 = QSqrt2(0, 2)
+        below = [0.3, 0.5, 0.6, float(np.nextafter(S_OPTIMAL, 0)), S_OPTIMAL]
+        above = [float(np.nextafter(S_OPTIMAL, 1)), 0.61, 0.7, 0.8]
+        for s in below:
+            t = _intercepts(s)[0]
+            assert t + 2 * s == 1.5 and (root8 * s + t) * 0.5 == QSqrt2(-1, 1) * s + 0.75 < 1, s
+        for s in above:
+            t = _intercepts(s)[0]
+            assert t == 2 - root8 * s and (root8 * s + t) * 0.5 == 1, s
+        assert QSqrt2(-1, 1) * S_EXACT + 0.75 == 1 == (root8 * S_EXACT + T_EXACT) * 0.5
+        assert QSqrt2.of(S_OPTIMAL) < S_EXACT < float(np.nextafter(S_OPTIMAL, 1))
 
     def test_refinement_is_a_few_broadcasts(self, monkeypatch):
-        # one read of the breakpoint table over every grid point, then one for
-        # the (t0, t1) split at the kink, on every call: nothing is memoized
+        # one exact read of the breakpoint table, at S_OPTIMAL, on every
+        # call: nothing is memoized
         calls, original = [], selftest._shifts
 
         def counted(s, *table):
             assert all(got is want for got, want in zip(table, BREAKPOINT_TABLE, strict=True))
-            calls.append(np.shape(s))
+            calls.append(s)
             return original(s, *table)
 
         monkeypatch.setattr(selftest, "_shifts", counted)
         coefficient_search()
-        assert calls == [(selftest._SECTION_POINTS, 1), (1, 1)]
+        assert len(calls) == 1 and type(calls[0]) is QSqrt2 and calls[0] == S_OPTIMAL
         coefficient_search()
-        assert calls == [(selftest._SECTION_POINTS, 1), (1, 1)] * 2
+        assert len(calls) == 2 and calls[1] is not calls[0]
 
     def test_split_is_the_theta_zero_minimiser(self):
-        # at the returned s, one float below S_OPTIMAL, the first minimiser of
+        # at the returned s, one float below the kink, the first minimiser of
         # t0* + t1* over BREAKPOINTS is theta = 0, where the split is
-        # t0 = (1 - sqrt 2)/2 + 2 (S_OPTIMAL - s) and t1 = 1/2 (printed as
-        # -0.207106781 and 0.5)
+        # t0 = 1 - 2s = (1 - sqrt 2)/2 + 2 (S_EXACT - s) and t1 = 1/2
+        # (printed as -0.207106781 and 0.5)
         coeffs = coefficient_search()
         t0, t1 = t_constraints(coeffs.s, BREAKPOINTS)
         assert int(np.argmin(t0 + t1)) == 0
-        assert (coeffs.t0, coeffs.t1) == (t0[0], t1[0])
+        assert (coeffs.t0, coeffs.t1) == (t0[0], t1[0]) == (1 - 2 * coeffs.s, 0.5)
         assert abs(coeffs.t0 - (1 - SQRT2) / 2) <= 1e-9
-        assert abs(coeffs.t1 - 0.5) <= 1e-9
 
     def test_split_at_the_three_way_tie(self):
-        # at S_OPTIMAL, t0* + t1* ties at 0, pi/4 and pi/2 in exact
-        # arithmetic; in floats pi/4 is 1 ulp above at S_OPTIMAL and 1 ulp
-        # below at the next float. The 1e-12 tie rule reads theta = 0's split
-        # at all of them, so the printed split cannot flip with the last bit
-        found = coefficient_search().s
-        for s in (S_OPTIMAL, found):
-            for near in (np.nextafter(s, 0), s, np.nextafter(s, 1)):
-                t, t0, t1 = _intercepts(float(near))
-                want0, want1 = t_constraints(float(near), 0.0)
-                assert (t0[0], t1[0]) == (want0, want1), near
-                assert abs(t0[0] - (1 - SQRT2) / 2) <= 1e-15 and t1[0] == 0.5, near
-        # the case the tie rule decides: argmin alone would take pi/4's split
-        g = sum(t_constraints(float(np.nextafter(S_OPTIMAL, 1)), BREAKPOINTS))
-        assert int(np.argmin(g)) == 1
+        # t0* + t1* ties at 0, pi/4 and pi/2 only at S_EXACT, which is no
+        # float. At S_OPTIMAL and below, 0 and pi/2 tie exactly below pi/4,
+        # and the split is theta = 0's; from the next float on pi/4 alone is
+        # least, and the split is pi/4's, t0 = t1 = 1 - sqrt 2 s
+        for s in (float(np.nextafter(S_OPTIMAL, 0)), S_OPTIMAL):
+            t0, t1 = breakpoint_shifts(s)
+            g = t0 + t1
+            assert g[0] == g[2] < g[1], s
+            assert _intercepts(s)[1:] == (t0[0], t1[0]) and t0[0] == 1 - 2 * s and t1[0] == 0.5, s
+        for s in (float(np.nextafter(S_OPTIMAL, 1)), float(np.nextafter(np.nextafter(S_OPTIMAL, 1), 1))):
+            t0, t1 = breakpoint_shifts(s)
+            g = t0 + t1
+            assert g[1] < g[0] == g[2], s
+            assert _intercepts(s)[1:] == (t0[1], t1[1]) and t0[1] == t1[1] == 1 - QSqrt2(0, 1) * s, s
 
     @pytest.mark.parametrize("s_kink", [0.601, 0.6034], ids=["below-last-rising-point", "in-the-kink-cell"])
     def test_extra_kink_between_grid_points_fails_closed(self, s_kink, monkeypatch):
         # t0* + t1* capped by a steeper line from the rising piece at s_kink
-        # bends the bound between grid points before it reaches the plateau:
-        # the two grid lines no longer meet on the bound
+        # bends the bound below the kink: t at S_OPTIMAL is off the rising
+        # piece, in exact arithmetic
         original = selftest._shifts
 
         def bent(s, *table):
@@ -445,31 +575,29 @@ class TestCoefficientSearch:
             return t0, np.minimum(t1, 1.5 - 2 * s_kink - 2.4 * (s - s_kink) - t0)
 
         monkeypatch.setattr(selftest, "_shifts", bent)
-        with pytest.raises(ValidationError, match="not the kink of its grid lines"):
+        with pytest.raises(ValidationError, match=r"^bound 0\.99\d* at s = 0\.6035533905932737 is not the kink$"):
             coefficient_search()
 
     @pytest.mark.parametrize("total", [0.0, np.nan], ids=["no-plateau", "nan"])
-    def test_plateau_outside_the_bracket_fails_closed(self, total, monkeypatch):
-        # a bound that rises across the whole bracket, or is not a number
+    def test_flat_or_nan_bound_fails_closed(self, total, monkeypatch):
+        # a t(s) of 0 everywhere, or one that is not a number
         def flat(s, *table):
             shape = np.broadcast_shapes(np.shape(s), np.shape(table[0]))
             return np.full(shape, total), np.zeros(shape)
 
         monkeypatch.setattr(selftest, "_shifts", flat)
-        with pytest.raises(ValidationError, match="not inside the bracket"):
+        with pytest.raises(ValidationError, match="is not the kink"):
             coefficient_search()
 
     def test_smaller_s_gives_smaller_bound(self):
         # the bound at maximal violation never falls as s grows to the
-        # returned one, which is what puts the grid points below the first
-        # one on the plateau on its rising side
+        # returned one, which is what puts the floats below it on its
+        # rising side
         coeffs = coefficient_search()
-        s_values = np.linspace(0.0, coeffs.s, 64)
-        _, t0, t1 = _intercepts(s_values)
-        weak = [
-            bound_value(BoundCoefficients(float(s), float(a), float(b)), BETA_QUANTUM)
-            for s, a, b in zip(s_values, t0, t1)
-        ]
+        weak = []
+        for s in np.linspace(0.0, coeffs.s, 64).tolist():
+            _, t0, t1 = _intercepts(s)
+            weak.append(bound_value(BoundCoefficients(s, float(t0), float(t1)), BETA_QUANTUM))
         assert np.all(np.diff(weak) >= -1e-12)
         assert max(weak) <= bound_value(coeffs, BETA_QUANTUM) + 1e-12
 
@@ -730,53 +858,51 @@ def test_certification_edges_sit_where_they_say():
     assert -1e-10 < validate(_stretched(0.5e-12)).psd_margin < 0
 
 
-@pytest.mark.parametrize("tie", [selftest.BREAKPOINT_TIE, 0.0], ids=["tie-rule", "strict"])
-def test_both_certificates_pick_the_same_breakpoint(tie, monkeypatch, capsys):
+def test_both_certificates_pick_the_same_breakpoint(capsys):
     # verify-inequality's worst theta and coefficient search's (t0, t1)
-    # split come from one tie rule: at s = 0 t0* + t1* ties exactly at all
-    # three breakpoints, and just above S_OPTIMAL pi/4 is 1 ulp lowest, a
-    # tie under BREAKPOINT_TIE but not without it. Both read it through
-    # selftest._first_tied, so the strict case patches that one binding
-    monkeypatch.setattr(selftest, "BREAKPOINT_TIE", tie)
+    # split come from one tie rule, the first breakpoint exactly at the
+    # least: at s = 0 t0* + t1* ties exactly at all three breakpoints, at
+    # S_OPTIMAL 0 and pi/2 tie below pi/4, and one float above it pi/4 alone
+    # is least, by 1.8e-16. Both read it through selftest._first_tied
     picked = []
     for s in (0.0, S_OPTIMAL, float(np.nextafter(S_OPTIMAL, 1))):
         main(["verify-inequality", "--s", repr(s)])
         printed = re.search(r"^worst margin \S+ at theta = (\S+) ", capsys.readouterr().out).group(1)
         i = [f"{theta:.9g}" for theta in BREAKPOINTS].index(printed)
         _, t0, t1 = _intercepts(s)
-        assert (t0[0], t1[0]) == tuple(float(t[i]) for t in _shifts(s, *BREAKPOINT_TABLE)), s
+        assert (t0, t1) == tuple(t[i] for t in breakpoint_shifts(s)), s
         picked.append(i)
-    assert picked == ([0, 0, 0] if tie else [0, 0, 1])
+    assert picked == [0, 0, 1]
 
 
-S_CROSS = 1 / (2 + SQRT2)  # below S_OPTIMAL, t0* + t1* at 0 and pi/4 cross here
+S_CROSS = T_EXACT  # 1/(2 + sqrt 2) = (2 - sqrt 2)/2: below S_OPTIMAL, t0* + t1* at 0 and pi/4 cross here
 
 
-@pytest.mark.parametrize("excess, first", [(0.5e-12, 0), (2e-12, 1)])
-def test_tie_rule_edge(excess, first, capsys):
-    # a breakpoint excess above the least is tied with it, and comes first,
-    # within BREAKPOINT_TIE = 1e-12 only. Just below S_CROSS, t0* + t1* at
-    # theta = 0 (and pi/2) is (2 + sqrt 2)(S_CROSS - s) above its value at
-    # pi/4; just above S_OPTIMAL, its margin is (2 sqrt 2 - 2)(s -
-    # S_OPTIMAL) above pi/4's
-    s = S_CROSS - excess / (2 + SQRT2)
-    g = sum(_shifts(s, *BREAKPOINT_TABLE))
-    assert 0.9 * excess < g[0] - g[1] < 1.1 * excess and g[2] > g[1]
+@pytest.mark.parametrize("excess", [None, 0.5e-12, 2e-12], ids=["one-float", "half-e-12", "two-e-12"])
+def test_tie_rule_edge(excess, capsys):
+    # a breakpoint any amount above the least is not tied with it. Below
+    # S_CROSS, t0* + t1* at theta = 0 (and pi/2) is (2 + sqrt 2)(S_CROSS - s)
+    # above its value at pi/4; above S_OPTIMAL, its margin is (2 sqrt 2 -
+    # 2)(s - S_OPTIMAL) above pi/4's. So pi/4 is named from the first float
+    # past either crossing, as far as 1e-12 past it
+    s = S_CROSS.floor() if excess is None else float(S_CROSS) - excess / (2 + SQRT2)
+    g = sum(breakpoint_shifts(s))
+    assert g[1] < g[0] == g[2] and g[0] - g[1] <= 1.1 * (excess or 1e-15)
     _, t0, t1 = _intercepts(s)
-    assert (t0[0], t1[0]) == tuple(float(t[first]) for t in _shifts(s, *BREAKPOINT_TABLE))
+    assert (t0, t1) == tuple(t[1] for t in breakpoint_shifts(s))
 
-    s = S_OPTIMAL + excess / (2 * SQRT2 - 2)
-    g = sum(_shifts(s, *BREAKPOINT_TABLE))
-    assert 0.9 * excess < g[0] - g[1] < 1.1 * excess and g[1] < T_OPTIMAL
+    s = float(np.nextafter(S_OPTIMAL, 1)) if excess is None else S_OPTIMAL + excess / (2 * SQRT2 - 2)
+    g = sum(breakpoint_shifts(s))
+    assert g[1] < g[0] == g[2] and g[1] < T_OPTIMAL
     assert main(["verify-inequality", "--s", repr(s)]) == 1
     printed = re.search(r"^worst margin \S+ at theta = (\S+) ", capsys.readouterr().out).group(1)
-    assert printed == f"{BREAKPOINTS[first]:.9g}"
+    assert printed == "0.785398163"
 
 
-@pytest.mark.parametrize("offset, refused", [(2e-15, False), (1e-13, True)])
+@pytest.mark.parametrize("offset, refused", [(0.0, False), (2.0**-60, True), (-(2.0**-60), True)])
 def test_kink_check_edge(offset, refused, monkeypatch):
-    # t(s) at the kink raised by offset moves the bound offset/2 off both
-    # grid lines, against _KINK_TOL = 1e-14
+    # t(s) at the kink moved by offset, however small, takes the bound off
+    # the rising piece: the check is exact
     original = selftest._intercepts
 
     def raised(s):
@@ -785,7 +911,7 @@ def test_kink_check_edge(offset, refused, monkeypatch):
 
     monkeypatch.setattr(selftest, "_intercepts", raised)
     if refused:
-        with pytest.raises(ValidationError, match="not the kink of its grid lines"):
+        with pytest.raises(ValidationError, match="is not the kink"):
             coefficient_search()
     else:
-        assert coefficient_search().s == pytest.approx(S_OPTIMAL, abs=1e-15)
+        assert coefficient_search().s == S_OPTIMAL

@@ -23,7 +23,6 @@ NAMES = [name for _, name, _ in ROWS]
 # decisions made at more than one site: each site module imports the name
 SHARED = {
     "ENDPOINT_SLACK": ("cli", "numsearch", "selftest", "steering"),
-    "BREAKPOINT_TIE": ("selftest",),
     "VALIDITY_TOL": ("assemblage", "cli"),
 }
 
@@ -53,7 +52,7 @@ def test_no_tolerance_literal_outside_the_table():
 
 
 def test_table_names_are_unique_and_defined_once():
-    assert len(NAMES) == len(set(NAMES)) >= 14
+    assert len(NAMES) == len(set(NAMES)) >= 11
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "matkernel.py":
             continue
@@ -108,8 +107,7 @@ def test_require_valid_takes_only_the_assemblage():
 
 @pytest.mark.parametrize(
     "module, name",
-    [("selftest", "INEQUALITY_SLACK"), ("selftest", "BREAKPOINT_TIE"), ("selftest", "_KINK_TOL"),
-     ("fidelity", "_ROUNDING"), ("assemblage", "PROB_FLOOR")],
+    [("fidelity", "_ROUNDING"), ("assemblage", "PROB_FLOOR")],
 )
 def test_moved_names_still_import_from_their_old_modules(module, name):
     assert getattr(importlib.import_module(f"steerbound.{module}"), name) is getattr(matkernel, name)
