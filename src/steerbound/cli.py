@@ -36,32 +36,38 @@ from .numsearch import SearchConfig, sandwich_sweep
 from .steering import BETA_CLASSICAL, BETA_QUANTUM
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write text to a temporary file beside path and rename it over path.
-    The temporary file is created with mode 0o666, which the kernel reduces
-    by the umask, so path gets the mode a plain open would give it; the
-    process's umask is never changed, not even for a moment."""
-    directory = os.path.dirname(os.path.abspath(path))
-    for _ in range(100):  # 48 random bits per name: a clash is all but impossible
-        tmp = os.path.join(directory, f".steerbound-{os.urandom(6).hex()}")
-        try:
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            break
-        except FileExistsError:
-            continue
-    else:
-        raise FileExistsError(f"no free temporary name beside {path}")
+def _atomic_write(*files) -> None:
+    """Write each (path, text) pair: fill a temporary file beside each path,
+    then rename each over its path, so that a missing directory or a full
+    disk leaves every path as it was. Mode 0o666 less the umask, which is
+    never changed: the kernel applies it when a temporary file is created."""
+    made = []
     try:
-        try:
-            data = memoryview(text.encode())  # every document steerbound writes is ASCII
-            while data:  # os.write may take only part of the bytes
-                data = data[os.write(fd, data):]
-        finally:
-            os.close(fd)
-        os.replace(tmp, path)
+        for path, text in files:
+            if os.path.isdir(path):  # else os.replace would refuse it only after renaming the others
+                raise IsADirectoryError(f"{path} is a directory")
+            for _ in range(100):  # 48 random bits per name: a clash is all but impossible
+                tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".steerbound-{os.urandom(6).hex()}")
+                try:
+                    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                    break
+                except FileExistsError:
+                    continue
+            else:
+                raise FileExistsError(f"no free temporary name beside {path}")
+            made.append(tmp)
+            try:
+                data = memoryview(text.encode())  # every document steerbound writes is ASCII
+                while data:  # os.write may take only part of the bytes
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
+        for tmp, (path, _) in zip(made, files):
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in made:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
@@ -80,19 +86,11 @@ def cmd_bound_curve(args) -> int:
     betas = np.linspace(args.beta_min, args.beta_max, args.points)
     lines = ["beta,analytic_lower,eq8_upper,trivial_fc"]
     for beta in betas:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(beta),
-                    _fmt(selftest.analytic_bound(beta)),
-                    _fmt(selftest.upper_bound(beta)),
-                    _fmt(selftest.TRIVIAL_CLASSICAL_FIDELITY),
-                ]
-            )
-        )
+        bounds = beta, selftest.analytic_bound(beta), selftest.upper_bound(beta), selftest.TRIVIAL_CLASSICAL_FIDELITY
+        lines.append(",".join(map(_fmt, bounds)))
     text = "\n".join(lines) + "\n"
     if args.out:
-        _atomic_write(args.out, text)
+        _atomic_write((args.out, text))
     else:
         sys.stdout.write(text)
     return 0
@@ -147,9 +145,10 @@ def cmd_sandwich(args) -> int:
     with open(args.config) as handle:
         cfg = SearchConfig.from_json(handle.read())
     report = sandwich_sweep(cfg)
-    _atomic_write(args.out_json, report.to_json())
+    files = [(args.out_json, report.to_json())]
     if args.out_csv:
-        _atomic_write(args.out_csv, report.to_csv())
+        files.append((args.out_csv, report.to_csv()))
+    _atomic_write(*files)
     for record in report.records:
         status = "pass" if record.passes(cfg.tolerance) else "FAIL"
         print(
@@ -186,7 +185,7 @@ def cmd_realize(args) -> int:
     asm = realize(QuantumRealization(state, povms))
     text = asm.to_json()
     if args.out:
-        _atomic_write(args.out, text)
+        _atomic_write((args.out, text))
     else:
         sys.stdout.write(text + "\n")
     return 0

@@ -26,12 +26,12 @@ or below the interpolation upper bound (eq8), its tangent at 2 sqrt 2.
 A record holds six float columns and the witness's m; ``winner`` is the
 class constant "witness". ``_witness`` defines the witness family once:
 the sweep reads each residual from its entries, ``record.witness`` is it
-at the record's m, and the record template is it with a slot at each entry
-that varies. A record refuses any of its seven floats that is not finite, so
-every record fills that template: ``SandwichReport.to_json`` writes it as
-one ``%`` of the text ``json.dumps(indent=2)`` writes for the record, with
-11 slots, compiled once per process on first use. Its bytes are
-``json.dumps``'s, and there is no other path.
+at the record's m, and the record's compiled pieces are it with a slot at
+each entry that varies. ``SandwichReport.to_json`` joins the pieces
+``json.dumps(indent=2)`` writes around a report's slots, compiled once per
+shape, with each leaf's ``repr``: a record refuses any of its seven floats
+that is not finite, and ``SearchConfig.check`` any config leaf that is not
+a finite number, so its bytes are ``json.dumps``'s, with no other path.
 """
 
 from __future__ import annotations
@@ -129,11 +129,8 @@ def _witness(plus, minus, theta) -> dict:
     re = ([[0.5, 0.0], [0.0, 0.0]], [[0.25, plus], [plus, 0.25]], [[0.0, 0.0], [0.0, 0.5]],
           [[0.25, minus], [minus, 0.25]])
     elements = [{"a": i // 2, "x": i % 2, "re": rows, "im": [[0.0, 0.0], [0.0, 0.0]]} for i, rows in enumerate(re)]
-    return {
-        "assemblage": {"outcomes": 2, "settings": 2, "elements": elements},
-        "theta": theta,
-        "channel": {"re": _IDENTITY.real.tolist(), "im": _IDENTITY.imag.tolist()},
-    }
+    channel = {"re": _IDENTITY.real.tolist(), "im": _IDENTITY.imag.tolist()}
+    return {"assemblage": {"outcomes": 2, "settings": 2, "elements": elements}, "theta": theta, "channel": channel}
 
 
 @dataclass(frozen=True)
@@ -166,12 +163,8 @@ class SandwichRecord:
         return _witness(self.m / 4, -self.m / 4, math.atan(self.m))
 
     def passes(self, tolerance: float) -> bool:
-        return (
-            self.analytic_lower - tolerance
-            <= self.numeric_min
-            <= self.eq8_upper + tolerance
-            and self.gap <= tolerance
-        )
+        lower, upper = self.analytic_lower - tolerance, self.eq8_upper + tolerance
+        return lower <= self.numeric_min <= upper and self.gap <= tolerance
 
 
 _COLUMNS = ("beta", "numeric_min", "analytic_lower", "eq8_upper", "residual", "gap", "winner")
@@ -187,20 +180,20 @@ class SandwichReport:
         return all(r.passes(self.config.tolerance) for r in self.records)
 
     def to_json(self) -> str:
-        """The report as JSON, byte-identical to ``json.dumps(report,
-        indent=2)`` of the same object, where a record is its columns and
-        then its witness. One ``json.dumps`` writes the head (config and
-        passed) and the joins between records; each record is one fill of
-        the record template (see ``_record_text``)."""
-        records = self.records
-        head = _compile({"config": self.config.to_dict(), "passed": self.passed, "records": [_SLOT] * len(records)})
-        return head % tuple(map(_record_text, records))
+        """``json.dumps(report, indent=2)``'s bytes, a record being its columns
+        and then its witness, as the compiled pieces of ``_head`` and
+        ``_record_pieces`` joined with the leaves' texts. Checks the config."""
+        cfg, pieces = self.config, _record_pieces()
+        cfg.check()
+        records = [_join(pieces, _record_leaves(r)) for r in self.records]
+        targets = list(map(_leaf, cfg.beta_targets))
+        leaves = [*targets, _leaf(cfg.rng_seed), _leaf(cfg.tolerance), "true" if self.passed else "false", *records]
+        return _join(_head(len(targets), len(records)), leaves)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_COLUMNS)
-        writer.writerows([*(f"{getattr(r, c):.9g}" for c in _COLUMNS[:6]), r.winner] for r in self.records)
+        rows = ([*(f"{getattr(r, c):.9g}" for c in _COLUMNS[:6]), r.winner] for r in self.records)
+        csv.writer(buf, lineterminator="\n").writerows([_COLUMNS, *rows])
         return buf.getvalue()
 
 
@@ -212,33 +205,41 @@ _SLOT_TEXT = json.dumps(_SLOT)  # "\u0000", with its quotes
 _RECORD_PAD = "\n    "  # a newline and the indent of an item of a report's "records"
 
 
-def _compile(value, pad: str = "\n") -> str:
-    """``json.dumps(value, indent=2)`` as a %-template indented by ``pad``:
-    each ``_SLOT`` leaf is a %s slot, and every other byte is json's.
-    json.dumps escapes every newline inside a string, so each raw newline
-    is one of its line breaks, and replacing it with ``pad`` indents all."""
-    return json.dumps(value, indent=2).replace("\n", pad).replace("%", "%%").replace(_SLOT_TEXT, "%s")
+def _join(pieces, leaves) -> str:
+    """pieces[0] + leaves[0] + pieces[1] + ... + leaves[-1] + pieces[-1]."""
+    text = [None] * (2 * len(leaves) + 1)
+    text[::2], text[1::2] = pieces, leaves
+    return "".join(text)
+
+
+@functools.lru_cache(maxsize=8)
+def _head(targets: int, records: int) -> tuple:
+    """A report's pieces, with a slot at each target, rng_seed, tolerance,
+    passed and each record; compiled on its shape's first report."""
+    head = {"config": {"beta_targets": [_SLOT] * targets, "rng_seed": _SLOT, "tolerance": _SLOT}, "passed": _SLOT}
+    return tuple(json.dumps({**head, "records": [_SLOT] * records}, indent=2).split(_SLOT_TEXT))
 
 
 @functools.cache
-def _record_template() -> str:
-    """``json.dumps`` of a record at its indent in the report, with a %s
-    slot for each of its 11 varying leaves: the six float columns, then the
-    witness's m/4 twice, -m/4 twice and theta. winner, the constant
-    entries and the channel are template text. Compiled once, on first
-    use; the number of targets does not change it."""
+def _record_pieces() -> tuple:
+    """A record's 12 pieces at its indent in the report (json.dumps escapes a
+    string's newlines), a slot at each of ``_record_leaves``; compiled once."""
     record = {**dict.fromkeys(_COLUMNS, _SLOT), "winner": SandwichRecord.winner}
-    return _compile({**record, "witness": _witness(_SLOT, _SLOT, _SLOT)}, _RECORD_PAD)
+    record["witness"] = _witness(_SLOT, _SLOT, _SLOT)  # winner and every constant entry are piece text
+    return tuple(json.dumps(record, indent=2).replace("\n", _RECORD_PAD).split(_SLOT_TEXT))
 
 
-def _record_text(r: SandwichRecord) -> str:
-    """``json.dumps`` of the record at ``_RECORD_PAD``: the record template
-    filled with its leaves' texts. Every leaf is a finite float (the record
-    refuses any other), so ``float.__repr__`` writes it as ``json.dumps``
-    does."""
+def _record_leaves(r: SandwichRecord) -> tuple:
+    """A record's 11 leaves, the six columns and then the witness's m/4 twice,
+    -m/4 twice and theta, each written as ``json.dumps`` writes a finite float."""
     columns = map(float.__repr__, (r.beta, r.numeric_min, r.analytic_lower, r.eq8_upper, r.residual, r.gap))
     plus, minus = float.__repr__(r.m / 4), float.__repr__(-r.m / 4)
-    return _record_template() % (*columns, plus, plus, minus, minus, float.__repr__(math.atan(r.m)))
+    return (*columns, plus, plus, minus, minus, float.__repr__(math.atan(r.m)))
+
+
+def _leaf(v) -> str:
+    """A checked config number as ``json.dumps`` writes it."""
+    return float.__repr__(v) if isinstance(v, float) else int.__repr__(v)
 
 
 def _records(betas) -> tuple:

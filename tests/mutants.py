@@ -13,7 +13,8 @@ elements' immutable buffer, the JSON parse's type and magnitude check, the
 sandwich record's float guard, ``validate``'s comparison of the kept
 measures with its tolerance or an overflow guard (a CLI integer or a config
 tolerance past the float range); one perturbs ``xi_star``, the closed form
-the sandwich reads its ``numeric_min`` from.
+the sandwich reads its ``numeric_min`` from, and one the report's writer of
+a config leaf.
 For each mutant, ``src/``, ``tests/`` and ``pyproject.toml`` are copied to a
 temporary directory, its text (which must occur exactly once in its file)
 is replaced there, and its test files run with ``pytest -x``. A failing test kills the mutant; a mutant
@@ -85,8 +86,10 @@ STRUCTURAL = (
 # sandwich record's guard on its seven floats to no check (no type or
 # finiteness), validate's Hermiticity verdict to True whatever the
 # tolerance, and each overflow guard to the check that let an int past the
-# float range through. The last row moves xi_star's 3/4 by 1e-10, which the
-# sandwich tests must tell from the witness's own W.
+# float range through. One row moves xi_star's 3/4 by 1e-10, which the
+# sandwich tests must tell from the witness's own W, and the last writes a
+# report's tolerance leaf as a float whatever its type, so an int tolerance
+# of 1 reads 1.0, unlike json.dumps.
 GUARDS = (
     ("QSqrt2 sign", "selftest.py", "x = a if a * a > 2 * b * b else b", "x = a",
      ("tests/test_selftest.py", "tests/test_cli.py")),
@@ -108,6 +111,8 @@ GUARDS = (
     ("config tolerance overflow", "numsearch.py", "self.tolerance <= sys.float_info.max", "self.tolerance < math.inf",
      ("tests/test_numsearch.py",)),
     ("xi_star closed form", "selftest.py", "return 0.75 + min(", "return 0.7500000001 + min(", ("tests/test_numsearch.py",)),
+    ("config leaf writer", "numsearch.py", "_leaf(cfg.tolerance)", "float.__repr__(float(cfg.tolerance))",
+     ("tests/test_numsearch.py",)),
 )
 
 # mutant label -> why no test can tell that mutant from the program

@@ -14,7 +14,7 @@ import pytest
 from steerbound import selftest
 from steerbound.assemblage import Assemblage, chsh_reference
 from steerbound.cli import build_parser, main
-from steerbound.numsearch import _SLOT, SearchConfig, sandwich_sweep
+from steerbound.numsearch import SearchConfig, sandwich_sweep
 
 SQRT2 = math.sqrt(2)
 
@@ -874,24 +874,48 @@ def test_deeply_nested_input_is_one_error_line(tmp_path, monkeypatch, option, ar
 
 
 @pytest.mark.parametrize("count", [1, 7, 500])
-def test_a_report_is_one_dumps(tmp_path, capsys, monkeypatch, count):
-    # with the record template compiled, sandwich writes its report with one
-    # json.dumps, of the head; no record goes through the encoder
+def test_a_compiled_report_makes_no_dumps(tmp_path, capsys, monkeypatch, count):
+    # once sandwich has written a report of this many targets, it writes the
+    # next with no json.dumps call at all, head and records alike
     cfg_path, out_json = tmp_path / "cfg.json", tmp_path / "report.json"
     cfg_path.write_text(json.dumps({"beta_targets": np.linspace(2.01, 2.8, count).tolist()}))
     argv = ["sandwich", "--config", str(cfg_path), "--out-json", str(out_json)]
-    assert main(argv) == 0  # compiles the template
+    assert main(argv) == 0  # compiles the pieces
     expected = out_json.read_bytes(), capsys.readouterr()
-    dumps, values = json.dumps, []
+    dumps, calls = json.dumps, []
 
-    def spy(value, **kwargs):
-        values.append(value)
-        return dumps(value, **kwargs)
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return dumps(*args, **kwargs)
 
     monkeypatch.setattr(json, "dumps", spy)
     assert main(argv) == 0
     assert (out_json.read_bytes(), capsys.readouterr()) == expected
-    assert len(values) == 1 and values[0]["records"] == [_SLOT] * count
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "out_json, out_csv",
+    [(os.path.join("missing", "report.json"), "report.csv"), ("report.json", os.path.join("missing", "report.csv")),
+     ("report.json", "folder")],
+    ids=["json directory missing", "csv directory missing", "csv names a directory"],
+)
+def test_a_sandwich_writes_both_files_or_neither(tmp_path, monkeypatch, out_json, out_csv, run_cli):
+    # both temporary files are filled before either is renamed, and a path
+    # that names a directory is refused before any rename: the command
+    # fails, the existing report and CSV keep their bytes, and no temporary
+    # file is left behind
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text("{}")
+    (tmp_path / "report.json").write_text("old report")
+    (tmp_path / "report.csv").write_text("old csv")
+    (tmp_path / "folder").mkdir()
+    result = run_cli("sandwich", "--config", "cfg.json", "--out-json", out_json, "--out-csv", out_csv)
+    assert result.returncode == 1 and result.stderr.startswith("error: ") and result.stdout == ""
+    assert (tmp_path / "report.json").read_text() == "old report"
+    assert (tmp_path / "report.csv").read_text() == "old csv"
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "folder", "report.csv", "report.json"]
+    assert os.listdir(tmp_path / "folder") == []
 
 
 @pytest.fixture

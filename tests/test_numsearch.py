@@ -1,8 +1,11 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -397,6 +400,7 @@ class TestDefaultSweep:
             counts.append(len(calls))
         assert counts == [39, 38, 36, 36, 36]
 
+    @pytest.mark.parametrize("kept", [None, 1, 0], ids=["every record", "one record", "no record"])
     @pytest.mark.parametrize(
         "cfg",
         [
@@ -406,37 +410,65 @@ class TestDefaultSweep:
             SearchConfig(beta_targets=(2.05, 2.1, 2.34, 2.5, 2.6, 2.7, BETA_QUANTUM)),
             SearchConfig(beta_targets=(2.34, 2.34, 2.7, 2.34)),
             SearchConfig(tolerance=0.25, rng_seed=7),
+            SearchConfig(tolerance=1),
+            SearchConfig(rng_seed=10**30),
+            SearchConfig(beta_targets=tuple(map(np.float64, (2.2, 2.6, BETA_QUANTUM)))),
+            SearchConfig(beta_targets=[2.3, 2.4], tolerance=1, rng_seed=10**30),
         ],
-        ids=["1 target", "2 targets", "default", "7 targets", "repeated targets", "tolerance and seed"],
+        ids=["1 target", "2 targets", "default", "7 targets", "repeated targets", "tolerance and seed",
+             "int tolerance", "30-digit seed", "np.float64 targets", "list targets"],
     )
-    def test_report_json_matches_round_trip_form(self, cfg):
-        """The record template writes the bytes json.dumps writes for the
-        record-dict form. Every leaf it fills is a finite float: the targets
-        are checked, and the witness, the gap and the residual are finite by
-        construction."""
-        report = sandwich_sweep(cfg)
+    def test_report_json_matches_round_trip_form(self, cfg, kept):
+        """The compiled pieces and the leaves' texts join to the bytes
+        json.dumps writes for the report's dict form, also for a report of
+        fewer records than targets. Every record leaf is a finite float (the
+        record refuses any other), and every config leaf a checked int or
+        float, written as json.dumps writes it: an int tolerance as 1, not
+        1.0."""
+        report = SandwichReport(cfg, sandwich_sweep(cfg).records[:kept])
         text = report.to_json()
-        form = {
-            "config": report.config.to_dict(),
-            "passed": report.passed,
-            "records": [{**{c: getattr(r, c) for c in _COLUMNS}, "witness": r.witness} for r in report.records],
-        }
         assert text == json.dumps(json.loads(text), indent=2)
-        assert text == json.dumps(form, indent=2)
+        assert text == json.dumps(report_form(report), indent=2)
 
-    def test_sweep_records_fill_the_template(self, monkeypatch):
-        # json.dumps writes only the head: no record goes through it
-        report = sandwich_sweep(SearchConfig(beta_targets=seeded_targets()))
-        numsearch._record_template()  # compiled before the spy
-        dumps, values = json.dumps, []
+    def test_a_compiled_shape_makes_no_dumps(self, monkeypatch):
+        # the first report of a shape (number of targets and of records)
+        # compiles its pieces; a later report of that shape, whatever its
+        # leaves, is written with no json.dumps call at all
+        targets = seeded_targets()
+        sandwich_sweep(SearchConfig(beta_targets=targets)).to_json()
+        report = sandwich_sweep(SearchConfig(beta_targets=targets[::-1], rng_seed=10**30, tolerance=1))
+        dumps, calls = json.dumps, []
 
-        def spy(value, **kwargs):
-            values.append(value)
-            return dumps(value, **kwargs)
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return dumps(*args, **kwargs)
 
         monkeypatch.setattr(json, "dumps", spy)
-        assert json.loads(report.to_json())["records"][0]["beta"] == BETA_QUANTUM
-        assert len(values) == 1 and values[0]["records"] == [numsearch._SLOT] * len(report.records)
+        text = report.to_json()
+        assert calls == []
+        monkeypatch.undo()
+        assert text == json.dumps(report_form(report), indent=2)
+
+    def test_compiled_record_is_one_record_long(self):
+        # a report of 5,001 targets is joined from one record's 12 pieces,
+        # not from pieces per target: they and one record's 11 leaves make
+        # up exactly that record's text
+        report = sandwich_sweep(SearchConfig(beta_targets=seeded_targets(5001)))
+        text, record = report.to_json(), report.records[-1]
+        one = json.dumps(report_form(SandwichReport(report.config, (record,)))["records"][0], indent=2)
+        one = one.replace("\n", "\n    ")
+        pieces = numsearch._record_pieces()
+        assert numsearch._record_pieces.cache_info().currsize == 1 and len(pieces) == 12
+        assert sum(map(len, pieces)) + sum(map(len, numsearch._record_leaves(record))) == len(one)
+        assert text.endswith(f"{one}\n  ]\n}}")
+
+    def test_an_unchecked_config_is_refused(self, default_report):
+        # to_json writes a config's leaves without the encoder, so it
+        # refuses, as check does, any config that json.dumps might write
+        # otherwise (NaN, an int past the float range, a bool)
+        for cfg in (SearchConfig(tolerance=math.nan), SearchConfig(rng_seed=True), SearchConfig(beta_targets=(2.5, 3))):
+            with pytest.raises(ValidationError):
+                SandwichReport(cfg, default_report.records).to_json()
 
     @pytest.mark.parametrize(
         "edit",
@@ -492,6 +524,22 @@ class TestDefaultSweep:
     def test_seed_is_ignored(self, default_report):
         assert sandwich_sweep(SearchConfig(rng_seed=1)).records == default_report.records
         assert sandwich_sweep(SearchConfig(rng_seed=2)).records == default_report.records
+
+
+def test_nothing_is_compiled_at_import():
+    # the report's pieces are compiled on first use, so importing the
+    # package, and a process that writes no report, compiles none
+    code = "import steerbound.numsearch as n; print(*(f.cache_info().currsize for f in (n._head, n._record_pieces)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(numsearch.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.stdout == "0 0\n", result.stderr
+
+
+def report_form(report):
+    """The report as the dict json.dumps would write: a record is its
+    columns and then its witness."""
+    records = [{**{c: getattr(r, c) for c in _COLUMNS}, "witness": r.witness} for r in report.records]
+    return {"config": report.config.to_dict(), "passed": report.passed, "records": records}
 
 
 def seeded_targets(count=500):
