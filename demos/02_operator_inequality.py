@@ -23,7 +23,7 @@ from steerbound.selftest import BREAKPOINTS, S_OPTIMAL, T_OPTIMAL, breakpoint_sh
 
 def main():
     print(f"s = (1+sqrt(2))/4 = {S_OPTIMAL:.9f}")
-    g = sum(breakpoint_shifts(S_OPTIMAL))  # exact t0* + t1* at BREAKPOINTS
+    g = [t0 + t1 for t0, t1 in zip(*breakpoint_shifts(S_OPTIMAL))]  # exact t0* + t1* at BREAKPOINTS
     best = min(range(len(g)), key=lambda i: g[i])
 
     for t in (T_OPTIMAL, T_OPTIMAL + 1e-6):
@@ -31,7 +31,7 @@ def main():
         status = "verified" if worst >= 0 else "FAILED"
         print(f"t = {t:.9f}: worst eigenvalue margin {float(worst):+.3e} -> {status}")
     past = math.nextafter(S_OPTIMAL, 1)
-    worst = min(min(x - T_OPTIMAL, 0) for x in sum(breakpoint_shifts(past)))
+    worst = min(min(t0 + t1 - T_OPTIMAL, 0) for t0, t1 in zip(*breakpoint_shifts(past)))
     print(f"s = {past!r} (next float): worst margin {float(worst):+.3e} -> {'verified' if worst >= 0 else 'FAILED'}")
 
     print(f"\nintercept min t0* + t1*  : {float(g[best]):.9f} at theta = {BREAKPOINTS[best]:.6f}")

@@ -98,8 +98,7 @@ def cmd_bound_curve(args) -> int:
 
 def cmd_verify_inequality(args) -> int:
     s, t_opt, thetas = args.s, selftest.T_OPTIMAL, selftest.BREAKPOINTS
-    t0, t1 = selftest.breakpoint_shifts(s)  # t_constraints(s, thetas), exact
-    g = t0 + t1
+    g = [t0 + t1 for t0, t1 in zip(*selftest.breakpoint_shifts(s))]  # exact t0* + t1* at thetas
     least = selftest._first_tied(g)  # each line names the first theta exactly at its least value
     # the least eigenvalue of the four operators at t0 = t0*, t1 = t - t0* is
     # min(g - t, 0): all 0 when g >= t, so first at theta = 0, else least where g is

@@ -68,13 +68,18 @@ def _check_beta(beta) -> None:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Sandwich sweep settings. ``tolerance`` is the pass slack of
-    ``SandwichRecord.passes``. ``rng_seed`` is checked but ignored: the
-    sweep is deterministic."""
+    """Sandwich sweep settings, checked once, when built: ValidationError unless ``check`` passes, on
+    beta_targets made a tuple first, so that no later change to a list can get round it. ``tolerance`` is the
+    pass slack of ``SandwichRecord.passes``. ``rng_seed`` is checked but ignored: the sweep is deterministic."""
 
     beta_targets: tuple = (2.1, 2.34, 2.5, 2.7, BETA_QUANTUM)
     rng_seed: int = 20240817
     tolerance: float = SEARCH_TOLERANCE
+
+    def __post_init__(self):
+        if isinstance(self.beta_targets, list):
+            object.__setattr__(self, "beta_targets", tuple(self.beta_targets))
+        self.check()
 
     def check(self) -> None:
         if not isinstance(self.beta_targets, (list, tuple)) or not self.beta_targets:
@@ -107,11 +112,7 @@ class SearchConfig:
         unknown = sorted(set(raw) - {f.name for f in fields(SearchConfig)})
         if unknown:
             raise ValidationError(f"unknown search config keys: {', '.join(unknown)}")
-        if isinstance(raw.get("beta_targets"), list):
-            raw["beta_targets"] = tuple(raw["beta_targets"])
-        cfg = SearchConfig(**raw)
-        cfg.check()
-        return cfg
+        return SearchConfig(**raw)
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +183,9 @@ class SandwichReport:
     def to_json(self) -> str:
         """``json.dumps(report, indent=2)``'s bytes, a record being its columns
         and then its witness, as the compiled pieces of ``_head`` and
-        ``_record_pieces`` joined with the leaves' texts. Checks the config."""
+        ``_record_pieces`` joined with the leaves' texts; the config was
+        checked when built."""
         cfg, pieces = self.config, _record_pieces()
-        cfg.check()
         records = [_join(pieces, _record_leaves(r)) for r in self.records]
         targets = list(map(_leaf, cfg.beta_targets))
         leaves = [*targets, _leaf(cfg.rng_seed), _leaf(cfg.tolerance), "true" if self.passed else "false", *records]
@@ -274,5 +275,4 @@ def sandwich_sweep(cfg: SearchConfig) -> SandwichReport:
     """Read every target's record off closed forms (see ``_records``), with
     no matrix work, and assemble the report; passing means every record
     passes."""
-    cfg.check()
     return SandwichReport(cfg, _records(cfg.beta_targets))

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
@@ -30,12 +29,10 @@ from .steering import BETA_CLASSICAL, BETA_QUANTUM, _maximum, check_theta
 
 
 class QSqrt2:
-    """Exact number (a + b sqrt 2) / 2^k on Python ints a, b and k >= 0: +,
-    -, *, abs and the comparisons are exact, with no division or sqrt. An
-    int or a finite float operand is read exactly (every float is a dyadic
-    rational), any other operand is NotImplemented. ``float`` gives the
-    nearest float, ``floor`` the largest float at or below, and a format
-    spec formats the nearest float."""
+    """Exact number (a + b sqrt 2) / 2^k on Python ints a, b and k >= 0: +, -, *, abs and the comparisons are
+    exact, with no division or sqrt, each a method on the ints that shifts an operand only at another scale k.
+    An int or a finite float operand is read exactly (every float is a dyadic rational), any other is
+    NotImplemented. ``float`` is the nearest float, ``floor`` the largest at or below; format formats float."""
 
     __slots__ = ("a", "b", "k")
 
@@ -45,21 +42,51 @@ class QSqrt2:
     @staticmethod
     def of(x):
         """x exactly, or None unless x is a QSqrt2, an int or a finite float."""
-        p = QSqrt2(0)._pair(x)  # x's own (a, b, k)
-        return None if p is None else QSqrt2(p[2], p[3], p[4])
-
-    def _pair(self, other):
-        """(a, b, c, d, k): self's (a, b) and other's (c, d) over one 2^k, or
-        None unless other is ``of`` a number."""
-        if type(other) is QSqrt2:
-            c, d, j = other.a, other.b, other.k
-        elif isinstance(other, (int, float)) and other - other == 0:  # other - other is NaN at +-inf
-            c, j = other.as_integer_ratio()  # j = 2^k
-            d, j = 0, j.bit_length() - 1
-        else:
+        if type(x) is QSqrt2:
+            return QSqrt2(x.a, x.b, x.k)
+        if not isinstance(x, (int, float)) or x - x != 0:  # x - x is NaN at +-inf
             return None
-        k = self.k
-        return (self.a, self.b, c << k - j, d << k - j, k) if k >= j else (self.a << j - k, self.b << j - k, c, d, j)
+        a, d = x.as_integer_ratio()  # d = 2^k
+        return QSqrt2(a, 0, d.bit_length() - 1)
+
+    def __sub__(self, other):
+        if type(other) is not QSqrt2 and (other := QSqrt2.of(other)) is None:
+            return NotImplemented
+        k, j = self.k, other.k
+        if k == j:  # the same scale: no shift
+            return QSqrt2(self.a - other.a, self.b - other.b, k)
+        if k > j:
+            return QSqrt2(self.a - (other.a << k - j), self.b - (other.b << k - j), k)
+        return QSqrt2((self.a << j - k) - other.a, (self.b << j - k) - other.b, j)
+
+    # one line each: + is - of the negated operand, every comparison the sign of the difference
+    def __add__(self, other): return self.__sub__(-other) if isinstance(other, (int, float, QSqrt2)) else NotImplemented
+    def __rsub__(self, other): return (-self).__add__(other)
+    def __neg__(self): return QSqrt2(-self.a, -self.b, self.k)
+    def __abs__(self): return -self if _sign(self.a, self.b) < 0 else self
+    def __eq__(self, other): return self._compare(other, operator.eq)
+    def __ne__(self, other): return self._compare(other, operator.ne)
+    def __lt__(self, other): return self._compare(other, operator.lt)
+    def __le__(self, other): return self._compare(other, operator.le)
+    def __gt__(self, other): return self._compare(other, operator.gt)
+    def __ge__(self, other): return self._compare(other, operator.ge)
+    def __format__(self, spec): return format(float(self), spec)
+    __radd__, __hash__ = __add__, None
+
+    def __mul__(self, other):
+        if type(other) is int:  # an int factor scales a and b alone
+            return QSqrt2(self.a * other, self.b * other, self.k)
+        if type(other) is not QSqrt2 and (other := QSqrt2.of(other)) is None:
+            return NotImplemented
+        a, b, c, d = self.a, self.b, other.a, other.b
+        return QSqrt2(a * c + 2 * b * d, a * d + b * c, self.k + other.k)
+
+    __rmul__ = __mul__
+
+    def _compare(self, other, op):
+        """op(the sign of self - other, 0), or NotImplemented."""
+        x = self.__sub__(other)
+        return x if x is NotImplemented else op(_sign(x.a, x.b), 0)
 
     def __float__(self):
         """Nearest float, ties to even. Over 2^(k+p+1), |b| sqrt 2 lies
@@ -78,29 +105,13 @@ class QSqrt2:
         x = float(self)
         return x if self >= x else math.nextafter(x, -math.inf)
 
-    # each operator works on the (a, b, c, d, k) of ``_pair``, or is NotImplemented
-    __add__ = __radd__ = lambda self, o: NotImplemented if (p := self._pair(o)) is None else QSqrt2(
-        p[0] + p[2], p[1] + p[3], p[4])
-    __sub__ = lambda self, o: NotImplemented if (p := self._pair(o)) is None else QSqrt2(
-        p[0] - p[2], p[1] - p[3], p[4])
-    __rsub__ = lambda self, o: NotImplemented if (p := self._pair(o)) is None else QSqrt2(
-        p[2] - p[0], p[3] - p[1], p[4])
-    __mul__ = __rmul__ = lambda self, o: NotImplemented if (p := self._pair(o)) is None else QSqrt2(
-        p[0] * p[2] + 2 * p[1] * p[3], p[0] * p[3] + p[1] * p[2], 2 * p[4])
-    __abs__ = lambda self: QSqrt2(-self.a, -self.b, self.k) if _sign(self.a, self.b) < 0 else self
-    __format__ = lambda self, spec: format(float(self), spec)
-    __hash__ = None
-
 
 def _sign(a: int, b: int) -> int:
-    """Sign of a + b sqrt 2, exactly: a's where a^2 > 2 b^2, else b's (a^2 = 2 b^2 only at 0)."""
-    x = a if a * a > 2 * b * b else b
+    """Sign of a + b sqrt 2, exactly: with no cancellation (a or b is 0, or both have one sign) that of a or b, else
+    a's where a^2 > 2 b^2 and b's where not (a^2 = 2 b^2 only at 0)."""
+    x = (a or b) if not a or not b or (a < 0) == (b < 0) else a if a * a > 2 * b * b else b
     return (x > 0) - (x < 0)
 
-
-for _name in ("eq", "ne", "lt", "le", "gt", "ge"):  # the sign of self - other against 0
-    setattr(QSqrt2, f"__{_name}__", lambda self, o, op=getattr(operator, _name): NotImplemented if (
-        p := self._pair(o)) is None else op(_sign(p[0] - p[2], p[1] - p[3]), 0))
 
 # the bound's last rising piece (sqrt 2 - 1) s + 3/4 meets its plateau 1 at
 # s = (1/4)/(sqrt 2 - 1) = (1 + sqrt 2)/4, where t is the plateau's 2 - 2 sqrt 2 s
@@ -140,11 +151,9 @@ _CHOI_I, _CHOI_Z, _CHOI_X = (_unitary_choi(u) for u in (I2, PAULI_Z, PAULI_X))
 
 
 def dephasing_channel(theta: float, c: float) -> ExtractionChannel:
-    """Two-term dephasing channel (1+c)/2 rho + (1-c)/2 G rho G with
-    G = Z on [0, pi/4] and G = X on (pi/4, pi/2]. ValidationError unless c
-    is finite and in [-1, 1], where the map is a channel. Its Choi matrix
-    is (1+c)/2 J_I + (1-c)/2 J_G, from the constant Choi matrices of the
-    identity and of G."""
+    """Two-term dephasing channel (1+c)/2 rho + (1-c)/2 G rho G with G = Z on [0, pi/4] and G = X on (pi/4,
+    pi/2]. ValidationError unless c is finite and in [-1, 1], where the map is a channel. Its Choi matrix is
+    (1+c)/2 J_I + (1-c)/2 J_G, from the constant Choi matrices of the identity and of G."""
     check_theta(theta)
     if not -1 <= c <= 1:  # a NaN fails too
         raise ValidationError(f"dephasing coefficient c = {c} outside [-1, 1]")
@@ -153,49 +162,51 @@ def dephasing_channel(theta: float, c: float) -> ExtractionChannel:
 
 
 def dephasing_coefficient(theta, s):
-    """c(theta) = 4s sin(theta) on the first interval and 4s cos(theta) on
-    the second, clipped to [-1, 1], where the map is a channel: it saturates
-    at 1 for s >= 0 and at -1 for s < 0. Broadcasts over theta and s; two
-    Python floats give a Python float, by ``math`` with the same bits."""
+    """c(theta) = 4s sin(theta) on the first interval and 4s cos(theta) on the second, clipped to [-1, 1],
+    where the map is a channel: it saturates at 1 for s >= 0 and at -1 for s < 0. Two Python floats give a
+    Python float, by ``math``; else ``_coefficient_rule`` broadcasts, as float64."""
     check_theta(theta)
     if type(theta) is float and type(s) is float:
-        return min(max(4 * s * (math.sin(theta) if first_interval(theta) else math.cos(theta)), -1.0), 1.0)
-    return _coefficient_rule(s, first_interval(theta), np.cos(theta), np.sin(theta))
+        return _coefficient_rule(s, math.sin(theta) if first_interval(theta) else math.cos(theta))
+    with np.errstate(invalid="ignore"):  # min and max compare a NaN silently, as np.minimum does
+        c = _COEFFICIENTS(s, np.where(first_interval(theta), np.sin(theta), np.cos(theta)))
+    return np.array(c, dtype=float)[()]  # np.float64 from a scalar call's one object
 
 
-def _coefficient_rule(s, first, cos, sin):
-    # np.minimum(np.maximum(...)) gives np.clip's bits, -0.0, +-inf and NaN
-    # included, with less per-call overhead
-    return np.minimum(np.maximum(4 * s * np.where(first, sin, cos), -1.0), 1.0)
+def _coefficient_rule(s, factor):
+    """4 s factor clipped to [-1, 1] for one float or QSqrt2 s, with np.clip's bits for a float."""
+    _, one, minus_one = _EXACT_CONSTANTS if type(s) is QSqrt2 else _FLOAT_CONSTANTS
+    return min(max(4 * s * factor, minus_one), one)
 
 
 def t_constraints(s, theta):
-    """Largest shifts (t0*, t1*), possibly negative, keeping all four
-    operator inequalities PSD at each theta and s (broadcast), with the
-    dephasing coefficient set by its closed rule; see ``_shifts``. The least
-    eigenvalue of the four operators at the shifts t0 = t0*, t1 = t - t0* is
-    min(0, t0* + t1* - t): the inequality holds at (s, t) iff min over theta
-    of t0* + t1* >= t."""
+    """Largest shifts (t0*, t1*), possibly negative, keeping all four operator inequalities PSD at each theta
+    and s: ``_shifts`` broadcast, as float64. The least eigenvalue of the four operators at the shifts t0 =
+    t0*, t1 = t - t0* is min(0, t0* + t1* - t): the inequality holds at (s, t) iff min over theta of t0* + t1*
+    >= t."""
     check_theta(theta)
-    return _shifts(s, first_interval(theta), np.cos(theta), np.sin(theta))
+    with np.errstate(invalid="ignore"):  # as in dephasing_coefficient
+        t0, t1 = _SHIFTS(s, first_interval(theta), np.cos(theta), np.sin(theta))
+    return np.array(t0, dtype=float)[()], np.array(t1, dtype=float)[()]
 
 
 def _shifts(s, first, cos, sin):
-    """``t_constraints`` at checked angles given by their ``first_interval``
-    flags, cosines and sines: floats, or the QSqrt2s of ``BREAKPOINT_TABLE``
-    with a QSqrt2 s for the exact shifts, one formula for both (x * 0.5 is
-    the float x / 2, and QSqrt2 has no division).
+    """(t0*, t1*) at one angle, by its ``first_interval`` flag, cosine and sine: one formula for float s and
+    for a QSqrt2 s on a row of ``BREAKPOINT_TABLE``, on the 1/2, 1 and -1 of s's arithmetic.
 
-    K_{ax} = (I + (-1)^a k_x P_x)/2 and T_{ax} = (-1)^a 2 v_x P_x, with P =
-    (Z, X) and v = (cos, sin): the channel keeps Gamma's pair sharp (k = 1)
-    and shrinks the other by c. So K_{ax} - s T_{ax} - t I is (1/2 - t) I +/-
-    z Z for x = 0 and (1/2 - t) I +/- x X for x = 1, with z = kz/2 - 2s
-    cos(theta) and x = kx/2 - 2s sin(theta): PSD iff t <= 1/2 - |z| and
-    t <= 1/2 - |x| respectively."""
-    c = _coefficient_rule(s, first, cos, sin)
-    kz, kx = np.where(first, 1.0, c), np.where(first, c, 1.0)
-    return 0.5 - np.abs(kz * 0.5 - 2 * s * cos), 0.5 - np.abs(kx * 0.5 - 2 * s * sin)
+    K_{ax} = (I + (-1)^a k_x P_x)/2 and T_{ax} = (-1)^a 2 v_x P_x, with P = (Z, X) and v = (cos, sin): the
+    channel keeps Gamma's pair sharp (k = 1) and shrinks the other by c. So K_{ax} - s T_{ax} - t I is (1/2 -
+    t) I +/- z Z for x = 0 and (1/2 - t) I +/- x X for x = 1, with z = kz/2 - 2s cos(theta) and x = kx/2 - 2s
+    sin(theta): PSD iff t <= 1/2 - |z| and t <= 1/2 - |x| respectively."""
+    half, one, _ = _EXACT_CONSTANTS if type(s) is QSqrt2 else _FLOAT_CONSTANTS
+    c = _coefficient_rule(s, sin if first else cos)
+    kz, kx = (one, c) if first else (c, one)
+    return half - abs(kz * half - 2 * s * cos), half - abs(kx * half - 2 * s * sin)
 
+
+# 1/2, 1 and -1 exactly, read once, and as floats; each rule mapped over arrays
+_EXACT_CONSTANTS, _FLOAT_CONSTANTS = (QSqrt2(1, 0, 1), QSqrt2(1), QSqrt2(-1)), (0.5, 1.0, -1.0)
+_COEFFICIENTS, _SHIFTS = np.frompyfunc(_coefficient_rule, 2, 1), np.frompyfunc(_shifts, 4, 2)
 
 # Every theta set the certificates use: g = t0* + t1* takes its minimum over
 # [0, pi/2] at 0, pi/4 or pi/2 for every s. Between those angles each term of
@@ -206,20 +217,18 @@ def _shifts(s, first, cos, sin):
 # branches while the other term is smooth there, so it is never a minimiser.
 BREAKPOINTS = np.array([0.0, math.pi / 4, math.pi / 2])
 BREAKPOINTS.flags.writeable = False
-# (first_interval, cos, sin) of BREAKPOINTS, exact and read-only: cos and sin
-# are (1, sqrt 2/2, 0) and (0, sqrt 2/2, 1) at the true angles
+# the rows (first_interval, cos, sin) of BREAKPOINTS, exact: cos and sin are
+# (1, sqrt 2/2, 0) and (0, sqrt 2/2, 1) at the true angles
 _ROOT = QSqrt2(0, 1, 1)
-BREAKPOINT_TABLE = (first_interval(BREAKPOINTS), np.array([QSqrt2(1), _ROOT, QSqrt2(0)]),
-                    np.array([QSqrt2(0), _ROOT, QSqrt2(1)]))
-for _column in BREAKPOINT_TABLE:
-    _column.flags.writeable = False
+BREAKPOINT_TABLE = ((True, QSqrt2(1), QSqrt2(0)), (True, _ROOT, _ROOT), (False, QSqrt2(0), QSqrt2(1)))
 
 
-def breakpoint_shifts(s: float):
-    """t_constraints(s, BREAKPOINTS) in exact arithmetic: ``_shifts`` on
-    ``BREAKPOINT_TABLE`` with s read as a QSqrt2. Both certificates decide
-    from these."""
-    return _shifts(QSqrt2.of(s), *BREAKPOINT_TABLE)
+def breakpoint_shifts(s: float) -> tuple:
+    """t_constraints(s, BREAKPOINTS) exactly, as tuples (t0*, t1*) of three
+    QSqrt2s: ``_shifts`` on each row of ``BREAKPOINT_TABLE`` with s read
+    once as a QSqrt2. Both certificates decide from these."""
+    s = QSqrt2.of(s)
+    return tuple(zip(*[_shifts(s, *row) for row in BREAKPOINT_TABLE]))
 
 
 def _first_tied(values) -> int:
@@ -230,30 +239,25 @@ def _first_tied(values) -> int:
 
 
 def _intercepts(s):
-    """Exact (t(s), t0, t1) at the first of ``BREAKPOINTS`` where t0* + t1*
-    is least. ``verify-inequality``'s first line names the first least of
-    its margins, min(t0* + t1* - t, 0), which are all 0 wherever t0* + t1*
-    >= t: for 0 < s < 1/(2 + sqrt 2) it names theta = 0 where this picks
-    pi/4."""
+    """Exact (t(s), t0, t1) at the first of ``BREAKPOINTS`` where t0* + t1* is least. ``verify-inequality``'s
+    first line names the first least of its margins, min(t0* + t1* - t, 0), which are all 0 wherever t0* + t1*
+    >= t: for 0 < s < 1/(2 + sqrt 2) it names theta = 0 where this picks pi/4."""
     t0, t1 = breakpoint_shifts(s)
-    i = _first_tied(t0 + t1)
-    return t0[i] + t1[i], t0[i], t1[i]
+    g = list(map(operator.add, t0, t1))
+    i = _first_tied(g)
+    return g[i], t0[i], t1[i]
 
 
 def coefficient_search() -> BoundCoefficients:
     """Recover the optimal (s, t) pair as the kink of the concave bound.
 
-    On [0, 0.8] the bound at maximal violation, f(s) = (s*beta_Q + t(s))/2
-    with t(s) = min over ``BREAKPOINTS`` of t0* + t1*, is a minimum of
-    concave piecewise-linear branches (1 - |1/2 - 2s| at 0 and pi/2,
-    min(1/2 + sqrt(2) s, 2 - 2 sqrt(2) s) at pi/4) plus a linear term, so
-    its first maximiser is the kink ``S_EXACT`` = (1 + sqrt 2)/4 where the
-    last rising piece, (sqrt(2) - 1) s + 3/4 (t = 3/2 - 2s at 0 and pi/2),
-    meets the plateau 1 (t = 2 - 2 sqrt(2) s at pi/4). The search returns
-    its float rounded down, S_OPTIMAL, with the (t0, t1) split that
-    ``_intercepts`` reads there exactly. ValidationError unless t there is
-    exactly on the rising piece: a kink or bend that ``_shifts`` puts below
-    S_OPTIMAL fails closed.
+    On [0, 0.8] the bound at maximal violation, f(s) = (s*beta_Q + t(s))/2 with t(s) = min over
+    ``BREAKPOINTS`` of t0* + t1*, is a minimum of concave piecewise-linear branches (1 - |1/2 - 2s| at 0 and
+    pi/2, min(1/2 + sqrt(2) s, 2 - 2 sqrt(2) s) at pi/4) plus a linear term, so its first maximiser is the
+    kink ``S_EXACT`` = (1 + sqrt 2)/4 where the last rising piece, (sqrt(2) - 1) s + 3/4 (t = 3/2 - 2s at 0
+    and pi/2), meets the plateau 1 (t = 2 - 2 sqrt(2) s at pi/4). The search returns its float rounded down,
+    S_OPTIMAL, with the (t0, t1) split that ``_intercepts`` reads there exactly. ValidationError unless t
+    there is exactly on the rising piece: a kink or bend that ``_shifts`` puts below S_OPTIMAL fails closed.
     """
     s = S_OPTIMAL
     t, t0, t1 = _intercepts(s)
@@ -287,29 +291,26 @@ def xi_star(beta: float) -> float:
 
 
 def extractability_with_channel(asm: Assemblage, channel: ExtractionChannel) -> float:
-    """Fidelity of the reference with the channel applied elementwise,
-    tr(J W) with W = ``fidelity_operator(asm)``, from the assemblage's rows
-    and ``fidelity._REFERENCE_MAP``, no W built (p(a|x) below PROB_FLOOR
-    adds zero): a lower-bound witness for extractability at this channel."""
+    """Fidelity of the reference with the channel applied elementwise, tr(J W) with W =
+    ``fidelity_operator(asm)``, from the assemblage's rows and ``fidelity._REFERENCE_MAP``, no W built (p(a|x)
+    below PROB_FLOOR adds zero): a lower-bound witness for extractability at this channel."""
     _check_reference_shape(asm)
     v = (_REFERENCE_MAP @ np.reshape(channel.choi, 16)).view(float).tolist()
     total = 0.0
     for k, row in enumerate(asm._rows):
         p = row[0] + row[6]
         if p >= PROB_FLOOR:
-            total += sum(map(mul, row, v[8 * k : 8 * k + 8])) / math.sqrt(p)
+            total += sum(map(operator.mul, row, v[8 * k : 8 * k + 8])) / math.sqrt(p)
     return total
 
 
 def certified_lower_bound(asm: Assemblage, theta: float) -> float:
     """Analytic lower bound on extractability from the CHSH value at theta.
 
-    ValidationError when some p(a|x) is more than MARGINAL_WINDOW from 1/2,
-    since the certified statement assumes p(a|x) = 1/2, when the
-    functional's maximum over theta exceeds 2 sqrt(2) by more than
-    ENDPOINT_SLACK, which no quantum assemblage reaches, and, after those
-    checks, unless the assemblage passes ``validate`` at VALIDITY_TOL: the
-    bound holds only for a valid quantum assemblage.
+    ValidationError when some p(a|x) is more than MARGINAL_WINDOW from 1/2, since the certified statement
+    assumes p(a|x) = 1/2, when the functional's maximum over theta exceeds 2 sqrt(2) by more than
+    ENDPOINT_SLACK, which no quantum assemblage reaches, and, after those checks, unless the assemblage passes
+    ``validate`` at VALIDITY_TOL: the bound holds only for a valid quantum assemblage.
     """
     dev = asm.max_marginal_deviation()
     if dev > MARGINAL_WINDOW:

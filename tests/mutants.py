@@ -7,10 +7,11 @@ up to the first blank line, each ``NAME = value  # reason``. Every row gives
 two mutants, the value times 1e3 and times 1e-3. The structural rows
 (``STRUCTURAL``) each drop one ``_require_valid`` call, replacing it with its
 argument, and ``GUARDS`` each break one other guard: the exact decision of
-the certificate (``QSqrt2``'s sign, the tie rule, the kink check and
-``verify-inequality``'s zero slack), the dephasing coefficient check, the
-elements' immutable buffer, the JSON parse's type and magnitude check, the
-sandwich record's float guard, ``validate``'s comparison of the kept
+the certificate (``QSqrt2``'s sign and its two shortcuts, the tie rule,
+the kink check and ``verify-inequality``'s zero slack), the dephasing
+coefficient check, the elements' immutable buffer, the JSON parse's type
+and magnitude check, the sandwich record's float guard, ``validate``'s
+comparison of the kept
 measures with its tolerance or an overflow guard (a CLI integer or a config
 tolerance past the float range); one perturbs ``xi_star``, the closed form
 the sandwich reads its ``numeric_min`` from, and one the report's writer of
@@ -77,7 +78,9 @@ STRUCTURAL = (
 
 # Every other structural guard, broken: (label, module, old text, new text,
 # the test files that must kill it). QSqrt2's sign of a + b sqrt 2 is read
-# from a alone, ignoring the sqrt 2 term, the tie rule takes the last
+# from a alone, ignoring the sqrt 2 term, its same-sign shortcut is taken
+# for a and b of opposite signs, its subtraction takes every pair of
+# operands for a pair at one scale k, the tie rule takes the last
 # least value, the kink check's rising piece has its intercept moved by
 # 2^-50 and verify-inequality's verdict takes back a 2^-46 (1.4e-14) slack,
 # the dephasing coefficient check falls back to no check, the elements'
@@ -91,8 +94,11 @@ STRUCTURAL = (
 # report's tolerance leaf as a float whatever its type, so an int tolerance
 # of 1 reads 1.0, unlike json.dumps.
 GUARDS = (
-    ("QSqrt2 sign", "selftest.py", "x = a if a * a > 2 * b * b else b", "x = a",
+    ("QSqrt2 sign", "selftest.py", "else a if a * a > 2 * b * b else b", "else a",
      ("tests/test_selftest.py", "tests/test_cli.py")),
+    ("QSqrt2 same-sign shortcut", "selftest.py", "(a < 0) == (b < 0)", "(a < 0) == (b > 0)", ("tests/test_selftest.py",)),
+    ("QSqrt2 same-scale alignment", "selftest.py", "if k == j:  # the same scale", "if True:  # the same scale",
+     ("tests/test_selftest.py",)),
     ("tie rule", "selftest.py", "return values.index(min(values))",
      "return len(values) - 1 - values[::-1].index(min(values))", ("tests/test_selftest.py", "tests/test_cli.py")),
     ("kink check", "selftest.py", "if not t + 2 * s == 1.5:", "if not t + 2 * s == 1.5 + 2.0**-50:",

@@ -71,11 +71,11 @@ def test_02_operator_inequality_sweep():
     # is least, with no slack, as verify-inequality decides it: it holds
     # for t = T_OPTIMAL and fails once t exceeds it by 1e-11. In floats, no
     # angle of a dense grid that holds the breakpoints falls below t either
-    g = sum(breakpoint_shifts(S_OPTIMAL))
-    worst = min(g - T_OPTIMAL)
+    g = [t0 + t1 for t0, t1 in zip(*breakpoint_shifts(S_OPTIMAL))]
+    worst = min(x - T_OPTIMAL for x in g)
     assert worst >= 0
-    assert min(g - (T_OPTIMAL + 1e-11)) < 0
-    assert float(min(g - (T_OPTIMAL + 1e-6))) < -5e-7
+    assert min(x - (T_OPTIMAL + 1e-11) for x in g) < 0
+    assert float(min(x - (T_OPTIMAL + 1e-6) for x in g)) < -5e-7
     thetas = np.union1d(np.linspace(0, math.pi / 2, 10_000), BREAKPOINTS)
     assert np.minimum(sum(t_constraints(S_OPTIMAL, thetas)) - T_OPTIMAL, 0).min() >= 0
     _report(f"operator inequality at (s, t) optimal: exact worst margin {float(worst):.2e} >= 0")

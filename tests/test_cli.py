@@ -139,7 +139,7 @@ class TestVerifyInequality:
 
     def test_nan_margin_fails(self, monkeypatch, capsys):
         # a margin that is not a number is never a pass
-        monkeypatch.setattr(selftest, "_shifts", lambda s, *table: (np.full(3, np.nan), np.zeros(3)))
+        monkeypatch.setattr(selftest, "_shifts", lambda s, first, cos, sin: (math.nan, 0.0))
         assert main(["verify-inequality"]) == 1
         assert capsys.readouterr().err == "operator inequality FAILED\n"
 
@@ -196,13 +196,13 @@ class TestVerifyInequality:
         for s in s_values:
             main(["verify-inequality", "--s", repr(s)])
             lines = capsys.readouterr().out.splitlines()
-            g = sum(selftest.breakpoint_shifts(s))
+            g = [t0 + t1 for t0, t1 in zip(*selftest.breakpoint_shifts(s))]
             margins = [min(x - selftest.T_OPTIMAL, 0) for x in g]
             first = [min(cell, key=lambda i: values[i]) for values, cell in
                      ((margins, [0, 1, 2]), (g, [0, 1]), (g, [1, 2]), (g, [0, 1, 2]))]
             printed = [re.search(r"(?:theta = |\]: )(\S+)", line).group(1) for line in lines[:4]]
             assert printed == [names[i] for i in first], s
-        g = sum(selftest.breakpoint_shifts(selftest.S_OPTIMAL))
+        g = [t0 + t1 for t0, t1 in zip(*selftest.breakpoint_shifts(selftest.S_OPTIMAL))]
         assert g[0] == g[2] < g[1]
 
 
@@ -215,6 +215,15 @@ GOLDEN = {
         "min t0* + t1* = 0.292893219 at theta = 0 against T_OPTIMAL = 0.292893219\n"
         "operator inequality verified\n",
         "",
+    ),
+    # the float after S_OPTIMAL
+    ("verify-inequality", "--s", "0.6035533905932738"): (
+        1,
+        "worst margin -1.770e-16 at theta = 0.785398163 (s = 0.603553391)\n"
+        "worst theta in [0, pi/4]: 0.785398163 (t0* + t1* = 0.292893219)\n"
+        "worst theta in [pi/4, pi/2]: 0.785398163 (t0* + t1* = 0.292893219)\n"
+        "min t0* + t1* = 0.292893219 at theta = 0.785398163 against T_OPTIMAL = 0.292893219\n",
+        "operator inequality FAILED\n",
     ),
     ("verify-inequality", "--s", "0.6036"): (
         1,
@@ -286,15 +295,16 @@ def test_certificate_output_is_pinned(argv, capsys):
 
 def test_verify_builds_no_operator_matrices(monkeypatch, capsys):
     # the verdict comes from t0* + t1* alone, in one read of the breakpoint
-    # table: no 2x2 operator is built, no margin or eigenvalue routine runs
+    # table, _shifts once on each of its rows with one exact s: no 2x2
+    # operator is built, no margin or eigenvalue routine runs
     def refuse(*args):
         raise AssertionError("operator matrices built")
 
     calls, original = [], selftest._shifts
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(s, *row):
+        calls.append((s, row))
+        return original(s, *row)
 
     monkeypatch.setattr(selftest, "dephasing_channel", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
@@ -302,8 +312,28 @@ def test_verify_builds_no_operator_matrices(monkeypatch, capsys):
     code, out, err = GOLDEN[("verify-inequality",)]
     assert main(["verify-inequality"]) == code
     assert capsys.readouterr() == (out, err)
-    assert len(calls) == 1
-    assert all(got is want for got, want in zip(calls[0][1:], selftest.BREAKPOINT_TABLE, strict=True))
+    assert len(calls) == len(selftest.BREAKPOINT_TABLE) == 3
+    for (s, got), want in zip(calls, selftest.BREAKPOINT_TABLE, strict=True):
+        assert s is calls[0][0] and type(s) is selftest.QSqrt2 and s == selftest.S_OPTIMAL
+        assert all(x is y for x, y in zip(got, want, strict=True))
+
+
+def test_certificates_need_no_numpy_broadcast(monkeypatch, capsys):
+    # the exact decision runs on Python scalars: with numpy's where,
+    # minimum, maximum and abs refused inside selftest, both certificate
+    # commands still print their pinned lines
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy broadcast in the exact decision")
+
+    guarded = type(np)("numpy")
+    vars(guarded).update(vars(np))
+    for name in ("where", "minimum", "maximum", "abs"):
+        setattr(guarded, name, refuse)
+    monkeypatch.setattr(selftest, "np", guarded)
+    for argv in (("verify-inequality",), ("verify-inequality", "--s", "0.6035533905932738"), ("coefficient-search",)):
+        code, out, err = GOLDEN[argv]
+        assert main(list(argv)) == code
+        assert capsys.readouterr() == (out, err), argv
 
 
 @pytest.mark.parametrize(
@@ -529,9 +559,9 @@ class TestCoefficientSearch:
         # a bound bent just below the kink fails closed
         original = selftest._shifts
 
-        def bent(s, *table):
-            t0, t1 = original(s, *table)
-            return t0, np.minimum(t1, 1.5 - 2 * 0.6034 - 2.4 * (s - 0.6034) - t0)
+        def bent(s, *row):
+            t0, t1 = original(s, *row)
+            return t0, min(t1, 1.5 - 2 * 0.6034 - 2.4 * (s - 0.6034) - t0)
 
         monkeypatch.setattr(selftest, "_shifts", bent)
         result = run_cli("coefficient-search")

@@ -463,12 +463,22 @@ class TestDefaultSweep:
         assert text.endswith(f"{one}\n  ]\n}}")
 
     def test_an_unchecked_config_is_refused(self, default_report):
-        # to_json writes a config's leaves without the encoder, so it
-        # refuses, as check does, any config that json.dumps might write
-        # otherwise (NaN, an int past the float range, a bool)
-        for cfg in (SearchConfig(tolerance=math.nan), SearchConfig(rng_seed=True), SearchConfig(beta_targets=(2.5, 3))):
-            with pytest.raises(ValidationError):
-                SandwichReport(cfg, default_report.records).to_json()
+        # to_json writes a config's leaves without the encoder, so no config
+        # that json.dumps might write otherwise (NaN, an int past the float
+        # range, a bool) may reach it: each is refused when built, with
+        # check's message, and a list of targets changed after the config
+        # was built changes nothing, since the config holds a tuple
+        cases = ((dict(tolerance=math.nan), "^tolerance must be finite"), (dict(rng_seed=True), "^rng_seed must be"),
+                 (dict(beta_targets=[2.5, 3]), "^beta target 3 outside"), (dict(tolerance=10**400), "^tolerance must"))
+        for kwargs, message in cases:
+            with pytest.raises(ValidationError, match=message):
+                SearchConfig(**kwargs)
+        targets = [2.5]
+        cfg = SearchConfig(beta_targets=targets)
+        targets.append(3)
+        assert cfg.beta_targets == (2.5,)
+        report = sandwich_sweep(cfg)
+        assert report.to_json() == json.dumps(report_form(report), indent=2)
 
     @pytest.mark.parametrize(
         "edit",

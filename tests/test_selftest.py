@@ -44,6 +44,11 @@ from devices import REFERENCE, Z_SHARP_X_BLANK, block_point, chord_device, devic
 SQRT2 = math.sqrt(2)
 
 
+def _g(s) -> list:
+    """Exact t0* + t1* at each of BREAKPOINTS."""
+    return [t0 + t1 for t0, t1 in zip(*breakpoint_shifts(s))]
+
+
 class TestConstants:
     def test_values(self):
         assert S_OPTIMAL == pytest.approx((1 + SQRT2) / 4, abs=1e-15)
@@ -62,7 +67,7 @@ class TestConstants:
         # the nearest float to (2 - sqrt 2)/2 is the one above T_OPTIMAL
         assert float(S_EXACT) == S_OPTIMAL and float(T_EXACT) == float(np.nextafter(T_OPTIMAL, 1))
         assert S_OPTIMAL == (1 + SQRT2) / 4 and T_OPTIMAL == (2 - SQRT2) / 2
-        assert all(g >= T_OPTIMAL for g in sum(breakpoint_shifts(S_OPTIMAL)))
+        assert all(g >= T_OPTIMAL for g in _g(S_OPTIMAL))
 
 
 def _decimal(x: QSqrt2, digits: int = 400) -> decimal.Decimal:
@@ -232,22 +237,24 @@ class TestCoefficientRule:
         assert dephasing_coefficient(math.pi / 4, -0.7) == -1.0
 
     def test_min_max_rule_is_clip_bit_for_bit(self):
-        # the clamp np.minimum(np.maximum(., -1), 1) returns np.clip's bits,
-        # the sign of a zero and NaN included; s and the trigonometric factor
-        # are chosen so that 4 s factor is each value exactly, without overflow
+        # the clamp min(max(., -1), 1) on Python floats returns np.clip's
+        # bits, the sign of a zero and NaN included, and so does the rule
+        # mapped over arrays; s and the trigonometric factor are chosen so
+        # that 4 s factor is each value exactly, without overflow
         edges = np.array([0.0, 1.0, math.inf])
         values = np.concatenate([edges, np.nextafter(edges, -math.inf), np.nextafter(edges, math.inf), [math.nan]])
         values = np.concatenate([values, -values])
         large = np.abs(values) > 1
         s, factor = np.where(large, values / 4, values), np.where(large, 1.0, 0.25)
         assert (4 * s * factor).tobytes() == values.tobytes()
-        for first in (True, False):
-            got = _coefficient_rule(s, first, factor, factor)
-            assert got.tobytes() == np.clip(values, -1.0, 1.0).tobytes()
-            for args in zip(s.tolist(), factor.tolist(), values.tolist()):  # Python floats
-                scalar = _coefficient_rule(args[0], first, args[1], args[1])
-                assert type(scalar) is np.float64
-                assert scalar.tobytes() == np.clip(args[2], -1.0, 1.0).tobytes(), args[2]
+        for args in zip(s.tolist(), factor.tolist(), values.tolist()):  # Python floats
+            scalar = _coefficient_rule(args[0], args[1])
+            assert type(scalar) is float
+            assert np.float64(scalar).tobytes() == np.clip(args[2], -1.0, 1.0).tobytes(), args[2]
+        # mapped over arrays, as dephasing_coefficient broadcasts it
+        with np.errstate(invalid="ignore"):  # NaN compared in min and max
+            got = np.array(selftest._COEFFICIENTS(s, factor), dtype=float)
+        assert got.tobytes() == np.clip(values, -1.0, 1.0).tobytes()
 
     def test_float_path_is_the_broadcast_path_bit_for_bit(self):
         # two Python floats take the math path, the same angles as an array
@@ -414,9 +421,92 @@ def test_exact_verdict_matches_float_verdict():
         g = sum(t_constraints(s, BREAKPOINTS)).min()
         t = g + rng.choice([1e-3, 1e-9, 1e-14]) * rng.uniform(-1, 1)
         if abs(g - t) > 1e-13:
-            assert (min(sum(breakpoint_shifts(s))) >= t) == (g >= t), (s, t)
+            assert (min(_g(s)) >= t) == (g >= t), (s, t)
             decided += 1
     assert 6_000 < decided < 10_000
+
+
+def _numpy_shifts(s, theta):
+    """(t0*, t1*) by the broadcast numpy formula that t_constraints ran on
+    before it mapped the scalar ``_shifts``: the reference for its bits."""
+    first, cos, sin = theta <= math.pi / 4, np.cos(theta), np.sin(theta)
+    c = np.minimum(np.maximum(4 * s * np.where(first, sin, cos), -1.0), 1.0)
+    kz, kx = np.where(first, 1.0, c), np.where(first, c, 1.0)
+    return 0.5 - np.abs(kz * 0.5 - 2 * s * cos), 0.5 - np.abs(kx * 0.5 - 2 * s * sin)
+
+
+def test_broadcasts_keep_the_numpy_formulas_bits():
+    # t_constraints and dephasing_coefficient map the scalar rules over
+    # their broadcast arguments: the bits of the numpy formulas they
+    # replaced, for an s column against a theta row, for scalars (as
+    # np.float64) and for s of +-0, +-inf, NaN, subnormal and huge
+    rng = np.random.default_rng(39)
+    thetas = np.union1d(np.linspace(0, math.pi / 2, 101), [*BREAKPOINTS, math.nextafter(math.pi / 4, 2)])
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e300, -1e300, 0.25, SQRT2 / 4]
+    s_values = np.array([*specials, *rng.uniform(-2, 2, 40)])[:, None]
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 and 4 s past the float range
+        want = _numpy_shifts(s_values, thetas)
+        coefficient = np.minimum(np.maximum(4 * s_values * np.where(thetas <= math.pi / 4, np.sin(thetas),
+                                                                      np.cos(thetas)), -1.0), 1.0)
+    with np.errstate(over="ignore"):  # 4 s overflows here as in the numpy formula; an inf * 0 is silent
+        got = t_constraints(s_values, thetas)
+        assert dephasing_coefficient(thetas, s_values).tobytes() == coefficient.tobytes()
+    assert [t.dtype for t in got] == [np.dtype(float)] * 2
+    assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
+    for s, theta in ((S_OPTIMAL, 0.3), (-0.7, 1.2), (0.5, np.float64(math.pi / 4))):
+        scalars = t_constraints(s, theta)
+        assert {type(t) for t in scalars} == {np.float64}, (s, theta)
+        assert [t.tobytes() for t in scalars] == [t.tobytes() for t in _numpy_shifts(s, np.float64(theta))]
+    assert type(dephasing_coefficient(np.float64(0.3), S_OPTIMAL)) is np.float64
+
+
+def _oracle_shifts(s: float) -> list:
+    """(t0*, t1*) at the true 0, pi/4 and pi/2, each as the exact pair (p, q)
+    of Fractions of p + q sqrt 2, by hand from the definitions and not from
+    ``_shifts`` or QSqrt2: t_x* = 1/2 - |k_x/2 - 2s v_x| with v = (cos,
+    sin), k = (1, c) on the first interval and (c, 1) on the second, and c =
+    4s sin or 4s cos clipped to [-1, 1]. At 0 and pi/2 that c is 0, so the
+    shift of the unrotated pair is 1/2 - |1/2 - 2s| and the other is 1/2; at
+    pi/4, c = clip(2 sqrt 2 s), t0* = 1/2 - |1/2 - sqrt 2 s| and t1* = 1/2 -
+    |c/2 - sqrt 2 s|."""
+    x, half = Fraction(s), Fraction(1, 2)
+
+    def shift(p, q):  # 1/2 - |p + q sqrt 2|: the sign of p + q sqrt 2 is p's when p^2 > 2 q^2, else q's
+        negative = (p < 0) if p * p > 2 * q * q else (q < 0)
+        return (half + p, q) if negative else (half - p, -q)
+
+    if 8 * x * x > 1:  # |2 sqrt 2 s| > 1: c saturates at the sign of s
+        c_half = half if x > 0 else -half
+    else:
+        c_half = None  # c/2 = sqrt 2 s exactly, and t1* = 1/2
+    edge = shift(half - 2 * x, Fraction(0))
+    axis = (half, Fraction(0))
+    middle = (shift(half, -x), axis if c_half is None else shift(c_half, -x))
+    return [(edge, axis), middle, (axis, edge)]
+
+
+def test_exact_shifts_match_a_fraction_oracle():
+    # breakpoint_shifts equals the Fraction oracle exactly on 10,000+ seeded
+    # s: +-0, +-5e-324, +-s_max (the CLI's largest |s|), S_OPTIMAL +- 300
+    # ulps, the neighbours of 1/(2 + sqrt 2) and of the clamp edges |4s| = 1
+    # and sqrt 2, 10^-330 to 10^-10 of both signs, and seeded s across
+    # [-1, 2) and across every binade
+    rng = np.random.default_rng(3939)
+    s_max = float(np.finfo(float).max / 4)
+
+    def around(x, ulps):
+        return [float(v) for v in x + np.spacing(x) * np.arange(-ulps, ulps + 1)]
+
+    s_values = [0.0, -0.0, 5e-324, -5e-324, s_max, -s_max, *around(S_OPTIMAL, 300), *around(float(T_EXACT), 100)]
+    for edge in (0.25, SQRT2 / 4):
+        s_values += around(edge, 20) + around(-edge, 20)
+    s_values += [sign * float(f"1e-{e}") for e in range(10, 331) for sign in (1, -1)]
+    s_values += rng.uniform(-1, 2, 6_500).tolist()
+    s_values += [math.ldexp(rng.choice([-1, 1]) * rng.uniform(0.5, 1), int(e)) for e in rng.integers(-1074, 1022, 2_000)]
+    assert len(s_values) >= 10_000 and max(map(abs, s_values)) == s_max
+    for s in s_values:
+        exact = zip(*breakpoint_shifts(s))  # (t0*, t1*) at each breakpoint
+        assert [tuple((Fraction(t.a, 2**t.k), Fraction(t.b, 2**t.k)) for t in pair) for pair in exact] == _oracle_shifts(s), s
 
 
 def _finding_p_grid():
@@ -437,31 +527,37 @@ class TestCoefficientSearch:
             BREAKPOINTS[1] = 0.0
 
     def test_breakpoint_table_is_read_only(self):
-        # (first_interval, cos, sin) of BREAKPOINTS, exact: cos and sin are
-        # (1, sqrt 2/2, 0) and (0, sqrt 2/2, 1), the true angles' values
-        first, cos, sin = BREAKPOINT_TABLE
-        np.testing.assert_array_equal(first, [True, True, False])
+        # the rows (first_interval, cos, sin) of BREAKPOINTS, exact: cos and
+        # sin are (1, sqrt 2/2, 0) and (0, sqrt 2/2, 1), the true angles'
+        # values. Table and rows are tuples, so no caller may move an entry
+        assert type(BREAKPOINT_TABLE) is tuple and {type(row) for row in BREAKPOINT_TABLE} == {tuple}
+        first, cos, sin = zip(*BREAKPOINT_TABLE)
+        assert first == tuple(selftest.first_interval(BREAKPOINTS).tolist()) == (True, True, False)
+        assert {type(x) for x in cos + sin} == {QSqrt2}
         assert all(c * c + v * v == 1 for c, v in zip(cos, sin))
         assert cos[0] == sin[2] == 1 and cos[2] == sin[0] == 0 and cos[1] == sin[1] > 0
         assert [float(c) for c in cos] == [1.0, math.sqrt(0.5), 0.0]
-        for column in BREAKPOINT_TABLE:
-            with pytest.raises(ValueError):
-                column[0] = column[1]
+        for table in (BREAKPOINT_TABLE, BREAKPOINT_TABLE[1]):
+            with pytest.raises(TypeError):
+                table[0] = table[1]
 
     def test_exact_shifts_round_to_t_constraints(self, rng):
         # the certificates' exact reads through the table are the float
         # formula's values to within one rounding unit of max(1, |4s|), s by
         # s, at the clamp edges |4s| = 1 and sqrt 2 and at s = +-0, with their
-        # neighbours; _shifts on the float table is t_constraints bit for bit
+        # neighbours. On the float rows _shifts is t_constraints bit for bit,
+        # and t_constraints is the broadcast numpy formula it replaced
         edges = np.array([0.0, 0.25, SQRT2 / 4])
         edges = np.concatenate([edges, np.nextafter(edges, -1), np.nextafter(edges, 1)])
         s_values = np.concatenate([rng.uniform(-1, 2, 500), edges, -edges]).tolist()
-        table = (BREAKPOINT_TABLE[0], np.cos(BREAKPOINTS), np.sin(BREAKPOINTS))
+        rows = list(zip(selftest.first_interval(BREAKPOINTS).tolist(), np.cos(BREAKPOINTS).tolist(),
+                        np.sin(BREAKPOINTS).tolist()))
         for s in s_values:
             want = t_constraints(s, BREAKPOINTS)
-            assert [t.tobytes() for t in _shifts(s, *table)] == [t.tobytes() for t in want], s
+            assert [t.tobytes() for t in want] == [t.tobytes() for t in _numpy_shifts(s, BREAKPOINTS)], s
+            assert np.array([_shifts(s, *row) for row in rows]).T.tobytes() == np.array(want).tobytes(), s
             for exact, floats in zip(breakpoint_shifts(s), want):
-                assert all(type(x) is QSqrt2 for x in exact)
+                assert type(exact) is tuple and {type(x) for x in exact} == {QSqrt2}
                 assert np.abs(np.array([float(x) for x in exact]) - floats).max() <= np.spacing(max(1, abs(4 * s))), s
 
     def test_breakpoint_minimum_is_exact(self, rng):
@@ -471,12 +567,15 @@ class TestCoefficientSearch:
         # |4s| = 1 and |4s| = sqrt 2, where clamp angles meet 0, pi/2 or pi/4
         edges = np.array([0.25, SQRT2 / 4])
         near = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, 1)])
+        # (the dense grid is read from the numpy formula, which
+        # test_exact_shifts_round_to_t_constraints ties to t_constraints
+        # bit for bit, at numpy's speed)
         dense = np.linspace(0, math.pi / 2, 200_001)
         for s in np.concatenate([rng.uniform(-1, 2, 200), near, -near]):
             r = min(1.0, 1 / abs(4 * s))
             fine = np.concatenate([dense, [math.asin(r), math.acos(r)]])
             coarse = sum(t_constraints(s, BREAKPOINTS)).min()
-            assert coarse == pytest.approx(sum(t_constraints(s, fine)).min(), abs=1e-12), s
+            assert coarse == pytest.approx(sum(_numpy_shifts(s, fine)).min(), abs=1e-12), s
 
     def test_intercepts_match_scalar_grid(self, rng):
         # the intercepts are t0* + t1* and its split at the first breakpoint
@@ -488,12 +587,12 @@ class TestCoefficientSearch:
             t, t0, t1 = _intercepts(s)
             exact0, exact1 = breakpoint_shifts(s)
             i = min(range(3), key=lambda j: exact0[j] + exact1[j])  # the first least
-            assert (t0, t1) == (exact0[i], exact1[i]) and t == t0 + t1 and t == min(exact0 + exact1), s
+            assert (t0, t1) == (exact0[i], exact1[i]) and t == t0 + t1 and t == min(_g(s)), s
             g = sum(t_constraints(s, BREAKPOINTS))
             if np.sort(g)[1] - g.min() > 1e-13:
                 assert i == int(np.argmin(g)), s
             assert abs(float(t) - g.min()) <= np.spacing(max(1, abs(4 * s))), s
-        assert [_first_tied(sum(breakpoint_shifts(s))) for s in (0.0, -0.0, 0.5, S_OPTIMAL)] == [0, 0, 0, 0]
+        assert [_first_tied(_g(s)) for s in (0.0, -0.0, 0.5, S_OPTIMAL)] == [0, 0, 0, 0]
 
     def test_recovers_optimum(self):
         # the kink of the concave bound, rounded down, and the bound at
@@ -522,19 +621,22 @@ class TestCoefficientSearch:
 
     def test_refinement_is_a_few_broadcasts(self, monkeypatch):
         # one exact read of the breakpoint table, at S_OPTIMAL, on every
-        # call: nothing is memoized
+        # call: _shifts once on each row, in order, with one QSqrt2 s read
+        # afresh; nothing is memoized
         calls, original = [], selftest._shifts
 
-        def counted(s, *table):
-            assert all(got is want for got, want in zip(table, BREAKPOINT_TABLE, strict=True))
-            calls.append(s)
-            return original(s, *table)
+        def counted(s, *row):
+            calls.append((s, row))
+            return original(s, *row)
 
         monkeypatch.setattr(selftest, "_shifts", counted)
-        coefficient_search()
-        assert len(calls) == 1 and type(calls[0]) is QSqrt2 and calls[0] == S_OPTIMAL
-        coefficient_search()
-        assert len(calls) == 2 and calls[1] is not calls[0]
+        for n in (1, 2):
+            coefficient_search()
+            assert len(calls) == 3 * n
+            for (s, row), want in zip(calls[3 * n - 3 :], BREAKPOINT_TABLE, strict=True):
+                assert all(got is entry for got, entry in zip(row, want, strict=True))
+                assert s is calls[3 * n - 3][0] and type(s) is QSqrt2 and s == S_OPTIMAL
+        assert calls[3][0] is not calls[0][0]
 
     def test_split_is_the_theta_zero_minimiser(self):
         # at the returned s, one float below the kink, the first minimiser of
@@ -554,12 +656,12 @@ class TestCoefficientSearch:
         # least, and the split is pi/4's, t0 = t1 = 1 - sqrt 2 s
         for s in (float(np.nextafter(S_OPTIMAL, 0)), S_OPTIMAL):
             t0, t1 = breakpoint_shifts(s)
-            g = t0 + t1
+            g = _g(s)
             assert g[0] == g[2] < g[1], s
             assert _intercepts(s)[1:] == (t0[0], t1[0]) and t0[0] == 1 - 2 * s and t1[0] == 0.5, s
         for s in (float(np.nextafter(S_OPTIMAL, 1)), float(np.nextafter(np.nextafter(S_OPTIMAL, 1), 1))):
             t0, t1 = breakpoint_shifts(s)
-            g = t0 + t1
+            g = _g(s)
             assert g[1] < g[0] == g[2], s
             assert _intercepts(s)[1:] == (t0[1], t1[1]) and t0[1] == t1[1] == 1 - QSqrt2(0, 1) * s, s
 
@@ -570,9 +672,9 @@ class TestCoefficientSearch:
         # piece, in exact arithmetic
         original = selftest._shifts
 
-        def bent(s, *table):
-            t0, t1 = original(s, *table)
-            return t0, np.minimum(t1, 1.5 - 2 * s_kink - 2.4 * (s - s_kink) - t0)
+        def bent(s, *row):
+            t0, t1 = original(s, *row)
+            return t0, min(t1, 1.5 - 2 * s_kink - 2.4 * (s - s_kink) - t0)
 
         monkeypatch.setattr(selftest, "_shifts", bent)
         with pytest.raises(ValidationError, match=r"^bound 0\.99\d* at s = 0\.6035533905932737 is not the kink$"):
@@ -581,9 +683,8 @@ class TestCoefficientSearch:
     @pytest.mark.parametrize("total", [0.0, np.nan], ids=["no-plateau", "nan"])
     def test_flat_or_nan_bound_fails_closed(self, total, monkeypatch):
         # a t(s) of 0 everywhere, or one that is not a number
-        def flat(s, *table):
-            shape = np.broadcast_shapes(np.shape(s), np.shape(table[0]))
-            return np.full(shape, total), np.zeros(shape)
+        def flat(s, first, cos, sin):
+            return total, 0.0
 
         monkeypatch.setattr(selftest, "_shifts", flat)
         with pytest.raises(ValidationError, match="is not the kink"):
@@ -886,13 +987,13 @@ def test_tie_rule_edge(excess, capsys):
     # 2)(s - S_OPTIMAL) above pi/4's. So pi/4 is named from the first float
     # past either crossing, as far as 1e-12 past it
     s = S_CROSS.floor() if excess is None else float(S_CROSS) - excess / (2 + SQRT2)
-    g = sum(breakpoint_shifts(s))
+    g = _g(s)
     assert g[1] < g[0] == g[2] and g[0] - g[1] <= 1.1 * (excess or 1e-15)
     _, t0, t1 = _intercepts(s)
     assert (t0, t1) == tuple(t[1] for t in breakpoint_shifts(s))
 
     s = float(np.nextafter(S_OPTIMAL, 1)) if excess is None else S_OPTIMAL + excess / (2 * SQRT2 - 2)
-    g = sum(breakpoint_shifts(s))
+    g = _g(s)
     assert g[1] < g[0] == g[2] and g[1] < T_OPTIMAL
     assert main(["verify-inequality", "--s", repr(s)]) == 1
     printed = re.search(r"^worst margin \S+ at theta = (\S+) ", capsys.readouterr().out).group(1)
