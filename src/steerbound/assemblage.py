@@ -35,6 +35,7 @@ from .matkernel import (
     WEIGHT_SUM_TOL,
     ValidationError,
     _largest,
+    _measures_2x2,
     _rows,
     _smallest,
     density_matrix,
@@ -88,17 +89,13 @@ class Assemblage:
 
     @cached_property
     def _measures(self) -> tuple:
-        """``validate``'s measures, none of which depends on a tolerance, in
-        one loop over ``_rows``: the largest |M - M^dagger| entry and the least
-        mean - radius (matkernel's arithmetic), no-signaling and normalization."""
+        """``validate``'s measures, none of which depends on a tolerance, read
+        from ``_rows``: the largest |M - M^dagger| entry and the least
+        mean - radius (``matkernel._measures_2x2``), no-signaling and normalization."""
         rows, settings, hypot = self._rows, self.settings, math.hypot
-        deviations, lower, marginals = [], [], list(rows[:settings])
-        for k, row in enumerate(rows):
-            ar, ai, br, bi, cr, ci, dr, di = row
-            deviations += (hypot(ar - ar, ai + ai), hypot(br - cr, bi + ci), hypot(dr - dr, di + di))
-            lower.append((ar + dr) / 2 - hypot((ar - dr) / 2, (br + cr) / 2, (bi - ci) / 2))
-            if k >= settings:  # Bob's marginal for each setting, summed over a in order
-                marginals[k % settings] = list(map(add, marginals[k % settings], row))
+        (deviations, lower), marginals = _measures_2x2(rows), list(rows[:settings])
+        for k in range(settings, len(rows)):  # Bob's marginal for each setting, summed over a in order
+            marginals[k % settings] = list(map(add, marginals[k % settings], rows[k]))
         first = marginals[0]  # |m - first| entry by entry, from the parts at i and i + 1
         gaps = [hypot(m[i] - first[i], m[i + 1] - first[i + 1]) for m in marginals for i in (0, 2, 4, 6)]
         normalization = [abs(m[0] + m[6] - 1) for m in marginals]

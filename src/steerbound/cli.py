@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     # coefficient-search searches s over one fixed bracket
     retired = "accepted for compatibility; changes nothing"
     theta_points = dict(type=_checked(int, 2, grid_max), help=retired)
-    # 4 s stays finite, and so does every term of t_constraints
+    # 4 s stays finite, and so does every term of _shifts
     s_max = np.finfo(float).max / 4
     p = sub.add_parser("verify-inequality", help="check the operator inequalities at t = T_OPTIMAL")
     p.add_argument("--theta-points", **theta_points)

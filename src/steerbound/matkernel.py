@@ -5,8 +5,8 @@ complex Hermitian matrices represented as plain numpy arrays. This module
 holds the table of tolerances (every numeric guard of the package, by
 name), the constants, the one checked eigenvalue routine that every
 validator calls: ``hermitian_min_eigvals`` (closed form for stacks of 2x2
-matrices, the lower of ``eigvals_2x2``), and the density-matrix check
-built on it.
+matrices, from ``_measures_2x2``), and the density-matrix check built on
+it.
 
 A stack of 2x2 matrices is read once with ``tolist`` and worked on as
 Python floats, matrix by matrix: the stacks here hold a handful of
@@ -82,28 +82,16 @@ def _rows(m: np.ndarray) -> list:
     return np.ascontiguousarray(m).view(float).reshape(-1, 8).tolist()
 
 
-def _mean_radius(rows: list) -> list:
-    """(mean, radius) of the Hermitian part of each matrix given by a row of
-    ``_rows``: its eigenvalues are mean -+ radius, with mean = Re(a + d)/2
-    and radius the length of its Bloch vector (Re(a - d), Re(b + c),
-    Im(b - c))/2."""
-    hypot = math.hypot
-    return [
-        ((ar + dr) / 2, hypot((ar - dr) / 2, (br + cr) / 2, (bi - ci) / 2))
-        for ar, ai, br, bi, cr, ci, dr, di in rows
-    ]
-
-
-def _hermitian_deviation(rows: list) -> float:
-    """The largest |M - M^dagger| entry over the matrices given by rows of
-    ``_rows`` (NaN for a non-finite entry): |M - M^dagger| has the entries
-    |a - a*|, |d - d*| and, twice, |b - c*|."""
-    hypot = math.hypot
-    return _largest([
-        gap
-        for ar, ai, br, bi, cr, ci, dr, di in rows
-        for gap in (hypot(ar - ar, ai + ai), hypot(br - cr, bi + ci), hypot(dr - dr, di + di))
-    ])
+def _measures_2x2(rows: list) -> tuple:
+    """(|M - M^dagger|'s entries |a - a*|, |b - c*|, |d - d*| of each matrix
+    given by a row of ``_rows``, in one list; the least eigenvalue mean -
+    radius of each one's Hermitian part, with mean = Re(a + d)/2 and radius
+    the length of its Bloch vector (Re(a - d), Re(b + c), Im(b - c))/2)."""
+    hypot, deviations, lower = math.hypot, [], []
+    for ar, ai, br, bi, cr, ci, dr, di in rows:
+        deviations += (hypot(ar - ar, ai + ai), hypot(br - cr, bi + ci), hypot(dr - dr, di + di))
+        lower.append((ar + dr) / 2 - hypot((ar - dr) / 2, (br + cr) / 2, (bi - ci) / 2))
+    return deviations, lower
 
 
 def _check_hermitian(deviation: float, tol: float) -> None:
@@ -111,35 +99,23 @@ def _check_hermitian(deviation: float, tol: float) -> None:
         raise ValidationError(f"matrix is not Hermitian within {tol:g}: max |M - M^dagger| = {deviation:.3e}")
 
 
-def eigvals_2x2(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part of each matrix in a
-    (..., 2, 2) stack, in closed form (see ``_mean_radius``)."""
-    m = np.asarray(m, dtype=complex)
-    pairs = [(mean - radius, mean + radius) for mean, radius in _mean_radius(_rows(m))]
-    return np.array(pairs, dtype=float).reshape(m.shape[:-2] + (2,))
-
-
 def hermitian_min_eigvals(m: np.ndarray, tol: float) -> np.ndarray:
     """Smallest eigenvalue of each matrix in a (..., n, n) stack, n = 2 or 4,
-    as an array of the stack's shape: mean - radius (the lower of
-    ``eigvals_2x2``) for n = 2, numpy's ``eigvalsh`` for n = 4.
+    as an array of the stack's shape: mean - radius (``_measures_2x2``) for
+    n = 2, numpy's ``eigvalsh`` for n = 4.
 
     ValidationError on any other shape, and unless every entry of every
     matrix is finite and within ``tol`` of the adjoint's. This is the one
     place that decides Hermiticity (``validate`` compares the same 2x2
-    deviation, by ``_hermitian_deviation``'s arithmetic, with its tolerance).
-
-    A 2x2 stack is read once with ``tolist`` (``_rows``); each matrix's
-    deviations |M - M^dagger| and its mean - radius are Python arithmetic
-    on its parts.
+    deviation, from ``_measures_2x2`` too, with its tolerance).
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] not in (2, 4):
         raise ValidationError(f"expected a stack of 2x2 or 4x4 matrices, got shape {m.shape}")
     if m.shape[-1] == 2:
-        rows = _rows(m)
-        _check_hermitian(_hermitian_deviation(rows), tol)
-        return np.array([mean - radius for mean, radius in _mean_radius(rows)], dtype=float).reshape(m.shape[:-2])
+        deviations, lower = _measures_2x2(_rows(m))
+        _check_hermitian(_largest(deviations), tol)
+        return np.array(lower, dtype=float).reshape(m.shape[:-2])
     adjoint = m.conj().swapaxes(-1, -2)
     with np.errstate(invalid="ignore"):  # inf - inf
         _check_hermitian(np.abs(m - adjoint).max(initial=0.0), tol)

@@ -25,7 +25,7 @@ import numpy as np
 from .assemblage import Assemblage, _require_valid
 from .fidelity import _REFERENCE_MAP, ExtractionChannel, _check_reference_shape
 from .matkernel import ENDPOINT_SLACK, I2, MARGINAL_WINDOW, PAULI_X, PAULI_Z, PROB_FLOOR, ValidationError
-from .steering import BETA_CLASSICAL, BETA_QUANTUM, _maximum, check_theta
+from .steering import BETA_CLASSICAL, BETA_QUANTUM, _maximum, _one_real, check_theta
 
 
 class QSqrt2:
@@ -161,16 +161,12 @@ def dephasing_channel(theta: float, c: float) -> ExtractionChannel:
     return ExtractionChannel(0.5 * (1 + c) * _CHOI_I + 0.5 * (1 - c) * gamma)
 
 
-def dephasing_coefficient(theta, s):
+def dephasing_coefficient(theta, s) -> float:
     """c(theta) = 4s sin(theta) on the first interval and 4s cos(theta) on the second, clipped to [-1, 1],
-    where the map is a channel: it saturates at 1 for s >= 0 and at -1 for s < 0. Two Python floats give a
-    Python float, by ``math``; else ``_coefficient_rule`` broadcasts, as float64."""
-    check_theta(theta)
-    if type(theta) is float and type(s) is float:
-        return _coefficient_rule(s, math.sin(theta) if first_interval(theta) else math.cos(theta))
-    with np.errstate(invalid="ignore"):  # min and max compare a NaN silently, as np.minimum does
-        c = _COEFFICIENTS(s, np.where(first_interval(theta), np.sin(theta), np.cos(theta)))
-    return np.array(c, dtype=float)[()]  # np.float64 from a scalar call's one object
+    where the map is a channel: it saturates at 1 for s >= 0 and at -1 for s < 0. ``_coefficient_rule`` at
+    one angle, as a Python float; ValidationError unless theta and s are each one real number."""
+    theta, s = check_theta(theta), float(_one_real(s, "s"))
+    return _coefficient_rule(s, math.sin(theta) if first_interval(theta) else math.cos(theta))
 
 
 def _coefficient_rule(s, factor):
@@ -179,15 +175,13 @@ def _coefficient_rule(s, factor):
     return min(max(4 * s * factor, minus_one), one)
 
 
-def t_constraints(s, theta):
-    """Largest shifts (t0*, t1*), possibly negative, keeping all four operator inequalities PSD at each theta
-    and s: ``_shifts`` broadcast, as float64. The least eigenvalue of the four operators at the shifts t0 =
-    t0*, t1 = t - t0* is min(0, t0* + t1* - t): the inequality holds at (s, t) iff min over theta of t0* + t1*
-    >= t."""
-    check_theta(theta)
-    with np.errstate(invalid="ignore"):  # as in dephasing_coefficient
-        t0, t1 = _SHIFTS(s, first_interval(theta), np.cos(theta), np.sin(theta))
-    return np.array(t0, dtype=float)[()], np.array(t1, dtype=float)[()]
+def t_constraints(s, theta) -> tuple:
+    """Largest shifts (t0*, t1*), possibly negative, keeping all four operator inequalities PSD at theta and
+    s: ``_shifts`` at one angle, as two Python floats; ValidationError unless s and theta are each one real
+    number. The least eigenvalue of the four operators at the shifts t0 = t0*, t1 = t - t0* is min(0, t0* +
+    t1* - t): the inequality holds at (s, t) iff min over theta of t0* + t1* >= t."""
+    s, theta = float(_one_real(s, "s")), check_theta(theta)
+    return _shifts(s, first_interval(theta), math.cos(theta), math.sin(theta))
 
 
 def _shifts(s, first, cos, sin):
@@ -204,9 +198,8 @@ def _shifts(s, first, cos, sin):
     return half - abs(kz * half - 2 * s * cos), half - abs(kx * half - 2 * s * sin)
 
 
-# 1/2, 1 and -1 exactly, read once, and as floats; each rule mapped over arrays
+# 1/2, 1 and -1 exactly, read once, and as floats
 _EXACT_CONSTANTS, _FLOAT_CONSTANTS = (QSqrt2(1, 0, 1), QSqrt2(1), QSqrt2(-1)), (0.5, 1.0, -1.0)
-_COEFFICIENTS, _SHIFTS = np.frompyfunc(_coefficient_rule, 2, 1), np.frompyfunc(_shifts, 4, 2)
 
 # Every theta set the certificates use: g = t0* + t1* takes its minimum over
 # [0, pi/2] at 0, pi/4 or pi/2 for every s. Between those angles each term of
@@ -224,8 +217,8 @@ BREAKPOINT_TABLE = ((True, QSqrt2(1), QSqrt2(0)), (True, _ROOT, _ROOT), (False, 
 
 
 def breakpoint_shifts(s: float) -> tuple:
-    """t_constraints(s, BREAKPOINTS) exactly, as tuples (t0*, t1*) of three
-    QSqrt2s: ``_shifts`` on each row of ``BREAKPOINT_TABLE`` with s read
+    """t_constraints(s, .) at BREAKPOINTS exactly, as tuples (t0*, t1*) of
+    three QSqrt2s: ``_shifts`` on each row of ``BREAKPOINT_TABLE`` with s read
     once as a QSqrt2. Both certificates decide from these."""
     s = QSqrt2.of(s)
     return tuple(zip(*[_shifts(s, *row) for row in BREAKPOINT_TABLE]))

@@ -19,11 +19,18 @@ BETA_CLASSICAL = 2.0
 BETA_QUANTUM = 2 * math.sqrt(2)
 
 
-def check_theta(theta) -> None:
-    """ValidationError unless every angle (a float or an array) is in [0, pi/2 + ENDPOINT_SLACK]."""
-    inside = (theta >= 0) & (theta <= math.pi / 2 + ENDPOINT_SLACK)
-    if not (inside.all() if isinstance(inside, np.ndarray) else inside):
+def _one_real(x, name: str):
+    """x, unless it is not one real number (an int, a float or a numpy scalar): then ValidationError."""
+    if not isinstance(x, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{name} must be one real number, got {type(x).__name__}")
+    return x
+
+
+def check_theta(theta) -> float:
+    """theta as a Python float; ValidationError unless it is one real number in [0, pi/2 + ENDPOINT_SLACK]."""
+    if not 0 <= _one_real(theta, "theta") <= math.pi / 2 + ENDPOINT_SLACK:  # a NaN fails too
         raise ValidationError(f"theta = {theta} outside [0, pi/2]")
+    return float(theta)
 
 
 def t_operators(theta: float) -> np.ndarray:

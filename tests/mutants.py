@@ -14,8 +14,8 @@ and magnitude check, the sandwich record's float guard, ``validate``'s
 comparison of the kept
 measures with its tolerance or an overflow guard (a CLI integer or a config
 tolerance past the float range); one perturbs ``xi_star``, the closed form
-the sandwich reads its ``numeric_min`` from, and one the report's writer of
-a config leaf.
+the sandwich reads its ``numeric_min`` from, one the report's writer of
+a config leaf, and two the shared 2x2 closed form, once for each reader.
 For each mutant, ``src/``, ``tests/`` and ``pyproject.toml`` are copied to a
 temporary directory, its text (which must occur exactly once in its file)
 is replaced there, and its test files run with ``pytest -x``. A failing test kills the mutant; a mutant
@@ -90,9 +90,13 @@ STRUCTURAL = (
 # finiteness), validate's Hermiticity verdict to True whatever the
 # tolerance, and each overflow guard to the check that let an int past the
 # float range through. One row moves xi_star's 3/4 by 1e-10, which the
-# sandwich tests must tell from the witness's own W, and the last writes a
+# sandwich tests must tell from the witness's own W, and one writes a
 # report's tolerance leaf as a float whatever its type, so an int tolerance
-# of 1 reads 1.0, unlike json.dumps.
+# of 1 reads 1.0, unlike json.dumps. The last two make one break in the
+# shared 2x2 closed form, matkernel._measures_2x2: |b - c*| read as |b - c|.
+# One is killed by test_assemblage.py alone and the other by
+# test_matkernel.py alone, so both readers of the one copy, validate's kept
+# measures and hermitian_min_eigvals, are shown to read it.
 GUARDS = (
     ("QSqrt2 sign", "selftest.py", "else a if a * a > 2 * b * b else b", "else a",
      ("tests/test_selftest.py", "tests/test_cli.py")),
@@ -119,6 +123,10 @@ GUARDS = (
     ("xi_star closed form", "selftest.py", "return 0.75 + min(", "return 0.7500000001 + min(", ("tests/test_numsearch.py",)),
     ("config leaf writer", "numsearch.py", "_leaf(cfg.tolerance)", "float.__repr__(float(cfg.tolerance))",
      ("tests/test_numsearch.py",)),
+    ("2x2 adjoint gap, validate", "matkernel.py", "hypot(br - cr, bi + ci)", "hypot(br - cr, bi - ci)",
+     ("tests/test_assemblage.py",)),
+    ("2x2 adjoint gap, eigvals", "matkernel.py", "hypot(br - cr, bi + ci)", "hypot(br - cr, bi - ci)",
+     ("tests/test_matkernel.py",)),
 )
 
 # mutant label -> why no test can tell that mutant from the program

@@ -77,7 +77,7 @@ def test_02_operator_inequality_sweep():
     assert min(x - (T_OPTIMAL + 1e-11) for x in g) < 0
     assert float(min(x - (T_OPTIMAL + 1e-6) for x in g)) < -5e-7
     thetas = np.union1d(np.linspace(0, math.pi / 2, 10_000), BREAKPOINTS)
-    assert np.minimum(sum(t_constraints(S_OPTIMAL, thetas)) - T_OPTIMAL, 0).min() >= 0
+    assert min(min(sum(t_constraints(S_OPTIMAL, theta)) - T_OPTIMAL, 0) for theta in thetas.tolist()) >= 0
     _report(f"operator inequality at (s, t) optimal: exact worst margin {float(worst):.2e} >= 0")
 
 

@@ -30,9 +30,7 @@ from steerbound.matkernel import (
     PAULI_X,
     PAULI_Z,
     PHI_PLUS,
-    _hermitian_deviation,
     _largest,
-    _mean_radius,
     _smallest,
     projector,
 )
@@ -450,16 +448,24 @@ _REALIZATIONS = (dict(), dict(projective=False), dict(uniform_marginals=True))
 
 def _multi_pass_measures(asm: Assemblage) -> tuple:
     """``Assemblage._measures`` as it was computed before the one-loop
-    version: a pass over the rows for each measure, from matkernel's helpers."""
-    rows, settings = asm._rows, asm.settings
+    version: a pass over the rows for each measure, by the arithmetic of the
+    retired matkernel helpers, written out here so that it stays a reference
+    independent of ``matkernel._measures_2x2``."""
+    rows, settings, hypot = asm._rows, asm.settings, math.hypot
     marginals = rows[:settings]
     for start in range(settings, len(rows), settings):
         marginals = [list(map(add, m, row)) for m, row in zip(marginals, rows[start : start + settings])]
     first = marginals[0]
-    gaps = [math.hypot(m[i] - first[i], m[i + 1] - first[i + 1]) for m in marginals for i in (0, 2, 4, 6)]
+    gaps = [hypot(m[i] - first[i], m[i + 1] - first[i + 1]) for m in marginals for i in (0, 2, 4, 6)]
     return (
-        _hermitian_deviation(rows),
-        _smallest([mean - radius for mean, radius in _mean_radius(rows)]),
+        _largest([
+            gap
+            for ar, ai, br, bi, cr, ci, dr, di in rows
+            for gap in (hypot(ar - ar, ai + ai), hypot(br - cr, bi + ci), hypot(dr - dr, di + di))
+        ]),
+        _smallest([
+            (ar + dr) / 2 - hypot((ar - dr) / 2, (br + cr) / 2, (bi - ci) / 2) for ar, ai, br, bi, cr, ci, dr, di in rows
+        ]),
         _largest(gaps),
         _largest([abs(m[0] + m[6] - 1) for m in marginals]),
     )

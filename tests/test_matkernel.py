@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from steerbound import matkernel
 from steerbound.matkernel import (
     I2,
     I4,
@@ -12,7 +15,8 @@ from steerbound.matkernel import (
     PAULI_Y,
     PAULI_Z,
     ValidationError,
-    eigvals_2x2,
+    _measures_2x2,
+    _rows,
     hermitian_min_eigvals,
     projector,
 )
@@ -28,17 +32,35 @@ TOL = 1e-12
 
 
 
-class TestEigvals2x2:
+def _lower_closed_form(m) -> np.ndarray:
+    """mean - radius of each matrix's Hermitian part in a (..., 2, 2) stack,
+    by the retired ``eigvals_2x2``'s Python arithmetic on its parts: the
+    reference for the bits of ``_measures_2x2``."""
+    m = np.asarray(m, dtype=complex)
+    rows = m.view(float).reshape(-1, 8).tolist()
+    lower = [
+        (ar + dr) / 2 - math.hypot((ar - dr) / 2, (br + cr) / 2, (bi - ci) / 2)
+        for ar, ai, br, bi, cr, ci, dr, di in rows
+    ]
+    return np.array(lower, dtype=float).reshape(m.shape[:-2])
+
+
+class TestMeasures2x2:
     def test_stacked_closed_form(self, rng):
-        # any (..., 2, 2) stack, against numpy on each matrix's Hermitian part
+        # any (..., 2, 2) stack, Hermitian or not, against numpy's least
+        # eigenvalue of each matrix's Hermitian part
         m = rng.normal(size=(5, 3, 2, 2)) + 1j * rng.normal(size=(5, 3, 2, 2))
         hermitian = (m + m.conj().swapaxes(-1, -2)) / 2
-        np.testing.assert_allclose(eigvals_2x2(m), np.linalg.eigvalsh(hermitian), atol=1e-12)
+        _, lower = _measures_2x2(_rows(m))
+        np.testing.assert_allclose(np.reshape(lower, (5, 3)), np.linalg.eigvalsh(hermitian)[..., 0], atol=1e-12)
 
-    def test_trace_matches_eigenvalue_sum(self, rng):
-        for _ in range(50):
-            m = random_hermitian(rng, 2)
-            assert abs(eigvals_2x2(m).sum() - np.trace(m).real) < 1e-10
+    def test_deviations_are_the_adjoint_gaps(self, rng):
+        # three entries per matrix, in row order: |a - a*|, |b - c*| and
+        # |d - d*|, numpy's |M - M^dagger| entries
+        m = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
+        deviations, _ = _measures_2x2(_rows(m))
+        gaps = np.abs(m - m.conj().swapaxes(-1, -2))
+        np.testing.assert_allclose(deviations, gaps[:, [0, 0, 1], [0, 1, 1]].reshape(-1), rtol=1e-15)
 
 
 class TestHermitianMinEigvals:
@@ -100,14 +122,14 @@ class TestHermitianMinEigvals:
             hermitian_min_eigvals(m, TOL)
 
     def test_two_by_two_is_the_lower_closed_form_eigenvalue(self, rng):
-        # the 2x2 branch computes only mean - radius, bit for bit the first
-        # of eigvals_2x2's pair, also off Hermitian by less than tol
+        # the 2x2 branch computes only mean - radius, bit for bit the lower
+        # of the closed-form pair, also off Hermitian by less than tol
         m = rng.normal(size=(40, 3, 2, 2)) + 1j * rng.normal(size=(40, 3, 2, 2))
         m = (m + m.conj().swapaxes(-1, -2)) / 2 + 1e-13 * rng.normal(size=m.shape)
         got = hermitian_min_eigvals(m, TOL)
         assert got.shape == (40, 3)
-        np.testing.assert_array_equal(got, eigvals_2x2(m)[..., 0])
-        assert hermitian_min_eigvals(m[0, 0], TOL) == eigvals_2x2(m[0, 0])[0]
+        np.testing.assert_array_equal(got, _lower_closed_form(m))
+        assert hermitian_min_eigvals(m[0, 0], TOL) == _lower_closed_form(m[0, 0])
 
     def test_matches_the_numpy_closed_form_on_seeded_stacks(self):
         # 10,000 seeded stacks of every shape from (2, 2) to (3, 3, 2, 2),
@@ -158,3 +180,30 @@ def test_complex_warning_is_an_error():
     # RuntimeWarning, which the pytest configuration turns into an error
     with pytest.raises(ComplexWarning):
         np.array([1j]).astype(float)
+
+
+def _is_hypot(node) -> bool:
+    return isinstance(node, ast.Call) and "hypot" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def test_one_copy_of_each_certificate_formula():
+    # each certificate formula has one scalar code path: no np.frompyfunc
+    # broadcast anywhere in the package, and the 2x2 closed form on one
+    # line each, in matkernel -- mean - radius (the one hypot of a
+    # three-component Bloch vector) and the |M - M^dagger| triple (three
+    # hypots side by side) -- which both hermitian_min_eigvals and
+    # Assemblage._measures read
+    package = Path(matkernel.__file__).resolve().parent
+    radius, triple, broadcast = set(), set(), []
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        if "frompyfunc" in text:
+            broadcast.append(path.name)
+        for node in ast.walk(ast.parse(text)):
+            if _is_hypot(node) and len(node.args) == 3:
+                radius.add((path.name, node.lineno))
+            if isinstance(node, (ast.Tuple, ast.List)) and len(node.elts) == 3 and all(map(_is_hypot, node.elts)):
+                triple.add((path.name, node.lineno))
+    assert broadcast == []
+    assert len(radius) == len(triple) == 1
+    assert {name for name, _ in radius | triple} == {"matkernel.py"}

@@ -49,6 +49,12 @@ def _g(s) -> list:
     return [t0 + t1 for t0, t1 in zip(*breakpoint_shifts(s))]
 
 
+def _shift_grid(s, thetas) -> tuple:
+    """t_constraints(s, theta) mapped over the angles ``thetas``, as the two
+    float arrays (t0*, t1*): the scalar function read on a grid."""
+    return tuple(np.array([t_constraints(s, theta) for theta in np.asarray(thetas).tolist()]).T)
+
+
 class TestConstants:
     def test_values(self):
         assert S_OPTIMAL == pytest.approx((1 + SQRT2) / 4, abs=1e-15)
@@ -238,9 +244,9 @@ class TestCoefficientRule:
 
     def test_min_max_rule_is_clip_bit_for_bit(self):
         # the clamp min(max(., -1), 1) on Python floats returns np.clip's
-        # bits, the sign of a zero and NaN included, and so does the rule
-        # mapped over arrays; s and the trigonometric factor are chosen so
-        # that 4 s factor is each value exactly, without overflow
+        # bits, the sign of a zero and NaN included; s and the trigonometric
+        # factor are chosen so that 4 s factor is each value exactly, without
+        # overflow
         edges = np.array([0.0, 1.0, math.inf])
         values = np.concatenate([edges, np.nextafter(edges, -math.inf), np.nextafter(edges, math.inf), [math.nan]])
         values = np.concatenate([values, -values])
@@ -251,26 +257,38 @@ class TestCoefficientRule:
             scalar = _coefficient_rule(args[0], args[1])
             assert type(scalar) is float
             assert np.float64(scalar).tobytes() == np.clip(args[2], -1.0, 1.0).tobytes(), args[2]
-        # mapped over arrays, as dephasing_coefficient broadcasts it
-        with np.errstate(invalid="ignore"):  # NaN compared in min and max
-            got = np.array(selftest._COEFFICIENTS(s, factor), dtype=float)
-        assert got.tobytes() == np.clip(values, -1.0, 1.0).tobytes()
 
-    def test_float_path_is_the_broadcast_path_bit_for_bit(self):
-        # two Python floats take the math path, the same angles as an array
-        # the numpy rule: the same bits on both intervals, at pi/4 exactly
-        # (the first interval) and its next float, at both ends, saturated
-        # at +-1 and for negative s and -0.0
+    def test_scalar_rule_keeps_the_numpy_formulas_bits(self):
+        # one angle at a time, the math path gives the numpy clip of 4 s sin
+        # or 4 s cos that the retired broadcast ran: the same bits on both
+        # intervals, at pi/4 exactly (the first interval) and its next float,
+        # at both ends, saturated at +-1 and for negative s and -0.0
         rng = np.random.default_rng(31)
         thetas = [0.0, math.pi / 4, math.nextafter(math.pi / 4, 2.0), math.pi / 2]
         thetas += rng.uniform(0, math.pi / 2, 40).tolist()
+        grid = np.array(thetas)
         seen = set()
         for s in (S_OPTIMAL, -S_OPTIMAL, 0.7, -0.7, 0.0, -0.0, -3.0, *rng.uniform(-1, 1, 10).tolist()):
             got = [dephasing_coefficient(theta, s) for theta in thetas]
             assert {type(c) for c in got} == {float}
-            assert np.array(got).tobytes() == dephasing_coefficient(np.array(thetas), s).tobytes(), s
+            want = np.clip(4 * s * np.where(grid <= math.pi / 4, np.sin(grid), np.cos(grid)), -1.0, 1.0)
+            assert np.array(got).tobytes() == want.tobytes(), s
             seen.update(got)
         assert {1.0, -1.0} <= seen
+
+    def test_one_real_number_per_argument(self):
+        # an int or a numpy scalar is read as the float it holds, and gives a
+        # Python float; an array (also a 0-d one), a string or None is
+        # refused with one ValidationError, whichever argument it is
+        want = dephasing_coefficient(1.0, 0.5)
+        for theta, s in ((1, 0.5), (np.float64(1.0), 0.5), (1.0, np.float32(0.5)), (np.int64(1), np.float64(0.5))):
+            got = dephasing_coefficient(theta, s)
+            assert type(got) is float and got == want, (theta, s)
+        assert type(dephasing_coefficient(0, S_OPTIMAL)) is float
+        for theta, s in ((np.array([0.3, 0.4]), S_OPTIMAL), (0.3, np.array([S_OPTIMAL])), (np.array(0.3), 0.5),
+                         ("0.3", 0.5), (0.3, None)):
+            with pytest.raises(ValidationError, match="must be one real number"):
+                dephasing_coefficient(theta, s)
 
     def test_k_operators_first_interval(self):
         # K_{ax}, the channel's dual image of the reference state
@@ -292,10 +310,10 @@ class TestCoefficientRule:
                     np.testing.assert_allclose(ks[a, x], expected, rtol=0, atol=1e-15)
 
     def test_t_constraints_closed_form(self):
-        # the broadcast closed form against the per-interval formulas, both intervals
+        # the closed form, angle by angle, against the per-interval formulas, both intervals
         for s in (0.2, S_OPTIMAL, 0.9):
             thetas = np.linspace(0, math.pi / 2, 101)
-            t0, t1 = t_constraints(s, thetas)
+            t0, t1 = _shift_grid(s, thetas)
             for theta, a, b in zip(thetas, t0, t1):
                 sin, cos = math.sin(theta), math.cos(theta)
                 if theta <= math.pi / 4:
@@ -323,6 +341,18 @@ class TestCoefficientRule:
             hi = sum(t_constraints(s, min(math.pi / 2, math.pi / 4 + float(delta)) ))
             assert lo == pytest.approx(hi, abs=1e-9)
 
+    def test_t_constraints_reads_one_real_number_per_argument(self):
+        # two Python floats from an int or a numpy scalar, the float's own
+        # shifts; an array of s or of theta is refused with one ValidationError
+        want = t_constraints(0.5, 1.0)
+        for s, theta in ((0.5, 1), (np.float64(0.5), 1.0), (np.float32(0.5), np.int64(1)), (0.5, np.float64(1.0))):
+            got = t_constraints(s, theta)
+            assert {type(t) for t in got} == {float} and got == want, (s, theta)
+        assert {type(t) for t in t_constraints(1, 0)} == {float}
+        for s, theta in ((np.array([0.5, 0.6]), 0.3), (0.5, BREAKPOINTS), (0.5, np.array(0.3)), ([0.5], 0.3)):
+            with pytest.raises(ValidationError, match="must be one real number"):
+                t_constraints(s, theta)
+
 
 def _k_operators(theta, c):
     """K[a, x]: the dephasing channel's dual image of the reference
@@ -346,7 +376,7 @@ def _operators(s, theta):
 class TestInequalityMargins:
     def test_margins_nonnegative_at_optimum(self):
         thetas = np.union1d(np.linspace(0, math.pi / 2, 801), BREAKPOINTS)
-        t0, t1 = t_constraints(S_OPTIMAL, thetas)
+        t0, t1 = _shift_grid(S_OPTIMAL, thetas)
         for theta, a, b in zip(thetas.tolist(), t0.tolist(), t1.tolist()):
             assert _least_eigenvalues(_operators(S_OPTIMAL, theta), a, b).min() >= -1e-10, theta
 
@@ -370,19 +400,19 @@ class TestInequalityMargins:
         for s in rng.uniform(-1, 2, 20):
             thetas = rng.uniform(0, math.pi / 2, 50)
             t0, t1 = rng.uniform(-1, 1, (2, 50))
-            t0s, t1s = t_constraints(s, thetas)
+            t0s, t1s = _shift_grid(s, thetas)
             batched = np.minimum(t0s - t0, t1s - t1)
             for i in range(50):
                 expected = _least_eigenvalues(_operators(s, float(thetas[i])), t0[i], t1[i]).min()
                 assert batched[i] == pytest.approx(expected, abs=1e-12)
 
     def test_tight_for_any_s(self, rng):
-        # t_constraints is the largest shift for any s, broadcast over an s
+        # t_constraints is the largest shift for any s, mapped over an s
         # column and a theta row: both margins 0 at (t0*, t1*), both negative
         # one step above
         s_values = rng.uniform(-1, 2, (20, 1))
         thetas = np.union1d(np.linspace(0, math.pi / 2, 40), BREAKPOINTS)
-        t0, t1 = t_constraints(s_values, thetas)
+        t0, t1 = np.array([_shift_grid(s, thetas) for s in s_values[:, 0].tolist()]).transpose(1, 0, 2)
         assert t0.shape == t1.shape == (20, len(thetas))
         for index in np.ndindex(t0.shape):
             operators = _operators(float(s_values[index[0], 0]), float(thetas[index[1]]))
@@ -418,7 +448,7 @@ def test_exact_verdict_matches_float_verdict():
     s_values = np.concatenate([rng.uniform(-1, 2, 9_000), S_OPTIMAL + rng.uniform(-1e-12, 1e-12, 1_000)])
     decided = 0
     for s in s_values.tolist():
-        g = sum(t_constraints(s, BREAKPOINTS)).min()
+        g = sum(_shift_grid(s, BREAKPOINTS)).min()
         t = g + rng.choice([1e-3, 1e-9, 1e-14]) * rng.uniform(-1, 1)
         if abs(g - t) > 1e-13:
             assert (min(_g(s)) >= t) == (g >= t), (s, t)
@@ -428,18 +458,18 @@ def test_exact_verdict_matches_float_verdict():
 
 def _numpy_shifts(s, theta):
     """(t0*, t1*) by the broadcast numpy formula that t_constraints ran on
-    before it mapped the scalar ``_shifts``: the reference for its bits."""
+    before it read the scalar ``_shifts``: the reference for its bits."""
     first, cos, sin = theta <= math.pi / 4, np.cos(theta), np.sin(theta)
     c = np.minimum(np.maximum(4 * s * np.where(first, sin, cos), -1.0), 1.0)
     kz, kx = np.where(first, 1.0, c), np.where(first, c, 1.0)
     return 0.5 - np.abs(kz * 0.5 - 2 * s * cos), 0.5 - np.abs(kx * 0.5 - 2 * s * sin)
 
 
-def test_broadcasts_keep_the_numpy_formulas_bits():
-    # t_constraints and dephasing_coefficient map the scalar rules over
-    # their broadcast arguments: the bits of the numpy formulas they
-    # replaced, for an s column against a theta row, for scalars (as
-    # np.float64) and for s of +-0, +-inf, NaN, subnormal and huge
+def test_scalars_keep_the_numpy_formulas_bits():
+    # t_constraints and dephasing_coefficient, read one angle and one s at a
+    # time: the bits of the numpy formulas they replaced, for an s column
+    # against a theta row, and for s of +-0, +-inf, NaN, subnormal and huge,
+    # as Python floats
     rng = np.random.default_rng(39)
     thetas = np.union1d(np.linspace(0, math.pi / 2, 101), [*BREAKPOINTS, math.nextafter(math.pi / 4, 2)])
     specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e300, -1e300, 0.25, SQRT2 / 4]
@@ -448,16 +478,13 @@ def test_broadcasts_keep_the_numpy_formulas_bits():
         want = _numpy_shifts(s_values, thetas)
         coefficient = np.minimum(np.maximum(4 * s_values * np.where(thetas <= math.pi / 4, np.sin(thetas),
                                                                       np.cos(thetas)), -1.0), 1.0)
-    with np.errstate(over="ignore"):  # 4 s overflows here as in the numpy formula; an inf * 0 is silent
-        got = t_constraints(s_values, thetas)
-        assert dephasing_coefficient(thetas, s_values).tobytes() == coefficient.tobytes()
-    assert [t.dtype for t in got] == [np.dtype(float)] * 2
-    assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
-    for s, theta in ((S_OPTIMAL, 0.3), (-0.7, 1.2), (0.5, np.float64(math.pi / 4))):
-        scalars = t_constraints(s, theta)
-        assert {type(t) for t in scalars} == {np.float64}, (s, theta)
-        assert [t.tobytes() for t in scalars] == [t.tobytes() for t in _numpy_shifts(s, np.float64(theta))]
-    assert type(dephasing_coefficient(np.float64(0.3), S_OPTIMAL)) is np.float64
+    pairs = [(s, theta) for s in s_values[:, 0].tolist() for theta in thetas.tolist()]
+    got = [t_constraints(s, theta) for s, theta in pairs]
+    assert {type(t) for pair in got for t in pair} == {float}
+    assert np.array(got).T.reshape(2, *want[0].shape).tobytes() == np.array(want).tobytes()
+    coefficients = [dephasing_coefficient(theta, s) for s, theta in pairs]
+    assert {type(c) for c in coefficients} == {float}
+    assert np.array(coefficients).reshape(coefficient.shape).tobytes() == coefficient.tobytes()
 
 
 def _oracle_shifts(s: float) -> list:
@@ -516,7 +543,7 @@ def _finding_p_grid():
     s_values = [S_OPTIMAL, -S_OPTIMAL, -0.5, -1.0, 0.0, 0.25, *rng.uniform(-1, 2, 20).tolist()]
     thetas = np.union1d(np.linspace(0, math.pi / 2, 41), BREAKPOINTS)
     assert len(s_values) * len(thetas) == 1066
-    return [(s, thetas, *t_constraints(s, thetas)) for s in s_values]
+    return [(s, thetas, *_shift_grid(s, thetas)) for s in s_values]
 
 
 class TestCoefficientSearch:
@@ -546,14 +573,15 @@ class TestCoefficientSearch:
         # formula's values to within one rounding unit of max(1, |4s|), s by
         # s, at the clamp edges |4s| = 1 and sqrt 2 and at s = +-0, with their
         # neighbours. On the float rows _shifts is t_constraints bit for bit,
-        # and t_constraints is the broadcast numpy formula it replaced
+        # and t_constraints is the broadcast numpy formula it replaced, angle
+        # by angle
         edges = np.array([0.0, 0.25, SQRT2 / 4])
         edges = np.concatenate([edges, np.nextafter(edges, -1), np.nextafter(edges, 1)])
         s_values = np.concatenate([rng.uniform(-1, 2, 500), edges, -edges]).tolist()
         rows = list(zip(selftest.first_interval(BREAKPOINTS).tolist(), np.cos(BREAKPOINTS).tolist(),
                         np.sin(BREAKPOINTS).tolist()))
         for s in s_values:
-            want = t_constraints(s, BREAKPOINTS)
+            want = _shift_grid(s, BREAKPOINTS)
             assert [t.tobytes() for t in want] == [t.tobytes() for t in _numpy_shifts(s, BREAKPOINTS)], s
             assert np.array([_shifts(s, *row) for row in rows]).T.tobytes() == np.array(want).tobytes(), s
             for exact, floats in zip(breakpoint_shifts(s), want):
@@ -574,7 +602,7 @@ class TestCoefficientSearch:
         for s in np.concatenate([rng.uniform(-1, 2, 200), near, -near]):
             r = min(1.0, 1 / abs(4 * s))
             fine = np.concatenate([dense, [math.asin(r), math.acos(r)]])
-            coarse = sum(t_constraints(s, BREAKPOINTS)).min()
+            coarse = sum(_shift_grid(s, BREAKPOINTS)).min()
             assert coarse == pytest.approx(sum(_numpy_shifts(s, fine)).min(), abs=1e-12), s
 
     def test_intercepts_match_scalar_grid(self, rng):
@@ -588,7 +616,7 @@ class TestCoefficientSearch:
             exact0, exact1 = breakpoint_shifts(s)
             i = min(range(3), key=lambda j: exact0[j] + exact1[j])  # the first least
             assert (t0, t1) == (exact0[i], exact1[i]) and t == t0 + t1 and t == min(_g(s)), s
-            g = sum(t_constraints(s, BREAKPOINTS))
+            g = sum(_shift_grid(s, BREAKPOINTS))
             if np.sort(g)[1] - g.min() > 1e-13:
                 assert i == int(np.argmin(g)), s
             assert abs(float(t) - g.min()) <= np.spacing(max(1, abs(4 * s))), s
@@ -644,7 +672,7 @@ class TestCoefficientSearch:
         # t0 = 1 - 2s = (1 - sqrt 2)/2 + 2 (S_EXACT - s) and t1 = 1/2
         # (printed as -0.207106781 and 0.5)
         coeffs = coefficient_search()
-        t0, t1 = t_constraints(coeffs.s, BREAKPOINTS)
+        t0, t1 = _shift_grid(coeffs.s, BREAKPOINTS)
         assert int(np.argmin(t0 + t1)) == 0
         assert (coeffs.t0, coeffs.t1) == (t0[0], t1[0]) == (1 - 2 * coeffs.s, 0.5)
         assert abs(coeffs.t0 - (1 - SQRT2) / 2) <= 1e-9

@@ -50,12 +50,31 @@ class TestObservables:
     @pytest.mark.parametrize("excess, refused", [(0.5e-12, False), (2e-12, True)])
     def test_theta_edge(self, excess, refused):
         # pi/2 is allowed ENDPOINT_SLACK = 1e-12 of rounding
-        for theta in (math.pi / 2 + excess, np.array([0.0, math.pi / 2 + excess])):
+        for theta in (math.pi / 2 + excess, np.float64(math.pi / 2 + excess)):
             if refused:
                 with pytest.raises(ValidationError, match="outside"):
                     check_theta(theta)
             else:
-                check_theta(theta)
+                assert check_theta(theta) == math.pi / 2 + excess
+
+    def test_theta_is_one_real_number(self):
+        # an int or a numpy scalar is read as the Python float it holds; an
+        # int past the float range is outside, not an OverflowError
+        for theta in (0, 1, True, np.int64(1), np.float32(0.5), np.float64(0.3), 0.3):
+            got = check_theta(theta)
+            assert type(got) is float and got == float(theta), theta
+        with pytest.raises(ValidationError, match="outside"):
+            check_theta(10**400)
+
+    @pytest.mark.parametrize(
+        "theta", [np.array([0.0, 0.3]), np.array(0.3), np.array([0.3]), [0.3], "0.3", None, 0.3j],
+        ids=["array", "0-d", "one-element", "list", "str", "none", "complex"],
+    )
+    def test_theta_not_one_real_number_refused(self, theta):
+        # one ValidationError, never numpy's ambiguous truth value
+        for call in (check_theta, t_operators, lambda x: chsh_functional(chsh_reference(), x)):
+            with pytest.raises(ValidationError, match="^theta must be one real number, got "):
+                call(theta)
 
 
 class TestTOperators:
