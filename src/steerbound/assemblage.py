@@ -18,8 +18,8 @@ from operator import add
 
 import numpy as np
 
+from .certificate import CHSH_RESIDUE_TOL, PROB_FLOOR, VALIDITY_TOL, WEIGHT_SUM_TOL, ValidationError
 from .matkernel import (
-    CHSH_RESIDUE_TOL,
     I2,
     I4,
     KET0,
@@ -30,10 +30,6 @@ from .matkernel import (
     PAULI_Y,
     PAULI_Z,
     PHI_PLUS,
-    PROB_FLOOR,
-    VALIDITY_TOL,
-    WEIGHT_SUM_TOL,
-    ValidationError,
     _largest,
     _measures_2x2,
     _rows,

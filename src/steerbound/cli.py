@@ -5,6 +5,12 @@ external plotting, operator-inequality sweeps, the classical-fidelity
 optimum, coefficient recovery, the numerical sandwich sweep, and
 assemblage realization/validation round-trips.
 
+``verify-inequality`` and ``coefficient-search`` run on ``certificate``
+alone, on the standard library: this module imports numpy and the modules
+built on it (``assemblage``, ``fidelity``, ``matkernel``, ``numsearch``)
+only inside the commands that need them, so ``import steerbound.cli`` and
+both certificate commands never load numpy.
+
 Exit codes: 0 success, 1 computation failure, 2 usage error, 141 (128 +
 SIGPIPE, as a shell reports a process that signal ended) when the reader
 of stdout has gone, with nothing on stderr.
@@ -17,23 +23,10 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import selftest
-from .assemblage import (
-    Assemblage,
-    QuantumRealization,
-    ValidationError,
-    chsh_reference,
-    json_matrix,
-    parse_json,
-    realize,
-    validate,
+from . import certificate
+from .certificate import (
+    BETA_CLASSICAL, BETA_QUANTUM, ENDPOINT_SLACK, TRIVIAL_CLASSICAL_FIDELITY, VALIDITY_TOL, ValidationError,
 )
-from .fidelity import classical_fidelity
-from .matkernel import ENDPOINT_SLACK, I2, PAULI_X, PAULI_Z, PHI_PLUS, VALIDITY_TOL
-from .numsearch import SearchConfig, sandwich_sweep
-from .steering import BETA_CLASSICAL, BETA_QUANTUM
 
 
 def _atomic_write(*files) -> None:
@@ -71,7 +64,8 @@ def _atomic_write(*files) -> None:
         raise
 
 
-def _load_assemblage(spec: str) -> Assemblage:
+def _load_assemblage(spec: str):
+    from .assemblage import Assemblage, chsh_reference
     if spec == "chsh":
         return chsh_reference()
     with open(spec) as handle:
@@ -83,10 +77,11 @@ def _fmt(x: float) -> str:
 
 
 def cmd_bound_curve(args) -> int:
+    import numpy as np
     betas = np.linspace(args.beta_min, args.beta_max, args.points)
     lines = ["beta,analytic_lower,eq8_upper,trivial_fc"]
     for beta in betas:
-        bounds = beta, selftest.analytic_bound(beta), selftest.upper_bound(beta), selftest.TRIVIAL_CLASSICAL_FIDELITY
+        bounds = beta, certificate.analytic_bound(beta), certificate.upper_bound(beta), TRIVIAL_CLASSICAL_FIDELITY
         lines.append(",".join(map(_fmt, bounds)))
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -97,9 +92,9 @@ def cmd_bound_curve(args) -> int:
 
 
 def cmd_verify_inequality(args) -> int:
-    s, t_opt, thetas = args.s, selftest.T_OPTIMAL, selftest.BREAKPOINTS
-    g = [t0 + t1 for t0, t1 in zip(*selftest.breakpoint_shifts(s))]  # exact t0* + t1* at thetas
-    least = selftest._first_tied(g)  # each line names the first theta exactly at its least value
+    s, t_opt, thetas = args.s, certificate.T_OPTIMAL, certificate.BREAKPOINT_ANGLES
+    g = [t0 + t1 for t0, t1 in zip(*certificate.breakpoint_shifts(s))]  # exact t0* + t1* at thetas
+    least = certificate._first_tied(g)  # each line names the first theta exactly at its least value
     # the least eigenvalue of the four operators at t0 = t0*, t1 = t - t0* is
     # min(g - t, 0): all 0 when g >= t, so first at theta = 0, else least where g is
     worst = min(g[least] - t_opt, 0)
@@ -107,7 +102,7 @@ def cmd_verify_inequality(args) -> int:
     print(f"worst margin {worst:.3e} at theta = {thetas[i]:.9g} (s = {_fmt(s)})")
     # g is continuous at pi/4, so each closed cell's least value is at an end
     for label, start in (("[0, pi/4]", 0), ("[pi/4, pi/2]", 1)):
-        i = start + selftest._first_tied(g[start : start + 2])
+        i = start + certificate._first_tied(g[start : start + 2])
         print(f"worst theta in {label}: {thetas[i]:.9g} (t0* + t1* = {_fmt(g[i])})")
     print(f"min t0* + t1* = {_fmt(g[least])} at theta = {thetas[least]:.9g} against T_OPTIMAL = {_fmt(t_opt)}")
     # exact, with no slack; written so that a NaN margin fails
@@ -119,6 +114,7 @@ def cmd_verify_inequality(args) -> int:
 
 
 def cmd_classical_fidelity(args) -> int:
+    from .fidelity import classical_fidelity
     ref = _load_assemblage(args.assemblage)
     value, strategy = classical_fidelity(ref)
     print(f"classical fidelity: {_fmt(value)}")
@@ -131,14 +127,15 @@ def cmd_classical_fidelity(args) -> int:
 
 
 def cmd_coefficient_search(args) -> int:
-    coeffs = selftest.coefficient_search()
+    coeffs = certificate.coefficient_search()
     print(f"s = {_fmt(coeffs.s)}")
     print(f"t = {_fmt(coeffs.t)} (t0 = {_fmt(coeffs.t0)}, t1 = {_fmt(coeffs.t1)})")
-    print(f"bound at maximal violation = {_fmt(selftest.bound_value(coeffs, BETA_QUANTUM))}")
+    print(f"bound at maximal violation = {_fmt(certificate.bound_value(coeffs, BETA_QUANTUM))}")
     return 0
 
 
 def cmd_sandwich(args) -> int:
+    from .numsearch import SearchConfig, sandwich_sweep
     if args.out_csv and os.path.realpath(args.out_csv) == os.path.realpath(args.out_json):
         _PARSER.error("argument --out-csv: names the same file as --out-json")
     with open(args.config) as handle:
@@ -157,7 +154,10 @@ def cmd_sandwich(args) -> int:
     return 0 if report.passed else 1
 
 
-def _load_state(spec: str) -> np.ndarray:
+def _load_state(spec: str):
+    import numpy as np
+    from .assemblage import json_matrix, parse_json
+    from .matkernel import PHI_PLUS
     if spec == "phi+":
         return np.outer(PHI_PLUS, PHI_PLUS.conj())
     with open(spec) as handle:
@@ -167,6 +167,8 @@ def _load_state(spec: str) -> np.ndarray:
 def _load_measurements(spec: str) -> list:
     """POVM elements as nested lists M[x][a]; ``QuantumRealization.check``
     decides their shape."""
+    from .assemblage import json_matrix, parse_json
+    from .matkernel import I2, PAULI_X, PAULI_Z
     if spec == "ZX":
         return [[(I2 + p) / 2, (I2 - p) / 2] for p in (PAULI_Z, PAULI_X)]
     with open(spec) as handle:
@@ -179,6 +181,7 @@ def _load_measurements(spec: str) -> list:
 
 
 def cmd_realize(args) -> int:
+    from .assemblage import QuantumRealization, realize
     state = _load_state(args.state)
     povms = _load_measurements(args.measurements)
     asm = realize(QuantumRealization(state, povms))
@@ -191,6 +194,7 @@ def cmd_realize(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .assemblage import validate
     asm = _load_assemblage(args.assemblage)
     report = validate(asm, args.tol)
     if report.passed:
@@ -220,7 +224,7 @@ def _checked(convert, minimum=-math.inf, maximum=math.inf):
 
 
 def _s_value(text: str) -> float:
-    return selftest.S_OPTIMAL if text == "optimal" else float(text)
+    return certificate.S_OPTIMAL if text == "optimal" else float(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -237,8 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     # both bounds are affine interpolations that hold only on [2, 2 sqrt 2]
     beta = _checked(float, BETA_CLASSICAL - ENDPOINT_SLACK, BETA_QUANTUM + ENDPOINT_SLACK)
-    # no float64 grid with more points than this is addressable
-    grid_max = np.iinfo(np.intp).max // 8
+    # no float64 grid with more points than this is addressable: numpy's
+    # largest intp is sys.maxsize
+    grid_max = sys.maxsize // 8
     p = sub.add_parser("bound-curve", help="emit lower/upper bound curves as CSV")
     p.add_argument("--beta-min", type=beta, default=BETA_CLASSICAL)
     p.add_argument("--beta-max", type=beta, default=BETA_QUANTUM)
@@ -246,12 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bound_curve)
 
-    # both certificate commands read theta at selftest.BREAKPOINTS alone, and
+    # both certificate commands read theta at certificate.BREAKPOINT_ANGLES alone, and
     # coefficient-search searches s over one fixed bracket
     retired = "accepted for compatibility; changes nothing"
     theta_points = dict(type=_checked(int, 2, grid_max), help=retired)
     # 4 s stays finite, and so does every term of _shifts
-    s_max = np.finfo(float).max / 4
+    s_max = sys.float_info.max / 4
     p = sub.add_parser("verify-inequality", help="check the operator inequalities at t = T_OPTIMAL")
     p.add_argument("--theta-points", **theta_points)
     p.add_argument("--s", type=_checked(_s_value, -s_max, s_max), default="optimal", help='s, or "optimal"')

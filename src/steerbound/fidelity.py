@@ -20,21 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assemblage import Assemblage, ClassicalStrategy, _require_valid, chsh_reference
-from .matkernel import (
-    HERMITICITY_TOL,
-    I2,
-    I4,
-    NEWTON_FLOOR,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    PROB_FLOOR,
-    PURITY_TOL,
-    ValidationError,
-    _ROUNDING,
-    density_matrix,
-    hermitian_min_eigvals,
-)
+from .certificate import _ROUNDING, HERMITICITY_TOL, NEWTON_FLOOR, PROB_FLOOR, PURITY_TOL, ValidationError
+from .matkernel import I2, I4, PAULI_X, PAULI_Y, PAULI_Z, density_matrix, hermitian_min_eigvals
 
 
 def state_fidelity(rho: np.ndarray, sigma: np.ndarray):

@@ -2,11 +2,10 @@
 
 Everything downstream works with 2x2 (Bob's qubit) or 4x4 (two-qubit)
 complex Hermitian matrices represented as plain numpy arrays. This module
-holds the table of tolerances (every numeric guard of the package, by
-name), the constants, the one checked eigenvalue routine that every
+holds the constants, the one checked eigenvalue routine that every
 validator calls: ``hermitian_min_eigvals`` (closed form for stacks of 2x2
 matrices, from ``_measures_2x2``), and the density-matrix check built on
-it.
+it. The table of tolerances lives in ``certificate``.
 
 A stack of 2x2 matrices is read once with ``tolist`` and worked on as
 Python floats, matrix by matrix: the stacks here hold a handful of
@@ -20,22 +19,7 @@ import math
 
 import numpy as np
 
-# Tolerances: every numeric guard in steerbound, one name per decision, each
-# with its reason. Every use site imports its name, and no other 1e-N literal
-# is left in the package (tests/test_tolerances.py). tests/mutants.py reads
-# the rows below, from here to the first blank line, one "NAME = value  #
-# reason" a line, and scales each value by 1e3 and by 1e-3: a test must fail.
-HERMITICITY_TOL = 1e-12  # largest |M - M^dagger| entry of a matrix read as Hermitian
-VALIDITY_TOL = 1e-10  # slack of every unit-trace, PSD, POVM and assemblage check: what "valid" means
-ENDPOINT_SLACK = 1e-12  # rounding allowed past beta in [2, 2 sqrt 2] and theta in [0, pi/2]
-PROB_FLOOR = 1e-12  # below this, p(a|x) (or a strategy weight below 0) is exactly 0
-WEIGHT_SUM_TOL = 1e-12  # a classical strategy's weights sum to 1 within this
-CHSH_RESIDUE_TOL = 1e-10  # largest imaginary part of the CHSH coefficients u and w
-MARGINAL_WINDOW = 1e-6  # the analytic bound assumes p(a|x) = 1/2 within this
-PURITY_TOL = 1e-9  # a rank-1 reference state's least eigenvalue is 0 within this
-_ROUNDING = 1e-14  # allowance for the rounding in a primal-dual gap
-NEWTON_FLOOR = 1e-7  # a barrier stage ends once a Newton decrement falls below this
-SEARCH_TOLERANCE = 1e-4  # SearchConfig's default pass slack of a sandwich record
+from .certificate import VALIDITY_TOL, ValidationError
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -48,10 +32,6 @@ KET1 = np.array([0, 1], dtype=complex)
 KET_PLUS = np.array([1, 1], dtype=complex) / math.sqrt(2)
 KET_MINUS = np.array([1, -1], dtype=complex) / math.sqrt(2)
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)  # (|00> + |11>)/sqrt(2)
-
-
-class ValidationError(ValueError):
-    """Input violates a documented precondition."""
 
 
 def projector(ket: np.ndarray) -> np.ndarray:

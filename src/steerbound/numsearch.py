@@ -45,10 +45,12 @@ import sys
 from dataclasses import dataclass, fields
 from itertools import repeat
 
-from .assemblage import ValidationError, _coefficients, parse_json
-from .matkernel import ENDPOINT_SLACK, SEARCH_TOLERANCE, _ROUNDING
-from .selftest import analytic_bound, dephasing_channel, upper_bound, xi_star
-from .steering import BETA_CLASSICAL, BETA_QUANTUM
+from .assemblage import _coefficients, parse_json
+from .certificate import (
+    _ROUNDING, BETA_CLASSICAL, BETA_QUANTUM, ENDPOINT_SLACK, SEARCH_TOLERANCE, ValidationError, analytic_bound,
+    upper_bound, xi_star,
+)
+from .selftest import dephasing_channel
 
 
 def _is_int(v) -> bool:

@@ -13,10 +13,8 @@ import math
 import numpy as np
 
 from .assemblage import Assemblage
-from .matkernel import ENDPOINT_SLACK, PAULI_X, PAULI_Z, ValidationError
-
-BETA_CLASSICAL = 2.0
-BETA_QUANTUM = 2 * math.sqrt(2)
+from .certificate import BETA_CLASSICAL, BETA_QUANTUM, ENDPOINT_SLACK, ValidationError
+from .matkernel import PAULI_X, PAULI_Z
 
 
 def _one_real(x, name: str):

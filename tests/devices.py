@@ -22,7 +22,8 @@ import numpy as np
 
 from steerbound.assemblage import Assemblage, chsh_reference
 from steerbound.fidelity import extractability
-from steerbound.matkernel import I2, KET0, KET1, MARGINAL_WINDOW, PAULI_X, PAULI_Y, PAULI_Z, projector
+from steerbound.certificate import MARGINAL_WINDOW
+from steerbound.matkernel import I2, KET0, KET1, PAULI_X, PAULI_Y, PAULI_Z, projector
 from steerbound.steering import BETA_CLASSICAL, BETA_QUANTUM, max_violation_over_theta
 
 

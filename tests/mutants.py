@@ -2,7 +2,7 @@
 validity check, can fail.
 
 The table rows come from the tolerance table in
-``src/steerbound/matkernel.py``: the lines after its "# Tolerances" comment,
+``src/steerbound/certificate.py``: the lines after its "# Tolerances" comment,
 up to the first blank line, each ``NAME = value  # reason``. Every row gives
 two mutants, the value times 1e3 and times 1e-3. The structural rows
 (``STRUCTURAL``) each drop one ``_require_valid`` call, replacing it with its
@@ -15,7 +15,8 @@ comparison of the kept
 measures with its tolerance or an overflow guard (a CLI integer or a config
 tolerance past the float range); one perturbs ``xi_star``, the closed form
 the sandwich reads its ``numeric_min`` from, one the report's writer of
-a config leaf, and two the shared 2x2 closed form, once for each reader.
+a config leaf, two the shared 2x2 closed form, once for each reader, and
+one imports numpy into the standard-library certificate core.
 For each mutant, ``src/``, ``tests/`` and ``pyproject.toml`` are copied to a
 temporary directory, its text (which must occur exactly once in its file)
 is replaced there, and its test files run with ``pytest -x``. A failing test kills the mutant; a mutant
@@ -43,7 +44,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path("src", "steerbound")
-TABLE = ROOT / PACKAGE / "matkernel.py"
+TABLE = ROOT / PACKAGE / "certificate.py"
 ROW = re.compile(r"(_?[A-Z][A-Z_]*) = (\S+)  # \S")
 FACTORS = (1e3, 1e-3)
 WORKERS = 2
@@ -96,16 +97,18 @@ STRUCTURAL = (
 # shared 2x2 closed form, matkernel._measures_2x2: |b - c*| read as |b - c|.
 # One is killed by test_assemblage.py alone and the other by
 # test_matkernel.py alone, so both readers of the one copy, validate's kept
-# measures and hermitian_min_eigvals, are shown to read it.
+# measures and hermitian_min_eigvals, are shown to read it. The last row
+# imports numpy at the top of certificate.py, which test_numpy_free.py alone
+# must catch: the certificate commands would load numpy again.
 GUARDS = (
-    ("QSqrt2 sign", "selftest.py", "else a if a * a > 2 * b * b else b", "else a",
+    ("QSqrt2 sign", "certificate.py", "else a if a * a > 2 * b * b else b", "else a",
      ("tests/test_selftest.py", "tests/test_cli.py")),
-    ("QSqrt2 same-sign shortcut", "selftest.py", "(a < 0) == (b < 0)", "(a < 0) == (b > 0)", ("tests/test_selftest.py",)),
-    ("QSqrt2 same-scale alignment", "selftest.py", "if k == j:  # the same scale", "if True:  # the same scale",
+    ("QSqrt2 same-sign shortcut", "certificate.py", "(a < 0) == (b < 0)", "(a < 0) == (b > 0)", ("tests/test_selftest.py",)),
+    ("QSqrt2 same-scale alignment", "certificate.py", "if k == j:  # the same scale", "if True:  # the same scale",
      ("tests/test_selftest.py",)),
-    ("tie rule", "selftest.py", "return values.index(min(values))",
+    ("tie rule", "certificate.py", "return values.index(min(values))",
      "return len(values) - 1 - values[::-1].index(min(values))", ("tests/test_selftest.py", "tests/test_cli.py")),
-    ("kink check", "selftest.py", "if not t + 2 * s == 1.5:", "if not t + 2 * s == 1.5 + 2.0**-50:",
+    ("kink check", "certificate.py", "if not t + 2 * s == 1.5:", "if not t + 2 * s == 1.5 + 2.0**-50:",
      ("tests/test_selftest.py", "tests/test_cli.py")),
     ("verify slack", "cli.py", "if not worst >= 0:", "if not worst >= -2.0**-46:", ("tests/test_cli.py",)),
     ("dephasing coefficient check", "selftest.py", "if not -1 <= c <= 1:", "if False:", ("tests/test_selftest.py",)),
@@ -120,13 +123,15 @@ GUARDS = (
     ("CLI int overflow", "cli.py", "except (ValueError, OverflowError):", "except ValueError:", ("tests/test_cli.py",)),
     ("config tolerance overflow", "numsearch.py", "self.tolerance <= sys.float_info.max", "self.tolerance < math.inf",
      ("tests/test_numsearch.py",)),
-    ("xi_star closed form", "selftest.py", "return 0.75 + min(", "return 0.7500000001 + min(", ("tests/test_numsearch.py",)),
+    ("xi_star closed form", "certificate.py", "return 0.75 + min(", "return 0.7500000001 + min(", ("tests/test_numsearch.py",)),
     ("config leaf writer", "numsearch.py", "_leaf(cfg.tolerance)", "float.__repr__(float(cfg.tolerance))",
      ("tests/test_numsearch.py",)),
     ("2x2 adjoint gap, validate", "matkernel.py", "hypot(br - cr, bi + ci)", "hypot(br - cr, bi - ci)",
      ("tests/test_assemblage.py",)),
     ("2x2 adjoint gap, eigvals", "matkernel.py", "hypot(br - cr, bi + ci)", "hypot(br - cr, bi - ci)",
      ("tests/test_matkernel.py",)),
+    ("numpy-free core", "certificate.py", "from __future__ import annotations\n",
+     "from __future__ import annotations\n\nimport numpy\n", ("tests/test_numpy_free.py",)),
 )
 
 # mutant label -> why no test can tell that mutant from the program

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from steerbound import selftest
+from steerbound import certificate, selftest
 from steerbound.assemblage import Assemblage, chsh_reference
 from steerbound.cli import build_parser, main
 from steerbound.numsearch import SearchConfig, sandwich_sweep
@@ -139,7 +139,7 @@ class TestVerifyInequality:
 
     def test_nan_margin_fails(self, monkeypatch, capsys):
         # a margin that is not a number is never a pass
-        monkeypatch.setattr(selftest, "_shifts", lambda s, first, cos, sin: (math.nan, 0.0))
+        monkeypatch.setattr(certificate, "_shifts", lambda s, first, cos, sin: (math.nan, 0.0))
         assert main(["verify-inequality"]) == 1
         assert capsys.readouterr().err == "operator inequality FAILED\n"
 
@@ -300,7 +300,7 @@ def test_verify_builds_no_operator_matrices(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("operator matrices built")
 
-    calls, original = [], selftest._shifts
+    calls, original = [], certificate._shifts
 
     def counted(s, *row):
         calls.append((s, row))
@@ -308,7 +308,7 @@ def test_verify_builds_no_operator_matrices(monkeypatch, capsys):
 
     monkeypatch.setattr(selftest, "dephasing_channel", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    monkeypatch.setattr(selftest, "_shifts", counted)
+    monkeypatch.setattr(certificate, "_shifts", counted)
     code, out, err = GOLDEN[("verify-inequality",)]
     assert main(["verify-inequality"]) == code
     assert capsys.readouterr() == (out, err)
@@ -319,17 +319,15 @@ def test_verify_builds_no_operator_matrices(monkeypatch, capsys):
 
 
 def test_certificates_need_no_numpy_broadcast(monkeypatch, capsys):
-    # the exact decision runs on Python scalars: with numpy's where,
-    # minimum, maximum and abs refused inside selftest, both certificate
-    # commands still print their pinned lines
+    # the exact decision runs on Python scalars in certificate, which holds
+    # no numpy: with numpy's where, minimum, maximum and abs refused, both
+    # certificate commands still print their pinned lines
     def refuse(*args, **kwargs):
         raise AssertionError("numpy broadcast in the exact decision")
 
-    guarded = type(np)("numpy")
-    vars(guarded).update(vars(np))
+    assert "np" not in vars(certificate)
     for name in ("where", "minimum", "maximum", "abs"):
-        setattr(guarded, name, refuse)
-    monkeypatch.setattr(selftest, "np", guarded)
+        monkeypatch.setattr(np, name, refuse)
     for argv in (("verify-inequality",), ("verify-inequality", "--s", "0.6035533905932738"), ("coefficient-search",)):
         code, out, err = GOLDEN[argv]
         assert main(list(argv)) == code
@@ -557,13 +555,13 @@ class TestCoefficientSearch:
 
     def test_extra_kink_is_one_error_line(self, monkeypatch, run_cli):
         # a bound bent just below the kink fails closed
-        original = selftest._shifts
+        original = certificate._shifts
 
         def bent(s, *row):
             t0, t1 = original(s, *row)
             return t0, min(t1, 1.5 - 2 * 0.6034 - 2.4 * (s - 0.6034) - t0)
 
-        monkeypatch.setattr(selftest, "_shifts", bent)
+        monkeypatch.setattr(certificate, "_shifts", bent)
         result = run_cli("coefficient-search")
         assert result.returncode == 1
         assert result.stdout == ""

@@ -26,8 +26,8 @@ from steerbound.fidelity import (
     extractability,
     fidelity_operator,
 )
+from steerbound.certificate import _ROUNDING
 from steerbound.matkernel import (
-    _ROUNDING,
     I2,
     PAULI_X,
     PAULI_Z,

@@ -1,6 +1,7 @@
 import decimal
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,13 +10,10 @@ import pytest
 from steerbound.assemblage import Assemblage, chsh_reference, random_realization, realize, validate
 from steerbound.cli import main
 from steerbound.fidelity import ExtractionChannel, assemblage_fidelity, fidelity_operator
-from steerbound.matkernel import I2, KET0, PAULI_X, PAULI_Z, PROB_FLOOR, ValidationError, projector
-from steerbound import selftest
+from steerbound.certificate import PROB_FLOOR, _coefficient_rule, _first_tied, _intercepts, _shifts
+from steerbound.matkernel import I2, KET0, PAULI_X, PAULI_Z, ValidationError, projector
+from steerbound import certificate, selftest
 from steerbound.selftest import (
-    _coefficient_rule,
-    _first_tied,
-    _intercepts,
-    _shifts,
     BREAKPOINT_TABLE,
     BREAKPOINTS,
     BoundCoefficients,
@@ -290,6 +288,13 @@ class TestCoefficientRule:
             with pytest.raises(ValidationError, match="must be one real number"):
                 dephasing_coefficient(theta, s)
 
+    def test_refuses_an_int_past_the_float_range(self):
+        # refused before float() would overflow; the largest float's int is read
+        for s in (10**400, -(10**400), 2**1024):
+            with pytest.raises(ValidationError, match="past the float range"):
+                dephasing_coefficient(0.1, s)
+        assert dephasing_coefficient(0.1, -int(sys.float_info.max)) == -1.0
+
     def test_k_operators_first_interval(self):
         # K_{ax}, the channel's dual image of the reference state
         c = dephasing_coefficient(0.3, S_OPTIMAL)
@@ -352,6 +357,13 @@ class TestCoefficientRule:
         for s, theta in ((np.array([0.5, 0.6]), 0.3), (0.5, BREAKPOINTS), (0.5, np.array(0.3)), ([0.5], 0.3)):
             with pytest.raises(ValidationError, match="must be one real number"):
                 t_constraints(s, theta)
+
+    def test_t_constraints_refuses_an_int_past_the_float_range(self):
+        # refused before float() would overflow; the largest float's int is read
+        for s in (10**400, -(10**400), 2**1024):
+            with pytest.raises(ValidationError, match="past the float range"):
+                t_constraints(s, 0.1)
+        assert t_constraints(int(sys.float_info.max), 0.1) == t_constraints(sys.float_info.max, 0.1)
 
 
 def _k_operators(theta, c):
@@ -651,13 +663,13 @@ class TestCoefficientSearch:
         # one exact read of the breakpoint table, at S_OPTIMAL, on every
         # call: _shifts once on each row, in order, with one QSqrt2 s read
         # afresh; nothing is memoized
-        calls, original = [], selftest._shifts
+        calls, original = [], certificate._shifts
 
         def counted(s, *row):
             calls.append((s, row))
             return original(s, *row)
 
-        monkeypatch.setattr(selftest, "_shifts", counted)
+        monkeypatch.setattr(certificate, "_shifts", counted)
         for n in (1, 2):
             coefficient_search()
             assert len(calls) == 3 * n
@@ -698,13 +710,13 @@ class TestCoefficientSearch:
         # t0* + t1* capped by a steeper line from the rising piece at s_kink
         # bends the bound below the kink: t at S_OPTIMAL is off the rising
         # piece, in exact arithmetic
-        original = selftest._shifts
+        original = certificate._shifts
 
         def bent(s, *row):
             t0, t1 = original(s, *row)
             return t0, min(t1, 1.5 - 2 * s_kink - 2.4 * (s - s_kink) - t0)
 
-        monkeypatch.setattr(selftest, "_shifts", bent)
+        monkeypatch.setattr(certificate, "_shifts", bent)
         with pytest.raises(ValidationError, match=r"^bound 0\.99\d* at s = 0\.6035533905932737 is not the kink$"):
             coefficient_search()
 
@@ -714,7 +726,7 @@ class TestCoefficientSearch:
         def flat(s, first, cos, sin):
             return total, 0.0
 
-        monkeypatch.setattr(selftest, "_shifts", flat)
+        monkeypatch.setattr(certificate, "_shifts", flat)
         with pytest.raises(ValidationError, match="is not the kink"):
             coefficient_search()
 
@@ -992,7 +1004,7 @@ def test_both_certificates_pick_the_same_breakpoint(capsys):
     # split come from one tie rule, the first breakpoint exactly at the
     # least: at s = 0 t0* + t1* ties exactly at all three breakpoints, at
     # S_OPTIMAL 0 and pi/2 tie below pi/4, and one float above it pi/4 alone
-    # is least, by 1.8e-16. Both read it through selftest._first_tied
+    # is least, by 1.8e-16. Both read it through certificate._first_tied
     picked = []
     for s in (0.0, S_OPTIMAL, float(np.nextafter(S_OPTIMAL, 1))):
         main(["verify-inequality", "--s", repr(s)])
@@ -1032,13 +1044,13 @@ def test_tie_rule_edge(excess, capsys):
 def test_kink_check_edge(offset, refused, monkeypatch):
     # t(s) at the kink moved by offset, however small, takes the bound off
     # the rising piece: the check is exact
-    original = selftest._intercepts
+    original = certificate._intercepts
 
     def raised(s):
         t, t0, t1 = original(s)
         return t + offset, t0, t1
 
-    monkeypatch.setattr(selftest, "_intercepts", raised)
+    monkeypatch.setattr(certificate, "_intercepts", raised)
     if refused:
         with pytest.raises(ValidationError, match="is not the kink"):
             coefficient_search()

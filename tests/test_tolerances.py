@@ -1,4 +1,4 @@
-"""The tolerance table in ``matkernel``: the only place a guard's value is
+"""The tolerance table in ``certificate``: the only place a guard's value is
 written, imported by name wherever the same decision is made, and every
 name gated by ``tests/mutants.py``."""
 
@@ -13,10 +13,10 @@ from pathlib import Path
 import pytest
 
 import mutants
-from steerbound import matkernel
+from steerbound import certificate
 
-PACKAGE = Path(matkernel.__file__).resolve().parent
-ROWS = mutants.table(PACKAGE / "matkernel.py")
+PACKAGE = Path(certificate.__file__).resolve().parent
+ROWS = mutants.table(PACKAGE / "certificate.py")
 TABLE_LINES = {index + 1 for index, _, _ in ROWS}
 NAMES = [name for _, name, _ in ROWS]
 
@@ -27,13 +27,13 @@ SHARED = {
 }
 
 
-def _matkernel_imports(path: Path) -> set:
-    """Names a module imports with ``from .matkernel import ...``."""
+def _certificate_imports(path: Path) -> set:
+    """Names a module imports with ``from .certificate import ...``."""
     tree = ast.parse(path.read_text())
     return {
         alias.name
         for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "matkernel"
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "certificate"
         for alias in node.names
     }
 
@@ -46,7 +46,7 @@ def test_no_tolerance_literal_outside_the_table():
         tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
         for token in tokens:
             if token.type == tokenize.NUMBER and re.search(r"e-", token.string, re.IGNORECASE):
-                if not (path.name == "matkernel.py" and token.start[0] in TABLE_LINES):
+                if not (path.name == "certificate.py" and token.start[0] in TABLE_LINES):
                     found.append(f"{path.name}:{token.start[0]}: {token.string}")
     assert found == []
 
@@ -54,7 +54,7 @@ def test_no_tolerance_literal_outside_the_table():
 def test_table_names_are_unique_and_defined_once():
     assert len(NAMES) == len(set(NAMES)) >= 11
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "matkernel.py":
+        if path.name == "certificate.py":
             continue
         assigned = {
             target.id
@@ -69,7 +69,7 @@ def test_table_names_are_unique_and_defined_once():
 @pytest.mark.parametrize("name", SHARED)
 def test_shared_decisions_import_one_name(name):
     for module in SHARED[name]:
-        assert name in _matkernel_imports(PACKAGE / f"{module}.py"), module
+        assert name in _certificate_imports(PACKAGE / f"{module}.py"), module
 
 
 def test_every_name_has_gate_rows():
@@ -110,4 +110,4 @@ def test_require_valid_takes_only_the_assemblage():
     [("fidelity", "_ROUNDING"), ("assemblage", "PROB_FLOOR")],
 )
 def test_moved_names_still_import_from_their_old_modules(module, name):
-    assert getattr(importlib.import_module(f"steerbound.{module}"), name) is getattr(matkernel, name)
+    assert getattr(importlib.import_module(f"steerbound.{module}"), name) is getattr(certificate, name)
