@@ -11,12 +11,13 @@ import math
 import numpy as np
 
 from steerbound import (
+    BETA_CLASSICAL,
+    BETA_QUANTUM,
     THRESHOLD_BETA,
     TRIVIAL_CLASSICAL_FIDELITY,
     analytic_bound,
     upper_bound,
 )
-from steerbound.steering import BETA_CLASSICAL, BETA_QUANTUM
 
 
 def main():

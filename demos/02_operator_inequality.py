@@ -6,7 +6,7 @@ rule and t0*(theta), t1*(theta) are the largest shifts keeping all four
 operators positive semidefinite. The paper's claim is that the split
 t0 = t0*(theta), t1 = t - t0*(theta) works at every theta for
 t = (2 - sqrt(2))/2, i.e. that min over theta of t0* + t1* is at least t.
-The check reads theta at BREAKPOINTS alone, 0, pi/4 and pi/2, where
+The check reads theta at BREAKPOINT_ANGLES alone, 0, pi/4 and pi/2, where
 t0* + t1* takes its minimum over [0, pi/2], so its minimum is exact. The
 margin at that split, the least eigenvalue of the four operators, is
 min(t0* + t1* - t, 0), so no matrix is built. At the breakpoints every
@@ -18,12 +18,12 @@ float past it, makes the check fail.
 
 import math
 
-from steerbound.selftest import BREAKPOINTS, S_OPTIMAL, T_OPTIMAL, breakpoint_shifts
+from steerbound.certificate import BREAKPOINT_ANGLES, S_OPTIMAL, T_OPTIMAL, breakpoint_shifts
 
 
 def main():
     print(f"s = (1+sqrt(2))/4 = {S_OPTIMAL:.9f}")
-    g = [t0 + t1 for t0, t1 in zip(*breakpoint_shifts(S_OPTIMAL))]  # exact t0* + t1* at BREAKPOINTS
+    g = [t0 + t1 for t0, t1 in zip(*breakpoint_shifts(S_OPTIMAL))]  # exact t0* + t1* at BREAKPOINT_ANGLES
     best = min(range(len(g)), key=lambda i: g[i])
 
     for t in (T_OPTIMAL, T_OPTIMAL + 1e-6):
@@ -34,7 +34,7 @@ def main():
     worst = min(min(t0 + t1 - T_OPTIMAL, 0) for t0, t1 in zip(*breakpoint_shifts(past)))
     print(f"s = {past!r} (next float): worst margin {float(worst):+.3e} -> {'verified' if worst >= 0 else 'FAILED'}")
 
-    print(f"\nintercept min t0* + t1*  : {float(g[best]):.9f} at theta = {BREAKPOINTS[best]:.6f}")
+    print(f"\nintercept min t0* + t1*  : {float(g[best]):.9f} at theta = {BREAKPOINT_ANGLES[best]:.6f}")
     print(f"closed form (2-sqrt2)/2  : {T_OPTIMAL:.9f}")
     print(f"boundary pi/4            : {math.pi / 4:.6f}")
 

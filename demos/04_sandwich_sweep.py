@@ -13,9 +13,7 @@ upper estimate of the minimum; that it is the minimum is checked numerically
 only.
 """
 
-import math
-
-from steerbound import SearchConfig, sandwich_sweep
+from steerbound import SearchConfig, sandwich_sweep, xi_star
 
 
 def main():
@@ -24,9 +22,8 @@ def main():
     print(f"{'beta':>8} {'lower':>10} {'numeric':>10} {'xi*':>10} {'upper':>10} {'gap':>9}  status")
     for r in report.records:
         status = "pass" if r.passes(cfg.tolerance) else "FAIL"
-        xi_star = 0.75 + math.sqrt(r.beta**2 - 4) / 8
         print(
-            f"{r.beta:8.4f} {r.analytic_lower:10.6f} {r.numeric_min:10.6f} {xi_star:10.6f} "
+            f"{r.beta:8.4f} {r.analytic_lower:10.6f} {r.numeric_min:10.6f} {xi_star(r.beta):10.6f} "
             f"{r.eq8_upper:10.6f} {r.gap:9.1e}  {status}"
         )
 

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import add
+from operator import add, sub
 
 import numpy as np
 
@@ -32,7 +32,9 @@ from .matkernel import (
     PHI_PLUS,
     _largest,
     _measures_2x2,
-    _rows,
+    _moduli,
+    _pauli_rows,
+    _row,
     _smallest,
     density_matrix,
     hermitian_min_eigvals,
@@ -51,8 +53,8 @@ class Assemblage:
     view of it, so neither a caller nor a holder of the assemblage can
     write the elements: numpy refuses to turn writes on for that view and
     for its base. So what is read from them cannot go stale and is kept:
-    ``_rows``, their floats as ``matkernel._rows`` reads them, as tuples
-    (row a * settings + x is sigma_{a|x}), ``validate``'s measures and the CHSH pair.
+    ``_pauli``, their Pauli rows (``matkernel._pauli_rows``; row a * settings
+    + x is sigma_{a|x}), ``validate``'s measures and the CHSH pair.
     """
 
     elements: np.ndarray = field(repr=False)
@@ -64,12 +66,12 @@ class Assemblage:
                 f"assemblage elements must be an (outcomes, settings, 2, 2) array, got shape {given.shape}"
             )
         elements = np.frombuffer(given.tobytes(), complex).reshape(given.shape)
-        rows = tuple(map(tuple, _rows(elements)))
+        rows = _pauli_rows(elements)
         nonfinite = [divmod(k, given.shape[1]) for k, row in enumerate(rows) if not all(map(math.isfinite, row))]
         if nonfinite:
             raise ValidationError(f"non-finite entries in sigma_(a|x) for (a, x) in {nonfinite}")
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_pauli", rows)
 
     @property
     def outcomes(self) -> int:
@@ -85,16 +87,15 @@ class Assemblage:
 
     @cached_property
     def _measures(self) -> tuple:
-        """``validate``'s measures, none of which depends on a tolerance, read
-        from ``_rows``: the largest |M - M^dagger| entry and the least
-        mean - radius (``matkernel._measures_2x2``), no-signaling and normalization."""
-        rows, settings, hypot = self._rows, self.settings, math.hypot
+        """``validate``'s measures, none of which depends on a tolerance, read from ``_pauli``: the largest
+        |M - M^dagger| entry and the least alpha - |(x, y, z)| (``matkernel._measures_2x2``), no-signaling
+        (each Bob's marginal less the first, entry by entry) and normalization (2 alpha against 1)."""
+        rows, settings = self._pauli, self.settings
         (deviations, lower), marginals = _measures_2x2(rows), list(rows[:settings])
         for k in range(settings, len(rows)):  # Bob's marginal for each setting, summed over a in order
-            marginals[k % settings] = list(map(add, marginals[k % settings], rows[k]))
-        first = marginals[0]  # |m - first| entry by entry, from the parts at i and i + 1
-        gaps = [hypot(m[i] - first[i], m[i + 1] - first[i + 1]) for m in marginals for i in (0, 2, 4, 6)]
-        normalization = [abs(m[0] + m[6] - 1) for m in marginals]
+            marginals[k % settings] = _row(map(add, marginals[k % settings], rows[k]))
+        gaps = [gap for m in marginals for gap in _moduli(*map(sub, m, marginals[0]))]
+        normalization = [abs(2 * m.alpha - 1) for m in marginals]
         return _largest(deviations), _smallest(lower), _largest(gaps), _largest(normalization)
 
     @cached_property
@@ -103,13 +104,13 @@ class Assemblage:
         a refusal keeps nothing, so every read raises it again."""
         if self.outcomes != 2 or self.settings != 2:
             raise ValidationError("CHSH functional requires |A| = |X| = 2")
-        return _coefficients(self._rows)
+        return _coefficients(self._pauli)
 
     def max_marginal_deviation(self) -> float:
-        """max_{a,x} |p(a|x) - 1/|A||; zero for uniform-marginal assemblages.
-        Read from ``_rows``; finite entries give no NaN."""
+        """max_{a,x} |p(a|x) - 1/|A||, p(a|x) = 2 alpha of sigma_{a|x}'s Pauli
+        row; zero for uniform-marginal assemblages. Finite entries give no NaN."""
         uniform = 1.0 / self.outcomes
-        return max(abs(row[0] + row[6] - uniform) for row in self._rows)
+        return max(abs(2 * row.alpha - uniform) for row in self._pauli)
 
     def mix(self, other: "Assemblage", weight: float) -> "Assemblage":
         """Convex mixture weight*self + (1-weight)*other. ValidationError
@@ -148,7 +149,7 @@ class Assemblage:
         entries = _json_field(payload, "elements", list)
         if min(outcomes, settings) < 1 or len(entries) != outcomes * settings:
             raise ValidationError(f"need one element per (a, x), {outcomes} x {settings}")
-        parts = [None] * (8 * len(entries))  # (a, x) in order, each in matkernel._rows' layout
+        parts = [None] * (8 * len(entries))  # (a, x) in order, each in numpy's complex layout: Re, Im per entry
         for entry in entries:  # _reals refuses a None left, or the str of a string or object read as a pair
             try:
                 a, x, ((r0, r1), (r2, r3)), ((i0, i1), (i2, i3)) = entry["a"], entry["x"], entry["re"], entry["im"]
@@ -173,17 +174,13 @@ class Assemblage:
 
 
 def _coefficients(rows):
-    """(u, w) with beta(theta) = u cos(theta) + w sin(theta): u = 2 tr[Z(sigma_00
-    - sigma_10)] and w = 2 tr[X(sigma_01 - sigma_11)], from ``rows``, the
-    four ``matkernel._rows`` rows [Re a, Im a, Re b, Im b, Re c, Im c, Re d,
-    Im d] of sigma_00, sigma_01, sigma_10 and sigma_11. ValidationError
-    unless u and w are finite, each with an imaginary residue of at most
-    CHSH_RESIDUE_TOL. The one reader of the CHSH value."""
+    """(u, w) with beta(theta) = u cos(theta) + w sin(theta): u = 2 tr[Z(sigma_00 - sigma_10)] = 4 (z_00 - z_10)
+    and w = 2 tr[X(sigma_01 - sigma_11)] = 4 (x_01 - x_11) from ``rows``, the Pauli rows of sigma_00, sigma_01,
+    sigma_10 and sigma_11, with imaginary residues the same differences of z_i and x_i. ValidationError unless
+    u and w are finite, each with a residue of at most CHSH_RESIDUE_TOL. The one reader of the CHSH value."""
     s00, s01, s10, s11 = rows
-    u = 2 * ((s00[0] - s10[0]) - (s00[6] - s10[6]))
-    u_im = 2 * ((s00[1] - s10[1]) - (s00[7] - s10[7]))
-    w = 2 * ((s01[2] - s11[2]) + (s01[4] - s11[4]))
-    w_im = 2 * ((s01[3] - s11[3]) + (s01[5] - s11[5]))
+    u, u_im = 4 * (s00.z - s10.z), 4 * (s00.z_i - s10.z_i)
+    w, w_im = 4 * (s01.x - s11.x), 4 * (s01.x_i - s11.x_i)
     if not all(map(math.isfinite, (u, u_im, w, w_im))):
         raise ValidationError(f"CHSH coefficients not finite: u = {complex(u, u_im)}, w = {complex(w, w_im)}")
     residue = max(abs(u_im), abs(w_im))
@@ -333,13 +330,9 @@ class ValidationReport:
         elif not self.psd_margin >= -self.tol:
             out.append(f"positivity violated: min eigenvalue {self.psd_margin:.3e}")
         if not self.no_signaling_deviation <= self.tol:
-            out.append(
-                f"no-signaling violated: deviation {self.no_signaling_deviation:.3e}"
-            )
+            out.append(f"no-signaling violated: deviation {self.no_signaling_deviation:.3e}")
         if not self.normalization_deviation <= self.tol:
-            out.append(
-                f"normalization violated: deviation {self.normalization_deviation:.3e}"
-            )
+            out.append(f"normalization violated: deviation {self.normalization_deviation:.3e}")
         return out
 
 
@@ -386,13 +379,7 @@ def validate(asm: Assemblage, tol: float = VALIDITY_TOL) -> ValidationReport:
     changes a report. An overflow to NaN still fails."""
     deviation, least, no_signaling, normalization = asm._measures
     hermitian = deviation <= tol  # NaN fails
-    return ValidationReport(
-        psd_margin=least if hermitian else math.nan,
-        no_signaling_deviation=no_signaling,
-        normalization_deviation=normalization,
-        tol=tol,
-        hermitian=hermitian,
-    )
+    return ValidationReport(least if hermitian else math.nan, no_signaling, normalization, tol, hermitian)
 
 
 # ---------------------------------------------------------------------------

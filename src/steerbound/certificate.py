@@ -246,7 +246,9 @@ def upper_bound(beta: float) -> float:
 
 
 def xi_star(beta: float) -> float:
-    """Least extractability of one qubit block at CHSH value beta (see
-    ``numsearch``), 3/4 + sqrt(beta^2 - 4)/8, as 3/4 + m/4 with m clamped to
-    1: at 2 sqrt 2, beta^2/4 - 1 rounds to 1 + 2e-16."""
+    """Least extractability of one qubit block at CHSH value beta (see ``numsearch``), 3/4 + sqrt(beta^2 - 4)/8,
+    as 3/4 + m/4 with m clamped to 1: at 2 sqrt 2, beta^2/4 - 1 rounds to 1 + 2e-16. ValidationError unless
+    beta is in [BETA_CLASSICAL, BETA_QUANTUM + ENDPOINT_SLACK] (NaN is not)."""
+    if not BETA_CLASSICAL <= beta <= BETA_QUANTUM + ENDPOINT_SLACK:
+        raise ValidationError(f"beta = {beta} outside [2, 2*sqrt(2)]")
     return 0.75 + min(1.0, math.sqrt(beta * beta / 4 - 1)) / 4

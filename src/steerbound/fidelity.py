@@ -21,7 +21,7 @@ import numpy as np
 
 from .assemblage import Assemblage, ClassicalStrategy, _require_valid, chsh_reference
 from .certificate import _ROUNDING, HERMITICITY_TOL, NEWTON_FLOOR, PROB_FLOOR, PURITY_TOL, ValidationError
-from .matkernel import I2, I4, PAULI_X, PAULI_Y, PAULI_Z, density_matrix, hermitian_min_eigvals
+from .matkernel import I2, I4, PAULI_BASIS, PAULI_X, PAULI_Y, PAULI_Z, density_matrix, hermitian_min_eigvals
 
 
 def state_fidelity(rho: np.ndarray, sigma: np.ndarray):
@@ -128,12 +128,12 @@ def _trace_out(choi: np.ndarray) -> np.ndarray:
 _REFERENCE = chsh_reference()
 _REFERENCE_P = _REFERENCE.probabilities()
 _REFERENCE_STATES = _REFERENCE.elements / _REFERENCE_P[..., None, None]
-# tr(J W) = sum over (a, x) of (row . v_ax) / sqrt(p(a|x)), row the ``_rows`` floats
-# of sigma_{a|x} and v = _REFERENCE_MAP @ J.ravel() read as floats, a * 2 + x major:
-# v_ax[j, i] = (sqrt(p*(a|x)) / |X|) sum_cd J[(i, c), (j, d)] conj(rho*_{a|x}[c, d])
-_REFERENCE_MAP = np.einsum(
-    "ax,axcd,ik,jl->axjikcld", np.sqrt(_REFERENCE_P) / _REFERENCE.settings, _REFERENCE_STATES.conj(), I2, I2
-).reshape(16, 16)
+# tr(J W) = sum over (a, x) of (row . v_ax) / sqrt(p(a|x)), row the Pauli row of sigma_{a|x} and v =
+# _REFERENCE_MAP @ (J.ravel() read as floats): v_ax[r], the term at p(a|x) = 1 and sigma_{a|x} = B_r = PAULI_BASIS[r],
+# is Re[(sqrt(p*(a|x)) / |X|) sum_ijcd B_r[j, i] rho*_{a|x}[c, d] conj(J[(i, c), (j, d)])]
+_REFERENCE_MAP = np.ascontiguousarray(np.einsum(
+    "ax,rji,axcd->axricjd", np.sqrt(_REFERENCE_P) / _REFERENCE.settings, PAULI_BASIS, _REFERENCE_STATES
+).reshape(4, 8, 16)).view(float)
 _REFERENCE_MAP.flags.writeable = False
 
 

@@ -50,6 +50,7 @@ from .certificate import (
     _ROUNDING, BETA_CLASSICAL, BETA_QUANTUM, ENDPOINT_SLACK, SEARCH_TOLERANCE, ValidationError, analytic_bound,
     upper_bound, xi_star,
 )
+from .matkernel import PauliRow
 from .selftest import dephasing_channel
 
 
@@ -259,17 +260,15 @@ def _records(betas) -> tuple:
     )
 
 
+_SETTING_0 = PauliRow(alpha=0.25, z=0.25), PauliRow(alpha=0.25, z=-0.25)  # the witness's sigma_{a|0} = (I +- Z)/4
+
+
 def _residual(m: float, beta: float) -> float:
-    """|CHSH - beta| of the witness at m, ``abs(chsh_functional(asm, atan
-    m) - beta)`` computed by the same reader from its four
-    ``matkernel._rows`` rows [Re a, Im a, Re b, Im b, Re c, Im c, Re d,
-    Im d], tuples of the leaves ``_witness`` writes: plus = m/4, minus =
-    -m/4 and its constant entries."""
-    theta, plus, minus = math.atan(m), m / 4, -m / 4
-    u, w = _coefficients((
-        (0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), (0.25, 0.0, plus, 0.0, plus, 0.0, 0.25, 0.0),
-        (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0), (0.25, 0.0, minus, 0.0, minus, 0.0, 0.25, 0.0),
-    ))
+    """|CHSH - beta| of the witness at m, ``abs(chsh_functional(asm, atan m) - beta)`` computed by the same
+    reader from the Pauli rows of the elements ``_witness`` writes: ``_SETTING_0`` and sigma_{a|1} = I/4 +
+    (plus or minus) X, plus = m/4 and minus = -m/4."""
+    (s00, s10), theta = _SETTING_0, math.atan(m)
+    u, w = _coefficients((s00, PauliRow(alpha=0.25, x=m / 4), s10, PauliRow(alpha=0.25, x=-m / 4)))
     return abs(u * math.cos(theta) + w * math.sin(theta) - beta)
 
 

@@ -83,22 +83,17 @@ def t_constraints(s, theta) -> tuple:
     return _shifts(s, first_interval(theta), math.cos(theta), math.sin(theta))
 
 
-# the certificate core's one tuple of angles, as a read-only array
-BREAKPOINTS = np.array(BREAKPOINT_ANGLES)
-BREAKPOINTS.flags.writeable = False
-
-
 def extractability_with_channel(asm: Assemblage, channel: ExtractionChannel) -> float:
     """Fidelity of the reference with the channel applied elementwise, tr(J W) with W =
-    ``fidelity_operator(asm)``, from the assemblage's rows and ``fidelity._REFERENCE_MAP``, no W built (p(a|x)
-    below PROB_FLOOR adds zero): a lower-bound witness for extractability at this channel."""
+    ``fidelity_operator(asm)``, from the assemblage's Pauli rows and ``fidelity._REFERENCE_MAP``, no W built
+    (p(a|x) = 2 alpha below PROB_FLOOR adds zero): a lower-bound witness for extractability at this channel."""
     _check_reference_shape(asm)
-    v = (_REFERENCE_MAP @ np.reshape(channel.choi, 16)).view(float).tolist()
+    weights = (_REFERENCE_MAP @ np.asarray(channel.choi, complex).reshape(16).view(float)).tolist()
     total = 0.0
-    for k, row in enumerate(asm._rows):
-        p = row[0] + row[6]
+    for row, row_weights in zip(asm._pauli, weights):
+        p = 2 * row.alpha
         if p >= PROB_FLOOR:
-            total += sum(map(operator.mul, row, v[8 * k : 8 * k + 8])) / math.sqrt(p)
+            total += sum(map(operator.mul, row, row_weights)) / math.sqrt(p)
     return total
 
 

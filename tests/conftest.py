@@ -28,3 +28,15 @@ def numpy_min_eigvals(m, tol):
         return None
     a, d = m[..., 0, 0].real, m[..., 1, 1].real
     return (a + d) / 2 - np.hypot((a - d) / 2, np.abs(m[..., 0, 1] + m[..., 1, 0].conj()) / 2)
+
+
+def pauli_reference(m) -> tuple:
+    """The Pauli rows of a complex (..., 2, 2) stack by their definition, in
+    whole-stack numpy: for each matrix M, with its entries halved, (alpha, x,
+    y, z) of the Hermitian part (M + M^dagger)/2 = alpha I + x X + y Y + z Z,
+    then the same four of the anti-Hermitian part over i, as float tuples."""
+    h = np.asarray(m, dtype=complex).reshape(-1, 2, 2) / 2
+    a, b, c, d = h[:, 0, 0], h[:, 0, 1], h[:, 1, 0], h[:, 1, 1]
+    parts = (a.real + d.real, b.real + c.real, c.imag - b.imag, a.real - d.real,
+             a.imag + d.imag, b.imag + c.imag, b.real - c.real, a.imag - d.imag)
+    return tuple(map(tuple, np.array(parts).T.tolist()))

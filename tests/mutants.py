@@ -15,8 +15,9 @@ comparison of the kept
 measures with its tolerance or an overflow guard (a CLI integer or a config
 tolerance past the float range); one perturbs ``xi_star``, the closed form
 the sandwich reads its ``numeric_min`` from, one the report's writer of
-a config leaf, two the shared 2x2 closed form, once for each reader, and
-one imports numpy into the standard-library certificate core.
+a config leaf, two the shared 2x2 closed form, once for each reader, one
+swaps two components in the one reader of a 2x2 matrix's entries, and one
+imports numpy into the standard-library certificate core.
 For each mutant, ``src/``, ``tests/`` and ``pyproject.toml`` are copied to a
 temporary directory, its text (which must occur exactly once in its file)
 is replaced there, and its test files run with ``pytest -x``. A failing test kills the mutant; a mutant
@@ -93,13 +94,16 @@ STRUCTURAL = (
 # float range through. One row moves xi_star's 3/4 by 1e-10, which the
 # sandwich tests must tell from the witness's own W, and one writes a
 # report's tolerance leaf as a float whatever its type, so an int tolerance
-# of 1 reads 1.0, unlike json.dumps. The last two make one break in the
-# shared 2x2 closed form, matkernel._measures_2x2: |b - c*| read as |b - c|.
-# One is killed by test_assemblage.py alone and the other by
+# of 1 reads 1.0, unlike json.dumps. The next two make one break in the
+# shared 2x2 closed form, matkernel._measures_2x2: |b - c*| read as |b - c|,
+# the Pauli row of M - M^dagger taking -2 y (b - c = 2 y_i - 2i y) for
+# 2 x_i. One is killed by test_assemblage.py alone and the other by
 # test_matkernel.py alone, so both readers of the one copy, validate's kept
-# measures and hermitian_min_eigvals, are shown to read it. The last row
-# imports numpy at the top of certificate.py, which test_numpy_free.py alone
-# must catch: the certificate commands would load numpy again.
+# measures and hermitian_min_eigvals, are shown to read it. One swaps x and
+# z in matkernel._pauli_rows, the one reader of a 2x2 matrix's entries,
+# which test_matkernel.py alone must catch. The last row imports numpy at
+# the top of certificate.py, which test_numpy_free.py alone must catch: the
+# certificate commands would load numpy again.
 GUARDS = (
     ("QSqrt2 sign", "certificate.py", "else a if a * a > 2 * b * b else b", "else a",
      ("tests/test_selftest.py", "tests/test_cli.py")),
@@ -126,10 +130,10 @@ GUARDS = (
     ("xi_star closed form", "certificate.py", "return 0.75 + min(", "return 0.7500000001 + min(", ("tests/test_numsearch.py",)),
     ("config leaf writer", "numsearch.py", "_leaf(cfg.tolerance)", "float.__repr__(float(cfg.tolerance))",
      ("tests/test_numsearch.py",)),
-    ("2x2 adjoint gap, validate", "matkernel.py", "hypot(br - cr, bi + ci)", "hypot(br - cr, bi - ci)",
-     ("tests/test_assemblage.py",)),
-    ("2x2 adjoint gap, eigvals", "matkernel.py", "hypot(br - cr, bi + ci)", "hypot(br - cr, bi - ci)",
-     ("tests/test_matkernel.py",)),
+    ("2x2 adjoint gap, validate", "matkernel.py", "2 * x_i, 2 * y_i", "-2 * y, 2 * y_i", ("tests/test_assemblage.py",)),
+    ("2x2 adjoint gap, eigvals", "matkernel.py", "2 * x_i, 2 * y_i", "-2 * y, 2 * y_i", ("tests/test_matkernel.py",)),
+    ("Pauli row x and z swapped", "matkernel.py", "_row((ar + dr, br + cr, ci - bi, ar - dr,",
+     "_row((ar + dr, ar - dr, ci - bi, br + cr,", ("tests/test_matkernel.py",)),
     ("numpy-free core", "certificate.py", "from __future__ import annotations\n",
      "from __future__ import annotations\n\nimport numpy\n", ("tests/test_numpy_free.py",)),
 )

@@ -28,7 +28,7 @@ from steerbound.fidelity import (
 from steerbound.matkernel import I2, PAULI_X, PAULI_Z, PHI_PLUS
 from steerbound.numsearch import SearchConfig, sandwich_sweep
 from steerbound.selftest import (
-    BREAKPOINTS,
+    BREAKPOINT_ANGLES,
     S_OPTIMAL,
     T_OPTIMAL,
     THRESHOLD_BETA,
@@ -76,7 +76,7 @@ def test_02_operator_inequality_sweep():
     assert worst >= 0
     assert min(x - (T_OPTIMAL + 1e-11) for x in g) < 0
     assert float(min(x - (T_OPTIMAL + 1e-6) for x in g)) < -5e-7
-    thetas = np.union1d(np.linspace(0, math.pi / 2, 10_000), BREAKPOINTS)
+    thetas = np.union1d(np.linspace(0, math.pi / 2, 10_000), BREAKPOINT_ANGLES)
     assert min(min(sum(t_constraints(S_OPTIMAL, theta)) - T_OPTIMAL, 0) for theta in thetas.tolist()) >= 0
     _report(f"operator inequality at (s, t) optimal: exact worst margin {float(worst):.2e} >= 0")
 

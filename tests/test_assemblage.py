@@ -1,6 +1,6 @@
 import json
 import math
-from operator import add
+from operator import add, sub
 
 import numpy as np
 import pytest
@@ -34,7 +34,7 @@ from steerbound.matkernel import (
     _smallest,
     projector,
 )
-from conftest import numpy_min_eigvals
+from conftest import numpy_min_eigvals, pauli_reference
 from devices import general_assemblage
 
 
@@ -361,15 +361,16 @@ class TestValidate:
             if got.hermitian:
                 assert abs(got.psd_margin - lower.min()) <= 1e-15
             assert abs(got.no_signaling_deviation - np.abs(marginals - marginals[0]).max()) <= 1e-15
-            assert got.normalization_deviation == np.abs(np.trace(marginals, axis1=1, axis2=2).real - 1).max()
+            assert got.normalization_deviation == np.abs(asm.probabilities().sum(axis=0) - 1).max()
             verdicts.add((got.passed, tuple(f.split()[0] for f in got.failures())))
         assert len(verdicts) >= 5, verdicts
 
     def test_measures_match_the_multi_pass_formula(self):
-        # the one-loop measures against the multi-pass formula they replaced,
-        # equal as floats (a NaN equals a NaN) on realizations, general
-        # assemblages, 3-outcome and 3-setting ones, and entries near 1e308
-        # whose sums overflow to inf and inf - inf to NaN
+        # the one-loop measures against a multi-pass formula, equal as floats
+        # (a NaN equals a NaN) on realizations, general assemblages, 3-outcome
+        # and 3-setting ones, and entries near 1e308 whose sums overflow to
+        # inf and inf - inf to NaN. Rows of finite entries are finite, so the
+        # least eigenvalue and the normalization can overflow but not be NaN
         rng = np.random.default_rng(35)
         cases = [realize(random_realization(rng, **kind)) for kind in _REALIZATIONS for _ in range(40)]
         cases += [general_assemblage(rng) for _ in range(30)]
@@ -390,13 +391,15 @@ class TestValidate:
             want, got = _multi_pass_measures(asm), asm._measures
             assert all(a == b or math.isnan(a) and math.isnan(b) for a, b in zip(got, want)), (got, want)
             kinds.update((i, "nan" if math.isnan(v) else "inf" if math.isinf(v) else "") for i, v in enumerate(got))
-        assert kinds >= {(0, "inf"), (1, "inf"), (1, "nan"), (2, "nan"), (3, "inf"), (3, "nan")}, kinds
+        assert kinds >= {(0, "inf"), (1, "inf"), (2, "inf"), (2, "nan"), (3, "inf")}, kinds
+        assert not kinds & {(1, "nan"), (3, "nan")}, kinds
 
     def test_overflow_fails_with_nan(self):
-        # finite entries whose sum over a overflows: inf - inf in the
-        # no-signalling deviation is NaN, which fails, as numpy's max gives it
+        # finite entries whose marginal trace, summed over a, overflows: inf
+        # - inf in the no-signalling deviation is NaN, which fails, as
+        # numpy's max gives it
         elements = np.zeros((2, 2, 2, 2), dtype=complex)
-        elements[:, 0, 0, 0] = 1.5e308
+        elements[:, 0, 0, 0] = elements[:, 0, 1, 1] = 1.5e308
         report = validate(Assemblage(elements))
         assert math.isnan(report.no_signaling_deviation)
         assert report.normalization_deviation == math.inf
@@ -447,27 +450,30 @@ _REALIZATIONS = (dict(), dict(projective=False), dict(uniform_marginals=True))
 
 
 def _multi_pass_measures(asm: Assemblage) -> tuple:
-    """``Assemblage._measures`` as it was computed before the one-loop
-    version: a pass over the rows for each measure, by the arithmetic of the
-    retired matkernel helpers, written out here so that it stays a reference
-    independent of ``matkernel._measures_2x2``."""
-    rows, settings, hypot = asm._rows, asm.settings, math.hypot
+    """``Assemblage._measures`` as a pass over the Pauli rows of
+    ``asm.elements`` (``pauli_reference``) for each measure, written out here
+    so that it stays a reference independent of ``matkernel``: the entries
+    of M - M^dagger = 2i (alpha_i I + x_i X + y_i Y + z_i Z), with the
+    Hermitian components' x - x making a non-finite one NaN, alpha - |(x, y,
+    z)|, and each Bob's marginal less the first, entry by entry."""
+    rows, settings, hypot = pauli_reference(asm.elements), asm.settings, math.hypot
     marginals = rows[:settings]
     for start in range(settings, len(rows), settings):
-        marginals = [list(map(add, m, row)) for m, row in zip(marginals, rows[start : start + settings])]
-    first = marginals[0]
-    gaps = [hypot(m[i] - first[i], m[i + 1] - first[i + 1]) for m in marginals for i in (0, 2, 4, 6)]
+        marginals = [tuple(map(add, m, row)) for m, row in zip(marginals, rows[start : start + settings])]
+
+    def entries(alpha, x, y, z, alpha_i, x_i, y_i, z_i):  # |a|, |b|, |c| and |d|
+        return (hypot(alpha + z, alpha_i + z_i), hypot(x + y_i, x_i - y), hypot(x - y_i, x_i + y),
+                hypot(alpha - z, alpha_i - z_i))
+
     return (
         _largest([
             gap
-            for ar, ai, br, bi, cr, ci, dr, di in rows
-            for gap in (hypot(ar - ar, ai + ai), hypot(br - cr, bi + ci), hypot(dr - dr, di + di))
+            for alpha, x, y, z, alpha_i, x_i, y_i, z_i in rows
+            for gap in entries(alpha - alpha, x - x, y - y, z - z, 2 * alpha_i, 2 * x_i, 2 * y_i, 2 * z_i)
         ]),
-        _smallest([
-            (ar + dr) / 2 - hypot((ar - dr) / 2, (br + cr) / 2, (bi - ci) / 2) for ar, ai, br, bi, cr, ci, dr, di in rows
-        ]),
-        _largest(gaps),
-        _largest([abs(m[0] + m[6] - 1) for m in marginals]),
+        _smallest([alpha - hypot(z, x, y) for alpha, x, y, z, *_ in rows]),
+        _largest([gap for m in marginals for gap in entries(*map(sub, m, marginals[0]))]),
+        _largest([abs(2 * m[0] - 1) for m in marginals]),
     )
 
 
@@ -770,11 +776,13 @@ class TestLayout:
 
     def test_kept_rows_are_the_elements_and_read_only(self, rng):
         # the rows validate, the CHSH reader and the witness read are the
-        # elements' floats, kept as tuples that no holder can write
+        # elements' Pauli rows, kept as tuples that no holder can write
         asm = realize(random_realization(rng))
-        assert asm._rows == tuple(map(tuple, asm.elements.view(float).reshape(-1, 8).tolist()))
+        assert asm._pauli == pauli_reference(asm.elements)
         with pytest.raises(TypeError):
-            asm._rows[0][0] = 0.0
+            asm._pauli[0][0] = 0.0
+        with pytest.raises(AttributeError):
+            asm._pauli[0].alpha = 0.0
 
     @pytest.mark.parametrize("kind", ["array", "read-only array", "read-only view", "real array", "list"])
     def test_callers_input_is_copied(self, kind):

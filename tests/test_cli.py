@@ -192,7 +192,7 @@ class TestVerifyInequality:
         # exactly below pi/4
         rng = np.random.default_rng(seed)
         s_values = [selftest.S_OPTIMAL, 0.0, 0.5, 0.25, -0.3, *rng.uniform(-1, 2, 30).tolist()]
-        names = [f"{theta:.9g}" for theta in selftest.BREAKPOINTS]
+        names = [f"{theta:.9g}" for theta in certificate.BREAKPOINT_ANGLES]
         for s in s_values:
             main(["verify-inequality", "--s", repr(s)])
             lines = capsys.readouterr().out.splitlines()

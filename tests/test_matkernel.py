@@ -11,16 +11,18 @@ from steerbound.matkernel import (
     I4,
     KET0,
     KET1,
+    PAULI_BASIS,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    PauliRow,
     ValidationError,
     _measures_2x2,
-    _rows,
+    _pauli_rows,
     hermitian_min_eigvals,
     projector,
 )
-from conftest import numpy_min_eigvals, random_density, random_hermitian
+from conftest import numpy_min_eigvals, pauli_reference, random_density, random_hermitian
 
 try:
     from numpy.exceptions import ComplexWarning
@@ -51,16 +53,48 @@ class TestMeasures2x2:
         # eigenvalue of each matrix's Hermitian part
         m = rng.normal(size=(5, 3, 2, 2)) + 1j * rng.normal(size=(5, 3, 2, 2))
         hermitian = (m + m.conj().swapaxes(-1, -2)) / 2
-        _, lower = _measures_2x2(_rows(m))
+        _, lower = _measures_2x2(_pauli_rows(m))
         np.testing.assert_allclose(np.reshape(lower, (5, 3)), np.linalg.eigvalsh(hermitian)[..., 0], atol=1e-12)
 
     def test_deviations_are_the_adjoint_gaps(self, rng):
-        # three entries per matrix, in row order: |a - a*|, |b - c*| and
-        # |d - d*|, numpy's |M - M^dagger| entries
+        # four entries per matrix, in C order: |a - a*|, |b - c*|, |c - b*|
+        # and |d - d*|, numpy's |M - M^dagger| entries
         m = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
-        deviations, _ = _measures_2x2(_rows(m))
+        deviations, _ = _measures_2x2(_pauli_rows(m))
         gaps = np.abs(m - m.conj().swapaxes(-1, -2))
-        np.testing.assert_allclose(deviations, gaps[:, [0, 0, 1], [0, 1, 1]].reshape(-1), rtol=1e-15)
+        np.testing.assert_allclose(deviations, gaps.reshape(-1), rtol=1e-15)
+
+
+class TestPauliRows:
+    def test_rows_are_the_components(self, rng):
+        # each row, one per matrix in C order, is the matrix's Pauli
+        # components by their definition, and sums back to the matrix
+        # over PAULI_BASIS; entries that are multiples of 1/8 come back exactly
+        m = rng.normal(size=(3, 2, 2, 2)) + 1j * rng.normal(size=(3, 2, 2, 2))
+        rows = _pauli_rows(m)
+        assert type(rows) is tuple and {type(row) for row in rows} == {PauliRow}
+        assert rows == pauli_reference(m)
+        np.testing.assert_allclose(np.einsum("kr,rij->kij", rows, PAULI_BASIS), m.reshape(-1, 2, 2), atol=1e-15)
+        dyadic = np.round(8 * m) / 8
+        assert np.array_equal(np.einsum("kr,rij->kij", _pauli_rows(dyadic), PAULI_BASIS), dyadic.reshape(-1, 2, 2))
+
+    def test_named_components(self):
+        # (I + 2X + 3Y + 4Z) + i (5I + 6X + 7Y + 8Z): each name reads its own
+        # coefficient, and a row written by name leaves the others 0
+        m = sum(c * b for c, b in zip(range(1, 9), PAULI_BASIS))
+        (row,) = _pauli_rows(m)
+        assert row == PauliRow(alpha=1, x=2, y=3, z=4, alpha_i=5, x_i=6, y_i=7, z_i=8) == tuple(range(1, 9))
+        assert PauliRow(alpha=0.25, z=-0.25) == (0.25, 0.0, 0.0, -0.25, 0.0, 0.0, 0.0, 0.0)
+
+    def test_finite_exactly_when_the_matrix_is(self):
+        # the parts are halved before they are summed, so entries near the
+        # float maximum give a finite row, and a non-finite entry does not
+        big = np.finfo(float).max
+        (row,) = _pauli_rows(np.array([[big, big * 1j], [-big, -big]]))
+        assert all(map(math.isfinite, row)) and row.alpha == 0 and row.z == big
+        for bad in (math.inf, math.nan):
+            (row,) = _pauli_rows(np.array([[1, bad], [0, 1]], dtype=complex))
+            assert not all(map(math.isfinite, row))
 
 
 class TestHermitianMinEigvals:
@@ -189,12 +223,12 @@ def _is_hypot(node) -> bool:
 def test_one_copy_of_each_certificate_formula():
     # each certificate formula has one scalar code path: no np.frompyfunc
     # broadcast anywhere in the package, and the 2x2 closed form on one
-    # line each, in matkernel -- mean - radius (the one hypot of a
-    # three-component Bloch vector) and the |M - M^dagger| triple (three
-    # hypots side by side) -- which both hermitian_min_eigvals and
+    # line each, in matkernel -- alpha - radius (the one hypot of a
+    # three-component Bloch vector) and the entry moduli (four hypots side
+    # by side, matkernel._moduli) -- which both hermitian_min_eigvals and
     # Assemblage._measures read
     package = Path(matkernel.__file__).resolve().parent
-    radius, triple, broadcast = set(), set(), []
+    radius, moduli, broadcast = set(), set(), []
     for path in sorted(package.glob("*.py")):
         text = path.read_text()
         if "frompyfunc" in text:
@@ -202,8 +236,66 @@ def test_one_copy_of_each_certificate_formula():
         for node in ast.walk(ast.parse(text)):
             if _is_hypot(node) and len(node.args) == 3:
                 radius.add((path.name, node.lineno))
-            if isinstance(node, (ast.Tuple, ast.List)) and len(node.elts) == 3 and all(map(_is_hypot, node.elts)):
-                triple.add((path.name, node.lineno))
+            if isinstance(node, (ast.Tuple, ast.List)) and len(node.elts) == 4 and all(map(_is_hypot, node.elts)):
+                moduli.add((path.name, node.lineno))
     assert broadcast == []
-    assert len(radius) == len(triple) == 1
-    assert {name for name, _ in radius | triple} == {"matkernel.py"}
+    assert len(radius) == len(moduli) == 1
+    assert {name for name, _ in radius | moduli} == {"matkernel.py"}
+
+
+def _layout_reads(source: str) -> list:
+    """(line, text) of each place where ``source`` knows the positions of a
+    Pauli row: a tuple or list of eight items holding a number (a row
+    literal) or assigned to (a row unpacked by position), or a starred
+    unpacking; an index that reads with the stride 8; an index by an integer
+    of a loop variable or of a name unpacked from another name (how a reader
+    holds a row: ``for row in asm._pauli``, ``s00, s01, s10, s11 = rows``);
+    and a ``PauliRow`` built from positional arguments."""
+    tree = ast.parse(source)
+    held = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.comprehension)):
+            held |= {n.id for n in ast.walk(node.target) if isinstance(n, ast.Name)}
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
+            held |= {n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        bad = False
+        if isinstance(node, (ast.Tuple, ast.List)) and len(node.elts) == 8:
+            numbers = [e for e in node.elts if isinstance(e, ast.Constant) and type(e.value) in (int, float)]
+            bad = bool(numbers) or isinstance(node.ctx, ast.Store)
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            constants = [n.value for n in ast.walk(node.slice) if isinstance(n, ast.Constant)]
+            by_int = isinstance(node.slice, ast.Constant) and type(node.slice.value) is int
+            bad = 8 in constants or by_int and isinstance(node.value, ast.Name) and node.value.id in held
+        elif isinstance(node, (ast.Tuple, ast.List)) and isinstance(node.ctx, ast.Store):
+            bad = any(isinstance(e, ast.Starred) for e in node.elts)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "PauliRow":
+            bad = bool(node.args)
+        if bad:
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+@pytest.mark.parametrize("source", [
+    "p = row[0] + row[6]\nfor row in rows: pass",  # a component by position
+    "s00, s01, s10, s11 = rows\nu = s00[3] - s10[3]",
+    "total = sum(v[8 * k : 8 * k + 8])",  # the row stride
+    "row = (0.25, 0.0, plus, 0.0, plus, 0.0, 0.25, 0.0)",  # a row literal
+    "for ar, ai, br, bi, cr, ci, dr, di in rows: pass",  # a row unpacked by position
+    "for alpha, *_ in rows: pass",
+    "row = PauliRow(0.25, 0.0, 0.0, 0.25)",
+])
+def test_layout_reads_are_found(source):
+    assert _layout_reads(source)
+
+
+def test_row_positions_live_in_matkernel():
+    # matkernel is the one module that knows how a 2x2 element is laid
+    # out: every other module reads a Pauli row's components by name
+    package = Path(matkernel.__file__).resolve().parent
+    found = {
+        path.name: _layout_reads(path.read_text()) for path in sorted(package.glob("*.py")) if path.name != "matkernel.py"
+    }
+    assert not any(found.values()), found
+    assert _layout_reads((package / "matkernel.py").read_text())

@@ -14,8 +14,8 @@ from steerbound.certificate import PROB_FLOOR, _coefficient_rule, _first_tied, _
 from steerbound.matkernel import I2, KET0, PAULI_X, PAULI_Z, ValidationError, projector
 from steerbound import certificate, selftest
 from steerbound.selftest import (
+    BREAKPOINT_ANGLES,
     BREAKPOINT_TABLE,
-    BREAKPOINTS,
     BoundCoefficients,
     QSqrt2,
     S_EXACT,
@@ -43,7 +43,7 @@ SQRT2 = math.sqrt(2)
 
 
 def _g(s) -> list:
-    """Exact t0* + t1* at each of BREAKPOINTS."""
+    """Exact t0* + t1* at each of BREAKPOINT_ANGLES."""
     return [t0 + t1 for t0, t1 in zip(*breakpoint_shifts(s))]
 
 
@@ -201,7 +201,7 @@ class TestDephasingChannel:
             )
 
         rng = np.random.default_rng(7)
-        pairs = [(theta, c) for theta in BREAKPOINTS for c in (-1.0, 0.0, 0.37, 1.0)]
+        pairs = [(theta, c) for theta in BREAKPOINT_ANGLES for c in (-1.0, 0.0, 0.37, 1.0)]
         pairs += zip(rng.uniform(0, math.pi / 2, 50), rng.uniform(-1, 1, 50))
         for theta, c in pairs:
             np.testing.assert_array_equal(dephasing_channel(theta, c).choi, formula(theta, c))
@@ -354,7 +354,8 @@ class TestCoefficientRule:
             got = t_constraints(s, theta)
             assert {type(t) for t in got} == {float} and got == want, (s, theta)
         assert {type(t) for t in t_constraints(1, 0)} == {float}
-        for s, theta in ((np.array([0.5, 0.6]), 0.3), (0.5, BREAKPOINTS), (0.5, np.array(0.3)), ([0.5], 0.3)):
+        arrays = ((np.array([0.5, 0.6]), 0.3), (0.5, np.array(BREAKPOINT_ANGLES)), (0.5, np.array(0.3)), ([0.5], 0.3))
+        for s, theta in arrays:
             with pytest.raises(ValidationError, match="must be one real number"):
                 t_constraints(s, theta)
 
@@ -387,7 +388,7 @@ def _operators(s, theta):
 
 class TestInequalityMargins:
     def test_margins_nonnegative_at_optimum(self):
-        thetas = np.union1d(np.linspace(0, math.pi / 2, 801), BREAKPOINTS)
+        thetas = np.union1d(np.linspace(0, math.pi / 2, 801), BREAKPOINT_ANGLES)
         t0, t1 = _shift_grid(S_OPTIMAL, thetas)
         for theta, a, b in zip(thetas.tolist(), t0.tolist(), t1.tolist()):
             assert _least_eigenvalues(_operators(S_OPTIMAL, theta), a, b).min() >= -1e-10, theta
@@ -423,7 +424,7 @@ class TestInequalityMargins:
         # column and a theta row: both margins 0 at (t0*, t1*), both negative
         # one step above
         s_values = rng.uniform(-1, 2, (20, 1))
-        thetas = np.union1d(np.linspace(0, math.pi / 2, 40), BREAKPOINTS)
+        thetas = np.union1d(np.linspace(0, math.pi / 2, 40), BREAKPOINT_ANGLES)
         t0, t1 = np.array([_shift_grid(s, thetas) for s in s_values[:, 0].tolist()]).transpose(1, 0, 2)
         assert t0.shape == t1.shape == (20, len(thetas))
         for index in np.ndindex(t0.shape):
@@ -453,14 +454,14 @@ class TestInequalityMargins:
 
 def test_exact_verdict_matches_float_verdict():
     # 10,000 seeded (s, t) pairs, t drawn around the float minimum of t0* +
-    # t1* over BREAKPOINTS: wherever that float margin is outside +-1e-13,
+    # t1* over BREAKPOINT_ANGLES: wherever that float margin is outside +-1e-13,
     # the exact verdict at the breakpoints (verify-inequality's, no slack)
     # is the float one; inside, only the exact one decides
     rng = np.random.default_rng(37)
     s_values = np.concatenate([rng.uniform(-1, 2, 9_000), S_OPTIMAL + rng.uniform(-1e-12, 1e-12, 1_000)])
     decided = 0
     for s in s_values.tolist():
-        g = sum(_shift_grid(s, BREAKPOINTS)).min()
+        g = sum(_shift_grid(s, BREAKPOINT_ANGLES)).min()
         t = g + rng.choice([1e-3, 1e-9, 1e-14]) * rng.uniform(-1, 1)
         if abs(g - t) > 1e-13:
             assert (min(_g(s)) >= t) == (g >= t), (s, t)
@@ -483,7 +484,7 @@ def test_scalars_keep_the_numpy_formulas_bits():
     # against a theta row, and for s of +-0, +-inf, NaN, subnormal and huge,
     # as Python floats
     rng = np.random.default_rng(39)
-    thetas = np.union1d(np.linspace(0, math.pi / 2, 101), [*BREAKPOINTS, math.nextafter(math.pi / 4, 2)])
+    thetas = np.union1d(np.linspace(0, math.pi / 2, 101), [*BREAKPOINT_ANGLES, math.nextafter(math.pi / 4, 2)])
     specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e300, -1e300, 0.25, SQRT2 / 4]
     s_values = np.array([*specials, *rng.uniform(-2, 2, 40)])[:, None]
     with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 and 4 s past the float range
@@ -550,28 +551,22 @@ def test_exact_shifts_match_a_fraction_oracle():
 
 def _finding_p_grid():
     """(s, thetas, t0*, t1*) on finding P's grid: 26 values of s times the
-    41 angles and BREAKPOINTS, 1,066 points."""
+    41 angles and BREAKPOINT_ANGLES, 1,066 points."""
     rng = np.random.default_rng(2025)
     s_values = [S_OPTIMAL, -S_OPTIMAL, -0.5, -1.0, 0.0, 0.25, *rng.uniform(-1, 2, 20).tolist()]
-    thetas = np.union1d(np.linspace(0, math.pi / 2, 41), BREAKPOINTS)
+    thetas = np.union1d(np.linspace(0, math.pi / 2, 41), BREAKPOINT_ANGLES)
     assert len(s_values) * len(thetas) == 1066
     return [(s, thetas, *_shift_grid(s, thetas)) for s in s_values]
 
 
 class TestCoefficientSearch:
-    def test_breakpoints_are_read_only(self):
-        # every certificate reads theta here, so no caller may move an angle
-        np.testing.assert_array_equal(BREAKPOINTS, [0.0, math.pi / 4, math.pi / 2])
-        with pytest.raises(ValueError):
-            BREAKPOINTS[1] = 0.0
-
     def test_breakpoint_table_is_read_only(self):
-        # the rows (first_interval, cos, sin) of BREAKPOINTS, exact: cos and
+        # the rows (first_interval, cos, sin) of BREAKPOINT_ANGLES, exact: cos and
         # sin are (1, sqrt 2/2, 0) and (0, sqrt 2/2, 1), the true angles'
         # values. Table and rows are tuples, so no caller may move an entry
         assert type(BREAKPOINT_TABLE) is tuple and {type(row) for row in BREAKPOINT_TABLE} == {tuple}
         first, cos, sin = zip(*BREAKPOINT_TABLE)
-        assert first == tuple(selftest.first_interval(BREAKPOINTS).tolist()) == (True, True, False)
+        assert first == tuple(selftest.first_interval(np.array(BREAKPOINT_ANGLES)).tolist()) == (True, True, False)
         assert {type(x) for x in cos + sin} == {QSqrt2}
         assert all(c * c + v * v == 1 for c, v in zip(cos, sin))
         assert cos[0] == sin[2] == 1 and cos[2] == sin[0] == 0 and cos[1] == sin[1] > 0
@@ -590,18 +585,18 @@ class TestCoefficientSearch:
         edges = np.array([0.0, 0.25, SQRT2 / 4])
         edges = np.concatenate([edges, np.nextafter(edges, -1), np.nextafter(edges, 1)])
         s_values = np.concatenate([rng.uniform(-1, 2, 500), edges, -edges]).tolist()
-        rows = list(zip(selftest.first_interval(BREAKPOINTS).tolist(), np.cos(BREAKPOINTS).tolist(),
-                        np.sin(BREAKPOINTS).tolist()))
+        angles = np.array(BREAKPOINT_ANGLES)
+        rows = list(zip(selftest.first_interval(angles).tolist(), np.cos(angles).tolist(), np.sin(angles).tolist()))
         for s in s_values:
-            want = _shift_grid(s, BREAKPOINTS)
-            assert [t.tobytes() for t in want] == [t.tobytes() for t in _numpy_shifts(s, BREAKPOINTS)], s
+            want = _shift_grid(s, angles)
+            assert [t.tobytes() for t in want] == [t.tobytes() for t in _numpy_shifts(s, angles)], s
             assert np.array([_shifts(s, *row) for row in rows]).T.tobytes() == np.array(want).tobytes(), s
             for exact, floats in zip(breakpoint_shifts(s), want):
                 assert type(exact) is tuple and {type(x) for x in exact} == {QSqrt2}
                 assert np.abs(np.array([float(x) for x in exact]) - floats).max() <= np.spacing(max(1, abs(4 * s))), s
 
     def test_breakpoint_minimum_is_exact(self, rng):
-        # the minimum of t0* + t1* over BREAKPOINTS -- 0, pi/4 and pi/2
+        # the minimum of t0* + t1* over BREAKPOINT_ANGLES -- 0, pi/4 and pi/2
         # alone -- equals its minimum over a dense uniform grid with the clamp
         # angles asin/acos(1/|4s|) added, also for s within rounding of
         # |4s| = 1 and |4s| = sqrt 2, where clamp angles meet 0, pi/2 or pi/4
@@ -614,7 +609,7 @@ class TestCoefficientSearch:
         for s in np.concatenate([rng.uniform(-1, 2, 200), near, -near]):
             r = min(1.0, 1 / abs(4 * s))
             fine = np.concatenate([dense, [math.asin(r), math.acos(r)]])
-            coarse = sum(_shift_grid(s, BREAKPOINTS)).min()
+            coarse = sum(_shift_grid(s, BREAKPOINT_ANGLES)).min()
             assert coarse == pytest.approx(sum(_numpy_shifts(s, fine)).min(), abs=1e-12), s
 
     def test_intercepts_match_scalar_grid(self, rng):
@@ -628,7 +623,7 @@ class TestCoefficientSearch:
             exact0, exact1 = breakpoint_shifts(s)
             i = min(range(3), key=lambda j: exact0[j] + exact1[j])  # the first least
             assert (t0, t1) == (exact0[i], exact1[i]) and t == t0 + t1 and t == min(_g(s)), s
-            g = sum(_shift_grid(s, BREAKPOINTS))
+            g = sum(_shift_grid(s, BREAKPOINT_ANGLES))
             if np.sort(g)[1] - g.min() > 1e-13:
                 assert i == int(np.argmin(g)), s
             assert abs(float(t) - g.min()) <= np.spacing(max(1, abs(4 * s))), s
@@ -680,11 +675,11 @@ class TestCoefficientSearch:
 
     def test_split_is_the_theta_zero_minimiser(self):
         # at the returned s, one float below the kink, the first minimiser of
-        # t0* + t1* over BREAKPOINTS is theta = 0, where the split is
+        # t0* + t1* over BREAKPOINT_ANGLES is theta = 0, where the split is
         # t0 = 1 - 2s = (1 - sqrt 2)/2 + 2 (S_EXACT - s) and t1 = 1/2
         # (printed as -0.207106781 and 0.5)
         coeffs = coefficient_search()
-        t0, t1 = _shift_grid(coeffs.s, BREAKPOINTS)
+        t0, t1 = _shift_grid(coeffs.s, BREAKPOINT_ANGLES)
         assert int(np.argmin(t0 + t1)) == 0
         assert (coeffs.t0, coeffs.t1) == (t0[0], t1[0]) == (1 - 2 * coeffs.s, 0.5)
         assert abs(coeffs.t0 - (1 - SQRT2) / 2) <= 1e-9
@@ -778,6 +773,18 @@ class TestBoundFormulas:
             assert xi_star(beta) == pytest.approx(0.75 + math.sqrt(beta * beta - 4) / 8, abs=1e-15)
             assert analytic_bound(beta) - 1e-12 <= xi_star(beta) <= upper_bound(beta) + 1e-12
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, 1.9, 2.9, float(np.nextafter(2, 1)),
+                                      BETA_QUANTUM + 2 * certificate.ENDPOINT_SLACK])
+    def test_xi_star_refuses_beta_outside_the_quantum_range(self, beta):
+        # only [2, 2 sqrt 2 + ENDPOINT_SLACK] has a value: NaN and 2.9 used
+        # to read 1.0, and 1.9 a math domain error
+        with pytest.raises(ValidationError, match=r"^beta = \S+ outside \[2, 2\*sqrt\(2\)\]$"):
+            xi_star(beta)
+
+    def test_xi_star_at_the_ends_of_the_range(self):
+        assert xi_star(2.0) == xi_star(2) == 0.75
+        assert xi_star(BETA_QUANTUM + certificate.ENDPOINT_SLACK) == 1.0
+
     def test_threshold_value(self):
         assert THRESHOLD_BETA == pytest.approx(8 - 4 * SQRT2, abs=1e-12)
         assert THRESHOLD_BETA == pytest.approx(2.34314575050762, abs=1e-11)
@@ -812,7 +819,7 @@ class TestCertification:
         for _ in range(60):
             asm = realize(random_realization(rng, uniform_marginals=True))
             theta_star = max_violation_over_theta(asm)[0]
-            for theta in (theta_star, *BREAKPOINTS, float(rng.uniform(0, math.pi / 2))):
+            for theta in (theta_star, *BREAKPOINT_ANGLES, float(rng.uniform(0, math.pi / 2))):
                 assert certified_lower_bound(asm, theta) == analytic_bound(chsh_functional(asm, theta))
 
     def test_rejects_theta_outside_range(self):
@@ -1009,7 +1016,7 @@ def test_both_certificates_pick_the_same_breakpoint(capsys):
     for s in (0.0, S_OPTIMAL, float(np.nextafter(S_OPTIMAL, 1))):
         main(["verify-inequality", "--s", repr(s)])
         printed = re.search(r"^worst margin \S+ at theta = (\S+) ", capsys.readouterr().out).group(1)
-        i = [f"{theta:.9g}" for theta in BREAKPOINTS].index(printed)
+        i = [f"{theta:.9g}" for theta in BREAKPOINT_ANGLES].index(printed)
         _, t0, t1 = _intercepts(s)
         assert (t0, t1) == tuple(t[i] for t in breakpoint_shifts(s)), s
         picked.append(i)
