@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 # Tolerances: every numeric guard in steerbound, one name per decision, each
 # with its reason. Every use site imports its name, and no other 1e-N literal
@@ -41,8 +41,9 @@ BETA_QUANTUM = 2 * math.sqrt(2)
 class QSqrt2:
     """Exact number (a + b sqrt 2) / 2^k on Python ints a, b and k >= 0: +, -, *, abs and the comparisons are
     exact, with no division or sqrt, each a method on the ints that shifts an operand only at another scale k.
-    An int or a finite float operand is read exactly (every float is a dyadic rational), any other is
-    NotImplemented. ``float`` is the nearest float, ``floor`` the largest at or below; format formats float."""
+    Each operator builds its one result with ``_q``, and a comparison none: it passes the aligned difference's
+    ints to ``_sign``. An int or a finite float operand is read exactly (every float is a dyadic rational), any
+    other is NotImplemented. ``float`` is the nearest float, ``floor`` the largest at or below."""
 
     __slots__ = ("a", "b", "k")
 
@@ -53,26 +54,48 @@ class QSqrt2:
     def of(x):
         """x exactly, or None unless x is a QSqrt2, an int or a finite float."""
         if type(x) is QSqrt2:
-            return QSqrt2(x.a, x.b, x.k)
+            return _q(x.a, x.b, x.k)
         if not isinstance(x, (int, float)) or x - x != 0:  # x - x is NaN at +-inf
             return None
         a, d = x.as_integer_ratio()  # d = 2^k
-        return QSqrt2(a, 0, d.bit_length() - 1)
+        return _q(a, 0, d.bit_length() - 1)
+
+    def __add__(self, other):
+        if type(other) is not QSqrt2 and (other := QSqrt2.of(other)) is None:
+            return NotImplemented
+        k, j = self.k, other.k
+        if k < j:
+            return _q((self.a << j - k) + other.a, (self.b << j - k) + other.b, j)
+        return _q(self.a + (other.a << k - j), self.b + (other.b << k - j), k)
 
     def __sub__(self, other):
         if type(other) is not QSqrt2 and (other := QSqrt2.of(other)) is None:
             return NotImplemented
         k, j = self.k, other.k
-        if k == j:  # the same scale: no shift
-            return QSqrt2(self.a - other.a, self.b - other.b, k)
-        if k > j:
-            return QSqrt2(self.a - (other.a << k - j), self.b - (other.b << k - j), k)
-        return QSqrt2((self.a << j - k) - other.a, (self.b << j - k) - other.b, j)
+        if k < j:
+            return _q((self.a << j - k) - other.a, (self.b << j - k) - other.b, j)
+        return _q(self.a - (other.a << k - j), self.b - (other.b << k - j), k)
 
-    # one line each: + is - of the negated operand, every comparison the sign of the difference
-    def __add__(self, other): return self.__sub__(-other) if isinstance(other, (int, float, QSqrt2)) else NotImplemented
-    def __rsub__(self, other): return (-self).__add__(other)
-    def __neg__(self): return QSqrt2(-self.a, -self.b, self.k)
+    def _compare(self, other, op):
+        """op(the sign of self - other, 0), or NotImplemented."""
+        if type(other) is not QSqrt2 and (other := QSqrt2.of(other)) is None:
+            return NotImplemented
+        k, j = self.k, other.k
+        if k < j:
+            return op(_sign((self.a << j - k) - other.a, (self.b << j - k) - other.b), 0)
+        return op(_sign(self.a - (other.a << k - j), self.b - (other.b << k - j)), 0)
+
+    def __mul__(self, other):
+        if type(other) is int:  # an int factor scales a and b alone
+            return _q(self.a * other, self.b * other, self.k)
+        if type(other) is not QSqrt2 and (other := QSqrt2.of(other)) is None:
+            return NotImplemented
+        a, b, c, d = self.a, self.b, other.a, other.b
+        return _q(a * c + 2 * b * d, a * d + b * c, self.k + other.k)
+
+    # one line each: every comparison is the sign of the difference
+    def __rsub__(self, other): return NotImplemented if (other := QSqrt2.of(other)) is None else other.__sub__(self)
+    def __neg__(self): return _q(-self.a, -self.b, self.k)
     def __abs__(self): return -self if _sign(self.a, self.b) < 0 else self
     def __eq__(self, other): return self._compare(other, operator.eq)
     def __ne__(self, other): return self._compare(other, operator.ne)
@@ -81,22 +104,7 @@ class QSqrt2:
     def __gt__(self, other): return self._compare(other, operator.gt)
     def __ge__(self, other): return self._compare(other, operator.ge)
     def __format__(self, spec): return format(float(self), spec)
-    __radd__, __hash__ = __add__, None
-
-    def __mul__(self, other):
-        if type(other) is int:  # an int factor scales a and b alone
-            return QSqrt2(self.a * other, self.b * other, self.k)
-        if type(other) is not QSqrt2 and (other := QSqrt2.of(other)) is None:
-            return NotImplemented
-        a, b, c, d = self.a, self.b, other.a, other.b
-        return QSqrt2(a * c + 2 * b * d, a * d + b * c, self.k + other.k)
-
-    __rmul__ = __mul__
-
-    def _compare(self, other, op):
-        """op(the sign of self - other, 0), or NotImplemented."""
-        x = self.__sub__(other)
-        return x if x is NotImplemented else op(_sign(x.a, x.b), 0)
+    __radd__, __rmul__, __hash__ = __add__, __mul__, None
 
     def __float__(self):
         """Nearest float, ties to even. Over 2^(k+p+1), |b| sqrt 2 lies
@@ -116,6 +124,16 @@ class QSqrt2:
         return x if self >= x else math.nextafter(x, -math.inf)
 
 
+_NEW = object.__new__  # read once, not looked up again for every result
+
+
+def _q(a: int, b: int, k: int) -> QSqrt2:
+    """QSqrt2(a, b, k) with no Python-level ``__init__`` call: the one maker of every operator's result."""
+    x = _NEW(QSqrt2)
+    x.a, x.b, x.k = a, b, k
+    return x
+
+
 def _sign(a: int, b: int) -> int:
     """Sign of a + b sqrt 2, exactly: with no cancellation (a or b is 0, or both have one sign) that of a or b, else
     a's where a^2 > 2 b^2 and b's where not (a^2 = 2 b^2 only at 0)."""
@@ -132,11 +150,8 @@ TRIVIAL_CLASSICAL_FIDELITY = (2 + math.sqrt(2)) / 4
 THRESHOLD_BETA = 8 - 4 * math.sqrt(2)  # where analytic_bound reaches TRIVIAL_CLASSICAL_FIDELITY
 
 
-@dataclass(frozen=True)
-class BoundCoefficients:
-    s: float
-    t0: float
-    t1: float
+class BoundCoefficients(namedtuple("BoundCoefficients", "s t0 t1")):
+    __slots__ = ()
 
     @property
     def t(self) -> float:
@@ -156,16 +171,17 @@ def _coefficient_rule(s, factor):
 
 def _shifts(s, first, cos, sin):
     """(t0*, t1*) at one angle, by its ``first_interval`` flag, cosine and sine: one formula for float s and
-    for a QSqrt2 s on a row of ``BREAKPOINT_TABLE``, on the 1/2, 1 and -1 of s's arithmetic.
+    for a QSqrt2 s on a row of ``BREAKPOINT_TABLE``, on the 1/2 of s's arithmetic, with 2s formed once and the
+    sharp pair's k/2 read as that 1/2: 14 exact operations a row, ``_coefficient_rule``'s four included.
 
     K_{ax} = (I + (-1)^a k_x P_x)/2 and T_{ax} = (-1)^a 2 v_x P_x, with P = (Z, X) and v = (cos, sin): the
     channel keeps Gamma's pair sharp (k = 1) and shrinks the other by c. So K_{ax} - s T_{ax} - t I is (1/2 -
     t) I +/- z Z for x = 0 and (1/2 - t) I +/- x X for x = 1, with z = kz/2 - 2s cos(theta) and x = kx/2 - 2s
     sin(theta): PSD iff t <= 1/2 - |z| and t <= 1/2 - |x| respectively."""
-    half, one, _ = _EXACT_CONSTANTS if type(s) is QSqrt2 else _FLOAT_CONSTANTS
-    c = _coefficient_rule(s, sin if first else cos)
-    kz, kx = (one, c) if first else (c, one)
-    return half - abs(kz * half - 2 * s * cos), half - abs(kx * half - 2 * s * sin)
+    half, _, _ = _EXACT_CONSTANTS if type(s) is QSqrt2 else _FLOAT_CONSTANTS
+    c, s2 = _coefficient_rule(s, sin if first else cos) * half, 2 * s
+    hz, hx = (half, c) if first else (c, half)  # kz/2 and kx/2
+    return half - abs(hz - s2 * cos), half - abs(hx - s2 * sin)
 
 
 # 1/2, 1 and -1 exactly, read once, and as floats
@@ -251,4 +267,9 @@ def xi_star(beta: float) -> float:
     beta is in [BETA_CLASSICAL, BETA_QUANTUM + ENDPOINT_SLACK] (NaN is not)."""
     if not BETA_CLASSICAL <= beta <= BETA_QUANTUM + ENDPOINT_SLACK:
         raise ValidationError(f"beta = {beta} outside [2, 2*sqrt(2)]")
-    return 0.75 + min(1.0, math.sqrt(beta * beta / 4 - 1)) / 4
+    return 0.75 + _sharpness(beta) / 4
+
+
+def _sharpness(beta: float) -> float:
+    """The witness sharpness m = min(1, sqrt(beta^2/4 - 1)) at beta in [2, 2 sqrt 2], for xi_star and the sandwich."""
+    return min(1.0, math.sqrt(beta * beta / 4 - 1))

@@ -47,8 +47,8 @@ from itertools import repeat
 
 from .assemblage import _coefficients, parse_json
 from .certificate import (
-    _ROUNDING, BETA_CLASSICAL, BETA_QUANTUM, ENDPOINT_SLACK, SEARCH_TOLERANCE, ValidationError, analytic_bound,
-    upper_bound, xi_star,
+    _ROUNDING, BETA_CLASSICAL, BETA_QUANTUM, ENDPOINT_SLACK, SEARCH_TOLERANCE, ValidationError, _sharpness,
+    analytic_bound, upper_bound, xi_star,
 )
 from .matkernel import PauliRow
 from .selftest import dephasing_channel
@@ -248,15 +248,14 @@ def _leaf(v) -> str:
 
 def _records(betas) -> tuple:
     """Each target's record, read off closed forms with no matrix work:
-    m = min(1, sqrt(beta^2/4 - 1)), numeric_min = ``xi_star(beta)`` = 3/4 +
+    m = ``certificate._sharpness(beta)``, numeric_min = ``xi_star(beta)`` = 3/4 +
     m/4 = tr(J_id W) and gap = ``_ROUNDING``, since W = (2 I(x)I + Z(x)Z +
     m X(x)X)/8 has top eigenvalue (3 + m)/8: the identity channel and the
     H = 0 dual point meet, with exact gap 0. The targets are
     ``SearchConfig.check``'s to check."""
-    ms = [min(1.0, math.sqrt(beta * beta / 4 - 1)) for beta in betas]
     return tuple(
         SandwichRecord(beta, xi_star(beta), analytic_bound(beta), upper_bound(beta), _residual(m, beta), _ROUNDING, m)
-        for beta, m in zip(betas, ms)
+        for beta, m in zip(betas, map(_sharpness, betas))
     )
 
 

@@ -7,8 +7,9 @@ up to the first blank line, each ``NAME = value  # reason``. Every row gives
 two mutants, the value times 1e3 and times 1e-3. The structural rows
 (``STRUCTURAL``) each drop one ``_require_valid`` call, replacing it with its
 argument, and ``GUARDS`` each break one other guard: the exact decision of
-the certificate (``QSqrt2``'s sign and its two shortcuts, the tie rule,
-the kink check and ``verify-inequality``'s zero slack), the dephasing
+the certificate (``QSqrt2``'s sign, its shortcut and its three
+alignments, the tie rule, the kink check and ``verify-inequality``'s zero
+slack), the dephasing
 coefficient check, the elements' immutable buffer, the JSON parse's type
 and magnitude check, the sandwich record's float guard, ``validate``'s
 comparison of the kept
@@ -81,10 +82,11 @@ STRUCTURAL = (
 # Every other structural guard, broken: (label, module, old text, new text,
 # the test files that must kill it). QSqrt2's sign of a + b sqrt 2 is read
 # from a alone, ignoring the sqrt 2 term, its same-sign shortcut is taken
-# for a and b of opposite signs, its subtraction takes every pair of
-# operands for a pair at one scale k, the tie rule takes the last
-# least value, the kink check's rising piece has its intercept moved by
-# 2^-50 and verify-inequality's verdict takes back a 2^-46 (1.4e-14) slack,
+# for a and b of opposite signs, its + and its - each take a pair of
+# operands at two scales for a pair at one scale k, its comparisons shift
+# the wrong operand into alignment, the tie rule takes the last least
+# value, the kink check's rising piece has its intercept moved by 2^-50
+# and verify-inequality's verdict takes back a 2^-46 (1.4e-14) slack,
 # the dephasing coefficient check falls back to no check, the elements'
 # immutable buffer to a copy that is read-only by its flag only, the JSON
 # parse's one-pass type and magnitude check on every value to none, the
@@ -108,8 +110,12 @@ GUARDS = (
     ("QSqrt2 sign", "certificate.py", "else a if a * a > 2 * b * b else b", "else a",
      ("tests/test_selftest.py", "tests/test_cli.py")),
     ("QSqrt2 same-sign shortcut", "certificate.py", "(a < 0) == (b < 0)", "(a < 0) == (b > 0)", ("tests/test_selftest.py",)),
-    ("QSqrt2 same-scale alignment", "certificate.py", "if k == j:  # the same scale", "if True:  # the same scale",
-     ("tests/test_selftest.py",)),
+    ("QSqrt2 alignment, +", "certificate.py", "return _q(self.a + (other.a << k - j), self.b + (other.b << k - j), k)",
+     "return _q(self.a + other.a, self.b + other.b, k)", ("tests/test_selftest.py",)),
+    ("QSqrt2 alignment, -", "certificate.py", "return _q(self.a - (other.a << k - j), self.b - (other.b << k - j), k)",
+     "return _q(self.a - other.a, self.b - other.b, k)", ("tests/test_selftest.py",)),
+    ("QSqrt2 comparison alignment", "certificate.py", "op(_sign((self.a << j - k) - other.a, (self.b << j - k) - other.b)",
+     "op(_sign(self.a - (other.a << j - k), self.b - (other.b << j - k))", ("tests/test_selftest.py",)),
     ("tie rule", "certificate.py", "return values.index(min(values))",
      "return len(values) - 1 - values[::-1].index(min(values))", ("tests/test_selftest.py", "tests/test_cli.py")),
     ("kink check", "certificate.py", "if not t + 2 * s == 1.5:", "if not t + 2 * s == 1.5 + 2.0**-50:",
@@ -127,7 +133,8 @@ GUARDS = (
     ("CLI int overflow", "cli.py", "except (ValueError, OverflowError):", "except ValueError:", ("tests/test_cli.py",)),
     ("config tolerance overflow", "numsearch.py", "self.tolerance <= sys.float_info.max", "self.tolerance < math.inf",
      ("tests/test_numsearch.py",)),
-    ("xi_star closed form", "certificate.py", "return 0.75 + min(", "return 0.7500000001 + min(", ("tests/test_numsearch.py",)),
+    ("xi_star closed form", "certificate.py", "return 0.75 + _sharpness(beta)", "return 0.7500000001 + _sharpness(beta)",
+     ("tests/test_numsearch.py",)),
     ("config leaf writer", "numsearch.py", "_leaf(cfg.tolerance)", "float.__repr__(float(cfg.tolerance))",
      ("tests/test_numsearch.py",)),
     ("2x2 adjoint gap, validate", "matkernel.py", "2 * x_i, 2 * y_i", "-2 * y, 2 * y_i", ("tests/test_assemblage.py",)),

@@ -266,6 +266,25 @@ GOLDEN = {
         "min t0* + t1* = -12.1421356 at theta = 0.785398163 against T_OPTIMAL = 0.292893219\n",
         "operator inequality FAILED\n",
     ),
+    # the extreme alignments: the least subnormal is read at scale k = 1074,
+    # and 1e300 at scale 0 with a 997-bit numerator
+    ("verify-inequality", "--s", "5e-324"): (
+        0,
+        "worst margin 0.000e+00 at theta = 0 (s = 4.94065646e-324)\n"
+        "worst theta in [0, pi/4]: 0.785398163 (t0* + t1* = 0.5)\n"
+        "worst theta in [pi/4, pi/2]: 0.785398163 (t0* + t1* = 0.5)\n"
+        "min t0* + t1* = 0.5 at theta = 0.785398163 against T_OPTIMAL = 0.292893219\n"
+        "operator inequality verified\n",
+        "",
+    ),
+    ("verify-inequality", "--s", "1e300"): (
+        1,
+        "worst margin -2.828e+300 at theta = 0.785398163 (s = 1e+300)\n"
+        "worst theta in [0, pi/4]: 0.785398163 (t0* + t1* = -2.82842712e+300)\n"
+        "worst theta in [pi/4, pi/2]: 0.785398163 (t0* + t1* = -2.82842712e+300)\n"
+        "min t0* + t1* = -2.82842712e+300 at theta = 0.785398163 against T_OPTIMAL = 0.292893219\n",
+        "operator inequality FAILED\n",
+    ),
     ("classical-fidelity",): (
         0,
         "classical fidelity: 0.853553391\n"

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from steerbound import fidelity, numsearch
+from steerbound import certificate, fidelity, numsearch
 from steerbound.assemblage import (
     PROB_FLOOR,
     Assemblage,
@@ -371,6 +371,14 @@ class TestDefaultSweep:
         assert all(np.array_equal(r.witness["channel"]["re"], identity) for r in records)
         assert all(not np.any(r.witness["channel"]["im"]) for r in records)
         assert default_report.passed
+
+    def test_sharpness_has_one_copy(self, default_report):
+        # m = min(1, sqrt(beta^2/4 - 1)) is written once, in
+        # certificate._sharpness, which each record's m and xi_star read
+        assert all(r.m == certificate._sharpness(r.beta) for r in default_report.records)
+        package = Path(numsearch.__file__).parent
+        copies = [p.name for p in sorted(package.glob("*.py")) if "beta * beta / 4 - 1" in p.read_text()]
+        assert copies == ["certificate.py"]
 
     def test_stacked_solve_matches_single_targets(self, default_report):
         # one stacked solve for all targets gives each target's own record, bit for bit

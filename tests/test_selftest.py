@@ -1,5 +1,6 @@
 import decimal
 import math
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -136,6 +137,55 @@ class TestQSqrt2:
             low = x.floor()
             assert QSqrt2.of(low) <= x < float(np.nextafter(low, np.inf)), (x.a, x.b, x.k)
             assert f"{x:.3e}" == f"{value:.3e}"
+
+    def test_mixed_operands_at_every_scale(self, rng):
+        # the reflected and mixed forms the certificate uses, against the
+        # Fraction pairs and, for the comparisons, an exact sign: an int or a
+        # float on either side, scales k from 0 to past 1074 in both orders
+        # of alignment, and floats equal to the QSqrt2 at another scale
+        def pair(x):
+            return Fraction(x.a, 2**x.k), Fraction(x.b, 2**x.k)
+
+        def sign(x, y):
+            d = _decimal(x, 2000) - decimal.Decimal(y)  # x exact when b = 0, y always
+            return (d > 0) - (d < 0)
+
+        scales = (0, 1, 52, 53, 54, 500, 1074, 1100)
+        for k in scales:
+            for j in scales:
+                x = _random_qsqrt2(rng)
+                x = QSqrt2(x.a, x.b, k)
+                n = int(rng.integers(1, 2**20)) * (1 if rng.random() < 0.5 else -1)
+                f, i = math.ldexp(n, -min(j, 1074)), n << j // 8
+                assert Fraction(f) == Fraction(n, 2 ** min(j, 1074))
+                a, b = pair(x)
+                assert pair(i * x) == pair(x * i) == (a * i, b * i)
+                assert pair(f + x) == pair(x + f) == (a + Fraction(f), b)
+                assert pair(f - x) == (Fraction(f) - a, -b) and pair(x - f) == (a - Fraction(f), b)
+                same = QSqrt2(n << k, 0, k + min(j, 1074))  # f, at a scale k above its own
+                for y in (f, i, float(i)):
+                    for z in (x, same):
+                        want = sign(z, y)
+                        got = (z < y, z <= y, z == y, z != y, z >= y, z > y)
+                        assert got == (want < 0, want <= 0, want == 0, want != 0, want >= 0, want > 0), (k, j, y)
+                        got = (y > z, y >= z, y == z, y != z, y <= z, y < z)
+                        assert got == (want < 0, want <= 0, want == 0, want != 0, want >= 0, want > 0), (k, j, y)
+                assert same == f and f == same and not same != f
+
+    def test_operands_are_unchanged(self, rng):
+        # every operation builds a new result and leaves its operands' a, b
+        # and k as they were; abs of a value at or above 0 is the value
+        ops = (
+            operator.add, operator.sub, operator.mul, operator.eq, operator.ne,
+            operator.lt, operator.le, operator.gt, operator.ge,
+        )
+        values = [_random_qsqrt2(rng) for _ in range(6)] + [QSqrt2(-3, 1, 1100), QSqrt2(5, -7, 0)]
+        for x in values:
+            for y in [*values, 3, -2.5, 2.0**-1074]:
+                before = [(v.a, v.b, v.k) for v in (x, y) if type(v) is QSqrt2]
+                results = [op(x, y) for op in ops] + [op(y, x) for op in ops] + [-x, QSqrt2.of(x), 4 * x, x * 4]
+                assert (abs(x) is x) == (x >= 0) and not any(r is x or r is y for r in results)
+                assert [(v.a, v.b, v.k) for v in (x, y) if type(v) is QSqrt2] == before
 
     def test_other_operands_are_not_implemented(self):
         # an operand that is no int and no finite float is NotImplemented,
@@ -636,6 +686,9 @@ class TestCoefficientSearch:
         assert coeffs.s == S_OPTIMAL
         assert abs(coeffs.t - T_OPTIMAL) <= 1e-15
         assert abs(bound_value(coeffs, BETA_QUANTUM) - 1) <= 1e-15
+        # a named tuple (s, t0, t1): equal to the plain tuple, t their sum
+        assert coeffs == (coeffs.s, coeffs.t0, coeffs.t1) and coeffs.t == coeffs.t0 + coeffs.t1
+        assert all(type(v) is float for v in coeffs) and not hasattr(coeffs, "__dict__")
 
     def test_grid_lines_are_the_pieces_of_the_bound(self):
         # in exact arithmetic t(s) is the rising piece's 3/2 - 2s at S_OPTIMAL
