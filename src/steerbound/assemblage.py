@@ -18,7 +18,7 @@ from operator import add, sub
 
 import numpy as np
 
-from .certificate import CHSH_RESIDUE_TOL, PROB_FLOOR, VALIDITY_TOL, WEIGHT_SUM_TOL, ValidationError
+from .certificate import CHSH_RESIDUE_TOL, PROB_FLOOR, VALIDITY_TOL, WEIGHT_SUM_TOL, ValidationError, parse_json
 from .matkernel import (
     I2,
     I4,
@@ -187,15 +187,6 @@ def _coefficients(rows):
     if residue > CHSH_RESIDUE_TOL:
         raise ValidationError(f"functional has imaginary residue {residue:.3e}")
     return u, w
-
-
-def parse_json(text: str):
-    """json.loads(text); a document nested too deeply to parse is a
-    ValidationError, not a RecursionError."""
-    try:
-        return json.loads(text)
-    except RecursionError:
-        raise ValidationError("JSON document is nested too deeply to parse") from None
 
 
 def _json_field(obj, key: str, kind: type):

@@ -1,8 +1,8 @@
 """Certificate core, on the standard library alone: the shifts t0*, t1* of the operator inequalities
 K_{ax} >= s T_{ax} + t_{ax} I at the three breakpoint angles, decided exactly in Q(sqrt 2) (``QSqrt2``), the
 coefficients s = (1+sqrt(2))/4 and t = (2-sqrt(2))/2 as the kink of the concave bound at maximal violation, the
-lower and upper bounds, and the package's table of tolerances and ``ValidationError``. ``import steerbound.cli``,
-``verify-inequality`` and ``coefficient-search`` need nothing more, so they never import numpy; ``selftest``
+lower and upper bounds, the package's tolerances, ``ValidationError`` and ``parse_json``. ``import steerbound.cli``,
+both certificate commands and ``numsearch``'s sandwich need nothing more, so they never import numpy; ``selftest``
 builds the channel and witness on top of this module and re-exports its names.
 """
 
@@ -32,6 +32,16 @@ SEARCH_TOLERANCE = 1e-4  # SearchConfig's default pass slack of a sandwich recor
 
 class ValidationError(ValueError):
     """Input violates a documented precondition."""
+
+
+def parse_json(text: str):
+    """json.loads(text); a document nested too deeply to parse is a ValidationError, not a RecursionError. ``json``
+    is imported here, so that ``import steerbound.cli`` does not load it."""
+    import json
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValidationError("JSON document is nested too deeply to parse") from None
 
 
 BETA_CLASSICAL = 2.0

@@ -5,11 +5,11 @@ external plotting, operator-inequality sweeps, the classical-fidelity
 optimum, coefficient recovery, the numerical sandwich sweep, and
 assemblage realization/validation round-trips.
 
-``verify-inequality`` and ``coefficient-search`` run on ``certificate``
-alone, on the standard library: this module imports numpy and the modules
-built on it (``assemblage``, ``fidelity``, ``matkernel``, ``numsearch``)
-only inside the commands that need them, so ``import steerbound.cli`` and
-both certificate commands never load numpy.
+``verify-inequality``, ``coefficient-search`` and ``sandwich`` run on the
+standard library: this module imports ``numsearch``, numpy and the modules
+built on numpy (``assemblage``, ``fidelity``, ``matkernel``) only inside the
+commands that need them, so ``import steerbound.cli`` and those three
+commands never load numpy.
 
 Exit codes: 0 success, 1 computation failure, 2 usage error, 141 (128 +
 SIGPIPE, as a shell reports a process that signal ended) when the reader
@@ -25,7 +25,7 @@ import sys
 
 from . import certificate
 from .certificate import (
-    BETA_CLASSICAL, BETA_QUANTUM, ENDPOINT_SLACK, TRIVIAL_CLASSICAL_FIDELITY, VALIDITY_TOL, ValidationError,
+    BETA_CLASSICAL, BETA_QUANTUM, ENDPOINT_SLACK, TRIVIAL_CLASSICAL_FIDELITY, VALIDITY_TOL, ValidationError, parse_json,
 )
 
 
@@ -77,7 +77,7 @@ def _fmt(x: float) -> str:
 
 
 def cmd_bound_curve(args) -> int:
-    import numpy as np
+    import numpy as np  # its up-front allocation makes an unallocatable --points exit 1, not exhaust memory
     betas = np.linspace(args.beta_min, args.beta_max, args.points)
     lines = ["beta,analytic_lower,eq8_upper,trivial_fc"]
     for beta in betas:
@@ -156,7 +156,7 @@ def cmd_sandwich(args) -> int:
 
 def _load_state(spec: str):
     import numpy as np
-    from .assemblage import json_matrix, parse_json
+    from .assemblage import json_matrix
     from .matkernel import PHI_PLUS
     if spec == "phi+":
         return np.outer(PHI_PLUS, PHI_PLUS.conj())
@@ -167,7 +167,7 @@ def _load_state(spec: str):
 def _load_measurements(spec: str) -> list:
     """POVM elements as nested lists M[x][a]; ``QuantumRealization.check``
     decides their shape."""
-    from .assemblage import json_matrix, parse_json
+    from .assemblage import json_matrix
     from .matkernel import I2, PAULI_X, PAULI_Z
     if spec == "ZX":
         return [[(I2 + p) / 2, (I2 - p) / 2] for p in (PAULI_Z, PAULI_X)]

@@ -7,8 +7,8 @@ beta at theta* = atan m. Its fidelity operator W = (2 I(x)I + Z(x)Z +
 m X(x)X)/8 has eigenvalues (3 +- m)/8 and (1 +- m)/8, the top one at Phi+.
 So the identity channel (primal) and the dual point H = 0 (bound
 2 lambda_max(W)) meet at 3/4 + m/4 = 3/4 + sqrt(beta^2 - 4)/8, the closed
-form ``selftest.xi_star``. The sweep reads every column off closed forms,
-with no matrix work; only ``residual`` is read from the witness's entries.
+form ``certificate.xi_star``. The sweep reads every column off closed
+forms, with no matrix work, and imports ``certificate`` alone: no numpy.
 
 That value is ``numeric_min``: the exact extractability of a valid
 assemblage at CHSH value beta. It is the minimum for one qubit block with
@@ -25,9 +25,9 @@ or below the interpolation upper bound (eq8), its tangent at 2 sqrt 2.
 
 A record holds six float columns and the witness's m; ``winner`` is the
 class constant "witness". ``_witness`` defines the witness family once:
-the sweep reads each residual from its entries, ``record.witness`` is it
-at the record's m, and the record's compiled pieces are it with a slot at
-each entry that varies. ``SandwichReport.to_json`` joins the pieces
+``record.witness`` is it at the record's m, the record's compiled pieces
+are it with a slot at each entry that varies, and ``_residual`` reads its
+CHSH pair (2, 2m) in closed form. ``SandwichReport.to_json`` joins the pieces
 ``json.dumps(indent=2)`` writes around a report's slots, compiled once per
 shape, with each leaf's ``repr``: a record refuses any of its seven floats
 that is not finite, and ``SearchConfig.check`` any config leaf that is not
@@ -45,13 +45,10 @@ import sys
 from dataclasses import dataclass, fields
 from itertools import repeat
 
-from .assemblage import _coefficients, parse_json
 from .certificate import (
     _ROUNDING, BETA_CLASSICAL, BETA_QUANTUM, ENDPOINT_SLACK, SEARCH_TOLERANCE, ValidationError, _sharpness,
-    analytic_bound, upper_bound, xi_star,
+    analytic_bound, parse_json, upper_bound, xi_star,
 )
-from .matkernel import PauliRow
-from .selftest import dephasing_channel
 
 
 def _is_int(v) -> bool:
@@ -121,7 +118,8 @@ class SearchConfig:
 # ---------------------------------------------------------------------------
 # The witness
 
-_IDENTITY = dephasing_channel(0.0, 1.0).choi  # the identity channel's Choi matrix
+# the identity channel's Choi matrix, sum_ij |ii><jj|: real, 1 at (0, 0), (0, 3), (3, 0) and (3, 3)
+_IDENTITY = ((1.0, 0.0, 0.0, 1.0), (0.0,) * 4, (0.0,) * 4, (1.0, 0.0, 0.0, 1.0))
 
 
 def _witness(plus, minus, theta) -> dict:
@@ -133,7 +131,7 @@ def _witness(plus, minus, theta) -> dict:
     re = ([[0.5, 0.0], [0.0, 0.0]], [[0.25, plus], [plus, 0.25]], [[0.0, 0.0], [0.0, 0.5]],
           [[0.25, minus], [minus, 0.25]])
     elements = [{"a": i // 2, "x": i % 2, "re": rows, "im": [[0.0, 0.0], [0.0, 0.0]]} for i, rows in enumerate(re)]
-    channel = {"re": _IDENTITY.real.tolist(), "im": _IDENTITY.imag.tolist()}
+    channel = {"re": list(map(list, _IDENTITY)), "im": [[0.0] * 4 for _ in _IDENTITY]}
     return {"assemblage": {"outcomes": 2, "settings": 2, "elements": elements}, "theta": theta, "channel": channel}
 
 
@@ -259,16 +257,12 @@ def _records(betas) -> tuple:
     )
 
 
-_SETTING_0 = PauliRow(alpha=0.25, z=0.25), PauliRow(alpha=0.25, z=-0.25)  # the witness's sigma_{a|0} = (I +- Z)/4
-
-
 def _residual(m: float, beta: float) -> float:
-    """|CHSH - beta| of the witness at m, ``abs(chsh_functional(asm, atan m) - beta)`` computed by the same
-    reader from the Pauli rows of the elements ``_witness`` writes: ``_SETTING_0`` and sigma_{a|1} = I/4 +
-    (plus or minus) X, plus = m/4 and minus = -m/4."""
-    (s00, s10), theta = _SETTING_0, math.atan(m)
-    u, w = _coefficients((s00, PauliRow(alpha=0.25, x=m / 4), s10, PauliRow(alpha=0.25, x=-m / 4)))
-    return abs(u * math.cos(theta) + w * math.sin(theta) - beta)
+    """|CHSH - beta| of the witness at m, read at theta = atan m: ``_witness``'s elements give the CHSH pair u =
+    4 (1/4 + 1/4) = 2 and w = 4 (m/4 + m/4) = 2 m exactly (each step scales by a power of two), so this is
+    ``abs(chsh_functional(asm, atan m) - beta)`` bit for bit."""
+    theta = math.atan(m)
+    return abs(2.0 * math.cos(theta) + 2 * m * math.sin(theta) - beta)
 
 
 def sandwich_sweep(cfg: SearchConfig) -> SandwichReport:

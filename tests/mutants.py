@@ -17,8 +17,9 @@ measures with its tolerance or an overflow guard (a CLI integer or a config
 tolerance past the float range); one perturbs ``xi_star``, the closed form
 the sandwich reads its ``numeric_min`` from, one the report's writer of
 a config leaf, two the shared 2x2 closed form, once for each reader, one
-swaps two components in the one reader of a 2x2 matrix's entries, and one
-imports numpy into the standard-library certificate core.
+swaps two components in the one reader of a 2x2 matrix's entries, and two
+import numpy, one into the standard-library certificate core and one into
+the sandwich's ``numsearch``.
 For each mutant, ``src/``, ``tests/`` and ``pyproject.toml`` are copied to a
 temporary directory, its text (which must occur exactly once in its file)
 is replaced there, and its test files run with ``pytest -x``. A failing test kills the mutant; a mutant
@@ -103,9 +104,10 @@ STRUCTURAL = (
 # test_matkernel.py alone, so both readers of the one copy, validate's kept
 # measures and hermitian_min_eigvals, are shown to read it. One swaps x and
 # z in matkernel._pauli_rows, the one reader of a 2x2 matrix's entries,
-# which test_matkernel.py alone must catch. The last row imports numpy at
-# the top of certificate.py, which test_numpy_free.py alone must catch: the
-# certificate commands would load numpy again.
+# which test_matkernel.py alone must catch. The last two rows import numpy
+# at the top of certificate.py and of numsearch.py, which test_numpy_free.py
+# alone must catch: the certificate commands, or the sandwich, would load
+# numpy again.
 GUARDS = (
     ("QSqrt2 sign", "certificate.py", "else a if a * a > 2 * b * b else b", "else a",
      ("tests/test_selftest.py", "tests/test_cli.py")),
@@ -142,6 +144,8 @@ GUARDS = (
     ("Pauli row x and z swapped", "matkernel.py", "_row((ar + dr, br + cr, ci - bi, ar - dr,",
      "_row((ar + dr, ar - dr, ci - bi, br + cr,", ("tests/test_matkernel.py",)),
     ("numpy-free core", "certificate.py", "from __future__ import annotations\n",
+     "from __future__ import annotations\n\nimport numpy\n", ("tests/test_numpy_free.py",)),
+    ("numpy-free sandwich", "numsearch.py", "from __future__ import annotations\n",
      "from __future__ import annotations\n\nimport numpy\n", ("tests/test_numpy_free.py",)),
 )
 

@@ -1,8 +1,10 @@
-"""The certificate commands run on the standard library alone: importing the
-package, the certificate core's names and ``steerbound.cli``, and running
-``verify-inequality``, ``coefficient-search`` and ``--help``, loads no numpy, and
+"""The certificate commands and the sandwich run on the standard library
+alone: importing the package, the certificate core's names and ``steerbound.cli``,
+and running ``verify-inequality``, ``coefficient-search`` and ``--help``, loads no numpy, and
 no ``dataclasses`` either (with ``inspect`` and ``ast`` behind it, about half
-of the package's import time)."""
+of the package's import time); ``import steerbound.cli`` loads no ``json``; and
+``sandwich`` loads no numpy and no module of the package but ``certificate``,
+``cli`` and ``numsearch``."""
 
 import json
 import os
@@ -55,19 +57,67 @@ def _in_process(argv, capsys):
     return [code, out, err]
 
 
-def test_certificate_commands_import_no_numpy(capsys):
+def _run_child(program, argvs) -> dict:
+    """The JSON report that ``program`` prints in a fresh interpreter given ``argvs``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     child = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(ARGVS)], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", program, json.dumps(argvs)], capture_output=True, text=True, env=env, check=True
     )
-    report = json.loads(child.stdout)
+    return json.loads(child.stdout)
+
+
+def test_certificate_commands_import_no_numpy(capsys):
+    report = _run_child(CHILD, ARGVS)
     assert report["numpy"] == [] and report["dataclasses"] is False
     # the same bytes and exit codes as with numpy loaded, and the pinned ones
     for argv, got in zip(ARGVS, report["results"], strict=True):
         assert got == _in_process(argv, capsys), argv
         if tuple(argv) in GOLDEN:
             assert tuple(got) == GOLDEN[tuple(argv)], argv
+
+
+# the default, seven-target and least-tolerance configs of the CI smoke run
+SANDWICH_CONFIGS = {
+    "default": "{}",
+    "seven": '{"beta_targets": [2.05, 2.1, 2.34, 2.5, 2.6, 2.7, 2.8284271247461903]}',
+    "least": '{"beta_targets": [2.522268017964232, 2.72988755493037], "tolerance": 1e-14}',
+}
+
+# json is imported only after steerbound.cli, so that its absence there shows
+SANDWICH_CHILD = """
+import sys
+from steerbound import cli
+json_loaded = "json" in sys.modules
+import contextlib, io, json
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "steerbound"))
+print(json.dumps({"json": json_loaded, "loaded": loaded, "results": results}))
+"""
+
+
+def _sandwich_argv(tmp_path, name, side):
+    config = tmp_path / f"{name}.json"
+    config.write_text(SANDWICH_CONFIGS[name])
+    out = [str(tmp_path / f"{side}-{name}.{ext}") for ext in ("json", "csv")]
+    return ["sandwich", "--config", str(config), "--out-json", out[0], "--out-csv", out[1]]
+
+
+def test_sandwich_imports_no_numpy(tmp_path, capsys):
+    report = _run_child(SANDWICH_CHILD, [_sandwich_argv(tmp_path, name, "child") for name in SANDWICH_CONFIGS])
+    assert report["json"] is False
+    assert report["loaded"] == ["steerbound", "steerbound.certificate", "steerbound.cli", "steerbound.numsearch"]
+    # the same bytes, exit codes and files as with numpy loaded
+    for name, got in zip(SANDWICH_CONFIGS, report["results"], strict=True):
+        assert got == _in_process(_sandwich_argv(tmp_path, name, "parent"), capsys), name
+        for ext in ("json", "csv"):
+            written = (tmp_path / f"{side}-{name}.{ext}" for side in ("child", "parent"))
+            assert len(set(map(Path.read_bytes, written))) == 1, (name, ext)
 
 
 def test_parser_limits_are_numpys():
