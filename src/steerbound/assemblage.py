@@ -82,8 +82,8 @@ class Assemblage:
         return self.elements.shape[1]
 
     def probabilities(self) -> np.ndarray:
-        """p(a|x) = tr sigma_{a|x}, as an (outcomes, settings) array."""
-        return np.trace(self.elements, axis1=2, axis2=3).real
+        """p(a|x) = tr sigma_{a|x} = 2 alpha of its Pauli row, as an (outcomes, settings) array."""
+        return np.array([2 * row.alpha for row in self._pauli]).reshape(self.outcomes, self.settings)
 
     @cached_property
     def _measures(self) -> tuple:

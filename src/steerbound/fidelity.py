@@ -126,14 +126,12 @@ def _trace_out(choi: np.ndarray) -> np.ndarray:
 
 
 _REFERENCE = chsh_reference()
-_REFERENCE_P = _REFERENCE.probabilities()
-_REFERENCE_STATES = _REFERENCE.elements / _REFERENCE_P[..., None, None]
-# tr(J W) = sum over (a, x) of (row . v_ax) / sqrt(p(a|x)), row the Pauli row of sigma_{a|x} and v =
-# _REFERENCE_MAP @ (J.ravel() read as floats): v_ax[r], the term at p(a|x) = 1 and sigma_{a|x} = B_r = PAULI_BASIS[r],
-# is Re[(sqrt(p*(a|x)) / |X|) sum_ijcd B_r[j, i] rho*_{a|x}[c, d] conj(J[(i, c), (j, d)])]
-_REFERENCE_MAP = np.ascontiguousarray(np.einsum(
-    "ax,rji,axcd->axricjd", np.sqrt(_REFERENCE_P) / _REFERENCE.settings, PAULI_BASIS, _REFERENCE_STATES
-).reshape(4, 8, 16)).view(float)
+# _REFERENCE_MAP[8 k + r] is W at p(a|x) = 1 and sigma_{a|x} = B_r = PAULI_BASIS[r], row k = a * |X| + x of
+# Assemblage._pauli: (sqrt(p*(a|x)) / |X|) B_r^T (x) rho*_{a|x}, its 16 entries read as 32 floats
+_REFERENCE_MAP = np.array([
+    [np.kron(b.T, sigma / p) * (math.sqrt(p) / _REFERENCE.settings) for b in PAULI_BASIS]
+    for sigma, p in zip(_REFERENCE.elements.reshape(-1, 2, 2), _REFERENCE.probabilities().ravel().tolist())
+]).view(float).reshape(32, 32)
 _REFERENCE_MAP.flags.writeable = False
 
 
@@ -143,21 +141,20 @@ def fidelity_operator(asm: Assemblage) -> np.ndarray:
 
         W = (1/|X|) sum_{a,x} sqrt(p*(a|x) / p(a|x)) sigma_{a|x}^T (x) rho*_{a|x}
 
-    where rho* are the CHSH reference's conditional states. The identity
-    needs every rho* to be pure. Elements with p(a|x) below PROB_FLOOR
-    contribute zero, as in assemblage_fidelity.
+    where rho* are the CHSH reference's conditional states: each Pauli row
+    of the assemblage, over sqrt(p(a|x)) = sqrt(2 alpha), times its rows of
+    the one constant ``_REFERENCE_MAP``. The identity needs every rho* to be
+    pure. Elements with p(a|x) below PROB_FLOOR contribute zero, as in
+    assemblage_fidelity.
     """
-    _check_reference_shape(asm)
-    p = np.trace(asm.elements, axis1=-2, axis2=-1).real
-    live = p >= PROB_FLOOR
-    weights = np.where(live, np.sqrt(_REFERENCE_P) / np.sqrt(np.where(live, p, 1.0)), 0.0)
-    w = np.einsum("ax,axji,axcd->icjd", weights, asm.elements, _REFERENCE_STATES)
-    return w.reshape(4, 4) / _REFERENCE.settings
-
-
-def _check_reference_shape(asm: Assemblage) -> None:
     if asm.elements.shape != _REFERENCE.elements.shape:
         raise ValidationError("extractability needs a two-setting, two-outcome assemblage")
+    weights = []
+    for row in asm._pauli:
+        p = 2 * row.alpha
+        root = math.sqrt(p) if p >= PROB_FLOOR else math.inf  # each component over inf adds zero
+        weights += [c / root for c in row]
+    return (np.array(weights) @ _REFERENCE_MAP).view(complex).reshape(4, 4)
 
 
 # Dual slack Z = y I - W + sum_k h_k (sigma_k (x) I); its derivatives in

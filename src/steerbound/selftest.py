@@ -18,21 +18,20 @@ angle, the extractability witness and per-assemblage certification.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 
 import numpy as np
 
 from .assemblage import Assemblage, _require_valid
 from .certificate import (  # re-exported: the certificate core's public names, and what this module reads
-    BETA_CLASSICAL, BETA_QUANTUM, BREAKPOINT_ANGLES, BREAKPOINT_TABLE, ENDPOINT_SLACK, MARGINAL_WINDOW, PROB_FLOOR,
-    S_EXACT, S_OPTIMAL, T_EXACT, T_OPTIMAL, THRESHOLD_BETA, TRIVIAL_CLASSICAL_FIDELITY, BoundCoefficients, QSqrt2,
+    BETA_CLASSICAL, BETA_QUANTUM, BREAKPOINT_ANGLES, BREAKPOINT_TABLE, ENDPOINT_SLACK, MARGINAL_WINDOW, S_EXACT,
+    S_OPTIMAL, T_EXACT, T_OPTIMAL, THRESHOLD_BETA, TRIVIAL_CLASSICAL_FIDELITY, BoundCoefficients, QSqrt2,
     ValidationError, _coefficient_rule, _shifts, analytic_bound, bound_value, breakpoint_shifts, coefficient_search,
     first_interval, upper_bound, xi_star,
 )
-from .fidelity import _REFERENCE_MAP, ExtractionChannel, _check_reference_shape
+from .fidelity import ExtractionChannel, fidelity_operator
 from .matkernel import I2, PAULI_X, PAULI_Z
-from .steering import _maximum, _one_real, check_theta
+from .steering import _one_real, check_theta, chsh_functional, max_violation_over_theta
 
 
 def _unitary_choi(u: np.ndarray) -> np.ndarray:
@@ -49,11 +48,12 @@ _CHOI_I, _CHOI_Z, _CHOI_X = (_unitary_choi(u) for u in (I2, PAULI_Z, PAULI_X))
 
 def dephasing_channel(theta: float, c: float) -> ExtractionChannel:
     """Two-term dephasing channel (1+c)/2 rho + (1-c)/2 G rho G with G = Z on [0, pi/4] and G = X on (pi/4,
-    pi/2]. ValidationError unless c is finite and in [-1, 1], where the map is a channel. Its Choi matrix is
+    pi/2]. ValidationError unless c is one real number in [-1, 1], where the map is a channel. Its Choi matrix is
     (1+c)/2 J_I + (1-c)/2 J_G, from the constant Choi matrices of the identity and of G."""
     check_theta(theta)
-    if not -1 <= c <= 1:  # a NaN fails too
+    if not -1 <= _one_real(c, "c") <= 1:  # a NaN fails too
         raise ValidationError(f"dephasing coefficient c = {c} outside [-1, 1]")
+    c = float(c)  # in float32, (1+c)/2 + (1-c)/2 misses 1 by about 3e-8: J would be no channel
     gamma = _CHOI_Z if first_interval(theta) else _CHOI_X
     return ExtractionChannel(0.5 * (1 + c) * _CHOI_I + 0.5 * (1 - c) * gamma)
 
@@ -84,17 +84,9 @@ def t_constraints(s, theta) -> tuple:
 
 
 def extractability_with_channel(asm: Assemblage, channel: ExtractionChannel) -> float:
-    """Fidelity of the reference with the channel applied elementwise, tr(J W) with W =
-    ``fidelity_operator(asm)``, from the assemblage's Pauli rows and ``fidelity._REFERENCE_MAP``, no W built
-    (p(a|x) = 2 alpha below PROB_FLOOR adds zero): a lower-bound witness for extractability at this channel."""
-    _check_reference_shape(asm)
-    weights = (_REFERENCE_MAP @ np.asarray(channel.choi, complex).reshape(16).view(float)).tolist()
-    total = 0.0
-    for row, row_weights in zip(asm._pauli, weights):
-        p = 2 * row.alpha
-        if p >= PROB_FLOOR:
-            total += sum(map(operator.mul, row, row_weights)) / math.sqrt(p)
-    return total
+    """Fidelity of the reference with the channel applied elementwise, tr(J W) = <J, W> with W =
+    ``fidelity_operator(asm)``: a lower-bound witness for extractability at this channel."""
+    return float(np.vdot(channel.choi, fidelity_operator(asm)).real)
 
 
 def certified_lower_bound(asm: Assemblage, theta: float) -> float:
@@ -108,10 +100,9 @@ def certified_lower_bound(asm: Assemblage, theta: float) -> float:
     dev = asm.max_marginal_deviation()
     if dev > MARGINAL_WINDOW:
         raise ValidationError(f"analytic bound assumes p(a|x) = 1/2; deviation {dev:.3e} exceeds {MARGINAL_WINDOW:.0e}")
-    u, w = asm._chsh  # kept: the maximum and beta at theta both come from them
-    peak = _maximum(u, w)[1]
+    peak = max_violation_over_theta(asm)[1]
     if peak > BETA_QUANTUM + ENDPOINT_SLACK:
         raise ValidationError(f"CHSH maximum {peak:.9g} exceeds 2 sqrt(2): not a quantum assemblage")
-    check_theta(theta)
+    beta = chsh_functional(asm, theta)  # refuses theta before the validity check
     _require_valid(asm)
-    return analytic_bound(u * math.cos(theta) + w * math.sin(theta))
+    return analytic_bound(beta)

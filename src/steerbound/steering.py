@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .assemblage import Assemblage
-from .certificate import BETA_CLASSICAL, BETA_QUANTUM, ENDPOINT_SLACK, ValidationError
+from .certificate import ENDPOINT_SLACK, ValidationError
 from .matkernel import PAULI_X, PAULI_Z
 
 
@@ -51,19 +51,16 @@ def chsh_functional(asm: Assemblage, theta: float) -> float:
 
 
 def max_violation_over_theta(asm: Assemblage):
-    """(theta*, beta*): the maximum of the functional over theta in [0, pi/2].
+    """(theta*, beta*): the maximum of the functional over theta in [0, pi/2],
+    with beta* = ``chsh_functional(asm, theta*)``.
 
     For u, w > 0 (the CHSH pair ``Assemblage._chsh``) the maximum is
     hypot(u, w) at atan2(w, u); otherwise there is no interior maximum and
     the better endpoint wins: theta* = 0 if u >= w, else pi/2.
     """
-    return _maximum(*asm._chsh)
-
-
-def _maximum(u: float, w: float):
-    """(theta*, beta*) of ``max_violation_over_theta`` from the coefficients."""
+    u, w = asm._chsh
     if u > 0 and w > 0:
         theta = math.atan2(w, u)
     else:
         theta = 0.0 if u >= w else math.pi / 2
-    return theta, u * math.cos(theta) + w * math.sin(theta)
+    return theta, chsh_functional(asm, theta)

@@ -22,9 +22,9 @@ import numpy as np
 
 from steerbound.assemblage import Assemblage, chsh_reference
 from steerbound.fidelity import extractability
-from steerbound.certificate import MARGINAL_WINDOW
+from steerbound.certificate import BETA_CLASSICAL, BETA_QUANTUM, MARGINAL_WINDOW
 from steerbound.matkernel import I2, KET0, KET1, PAULI_X, PAULI_Y, PAULI_Z, projector
-from steerbound.steering import BETA_CLASSICAL, BETA_QUANTUM, max_violation_over_theta
+from steerbound.steering import max_violation_over_theta
 
 
 def general_assemblage(rng) -> Assemblage:

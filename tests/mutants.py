@@ -16,10 +16,11 @@ comparison of the kept
 measures with its tolerance or an overflow guard (a CLI integer or a config
 tolerance past the float range); one perturbs ``xi_star``, the closed form
 the sandwich reads its ``numeric_min`` from, one the report's writer of
-a config leaf, two the shared 2x2 closed form, once for each reader, one
-swaps two components in the one reader of a 2x2 matrix's entries, and two
-import numpy, one into the standard-library certificate core and one into
-the sandwich's ``numsearch``.
+a config leaf, two the shared 2x2 closed form, once for each reader, two
+the one map of tr(J W), once for each reader, one swaps two components in
+the one reader of a 2x2 matrix's entries, and two import numpy, one into
+the standard-library certificate core and one into the sandwich's
+``numsearch``.
 For each mutant, ``src/``, ``tests/`` and ``pyproject.toml`` are copied to a
 temporary directory, its text (which must occur exactly once in its file)
 is replaced there, and its test files run with ``pytest -x``. A failing test kills the mutant; a mutant
@@ -102,7 +103,11 @@ STRUCTURAL = (
 # the Pauli row of M - M^dagger taking -2 y (b - c = 2 y_i - 2i y) for
 # 2 x_i. One is killed by test_assemblage.py alone and the other by
 # test_matkernel.py alone, so both readers of the one copy, validate's kept
-# measures and hermitian_min_eigvals, are shown to read it. One swaps x and
+# measures and hermitian_min_eigvals, are shown to read it. The next two
+# build fidelity._REFERENCE_MAP, the one map of tr(J W), from B_r in place
+# of B_r^T (Y^T = -Y): one is killed by test_selftest.py alone, through the
+# witness extractability_with_channel, and the other by test_numsearch.py
+# alone, through fidelity_operator. One swaps x and
 # z in matkernel._pauli_rows, the one reader of a 2x2 matrix's entries,
 # which test_matkernel.py alone must catch. The last two rows import numpy
 # at the top of certificate.py and of numsearch.py, which test_numpy_free.py
@@ -123,7 +128,8 @@ GUARDS = (
     ("kink check", "certificate.py", "if not t + 2 * s == 1.5:", "if not t + 2 * s == 1.5 + 2.0**-50:",
      ("tests/test_selftest.py", "tests/test_cli.py")),
     ("verify slack", "cli.py", "if not worst >= 0:", "if not worst >= -2.0**-46:", ("tests/test_cli.py",)),
-    ("dephasing coefficient check", "selftest.py", "if not -1 <= c <= 1:", "if False:", ("tests/test_selftest.py",)),
+    ("dephasing coefficient check", "selftest.py", 'if not -1 <= _one_real(c, "c") <= 1:', "if False:",
+     ("tests/test_selftest.py",)),
     ("immutable elements", "assemblage.py", "np.frombuffer(given.tobytes(), complex).reshape(given.shape)",
      "given.copy(); elements.flags.writeable = False", ("tests/test_assemblage.py",)),
     ("parse value check", "assemblage.py",
@@ -141,6 +147,10 @@ GUARDS = (
      ("tests/test_numsearch.py",)),
     ("2x2 adjoint gap, validate", "matkernel.py", "2 * x_i, 2 * y_i", "-2 * y, 2 * y_i", ("tests/test_assemblage.py",)),
     ("2x2 adjoint gap, eigvals", "matkernel.py", "2 * x_i, 2 * y_i", "-2 * y, 2 * y_i", ("tests/test_matkernel.py",)),
+    ("W map B_r^T as B_r, witness", "fidelity.py", "np.kron(b.T, sigma / p)", "np.kron(b, sigma / p)",
+     ("tests/test_selftest.py",)),
+    ("W map B_r^T as B_r, operator", "fidelity.py", "np.kron(b.T, sigma / p)", "np.kron(b, sigma / p)",
+     ("tests/test_numsearch.py",)),
     ("Pauli row x and z swapped", "matkernel.py", "_row((ar + dr, br + cr, ci - bi, ar - dr,",
      "_row((ar + dr, ar - dr, ci - bi, br + cr,", ("tests/test_matkernel.py",)),
     ("numpy-free core", "certificate.py", "from __future__ import annotations\n",

@@ -41,8 +41,8 @@ from steerbound.selftest import (
     t_constraints,
     upper_bound,
 )
+from steerbound.certificate import BETA_QUANTUM
 from steerbound.steering import (
-    BETA_QUANTUM,
     chsh_functional,
     max_violation_over_theta,
 )

@@ -26,9 +26,10 @@ from steerbound.fidelity import (
     extractability,
     fidelity_operator,
 )
-from steerbound.certificate import _ROUNDING
+from steerbound.certificate import _ROUNDING, BETA_CLASSICAL, BETA_QUANTUM
 from steerbound.matkernel import (
     I2,
+    PAULI_BASIS,
     PAULI_X,
     PAULI_Z,
     ValidationError,
@@ -48,7 +49,7 @@ from steerbound.selftest import (
     extractability_with_channel,
     upper_bound,
 )
-from steerbound.steering import BETA_CLASSICAL, BETA_QUANTUM, chsh_functional, max_violation_over_theta
+from steerbound.steering import chsh_functional, max_violation_over_theta
 from devices import general_assemblage
 
 SQRT2 = math.sqrt(2)
@@ -574,9 +575,9 @@ def one_witness(beta):
 
 
 def one_fidelity_operator(asm):
-    """fidelity_operator's formula for one assemblage, with no stack axis."""
+    """W by its definition, from the elements: p(a|x) by np.trace and one einsum."""
     reference = chsh_reference()
-    p_ref, p = reference.probabilities(), asm.probabilities()
+    p_ref, p = (np.trace(a.elements, axis1=2, axis2=3).real for a in (reference, asm))
     live = p >= PROB_FLOOR
     weights = np.where(live, np.sqrt(p_ref) / np.sqrt(np.where(live, p, 1.0)), 0.0)
     states = reference.elements / p_ref[..., None, None]
@@ -616,15 +617,20 @@ class TestClosedFormSweep:
             assert theta == math.atan(min(1.0, math.sqrt(beta * beta / 4 - 1)))
 
     def test_operator_matches_one_target_formula(self):
+        # W from the Pauli rows and the reference map, against the einsum of
+        # its definition within 1e-15; the last item is not Hermitian, with
+        # every component of every row nonzero, so the map's i B_r half is read
         rng = np.random.default_rng(20240817)
         rho = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
         asms = [Assemblage([[rho, rho / 2], [rho * 1e-13, rho / 2]])]  # one p(a|x) below PROB_FLOOR
         for kwargs in ({}, {"projective": False}, {"uniform_marginals": True}):
             asms += [realize(random_realization(rng, **kwargs)) for _ in range(100)]
-        assert asms[0].probabilities()[1, 0] < PROB_FLOOR and len(asms) == 301
+        asms.append(Assemblage(np.tensordot(rng.uniform(0.1, 0.3, size=(2, 2, 8)), PAULI_BASIS, 1)))
+        assert asms[0].probabilities()[1, 0] < PROB_FLOOR and len(asms) == 302
+        assert all(c != 0 for row in asms[-1]._pauli for c in row)
         for asm in asms:
             w = fidelity_operator(asm)
-            assert w.shape == (4, 4) and w.tobytes() == one_fidelity_operator(asm).tobytes()
+            assert w.shape == (4, 4) and np.abs(w - one_fidelity_operator(asm)).max() <= 1e-15
 
     def test_sweep_builds_no_fidelity_operator(self, monkeypatch):
         # no module of the package reaches a W builder or an einsum

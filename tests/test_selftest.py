@@ -10,8 +10,10 @@ import pytest
 
 from steerbound.assemblage import Assemblage, chsh_reference, random_realization, realize, validate
 from steerbound.cli import main
-from steerbound.fidelity import ExtractionChannel, assemblage_fidelity, fidelity_operator
-from steerbound.certificate import PROB_FLOOR, _coefficient_rule, _first_tied, _intercepts, _shifts
+from steerbound.fidelity import ExtractionChannel, assemblage_fidelity
+from steerbound.certificate import (
+    BETA_CLASSICAL, BETA_QUANTUM, PROB_FLOOR, _coefficient_rule, _first_tied, _intercepts, _shifts,
+)
 from steerbound.matkernel import I2, KET0, PAULI_X, PAULI_Z, ValidationError, projector
 from steerbound import certificate, selftest
 from steerbound.selftest import (
@@ -37,7 +39,7 @@ from steerbound.selftest import (
     upper_bound,
     xi_star,
 )
-from steerbound.steering import BETA_CLASSICAL, BETA_QUANTUM, chsh_functional, max_violation_over_theta, t_operators
+from steerbound.steering import chsh_functional, max_violation_over_theta, t_operators
 from devices import REFERENCE, Z_SHARP_X_BLANK, block_point, chord_device, device_point, general_assemblage
 
 SQRT2 = math.sqrt(2)
@@ -231,6 +233,15 @@ class TestDephasingChannel:
             np.testing.assert_allclose(ch.apply(m), ch.dual(m), atol=1e-12)
         stack = chsh_reference().elements  # both maps take (..., 2, 2) stacks
         np.testing.assert_allclose(ch.dual(stack), ch.apply(stack), atol=1e-12)
+
+    def test_coefficient_is_one_real_number(self):
+        # c is read like theta and s: a string, None, a list, a complex number
+        # or an array (a 0-d or a one-element one too) is one ValidationError
+        for c in ("0.5", None, [0.5], 0.5j, np.array([0.2, 0.3]), np.array([0.5]), np.array(0.5)):
+            with pytest.raises(ValidationError, match="must be one real number"):
+                dephasing_channel(0.1, c)
+        for c in (1, np.float64(0.5), np.int64(-1), np.float32(0.3)):  # each read as the float it holds
+            assert dephasing_channel(0.1, c).choi.tobytes() == dephasing_channel(0.1, float(c)).choi.tobytes()
 
     def test_coefficient_outside_unit_interval_rejected(self):
         # the message names the value that fails the check, NaN included
@@ -914,8 +925,8 @@ class TestCertification:
         assert f == pytest.approx(1.0, abs=1e-12)
 
     def test_witness_is_the_fidelity_operator_trace(self):
-        # tr(J W) read from the rows and the reference map, against the
-        # formula np.vdot(J, W).real, within 1e-15: dephasing channels on both
+        # tr(J W) against the fidelity of the reference with the channel
+        # applied elementwise, within 1e-15: dephasing channels on both
         # intervals and a random channel, on seeded uniform items, general
         # assemblages and an item with p(0|0) below PROB_FLOOR, whose term
         # (about 7e-7 if it were kept) must be dropped
@@ -936,7 +947,7 @@ class TestCertification:
             for ch in channels:
                 got = extractability_with_channel(asm, ch)
                 assert type(got) is float
-                assert abs(got - np.vdot(ch.choi, fidelity_operator(asm)).real) <= 1e-15
+                assert abs(got - assemblage_fidelity(chsh_reference(), Assemblage(ch.apply(asm.elements)))) <= 1e-15
 
     def test_witness_needs_two_settings_and_outcomes(self):
         three_settings = Assemblage(np.broadcast_to(I2 / 6, (2, 3, 2, 2)))

@@ -13,9 +13,8 @@ from steerbound.assemblage import (
 )
 from steerbound.fidelity import appendix_b_strategy
 from steerbound.matkernel import I2, KET0, PAULI_X, PAULI_Z, ValidationError, projector
+from steerbound.certificate import BETA_CLASSICAL, BETA_QUANTUM
 from steerbound.steering import (
-    BETA_CLASSICAL,
-    BETA_QUANTUM,
     check_theta,
     chsh_functional,
     max_violation_over_theta,
