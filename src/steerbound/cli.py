@@ -11,6 +11,11 @@ built on numpy (``assemblage``, ``fidelity``, ``matkernel``) only inside the
 commands that need them, so ``import steerbound.cli`` and those three
 commands never load numpy.
 
+Each command's arguments are parsed by that command's own parser alone.
+The top-level parser reads an argv only for help and usage errors: no
+command, an unknown one, ``--`` before it, or arguments its command's
+parser leaves over.
+
 Exit codes: 0 success, 1 computation failure, 2 usage error, 141 (128 +
 SIGPIPE, as a shell reports a process that signal ended) when the reader
 of stdout has gone, with nothing on stderr.
@@ -137,7 +142,7 @@ def cmd_coefficient_search(args) -> int:
 def cmd_sandwich(args) -> int:
     from .numsearch import SearchConfig, sandwich_sweep
     if args.out_csv and os.path.realpath(args.out_csv) == os.path.realpath(args.out_json):
-        _PARSER.error("argument --out-csv: names the same file as --out-json")
+        _PARSER.commands["sandwich"].error("argument --out-csv: names the same file as --out-json")
     with open(args.config) as handle:
         cfg = SearchConfig.from_json(handle.read())
     report = sandwich_sweep(cfg)
@@ -228,6 +233,8 @@ def _s_value(text: str) -> float:
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict  # the top-level parser's: command name -> that command's parser
+
     def print_help(self, file=None):  # argparse's own write drops a BrokenPipeError: main must see it
         (file or sys.stdout).write(self.format_help())
 
@@ -238,6 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Device-independent certification of the CHSH-type steering assemblage",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     # both bounds are affine interpolations that hold only on [2, 2 sqrt 2]
     beta = _checked(float, BETA_CLASSICAL - ENDPOINT_SLACK, BETA_QUANTUM + ENDPOINT_SLACK)
@@ -291,9 +299,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Built once per process: parse_args reads the parser and writes only the
+# Built once per process: a parse reads the parsers and writes only the
 # fresh namespace it returns, so main() may be called repeatedly.
 _PARSER = build_parser()
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """The namespace the full parse gives, with ``command`` set, from the
+    command's own parser alone. Every other argv goes to the top-level
+    parser, so help and usage errors keep argparse's own words."""
+    command = _PARSER.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def _discard_stdout() -> None:
@@ -315,7 +336,7 @@ def _discard_stdout() -> None:
 def main(argv=None) -> int:
     try:
         try:
-            args = _PARSER.parse_args(argv)  # --help exits here, its text still buffered
+            args = _parse(sys.argv[1:] if argv is None else list(argv))  # --help exits here, its text still buffered
             return args.func(args)
         finally:
             sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit

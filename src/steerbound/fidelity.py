@@ -233,7 +233,7 @@ def extractability(asm: Assemblage):
         m = (m_vecs / np.sqrt(m_vals)) @ m_vecs.conj().T
         m = np.einsum("ij,ab->iajb", m, I2).reshape(4, 4)
         j = m @ j @ m.conj().T
-        candidate = np.einsum("ij,ij->", j.conj(), w).real
+        candidate = np.vdot(j, w).real
         if candidate > value:
             value, choi = candidate, j
     gap = max(dual - value, 0.0) + _ROUNDING

@@ -9,7 +9,8 @@ two mutants, the value times 1e3 and times 1e-3. The structural rows
 argument, and ``GUARDS`` each break one other guard: the exact decision of
 the certificate (``QSqrt2``'s sign, its shortcut and its three
 alignments, the tie rule, the kink check and ``verify-inequality``'s zero
-slack), the dephasing
+slack), the CLI's fallback to the top-level parser for arguments a
+command's parser leaves over, the dephasing
 coefficient check, the elements' immutable buffer, the JSON parse's type
 and magnitude check, the sandwich record's float guard, ``validate``'s
 comparison of the kept
@@ -21,8 +22,8 @@ the one map of tr(J W), once for each reader, one swaps two components in
 the one reader of a 2x2 matrix's entries, and two import numpy, one into
 the standard-library certificate core and one into the sandwich's
 ``numsearch``.
-For each mutant, ``src/``, ``tests/`` and ``pyproject.toml`` are copied to a
-temporary directory, its text (which must occur exactly once in its file)
+For each mutant, ``src/``, ``tests/``, ``pyproject.toml`` and ``README.md``
+are copied to a temporary directory, its text (which must occur exactly once in its file)
 is replaced there, and its test files run with ``pytest -x``. A failing test kills the mutant; a mutant
 whose tests all pass survives.
 
@@ -89,6 +90,8 @@ STRUCTURAL = (
 # the wrong operand into alignment, the tie rule takes the last least
 # value, the kink check's rising piece has its intercept moved by 2^-50
 # and verify-inequality's verdict takes back a 2^-46 (1.4e-14) slack,
+# the CLI's fallback to the top-level parser for arguments a command's
+# parser leaves over is dropped, so `verify-inequality extra` exits 0,
 # the dephasing coefficient check falls back to no check, the elements'
 # immutable buffer to a copy that is read-only by its flag only, the JSON
 # parse's one-pass type and magnitude check on every value to none, the
@@ -128,6 +131,7 @@ GUARDS = (
     ("kink check", "certificate.py", "if not t + 2 * s == 1.5:", "if not t + 2 * s == 1.5 + 2.0**-50:",
      ("tests/test_selftest.py", "tests/test_cli.py")),
     ("verify slack", "cli.py", "if not worst >= 0:", "if not worst >= -2.0**-46:", ("tests/test_cli.py",)),
+    ("leftover arguments fallback", "cli.py", "        if not rest:\n", "        if True:\n", ("tests/test_cli.py",)),
     ("dephasing coefficient check", "selftest.py", 'if not -1 <= _one_real(c, "c") <= 1:', "if False:",
      ("tests/test_selftest.py",)),
     ("immutable elements", "assemblage.py", "np.frombuffer(given.tobytes(), complex).reshape(given.shape)",
@@ -204,7 +208,8 @@ def run_mutant(path: Path, old: str, new: str, files) -> int:
         skip = shutil.ignore_patterns("__pycache__", "*.egg-info")
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, copy / part, ignore=skip)
-        shutil.copy(ROOT / "pyproject.toml", copy)
+        for name in ("pyproject.toml", "README.md"):  # test_cli.py runs the README's commands
+            shutil.copy(ROOT / name, copy)
         target = copy / path.relative_to(ROOT)
         text = target.read_text()
         if text.count(old) != 1:

@@ -5,18 +5,21 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from steerbound import certificate, selftest
+from steerbound import certificate, cli, selftest
 from steerbound.assemblage import Assemblage, chsh_reference
 from steerbound.cli import build_parser, main
 from steerbound.numsearch import SearchConfig, sandwich_sweep
 
 SQRT2 = math.sqrt(2)
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -513,6 +516,66 @@ def test_shared_parser_is_reentrant(capsys):
     assert capsys.readouterr() == (out, err)
 
 
+# argv whose exit code, stdout and stderr must be those of the full parse
+# through the top-level parser, on the running Python: a command's argv goes
+# to that command's parser alone, every other argv and every leftover
+# argument to the top-level parser
+FULL_PARSE = [
+    ["--help"],
+    ["-h", "verify-inequality"],
+    [],
+    ["no-such-command"],
+    ["--", "verify-inequality"],
+    ["verify-inequality", "extra"],
+    ["verify-inequality", "--the", "5"],
+    ["verify-inequality", "--s=0.7"],
+    ["verify-inequality", "-h"],
+    ["verify-inequality", "--"],
+    ["verify-inequality", "--", "--s", "5"],
+    ["coefficient-search", "--s-points", "512", "--theta-points", "10000"],
+    ["coefficient-search", "--s-points", "512", "extra", "--theta-points", "10000"],
+    # a usage error per command
+    ["bound-curve", "--points", "0"],
+    ["verify-inequality", "--s", "nan"],
+    ["classical-fidelity", "--assemblage"],
+    ["coefficient-search", "--s-points", "x"],
+    ["sandwich"],
+    ["realize", "--state"],
+    ["validate", "--tol", "1e-9"],
+]
+
+
+@pytest.mark.parametrize("argv", FULL_PARSE, ids=lambda argv: " ".join(argv) or "no arguments")
+def test_main_answers_as_the_full_parse(argv, monkeypatch, run_cli):
+    def outcome():
+        result = run_cli(*argv)
+        return result.returncode, result.stdout, result.stderr
+
+    got = outcome()
+    monkeypatch.setattr(cli, "_parse", build_parser().parse_args)
+    assert got == outcome()
+
+
+def test_commands_skip_the_top_level_parse(monkeypatch, tmp_path, capsys):
+    # each `steerbound ...` line of the README's CLI block is parsed by its
+    # own command's parser alone, into the namespace of the full parse: the
+    # top-level parser, refused, is never asked
+    block = re.search(r"^## CLI$.*?^```\n(.*?)^```$", README.read_text(), re.S | re.M).group(1)
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("steerbound ")]
+    assert [argv[0] for argv in commands] == list(SUBCOMMANDS)
+    fresh = build_parser()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser parsed a command")
+
+    monkeypatch.setattr(cli._PARSER, "parse_known_args", refuse)
+    (tmp_path / "config.json").write_text("{}")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, (argv, capsys.readouterr())
+        assert cli._parse(argv) == fresh.parse_args(argv), argv
+
+
 class TestClassicalFidelity:
     def test_chsh_preset(self, run_cli):
         result = run_cli("classical-fidelity")
@@ -657,7 +720,9 @@ class TestSandwich:
 
     @pytest.mark.parametrize("csv_name", ["report.json", "./report.json", "link.json", "absolute"])
     def test_one_file_for_both_reports_is_usage_error(self, tmp_path, csv_name, monkeypatch, run_cli):
-        # the CSV used to replace the JSON report, with exit 0
+        # the CSV used to replace the JSON report, with exit 0; the error
+        # gives the sandwich command's usage, as its other usage errors do
+        monkeypatch.setenv("COLUMNS", "80")
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{}")
         (tmp_path / "link.json").symlink_to(tmp_path / "report.json")
@@ -667,7 +732,11 @@ class TestSandwich:
         result = run_cli("sandwich", "--config", str(cfg_path), "--out-json", "report.json", "--out-csv", csv_name)
         assert result.returncode == 2
         assert result.stdout == ""
-        assert "error: argument --out-csv: names the same file as --out-json" in result.stderr
+        assert result.stderr == (
+            "usage: steerbound sandwich [-h] --config CONFIG [--out-json OUT_JSON]\n"
+            "                           [--out-csv OUT_CSV]\n"
+            "steerbound sandwich: error: argument --out-csv: names the same file as --out-json\n"
+        )
         assert sorted(os.listdir(tmp_path)) == ["cfg.json", "link.json"]
 
     def test_missing_config_is_error(self, tmp_path, run_cli):

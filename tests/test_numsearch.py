@@ -241,6 +241,14 @@ class TestExtractability:
             assert validate(asm).passed
             self._check_certificate(*extractability(asm))
 
+    def test_value_is_the_witness_of_its_channel(self, rng):
+        # one spelling of tr(J W): the solve scores its channel exactly as
+        # extractability_with_channel does, to the last bit
+        for _ in range(30):
+            asm = general_assemblage(rng)
+            value, channel, _ = extractability(asm)
+            assert value == extractability_with_channel(asm, channel)
+
     def test_bounded_eigendecompositions(self, monkeypatch):
         asm = realize(random_realization(np.random.default_rng(5)))
         calls = count_eigh(monkeypatch)
